@@ -12,16 +12,10 @@
 //!   each lane is a pure function of its own initial state and inputs, which
 //!   is why retiring a finished lane and refilling its slot with a fresh
 //!   scenario cannot perturb any neighbour.
-//!
-//! The module also hosts [`PiecewiseCursor`], the batch-path view of a
-//! [`PiecewiseSource`]: it returns the exact same power samples, but replaces
-//! the per-call linear segment scan with a monotone cursor — the piecewise
-//! lookup is O(1) per tick instead of O(segments).
 
 use tech45::units::{Capacitance, Energy, EnergyFx, Power, Seconds};
 
 use crate::capacitor::{Capacitor, EnergyCell};
-use crate::source::{HarvestSource, PiecewiseSource};
 
 /// A structure-of-arrays bank of storage capacitors: one simulation lane per
 /// index, with stored energy, capacity and a per-lane continuous leakage
@@ -148,91 +142,9 @@ impl CapacitorBank {
     }
 }
 
-/// A monotone-cursor view of a [`PiecewiseSource`].
-///
-/// [`PiecewiseSource::power_at`] rescans the segment list on every call;
-/// over a 4000 s Fig. 4 schedule at `dt = 0.05 s` that is ~14 comparisons ×
-/// 80 000 steps per run.  The simulator only ever advances time
-/// monotonically, so this wrapper remembers the segment the previous query
-/// landed in and usually answers with a single comparison, rewinding only
-/// when a cyclic schedule wraps around.  The returned powers are the exact
-/// segment values of the underlying source — a table lookup, not new
-/// arithmetic — so the cursor is sample-for-sample identical to the scan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PiecewiseCursor {
-    inner: PiecewiseSource,
-    cursor: usize,
-}
-
-impl PiecewiseCursor {
-    /// Wraps a piecewise source in a cursor.
-    #[must_use]
-    pub fn new(inner: PiecewiseSource) -> Self {
-        Self { inner, cursor: 0 }
-    }
-
-    /// Unwraps the underlying source (e.g. to recycle its segment buffer).
-    #[must_use]
-    pub fn into_inner(self) -> PiecewiseSource {
-        self.inner
-    }
-
-    /// Time from `now` until the schedule can next change its power: the
-    /// start of the next segment, or the cycle wrap for a cyclic schedule
-    /// past its last segment.  `None` means the power is constant forever
-    /// from `now` on.  Until that horizon every `power_at` query returns the
-    /// sample `now` gets, which is what lets a batch executor fast-forward
-    /// across the segment plateau.
-    #[must_use]
-    pub fn segment_horizon(&self, now: Seconds) -> Option<Seconds> {
-        let w = self.inner.wrapped_time(now);
-        self.inner.next_boundary(w).map(|boundary| Seconds::new(boundary - w))
-    }
-}
-
-impl HarvestSource for PiecewiseCursor {
-    fn power_at(&mut self, t: Seconds) -> Power {
-        let time = self.inner.wrapped_time(t);
-        let segments = self.inner.segments();
-        // A wrap (or any non-monotone query) lands before the cached
-        // segment: rewind and rescan from the front, exactly like the scan.
-        if time < segments[self.cursor].0.as_seconds() {
-            self.cursor = 0;
-            if time < segments[0].0.as_seconds() {
-                return Power::ZERO;
-            }
-        }
-        while self
-            .inner
-            .segments()
-            .get(self.cursor + 1)
-            .is_some_and(|&(start, _)| start.as_seconds() <= time)
-        {
-            self.cursor += 1;
-        }
-        segments[self.cursor].1
-    }
-
-    fn describe(&self) -> String {
-        self.inner.describe()
-    }
-
-    /// The cursor's steadiness is the underlying schedule's: the cursor
-    /// index is a pure cache of the last query time, so skipped queries
-    /// leave it observably intact (the next call re-seeks on its own).
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
-        self.inner.steady_after(tick, dt)
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        Some(self.inner.max_power())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Schedule;
 
     #[test]
     fn bank_lanes_behave_exactly_like_standalone_capacitors() {
@@ -283,83 +195,5 @@ mod tests {
         assert!((bank.leaks()[0].as_microwatts() - 5.0).abs() < 1e-12);
         assert_eq!(bank.energies().len(), 2);
         assert_eq!(bank.max_energies().len(), 2);
-    }
-
-    #[test]
-    fn the_cursor_matches_the_scanning_source_sample_for_sample() {
-        for schedule in [Schedule::fig4(), Schedule::plentiful(), Schedule::scarce()] {
-            let mut scan = schedule.to_source();
-            let mut cursor = PiecewiseCursor::new(schedule.to_source());
-            // Sweep far past the cycle duration so cyclic schedules wrap
-            // several times, at a step that hits segment boundaries exactly.
-            for i in 0..200_000_u32 {
-                let t = Seconds::new(f64::from(i) * 0.05);
-                let a = scan.power_at(t);
-                let b = cursor.power_at(t);
-                assert_eq!(
-                    a.value().to_bits(),
-                    b.value().to_bits(),
-                    "{} diverges at t={}",
-                    schedule.name(),
-                    t.as_seconds()
-                );
-            }
-            assert_eq!(cursor.describe(), scan.describe());
-        }
-    }
-
-    #[test]
-    fn the_cursor_handles_a_delayed_first_segment() {
-        let segments = vec![
-            (Seconds::new(10.0), Power::from_milliwatts(1.0)),
-            (Seconds::new(20.0), Power::ZERO),
-        ];
-        let mut scan = PiecewiseSource::new(segments.clone(), true, Seconds::new(30.0));
-        let mut cursor =
-            PiecewiseCursor::new(PiecewiseSource::new(segments, true, Seconds::new(30.0)));
-        for i in 0..500_u32 {
-            let t = Seconds::new(f64::from(i) * 0.25);
-            assert_eq!(scan.power_at(t), cursor.power_at(t), "t={}", t.as_seconds());
-        }
-    }
-
-    #[test]
-    fn into_inner_returns_the_wrapped_source() {
-        let source = Schedule::scarce().to_source();
-        let cursor = PiecewiseCursor::new(source.clone());
-        assert_eq!(cursor.into_inner(), source);
-    }
-
-    #[test]
-    fn the_segment_horizon_covers_exactly_the_current_plateau() {
-        let segments = vec![
-            (Seconds::new(0.0), Power::from_milliwatts(1.0)),
-            (Seconds::new(10.0), Power::ZERO),
-        ];
-        let mut cursor =
-            PiecewiseCursor::new(PiecewiseSource::new(segments.clone(), true, Seconds::new(30.0)));
-        // Sweep a fine grid: within every reported horizon the power must
-        // stay bit-identical to the sample at the query time.
-        for i in 0..3_000_u32 {
-            let now = Seconds::new(f64::from(i) * 0.05);
-            let here = cursor.power_at(now);
-            let horizon =
-                cursor.segment_horizon(now).expect("cyclic schedules always have a boundary");
-            assert!(horizon.value() > 0.0, "empty horizon at t={}", now.as_seconds());
-            // Probe strictly inside the horizon (on a copy, to keep the
-            // cursor's monotone sweep intact).
-            let mut probe = cursor.clone();
-            let inside = Seconds::new(now.as_seconds() + horizon.as_seconds() * 0.99);
-            assert_eq!(
-                probe.power_at(inside).value().to_bits(),
-                here.value().to_bits(),
-                "power changed inside the horizon at t={}",
-                now.as_seconds()
-            );
-        }
-        // A non-cyclic schedule past its last segment never changes again.
-        let tail = PiecewiseCursor::new(PiecewiseSource::new(segments, false, Seconds::new(30.0)));
-        assert_eq!(tail.segment_horizon(Seconds::new(99.0)), None);
-        assert_eq!(tail.power_bound(), Some(Power::from_milliwatts(1.0)));
     }
 }

@@ -9,12 +9,16 @@
 //! * [`capacitor`] — the virtual battery: charge integration, discharge
 //!   accounting, and voltage/energy conversions.
 //! * [`source`] — ambient harvest sources: constant, RFID-burst, solar-like,
-//!   two-state Markov, trace-driven, and piecewise schedules.
+//!   two-state Markov, and piecewise schedules (behind a monotone segment
+//!   cursor).  Each answers per tick ([`source::HarvestSource::power_at`])
+//!   or per window ([`source::HarvestSource::segment`]: the sample plus the
+//!   run of ticks that repeat it bit for bit).
 //! * [`crng`] — the counter-indexed random streams behind the stochastic
-//!   sources: every draw is a pure function of `(seed, index)`, so steady
-//!   stretches can be skipped in O(1) with no replay bookkeeping.
-//! * [`bank`] — structure-of-arrays lane banks ([`bank::CapacitorBank`],
-//!   [`bank::PiecewiseCursor`]) for the lockstep batch executor; the per-lane
+//!   sources: every draw is a pure function of `(seed, index)`, so a
+//!   segment's remaining queries can be skipped in O(1) with no replay
+//!   bookkeeping.
+//! * [`bank`] — the structure-of-arrays capacitor bank
+//!   ([`bank::CapacitorBank`]) for the lockstep batch executor; the per-lane
 //!   physics is shared with the scalar types through
 //!   [`capacitor::EnergyCell`].
 //! * [`pmu`] — the power-management unit: the six thresholds of the paper's
@@ -51,10 +55,10 @@ pub mod schedule;
 pub mod source;
 pub mod trace;
 
-pub use bank::{CapacitorBank, PiecewiseCursor};
+pub use bank::CapacitorBank;
 pub use capacitor::{Capacitor, EnergyCell};
 pub use crng::CounterRng;
 pub use pmu::{OperatingZone, PowerEvent, PowerManagementUnit, ThresholdBank, Thresholds};
 pub use schedule::Schedule;
-pub use source::{HarvestSource, MarkovSource, PiecewiseSource, RfidSource, SolarSource};
+pub use source::{HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Segment, SolarSource};
 pub use trace::{NullSink, TraceRecorder, TraceSample, TraceSink};

@@ -10,8 +10,9 @@
 //! Stochastic sources draw from counter-indexed streams ([`crate::crng`]):
 //! solar cloud noise is indexed by the query instant, RFID burst jitter by
 //! the cycle number, Markov dwell times by the switch count.  Each draw is a
-//! pure function of `(seed, index)`, so steady stretches can be skipped in
-//! O(1) without any replay bookkeeping.
+//! pure function of `(seed, index)`, so a caller that takes a whole
+//! [`Segment`] at once skips the window's remaining queries in O(1), without
+//! any replay bookkeeping.
 
 use crate::crng::CounterRng;
 
@@ -35,6 +36,45 @@ fn split_cycles(x: f64) -> (u64, f64) {
     }
 }
 
+/// The exclusive end of a window anchored at `tick`, found by estimate and
+/// exact re-check.  `est` is the distance in ticks from the anchor to the
+/// edge of the anchor's constant-power region (the first instant outside
+/// it), so the last tick strictly before the edge sits at offset
+/// `ceil(est) - 1`.  `inside(j)` re-checks offset `j` with the sampler's own
+/// arithmetic; it must hold on a prefix of offsets, so verifying the last
+/// claimed tick proves the whole window, however `est` rounded.
+#[inline]
+fn window_end(tick: u64, est: f64, inside: impl Fn(u64) -> bool) -> u64 {
+    // Past 2^53 ticks the grid instants stop being distinct f64 values.
+    const CAP: f64 = 9_007_199_254_740_992.0;
+    let mut h = if est > 1.0 && est < CAP {
+        // `ceil(est) - 1` without the libm call: truncation is exact below
+        // 2^53, and `est > 1` keeps the result non-negative.
+        let t = est as u64;
+        if (t as f64) < est {
+            t
+        } else {
+            t - 1
+        }
+    } else {
+        0
+    };
+    while h > 0 && !inside(h) {
+        h -= 1;
+    }
+    tick + 1 + h
+}
+
+/// A run of ticks over which a source's sample is bit-identical, as returned
+/// by [`HarvestSource::segment`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Segment {
+    /// The sample of every tick in the window.
+    pub power: Power,
+    /// The first tick past the window; always greater than the queried tick.
+    pub until: u64,
+}
+
 /// A source of ambient power.
 ///
 /// Implementations report the power available at an absolute simulation time.
@@ -44,35 +84,30 @@ fn split_cycles(x: f64) -> (u64, f64) {
 /// Markov source's monotone clock, which only ever moves forward) and
 /// skipping queries never perturbs future samples.
 pub trait HarvestSource {
-    /// Power delivered to the harvester front-end at time `t`.
+    /// Power delivered to the harvester front-end at time `t` — the per-tick
+    /// reference sampler.
     fn power_at(&mut self, t: Seconds) -> Power;
 
     /// A short human-readable description of the source.
     fn describe(&self) -> String;
 
-    /// How many ticks *after* tick `tick` (at `t = tick * dt`) this source is
-    /// provably steady: for every `j` in `1..=steady_ticks(tick, dt)`,
-    /// `power_at((tick + j) * dt)` would return the bit-exact power of tick
-    /// `tick`, and *not* making those calls leaves every future sample
-    /// unchanged.  Because draws are counter-indexed, elided queries consume
-    /// nothing — there is no stream position to replay — and the only
-    /// per-query state left (memo caches, the Markov monotone clock) is
-    /// self-healing.  A caller may therefore simply jump past the window and
-    /// reuse the cached sample; no skip/replay call exists or is needed.
+    /// The sample of tick `tick` (at `t = tick · dt`) and the window it holds
+    /// for: every tick in `tick..until` samples bit-identically to
+    /// `power_at(tick · dt)`, and `until > tick`.  The call leaves the source
+    /// as `power_at(tick · dt)` would, and *not* querying the window's other
+    /// ticks perturbs no later sample — draws are counter-indexed, and the
+    /// only per-query state left (memo caches, the piecewise cursor, the
+    /// Markov monotone clock) is self-healing.  A caller may therefore burn
+    /// the whole window on one sample.
     ///
-    /// The default is 0 — never steady — which is always safe; sources whose
-    /// sample genuinely varies per tick (solar daylight) return 0 there.
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
-        let _ = (tick, dt);
-        0
-    }
-
-    /// A conservative upper bound on every sample this source can ever
-    /// return, if one is known.  Used to bound how fast a lane's stored
-    /// energy can rise per tick; `None` (the default) disables any
-    /// bound-based reasoning.
-    fn power_bound(&self) -> Option<Power> {
-        None
+    /// The default is the length-1 window, which is always sound; sources
+    /// whose sample genuinely varies per tick (solar daylight) answer that
+    /// way too.
+    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+        Segment {
+            power: self.power_at(Seconds::new(tick as f64 * dt.as_seconds())),
+            until: tick + 1,
+        }
     }
 }
 
@@ -99,12 +134,8 @@ impl HarvestSource for ConstantSource {
         format!("constant {:.3} mW", self.power.as_milliwatts())
     }
 
-    fn steady_ticks(&mut self, _tick: u64, _dt: Seconds) -> u64 {
-        u64::MAX
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        Some(self.power)
+    fn segment(&mut self, _tick: u64, _dt: Seconds) -> Segment {
+        Segment { power: self.power, until: u64::MAX }
     }
 }
 
@@ -121,23 +152,9 @@ pub struct RfidSource {
     /// `(cycle, start, end)` memos of the last two windows computed, one
     /// slot per cycle parity.  Windows are pure functions of the cycle, so
     /// the memo can never go stale — it only saves the jitter mix on repeat
-    /// queries (several ticks per cycle on campaign grids, and the steady
-    /// probe asking about `cycle` and `cycle + 1` hits both slots).
+    /// queries (several ticks per cycle on campaign grids, and a rest
+    /// segment asking about `cycle` and `cycle + 1` hits both slots).
     window_memo: [Option<(u64, f64, f64)>; 2],
-    steady_cache: Option<SteadyCache>,
-}
-
-/// A verified constant-power tick interval, kept so the hot steady probe is
-/// two integer compares instead of the float search.  Windows are pure
-/// functions of the cycle index, so the cache can never go stale.
-#[derive(Debug, Clone, Copy)]
-struct SteadyCache {
-    /// First tick of the verified in-region interval (the probe anchor).
-    first: u64,
-    /// Last tick of the verified in-region interval.
-    last: u64,
-    /// Bit pattern of the `dt` the interval was computed for.
-    dt_bits: u64,
 }
 
 impl RfidSource {
@@ -153,7 +170,6 @@ impl RfidSource {
             jitter: jitter.clamp(0.0, 0.5),
             jitter_rng: CounterRng::new(seed),
             window_memo: [None; 2],
-            steady_cache: None,
         }
     }
 
@@ -180,8 +196,8 @@ impl RfidSource {
 
     /// [`Self::cycle_window`] behind the memo — the hot-path variant for
     /// repeat queries of the same (or adjacent) cycles.  Parity-indexed
-    /// slots keep `cycle` and `cycle + 1` cached side by side, so the
-    /// steady probe's two window lookups never evict each other.
+    /// slots keep `cycle` and `cycle + 1` cached side by side, so a rest
+    /// segment's two window lookups never evict each other.
     fn cycle_window_memo(&mut self, cycle: u64) -> (f64, f64) {
         let slot = (cycle & 1) as usize;
         if let Some((cached, start, end)) = self.window_memo[slot] {
@@ -200,8 +216,7 @@ impl HarvestSource for RfidSource {
         if self.period.is_non_positive() {
             return Power::ZERO;
         }
-        let cycles = t.as_seconds() / self.period.as_seconds();
-        let (cycle, phase) = split_cycles(cycles);
+        let (cycle, phase) = split_cycles(t.as_seconds() / self.period.as_seconds());
         let (start, end) = self.cycle_window_memo(cycle);
         if phase >= start && phase < end {
             self.peak
@@ -219,83 +234,49 @@ impl HarvestSource for RfidSource {
         )
     }
 
-    /// Steady while the tick grid stays inside one constant-power region.
-    /// Windows are pure functions of the cycle index, so the window of *any*
-    /// cycle can be computed without consuming a stream: the post-burst rest
-    /// therefore extends across the cycle wrap into the next cycle's
-    /// pre-burst rest, one contiguous zero-power stretch the sequential
-    /// generator could never vouch for.  The candidate horizon is verified
-    /// with the exact `power_at` phase arithmetic (monotone in the tick
-    /// index), so it never overshoots a boundary.
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
+    /// Constant while the tick grid stays inside one burst or one rest.
+    /// Windows are pure functions of the cycle index, so the rest after a
+    /// burst extends across the cycle wrap into the next cycle's pre-burst
+    /// rest — one contiguous zero-power stretch.  The cycle/phase split is
+    /// monotone in the tick index, so checking the window's last tick with
+    /// the exact `power_at` arithmetic proves the whole window.
+    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
         if self.period.is_non_positive() {
             // Degenerate period: identically zero power, no state.
-            return u64::MAX;
+            return Segment { power: Power::ZERO, until: u64::MAX };
         }
-        let dt_s = dt.as_seconds();
-        if dt_s <= 0.0 {
-            return 0;
-        }
-        // Re-probes inside an interval the float search below already
-        // verified are a suffix of a proven window — answer with integer
-        // arithmetic.  Pure windows mean the cache can never go stale.
-        if let Some(c) = self.steady_cache {
-            if c.dt_bits == dt.value().to_bits() && tick >= c.first && tick <= c.last {
-                return c.last - tick;
-            }
-        }
-        let period = self.period.as_seconds();
+        let (dt_s, period) = (dt.as_seconds(), self.period.as_seconds());
         let t0 = tick as f64 * dt_s;
-        let cycles0 = t0 / period;
-        let (cycle, phase0) = split_cycles(cycles0);
-        // The cycle splits into three constant-power phase regions:
-        // [0, start) off, [start, end) on, [end, 1) off — and the trailing
-        // off region continues into [0, start') of cycle + 1.
+        let (cycle, phase0) = split_cycles(t0 / period);
         let (start, end) = self.cycle_window_memo(cycle);
-        let (next_start, _) = self.cycle_window_memo(cycle + 1);
         let on = phase0 >= start && phase0 < end;
-        let hi_cycles = if phase0 < start {
+        let power = if on { self.peak } else { Power::ZERO };
+        // The cycle splits into [0, start) off, [start, end) on, [end, 1)
+        // off — and the trailing rest runs on into [0, start') of cycle + 1.
+        let mut next_start = 0.0;
+        let edge = if phase0 < start {
             cycle as f64 + start
         } else if on {
             cycle as f64 + end
         } else {
+            next_start = self.cycle_window_memo(cycle + 1).0;
             (cycle + 1) as f64 + next_start
         };
-        let candidate = ((hi_cycles * period - t0) / dt_s).ceil();
-        if !candidate.is_finite() || candidate < 1.0 {
-            return 0;
-        }
-        let mut h = candidate as u64;
-        // `tick + j -> cycles` is monotone and each region's safe tick set
-        // is a prefix, so verifying the last tick with the exact `power_at`
-        // arithmetic verifies the whole window.
-        let in_region = |j: u64| {
-            let cj = ((tick + j) as f64 * dt_s) / period;
-            let (c, phase) = split_cycles(cj);
-            if on {
-                c == cycle && phase < end
-            } else if c == cycle {
-                if phase0 < start {
+        let until = window_end(tick, (edge * period - t0) / dt_s, |j| {
+            let (c, phase) = split_cycles((tick + j) as f64 * dt_s / period);
+            if c == cycle {
+                if on {
+                    phase < end
+                } else if phase0 < start {
                     phase < start
                 } else {
                     phase >= end
                 }
             } else {
-                // The post-burst rest may spill into the next cycle's
-                // pre-burst rest; anything further is never claimed.
                 phase0 >= end && c == cycle + 1 && phase < next_start
             }
-        };
-        while h > 0 && !in_region(h) {
-            h -= 1;
-        }
-        self.steady_cache =
-            Some(SteadyCache { first: tick, last: tick + h, dt_bits: dt.value().to_bits() });
-        h
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        Some(self.peak)
+        });
+        Segment { power, until }
     }
 }
 
@@ -307,9 +288,6 @@ pub struct SolarSource {
     day_length: Seconds,
     cloudiness: f64,
     clouds: CounterRng,
-    /// `(end_tick, dt_bits)`: ticks strictly before `end_tick` (at that `dt`)
-    /// are known daylight, so the steady probe answers 0 without arithmetic.
-    day_cache: Option<(u64, u64)>,
 }
 
 impl SolarSource {
@@ -322,8 +300,31 @@ impl SolarSource {
             day_length,
             cloudiness: cloudiness.clamp(0.0, 1.0),
             clouds: CounterRng::new(seed),
-            day_cache: None,
         }
+    }
+
+    /// The clamped sine factor at a day phase: daylight between phase 0.25
+    /// and 0.75, exactly `0.0` at night.
+    fn sun(phase: f64) -> f64 {
+        (std::f64::consts::PI * (phase * 2.0 - 0.5)).sin().max(0.0)
+    }
+
+    /// The sample at instant `t` given its non-zero sun factor.  Cloud noise
+    /// is indexed by the instant's bit pattern, which on a fixed tick grid is
+    /// injective in the tick index.
+    fn daylight(&self, t: f64, sun: f64) -> Power {
+        let clouds = 1.0 - self.cloudiness * self.clouds.unit_f64(t.to_bits());
+        Power::new(self.peak.as_watts() * sun * clouds)
+    }
+
+    /// The exclusive end of the night window anchored at a dark `tick` —
+    /// kept out of line, so the per-tick daylight path stays small.
+    #[inline(never)]
+    fn night_end(tick: u64, dt_s: f64, day: f64, cycle: u64, phase0: f64) -> u64 {
+        let sunrise = (cycle as f64 + if phase0 <= 0.25 { 0.25 } else { 1.25 }) * day;
+        window_end(tick, (sunrise - tick as f64 * dt_s) / dt_s, |j| {
+            Self::sun(split_cycles((tick + j) as f64 * dt_s / day).1) == 0.0
+        })
     }
 }
 
@@ -332,9 +333,7 @@ impl HarvestSource for SolarSource {
         if self.day_length.is_non_positive() {
             return Power::ZERO;
         }
-        let phase = split_cycles(t.as_seconds() / self.day_length.as_seconds()).1;
-        // Daylight between phase 0.25 and 0.75, zero at night.
-        let sun = (std::f64::consts::PI * (phase * 2.0 - 0.5)).sin().max(0.0);
+        let sun = Self::sun(split_cycles(t.as_seconds() / self.day_length.as_seconds()).1);
         if sun == 0.0 {
             // `peak * 0.0 * clouds` is `+0.0` whatever the cloud draw would
             // have been (the cloud factor is strictly positive), and the
@@ -342,10 +341,7 @@ impl HarvestSource for SolarSource {
             // no stream to advance.
             return Power::ZERO;
         }
-        // Cloud noise is indexed by the query instant's bit pattern, which
-        // on a fixed tick grid is injective in the tick index.
-        let clouds = 1.0 - self.cloudiness * self.clouds.unit_f64(t.value().to_bits());
-        Power::new(self.peak.as_watts() * sun * clouds)
+        self.daylight(t.as_seconds(), sun)
     }
 
     fn describe(&self) -> String {
@@ -356,76 +352,25 @@ impl HarvestSource for SolarSource {
         )
     }
 
-    /// Solar nights are steady at exactly zero: whenever the sine factor
-    /// clamps to `+0.0` the sample is a bit-identical `Power::ZERO`, and the
-    /// cloud draws are counter-indexed — pure in the query time — so eliding
-    /// the night queries leaves nothing to replay.  A float estimate of the
-    /// ticks left until sunrise seeds the horizon and the *last* tick is
-    /// re-verified with the exact `power_at` sine expression; night is one
-    /// contiguous phase interval, so the last tick being dark proves the
-    /// whole window is.  Ticks whose sine lands exactly on `0.0` are
-    /// excluded (strict `< 0`) to keep the verification one-sided.
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
-        let day = self.day_length.as_seconds();
-        if day <= 0.0 {
-            // Degenerate day: `power_at` early-returns zero, so the source
-            // is a stateless constant.
-            return u64::MAX;
+    /// Daylight samples carry a fresh cloud draw every tick, so they come as
+    /// length-1 windows.  Nights are steady at exactly zero: the window runs
+    /// to the next sunrise (phase 0.25 of this day, or of the next one after
+    /// sunset), and its last tick is re-checked with the exact `power_at`
+    /// sine expression — the dark phases of a day are one contiguous
+    /// interval across the day wrap, so a dark last tick proves the window.
+    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+        if self.day_length.is_non_positive() {
+            // Degenerate day: `power_at` early-returns zero, no state.
+            return Segment { power: Power::ZERO, until: u64::MAX };
         }
-        let dt_s = dt.as_seconds();
-        if dt_s <= 0.0 {
-            return 0;
-        }
-        // Cheap daylight reject before paying for a sine: the sun factor is
-        // analytically non-negative for phases in [0.25, 0.75], and claiming
-        // "not steady" is always sound, so only the plausible-night band runs
-        // the exact verification below.  The first day probe computes how
-        // many upcoming ticks stay strictly before the phase-0.75 sunset and
-        // caches that, making the per-tick probes of a daylight walk two
-        // integer compares.
-        if let Some((end_tick, dt_bits)) = self.day_cache {
-            if dt_bits == dt.value().to_bits() && tick < end_tick {
-                return 0;
-            }
-        }
-        let probe_phase = split_cycles((tick as f64 * dt_s) / day).1;
-        if (0.25..=0.75).contains(&probe_phase) {
-            let t0 = tick as f64 * dt_s;
-            let sunset = ((t0 / day).floor() + 0.75) * day;
-            let run = ((sunset - t0) / dt_s).floor();
-            if run.is_finite() && run >= 1.0 {
-                self.day_cache = Some((tick + run as u64, dt.value().to_bits()));
-            }
-            return 0;
-        }
-        let dark = |tick: u64| -> bool {
-            let phase = split_cycles((tick as f64 * dt_s) / day).1;
-            (std::f64::consts::PI * (phase * 2.0 - 0.5)).sin() < 0.0
-        };
-        if !dark(tick) {
-            return 0;
-        }
-        // Next sunrise: phase 0.25 of the current cycle if the anchor sits
-        // before it, else of the next cycle.  Staying strictly below the
-        // sunrise time keeps the window inside one contiguous night.
+        let (dt_s, day) = (dt.as_seconds(), self.day_length.as_seconds());
         let t0 = tick as f64 * dt_s;
-        let cycle = (t0 / day).floor();
-        let phase0 = (t0 / day).fract();
-        let sunrise = if phase0 < 0.25 { (cycle + 0.25) * day } else { (cycle + 1.25) * day };
-        let est = (sunrise - t0) / dt_s - 1.0;
-        if !est.is_finite() || est <= 1.0 {
-            return 0;
+        let (cycle, phase0) = split_cycles(t0 / day);
+        let sun = Self::sun(phase0);
+        if sun != 0.0 {
+            return Segment { power: self.daylight(t0, sun), until: tick + 1 };
         }
-        let mut h = est.floor() as u64;
-        while h > 0 && !dark(tick + h) {
-            h -= 1;
-        }
-        h
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        // sun and cloud factors both lie in [0, 1].
-        Some(self.peak)
+        Segment { power: Power::ZERO, until: Self::night_end(tick, dt_s, day, cycle, phase0) }
     }
 }
 
@@ -493,39 +438,43 @@ impl HarvestSource for MarkovSource {
         )
     }
 
-    /// Ticks strictly before `next_switch` are skippable: queries in that
-    /// range return the current dwell power and touch nothing but
-    /// `last_time`, which is a pure monotonicity clamp — and dwell draws are
-    /// indexed by the switch count, so the catch-up loop produces the same
-    /// dwell times whether the intermediate queries happen or not.
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
+    /// The current dwell lasts up to the first tick at or past
+    /// `next_switch`: queries before it return the dwell power and touch
+    /// nothing but `last_time`, a pure monotonicity clamp — and dwell draws
+    /// are indexed by the switch count, so the catch-up loop produces the
+    /// same dwell times whether the intermediate queries happen or not.
+    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
         let dt_s = dt.as_seconds();
-        let est = self.next_switch / dt_s - tick as f64;
-        if !est.is_finite() || est <= 1.0 {
-            return 0;
-        }
-        let mut h = (est.ceil() as u64).saturating_sub(1);
-        // Re-verify the window's last tick with the exact comparison
-        // `power_at` performs; monotonicity of `t ↦ t·dt` covers the rest.
-        while h > 0 && (tick + h) as f64 * dt_s >= self.next_switch {
-            h -= 1;
-        }
-        h
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        Some(self.on_power)
+        let power = self.power_at(Seconds::new(tick as f64 * dt_s));
+        let next = self.next_switch;
+        let until =
+            window_end(tick, next / dt_s - tick as f64, |j| ((tick + j) as f64 * dt_s) < next);
+        Segment { power, until }
     }
 }
 
 /// A piecewise-constant source defined by explicit `(start_time, power)`
 /// segments — the "predetermined sequence of voltage levels that cyclically
 /// repeat" of the paper.  Used to script Fig. 4.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Lookups go through a monotone cursor: simulators only move time forward,
+/// so the source remembers the segment the previous query landed in and
+/// usually answers with one comparison, rescanning from the front only when
+/// a cyclic schedule wraps (or a query goes back in time).  The answers are
+/// the exact segment values a linear scan finds — a table lookup, not new
+/// arithmetic — and equality ignores the cursor.
+#[derive(Debug, Clone)]
 pub struct PiecewiseSource {
     segments: Vec<(Seconds, Power)>,
     cyclic: bool,
     total: Seconds,
+    cursor: usize,
+}
+
+impl PartialEq for PiecewiseSource {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments == other.segments && self.cyclic == other.cyclic && self.total == other.total
+    }
 }
 
 impl PiecewiseSource {
@@ -544,7 +493,7 @@ impl PiecewiseSource {
             segments.windows(2).all(|w| w[0].0 <= w[1].0),
             "piecewise segments must be sorted by start time"
         );
-        Self { segments, cyclic, total: total_duration }
+        Self { segments, cyclic, total: total_duration, cursor: 0 }
     }
 
     /// The source's total (or cycle) duration.
@@ -568,85 +517,39 @@ impl PiecewiseSource {
     }
 
     /// Maps an absolute query time onto the schedule's local time axis,
-    /// wrapping cyclic schedules — the exact mapping [`Self::power_at`]
-    /// applies before its segment scan (shared with
-    /// [`crate::bank::PiecewiseCursor`]).
-    pub(crate) fn wrapped_time(&self, t: Seconds) -> f64 {
-        let mut time = t.as_seconds();
+    /// wrapping cyclic schedules.
+    fn wrapped_time(&self, t: f64) -> f64 {
         let total = self.total.as_seconds();
         if self.cyclic && total > 0.0 {
-            time %= total;
-        }
-        time
-    }
-
-    /// The next schedule event strictly after local time `w` — the start of
-    /// the next segment, or the cycle wrap for a cyclic schedule already past
-    /// its last segment.  `None` means the power is constant forever from
-    /// `w` on (a non-cyclic schedule past its last segment boundary).
-    pub(crate) fn next_boundary(&self, w: f64) -> Option<f64> {
-        match self.segments.iter().find(|&&(start, _)| w < start.as_seconds()) {
-            Some(&(start, _)) => Some(start.as_seconds()),
-            None if self.cyclic && self.total.as_seconds() > 0.0 => Some(self.total.as_seconds()),
-            None => None,
+            t % total
+        } else {
+            t
         }
     }
 
-    /// [`HarvestSource::steady_ticks`] for the piecewise schedule: the tick
-    /// grid is steady until the next segment boundary or cycle wrap.  The
-    /// candidate horizon is verified with the exact `wrapped_time` mapping
-    /// (monotone between wraps), so it never overshoots.
-    pub(crate) fn steady_after(&self, tick: u64, dt: Seconds) -> u64 {
-        let dt_s = dt.as_seconds();
-        if dt_s <= 0.0 {
-            return 0;
+    /// The index of the segment in force at local time `w`, or `None` before
+    /// the first segment starts — the monotone-cursor lookup.
+    fn locate(&mut self, w: f64) -> Option<usize> {
+        // A wrap (or any earlier query) lands before the cached segment:
+        // rewind and rescan from the front, exactly like the scan.
+        if w < self.segments[self.cursor].0.as_seconds() {
+            self.cursor = 0;
+            if w < self.segments[0].0.as_seconds() {
+                return None;
+            }
         }
-        let w0 = self.wrapped_time(Seconds::new(tick as f64 * dt_s));
-        let Some(boundary) = self.next_boundary(w0) else { return u64::MAX };
-        let mut candidate = ((boundary - w0) / dt_s).ceil();
-        let total = self.total.as_seconds();
-        if self.cyclic && total > 0.0 {
-            // Keep the window strictly inside one cycle, so `w >= w0` at the
-            // endpoint proves no wrap happened anywhere in the window.
-            candidate = candidate.min((total / dt_s) * (1.0 - 1e-9) - 1.0);
+        while self.segments.get(self.cursor + 1).is_some_and(|&(start, _)| start.as_seconds() <= w)
+        {
+            self.cursor += 1;
         }
-        if !candidate.is_finite() || candidate < 1.0 {
-            return 0;
-        }
-        let mut h = candidate as u64;
-        // Local time is monotone over a wrap-free window and the current
-        // power region is the interval [w0, boundary), so the set of safe
-        // ticks is a prefix: verifying the endpoint verifies the window.
-        let in_region = |j: u64| {
-            let w = self.wrapped_time(Seconds::new((tick + j) as f64 * dt_s));
-            w >= w0 && w < boundary
-        };
-        while h > 0 && !in_region(h) {
-            h -= 1;
-        }
-        h
-    }
-
-    /// [`HarvestSource::power_bound`] for the piecewise schedule: no sample
-    /// can exceed the largest segment power (or zero, the value before a
-    /// delayed first segment).
-    pub(crate) fn max_power(&self) -> Power {
-        self.segments.iter().fold(Power::ZERO, |acc, &(_, power)| acc.max(power))
+        Some(self.cursor)
     }
 }
 
 impl HarvestSource for PiecewiseSource {
     fn power_at(&mut self, t: Seconds) -> Power {
-        let time = self.wrapped_time(t);
-        let mut current = Power::ZERO;
-        for &(start, power) in &self.segments {
-            if time >= start.as_seconds() {
-                current = power;
-            } else {
-                break;
-            }
-        }
-        current
+        let w = self.wrapped_time(t.as_seconds());
+        self.locate(w).map_or(Power::ZERO, |i| self.segments[i].1)
     }
 
     fn describe(&self) -> String {
@@ -658,12 +561,32 @@ impl HarvestSource for PiecewiseSource {
         )
     }
 
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
-        self.steady_after(tick, dt)
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        Some(self.max_power())
+    /// Steady until the next segment start, or the cycle wrap of a cyclic
+    /// schedule past its last segment; a non-cyclic schedule past its last
+    /// segment is constant forever.  A cyclic window stays strictly inside
+    /// one cycle, so local time is monotone over it and verifying the last
+    /// tick with the exact wrapped-time mapping verifies the window.
+    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+        let dt_s = dt.as_seconds();
+        let w0 = self.wrapped_time(tick as f64 * dt_s);
+        let at = self.locate(w0);
+        let power = at.map_or(Power::ZERO, |i| self.segments[i].1);
+        let total = self.total.as_seconds();
+        let wraps = self.cyclic && total > 0.0;
+        let boundary = match self.segments.get(at.map_or(0, |i| i + 1)) {
+            Some(&(start, _)) => start.as_seconds(),
+            None if wraps => total,
+            None => return Segment { power, until: u64::MAX },
+        };
+        let mut est = (boundary - w0) / dt_s;
+        if wraps {
+            est = est.min(total / dt_s * (1.0 - 1e-9));
+        }
+        let until = window_end(tick, est, |j| {
+            let w = self.wrapped_time((tick + j) as f64 * dt_s);
+            w >= w0 && w < boundary
+        });
+        Segment { power, until }
     }
 }
 
@@ -772,47 +695,48 @@ mod tests {
         );
     }
 
-    /// Pins the [`HarvestSource::steady_ticks`] contract against a naive
-    /// per-tick replay: every sample inside a claimed window must equal the
-    /// anchor sample bit for bit, and the skipping instance must stay
-    /// bit-identical to the naive one after every skip (so skipped queries
-    /// provably had no state effect).  Returns the number of skipped ticks.
-    fn check_steady_contract<S: HarvestSource>(
-        mut naive: S,
-        mut skipping: S,
+    /// Pins the [`HarvestSource::segment`] contract against a naive
+    /// `power_at` walk over `ticks` ticks of `dt`: every window is non-empty,
+    /// `power_at` at every tick of a window (on a copy of the source as the
+    /// window left it) returns the window's sample bit for bit, and a walker
+    /// that calls *only* `segment` — jumping from window to window —
+    /// reproduces the naive walk.  Returns the windows' exclusive ends and
+    /// the ticks covered by windows of two or more ticks.
+    fn check_segment_contract<S: HarvestSource + Clone>(
+        make: impl Fn() -> S,
         ticks: u64,
         dt: f64,
-    ) -> u64 {
-        let powers: Vec<u64> = (0..ticks)
-            .map(|i| naive.power_at(Seconds::new(i as f64 * dt)).value().to_bits())
-            .collect();
-        let mut skipped = 0;
-        let mut i = 0;
+    ) -> (Vec<u64>, u64) {
+        let at = |i: u64| Seconds::new(i as f64 * dt);
+        let mut naive = make();
+        let reference: Vec<u64> =
+            (0..ticks).map(|i| naive.power_at(at(i)).value().to_bits()).collect();
+        let mut walker = make();
+        let (mut ends, mut covered, mut i) = (Vec::new(), 0, 0);
         while i < ticks {
-            let p = skipping.power_at(Seconds::new(i as f64 * dt)).value().to_bits();
-            assert_eq!(p, powers[i as usize], "tick {i} diverged after a skip");
-            let h = skipping.steady_ticks(i, Seconds::new(dt)).min(ticks - 1 - i);
-            for j in 1..=h {
-                assert_eq!(
-                    powers[(i + j) as usize],
-                    p,
-                    "tick {} inside the window anchored at {} changed power",
-                    i + j,
-                    i
-                );
+            let seg = walker.segment(i, Seconds::new(dt));
+            assert!(seg.until > i, "empty window at tick {i}");
+            let last = seg.until.min(ticks);
+            let mut probe = walker.clone();
+            for j in i..last {
+                let bits = seg.power.value().to_bits();
+                assert_eq!(reference[j as usize], bits, "tick {j} of window {i}..{}", seg.until);
+                assert_eq!(probe.power_at(at(j)).value().to_bits(), bits, "power_at at tick {j}");
             }
-            skipped += h;
-            i += h + 1;
+            if last - i >= 2 {
+                covered += last - i;
+            }
+            ends.push(seg.until);
+            i = last;
         }
-        skipped
+        (ends, covered)
     }
 
     #[test]
     fn constant_sources_are_steady_forever() {
         let make = || ConstantSource::new(Power::from_milliwatts(0.3));
-        let skipped = check_steady_contract(make(), make(), 1000, 0.5);
-        assert_eq!(skipped, 999);
-        assert_eq!(make().power_bound(), Some(Power::from_milliwatts(0.3)));
+        let (ends, covered) = check_segment_contract(make, 1000, 0.5);
+        assert_eq!((ends, covered), (vec![u64::MAX], 1000));
     }
 
     #[test]
@@ -826,36 +750,57 @@ mod tests {
                     seed,
                 )
             };
-            let skipped = check_steady_contract(make(), make(), 8000, 0.5);
-            // Mean dwells span dozens of ticks, so most ticks are skippable.
-            assert!(skipped > 6000, "seed {seed}: only {skipped} skipped");
-            assert_eq!(make().power_bound(), Some(Power::from_milliwatts(0.5)));
+            let (_, covered) = check_segment_contract(make, 8000, 0.5);
+            // Mean dwells span dozens of ticks, so most ticks are covered.
+            assert!(covered > 6000, "seed {seed}: only {covered} covered");
         }
+        // A switch landing exactly on a tick: that tick already samples the
+        // new dwell, so the window must end right at it.
+        let make = || {
+            MarkovSource::new(
+                Power::from_milliwatts(0.5),
+                Seconds::new(20.0),
+                Seconds::new(40.0),
+                3,
+            )
+        };
+        let switch = make().next_switch;
+        let k = (10..1000_u64)
+            .find(|&k| k as f64 * (switch / k as f64) == switch)
+            .expect("a grid through the first switch instant");
+        let dt = switch / k as f64;
+        let (ends, _) = check_segment_contract(make, 4 * k, dt);
+        assert!(ends.contains(&k), "no window ends at the switch tick {k}: {ends:?}");
     }
 
     #[test]
     fn rfid_steady_windows_never_cross_a_burst_boundary() {
-        let make = || RfidSource::typical(42);
         // A fine step lands ticks right on burst edges.
-        let skipped = check_steady_contract(make(), make(), 20_000, 0.05);
-        assert!(skipped > 5_000, "only {skipped} ticks skipped");
-        assert_eq!(make().power_bound(), Some(Power::from_milliwatts(1.0)));
-        // Windows are pure, so steadiness is promised even before the first
-        // query — and the promise must hold against fresh samples.
-        let mut probe = make();
-        let dt = Seconds::new(0.5);
-        let h = probe.steady_ticks(0, dt);
-        let anchor = make().power_at(Seconds::new(0.0)).value().to_bits();
-        for j in 1..=h {
-            let p = make().power_at(Seconds::new(j as f64 * 0.5)).value().to_bits();
-            assert_eq!(p, anchor, "tick {j} inside the unanchored window differs");
+        let (_, covered) = check_segment_contract(|| RfidSource::typical(42), 20_000, 0.05);
+        assert!(covered > 15_000, "only {covered} ticks covered");
+        // Maximal jitter, empty and full duty cycles, and degenerate periods.
+        let mw = Power::from_milliwatts(0.6);
+        for (period, duty, jitter) in
+            [(5.0, 0.2, 0.5), (2.0, 0.0, 0.3), (2.0, 1.0, 0.3), (0.0, 0.4, 0.1), (-1.0, 0.4, 0.1)]
+        {
+            let make = || RfidSource::new(mw, Seconds::new(period), duty, jitter, 7);
+            let (ends, _) = check_segment_contract(make, 4_000, 0.05);
+            if period <= 0.0 {
+                assert_eq!(ends, vec![u64::MAX], "period {period}");
+            }
+        }
+        // Windows are pure, so a fresh source vouches for a window anchored
+        // anywhere — the promise must hold against fresh samples.
+        let seg = RfidSource::typical(42).segment(777, Seconds::new(0.05));
+        for j in 777..seg.until {
+            let p = RfidSource::typical(42).power_at(Seconds::new(j as f64 * 0.05));
+            assert_eq!(p.value().to_bits(), seg.power.value().to_bits(), "tick {j}");
         }
     }
 
-    /// PR 9 regression: probing an older cycle after the sequential jitter
-    /// stream had moved on used to redraw *different* jitter for the same
-    /// cycle.  Counter indexing makes the window a pure function of the
-    /// cycle, whatever the query order.
+    /// Probing an older cycle after the jitter stream had moved on used to
+    /// redraw *different* jitter for the same cycle.  Counter indexing makes
+    /// the window a pure function of the cycle, whatever the query order.
     #[test]
     fn rfid_cycle_windows_are_pure_in_the_cycle_index() {
         let s = RfidSource::new(Power::from_milliwatts(0.6), Seconds::new(5.0), 0.2, 0.2, 11);
@@ -875,18 +820,31 @@ mod tests {
         }
     }
 
-    /// Night stretches are steady with nothing to replay: an instance that
-    /// skips every vouched window stays bit-identical to a naive per-tick
-    /// walk, including across the day/night boundaries.
+    /// Nights are one window each, daylight comes tick by tick, and a walker
+    /// jumping from window to window stays bit-identical to the naive walk
+    /// across every day/night boundary.
     #[test]
     fn solar_steady_windows_cover_the_night() {
         for seed in 0..8_u64 {
             let make =
                 || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, seed);
             // 4000 ticks at 0.5 s span two full days; nights are half of
-            // each day, so at least ~1/3 of all ticks must be skippable.
-            let skipped = check_steady_contract(make(), make(), 4_000, 0.5);
-            assert!(skipped > 1_300, "seed {seed}: only {skipped} skipped");
+            // each day, so at least ~1/3 of all ticks must be covered.
+            let (_, covered) = check_segment_contract(make, 4_000, 0.5);
+            assert!(covered > 1_300, "seed {seed}: only {covered} covered");
+        }
+        // Tick 500 lands on phase 0.25 exactly, where the sine is exactly
+        // zero: the last dark tick before sunrise, so a window ends there.
+        let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, 1);
+        assert_eq!(SolarSource::sun(0.25), 0.0);
+        assert_eq!(make().power_at(Seconds::new(250.0)), Power::ZERO);
+        assert!(make().power_at(Seconds::new(250.5)) > Power::ZERO);
+        let (ends, _) = check_segment_contract(make, 4_000, 0.5);
+        assert!(ends.contains(&501), "{ends:?}");
+        // A degenerate day is zero forever.
+        for day in [0.0, -5.0] {
+            let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(day), 0.4, 1);
+            assert_eq!(check_segment_contract(make, 100, 0.5).0, vec![u64::MAX]);
         }
     }
 
@@ -911,35 +869,87 @@ mod tests {
         for seed in 0..20 {
             let make =
                 || RfidSource::new(Power::from_milliwatts(0.6), Seconds::new(5.0), 0.2, 0.2, seed);
-            let skipped = check_steady_contract(make(), make(), 8_000, 0.5);
-            assert!(skipped > 0, "seed {seed} never skipped");
+            let (_, covered) = check_segment_contract(make, 8_000, 0.5);
+            assert!(covered > 0, "seed {seed} never covered a window");
+        }
+    }
+
+    /// The linear segment scan the cursor replaced — the reference every
+    /// cursor lookup must reproduce.
+    fn scan(source: &PiecewiseSource, t: f64) -> Power {
+        let total = source.duration().as_seconds();
+        let time = if source.cyclic && total > 0.0 { t % total } else { t };
+        let mut current = Power::ZERO;
+        for &(start, power) in source.segments() {
+            if time >= start.as_seconds() {
+                current = power;
+            } else {
+                break;
+            }
+        }
+        current
+    }
+
+    #[test]
+    fn the_cursor_matches_the_scanning_source_sample_for_sample() {
+        use crate::schedule::Schedule;
+        let delayed = PiecewiseSource::new(
+            vec![
+                (Seconds::new(10.0), Power::from_milliwatts(1.0)),
+                (Seconds::new(20.0), Power::ZERO),
+            ],
+            true,
+            Seconds::new(30.0),
+        );
+        let sources = [
+            Schedule::fig4().to_source(),
+            Schedule::plentiful().to_source(),
+            Schedule::scarce().to_source(),
+            delayed,
+        ];
+        for mut source in sources {
+            let reference = source.clone();
+            // Sweep far past the cycle duration so cyclic schedules wrap
+            // several times, at a step that hits segment boundaries exactly,
+            // with an occasional jump back in time to force a rescan.
+            for i in 0..200_000_u32 {
+                let t = if i % 997 == 0 { f64::from(i / 2) * 0.05 } else { f64::from(i) * 0.05 };
+                assert_eq!(
+                    scan(&reference, t).value().to_bits(),
+                    source.power_at(Seconds::new(t)).value().to_bits(),
+                    "{} diverges at t={t}",
+                    source.describe()
+                );
+            }
+            // Equality ignores where the cursor stopped.
+            assert_eq!(source, reference);
         }
     }
 
     #[test]
     fn piecewise_steady_windows_stop_at_segments_and_wraps() {
         let make = |cyclic| {
-            PiecewiseSource::new(
-                vec![
-                    (Seconds::new(0.0), Power::from_milliwatts(1.0)),
-                    (Seconds::new(9.7), Power::ZERO),
-                    (Seconds::new(21.3), Power::from_milliwatts(0.5)),
-                ],
-                cyclic,
-                Seconds::new(30.0),
-            )
+            move || {
+                PiecewiseSource::new(
+                    vec![
+                        (Seconds::new(0.0), Power::from_milliwatts(1.0)),
+                        (Seconds::new(9.7), Power::ZERO),
+                        (Seconds::new(21.3), Power::from_milliwatts(0.5)),
+                    ],
+                    cyclic,
+                    Seconds::new(30.0),
+                )
+            }
         };
         for cyclic in [false, true] {
-            let skipped = check_steady_contract(make(cyclic), make(cyclic), 4_000, 0.25);
-            assert!(skipped > 3_000, "cyclic={cyclic}: only {skipped} skipped");
+            let (_, covered) = check_segment_contract(make(cyclic), 4_000, 0.25);
+            assert!(covered > 3_900, "cyclic={cyclic}: only {covered} covered");
         }
         // Non-cyclic schedules are constant — steady forever — past the end.
-        let tail = make(false);
-        assert_eq!(tail.steady_after(1000, Seconds::new(0.25)), u64::MAX);
-        assert_eq!(tail.power_bound(), Some(Power::from_milliwatts(1.0)));
-        assert_eq!(tail.next_boundary(25.0), None);
-        assert_eq!(make(true).next_boundary(25.0), Some(30.0));
-        assert_eq!(make(true).next_boundary(3.0), Some(9.7));
+        assert_eq!(make(false)().segment(1000, Seconds::new(0.25)).until, u64::MAX);
+        // A cyclic window ends at the wrap (tick 120 = 30 s).
+        let seg = make(true)().segment(100, Seconds::new(0.25));
+        assert_eq!((seg.power, seg.until), (Power::from_milliwatts(0.5), 120));
     }
 
     #[test]
@@ -951,38 +961,26 @@ mod tests {
                 Seconds::new(25.0),
             )
         };
-        let skipped = check_steady_contract(make(), make(), 2_000, 0.5);
-        assert!(skipped > 1_000, "only {skipped} skipped");
+        let (_, covered) = check_segment_contract(make, 2_000, 0.5);
+        assert!(covered > 1_900, "only {covered} covered");
+        // The zero-power lead-in before the first segment is a window too.
+        let seg = make().segment(0, Seconds::new(0.5));
+        assert_eq!((seg.power, seg.until), (Power::ZERO, 20));
     }
 
     #[test]
-    fn power_bounds_dominate_every_sample() {
-        let dt = 0.37;
-        let mut sources: Vec<Box<dyn HarvestSource>> = vec![
-            Box::new(SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(2000.0), 0.3, 7)),
-            Box::new(MarkovSource::new(
-                Power::from_milliwatts(0.5),
-                Seconds::new(20.0),
-                Seconds::new(40.0),
-                9,
-            )),
-            Box::new(RfidSource::typical(3)),
-            Box::new(PiecewiseSource::new(
-                vec![
-                    (Seconds::new(0.0), Power::from_milliwatts(0.2)),
-                    (Seconds::new(5.0), Power::from_milliwatts(0.9)),
-                ],
-                true,
-                Seconds::new(12.0),
-            )),
-        ];
-        for source in &mut sources {
-            let bound = source.power_bound().expect("these sources all have bounds");
-            for i in 0..10_000_u64 {
-                let p = source.power_at(Seconds::new(i as f64 * dt));
-                assert!(p <= bound, "{} exceeded its bound at tick {i}", source.describe());
+    fn the_default_segment_is_one_tick_long() {
+        struct Ramp;
+        impl HarvestSource for Ramp {
+            fn power_at(&mut self, t: Seconds) -> Power {
+                Power::new(t.as_seconds())
+            }
+            fn describe(&self) -> String {
+                "ramp".into()
             }
         }
+        let seg = Ramp.segment(6, Seconds::new(0.5));
+        assert_eq!((seg.power, seg.until), (Power::new(3.0), 7));
     }
 
     #[test]

@@ -41,44 +41,39 @@
 //! 2. **thresholds** — `fsm::LaneState::quiescent_distance` gives the
 //!    distance from the stored energy to the nearest threshold whose
 //!    crossing could alter control flow.  The stretch maintains a running
-//!    lower bound on that distance, spending it per tick and re-deriving it
-//!    from the live energy when it no longer provably covers the next tick
-//!    — never guessing past it.
+//!    lower bound on that distance, spending each window's actual move and
+//!    re-deriving it from the live energy when it no longer provably covers
+//!    the next window — never guessing past it.
 //!
 //! Inside a stretch every accumulator the per-tick arithmetic touches is
-//! hoisted into a register, and ticks are burnt by a two-tier loop running
+//! hoisted into a register, and ticks are burnt by one window loop running
 //! on the *exact integer* accumulator representation (tick counters for
 //! time, [`tech45::units::EnergyFx`] attojoules for energy — see DESIGN.md
-//! "Exact integer accumulators"):
-//!
-//! * **steady windows** — where [`HarvestSource::steady_ticks`] proves the
-//!   source repeats the current sample bit-exactly (segment plateaus,
-//!   Markov dwells, solar nights, RFID rests spanning a cycle wrap), whole
-//!   windows are burnt without querying the source at all.  Integer
-//!   corridor proofs (no clip at the capacity, no saturation at zero over
-//!   the window's exact arithmetic progression) reduce the `EnergyCell`
-//!   clamps to identities, and because integer addition is associative the
-//!   whole window collapses to one `e += k · net` multiply-add per
-//!   accumulator and one `count += k` per tick counter — O(1) per window,
-//!   not O(k).  When a clamp can bind, the per-tick integer loop runs only
-//!   until the energy reaches a fixed point, after which the remaining
-//!   ticks fold into exact multiply-adds too.  Source randomness is
-//!   counter-indexed ([`ehsim::crng`]) — a pure function of
-//!   `(seed, index)` — so the elided queries leave no stream to advance.
-//!   Probes are paced by a success-keyed exponential backoff (persisted
-//!   across a lane's stretches): a window long enough to repay its own
-//!   search licenses the next probe immediately, anything shorter defers
-//!   probing by a geometrically growing gap of checked ticks, so sources
-//!   that alternate faster than a window pays stop being searched.
-//! * **checked ticks** — otherwise the source is queried every tick
-//!   (solar daylight genuinely varies per tick), and the tick is burnt
-//!   with the FSM checks still hoisted as long as the distance budget
-//!   covers the sample's *actual* energy move.  When it no longer does,
-//!   the drawn sample is handed to the full-fidelity path through
-//!   `pending`, so the query happens exactly once per tick.
+//! "Exact integer accumulators").  The windows are the source's own:
+//! [`HarvestSource::segment`] returns a sample together with the run of
+//! ticks that repeat it bit-exactly (segment plateaus, Markov dwells, solar
+//! nights, RFID rests spanning a cycle wrap — or a single tick where the
+//! sample genuinely varies, as in solar daylight).  The lane keeps its
+//! current segment across the whole block, quantises its offer once, and
+//! burns `h = min(until, stretch end) − i` ticks at a time, capped by the
+//! distance budget.  Integer corridor proofs (no clip at the capacity, no
+//! saturation at zero over the window's exact arithmetic progression)
+//! reduce the `EnergyCell` clamps to identities, and because integer
+//! addition is associative the whole window collapses to one `e += k · net`
+//! multiply-add per accumulator and one `count += k` per tick counter —
+//! O(1) per window, not O(k).  When a clamp can bind, the per-tick integer
+//! loop runs only until the energy reaches a fixed point, after which the
+//! remaining ticks fold into exact multiply-adds too.  A length-1 window is
+//! a checked tick: the source was queried for it, and it is burnt as long
+//! as the distance budget covers its move.  When the budget cannot be
+//! proven even from the live energy, the tick runs in full on the segment
+//! already drawn, so the source is queried exactly once per window.
+//! Source randomness is counter-indexed ([`ehsim::crng`]) — a pure function
+//! of `(seed, index)` — so the queries a window elides leave no stream to
+//! advance.
 //!
 //! The timer poll, threshold comparisons, safe-zone bookkeeping and FSM
-//! dispatch are hoisted out of both tiers (each proven a no-op for the
+//! dispatch are hoisted out of the loop (each proven a no-op for the
 //! stretch).  [`BatchTelemetry`] counts total, fast-forwarded, steady and
 //! horizon-recompute ticks so the win is measurable.
 //!
@@ -106,7 +101,7 @@
 //! are pure reads whose outcomes are proven constant over the window (the
 //! quiescent distances and corridor proofs are themselves exact integer
 //! comparisons — no rounding to second-guess), and elided source queries
-//! are covered by the [`HarvestSource::steady_ticks`] contract —
+//! are covered by the [`HarvestSource::segment`] contract —
 //! counter-indexed draws mean they leave no state behind.  Not a single
 //! bit of lane state can differ from the naive per-tick loop.
 
@@ -115,7 +110,7 @@ use std::collections::VecDeque;
 use ehsim::bank::CapacitorBank;
 use ehsim::capacitor::{Capacitor, EnergyCell};
 use ehsim::pmu::{OperatingZone, ThresholdBank, ThresholdsFx};
-use ehsim::source::HarvestSource;
+use ehsim::source::{HarvestSource, Segment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tech45::units::{EnergyFx, Power, Seconds};
@@ -377,9 +372,9 @@ pub struct BatchTelemetry {
     /// fast-forwardable state recomputes the bound — it is never guessed
     /// past its expiry).
     pub horizon_recomputes: u64,
-    /// Fast ticks burned by the steady tier (source queries skipped
-    /// wholesale) — the rest of [`Self::ticks_fast_forwarded`] went through
-    /// the checked tier, which still samples the source every tick.
+    /// Fast ticks burnt in windows of two or more ticks (source queries
+    /// skipped wholesale) — the rest of [`Self::ticks_fast_forwarded`] were
+    /// length-1 windows, one source query each.
     pub ticks_steady: u64,
 }
 
@@ -401,27 +396,6 @@ impl BatchTelemetry {
 /// costs nothing on the per-step scale, and longer lifetimes still
 /// interleave, retire and refill at block granularity.
 const BLOCK_TICKS: u64 = 4096;
-
-/// Smallest proven-steady window worth entering the window burn for: below
-/// this the per-window setup (budget fit, corridor proofs) costs more than
-/// the checked ticks it replaces.
-const MIN_WINDOW: u64 = 3;
-
-/// Steady ticks a probed window must span to have repaid its own search: a
-/// probe's worst case (the RFID window hunt — two jittered cycle windows
-/// plus a verification walk) costs on the order of this many checked-tier
-/// sampling steps.
-const PROBE_PAYOFF: u64 = 4;
-
-/// Longest failure backoff between steady probes, in checked ticks.  After
-/// a probe comes back without a [`PROBE_PAYOFF`]-length window the next one
-/// is deferred by a geometrically growing gap up to this cap, so a source
-/// whose windows are chronically shorter than a probe search is worth
-/// (RFID burst cycles a few ticks long) costs one search per `CAP` ticks
-/// instead of one per window — while a single paying probe resets the gap,
-/// so sources with long windows (constant power, Markov dwells, solar
-/// nights) probe eagerly and keep their steady coverage intact.
-const PROBE_BACKOFF_CAP: u64 = 64;
 
 impl<S: HarvestSource> BatchExecutor<S> {
     /// An executor stepping at most `width` lanes in lockstep (at least
@@ -620,15 +594,12 @@ impl<S: HarvestSource> BatchExecutor<S> {
     /// The loop alternates full-fidelity ticks with event-horizon stretches
     /// (see the module docs): after every full tick that leaves the lane in
     /// Sleep or Off it derives the quiescent threshold distance and burns
-    /// ticks with the dispatch/timer/threshold/safe-zone checks hoisted out,
-    /// executing exactly the per-tick arithmetic — a *steady* tier reuses the
-    /// last sample while the source vouches for it, and a *checked* tier
-    /// keeps querying the source each tick but skips the FSM.  Both tiers
-    /// stay bit-identical to the naive per-tick loop by construction: every
-    /// skipped comparison is proven to be a no-op before it is skipped, and
-    /// the arithmetic shortcuts are exact — the accumulators are integers,
-    /// so a window's closed form produces the very bits the per-tick
-    /// sequence would.
+    /// the source's segment windows with the dispatch/timer/threshold/
+    /// safe-zone checks hoisted out, executing exactly the per-tick
+    /// arithmetic.  Every skipped comparison is proven a no-op before it is
+    /// skipped, and the arithmetic shortcuts are exact — the accumulators are
+    /// integers, so a window's closed form produces the very bits the
+    /// per-tick sequence would.
     fn advance_lane_block(&mut self, lane: usize, ticks: u64) {
         let Some(mut source) = self.sources[lane].take() else { return };
         let dt = self.dts[lane];
@@ -652,10 +623,14 @@ impl<S: HarvestSource> BatchExecutor<S> {
         // attojoule grid exactly as the leak drain quantises it: Sleep only
         // leaks, Off does not even do that.
         let ls = (config.sleep_leakage.max(Power::ZERO) * dt).to_fx().attojoules();
-        let mut fast = 0_u64;
-        let mut steady = 0_u64;
-        let mut recomputes = 0_u64;
+        let (mut fast, mut steady, mut recomputes) = (0_u64, 0_u64, 0_u64);
 
+        // The lane's current source segment and its offer, quantised once
+        // per segment.  It is kept across the whole block: a window's suffix
+        // is still a window, so full ticks and stretches alike reuse it until
+        // `until`, and the source is queried exactly once per window.
+        let mut seg = Segment { power: Power::ZERO, until: start };
+        let mut offered = 0_i128;
         let mut i = start;
         // Absolute index of the earliest tick whose poll can fire the timer
         // — a conservative lower bound maintained across the block (fires
@@ -663,32 +638,21 @@ impl<S: HarvestSource> BatchExecutor<S> {
         // the re-arm replay guard are integer compares instead of divisions.
         let mut nf_tick =
             start + ticks_before_fire(start, dt_s, state.timer.next_fire().as_seconds());
-        // A sample the checked tier already drew for tick `i` before finding
-        // it could not prove the tick quiescent: the full-fidelity tick
-        // consumes it instead of querying twice (the RNG stream advances
-        // exactly once per tick, as in the scalar loop).
-        let mut pending: Option<Power> = None;
-        // Steady-probe pacing, keyed on payoff and persisted across the
-        // block's stretches: the window regime is a property of the lane's
-        // source, not of any one stretch, so a lane whose probes chronically
-        // come back short keeps its earned gap through stretch exits
-        // instead of relearning it a few searches at a time.
-        let mut backoff_next = 1_u64;
         while i < end {
+            if i >= seg.until {
+                seg = source.segment(i, dt);
+                offered = (seg.power.max(Power::ZERO) * dt).to_fx().attojoules();
+            }
             // The scalar executor's per-step body, verbatim (see
             // `IntermittentExecutor::run_with_sink`): the FSM transition —
             // time accounting and leakage included — is the one shared
             // `FsmLaneMut::step`.
             let now = Seconds::new(i as f64 * dt_s);
-            let power = match pending.take() {
-                Some(p) => p,
-                None => source.power_at(now),
-            };
             let before = energy;
-            let offered = (power.max(Power::ZERO) * dt).to_fx();
-            let banked = EnergyCell::from_parts(&mut energy, e_max).harvest_fx(offered);
+            let offer = EnergyFx::from_attojoules(offered);
+            let banked = EnergyCell::from_parts(&mut energy, e_max).harvest_fx(offer);
             harvested += banked;
-            clipped += offered - banked;
+            clipped += offer - banked;
             state.as_lane_mut(config, th, EnergyFx::from_attojoules(ls)).step(
                 &mut EnergyCell::from_parts(&mut energy, e_max),
                 now,
@@ -710,27 +674,28 @@ impl<S: HarvestSource> BatchExecutor<S> {
             }
             let Some(d0) = state.quiescent_distance(th, energy) else { continue };
             recomputes += 1;
-            // Running lower bound on the distance to the nearest
-            // control-flow threshold, in attojoules.  One quantum is shaved
-            // off so cumulative movement of at most `dist` provably
-            // preserves *every* hoisted comparison verdict: strict
-            // comparisons survive movement up to the full distance,
-            // non-strict ones up to one quantum less.  The bound shrinks by
-            // worst-case or actual per-tick moves and is re-derived from the
-            // live energy when it no longer covers the next step — never
-            // guessed past.
+            // Running lower bound on the distance from the live energy to
+            // the nearest control-flow threshold, in attojoules.  One quantum
+            // is shaved off so movement of at most `dist` provably preserves
+            // *every* hoisted comparison verdict: strict comparisons survive
+            // movement up to the full distance, non-strict ones up to one
+            // quantum less.  Each window spends its actual move, and the
+            // bound is re-derived from the live energy when it no longer
+            // covers the next window — never guessed past.
             let mut dist = d0.saturating_sub(1);
             if dist <= 0 {
                 continue;
             }
-            let in_off = state.state == NodeState::Off;
             let node_state = state.state;
+            // Off lanes do not leak, which makes them the zero-leak case of
+            // every bound below.
+            let leak = if node_state == NodeState::Off { 0 } else { ls };
             // A timer fire only changes control flow when it can set the
             // sensing flag — idle Sleep.  Off lanes and Sleep lanes with a
             // request already pending run straight through fires
             // (`TimerInterrupt::poll` then merely re-arms), and the re-arms
             // are replayed bit-exactly after the stretch.
-            let idle_sleep = !in_off && state.reg_flag.is_idle();
+            let idle_sleep = node_state == NodeState::Sleep && state.reg_flag.is_idle();
             let stretch_end = if idle_sleep { nf_tick.min(end) } else { end };
             if stretch_end <= i {
                 continue;
@@ -746,177 +711,51 @@ impl<S: HarvestSource> BatchExecutor<S> {
             let mut hv = harvested.attojoules();
             let mut cl = clipped.attojoules();
             let mut co = consumed.attojoules();
-            let mut last_power = power;
-            // One-entry quantisation cache for the checked tier: periodic
-            // sources repeat the same sample for whole regions, and the
-            // quantised offer is a pure function of the sample bits, so a
-            // repeat costs one f64 compare instead of the fixed-point
-            // conversion.
-            let mut last_incoming = (power.max(Power::ZERO) * dt).to_fx().attojoules();
             let burn_start = i;
-
-            // Ticks left of the last positive steady probe: a suffix of a
-            // steady window is itself steady (same constant sample, still no
-            // source state to advance), so the window is consumed
-            // incrementally instead of re-proved every chunk.
-            let mut avail_left = 0_u64;
-            // A fresh stretch always earns one probe — the full tick that
-            // opened it may have crossed into a new source regime — while
-            // the learned gap (`backoff_next`) still paces the re-probes
-            // inside the stretch.
-            let mut backoff = 0_u64;
             while i < stretch_end {
-                if avail_left == 0 && backoff == 0 {
-                    avail_left = source.steady_ticks(i - 1, dt);
-                    // Pacing success means the window repaid the search, not
-                    // merely that it is usable: short windows still burn in
-                    // the steady tier below, but only a `PROBE_PAYOFF`-length
-                    // find licenses the next probe for free.
-                    if avail_left >= PROBE_PAYOFF {
-                        backoff_next = 1;
-                    } else {
-                        backoff = backoff_next;
-                        backoff_next = (backoff_next * 2).min(PROBE_BACKOFF_CAP);
-                    }
+                if i >= seg.until {
+                    seg = source.segment(i, dt);
+                    offered = (seg.power.max(Power::ZERO) * dt).to_fx().attojoules();
                 }
-                let avail = avail_left.min(stretch_end - i);
-                if avail >= MIN_WINDOW {
-                    // Steady tier: the source repeats the last sample
-                    // bit-exactly, so the queries are skipped wholesale.
-                    // The per-tick net move is `banked - leaked`, whose
-                    // magnitude `max(offered, leak_step)` bounds the
-                    // threshold-distance spend.
-                    let offered = (last_power.max(Power::ZERO) * dt).to_fx().attojoules();
-                    let step_mag = if in_off { offered } else { offered.max(ls) };
-                    let mut h = avail.min(ticks_budget(dist, step_mag));
-                    if h == 0 {
-                        // Self-heal: the budget shrank by worst-case bounds;
-                        // re-derive it from the live energy (the FSM state is
-                        // unchanged inside a stretch).
-                        let Some(d) = state.quiescent_distance(th, EnergyFx::from_attojoules(e))
-                        else {
-                            break;
-                        };
-                        recomputes += 1;
-                        dist = d.saturating_sub(1);
-                        h = avail.min(ticks_budget(dist, step_mag));
-                        if h == 0 {
-                            break;
-                        }
-                    }
-                    let hi = h as i128;
-                    // Corridor proofs, exact over the window's arithmetic
-                    // progression: while every tick's pre-clamp energy stays
-                    // at or below the clip ceiling and at or above the drain
-                    // floor, the `EnergyCell` clamps are identities.  The
-                    // extreme tick is the first or last depending on the
-                    // sign of the per-tick net move, so one endpoint check
-                    // covers the whole window.
-                    let (no_clip, no_sat) = if in_off {
-                        // No leak: energy is non-decreasing, peak at the end.
-                        (e + hi * offered <= e_max_aj, true)
-                    } else {
-                        let net = offered - ls;
-                        if net >= 0 {
-                            (e + (hi - 1) * net + offered <= e_max_aj, e + offered >= ls)
-                        } else {
-                            (e + offered <= e_max_aj, e + (hi - 1) * net + offered >= ls)
-                        }
+                // A tick moves the energy by at most `max(offered, leak)`
+                // either side of the checks the stretch hoists, so a window
+                // of `h` ticks stays within `h` such steps of `e`.
+                let step_mag = offered.max(leak);
+                let window = seg.until.min(stretch_end) - i;
+                let mut h = window_fit(window, dist, step_mag);
+                if h == 0 {
+                    // Self-heal: re-derive the budget from the live energy
+                    // (the FSM state is unchanged inside a stretch).
+                    let Some(d) = state.quiescent_distance(th, EnergyFx::from_attojoules(e)) else {
+                        break;
                     };
-                    if no_clip && no_sat {
-                        // Unclamped window: integer addition is associative,
-                        // so the whole window is one multiply-add per
-                        // accumulator — O(1) regardless of h.
-                        if in_off {
-                            e += hi * offered;
-                            hv += hi * offered;
-                        } else {
-                            e += hi * (offered - ls);
-                            hv += hi * offered;
-                            co += hi * ls;
-                        }
-                        t_state += h;
-                        t_total += h;
-                    } else {
-                        // A clamp may bind: run the exact clamped arithmetic
-                        // until the energy reaches a fixed point (a capacitor
-                        // pinned at its capacity, or drained flat, repeats
-                        // one tick's values verbatim), then fold the
-                        // remaining ticks into one multiply-add each.
-                        let mut k = 0_u64;
-                        while k < h {
-                            let before = e;
-                            let banked = offered.min(e_max_aj - e).max(0);
-                            let e1 = e + banked;
-                            let drained = if in_off { 0 } else { ls.min(e1) };
-                            let after = e1 - drained;
-                            hv += banked;
-                            cl += offered - banked;
-                            co += drained;
-                            e = after;
-                            k += 1;
-                            if e == before {
-                                let rem = (h - k) as i128;
-                                hv += rem * banked;
-                                cl += rem * (offered - banked);
-                                co += rem * drained;
-                                k = h;
-                            }
-                        }
-                        t_state += h;
-                        t_total += h;
+                    recomputes += 1;
+                    dist = d.saturating_sub(1);
+                    h = window_fit(window, dist, step_mag);
+                    if h == 0 {
+                        // This tick's checks cannot be proven no-ops: it
+                        // runs in full, on the segment already drawn.
+                        break;
                     }
-                    dist -= hi * step_mag;
-                    avail_left -= h;
-                    steady += h;
-                    fast += h;
-                    i += h;
-                } else {
-                    // Checked tier: the source vouches for nothing here (its
-                    // sample may genuinely change per tick), but the FSM
-                    // checks stay hoisted while the distance budget covers
-                    // this tick's *actual* move — the sample is drawn first,
-                    // so the bound is `max(offered, leak)` rather than the
-                    // source's worst case.
-                    let power = source.power_at(Seconds::new(i as f64 * dt_s));
-                    if power != last_power {
-                        last_incoming = (power.max(Power::ZERO) * dt).to_fx().attojoules();
-                    }
-                    let incoming = last_incoming;
-                    let move_bound = incoming.max(ls);
-                    if dist < move_bound {
-                        // Self-heal from the live energy before giving up.
-                        let healed = state.quiescent_distance(th, EnergyFx::from_attojoules(e));
-                        recomputes += 1;
-                        dist = healed.map_or(-1, |d| d.saturating_sub(1));
-                        if dist < move_bound {
-                            // This tick's checks cannot be proven no-ops:
-                            // hand the drawn sample to the full-fidelity
-                            // path.
-                            pending = Some(power);
-                            break;
-                        }
-                    }
-                    let banked = incoming.min(e_max_aj - e).max(0);
-                    let e1 = e + banked;
-                    let drained = if in_off { 0 } else { ls.min(e1) };
-                    let after = e1 - drained;
-                    hv += banked;
-                    cl += incoming - banked;
-                    co += drained;
-                    t_state += 1;
-                    t_total += 1;
-                    dist -= (after - e).abs();
-                    e = after;
-                    last_power = power;
-                    // The executed tick consumed the head of any remaining
-                    // proven window (a suffix of a steady window is steady),
-                    // so the next exhaustion re-probes at the right tick.
-                    avail_left = avail_left.saturating_sub(1);
-                    backoff = backoff.saturating_sub(1);
-                    fast += 1;
-                    i += 1;
                 }
+                // A single tick is cheapest as the per-tick body itself.
+                let burn = if h == 1 {
+                    Burn::tick(e, e_max_aj, offered, leak)
+                } else {
+                    burn_window(e, e_max_aj, offered, leak, h)
+                };
+                dist -= (burn.energy - e).abs();
+                e = burn.energy;
+                hv += burn.banked;
+                cl += burn.clipped;
+                co += burn.drained;
+                t_state += h;
+                t_total += h;
+                fast += h;
+                if h > 1 {
+                    steady += h;
+                }
+                i += h;
             }
 
             // Scatter the stretch locals back.
@@ -961,6 +800,85 @@ impl<S: HarvestSource> BatchExecutor<S> {
             .drain(..)
             .map(|slot| slot.expect("every enqueued job retires with statistics"))
             .collect()
+    }
+}
+
+/// The exact integer outcome of burning one window: the final stored
+/// energy and the window's banked, clipped and drained totals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Burn {
+    energy: i128,
+    banked: i128,
+    clipped: i128,
+    drained: i128,
+}
+
+impl Burn {
+    /// One tick of the `EnergyCell` arithmetic on a capacitor holding `e` of
+    /// at most `e_max`: bank what of `offered` fits under the ceiling, then
+    /// drain `leak`, saturating at zero.
+    fn tick(e: i128, e_max: i128, offered: i128, leak: i128) -> Self {
+        let banked = offered.min(e_max - e).max(0);
+        let drained = leak.min(e + banked);
+        Self { energy: e + banked - drained, banked, clipped: offered - banked, drained }
+    }
+}
+
+/// Burns `h` ticks that all offer `offered` and leak `leak` attojoules into
+/// a capacitor holding `e` of at most `e_max` — exactly `h` [`Burn::tick`]s,
+/// in closed form where it can be.
+///
+/// Corridor proofs, exact over the window's arithmetic progression: while
+/// every tick's pre-clamp energy stays at or below the clip ceiling and at
+/// or above the drain floor, the clamps are identities and, integer
+/// addition being associative, the window is one multiply-add per total —
+/// O(1) regardless of `h`.  The extreme tick is the first or last depending
+/// on the sign of the per-tick net move, so one endpoint check covers the
+/// whole window.  Otherwise the ticks run one by one until the energy
+/// reaches a fixed point (a capacitor pinned at its capacity, or drained
+/// flat, repeats one tick's values verbatim), and the remaining ticks fold
+/// into one multiply-add each.
+fn burn_window(e: i128, e_max: i128, offered: i128, leak: i128, h: u64) -> Burn {
+    let (hi, net) = (h as i128, offered - leak);
+    let (no_clip, no_sat) = if net >= 0 {
+        (e + (hi - 1) * net + offered <= e_max, e + offered >= leak)
+    } else {
+        (e + offered <= e_max, e + (hi - 1) * net + offered >= leak)
+    };
+    if no_clip && no_sat {
+        let (banked, drained) = (hi * offered, hi * leak);
+        return Burn { energy: e + hi * net, banked, clipped: 0, drained };
+    }
+    let mut burn = Burn { energy: e, banked: 0, clipped: 0, drained: 0 };
+    for k in 0..h {
+        let tick = Burn::tick(burn.energy, e_max, offered, leak);
+        let fixed = tick.energy == burn.energy;
+        let reps = if fixed { (h - k) as i128 } else { 1 };
+        burn.energy = tick.energy;
+        burn.banked += reps * tick.banked;
+        burn.clipped += reps * tick.clipped;
+        burn.drained += reps * tick.drained;
+        if fixed {
+            break;
+        }
+    }
+    burn
+}
+
+/// How many ticks of a `window`, each moving the energy by at most `step`
+/// attojoules, fit inside a movement budget of `dist` attojoules: the whole
+/// window when its worst case fits — one widening multiply, the common
+/// case, where the length-1 windows of sample-bound sources would otherwise
+/// pay an `i128` division per tick — else [`ticks_budget`]'s exact floor.
+fn window_fit(window: u64, dist: i128, step: i128) -> u64 {
+    let fits = match (u64::try_from(step), u128::try_from(dist)) {
+        (Ok(s), Ok(d)) => u128::from(window) * u128::from(s) <= d,
+        _ => false,
+    };
+    if fits {
+        window
+    } else {
+        ticks_budget(dist, step).min(window)
     }
 }
 
@@ -1187,7 +1105,7 @@ mod tests {
     #[test]
     fn fast_forwarding_fires_and_reports_telemetry() {
         // A modest constant trickle keeps the node asleep between samples —
-        // the canonical quiescent workload — so the steady tier must engage.
+        // the canonical quiescent workload — so long windows must engage.
         let mut batch = BatchExecutor::new(4);
         for seed in 0..4_u64 {
             batch.enqueue(BatchJob::new(
@@ -1204,6 +1122,7 @@ mod tests {
         assert!(telemetry.horizon_recomputes > 0, "{telemetry:?}");
         assert!(telemetry.ticks_fast_forwarded <= telemetry.ticks_total);
         assert!(telemetry.fast_forward_fraction() > 0.5, "{telemetry:?}");
+        assert!(telemetry.ticks_steady > 0, "{telemetry:?}");
         // Fast-forwarding must not have cost bit-identity.
         for (seed, stats) in stats.iter().enumerate() {
             let mut scalar = IntermittentExecutor::with_source(
@@ -1212,6 +1131,47 @@ mod tests {
             );
             assert_eq!(*stats, scalar.run(Seconds::new(1500.0), Seconds::new(0.5)));
         }
+    }
+
+    #[test]
+    fn a_burnt_window_equals_its_ticks_one_by_one() {
+        let e_max = 1_000;
+        // Unclamped rises and drains, clipping at the ceiling, draining
+        // flat, a pinned-full capacitor, and a motionless one.
+        let cases = [
+            (500, 30, 10),
+            (500, 10, 30),
+            (990, 30, 10),
+            (20, 0, 10),
+            (1_000, 50, 0),
+            (0, 5, 5),
+            (3, 0, 0),
+        ];
+        for (e, offered, leak) in cases {
+            for h in [1_u64, 2, 3, 17, 200] {
+                let mut naive = Burn { energy: e, banked: 0, clipped: 0, drained: 0 };
+                for _ in 0..h {
+                    let tick = Burn::tick(naive.energy, e_max, offered, leak);
+                    naive.energy = tick.energy;
+                    naive.banked += tick.banked;
+                    naive.clipped += tick.clipped;
+                    naive.drained += tick.drained;
+                }
+                let burn = burn_window(e, e_max, offered, leak, h);
+                assert_eq!(burn, naive, "e={e} offered={offered} leak={leak} h={h}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_fit_admits_whole_windows_and_falls_back_to_the_floor() {
+        assert_eq!(window_fit(1, 10, 10), 1);
+        assert_eq!(window_fit(1, 9, 10), 0);
+        assert_eq!(window_fit(5, 100, 10), 5);
+        assert_eq!(window_fit(50, 100, 10), 10);
+        assert_eq!(window_fit(u64::MAX, 100, 0), u64::MAX);
+        assert_eq!(window_fit(3, -1, 0), 0);
+        assert_eq!(window_fit(4, i128::MAX, i128::MAX / 2), 2);
     }
 
     #[test]

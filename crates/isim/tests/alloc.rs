@@ -4,9 +4,13 @@
 //! The test installs a counting global allocator and snapshots the
 //! allocation count around `IntermittentExecutor::run` (which drives the
 //! tick loop against the no-op `NullSink`).  It is deliberately the only
-//! test in this binary so no concurrent test can touch the counter.
+//! test in this binary, and only the measuring thread's allocations count:
+//! the harness's main thread may allocate while it waits for the test (its
+//! channel wait sets up per-thread state on first block), which must not
+//! read as a hot-loop allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ehsim::schedule::Schedule;
@@ -14,20 +18,32 @@ use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
 use tech45::units::Seconds;
 
-/// Counts every allocation and reallocation routed through the system
-/// allocator.
+/// Counts every allocation and reallocation the measuring thread routes
+/// through the system allocator.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count (const-initialised, no
+    /// destructor: reading it never allocates).
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -44,9 +60,11 @@ fn an_untraced_run_allocates_nothing_after_setup() {
     // Setup: schedule → piecewise source (allocates), FSM, capacitor.
     let mut exec = IntermittentExecutor::new(FsmConfig::paper_default(), Schedule::fig4());
 
+    COUNTED.with(|counted| counted.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let stats = exec.run(Seconds::new(4000.0), Seconds::new(0.05));
     let after = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTED.with(|counted| counted.set(false));
 
     assert_eq!(
         after - before,

@@ -155,7 +155,8 @@ pub fn run_batched(config: &CampaignConfig) -> CampaignResult {
 }
 
 /// Runs a campaign through [`isim::batch::BatchExecutor`] banks of `width`
-/// lanes, one bank per chunk of scenarios, chunks fanned out on `runner`.
+/// lanes, one bank per `width`-scenario chunk, chunks fanned out on
+/// `runner`.
 ///
 /// Bit-identical to [`run_with`] by construction: the per-scenario seed
 /// derivation is [`Scenario::batch_job`]'s (the same as the scalar path),
@@ -175,21 +176,18 @@ pub fn run_batched_with(
 }
 
 /// Runs `scenarios` through [`isim::batch::BatchExecutor`] banks of `width`
-/// lanes, one bank per chunk, chunks fanned out on `runner`; the per-run
-/// statistics come back flattened into scenario order.  Shared by
-/// [`run_batched_with`] and the shard engine ([`crate::shard`]).
+/// lanes, one bank per `width`-scenario chunk; the per-run statistics come
+/// back flattened into scenario order.  Chunks go through the runner's
+/// atomic work queue, so a worker that drew cheap scenarios claims more
+/// chunks instead of idling while another works through a slow family.
+/// Shared by [`run_batched_with`] and the shard engine ([`crate::shard`]).
 pub(crate) fn batched_stats(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     scenarios: &[Scenario],
     width: usize,
 ) -> Vec<isim::stats::RunStats> {
-    let width = width.max(1);
-    // One chunk per worker where possible, but never narrower than the bank:
-    // a chunk shorter than `width` would leave lanes idle, and the ragged
-    // tail still refills through each bank's own queue.
-    let chunk_len = scenarios.len().div_ceil(runner.threads().max(1)).max(width);
-    let chunks: Vec<&[Scenario]> = scenarios.chunks(chunk_len.max(1)).collect();
+    let chunks: Vec<&[Scenario]> = scenarios.chunks(width.max(1)).collect();
     let per_chunk: Vec<Vec<isim::stats::RunStats>> =
         runner.map_init(&chunks, crate::space::SourceScratch::new, |scratch, _, chunk| {
             let mut batch = isim::batch::BatchExecutor::new(width);
@@ -198,7 +196,7 @@ pub(crate) fn batched_stats(
             }
             let stats = batch.run_to_completion();
             for source in batch.take_retired_sources() {
-                scratch.recycle_lane(source);
+                scratch.recycle(source);
             }
             stats
         });

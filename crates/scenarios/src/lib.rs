@@ -70,4 +70,4 @@ pub use shard::{
     run_range_with, run_sharded, run_sharded_with, Execution, ShardError, ShardRecord, ShardResult,
     ShardSpec, SHARD_SCHEMA,
 };
-pub use space::{BackupSizing, LaneSource, ScenarioSpace, SourceFamily, SourceSpec};
+pub use space::{AnySource, BackupSizing, ScenarioSpace, SourceFamily, SourceSpec};

@@ -9,7 +9,7 @@ use tech45::nvm::NvmTechnology;
 use tech45::units::Seconds;
 
 use crate::seed::mix;
-use crate::space::{BackupSizing, LaneSource, SourceScratch, SourceSpec};
+use crate::space::{AnySource, BackupSizing, SourceScratch, SourceSpec};
 
 /// A fully specified scenario: running it twice produces bit-identical
 /// statistics, because every random stream (operation-energy jitter,
@@ -72,18 +72,17 @@ impl Scenario {
     /// Packages the scenario as a [`BatchJob`] for the lockstep
     /// [`isim::batch::BatchExecutor`].
     ///
-    /// The seed derivation is *identical* to [`Self::run_with_scratch`] —
-    /// same FSM seed, same source seed — and the lane source produces the
-    /// same sample stream as the scalar one, so a batched lane reproduces
-    /// [`Self::run`] bit for bit.
+    /// The seed derivation and the source are *identical* to
+    /// [`Self::run_with_scratch`]'s — same FSM seed, same seeded source — so
+    /// a batched lane reproduces [`Self::run`] bit for bit.
     #[must_use]
     pub fn batch_job(
         &self,
         duration: Seconds,
         dt: Seconds,
         scratch: &mut SourceScratch,
-    ) -> BatchJob<LaneSource> {
-        let source = self.source.build_seeded_lane(mix(self.seed, 0x50BC), scratch);
+    ) -> BatchJob<AnySource> {
+        let source = self.source.build_seeded(mix(self.seed, 0x50BC), scratch);
         BatchJob::new(self.fsm_config(), source, duration, dt)
     }
 

@@ -6,11 +6,10 @@
 //! the product is materialised into one deterministic
 //! [`crate::scenario::Scenario`].
 
-use ehsim::bank::PiecewiseCursor;
 use ehsim::pmu::Thresholds;
 use ehsim::schedule::Schedule;
 use ehsim::source::{
-    ConstantSource, HarvestSource, MarkovSource, PiecewiseSource, RfidSource, SolarSource,
+    ConstantSource, HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Segment, SolarSource,
 };
 use isim::backup::BackupUnit;
 use tech45::nvm::NvmTechnology;
@@ -184,21 +183,6 @@ impl SourceSpec {
             }
         }
     }
-
-    /// The batch-lane form of [`Self::build_seeded`]: the identical seeded
-    /// sample stream, with piecewise schedules wrapped in the monotone
-    /// [`PiecewiseCursor`] so a bank lane answers each tick's query in O(1)
-    /// instead of rescanning the segment table.
-    #[must_use]
-    pub fn build_seeded_lane(&self, scenario_seed: u64, scratch: &mut SourceScratch) -> LaneSource {
-        match self.build_seeded(scenario_seed, scratch) {
-            AnySource::Constant(s) => LaneSource::Constant(s),
-            AnySource::Rfid(s) => LaneSource::Rfid(s),
-            AnySource::Solar(s) => LaneSource::Solar(s),
-            AnySource::Markov(s) => LaneSource::Markov(s),
-            AnySource::Piecewise(s) => LaneSource::Piecewise(PiecewiseCursor::new(s)),
-        }
-    }
 }
 
 /// Recycled buffers for materialising sources — one per campaign worker,
@@ -233,18 +217,11 @@ impl SourceScratch {
             self.piecewise.push(piecewise.into_segments());
         }
     }
-
-    /// Recovers the buffers of a retired batch lane's source.
-    pub fn recycle_lane(&mut self, source: LaneSource) {
-        if let LaneSource::Piecewise(cursor) = source {
-            self.piecewise.push(cursor.into_inner().into_segments());
-        }
-    }
 }
 
 /// A harvest source of any family, dispatching [`HarvestSource`] by enum
-/// (keeps the executor monomorphic and the scenario `Send`-able without
-/// boxing).
+/// (keeps the executors monomorphic and the scenario `Send`-able without
+/// boxing) — the one source type of the scalar and batched campaign paths.
 #[derive(Debug, Clone)]
 pub enum AnySource {
     /// Constant source.
@@ -280,83 +257,13 @@ impl HarvestSource for AnySource {
         }
     }
 
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
+    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
         match self {
-            AnySource::Constant(s) => s.steady_ticks(tick, dt),
-            AnySource::Rfid(s) => s.steady_ticks(tick, dt),
-            AnySource::Solar(s) => s.steady_ticks(tick, dt),
-            AnySource::Markov(s) => s.steady_ticks(tick, dt),
-            AnySource::Piecewise(s) => s.steady_ticks(tick, dt),
-        }
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        match self {
-            AnySource::Constant(s) => s.power_bound(),
-            AnySource::Rfid(s) => s.power_bound(),
-            AnySource::Solar(s) => s.power_bound(),
-            AnySource::Markov(s) => s.power_bound(),
-            AnySource::Piecewise(s) => s.power_bound(),
-        }
-    }
-}
-
-/// The harvest source of one batch-executor lane: the same sample streams
-/// as [`AnySource`], with piecewise schedules behind the cursor view the
-/// lockstep tick loop can exploit (time only moves forward per lane).  A
-/// flat enum — one dispatch per sample, like the scalar path.
-#[derive(Debug, Clone)]
-pub enum LaneSource {
-    /// Constant source.
-    Constant(ConstantSource),
-    /// RFID bursts.
-    Rfid(RfidSource),
-    /// Solar cycle.
-    Solar(SolarSource),
-    /// Markov channel.
-    Markov(MarkovSource),
-    /// A piecewise schedule behind a monotone segment cursor.
-    Piecewise(PiecewiseCursor),
-}
-
-impl HarvestSource for LaneSource {
-    fn power_at(&mut self, t: Seconds) -> Power {
-        match self {
-            LaneSource::Constant(s) => s.power_at(t),
-            LaneSource::Rfid(s) => s.power_at(t),
-            LaneSource::Solar(s) => s.power_at(t),
-            LaneSource::Markov(s) => s.power_at(t),
-            LaneSource::Piecewise(s) => s.power_at(t),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            LaneSource::Constant(s) => s.describe(),
-            LaneSource::Rfid(s) => s.describe(),
-            LaneSource::Solar(s) => s.describe(),
-            LaneSource::Markov(s) => s.describe(),
-            LaneSource::Piecewise(s) => s.describe(),
-        }
-    }
-
-    fn steady_ticks(&mut self, tick: u64, dt: Seconds) -> u64 {
-        match self {
-            LaneSource::Constant(s) => s.steady_ticks(tick, dt),
-            LaneSource::Rfid(s) => s.steady_ticks(tick, dt),
-            LaneSource::Solar(s) => s.steady_ticks(tick, dt),
-            LaneSource::Markov(s) => s.steady_ticks(tick, dt),
-            LaneSource::Piecewise(s) => s.steady_ticks(tick, dt),
-        }
-    }
-
-    fn power_bound(&self) -> Option<Power> {
-        match self {
-            LaneSource::Constant(s) => s.power_bound(),
-            LaneSource::Rfid(s) => s.power_bound(),
-            LaneSource::Solar(s) => s.power_bound(),
-            LaneSource::Markov(s) => s.power_bound(),
-            LaneSource::Piecewise(s) => s.power_bound(),
+            AnySource::Constant(s) => s.segment(tick, dt),
+            AnySource::Rfid(s) => s.segment(tick, dt),
+            AnySource::Solar(s) => s.segment(tick, dt),
+            AnySource::Markov(s) => s.segment(tick, dt),
+            AnySource::Piecewise(s) => s.segment(tick, dt),
         }
     }
 }
@@ -643,6 +550,9 @@ mod tests {
         let _ = sched.power_at(Seconds::new(1.0));
     }
 
+    /// The batch engine walks sources window by window through
+    /// `segment`, the scalar oracle tick by tick through `power_at`: both
+    /// walks must see the same sample at every tick, for every family.
     #[test]
     fn lane_sources_sample_identically_to_the_scalar_sources() {
         let specs = [
@@ -669,30 +579,31 @@ mod tests {
             SourceSpec::Schedule(Schedule::fig4()),
             SourceSpec::Schedule(Schedule::scarce()),
         ];
+        let dt = Seconds::new(0.5);
         for spec in &specs {
             let mut scalar = spec.build_seeded(0xBEEF, &mut SourceScratch::new());
-            let mut lane = spec.build_seeded_lane(0xBEEF, &mut SourceScratch::new());
-            for i in 0..20_000_u32 {
-                let t = Seconds::new(f64::from(i) * 0.5);
-                assert_eq!(
-                    scalar.power_at(t).value().to_bits(),
-                    lane.power_at(t).value().to_bits(),
-                    "{} diverges at t={}",
-                    spec.family(),
-                    t.as_seconds()
-                );
+            let mut lane = spec.build_seeded(0xBEEF, &mut SourceScratch::new());
+            let mut i = 0_u64;
+            while i < 20_000 {
+                let seg = lane.segment(i, dt);
+                for j in i..seg.until.min(20_000) {
+                    assert_eq!(
+                        scalar.power_at(Seconds::new(j as f64 * 0.5)).value().to_bits(),
+                        seg.power.value().to_bits(),
+                        "{} diverges at tick {j}",
+                        spec.family()
+                    );
+                }
+                i = seg.until;
             }
-            assert_eq!(scalar.describe(), lane.describe());
         }
-        // Cursor buffers recycle through the lane-shaped scratch too.
+        // Piecewise buffers recycle through the scratch.
         let mut scratch = SourceScratch::new();
-        let lane = SourceSpec::Schedule(Schedule::fig4()).build_seeded_lane(1, &mut scratch);
-        scratch.recycle_lane(lane);
-        let again = SourceSpec::Schedule(Schedule::fig4()).build_seeded_lane(1, &mut scratch);
-        assert!(matches!(again, LaneSource::Piecewise(_)));
-        let constant =
-            SourceSpec::Constant { power: Power::ZERO }.build_seeded_lane(2, &mut scratch);
-        scratch.recycle_lane(constant);
+        let source = SourceSpec::Schedule(Schedule::fig4()).build_seeded(1, &mut scratch);
+        scratch.recycle(source);
+        let again = SourceSpec::Schedule(Schedule::fig4()).build_seeded(1, &mut scratch);
+        assert!(matches!(again, AnySource::Piecewise(_)));
+        assert!(scratch.piecewise.is_empty());
     }
 
     #[test]

@@ -3,20 +3,25 @@
 //! For random `(thresholds, sizing, technology, seed, duration)` points —
 //! including ragged durations sharing one bank, which forces mid-flight lane
 //! retirement and refill — the lanes of a `BatchExecutor` must reproduce the
-//! scalar `Scenario::run` statistics field for field.
+//! scalar `Scenario::run` statistics field for field.  Adversarial generators
+//! aim at the edges of the batch engine's source windows: threshold-hugging
+//! boot energies, timer fires on segment edges, a capacitor pinned at
+//! capacity across an edge, and lifetimes retiring mid-window.
 
 use proptest::prelude::*;
 
 use ehsim::capacitor::Capacitor;
 use ehsim::pmu::Thresholds;
 use ehsim::schedule::Schedule;
+use ehsim::source::{HarvestSource, PiecewiseSource};
 use isim::batch::{BatchExecutor, BatchJob};
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
-use scenarios::space::{BackupSizing, ScenarioSpace, SourceScratch, SourceSpec};
+use isim::stats::RunStats;
+use scenarios::space::{AnySource, BackupSizing, ScenarioSpace, SourceScratch, SourceSpec};
 use scenarios::Scenario;
 use tech45::nvm::NvmTechnology;
-use tech45::units::{Energy, Power, Seconds};
+use tech45::units::{Energy, EnergyFx, Power, Seconds};
 
 /// The source grid a case draws from: every family, stochastic and
 /// deterministic alike.
@@ -188,7 +193,7 @@ proptest! {
         batch.enqueue(
             BatchJob::new(
                 config.clone(),
-                spec.build_seeded_lane(seed, &mut scratch),
+                spec.build_seeded(seed, &mut scratch),
                 Seconds::new(duration),
                 dt,
             )
@@ -198,7 +203,7 @@ proptest! {
 
         let mut scalar = IntermittentExecutor::with_source(
             config,
-            spec.build_seeded_lane(seed, &mut scratch),
+            spec.build_seeded(seed, &mut scratch),
         )
         .with_capacitor(cap);
         let expected = scalar.run(Seconds::new(duration), dt);
@@ -239,7 +244,7 @@ proptest! {
         let mut scratch = SourceScratch::new();
         let mut exec = IntermittentExecutor::with_source(
             FsmConfig::paper_default().with_seed(seed),
-            spec.build_seeded_lane(seed, &mut scratch),
+            spec.build_seeded(seed, &mut scratch),
         )
         .with_capacitor(cap);
         let (stats, trace) = exec.run_with_trace(Seconds::new(duration), dt);
@@ -303,4 +308,140 @@ fn the_paper_campaign_fast_forwards_most_ticks() {
     assert!(telemetry.ticks_fast_forwarded > 0, "{telemetry:?}");
     assert!(telemetry.fast_forward_fraction() > 0.5, "{telemetry:?}");
     assert!(telemetry.horizon_recomputes > 0, "{telemetry:?}");
+}
+
+/// Runs one job through a two-lane bank and through the scalar oracle,
+/// returning `(scalar, batched)` statistics.
+fn scalar_and_batched<S: HarvestSource + Clone>(
+    config: FsmConfig,
+    cap: Capacitor,
+    source: S,
+    duration: f64,
+    dt: f64,
+) -> (RunStats, RunStats) {
+    let (duration, dt) = (Seconds::new(duration), Seconds::new(dt));
+    let mut batch = BatchExecutor::new(2);
+    batch.enqueue(BatchJob::new(config.clone(), source.clone(), duration, dt).with_capacitor(cap));
+    let batched = batch.run_to_completion().remove(0);
+    let mut scalar = IntermittentExecutor::with_source(config, source).with_capacitor(cap);
+    (scalar.run(duration, dt), batched)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Timer fires landing exactly on segment edges: every segment of a
+    /// cyclic schedule starts on a multiple of the sampling interval, so the
+    /// tick that polls the timer is also the first tick of a new source
+    /// window — the tick an idle-sleep stretch must stop before.  Where
+    /// `interval / dt` is integral on the f64 grid both edges fall on the
+    /// very same tick; `dt = 0.3` lets rounding split them by one tick.
+    #[test]
+    fn timer_fires_on_segment_edges_preserve_bit_identity(
+        powers_uw in prop::collection::vec(0.0_f64..900.0, 2..5),
+        interval_s in (0_usize..3).prop_map(|i| [30.0_f64, 15.0, 7.5][i]),
+        dt_s in (0_usize..3).prop_map(|i| [0.5_f64, 0.25, 0.3][i]),
+        initial_mj in 0.0_f64..25.0,
+        seed in 0_u64..u64::MAX,
+        duration in 200.0_f64..1500.0,
+    ) {
+        let mut config = FsmConfig::paper_default().with_seed(seed);
+        config.sampling_interval = Seconds::new(interval_s);
+        let segments = powers_uw
+            .iter()
+            .enumerate()
+            .map(|(k, &uw)| (Seconds::new(k as f64 * interval_s), Power::from_microwatts(uw)))
+            .collect();
+        let total = Seconds::new(powers_uw.len() as f64 * interval_s);
+        let source = PiecewiseSource::new(segments, true, total);
+        let cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(initial_mj));
+        let (scalar, batched) = scalar_and_batched(config, cap, source, duration, dt_s);
+        prop_assert_eq!(scalar, batched);
+    }
+
+    /// A capacitor pinned at capacity across a segment edge: the lane boots
+    /// full under supplies well above its sleep draw, the supply steps from
+    /// one clipping level to another mid-window of the pinned stretch, and a
+    /// final trickle segment drains it away again — so the clamped
+    /// fixed-point fold hands over at the edge and folds the new segment's
+    /// own clipped offer.
+    #[test]
+    fn a_capacitor_pinned_across_a_segment_edge_preserves_bit_identity(
+        high_mw in prop::collection::vec(0.2_f64..2.0, 2..4),
+        edge_s in 20.0_f64..200.0,
+        trickle_uw in 0.0_f64..20.0,
+        cyclic in (0_u8..2).prop_map(|b| b == 1),
+        dt_s in (0_usize..3).prop_map(|i| [0.5_f64, 0.25, 0.7][i]),
+        seed in 0_u64..u64::MAX,
+        duration in 200.0_f64..1200.0,
+    ) {
+        let mut segments: Vec<(Seconds, Power)> = high_mw
+            .iter()
+            .enumerate()
+            .map(|(k, &mw)| (Seconds::new(k as f64 * edge_s), Power::from_milliwatts(mw)))
+            .collect();
+        let trickle_start = high_mw.len() as f64 * edge_s;
+        segments.push((Seconds::new(trickle_start), Power::from_microwatts(trickle_uw)));
+        let source = PiecewiseSource::new(segments, cyclic, Seconds::new(trickle_start + 300.0));
+        let full = Capacitor::paper_default();
+        let cap = full.with_energy(full.max_energy());
+        let config = FsmConfig::paper_default().with_seed(seed);
+        let (scalar, batched) = scalar_and_batched(config, cap, source, duration, dt_s);
+        prop_assert!(scalar.energy_clipped > EnergyFx::ZERO, "the capacitor never pinned");
+        prop_assert_eq!(scalar, batched);
+    }
+
+    /// Ragged lifetimes that retire in the middle of a window: sources
+    /// whose windows outlive every lane (constant levels, zero power, the
+    /// single-segment plentiful schedule, long Markov dwells), lifetimes off
+    /// the tick grid, a bank narrower than the queue so refills land
+    /// mid-window of their neighbours, and a prefix of single-tick blocks
+    /// that cuts every live window at block edges.
+    #[test]
+    fn ragged_lifetimes_retiring_mid_window_preserve_bit_identity(
+        picks in prop::collection::vec(0_usize..5, 3..7),
+        durations in prop::collection::vec(1.0_f64..900.0, 7..8),
+        seeds in prop::collection::vec(0_u64..u64::MAX, 7..8),
+        width in 1_usize..4,
+        single_ticks in 0_usize..40,
+        dt_s in (0_usize..2).prop_map(|i| [0.5_f64, 0.3][i]),
+    ) {
+        let mw = Power::from_milliwatts;
+        let long_window = |pick: usize| match pick {
+            0 => SourceSpec::Constant { power: mw(0.02) },
+            1 => SourceSpec::Constant { power: Power::ZERO },
+            2 => SourceSpec::Constant { power: mw(1.5) },
+            3 => SourceSpec::Schedule(Schedule::plentiful()),
+            _ => SourceSpec::Markov {
+                on_power: mw(0.4),
+                mean_on: Seconds::new(400.0),
+                mean_off: Seconds::new(400.0),
+                seed: 5,
+            },
+        };
+        let dt = Seconds::new(dt_s);
+        let mut scratch = SourceScratch::new();
+        let jobs: Vec<BatchJob<AnySource>> = picks
+            .iter()
+            .zip(&durations)
+            .zip(&seeds)
+            .map(|((&pick, &duration), &seed)| {
+                let config = FsmConfig::paper_default().with_seed(seed);
+                let source = long_window(pick).build_seeded(seed, &mut scratch);
+                BatchJob::new(config, source, Seconds::new(duration), dt)
+            })
+            .collect();
+        let mut batch = BatchExecutor::new(width);
+        for job in &jobs {
+            batch.enqueue(job.clone());
+        }
+        for _ in 0..single_ticks {
+            batch.tick();
+        }
+        let batched = batch.run_to_completion();
+        for (k, (job, batched)) in jobs.into_iter().zip(&batched).enumerate() {
+            let mut scalar = IntermittentExecutor::with_source(job.config, job.source);
+            prop_assert_eq!(&scalar.run(job.duration, job.dt), batched, "job {}", k);
+        }
+    }
 }
