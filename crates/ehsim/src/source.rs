@@ -874,58 +874,6 @@ mod tests {
         }
     }
 
-    /// The linear segment scan the cursor replaced — the reference every
-    /// cursor lookup must reproduce.
-    fn scan(source: &PiecewiseSource, t: f64) -> Power {
-        let total = source.duration().as_seconds();
-        let time = if source.cyclic && total > 0.0 { t % total } else { t };
-        let mut current = Power::ZERO;
-        for &(start, power) in source.segments() {
-            if time >= start.as_seconds() {
-                current = power;
-            } else {
-                break;
-            }
-        }
-        current
-    }
-
-    #[test]
-    fn the_cursor_matches_the_scanning_source_sample_for_sample() {
-        use crate::schedule::Schedule;
-        let delayed = PiecewiseSource::new(
-            vec![
-                (Seconds::new(10.0), Power::from_milliwatts(1.0)),
-                (Seconds::new(20.0), Power::ZERO),
-            ],
-            true,
-            Seconds::new(30.0),
-        );
-        let sources = [
-            Schedule::fig4().to_source(),
-            Schedule::plentiful().to_source(),
-            Schedule::scarce().to_source(),
-            delayed,
-        ];
-        for mut source in sources {
-            let reference = source.clone();
-            // Sweep far past the cycle duration so cyclic schedules wrap
-            // several times, at a step that hits segment boundaries exactly,
-            // with an occasional jump back in time to force a rescan.
-            for i in 0..200_000_u32 {
-                let t = if i % 997 == 0 { f64::from(i / 2) * 0.05 } else { f64::from(i) * 0.05 };
-                assert_eq!(
-                    scan(&reference, t).value().to_bits(),
-                    source.power_at(Seconds::new(t)).value().to_bits(),
-                    "{} diverges at t={t}",
-                    source.describe()
-                );
-            }
-            // Equality ignores where the cursor stopped.
-            assert_eq!(source, reference);
-        }
-    }
-
     #[test]
     fn piecewise_steady_windows_stop_at_segments_and_wraps() {
         let make = |cyclic| {
