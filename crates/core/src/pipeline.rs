@@ -22,8 +22,9 @@
 //! arena-backed restructuring edits (see [`crate::tree`]), whose append-only
 //! id assignment keeps the policy/replacement tie-breaks deterministic, so
 //! cached restructured trees and fresh ones are interchangeable.  The cost
-//! of the tree/replacement stages is tracked by the `diac_bench::perf`
-//! quick suite and gated in CI (`DESIGN.md`, "Perf gate").
+//! of the prepare/compare/replacement stages is measured per circuit suite
+//! by the repository benchmark's `synthesis_suite` workload (`DESIGN.md`,
+//! "Measuring performance").
 //!
 //! # Example
 //!

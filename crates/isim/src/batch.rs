@@ -913,12 +913,6 @@ fn replay_timer_rearms(timer: &mut TimerInterrupt, mut from: u64, to: u64, dt_s:
         if fire >= to {
             return;
         }
-        if period.as_seconds() <= 0.0 {
-            // A non-positive period fires on every remaining tick; the last
-            // burned tick's re-arm is the one that survives.
-            timer.set_next_fire(Seconds::new((to - 1) as f64 * dt_s) + period);
-            return;
-        }
         timer.set_next_fire(Seconds::new(fire as f64 * dt_s) + period);
         from = fire + 1;
     }

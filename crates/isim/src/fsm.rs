@@ -363,7 +363,7 @@ impl FsmLaneMut<'_> {
         match *self.state {
             NodeState::Off => self.step_off(cap),
             NodeState::Backup => self.step_backup(cap),
-            NodeState::Sleep => self.step_sleep(cap, now),
+            NodeState::Sleep => self.step_sleep(cap),
             NodeState::Sense => self.step_operation(cap, dt, NodeState::Sense),
             NodeState::Compute => self.step_operation(cap, dt, NodeState::Compute),
             NodeState::Transmit => self.step_operation(cap, dt, NodeState::Transmit),
@@ -409,7 +409,7 @@ impl FsmLaneMut<'_> {
         *self.state = NodeState::Sleep;
     }
 
-    fn step_sleep(&mut self, cap: &mut EnergyCell<'_>, _now: Seconds) {
+    fn step_sleep(&mut self, cap: &mut EnergyCell<'_>) {
         let energy = cap.energy();
         let th = self.th;
         let next = match *self.reg_flag {

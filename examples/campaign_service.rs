@@ -148,21 +148,20 @@ fn merge_all(
     for index in 0..args.shards {
         let spec = ShardSpec::new(config.clone(), index, args.shards);
         let shard = match (&args.checkpoint, args.resume) {
-            (Some(dir), true) => {
-                let resumed = spec.load_checkpoint(dir);
-                let fresh = resumed.is_none();
-                let shard = spec.run_or_resume_with(runner, execution, Some(dir))?;
-                eprintln!(
-                    "shard {index}/{}: {}",
-                    args.shards,
-                    if fresh {
-                        "no valid checkpoint — re-ran"
-                    } else {
-                        "resumed from checkpoint"
-                    },
-                );
-                shard
-            }
+            // One read per shard: the status line describes the very shard
+            // that is merged.
+            (Some(dir), true) => match spec.load_checkpoint(dir) {
+                Some(shard) => {
+                    eprintln!("shard {index}/{}: resumed from checkpoint", args.shards);
+                    shard
+                }
+                None => {
+                    let shard = spec.run_with(runner, execution);
+                    spec.save_checkpoint(dir, &shard)?;
+                    eprintln!("shard {index}/{}: no valid checkpoint — re-ran", args.shards);
+                    shard
+                }
+            },
             _ => spec.run_with(runner, execution),
         };
         match &mut merged {
