@@ -11,7 +11,6 @@ use diac_core::replacement::{insert_nvm_boundaries, ReplacementConfig};
 use netlist::parser::parse_bench;
 use scenarios::campaign::{CampaignConfig, CampaignResult};
 use scenarios::space::{BackupSizing, ScenarioSpace};
-use scenarios::ParallelRunner;
 use tech45::cells::CellLibrary;
 
 use crate::report::Table;
@@ -42,104 +41,6 @@ pub fn diac_backup_sizing() -> Result<BackupSizing, DiacError> {
 pub fn paper_campaign(seed: u64) -> Result<CampaignConfig, DiacError> {
     let sizings = vec![BackupSizing::BaselineBits(64), diac_backup_sizing()?];
     Ok(CampaignConfig::new(ScenarioSpace::paper_grid(sizings), seed))
-}
-
-/// Runs the paper campaign on an explicit runner.
-///
-/// # Errors
-///
-/// Propagates the synthesis-side failures of [`diac_backup_sizing`].
-pub fn run_with(runner: &ParallelRunner, seed: u64) -> Result<CampaignResult, DiacError> {
-    Ok(scenarios::campaign::run_with(runner, &paper_campaign(seed)?))
-}
-
-/// Runs the paper campaign on all cores.
-///
-/// # Errors
-///
-/// Propagates the synthesis-side failures of [`diac_backup_sizing`].
-pub fn run(seed: u64) -> Result<CampaignResult, DiacError> {
-    run_with(&ParallelRunner::new(), seed)
-}
-
-/// Runs the paper campaign through the lockstep batch executor on an
-/// explicit runner, with `width` lanes per worker bank.  Bit-identical to
-/// [`run_with`] (same digest) — the batched path only reorganises the
-/// execution.
-///
-/// # Errors
-///
-/// Propagates the synthesis-side failures of [`diac_backup_sizing`].
-pub fn run_batched_with(
-    runner: &ParallelRunner,
-    seed: u64,
-    width: usize,
-) -> Result<CampaignResult, DiacError> {
-    Ok(scenarios::campaign::run_batched_with(runner, &paper_campaign(seed)?, width))
-}
-
-/// Runs the paper campaign through the batch executor on all cores with the
-/// default lane count.
-///
-/// # Errors
-///
-/// Propagates the synthesis-side failures of [`diac_backup_sizing`].
-pub fn run_batched(seed: u64) -> Result<CampaignResult, DiacError> {
-    run_batched_with(&ParallelRunner::new(), seed, scenarios::DEFAULT_BATCH_WIDTH)
-}
-
-/// One shard of the paper campaign — the unit a `campaign_service` worker
-/// process runs and checkpoints.  See [`scenarios::shard`] for the
-/// merge/determinism contract.
-///
-/// # Errors
-///
-/// Propagates the synthesis-side failures of [`diac_backup_sizing`].
-pub fn paper_shard(
-    seed: u64,
-    shard_index: usize,
-    shard_count: usize,
-) -> Result<scenarios::ShardSpec, DiacError> {
-    Ok(scenarios::ShardSpec::new(paper_campaign(seed)?, shard_index, shard_count))
-}
-
-/// Runs the paper campaign as `shard_count` shards on an explicit runner and
-/// engine, merging them — bit-identical to [`run_with`]/[`run_batched_with`]
-/// at any shard count.
-///
-/// # Errors
-///
-/// Propagates the synthesis-side failures of [`diac_backup_sizing`].
-pub fn run_sharded_with(
-    runner: &ParallelRunner,
-    seed: u64,
-    shard_count: usize,
-    execution: scenarios::Execution,
-) -> Result<CampaignResult, DiacError> {
-    Ok(scenarios::run_sharded_with(runner, &paper_campaign(seed)?, shard_count, execution))
-}
-
-/// Runs the paper campaign as `shard_count` scalar shards on all cores.
-///
-/// # Errors
-///
-/// Propagates the synthesis-side failures of [`diac_backup_sizing`].
-pub fn run_sharded(seed: u64, shard_count: usize) -> Result<CampaignResult, DiacError> {
-    Ok(scenarios::run_sharded(&paper_campaign(seed)?, shard_count))
-}
-
-/// Runs the tiny deterministic smoke campaign (16 scenarios, fixed seed) —
-/// shared by the golden tests, the CI smoke job and the `campaign` example.
-#[must_use]
-pub fn run_smoke() -> CampaignResult {
-    scenarios::campaign::run(&CampaignConfig::smoke())
-}
-
-/// The smoke campaign through the batch executor — same digest as
-/// [`run_smoke`].
-#[must_use]
-pub fn run_smoke_batched() -> CampaignResult {
-    scenarios::campaign::run_batched(&CampaignConfig::smoke())
 }
 
 /// Renders a campaign as one table: the overall aggregate first, then one
@@ -178,7 +79,7 @@ pub fn to_table(result: &CampaignResult) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenarios::METRIC_NAMES;
+    use scenarios::{ParallelRunner, METRIC_NAMES};
 
     #[test]
     fn the_diac_sizing_is_leaner_than_the_baseline() {
@@ -204,7 +105,7 @@ mod tests {
 
     #[test]
     fn the_smoke_campaign_table_covers_every_group_and_metric() {
-        let result = run_smoke();
+        let result = scenarios::run_with(&ParallelRunner::new(), &CampaignConfig::smoke());
         let table = to_table(&result);
         // overall + one group per family and per sizing, each with all
         // metrics.
@@ -220,15 +121,5 @@ mod tests {
             assert!(markdown.contains(metric), "metric {metric} missing from the table");
         }
         assert!(markdown.contains("digest"));
-    }
-
-    #[test]
-    fn smoke_runs_twice_with_the_same_digest() {
-        assert_eq!(run_smoke().digest(), run_smoke().digest());
-    }
-
-    #[test]
-    fn the_batched_smoke_campaign_matches_the_scalar_one() {
-        assert_eq!(run_smoke(), run_smoke_batched());
     }
 }

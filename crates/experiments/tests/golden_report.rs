@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use experiments::campaign;
 use experiments::fig5;
 use experiments::ImprovementSummary;
+use scenarios::{CampaignConfig, ParallelRunner};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
@@ -54,7 +55,7 @@ fn improvement_tables_match_the_goldens() {
 
 #[test]
 fn campaign_tables_match_the_goldens() {
-    let result = campaign::run_smoke();
+    let result = scenarios::run_with(&ParallelRunner::new(), &CampaignConfig::smoke());
     let table = campaign::to_table(&result);
     check_golden("campaign_smoke.md", &table.to_markdown());
     check_golden("campaign_smoke.csv", &table.to_csv());

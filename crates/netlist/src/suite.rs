@@ -141,8 +141,8 @@ impl BenchmarkSuite {
     }
 
     /// A trimmed suite (the smaller half of each family) used by fast tests
-    /// and Criterion benches where running the multi-thousand-gate circuits
-    /// on every iteration would be wasteful.
+    /// and the small experiment sweeps, where running the multi-thousand-gate
+    /// circuits on every iteration would be wasteful.
     #[must_use]
     pub fn diac_paper_small() -> Self {
         let full = Self::diac_paper();

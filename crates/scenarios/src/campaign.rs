@@ -5,6 +5,7 @@ use tech45::units::Seconds;
 use crate::aggregate::CampaignSummary;
 use crate::runner::ParallelRunner;
 use crate::scenario::Scenario;
+use crate::shard::{run_range, Execution};
 use crate::space::{ScenarioSpace, SourceFamily};
 
 /// Configuration of one campaign.
@@ -112,31 +113,26 @@ impl CampaignResult {
 /// word-parallel convention of the logic-side `BitSim`.
 pub const DEFAULT_BATCH_WIDTH: usize = 64;
 
-/// Runs a campaign on all cores.
-#[must_use]
-pub fn run(config: &CampaignConfig) -> CampaignResult {
-    run_with(&ParallelRunner::new(), config)
-}
-
 /// Runs a campaign on an explicit runner.
 ///
 /// Every scenario is executed independently (the embarrassingly parallel
 /// fan-out); the per-run statistics come back in scenario order and are
 /// folded into the aggregators serially, so the aggregate — and its digest —
 /// is identical for serial and parallel runs and across repeated invocations
-/// with the same seed.
+/// with the same seed.  The campaign runs as one full-range shard (the
+/// shard engine over `0..len`), so the monolithic fold and the sharded
+/// merge run the same aggregation code.
 #[must_use]
 pub fn run_with(runner: &ParallelRunner, config: &CampaignConfig) -> CampaignResult {
-    let scenarios: Vec<Scenario> = config.space.scenarios(config.seed);
-    let stats = scalar_stats(runner, config, &scenarios);
-    aggregate(config, &scenarios, &stats)
+    let scenarios = config.space.scenarios(config.seed);
+    run_range(runner, config, &scenarios, 0..scenarios.len(), Execution::Scalar).into_result()
 }
 
 /// Runs `scenarios` through the scalar per-scenario executor on `runner`,
 /// returning the per-run statistics in scenario order.  Every worker owns
 /// one `SourceScratch`, so the fan-out recycles source buffers across the
-/// runs it claims instead of allocating per run.  Shared by the whole-space
-/// campaign ([`run_with`]) and the shard engine ([`crate::shard`]).
+/// runs it claims instead of allocating per run.  The engine behind
+/// [`Execution::Scalar`].
 pub(crate) fn scalar_stats(
     runner: &ParallelRunner,
     config: &CampaignConfig,
@@ -147,32 +143,25 @@ pub(crate) fn scalar_stats(
     })
 }
 
-/// Runs a campaign through the lockstep batch executor on all cores, with
-/// [`DEFAULT_BATCH_WIDTH`] lanes per worker.
-#[must_use]
-pub fn run_batched(config: &CampaignConfig) -> CampaignResult {
-    run_batched_with(&ParallelRunner::new(), config, DEFAULT_BATCH_WIDTH)
-}
-
 /// Runs a campaign through [`isim::batch::BatchExecutor`] banks of `width`
 /// lanes, one bank per `width`-scenario chunk, chunks fanned out on
-/// `runner`.
+/// `runner` — again as one full-range shard.
 ///
 /// Bit-identical to [`run_with`] by construction: the per-scenario seed
 /// derivation is [`Scenario::batch_job`]'s (the same as the scalar path),
 /// every lane executes the shared per-step physics, the per-run statistics
-/// are flattened back into scenario order, and the aggregation below is the
-/// same code — so the digest matches the scalar campaign at any worker
-/// count and any batch width.  `tests/campaign.rs` pins this.
+/// are flattened back into scenario order, and the aggregation is the same
+/// code — so the digest matches the scalar campaign at any worker count and
+/// any batch width.  `tests/campaign.rs` pins this.
 #[must_use]
 pub fn run_batched_with(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     width: usize,
 ) -> CampaignResult {
-    let scenarios: Vec<Scenario> = config.space.scenarios(config.seed);
-    let stats = batched_stats(runner, config, &scenarios, width);
-    aggregate(config, &scenarios, &stats)
+    let scenarios = config.space.scenarios(config.seed);
+    run_range(runner, config, &scenarios, 0..scenarios.len(), Execution::Batched { width })
+        .into_result()
 }
 
 /// Runs `scenarios` through [`isim::batch::BatchExecutor`] banks of `width`
@@ -180,7 +169,7 @@ pub fn run_batched_with(
 /// back flattened into scenario order.  Chunks go through the runner's
 /// atomic work queue, so a worker that drew cheap scenarios claims more
 /// chunks instead of idling while another works through a slow family.
-/// Shared by [`run_batched_with`] and the shard engine ([`crate::shard`]).
+/// The engine behind [`Execution::Batched`].
 pub(crate) fn batched_stats(
     runner: &ParallelRunner,
     config: &CampaignConfig,
@@ -203,23 +192,6 @@ pub(crate) fn batched_stats(
     per_chunk.into_iter().flatten().collect()
 }
 
-/// Folds per-run statistics (in scenario order) into the campaign result —
-/// shared by the scalar and batched paths so their aggregates can only
-/// differ if the per-run statistics do.  Implemented as a single full-range
-/// shard ([`crate::shard::ShardResult`]), so the monolithic fold and the
-/// sharded merge literally run the same aggregation code.
-fn aggregate(
-    config: &CampaignConfig,
-    scenarios: &[Scenario],
-    stats: &[isim::stats::RunStats],
-) -> CampaignResult {
-    let mut shard = crate::shard::ShardResult::new(config, scenarios, 0..scenarios.len());
-    for (scenario, run_stats) in scenarios.iter().zip(stats) {
-        shard.record(scenario, run_stats);
-    }
-    shard.into_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,8 +199,8 @@ mod tests {
     #[test]
     fn the_smoke_campaign_is_deterministic_across_invocations() {
         let config = CampaignConfig::smoke();
-        let a = run(&config);
-        let b = run(&config);
+        let a = run_with(&ParallelRunner::new(), &config);
+        let b = run_with(&ParallelRunner::new(), &config);
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.runs, config.space.len());
@@ -250,7 +222,7 @@ mod tests {
             let batched = run_batched_with(&ParallelRunner::serial(), &config, width);
             assert_eq!(scalar, batched, "width {width} diverged from the scalar oracle");
         }
-        let wide = run_batched(&config);
+        let wide = run_batched_with(&ParallelRunner::new(), &config, DEFAULT_BATCH_WIDTH);
         assert_eq!(scalar, wide);
         let parallel_batched = run_batched_with(&ParallelRunner::with_threads(8), &config, 4);
         assert_eq!(scalar, parallel_batched);
@@ -262,12 +234,13 @@ mod tests {
         let reseeded = CampaignConfig { seed: config.seed + 1, ..config.clone() };
         // The smoke grid contains a jittered RFID source, so a different
         // campaign seed must produce different statistics somewhere.
-        assert_ne!(run(&config).digest(), run(&reseeded).digest());
+        let runner = ParallelRunner::new();
+        assert_ne!(run_with(&runner, &config).digest(), run_with(&runner, &reseeded).digest());
     }
 
     #[test]
     fn family_and_sizing_slices_partition_the_runs() {
-        let result = run(&CampaignConfig::smoke());
+        let result = run_with(&ParallelRunner::new(), &CampaignConfig::smoke());
         let family_runs: usize = result.by_family.iter().map(|(_, s)| s.runs).sum();
         assert_eq!(family_runs, result.runs);
         assert!(result.family(SourceFamily::Constant).is_some());
@@ -280,7 +253,7 @@ mod tests {
 
     #[test]
     fn scenarios_make_forward_progress_somewhere_in_the_space() {
-        let result = run(&CampaignConfig::smoke());
+        let result = run_with(&ParallelRunner::new(), &CampaignConfig::smoke());
         let progress = result.overall.row("progress").expect("progress row");
         assert!(progress.max >= 1.0, "no scenario made progress: {}", result.overall);
         let backups = result.overall.row("backups").expect("backups row");

@@ -19,7 +19,7 @@
 //! order-preserving parallel work-queue ([`runner::ParallelRunner`], shared
 //! with `experiments::SuiteRunner`) or, batched, through the lockstep
 //! structure-of-arrays [`isim::batch::BatchExecutor`]
-//! ([`campaign::run_batched`], bit-identical digests), and streams the
+//! ([`campaign::run_batched_with`], bit-identical digests), and streams the
 //! per-run statistics into an online aggregator
 //! ([`aggregate::Aggregator`]: mean/min/max and p50/p90/p99 of forward
 //! progress, backups, dead time, energy wasted) without retaining per-run
@@ -37,11 +37,12 @@
 //! # Example
 //!
 //! ```
-//! use scenarios::campaign::{run, CampaignConfig};
+//! use scenarios::{run_with, CampaignConfig, ParallelRunner};
 //!
 //! let config = CampaignConfig::smoke();
-//! let first = run(&config);
-//! let second = run(&config);
+//! let runner = ParallelRunner::new();
+//! let first = run_with(&runner, &config);
+//! let second = run_with(&runner, &config);
 //! assert_eq!(first.digest(), second.digest());
 //! assert_eq!(first.runs, config.space.len());
 //! ```
@@ -60,14 +61,13 @@ pub mod space;
 
 pub use aggregate::{Aggregator, CampaignSummary, MetricRow, METRIC_NAMES};
 pub use campaign::{
-    run, run_batched, run_batched_with, run_with, CampaignConfig, CampaignResult,
-    DEFAULT_BATCH_WIDTH,
+    run_batched_with, run_with, CampaignConfig, CampaignResult, DEFAULT_BATCH_WIDTH,
 };
 pub use equiv::{run_equivalence_axis, EquivalenceAxis, EquivalenceOutcome, EquivalenceSmoke};
 pub use runner::ParallelRunner;
 pub use scenario::Scenario;
 pub use shard::{
-    run_range_with, run_sharded, run_sharded_with, Execution, ShardError, ShardRecord, ShardResult,
-    ShardSpec, SHARD_SCHEMA,
+    run_range_with, run_sharded_with, Execution, ShardError, ShardRecord, ShardResult, ShardSpec,
+    SHARD_SCHEMA,
 };
 pub use space::{AnySource, BackupSizing, ScenarioSpace, SourceFamily, SourceSpec};

@@ -276,11 +276,17 @@ impl ShardSpec {
     /// or another shard geometry all mean "run it again".
     #[must_use]
     pub fn load_checkpoint(&self, dir: &Path) -> Option<ShardResult> {
+        self.load_matching(dir, self.config.fingerprint())
+    }
+
+    /// [`Self::load_checkpoint`] against an already-computed campaign
+    /// fingerprint.
+    fn load_matching(&self, dir: &Path, fingerprint: u64) -> Option<ShardResult> {
         let text = std::fs::read_to_string(self.checkpoint_path(dir)).ok()?;
         let record = ShardRecord::parse(&text).ok()?;
         let matches = record.shard_index == self.shard_index
             && record.shard_count == self.shard_count
-            && record.result.fingerprint == self.config.fingerprint()
+            && record.result.fingerprint == fingerprint
             && (record.result.start..record.result.end) == self.range();
         matches.then_some(record.result)
     }
@@ -298,12 +304,26 @@ impl ShardSpec {
         execution: Execution,
         dir: Option<&Path>,
     ) -> io::Result<ShardResult> {
+        let scenarios = self.config.space.scenarios(self.config.seed);
+        self.run_or_resume(runner, execution, &scenarios, dir)
+    }
+
+    /// [`Self::run_or_resume_with`] over the already-expanded `scenarios`
+    /// of this shard's campaign.
+    fn run_or_resume(
+        &self,
+        runner: &ParallelRunner,
+        execution: Execution,
+        scenarios: &[Scenario],
+        dir: Option<&Path>,
+    ) -> io::Result<ShardResult> {
         if let Some(dir) = dir {
-            if let Some(result) = self.load_checkpoint(dir) {
+            let fingerprint = fingerprint_of(&self.config, scenarios);
+            if let Some(result) = self.load_matching(dir, fingerprint) {
                 return Ok(result);
             }
         }
-        let result = self.run_with(runner, execution);
+        let result = run_range(runner, &self.config, scenarios, self.range(), execution);
         if let Some(dir) = dir {
             self.save_checkpoint(dir, &result)?;
         }
@@ -335,7 +355,9 @@ pub fn run_range_with(
     run_range(runner, config, &scenarios, range, execution)
 }
 
-fn run_range(
+/// Runs `range` of the already-expanded `scenarios` into one shard
+/// aggregate — the single execution path of every campaign, sharded or not.
+pub(crate) fn run_range(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     scenarios: &[Scenario],
@@ -355,34 +377,37 @@ fn run_range(
 /// one after another, each internally parallel) and merges them — by
 /// construction bit-identical to [`crate::campaign::run_with`] /
 /// [`crate::campaign::run_batched_with`] at any shard count.
-#[must_use]
+///
+/// With `checkpoint` `Some(dir)`, every shard resumes from its valid
+/// checkpoint in `dir` or runs and saves one, exactly as
+/// [`ShardSpec::run_or_resume_with`] does; with `None`, nothing touches
+/// the filesystem.  The space is expanded once per call either way.
+///
+/// # Errors
+///
+/// Propagates checkpoint-write failures; execution itself cannot fail.
 pub fn run_sharded_with(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     shard_count: usize,
     execution: Execution,
-) -> CampaignResult {
+    checkpoint: Option<&Path>,
+) -> io::Result<CampaignResult> {
     let shard_count = shard_count.max(1);
     let scenarios = config.space.scenarios(config.seed);
     let mut merged: Option<ShardResult> = None;
     for index in 0..shard_count {
-        let range = shard_range(scenarios.len(), index, shard_count);
-        let shard = run_range(runner, config, &scenarios, range, execution);
+        let spec = ShardSpec::new(config.clone(), index, shard_count);
+        let shard = spec.run_or_resume(runner, execution, &scenarios, checkpoint)?;
         match &mut merged {
             None => merged = Some(shard),
             Some(acc) => acc.merge(&shard).expect("shards of one campaign merge in order"),
         }
     }
-    merged
+    Ok(merged
         .expect("shard_count >= 1")
         .into_checked_result(scenarios.len())
-        .expect("the shards tile the whole campaign")
-}
-
-/// [`run_sharded_with`] on all cores with the scalar engine.
-#[must_use]
-pub fn run_sharded(config: &CampaignConfig, shard_count: usize) -> CampaignResult {
-    run_sharded_with(&ParallelRunner::new(), config, shard_count, Execution::Scalar)
+        .expect("the shards tile the whole campaign"))
 }
 
 /// The mergeable aggregate of one contiguous scenario range.
@@ -553,9 +578,9 @@ impl ShardResult {
     }
 
     /// Freezes the aggregate into a [`CampaignResult`] without coverage
-    /// checks — the monolithic path ([`crate::campaign::run_with`]) uses
-    /// this directly, since its single shard covers the space by
-    /// construction.
+    /// checks — the monolithic paths ([`crate::campaign::run_with`],
+    /// [`crate::campaign::run_batched_with`]) use this directly, since their
+    /// single shard covers the space by construction.
     pub(crate) fn into_result(self) -> CampaignResult {
         CampaignResult {
             runs: self.overall.runs(),
@@ -818,18 +843,16 @@ mod tests {
     #[test]
     fn sharded_smoke_campaigns_match_the_monolithic_result_bit_for_bit() {
         let config = smoke();
-        let monolithic = run_with(&ParallelRunner::serial(), &config);
+        let runner = ParallelRunner::serial();
+        let monolithic = run_with(&runner, &config);
         for count in [1, 3, 8, 16, 30] {
-            let sharded =
-                run_sharded_with(&ParallelRunner::serial(), &config, count, Execution::Scalar);
+            let sharded = run_sharded_with(&runner, &config, count, Execution::Scalar, None)
+                .expect("no checkpoint to write");
             assert_eq!(monolithic, sharded, "{count} scalar shards diverged");
             assert_eq!(monolithic.digest(), sharded.digest());
-            let batched = run_sharded_with(
-                &ParallelRunner::serial(),
-                &config,
-                count,
-                Execution::Batched { width: 4 },
-            );
+            let batched =
+                run_sharded_with(&runner, &config, count, Execution::Batched { width: 4 }, None)
+                    .expect("no checkpoint to write");
             assert_eq!(monolithic, batched, "{count} batched shards diverged");
         }
     }

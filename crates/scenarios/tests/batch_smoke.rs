@@ -1,4 +1,4 @@
-//! CI smoke job of the batched campaign path: the smoke campaign's digest
+//! Smoke test of the batched campaign path: the smoke campaign's digest
 //! must be bit-identical between the scalar per-scenario executor and the
 //! lockstep batch executor, across batch widths and worker counts, and
 //! reproducible across invocations.

@@ -1,4 +1,4 @@
-//! CI `equiv-smoke` job: the seeded functional-equivalence pass over the
+//! Equivalence smoke: the seeded functional-equivalence pass over the
 //! full 24-circuit evaluation suite.
 //!
 //! Every circuit is materialised, run through the DIAC replacement

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use scenarios::campaign::{run_with, CampaignConfig};
-use scenarios::shard::{run_sharded_with, Execution, ShardResult, ShardSpec};
+use scenarios::shard::{run_sharded_with, Execution, ShardSpec};
 use scenarios::ParallelRunner;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -19,41 +19,26 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the campaign shard by shard through checkpoints in `dir`, merging
-/// the results — the example/CLI flow, in-process.
-fn run_via_checkpoints(
-    config: &CampaignConfig,
-    shard_count: usize,
-    dir: &std::path::Path,
-    execution: Execution,
-) -> scenarios::CampaignResult {
-    let runner = ParallelRunner::serial();
-    let mut merged: Option<ShardResult> = None;
-    for index in 0..shard_count {
-        let spec = ShardSpec::new(config.clone(), index, shard_count);
-        let shard = spec
-            .run_or_resume_with(&runner, execution, Some(dir))
-            .expect("shard runs and checkpoints");
-        match &mut merged {
-            None => merged = Some(shard),
-            Some(acc) => acc.merge(&shard).expect("adjacent shards merge"),
-        }
-    }
-    merged.expect("at least one shard").finish(config).expect("full coverage")
-}
-
 #[test]
 fn sharded_checkpointed_campaigns_match_the_unsharded_oracle() {
     let config = CampaignConfig::smoke();
-    let oracle = run_with(&ParallelRunner::serial(), &config);
+    let runner = ParallelRunner::serial();
+    let oracle = run_with(&runner, &config);
     for shard_count in [1, 3, 8] {
         let dir = scratch_dir(&format!("count{shard_count}"));
-        let result = run_via_checkpoints(&config, shard_count, &dir, Execution::Scalar);
+        let result = run_sharded_with(&runner, &config, shard_count, Execution::Scalar, Some(&dir))
+            .expect("shards run and checkpoint");
         assert_eq!(result, oracle, "{shard_count} shards diverged from the oracle");
         assert_eq!(result.digest(), oracle.digest());
         // Every shard left a checkpoint; a second pass resumes them all
         // (bit-identical again, now without running anything).
-        let resumed = run_via_checkpoints(&config, shard_count, &dir, Execution::Scalar);
+        for index in 0..shard_count {
+            let spec = ShardSpec::new(config.clone(), index, shard_count);
+            assert!(spec.load_checkpoint(&dir).is_some(), "shard {index}/{shard_count} left none");
+        }
+        let resumed =
+            run_sharded_with(&runner, &config, shard_count, Execution::Scalar, Some(&dir))
+                .expect("checkpoints resume");
         assert_eq!(resumed, oracle);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -62,12 +47,14 @@ fn sharded_checkpointed_campaigns_match_the_unsharded_oracle() {
 #[test]
 fn a_killed_shard_resumes_to_the_same_digest() {
     let config = CampaignConfig::smoke();
-    let oracle = run_with(&ParallelRunner::serial(), &config);
+    let runner = ParallelRunner::serial();
+    let oracle = run_with(&runner, &config);
     let dir = scratch_dir("kill");
     let shard_count = 3;
 
     // First pass completes all three shards.
-    let first = run_via_checkpoints(&config, shard_count, &dir, Execution::Scalar);
+    let first = run_sharded_with(&runner, &config, shard_count, Execution::Scalar, Some(&dir))
+        .expect("shards run and checkpoint");
     assert_eq!(first, oracle);
 
     // "Kill" shard 1: truncate its checkpoint mid-record (a write that died
@@ -81,7 +68,8 @@ fn a_killed_shard_resumes_to_the_same_digest() {
     assert!(spec.load_checkpoint(&dir).is_none(), "a truncated checkpoint must not resume");
 
     // Resume: shard 1 re-runs, shards 0 and 2 load — same digest.
-    let resumed = run_via_checkpoints(&config, shard_count, &dir, Execution::Scalar);
+    let resumed = run_sharded_with(&runner, &config, shard_count, Execution::Scalar, Some(&dir))
+        .expect("shard 1 re-runs and checkpoints");
     assert_eq!(resumed, oracle, "kill-and-resume changed the campaign result");
     assert_eq!(resumed.digest(), oracle.digest());
     assert_eq!(spec.load_checkpoint(&dir).map(|s| s.runs()), Some(spec.range().len()));
@@ -98,7 +86,9 @@ fn batched_shards_and_parallel_runners_share_the_digest() {
             &config,
             shard_count,
             Execution::Batched { width: 4 },
-        );
+            None,
+        )
+        .expect("no checkpoint to write");
         assert_eq!(batched, oracle, "{shard_count} batched shards diverged");
     }
 }

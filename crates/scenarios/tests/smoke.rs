@@ -1,8 +1,9 @@
-//! The CI campaign smoke test: a small seeded campaign must complete on the
+//! The campaign smoke test: a small seeded campaign must complete on the
 //! parallel engine and reproduce its aggregate digest exactly.
 //!
-//! CI runs this test on its own (`cargo test -p scenarios --test smoke`) as
-//! the fast campaign smoke job; keep it free of heavyweight sweeps.
+//! It runs with the rest of the workspace suite (`cargo test`); run it
+//! alone with `cargo test -p scenarios --test smoke`.  Keep it free of
+//! heavyweight sweeps.
 
 use scenarios::campaign::{run_with, CampaignConfig};
 use scenarios::ParallelRunner;

@@ -1,31 +1,40 @@
-//! Campaign service: run a campaign as shards — separate processes, separate
-//! hosts — checkpoint each shard, and merge the survivors back into one
-//! digest that is bit-identical to the unsharded run.
+//! Scenario campaigns: Monte-Carlo sweeps of intermittent lifetimes over the
+//! cartesian scenario space (source family × PMU thresholds × NVM technology
+//! × backup sizing), run in-process or as shards — separate processes,
+//! separate hosts — that checkpoint and merge back into one digest that is
+//! bit-identical to the unsharded run.
 //!
 //! ```text
+//! # One process, one shard (the default):
+//! cargo run --release --example campaign_service                  # full paper grid (216 runs)
+//! cargo run --release --example campaign_service -- smoke         # CI-sized grid (16 runs)
+//! cargo run --release --example campaign_service -- seed 7        # full grid, custom seed
+//! cargo run --release --example campaign_service -- --mode batch  # lockstep batch executor
+//!
 //! # One worker per shard (run these anywhere, any order, kill and re-run):
 //! cargo run --release --example campaign_service -- smoke --shards 3 --shard 0 --checkpoint /tmp/ckpt
 //! cargo run --release --example campaign_service -- smoke --shards 3 --shard 1 --checkpoint /tmp/ckpt
 //! cargo run --release --example campaign_service -- smoke --shards 3 --shard 2 --checkpoint /tmp/ckpt
 //!
-//! # Merge the checkpoints (re-runs any shard that is missing or corrupt):
-//! cargo run --release --example campaign_service -- smoke --shards 3 --checkpoint /tmp/ckpt --resume
+//! # Merge: resume every shard from its checkpoint, or run and save it:
+//! cargo run --release --example campaign_service -- smoke --shards 3 --checkpoint /tmp/ckpt
 //!
 //! # Or do everything in-process (no checkpoint dir needed):
 //! cargo run --release --example campaign_service -- smoke --shards 8
 //! ```
 //!
-//! Without `smoke` the full paper grid (216 runs) is sharded; `seed N`
-//! reseeds either grid.  `--mode serial|parallel|batch` picks the per-shard
-//! engine — every combination of shard count, engine and worker count prints
-//! the same digest, and a kill-and-resume cannot change it: checkpoints are
-//! written atomically and validated against the campaign fingerprint, so a
-//! partial write is indistinguishable from no write at all.
+//! Without `smoke` the full paper grid (216 runs) runs; `seed N` reseeds
+//! either grid.  `--mode serial|parallel|batch` picks the engine: one
+//! worker, the all-cores scalar fan-out (default), or the structure-of-arrays
+//! batch executor.  Every combination of shard count, engine and worker
+//! count prints the same digest, and a kill-and-resume cannot change it:
+//! checkpoints are written atomically and validated against the campaign
+//! fingerprint, so a partial write is indistinguishable from no write at all.
 
 use std::path::PathBuf;
 
 use experiments::campaign;
-use scenarios::{CampaignConfig, CampaignResult, Execution, ParallelRunner, ShardSpec};
+use scenarios::{CampaignConfig, Execution, ParallelRunner, ShardSpec};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -41,7 +50,6 @@ struct Args {
     shards: usize,
     shard: Option<usize>,
     checkpoint: Option<PathBuf>,
-    resume: bool,
 }
 
 fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
@@ -52,7 +60,6 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
         shards: 1,
         shard: None,
         checkpoint: None,
-        resume: false,
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = raw.iter();
@@ -68,7 +75,6 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
                 args.checkpoint =
                     Some(PathBuf::from(iter.next().ok_or("--checkpoint needs a value")?));
             }
-            "--resume" => args.resume = true,
             "--mode" => {
                 args.mode = match iter.next().ok_or("--mode needs a value")?.as_str() {
                     "serial" => Mode::Serial,
@@ -109,11 +115,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Mode::Serial | Mode::Parallel => Execution::Scalar,
         Mode::Batch => Execution::Batched { width: scenarios::DEFAULT_BATCH_WIDTH },
     };
+    let dir = args.checkpoint.as_deref();
 
     if let Some(index) = args.shard {
         // Worker role: run (or resume) exactly one shard and checkpoint it.
         let spec = ShardSpec::new(config, index, args.shards);
-        let dir = args.checkpoint.as_deref();
         let result = spec.run_or_resume_with(&runner, execution, dir)?;
         println!(
             "shard {}/{}: scenarios {}..{} ({} runs), fingerprint {:#018x}",
@@ -130,45 +136,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    // Merge role: collect every shard — from its checkpoint when one is
-    // valid (`--resume`), re-running it in-process otherwise — and merge.
-    let result = merge_all(&config, &args, &runner, execution)?;
+    // Merge role: every shard in order — with `--checkpoint DIR` resumed from
+    // its checkpoint when one is valid, run and saved otherwise — merged.
+    let result = scenarios::run_sharded_with(&runner, &config, args.shards, execution, dir)?;
     println!("{}", campaign::to_table(&result));
     println!("overall digest: {:#018x}  ({} runs)", result.digest(), result.runs);
     Ok(())
-}
-
-fn merge_all(
-    config: &CampaignConfig,
-    args: &Args,
-    runner: &ParallelRunner,
-    execution: Execution,
-) -> Result<CampaignResult, Box<dyn std::error::Error>> {
-    let mut merged: Option<scenarios::ShardResult> = None;
-    for index in 0..args.shards {
-        let spec = ShardSpec::new(config.clone(), index, args.shards);
-        let shard = match (&args.checkpoint, args.resume) {
-            // One read per shard: the status line describes the very shard
-            // that is merged.
-            (Some(dir), true) => match spec.load_checkpoint(dir) {
-                Some(shard) => {
-                    eprintln!("shard {index}/{}: resumed from checkpoint", args.shards);
-                    shard
-                }
-                None => {
-                    let shard = spec.run_with(runner, execution);
-                    spec.save_checkpoint(dir, &shard)?;
-                    eprintln!("shard {index}/{}: no valid checkpoint — re-ran", args.shards);
-                    shard
-                }
-            },
-            _ => spec.run_with(runner, execution),
-        };
-        match &mut merged {
-            None => merged = Some(shard),
-            Some(acc) => acc.merge(&shard)?,
-        }
-    }
-    let merged = merged.expect("at least one shard");
-    Ok(merged.finish(config)?)
 }

@@ -75,7 +75,9 @@ fn the_sharded_paper_campaign_matches_the_unsharded_oracle_at_every_count() {
             &config,
             shard_count,
             scenarios::Execution::Scalar,
-        );
+            None,
+        )
+        .expect("no checkpoint to write");
         assert_eq!(oracle, scalar, "{shard_count} scalar shards diverged");
         assert_eq!(oracle.digest(), scalar.digest());
         let batched = scenarios::run_sharded_with(
@@ -83,12 +85,11 @@ fn the_sharded_paper_campaign_matches_the_unsharded_oracle_at_every_count() {
             &config,
             shard_count,
             scenarios::Execution::Batched { width: 16 },
-        );
+            None,
+        )
+        .expect("no checkpoint to write");
         assert_eq!(oracle, batched, "{shard_count} batched shards diverged");
     }
-    // The experiments-crate wrapper is the same computation.
-    let wrapped = campaign::run_sharded(0xD1AC, 3).expect("wrapper runs");
-    assert_eq!(oracle, wrapped);
 }
 
 #[test]
@@ -130,7 +131,7 @@ fn the_sizing_axis_is_paired_and_observable() {
     }
     // And the comparison is readable from the result: one slice per sizing,
     // splitting the runs evenly.
-    let result = scenarios::run(&config);
+    let result = scenarios::run_with(&ParallelRunner::new(), &config);
     assert_eq!(result.by_sizing.len(), 2, "baseline and DIAC slices");
     for (label, summary) in &result.by_sizing {
         assert_eq!(summary.runs, result.runs / 2, "sizing slice {label} is half the grid");
@@ -142,7 +143,7 @@ fn campaign_aggregates_expose_the_safe_zone_benefit() {
     // Across the whole smoke grid, scenarios exist where the node both makes
     // progress and recovers from safe-zone dips without an NVM write — the
     // behaviour the optimized DIAC scheme monetises.
-    let result = scenarios::run(&CampaignConfig::smoke());
+    let result = scenarios::run_with(&ParallelRunner::new(), &CampaignConfig::smoke());
     let recoveries = result.overall.row("safe_zone_recoveries").expect("metric present");
     assert!(recoveries.max >= 1.0, "{}", result.overall);
     let progress = result.overall.row("progress").expect("metric present");
