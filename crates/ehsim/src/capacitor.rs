@@ -52,16 +52,6 @@ impl Capacitor {
         self
     }
 
-    /// Rebuilds a capacitor from its raw columns (the bank-lane inverse of
-    /// [`Self::capacitance`] / [`Self::max_energy_fx`] / [`Self::energy_fx`]).
-    pub(crate) fn from_raw(
-        capacitance: Capacitance,
-        max_energy: EnergyFx,
-        energy: EnergyFx,
-    ) -> Self {
-        Self { capacitance, max_energy, energy }
-    }
-
     /// The storage capacitance.
     #[must_use]
     pub fn capacitance(&self) -> Capacitance {
@@ -152,9 +142,9 @@ impl Capacitor {
         self.cell().drain_power(power, dt)
     }
 
-    /// Borrows this capacitor as an [`EnergyCell`] — the one-lane view whose
-    /// step arithmetic is shared with [`crate::bank::CapacitorBank`], so the
-    /// scalar and batched simulation paths run the exact same physics.
+    /// Borrows this capacitor as an [`EnergyCell`] — the view whose step
+    /// arithmetic the batch executor's lanes share, so the scalar and
+    /// batched simulation paths run the exact same physics.
     #[must_use]
     #[inline]
     pub fn cell(&mut self) -> EnergyCell<'_> {
@@ -163,12 +153,12 @@ impl Capacitor {
 }
 
 /// A mutable view of one stored-energy/capacity pair — either a whole
-/// [`Capacitor`] or one lane of a [`crate::bank::CapacitorBank`].
+/// [`Capacitor`] or the energy a batch lane keeps in a local.
 ///
 /// Every energy mutation the tick loop performs (harvest integration,
 /// saturating drains) is defined *here*, once; the scalar capacitor and the
-/// structure-of-arrays bank both delegate to it, which is what makes the
-/// batched executor bit-identical to the scalar one by construction.
+/// batch lanes both delegate to it, which is what makes the batched
+/// executor bit-identical to the scalar one by construction.
 /// Floating-point amounts are quantised to the attojoule grid exactly once
 /// per call, and everything after that point is exact integer arithmetic.
 #[derive(Debug)]
@@ -178,10 +168,9 @@ pub struct EnergyCell<'a> {
 }
 
 impl EnergyCell<'_> {
-    /// Builds a cell over a raw energy slot — the bank-lane constructor, also
-    /// used by executors that keep a lane's energy in a local while
-    /// fast-forwarding and need the shared step arithmetic for the
-    /// full-fidelity ticks in between.
+    /// Builds a cell over a raw energy slot — for executors that keep a
+    /// lane's energy in a local while fast-forwarding and need the shared
+    /// step arithmetic for the full-fidelity ticks in between.
     pub fn from_parts(energy: &mut EnergyFx, max_energy: EnergyFx) -> EnergyCell<'_> {
         EnergyCell { energy, max_energy }
     }

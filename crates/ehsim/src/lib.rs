@@ -7,7 +7,9 @@
 //! that substrate:
 //!
 //! * [`capacitor`] — the virtual battery: charge integration, discharge
-//!   accounting, and voltage/energy conversions.
+//!   accounting, and voltage/energy conversions.  Its per-tick physics is
+//!   the [`capacitor::EnergyCell`] view, which the batch executor's lanes
+//!   share with the scalar type.
 //! * [`source`] — ambient harvest sources: constant, RFID-burst, solar-like,
 //!   two-state Markov, and piecewise schedules (behind a monotone segment
 //!   cursor).  Each answers per tick ([`source::HarvestSource::power_at`])
@@ -17,10 +19,6 @@
 //!   sources: every draw is a pure function of `(seed, index)`, so a
 //!   segment's remaining queries can be skipped in O(1) with no replay
 //!   bookkeeping.
-//! * [`bank`] — the structure-of-arrays capacitor bank
-//!   ([`bank::CapacitorBank`]) for the lockstep batch executor; the per-lane
-//!   physics is shared with the scalar types through
-//!   [`capacitor::EnergyCell`].
 //! * [`pmu`] — the power-management unit: the six thresholds of the paper's
 //!   FSM (Th_Se, Th_Cp, Th_Tr, Th_SafeZone, Th_Bk, Th_Off) and the operating
 //!   zone / interrupt classification derived from them.
@@ -47,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
 pub mod capacitor;
 pub mod crng;
 pub mod pmu;
@@ -55,10 +52,9 @@ pub mod schedule;
 pub mod source;
 pub mod trace;
 
-pub use bank::CapacitorBank;
 pub use capacitor::{Capacitor, EnergyCell};
 pub use crng::CounterRng;
-pub use pmu::{OperatingZone, PowerEvent, PowerManagementUnit, ThresholdBank, Thresholds};
+pub use pmu::{OperatingZone, PowerEvent, PowerManagementUnit, Thresholds};
 pub use schedule::Schedule;
 pub use source::{HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Segment, SolarSource};
 pub use trace::{NullSink, TraceRecorder, TraceSample, TraceSink};

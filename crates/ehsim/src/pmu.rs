@@ -152,119 +152,6 @@ impl fmt::Display for Thresholds {
     }
 }
 
-/// A structure-of-arrays bank of per-lane PMU thresholds.
-///
-/// The batch executor sweeps many scenarios whose threshold sets differ per
-/// lane; holding the six thresholds as columns lets it classify a whole
-/// stored-energy column into operating zones in one pass
-/// ([`Self::zones_into`]) — the batched form of the PMU comparison, backing
-/// the executor's zone diagnostics.  Lane values are copies of the
-/// scenario's [`Thresholds`] (the FSM configuration remains the source the
-/// simulation itself reads); [`Self::lane`] reconstructs them losslessly.
-#[derive(Debug, Clone, Default)]
-pub struct ThresholdBank {
-    sense: Vec<Energy>,
-    compute: Vec<Energy>,
-    transmit: Vec<Energy>,
-    safe_zone: Vec<Energy>,
-    backup: Vec<Energy>,
-    off: Vec<Energy>,
-}
-
-impl ThresholdBank {
-    /// An empty bank with room for `lanes` threshold sets.
-    #[must_use]
-    pub fn with_capacity(lanes: usize) -> Self {
-        Self {
-            sense: Vec::with_capacity(lanes),
-            compute: Vec::with_capacity(lanes),
-            transmit: Vec::with_capacity(lanes),
-            safe_zone: Vec::with_capacity(lanes),
-            backup: Vec::with_capacity(lanes),
-            off: Vec::with_capacity(lanes),
-        }
-    }
-
-    /// Number of lanes in the bank.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.off.len()
-    }
-
-    /// Whether the bank holds no lanes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.off.is_empty()
-    }
-
-    /// Appends a lane. Returns the lane index.
-    pub fn push(&mut self, thresholds: &Thresholds) -> usize {
-        self.sense.push(thresholds.sense);
-        self.compute.push(thresholds.compute);
-        self.transmit.push(thresholds.transmit);
-        self.safe_zone.push(thresholds.safe_zone);
-        self.backup.push(thresholds.backup);
-        self.off.push(thresholds.off);
-        self.off.len() - 1
-    }
-
-    /// Re-initialises an existing lane in place (scenario refill).
-    pub fn reset_lane(&mut self, lane: usize, thresholds: &Thresholds) {
-        self.sense[lane] = thresholds.sense;
-        self.compute[lane] = thresholds.compute;
-        self.transmit[lane] = thresholds.transmit;
-        self.safe_zone[lane] = thresholds.safe_zone;
-        self.backup[lane] = thresholds.backup;
-        self.off[lane] = thresholds.off;
-    }
-
-    /// Reconstructs one lane's threshold set.
-    #[must_use]
-    pub fn lane(&self, lane: usize) -> Thresholds {
-        Thresholds {
-            sense: self.sense[lane],
-            compute: self.compute[lane],
-            transmit: self.transmit[lane],
-            safe_zone: self.safe_zone[lane],
-            backup: self.backup[lane],
-            off: self.off[lane],
-        }
-    }
-
-    /// The `Th_SafeZone` column.
-    #[must_use]
-    pub fn safe_zones(&self) -> &[Energy] {
-        &self.safe_zone
-    }
-
-    /// The `Th_Bk` column.
-    #[must_use]
-    pub fn backups(&self) -> &[Energy] {
-        &self.backup
-    }
-
-    /// The `Th_Off` column.
-    #[must_use]
-    pub fn offs(&self) -> &[Energy] {
-        &self.off
-    }
-
-    /// Classifies a stored-energy column into operating zones, one lane at a
-    /// time against that lane's thresholds — the batched form of
-    /// [`Thresholds::zone`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `energies` or `zones` are shorter than the bank.
-    pub fn zones_into(&self, energies: &[EnergyFx], zones: &mut [OperatingZone]) {
-        assert!(energies.len() >= self.len(), "energy column shorter than the bank");
-        assert!(zones.len() >= self.len(), "zone column shorter than the bank");
-        for lane in 0..self.len() {
-            zones[lane] = self.lane(lane).zone(energies[lane].to_energy());
-        }
-    }
-}
-
 /// The three energy-gated operations of the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operation {
@@ -451,38 +338,6 @@ mod tests {
         assert!(pmu.observe(Energy::from_millijoules(19.0)).is_empty());
         assert!(pmu.observe(Energy::from_millijoules(18.0)).is_empty());
         assert_eq!(pmu.zone(), OperatingZone::Active);
-    }
-
-    #[test]
-    fn the_threshold_bank_round_trips_and_classifies_like_the_scalar() {
-        let mut bank = ThresholdBank::with_capacity(3);
-        let sets = [
-            Thresholds::paper_default(),
-            Thresholds::paper_default().with_safe_zone_margin(Energy::ZERO),
-            Thresholds::paper_default().with_safe_zone_margin(Energy::from_millijoules(3.0)),
-        ];
-        for t in &sets {
-            bank.push(t);
-        }
-        assert_eq!(bank.len(), 3);
-        assert!(!bank.is_empty());
-        for (lane, t) in sets.iter().enumerate() {
-            assert_eq!(&bank.lane(lane), t);
-        }
-        assert_eq!(bank.safe_zones()[2], sets[2].safe_zone);
-        assert_eq!(bank.backups()[0], sets[0].backup);
-        assert_eq!(bank.offs()[1], sets[1].off);
-        for mj in [0.5, 3.0, 4.5, 5.5, 6.5, 12.0, 24.9] {
-            let energy = Energy::from_millijoules(mj);
-            let energies = [energy.to_fx(); 3];
-            let mut zones = [OperatingZone::Off; 3];
-            bank.zones_into(&energies, &mut zones);
-            for (lane, t) in sets.iter().enumerate() {
-                assert_eq!(zones[lane], t.zone(energy), "lane {lane} at {mj} mJ");
-            }
-        }
-        bank.reset_lane(1, &sets[2]);
-        assert_eq!(bank.lane(1), sets[2]);
     }
 
     #[test]

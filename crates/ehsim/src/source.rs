@@ -593,6 +593,7 @@ impl HarvestSource for PiecewiseSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
 
     #[test]
     fn constant_source_is_constant() {
@@ -914,6 +915,109 @@ mod tests {
         // The zero-power lead-in before the first segment is a window too.
         let seg = make().segment(0, Seconds::new(0.5));
         assert_eq!((seg.power, seg.until), (Power::ZERO, 20));
+    }
+
+    // The lockstep batch executor feeds schedule-driven lanes through
+    // `PiecewiseSource`'s monotone cursor and its segment windows; the tests
+    // below pin both against a linear segment scan.
+
+    /// The linear segment scan the cursor replaced — the reference every
+    /// cursor lookup must reproduce.
+    fn scan(segments: &[(Seconds, Power)], cyclic: bool, total: Seconds, t: f64) -> Power {
+        let total = total.as_seconds();
+        let time = if cyclic && total > 0.0 { t % total } else { t };
+        let mut current = Power::ZERO;
+        for &(start, power) in segments {
+            if time >= start.as_seconds() {
+                current = power;
+            } else {
+                break;
+            }
+        }
+        current
+    }
+
+    /// Sweeps `steps` queries of `dt` through `source` and the scan, jumping
+    /// back in time every 997 queries to force a cursor rescan.  `cyclic`
+    /// must be the source's own flag (checked through equality).
+    fn assert_matches_scan(mut source: PiecewiseSource, cyclic: bool, steps: u32, dt: f64) {
+        let reference = source.clone();
+        let segments = reference.segments().to_vec();
+        assert_eq!(
+            PiecewiseSource::new(segments.clone(), cyclic, reference.duration()),
+            reference,
+            "{}: wrong cyclic flag",
+            reference.describe()
+        );
+        for i in 0..steps {
+            let t = if i % 997 == 0 { f64::from(i / 2) * dt } else { f64::from(i) * dt };
+            assert_eq!(
+                scan(&segments, cyclic, reference.duration(), t).value().to_bits(),
+                source.power_at(Seconds::new(t)).value().to_bits(),
+                "{} diverges at t={t}",
+                reference.describe()
+            );
+        }
+        // Equality and the description ignore where the cursor stopped.
+        assert_eq!(source.describe(), reference.describe());
+        assert_eq!(source, reference);
+    }
+
+    #[test]
+    fn the_cursor_matches_the_scanning_source_sample_for_sample() {
+        // Sweep far past the cycle duration so cyclic schedules wrap several
+        // times, at a step that hits segment boundaries exactly.
+        for (schedule, cyclic) in
+            [(Schedule::fig4(), false), (Schedule::plentiful(), true), (Schedule::scarce(), true)]
+        {
+            assert_matches_scan(schedule.to_source(), cyclic, 200_000, 0.05);
+        }
+    }
+
+    #[test]
+    fn the_cursor_handles_a_delayed_first_segment() {
+        let segments = vec![
+            (Seconds::new(10.0), Power::from_milliwatts(1.0)),
+            (Seconds::new(20.0), Power::ZERO),
+        ];
+        let make = || PiecewiseSource::new(segments.clone(), true, Seconds::new(30.0));
+        assert_matches_scan(make(), true, 500, 0.25);
+        // The lead-in before the first segment is dark in every cycle.
+        let mut source = make();
+        assert_eq!(source.power_at(Seconds::new(5.0)), Power::ZERO);
+        assert_eq!(source.power_at(Seconds::new(15.0)), Power::from_milliwatts(1.0));
+        assert_eq!(source.power_at(Seconds::new(35.0)), Power::ZERO);
+    }
+
+    #[test]
+    fn the_segment_horizon_covers_exactly_the_current_plateau() {
+        let segments = vec![
+            (Seconds::new(0.0), Power::from_milliwatts(1.0)),
+            (Seconds::new(10.0), Power::ZERO),
+        ];
+        let dt = Seconds::new(0.05);
+        let at = |tick: u64| Seconds::new(tick as f64 * dt.as_seconds());
+        let mut source = PiecewiseSource::new(segments.clone(), true, Seconds::new(30.0));
+        // Every tick of a fine grid: the window holds the tick's own sample
+        // up to its last tick, and the plateaus alternate between 1 mW and
+        // zero, so the first tick past the window samples something else.
+        for tick in 0..3_000_u64 {
+            let here = source.power_at(at(tick));
+            let seg = source.segment(tick, dt);
+            assert!(seg.until > tick, "empty window at tick {tick}");
+            assert_eq!(seg.power.value().to_bits(), here.value().to_bits(), "tick {tick}");
+            // Probe on a copy, to keep the cursor's monotone sweep intact.
+            let mut probe = source.clone();
+            assert_eq!(
+                probe.power_at(at(seg.until - 1)).value().to_bits(),
+                here.value().to_bits(),
+                "power changed inside the window at tick {tick}"
+            );
+            assert_ne!(probe.power_at(at(seg.until)), here, "window at tick {tick} ends early");
+        }
+        // A non-cyclic schedule past its last segment never changes again.
+        let mut tail = PiecewiseSource::new(segments, false, Seconds::new(30.0));
+        assert_eq!(tail.segment(1_980, dt), Segment { power: Power::ZERO, until: u64::MAX });
     }
 
     #[test]

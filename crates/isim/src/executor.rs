@@ -11,12 +11,13 @@ use ehsim::source::HarvestSource;
 use ehsim::trace::{NullSink, TraceRecorder, TraceSample, TraceSink};
 use tech45::units::{Energy, EnergyFx, Power, Seconds};
 
-use crate::fsm::{FsmConfig, NodeFsm};
+use crate::fsm::{FsmConfig, NodeFsm, TickConstants};
 use crate::stats::RunStats;
 
-/// Number of `dt` ticks a run of `duration` takes — the one step-count
-/// formula shared by the scalar executor and the batch engine
-/// ([`crate::batch::BatchJob::steps`]), so their lifetimes can never drift.
+/// Number of `dt` ticks a span of `duration` takes — the one step-count
+/// formula shared by the scalar executor and the batch engine, for run
+/// lifetimes ([`crate::batch::BatchJob::steps`]) and timer periods
+/// (`fsm::TickConstants`) alike, so neither can drift between them.
 pub(crate) fn step_count(duration: Seconds, dt: Seconds) -> u64 {
     (duration.as_seconds() / dt.as_seconds()).ceil() as u64
 }
@@ -109,6 +110,7 @@ impl<S: HarvestSource> IntermittentExecutor<S> {
     ) -> RunStats {
         assert!(dt.value() > 0.0, "time step must be positive");
         let steps = step_count(duration, dt);
+        let k = TickConstants::new(self.fsm.config(), dt);
         // Exact fixed-point accumulators: the offered energy is quantised
         // once per tick (at the capacitor boundary) and everything after that
         // is integer arithmetic, so the totals have no float-ordering
@@ -137,7 +139,7 @@ impl<S: HarvestSource> IntermittentExecutor<S> {
             let banked = self.capacitor.cell().harvest_fx(offered);
             harvested_total += banked;
             clipped_total += offered - banked;
-            self.fsm.step(&mut self.capacitor, now, dt);
+            self.fsm.step_with(&mut self.capacitor, i, dt, k);
             consumed_total += before + banked - self.capacitor.energy_fx();
             sink.record(TraceSample {
                 time: now,

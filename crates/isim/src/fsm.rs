@@ -15,6 +15,7 @@ use tech45::constants::{E_COMPUTE, E_SENSE, E_TRANSMIT, OPERATION_UNCERTAINTY, S
 use tech45::units::{Energy, EnergyFx, Power, Seconds};
 
 use crate::backup::BackupUnit;
+use crate::executor::step_count;
 use crate::interrupts::TimerInterrupt;
 use crate::reg_flag::RegFlag;
 use crate::state::NodeState;
@@ -120,6 +121,38 @@ impl Default for FsmConfig {
     }
 }
 
+/// The loop constants a run derives from its configuration at its step
+/// `dt`, once: the hot path must not re-derive them per tick.  Both
+/// executors build them here, so a lane's leak and timer grid can never
+/// drift between the scalar and batched paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TickConstants {
+    /// `max(sleep_leakage, 0) · dt` on the fixed-point grid — what
+    /// `EnergyCell::drain_power` would re-derive every tick.
+    pub(crate) leak_step: EnergyFx,
+    /// The sampling interval in ticks, `step_count(sampling_interval, dt)`
+    /// (at least one; saturating at `u64::MAX` for intervals beyond the
+    /// grid, which then never fire).
+    pub(crate) timer_period: u64,
+}
+
+impl TickConstants {
+    /// The constants of `config` stepping at `dt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.sampling_interval` is not strictly positive.
+    pub(crate) fn new(config: &FsmConfig, dt: Seconds) -> Self {
+        assert!(config.sampling_interval.value() > 0.0, "timer period must be positive");
+        Self {
+            leak_step: (config.sleep_leakage.max(Power::ZERO) * dt).to_fx(),
+            // A positive interval whose quotient by `dt` underflows to zero
+            // fires on every tick, exactly as a one-tick period does.
+            timer_period: step_count(config.sampling_interval, dt).max(1),
+        }
+    }
+}
+
 /// An atomic operation currently in flight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct InFlight {
@@ -157,8 +190,8 @@ impl LaneFlags {
 }
 
 /// The complete mutable per-lane state of one FSM — everything except the
-/// configuration.  [`NodeFsm`] owns exactly one; the batch executor's
-/// [`crate::batch::FsmBank`] scatters the same fields into column vectors.
+/// configuration.  [`NodeFsm`] owns exactly one, and so does each lane of
+/// the batch executor.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneState {
     pub(crate) state: NodeState,
@@ -178,7 +211,7 @@ impl LaneState {
             state: NodeState::Sleep,
             reg_flag: RegFlag::IDLE,
             rng: StdRng::seed_from_u64(config.seed),
-            timer: TimerInterrupt::new(config.sampling_interval),
+            timer: TimerInterrupt::default(),
             in_flight: None,
             flags: LaneFlags::boot(),
             stats: RunStats::default(),
@@ -217,8 +250,8 @@ impl LaneState {
     ///
     /// `th` must be the fixed-point image of the lane's configured
     /// thresholds; callers cache it once per run ([`NodeFsm::new`], the
-    /// batch executor's per-lane column) because re-quantising six
-    /// thresholds on every query is measurable in the hot loop.
+    /// batch executor's lane) because re-quantising six thresholds on every
+    /// query is measurable in the hot loop.
     pub(crate) fn quiescent_distance(&self, th: &ThresholdsFx, energy: EnergyFx) -> Option<i128> {
         let e = energy.attojoules();
         let mut d = i128::MAX;
@@ -252,20 +285,19 @@ impl LaneState {
     }
 
     /// Borrows this lane as the step view shared with the batch executor.
-    /// `th` is the caller-cached fixed-point image of `config.thresholds`;
-    /// `leak_step` the caller-cached quantisation of
-    /// `max(config.sleep_leakage, 0) · dt` for the `dt` the step will run
-    /// at — both loop constants the hot path must not re-derive per tick.
+    /// `th` is the caller-cached fixed-point image of `config.thresholds`,
+    /// `k` the caller-cached [`TickConstants`] of the `dt` the step will run
+    /// at.
     pub(crate) fn as_lane_mut<'a>(
         &'a mut self,
         config: &'a FsmConfig,
         th: &'a ThresholdsFx,
-        leak_step: EnergyFx,
+        k: TickConstants,
     ) -> FsmLaneMut<'a> {
         FsmLaneMut {
             config,
             th,
-            leak_step,
+            k,
             state: &mut self.state,
             reg_flag: &mut self.reg_flag,
             rng: &mut self.rng,
@@ -278,7 +310,7 @@ impl LaneState {
 }
 
 /// A mutable view of one FSM lane's state, borrowed either from a
-/// [`NodeFsm`] or from the column vectors of a [`crate::batch::FsmBank`].
+/// [`NodeFsm`] or from one lane of a [`crate::batch::BatchExecutor`].
 ///
 /// The *entire* Algorithm-1 step transition is defined on this view, once;
 /// the scalar and batched execution paths both call into it, which is what
@@ -292,10 +324,9 @@ pub(crate) struct FsmLaneMut<'a> {
     /// tick, and re-deriving six fixed-point values each time costs more
     /// than the comparisons themselves.
     pub(crate) th: &'a ThresholdsFx,
-    /// `max(config.sleep_leakage, 0) · dt` quantised once per run (the same
-    /// caching rationale as [`Self::th`]; the value is what
-    /// `EnergyCell::drain_power` would re-derive every tick).
-    pub(crate) leak_step: EnergyFx,
+    /// The leak step and timer period of the run's `dt` (the same caching
+    /// rationale as [`Self::th`]).
+    pub(crate) k: TickConstants,
     pub(crate) state: &'a mut NodeState,
     pub(crate) reg_flag: &'a mut RegFlag,
     pub(crate) rng: &'a mut StdRng,
@@ -306,25 +337,29 @@ pub(crate) struct FsmLaneMut<'a> {
 }
 
 impl FsmLaneMut<'_> {
-    /// Advances the lane by `dt`, drawing from and observing `cap` — the
-    /// full per-step transition including time accounting and sleep leakage.
+    /// Advances the lane by tick `tick` of width `dt`, drawing from and
+    /// observing `cap` — the full per-step transition including time
+    /// accounting and sleep leakage.
     #[inline]
-    pub(crate) fn step(&mut self, cap: &mut EnergyCell<'_>, now: Seconds, dt: Seconds) {
+    pub(crate) fn step(&mut self, cap: &mut EnergyCell<'_>, tick: u64, dt: Seconds) {
         self.stats.record_tick(*self.state);
 
         // Leakage is drawn in every state except Off.
         if *self.state != NodeState::Off {
-            cap.drain_fx(self.leak_step);
+            cap.drain_fx(self.k.leak_step);
         }
 
-        self.step_after_leakage(cap, now, dt);
+        self.step_after_leakage(cap, tick, dt);
     }
 
     /// The step transition after the time accounting and leakage draw.
     #[inline]
-    fn step_after_leakage(&mut self, cap: &mut EnergyCell<'_>, now: Seconds, dt: Seconds) {
+    fn step_after_leakage(&mut self, cap: &mut EnergyCell<'_>, tick: u64, dt: Seconds) {
         // Timer interrupt: re-arm the sensing request when idle.
-        if self.timer.poll(now) && self.reg_flag.is_idle() && *self.state == NodeState::Sleep {
+        if self.timer.poll(tick, self.k.timer_period)
+            && self.reg_flag.is_idle()
+            && *self.state == NodeState::Sleep
+        {
             *self.reg_flag = RegFlag::SENSE;
         }
 
@@ -503,10 +538,6 @@ pub struct NodeFsm {
     /// the configuration is immutable for the FSM's lifetime, so every step
     /// reuses these six values instead of re-deriving them.
     th: ThresholdsFx,
-    /// Memoised `(dt, max(sleep_leakage, 0) · dt)` of the last step: `dt`
-    /// is constant within a run, so the per-tick leak quantisation
-    /// degenerates to one f64 equality check.
-    leak_cache: (Seconds, EnergyFx),
     lane: LaneState,
 }
 
@@ -516,7 +547,7 @@ impl NodeFsm {
     pub fn new(config: FsmConfig) -> Self {
         let lane = LaneState::boot(&config);
         let th = config.thresholds.fx();
-        Self { config, th, leak_cache: (Seconds::ZERO, EnergyFx::ZERO), lane }
+        Self { config, th, lane }
     }
 
     /// Current node state.
@@ -549,26 +580,34 @@ impl NodeFsm {
         &self.config
     }
 
-    /// Decomposes the FSM into its configuration and lane state — the shape
-    /// [`crate::batch::FsmBank`] scatters into columns.
-    pub(crate) fn into_lane(self) -> (FsmConfig, LaneState) {
-        (self.config, self.lane)
-    }
-
-    /// Advances the node by `dt`, drawing from and observing `capacitor`.
+    /// Advances the node through tick `tick` (covering
+    /// `[tick·dt, (tick+1)·dt)`), drawing from and observing `capacitor`.
+    ///
+    /// A run is one increasing tick sequence at one `dt`: `dt` is constant
+    /// over a run, because the timer counts its sampling interval in ticks
+    /// of it, and the timer fires once `tick` reaches a whole interval past
+    /// its last fire, so ticks must not go backwards.
     ///
     /// The whole transition runs on the `FsmLaneMut` view shared with the
     /// batch executor, so both paths execute the same code.
-    pub fn step(&mut self, capacitor: &mut Capacitor, now: Seconds, dt: Seconds) {
-        if self.leak_cache.0 != dt {
-            self.leak_cache = (dt, (self.config.sleep_leakage.max(Power::ZERO) * dt).to_fx());
-        }
-        let leak_step = self.leak_cache.1;
-        self.lane.as_lane_mut(&self.config, &self.th, leak_step).step(
-            &mut capacitor.cell(),
-            now,
-            dt,
-        );
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured sampling interval is not strictly positive.
+    pub fn step(&mut self, capacitor: &mut Capacitor, tick: u64, dt: Seconds) {
+        self.step_with(capacitor, tick, dt, TickConstants::new(&self.config, dt));
+    }
+
+    /// [`Self::step`] with the run's [`TickConstants`], which the scalar
+    /// executor derives once per run instead of once per tick.
+    pub(crate) fn step_with(
+        &mut self,
+        capacitor: &mut Capacitor,
+        tick: u64,
+        dt: Seconds,
+        k: TickConstants,
+    ) {
+        self.lane.as_lane_mut(&self.config, &self.th, k).step(&mut capacitor.cell(), tick, dt);
     }
 }
 
@@ -580,9 +619,9 @@ mod tests {
         Capacitor::paper_default().with_energy(Energy::from_millijoules(25.0))
     }
 
-    fn run_steps(fsm: &mut NodeFsm, cap: &mut Capacitor, steps: usize, dt: f64) {
-        for i in 0..steps {
-            fsm.step(cap, Seconds::new(i as f64 * dt), Seconds::new(dt));
+    fn run_steps(fsm: &mut NodeFsm, cap: &mut Capacitor, steps: u64, dt: f64) {
+        for tick in 0..steps {
+            fsm.step(cap, tick, Seconds::new(dt));
         }
     }
 
@@ -600,9 +639,9 @@ mod tests {
         let mut fsm = NodeFsm::new(config);
         let mut cap = full_cap();
         // Keep the capacitor topped up to isolate the FSM logic.
-        for i in 0..4000 {
+        for tick in 0..4000 {
             cap.harvest(Power::from_milliwatts(10.0), Seconds::new(0.1));
-            fsm.step(&mut cap, Seconds::new(i as f64 * 0.1), Seconds::new(0.1));
+            fsm.step(&mut cap, tick, Seconds::new(0.1));
         }
         let stats = fsm.stats();
         assert!(stats.samples_sensed >= 2, "{stats}");
@@ -647,10 +686,10 @@ mod tests {
         assert_eq!(fsm.state(), NodeState::Off);
         let backups = fsm.stats().backups;
         assert!(backups >= 1);
-        // ...then recharge generously.
-        for i in 0..2000 {
-            cap.harvest(Power::from_milliwatts(5.0), Seconds::new(0.1));
-            fsm.step(&mut cap, Seconds::new(20_000.0 + i as f64 * 0.1), Seconds::new(0.1));
+        // ...then recharge generously, continuing the same tick sequence.
+        for tick in 200_000..202_000 {
+            cap.harvest(Power::from_milliwatts(5.0), Seconds::new(1.0));
+            fsm.step(&mut cap, tick, Seconds::new(1.0));
         }
         assert!(fsm.stats().restores >= 1, "{}", fsm.stats());
         assert_ne!(fsm.state(), NodeState::Off);
@@ -667,21 +706,20 @@ mod tests {
         let mut cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(13.0));
         // Alternate: no harvest until the node dips into the safe zone, then
         // a strong burst to pull it back out, several times.
-        let mut t = 0.0;
-        for cycle in 0..6 {
+        let mut tick = 0;
+        for _ in 0..6 {
             for _ in 0..3000 {
-                fsm.step(&mut cap, Seconds::new(t), Seconds::new(0.1));
-                t += 0.1;
+                fsm.step(&mut cap, tick, Seconds::new(0.1));
+                tick += 1;
                 if cap.energy() < Energy::from_millijoules(5.0) {
                     break;
                 }
             }
             for _ in 0..600 {
                 cap.harvest(Power::from_milliwatts(2.0), Seconds::new(0.1));
-                fsm.step(&mut cap, Seconds::new(t), Seconds::new(0.1));
-                t += 0.1;
+                fsm.step(&mut cap, tick, Seconds::new(0.1));
+                tick += 1;
             }
-            let _ = cycle;
         }
         let stats = fsm.stats();
         assert!(stats.safe_zone_entries >= 1, "{stats}");
@@ -713,9 +751,9 @@ mod tests {
         run_steps(&mut fsm, &mut cap, 2_000, 0.1);
         let computed_before = fsm.stats().computations_completed;
         // Recharge and let it finish.
-        for i in 0..3_000 {
+        for tick in 2_000..5_000 {
             cap.harvest(Power::from_milliwatts(1.0), Seconds::new(0.1));
-            fsm.step(&mut cap, Seconds::new(200.0 + i as f64 * 0.1), Seconds::new(0.1));
+            fsm.step(&mut cap, tick, Seconds::new(0.1));
         }
         assert!(fsm.stats().computations_completed >= computed_before);
         assert!(fsm.stats().computations_completed >= 1, "{}", fsm.stats());

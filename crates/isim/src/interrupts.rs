@@ -7,120 +7,183 @@
 //! sufficient to perform any task and a backup must happen now.  The power
 //! interrupt itself is produced by [`ehsim::pmu::PowerManagementUnit`]; this
 //! module provides the timer.
-
-use tech45::units::Seconds;
+//!
+//! The timer lives on the executors' tick grid: its period is the sampling
+//! interval counted in `dt` ticks (derived once per run, see
+//! `fsm::TickConstants`), and its only state is the tick it was last armed
+//! at, so every deadline is exact integer arithmetic.
 
 /// A periodic timer that fires at the node's maximum sampling rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The period is passed to every call rather than stored: it is a per-run
+/// constant of the lane (the sampling interval in ticks of the run's `dt`),
+/// kept next to the other per-run constants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimerInterrupt {
-    period: Seconds,
-    next_fire: Seconds,
+    /// The tick of the last fire; a fresh timer counts as armed at tick 0,
+    /// so it first fires one period after time zero.
+    armed_at: u64,
 }
 
 impl TimerInterrupt {
-    /// Creates a timer firing every `period`, first firing one period after
-    /// time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not strictly positive.
+    /// The first tick at which [`Self::poll`] fires (and re-arms).  Any
+    /// `poll(tick, period)` with `tick < next_fire(period)` is a no-op, which
+    /// is what lets an executor skip those polls wholesale when
+    /// fast-forwarding across quiescent ticks.  Saturates, so an
+    /// astronomically long period simply never fires.
     #[must_use]
-    pub fn new(period: Seconds) -> Self {
-        assert!(period.value() > 0.0, "timer period must be positive");
-        Self { period, next_fire: period }
+    pub fn next_fire(&self, period: u64) -> u64 {
+        self.armed_at.saturating_add(period)
     }
 
-    /// The timer period (the sampling interval).
-    #[must_use]
-    pub fn period(&self) -> Seconds {
-        self.period
-    }
-
-    /// The earliest time at which [`Self::poll`] will next report a fire
-    /// (and re-arm itself).  Any `poll(now)` with `now < next_fire()` is a
-    /// no-op, which is what lets an executor skip those polls wholesale when
-    /// fast-forwarding across quiescent ticks.
-    #[must_use]
-    pub fn next_fire(&self) -> Seconds {
-        self.next_fire
-    }
-
-    /// Overwrites the next firing deadline.  Used by the batch executor to
-    /// replay the exact re-arms `poll` would have performed over a
-    /// fast-forwarded window in which every fire is provably a no-op (the
-    /// lane is Off, or asleep with a request already pending, so firing does
-    /// nothing but re-arm).  The caller must pass the bit-exact
-    /// `now + period` value `poll` itself would have stored.
-    pub(crate) fn set_next_fire(&mut self, next_fire: Seconds) {
-        self.next_fire = next_fire;
-    }
-
-    /// Advances the timer to `now` and reports how many times it fired since
-    /// the last call.  Missed deadlines are not accumulated beyond one
+    /// Polls the timer at `tick` and reports whether it fired.  A fire
+    /// re-arms relative to *this* tick, so long outages do not cause a burst
+    /// of catch-up samples: missed deadlines are not accumulated beyond one
     /// pending fire (the node cannot sense faster than it wakes up), matching
     /// the paper's remark that the sampling frequency "can be reduced
     /// depending on the system's power".
-    pub fn poll(&mut self, now: Seconds) -> bool {
-        if now >= self.next_fire {
-            // Re-arm relative to *now* so long outages do not cause a burst
-            // of catch-up samples.
-            self.next_fire = now + self.period;
+    pub fn poll(&mut self, tick: u64, period: u64) -> bool {
+        if tick >= self.next_fire(period) {
+            self.armed_at = tick;
             true
         } else {
             false
         }
     }
 
-    /// Postpones the next firing by one full period from `now` (used when the
-    /// node decides to lower its sampling rate under power scarcity).
-    pub fn defer(&mut self, now: Seconds) {
-        self.next_fire = now + self.period;
+    /// Leaves the timer exactly as [`Self::poll`] on every tick of
+    /// `from..to` would, in closed form: the first fire is at the later of
+    /// `from` and the deadline, every later one a whole period after the
+    /// previous, and only the last fire's tick survives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn replay(&mut self, from: u64, to: u64, period: u64) {
+        let first = self.next_fire(period).max(from);
+        if first < to {
+            self.armed_at = first + (to - 1 - first) / period * period;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchExecutor, BatchJob};
+    use crate::executor::IntermittentExecutor;
+    use crate::fsm::{FsmConfig, TickConstants};
+    use ehsim::source::ConstantSource;
+    use tech45::units::{Power, Seconds};
 
     #[test]
     fn fires_once_per_period() {
-        let mut t = TimerInterrupt::new(Seconds::new(10.0));
-        assert!(!t.poll(Seconds::new(5.0)));
-        assert!(t.poll(Seconds::new(10.0)));
-        assert!(!t.poll(Seconds::new(12.0)));
-        assert!(t.poll(Seconds::new(20.5)));
-        assert!((t.period().as_seconds() - 10.0).abs() < 1e-12);
+        let mut t = TimerInterrupt::default();
+        assert!(!t.poll(5, 10));
+        assert!(t.poll(10, 10));
+        assert!(!t.poll(12, 10));
+        assert!(!t.poll(19, 10));
+        assert!(t.poll(21, 10));
+        assert_eq!(t.next_fire(10), 31);
     }
 
     #[test]
     fn long_outages_do_not_burst() {
-        let mut t = TimerInterrupt::new(Seconds::new(1.0));
-        assert!(t.poll(Seconds::new(100.0)));
+        let mut t = TimerInterrupt::default();
+        assert!(t.poll(100, 1));
         // Only one fire despite 100 missed periods.
-        assert!(!t.poll(Seconds::new(100.5)));
-        assert!(t.poll(Seconds::new(101.0)));
+        assert!(!t.poll(100, 1));
+        assert!(t.poll(101, 1));
     }
 
     #[test]
-    fn defer_pushes_the_next_fire_out() {
-        let mut t = TimerInterrupt::new(Seconds::new(10.0));
-        t.defer(Seconds::new(95.0));
-        assert!(!t.poll(Seconds::new(100.0)));
-        assert!(t.poll(Seconds::new(105.0)));
+    fn replay_equals_polling_every_tick() {
+        for period in 1..=6_u64 {
+            for armed_at in 0..=40_u64 {
+                for from in 0..=40_u64 {
+                    for to in from..=40_u64 {
+                        let start = TimerInterrupt { armed_at };
+                        let mut polled = start;
+                        for tick in from..to {
+                            polled.poll(tick, period);
+                        }
+                        let mut replayed = start;
+                        replayed.replay(from, to, period);
+                        assert_eq!(
+                            replayed, polled,
+                            "period {period}, armed at {armed_at}, ticks {from}..{to}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn next_fire_is_exactly_the_first_firing_poll() {
-        let mut t = TimerInterrupt::new(Seconds::new(10.0));
-        assert!((t.next_fire().as_seconds() - 10.0).abs() < 1e-12);
-        assert!(!t.poll(Seconds::new(9.999)));
-        assert!(t.poll(t.next_fire()));
-        assert!((t.next_fire().as_seconds() - 20.0).abs() < 1e-12);
+    fn the_paper_grid_first_fires_on_tick_60() {
+        let config = FsmConfig::paper_default();
+        let period = TickConstants::new(&config, Seconds::new(0.5)).timer_period;
+        assert_eq!(period, 60);
+        let mut t = TimerInterrupt::default();
+        assert_eq!((0..60).filter(|&tick| t.poll(tick, period)).count(), 0);
+        assert!(t.poll(60, period));
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
+    fn an_astronomical_interval_never_fires_and_never_overflows() {
+        let mut config = FsmConfig::paper_default();
+        config.sampling_interval = Seconds::new(1e300);
+        let period = TickConstants::new(&config, Seconds::new(0.5)).timer_period;
+        assert_eq!(period, u64::MAX);
+        let mut t = TimerInterrupt::default();
+        assert_eq!(t.next_fire(period), u64::MAX);
+        assert!(!t.poll(u64::MAX - 1, period));
+        t.replay(0, u64::MAX, period);
+        assert_eq!(t, TimerInterrupt::default());
+        // Both executors run such a node without a single sample.
+        let source = ConstantSource::new(Power::from_milliwatts(1.0));
+        let (duration, dt) = (Seconds::new(600.0), Seconds::new(0.5));
+        let scalar = IntermittentExecutor::with_source(config.clone(), source).run(duration, dt);
+        assert_eq!(scalar.samples_sensed, 0);
+        let mut batch = BatchExecutor::new(1);
+        batch.enqueue(BatchJob::new(config, source, duration, dt));
+        assert_eq!(batch.run_to_completion(), vec![scalar]);
+    }
+
+    fn with_interval(interval: f64) -> FsmConfig {
+        let mut config = FsmConfig::paper_default();
+        config.sampling_interval = Seconds::new(interval);
+        config
+    }
+
+    #[test]
+    #[should_panic(expected = "timer period must be positive")]
     fn zero_period_is_rejected() {
-        let _ = TimerInterrupt::new(Seconds::ZERO);
+        let _ = TickConstants::new(&with_interval(0.0), Seconds::new(0.5));
+    }
+
+    #[test]
+    fn degenerate_intervals_are_rejected_by_both_executors() {
+        for interval in [0.0, -30.0, f64::NAN] {
+            let source = ConstantSource::new(Power::ZERO);
+            let (duration, dt) = (Seconds::new(10.0), Seconds::new(0.5));
+            let scalar = std::panic::catch_unwind(|| {
+                IntermittentExecutor::with_source(with_interval(interval), source).run(duration, dt)
+            });
+            let batched = std::panic::catch_unwind(|| {
+                let mut batch = BatchExecutor::new(1);
+                batch.enqueue(BatchJob::new(with_interval(interval), source, duration, dt));
+                batch.run_to_completion()
+            });
+            for (executor, outcome) in [("scalar", scalar.err()), ("batch", batched.err())] {
+                let payload = outcome.unwrap_or_else(|| panic!("{executor} ran at {interval} s"));
+                let message = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied());
+                let message = message.unwrap_or_default();
+                assert_eq!(message, "timer period must be positive", "{executor} at {interval} s");
+            }
+        }
     }
 }

@@ -8,16 +8,17 @@
 //! * [`state`] — the node states and the `Reg_Flag` register ([`reg_flag`]).
 //! * [`fsm`] — the state machine itself, with the paper's thresholds,
 //!   per-operation energies (2/4/9 mJ ± 10 %), and the safe-zone rule.
-//! * [`interrupts`] — the timer interrupt (sampling rate) and the power
-//!   interrupt raised by the power-management unit.
+//! * [`interrupts`] — the timer interrupt (sampling rate, counted in ticks
+//!   of the run's `dt`) and the power interrupt raised by the
+//!   power-management unit.
 //! * [`backup`] — the backup/restore unit pricing NVM accesses through the
 //!   [`tech45`] array model, sized either from a DIAC replacement summary or
 //!   from the architectural state of a baseline design.
 //! * [`executor`] — drives the FSM against a harvest source, records the
 //!   Fig. 4 trace, and accumulates [`stats::RunStats`].
-//! * [`batch`] — the structure-of-arrays batch executor: N scenarios stepped
-//!   in lockstep over column vectors of FSM/capacitor state, bit-identical
-//!   to the scalar executor lane for lane.
+//! * [`batch`] — the batch executor: N scenarios stepped in lockstep, one
+//!   lane struct per scenario holding its FSM state, stored energy, source
+//!   and accumulators, bit-identical to the scalar executor lane for lane.
 //! * [`stats`] — run statistics and their conversion into the
 //!   [`diac_core::IntermittencyProfile`] consumed by the PDP model.
 //!

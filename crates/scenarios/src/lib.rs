@@ -18,7 +18,7 @@
 //! — runs each through [`isim::executor::IntermittentExecutor`] on the
 //! order-preserving parallel work-queue ([`runner::ParallelRunner`], shared
 //! with `experiments::SuiteRunner`) or, batched, through the lockstep
-//! structure-of-arrays [`isim::batch::BatchExecutor`]
+//! [`isim::batch::BatchExecutor`]
 //! ([`campaign::run_batched_with`], bit-identical digests), and streams the
 //! per-run statistics into an online aggregator
 //! ([`aggregate::Aggregator`]: mean/min/max and p50/p90/p99 of forward

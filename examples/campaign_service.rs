@@ -25,8 +25,8 @@
 //!
 //! Without `smoke` the full paper grid (216 runs) runs; `seed N` reseeds
 //! either grid.  `--mode serial|parallel|batch` picks the engine: one
-//! worker, the all-cores scalar fan-out (default), or the structure-of-arrays
-//! batch executor.  Every combination of shard count, engine and worker
+//! worker, the all-cores scalar fan-out (default), or the lockstep batch
+//! executor.  Every combination of shard count, engine and worker
 //! count prints the same digest, and a kill-and-resume cannot change it:
 //! checkpoints are written atomically and validated against the campaign
 //! fingerprint, so a partial write is indistinguishable from no write at all.
