@@ -108,6 +108,13 @@ impl Schedule {
         self.duration
     }
 
+    /// Whether the schedule repeats every [`Self::duration`] (otherwise
+    /// the last segment holds forever).
+    #[must_use]
+    pub fn is_cyclic(&self) -> bool {
+        self.cyclic
+    }
+
     /// The underlying `(start, power)` segments.
     #[must_use]
     pub fn segments(&self) -> &[(Seconds, Power)] {

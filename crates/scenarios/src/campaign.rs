@@ -5,7 +5,7 @@ use tech45::units::Seconds;
 use crate::aggregate::CampaignSummary;
 use crate::runner::ParallelRunner;
 use crate::scenario::Scenario;
-use crate::shard::{run_range, Execution};
+use crate::shard::{run_range_with, Execution};
 use crate::space::{ScenarioSpace, SourceFamily};
 
 /// Configuration of one campaign.
@@ -40,14 +40,23 @@ impl CampaignConfig {
         Self { duration: Seconds::new(2600.0), ..Self::new(ScenarioSpace::smoke(), 0xD1AC) }
     }
 
-    /// A stable 64-bit fingerprint of the campaign's identity: seed,
-    /// duration, time step, and every expanded scenario's coordinates
-    /// (seed, source family, thresholds, technology, sizing label).  Shard
-    /// checkpoints embed it so a resume can only ever splice together
-    /// shards of the *same* campaign — see [`crate::shard`].
+    /// A stable 64-bit fingerprint of the campaign's *definition*: the
+    /// record schema, seed, duration, time step and every axis of the
+    /// space — each source's family and parameters (a schedule's segment
+    /// table, duration and cyclic flag), each threshold set, technology and
+    /// sizing label — plus the replicate count.  It hashes the axes, not
+    /// the scenarios they expand to, so it costs the same for a shard as
+    /// for the whole campaign.  Shard checkpoints embed it so a resume can
+    /// only ever splice together shards of the *same* campaign — see
+    /// [`crate::shard`].
+    ///
+    /// It identifies the campaign, not the simulator build: a change to
+    /// the simulator's code leaves it unchanged.  A change to the scenario
+    /// expansion order or the seed derivation must bump
+    /// [`crate::shard::SHARD_SCHEMA`], which the hash includes.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        crate::shard::fingerprint_of(self, &self.space.scenarios(self.seed))
+        crate::shard::fingerprint_of(self)
     }
 }
 
@@ -119,13 +128,12 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 /// fan-out); the per-run statistics come back in scenario order and are
 /// folded into the aggregators serially, so the aggregate — and its digest —
 /// is identical for serial and parallel runs and across repeated invocations
-/// with the same seed.  The campaign runs as one full-range shard (the
-/// shard engine over `0..len`), so the monolithic fold and the sharded
-/// merge run the same aggregation code.
+/// with the same seed.  The campaign runs as one full-range shard
+/// ([`crate::shard::run_range_with`] over `0..len`), so the monolithic fold
+/// and the sharded merge run the same aggregation code.
 #[must_use]
 pub fn run_with(runner: &ParallelRunner, config: &CampaignConfig) -> CampaignResult {
-    let scenarios = config.space.scenarios(config.seed);
-    run_range(runner, config, &scenarios, 0..scenarios.len(), Execution::Scalar).into_result()
+    run_range_with(runner, config, 0..config.space.len(), Execution::Scalar).into_result()
 }
 
 /// Runs `scenarios` through the scalar per-scenario executor on `runner`,
@@ -159,8 +167,7 @@ pub fn run_batched_with(
     config: &CampaignConfig,
     width: usize,
 ) -> CampaignResult {
-    let scenarios = config.space.scenarios(config.seed);
-    run_range(runner, config, &scenarios, 0..scenarios.len(), Execution::Batched { width })
+    run_range_with(runner, config, 0..config.space.len(), Execution::Batched { width })
         .into_result()
 }
 

@@ -1,22 +1,24 @@
 //! Sharded, resumable campaign execution.
 //!
 //! A campaign over a large [`crate::space::ScenarioSpace`] need not run in
-//! one process: the expanded scenario list is split into `shard_count`
-//! contiguous index ranges ([`ShardSpec`]), each shard runs independently
-//! (on its own worker pool, process, or host) through the scalar or batched
-//! executor, and the per-shard aggregates merge back into one
-//! [`CampaignResult`] that is **bit-identical** to the monolithic fold at
-//! any shard count.
+//! one process: the scenario list is split into `shard_count` contiguous
+//! index ranges ([`ShardSpec`]), each shard runs independently (on its own
+//! worker pool, process, or host) through the scalar or batched executor,
+//! and the per-shard aggregates merge back into one [`CampaignResult`] that
+//! is **bit-identical** to the monolithic fold at any shard count.  A shard
+//! costs O(shard), not O(campaign): it expands only its own range, and
+//! everything else it needs — slot layout, fingerprint — comes from the
+//! space's axes.
 //!
 //! The determinism contract, layer by layer:
 //!
-//! * every scenario's seed depends only on its coordinates (see
-//!   [`crate::space::ScenarioSpace::scenarios`]), so a shard runs exactly
+//! * every scenario and its seed depend only on its global id (see
+//!   [`crate::space::ScenarioSpace::scenarios_in`]), so a shard runs exactly
 //!   the same simulations the monolithic campaign would;
 //! * each shard records its runs in scenario order into a
 //!   [`ShardResult`] whose slice structure (overall + per-family +
-//!   per-sizing) is derived from the *full* space, so every shard agrees on
-//!   the slot layout even for families it never runs;
+//!   per-sizing) is derived from the *full* space's axes, so every shard
+//!   agrees on the slot layout even for families it never runs;
 //! * [`ShardResult::merge`] concatenates adjacent ranges: sample vectors
 //!   concatenate in scenario order, the Welford mean is replayed
 //!   ([`crate::aggregate::OnlineMetric::merge`]), and min/max recombine
@@ -29,8 +31,11 @@
 //! so a killed campaign never leaves a corrupt checkpoint — at worst a
 //! missing one, and [`ShardSpec::load_checkpoint`] treats missing, corrupt
 //! and mismatched records alike: the shard simply runs again.  Records
-//! embed [`CampaignConfig::fingerprint`] so shards of *different* campaigns
-//! can never be spliced together.
+//! embed [`CampaignConfig::fingerprint`], a hash of the campaign's
+//! definition (every axis, source parameters included), so shards of
+//! *different* campaigns can never be spliced together.  The fingerprint
+//! identifies the campaign, not the simulator build; a change to the
+//! expansion order or the seed derivation must bump [`SHARD_SCHEMA`].
 
 use std::fmt;
 use std::io;
@@ -43,7 +48,7 @@ use crate::aggregate::{Aggregator, OnlineMetric, METRIC_NAMES};
 use crate::campaign::{batched_stats, scalar_stats, CampaignConfig, CampaignResult};
 use crate::runner::ParallelRunner;
 use crate::scenario::Scenario;
-use crate::space::SourceFamily;
+use crate::space::{SourceFamily, SourceSpec};
 
 /// Schema identifier of the checkpoint record format.
 pub const SHARD_SCHEMA: &str = "diac-shard-v1";
@@ -80,37 +85,92 @@ impl Fnv {
     }
 }
 
-/// Computes [`CampaignConfig::fingerprint`] given the already-expanded
-/// scenario list (the expansion is the expensive part, so callers that
-/// already hold it pass it in).
-pub(crate) fn fingerprint_of(config: &CampaignConfig, scenarios: &[Scenario]) -> u64 {
+/// Computes [`CampaignConfig::fingerprint`]: FNV-1a over the schema, seed,
+/// duration, dt and scenario count, then every axis of the space prefixed
+/// with its length, then the replicate count.
+pub(crate) fn fingerprint_of(config: &CampaignConfig) -> u64 {
+    let space = &config.space;
     let mut fnv = Fnv::new();
     fnv.eat_str(SHARD_SCHEMA);
     fnv.eat_u64(config.seed);
     fnv.eat_f64(config.duration.as_seconds());
     fnv.eat_f64(config.dt.as_seconds());
-    fnv.eat_u64(scenarios.len() as u64);
-    for scenario in scenarios {
-        fnv.eat_u64(scenario.seed);
-        fnv.eat_str(scenario.source.family().label());
+    fnv.eat_u64(space.len() as u64);
+    fnv.eat_u64(space.sources.len() as u64);
+    for source in &space.sources {
+        eat_source(&mut fnv, source);
+    }
+    fnv.eat_u64(space.thresholds.len() as u64);
+    for thresholds in &space.thresholds {
         for threshold in [
-            scenario.thresholds.off,
-            scenario.thresholds.backup,
-            scenario.thresholds.safe_zone,
-            scenario.thresholds.sense,
-            scenario.thresholds.compute,
-            scenario.thresholds.transmit,
+            thresholds.off,
+            thresholds.backup,
+            thresholds.safe_zone,
+            thresholds.sense,
+            thresholds.compute,
+            thresholds.transmit,
         ] {
             fnv.eat_f64(threshold.as_joules());
         }
-        let technology = tech45::nvm::NvmTechnology::ALL
-            .iter()
-            .position(|t| *t == scenario.technology)
-            .expect("technology is one of NvmTechnology::ALL");
-        fnv.eat_u64(technology as u64);
-        fnv.eat_str(&scenario.sizing.label());
     }
+    fnv.eat_u64(space.technologies.len() as u64);
+    for technology in &space.technologies {
+        let index = tech45::nvm::NvmTechnology::ALL
+            .iter()
+            .position(|t| t == technology)
+            .expect("technology is one of NvmTechnology::ALL");
+        fnv.eat_u64(index as u64);
+    }
+    // A sizing simulates as the backup unit of its label's bit count on the
+    // scenario's technology, so the label identifies it.
+    fnv.eat_u64(space.sizings.len() as u64);
+    for sizing in &space.sizings {
+        eat_label(&mut fnv, &sizing.label());
+    }
+    fnv.eat_u64(space.replicates.max(1) as u64);
     fnv.finish()
+}
+
+/// Feeds one source: its family label, then every parameter as raw bits.
+fn eat_source(fnv: &mut Fnv, source: &SourceSpec) {
+    eat_label(fnv, source.family().label());
+    match source {
+        SourceSpec::Constant { power } => fnv.eat_f64(power.as_watts()),
+        SourceSpec::Rfid { peak, period, duty_cycle, jitter, seed } => {
+            fnv.eat_f64(peak.as_watts());
+            fnv.eat_f64(period.as_seconds());
+            fnv.eat_f64(*duty_cycle);
+            fnv.eat_f64(*jitter);
+            fnv.eat_u64(*seed);
+        }
+        SourceSpec::Solar { peak, day_length, cloudiness, seed } => {
+            fnv.eat_f64(peak.as_watts());
+            fnv.eat_f64(day_length.as_seconds());
+            fnv.eat_f64(*cloudiness);
+            fnv.eat_u64(*seed);
+        }
+        SourceSpec::Markov { on_power, mean_on, mean_off, seed } => {
+            fnv.eat_f64(on_power.as_watts());
+            fnv.eat_f64(mean_on.as_seconds());
+            fnv.eat_f64(mean_off.as_seconds());
+            fnv.eat_u64(*seed);
+        }
+        SourceSpec::Schedule(schedule) => {
+            fnv.eat_u64(schedule.segments().len() as u64);
+            for (start, power) in schedule.segments() {
+                fnv.eat_f64(start.as_seconds());
+                fnv.eat_f64(power.as_watts());
+            }
+            fnv.eat_f64(schedule.duration().as_seconds());
+            fnv.eat_u64(u64::from(schedule.is_cyclic()));
+        }
+    }
+}
+
+/// Feeds a length-prefixed label, so adjacent labels cannot run together.
+fn eat_label(fnv: &mut Fnv, label: &str) {
+    fnv.eat_u64(label.len() as u64);
+    fnv.eat_str(label);
 }
 
 /// Why two shard aggregates refused to merge or finish.
@@ -244,8 +304,7 @@ impl ShardSpec {
     /// Runs this shard's scenarios on `runner` with the given engine.
     #[must_use]
     pub fn run_with(&self, runner: &ParallelRunner, execution: Execution) -> ShardResult {
-        let scenarios = self.config.space.scenarios(self.config.seed);
-        run_range(runner, &self.config, &scenarios, self.range(), execution)
+        run_range_with(runner, &self.config, self.range(), execution)
     }
 
     /// The checkpoint file this shard owns inside `dir`.
@@ -276,17 +335,11 @@ impl ShardSpec {
     /// or another shard geometry all mean "run it again".
     #[must_use]
     pub fn load_checkpoint(&self, dir: &Path) -> Option<ShardResult> {
-        self.load_matching(dir, self.config.fingerprint())
-    }
-
-    /// [`Self::load_checkpoint`] against an already-computed campaign
-    /// fingerprint.
-    fn load_matching(&self, dir: &Path, fingerprint: u64) -> Option<ShardResult> {
         let text = std::fs::read_to_string(self.checkpoint_path(dir)).ok()?;
         let record = ShardRecord::parse(&text).ok()?;
         let matches = record.shard_index == self.shard_index
             && record.shard_count == self.shard_count
-            && record.result.fingerprint == fingerprint
+            && record.result.fingerprint == self.config.fingerprint()
             && (record.result.start..record.result.end) == self.range();
         matches.then_some(record.result)
     }
@@ -304,26 +357,10 @@ impl ShardSpec {
         execution: Execution,
         dir: Option<&Path>,
     ) -> io::Result<ShardResult> {
-        let scenarios = self.config.space.scenarios(self.config.seed);
-        self.run_or_resume(runner, execution, &scenarios, dir)
-    }
-
-    /// [`Self::run_or_resume_with`] over the already-expanded `scenarios`
-    /// of this shard's campaign.
-    fn run_or_resume(
-        &self,
-        runner: &ParallelRunner,
-        execution: Execution,
-        scenarios: &[Scenario],
-        dir: Option<&Path>,
-    ) -> io::Result<ShardResult> {
-        if let Some(dir) = dir {
-            let fingerprint = fingerprint_of(&self.config, scenarios);
-            if let Some(result) = self.load_matching(dir, fingerprint) {
-                return Ok(result);
-            }
+        if let Some(result) = dir.and_then(|dir| self.load_checkpoint(dir)) {
+            return Ok(result);
         }
-        let result = run_range(runner, &self.config, scenarios, self.range(), execution);
+        let result = self.run_with(runner, execution);
         if let Some(dir) = dir {
             self.save_checkpoint(dir, &result)?;
         }
@@ -341,9 +378,15 @@ fn shard_range(len: usize, index: usize, count: usize) -> Range<usize> {
     start..start + base + extra
 }
 
-/// Runs an arbitrary contiguous `range` of the expanded scenario list —
-/// the primitive [`ShardSpec::run_with`] is built on, exposed so tests can
-/// exercise merge boundaries the balanced partition never produces.
+/// Runs an arbitrary contiguous `range` of the scenario list into one
+/// shard aggregate, expanding only that range — the single execution path
+/// of every campaign, sharded or not ([`ShardSpec::run_with`] runs its own
+/// range, a monolithic campaign `0..len`).  Public so tests can exercise
+/// merge boundaries the balanced partition never produces.
+///
+/// # Panics
+///
+/// Panics if `range` reaches past the end of the campaign's space.
 #[must_use]
 pub fn run_range_with(
     runner: &ParallelRunner,
@@ -351,23 +394,10 @@ pub fn run_range_with(
     range: Range<usize>,
     execution: Execution,
 ) -> ShardResult {
-    let scenarios = config.space.scenarios(config.seed);
-    run_range(runner, config, &scenarios, range, execution)
-}
-
-/// Runs `range` of the already-expanded `scenarios` into one shard
-/// aggregate — the single execution path of every campaign, sharded or not.
-pub(crate) fn run_range(
-    runner: &ParallelRunner,
-    config: &CampaignConfig,
-    scenarios: &[Scenario],
-    range: Range<usize>,
-    execution: Execution,
-) -> ShardResult {
-    let slice = &scenarios[range.clone()];
-    let stats = execution.stats(runner, config, slice);
-    let mut shard = ShardResult::new(config, scenarios, range);
-    for (scenario, run_stats) in slice.iter().zip(&stats) {
+    let scenarios = config.space.scenarios_in(config.seed, range.clone());
+    let stats = execution.stats(runner, config, &scenarios);
+    let mut shard = ShardResult::new(config, range);
+    for (scenario, run_stats) in scenarios.iter().zip(&stats) {
         shard.record(scenario, run_stats);
     }
     shard
@@ -381,7 +411,7 @@ pub(crate) fn run_range(
 /// With `checkpoint` `Some(dir)`, every shard resumes from its valid
 /// checkpoint in `dir` or runs and saves one, exactly as
 /// [`ShardSpec::run_or_resume_with`] does; with `None`, nothing touches
-/// the filesystem.  The space is expanded once per call either way.
+/// the filesystem.  Each shard expands only its own range.
 ///
 /// # Errors
 ///
@@ -394,11 +424,10 @@ pub fn run_sharded_with(
     checkpoint: Option<&Path>,
 ) -> io::Result<CampaignResult> {
     let shard_count = shard_count.max(1);
-    let scenarios = config.space.scenarios(config.seed);
     let mut merged: Option<ShardResult> = None;
     for index in 0..shard_count {
         let spec = ShardSpec::new(config.clone(), index, shard_count);
-        let shard = spec.run_or_resume(runner, execution, &scenarios, checkpoint)?;
+        let shard = spec.run_or_resume_with(runner, execution, checkpoint)?;
         match &mut merged {
             None => merged = Some(shard),
             Some(acc) => acc.merge(&shard).expect("shards of one campaign merge in order"),
@@ -406,16 +435,16 @@ pub fn run_sharded_with(
     }
     Ok(merged
         .expect("shard_count >= 1")
-        .into_checked_result(scenarios.len())
+        .finish(config)
         .expect("the shards tile the whole campaign"))
 }
 
 /// The mergeable aggregate of one contiguous scenario range.
 ///
 /// Slice slots (per-family, per-sizing) are derived from the *whole*
-/// campaign space at construction, so every shard of a campaign carries the
-/// same layout — a shard that never runs a `solar` scenario still has the
-/// (empty) `solar` slot its neighbours will merge into.
+/// campaign space's axes at construction, so every shard of a campaign
+/// carries the same layout — a shard that never runs a `solar` scenario
+/// still has the (empty) `solar` slot its neighbours will merge into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
     fingerprint: u64,
@@ -429,15 +458,15 @@ pub struct ShardResult {
 
 impl ShardResult {
     /// An empty aggregate for `range`, with slice slots derived from the
-    /// full `scenarios` expansion of `config`.
-    pub(crate) fn new(
-        config: &CampaignConfig,
-        scenarios: &[Scenario],
-        range: Range<usize>,
-    ) -> Self {
+    /// axes of `config`'s space: one per family some scenario belongs to
+    /// (none when the space is empty), one per distinct sizing label.
+    pub(crate) fn new(config: &CampaignConfig, range: Range<usize>) -> Self {
+        let space = &config.space;
         let by_family = SourceFamily::ALL
             .iter()
-            .filter(|family| scenarios.iter().any(|s| s.source.family() == **family))
+            .filter(|family| {
+                !space.is_empty() && space.sources.iter().any(|s| s.family() == **family)
+            })
             .map(|family| (*family, Aggregator::new()))
             .collect();
         let mut by_sizing: Vec<(String, Aggregator)> = Vec::new();
@@ -448,7 +477,7 @@ impl ShardResult {
             }
         }
         Self {
-            fingerprint: fingerprint_of(config, scenarios),
+            fingerprint: config.fingerprint(),
             start: range.start,
             end: range.end,
             overall: Aggregator::new(),
@@ -561,18 +590,9 @@ impl ShardResult {
         if self.fingerprint != expected {
             return Err(ShardError::CampaignMismatch { expected, found: self.fingerprint });
         }
-        self.into_checked_result(config.space.len())
-    }
-
-    /// [`Self::finish`] without re-deriving the fingerprint (the caller
-    /// already trusts the shard's provenance).
-    fn into_checked_result(self, expected_runs: usize) -> Result<CampaignResult, ShardError> {
-        if self.start != 0 || self.end != expected_runs {
-            return Err(ShardError::Incomplete {
-                start: self.start,
-                end: self.end,
-                expected: expected_runs,
-            });
+        let expected = config.space.len();
+        if self.start != 0 || self.end != expected {
+            return Err(ShardError::Incomplete { start: self.start, end: self.end, expected });
         }
         Ok(self.into_result())
     }
@@ -816,6 +836,8 @@ fn pair(body: &str, key: &str) -> Result<(usize, usize), String> {
 mod tests {
     use super::*;
     use crate::campaign::{run_with, CampaignConfig};
+    use crate::space::{BackupSizing, ScenarioSpace};
+    use ehsim::schedule::Schedule;
 
     fn smoke() -> CampaignConfig {
         CampaignConfig::smoke()
@@ -952,6 +974,24 @@ mod tests {
         assert_eq!(merged.clone().finish(&config).expect("covers"), run_with(&runner, &config));
     }
 
+    /// The paper-shaped campaign: the paper grid with a baseline and a
+    /// replacement-shaped DIAC sizing.
+    fn paper() -> CampaignConfig {
+        let summary = diac_core::replacement::ReplacementSummary {
+            boundaries: 4,
+            total_boundary_bits: 48,
+            average_boundary_bits: 12.0,
+            energy_budget: tech45::units::Energy::from_millijoules(1.0),
+            max_unsaved_energy: tech45::units::Energy::from_millijoules(1.0),
+            backup_energy: tech45::units::Energy::ZERO,
+            backup_latency: tech45::units::Seconds::ZERO,
+            restore_energy: tech45::units::Energy::ZERO,
+            restore_latency: tech45::units::Seconds::ZERO,
+        };
+        let sizings = vec![BackupSizing::BaselineBits(64), BackupSizing::DiacReplacement(summary)];
+        CampaignConfig::new(ScenarioSpace::paper_grid(sizings), 0xD1AC)
+    }
+
     #[test]
     fn fingerprints_identify_the_campaign() {
         let config = smoke();
@@ -961,5 +1001,65 @@ mod tests {
         let stretched =
             CampaignConfig { duration: tech45::units::Seconds::new(1.0), ..config.clone() };
         assert_ne!(config.fingerprint(), stretched.fingerprint());
+
+        // Every axis of the definition is hashed, source parameters
+        // included: these campaigns all expand to different simulations,
+        // several of them with the same scenario count, seeds and family
+        // layout.
+        let paper = paper();
+        let mut variants = vec![("paper", paper.clone())];
+        let mut vary = |name, change: &dyn Fn(&mut ScenarioSpace)| {
+            let mut variant = paper.clone();
+            change(&mut variant.space);
+            assert_ne!(variant, paper, "{name} must change the campaign");
+            variants.push((name, variant));
+        };
+        vary("rfid peak x5", &|space| {
+            let SourceSpec::Rfid { peak, .. } = &mut space.sources[2] else {
+                panic!("the paper grid's third source is the 1 mW RFID reader")
+            };
+            *peak = tech45::units::Power::from_milliwatts(5.0);
+        });
+        vary("scarce -> plentiful", &|space| {
+            let schedule = space.sources.last_mut().expect("the paper grid has sources");
+            assert_eq!(*schedule, SourceSpec::Schedule(Schedule::scarce()));
+            *schedule = SourceSpec::Schedule(Schedule::plentiful());
+        });
+        vary("one threshold", &|space| {
+            space.thresholds[1].sense += tech45::units::Energy::from_millijoules(0.5);
+        });
+        vary("technology dropped", &|space| {
+            space.technologies.pop();
+        });
+        vary("sizing swapped", &|space| space.sizings[0] = BackupSizing::BaselineBits(128));
+        vary("two replicates", &|space| space.replicates = 2);
+        for (i, (a, x)) in variants.iter().enumerate() {
+            for (b, y) in &variants[i + 1..] {
+                assert_ne!(x.fingerprint(), y.fingerprint(), "{a} and {b} share a fingerprint");
+            }
+        }
+
+        // So a checkpoint of the paper campaign never resumes the variant.
+        let dir = std::env::temp_dir().join(format!("diac-shard-fp-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = ShardSpec::new(paper, 0, 216);
+        let result = spec.run_with(&ParallelRunner::serial(), Execution::Scalar);
+        spec.save_checkpoint(&dir, &result).expect("checkpoint writes");
+        assert_eq!(spec.load_checkpoint(&dir), Some(result));
+        let (_, boosted) = &variants[1];
+        assert!(ShardSpec::new(boosted.clone(), 0, 216).load_checkpoint(&dir).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_space_runs_to_an_empty_result() {
+        // One empty axis empties the space: nothing expands, and no family
+        // gets a slot although the source axis is not empty.
+        let mut config = smoke();
+        config.space.technologies.clear();
+        assert!(config.space.scenarios(config.seed).is_empty());
+        let result = run_with(&ParallelRunner::serial(), &config);
+        assert_eq!(result.runs, 0);
+        assert!(result.by_family.is_empty());
     }
 }

@@ -6,6 +6,8 @@
 //! the product is materialised into one deterministic
 //! [`crate::scenario::Scenario`].
 
+use std::ops::Range;
+
 use ehsim::pmu::Thresholds;
 use ehsim::schedule::Schedule;
 use ehsim::source::{
@@ -414,39 +416,61 @@ impl ScenarioSpace {
         self.len() == 0
     }
 
-    /// Expands the space into its scenarios.  Every scenario's seed is
-    /// derived from `campaign_seed` and the scenario's *stochastic*
-    /// coordinate — source × thresholds × replicate — so the whole campaign
-    /// is reproducible from one number, and scenarios that differ only on
-    /// the comparison axes (NVM technology, backup sizing) share the same
-    /// seed: the classic common-random-numbers pairing that lets those axes
-    /// be compared on identical harvest/jitter sample paths.
+    /// Expands the space into its scenarios: [`Self::scenarios_in`] over
+    /// the full range.  Every scenario's seed is derived from
+    /// `campaign_seed` and the scenario's *stochastic* coordinate — source ×
+    /// thresholds × replicate — so the whole campaign is reproducible from
+    /// one number, and scenarios that differ only on the comparison axes
+    /// (NVM technology, backup sizing) share the same seed: the classic
+    /// common-random-numbers pairing that lets those axes be compared on
+    /// identical harvest/jitter sample paths.
     #[must_use]
     pub fn scenarios(&self, campaign_seed: u64) -> Vec<Scenario> {
+        self.scenarios_in(campaign_seed, 0..self.len())
+    }
+
+    /// Expands only the scenarios whose ids lie in `range`, at a cost
+    /// proportional to the range rather than to the space.  Ids are global
+    /// — scenario `id` decodes into its coordinates, source-major and
+    /// replicate-minor (source, thresholds, technology, sizing,
+    /// replicate) — so every scenario, and its seed, is exactly the one
+    /// the full expansion puts at that index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past [`Self::len`].
+    #[must_use]
+    pub fn scenarios_in(&self, campaign_seed: u64, range: Range<usize>) -> Vec<Scenario> {
+        assert!(
+            range.end <= self.len(),
+            "range {range:?} reaches past the {} scenarios of the space",
+            self.len()
+        );
         let replicates = self.replicates.max(1);
-        let mut out = Vec::with_capacity(self.len());
-        for (source_idx, source) in self.sources.iter().enumerate() {
-            for (threshold_idx, thresholds) in self.thresholds.iter().enumerate() {
-                for &technology in &self.technologies {
-                    for sizing in &self.sizings {
-                        for replicate in 0..replicates {
-                            let stochastic_coordinate =
-                                (source_idx * self.thresholds.len() + threshold_idx) * replicates
-                                    + replicate;
-                            out.push(Scenario {
-                                id: out.len(),
-                                source: source.clone(),
-                                thresholds: *thresholds,
-                                technology,
-                                sizing: sizing.clone(),
-                                seed: mix(campaign_seed, stochastic_coordinate as u64),
-                            });
-                        }
-                    }
+        range
+            .map(|id| {
+                // Every axis is non-empty here: an empty axis makes the
+                // space, and therefore the range, empty.
+                let replicate = id % replicates;
+                let rest = id / replicates;
+                let sizing = rest % self.sizings.len();
+                let rest = rest / self.sizings.len();
+                let technology = rest % self.technologies.len();
+                let rest = rest / self.technologies.len();
+                let threshold = rest % self.thresholds.len();
+                let source = rest / self.thresholds.len();
+                let stochastic_coordinate =
+                    (source * self.thresholds.len() + threshold) * replicates + replicate;
+                Scenario {
+                    id,
+                    source: self.sources[source].clone(),
+                    thresholds: self.thresholds[threshold],
+                    technology: self.technologies[technology],
+                    sizing: self.sizings[sizing].clone(),
+                    seed: mix(campaign_seed, stochastic_coordinate as u64),
                 }
-            }
-        }
-        out
+            })
+            .collect()
     }
 }
 
@@ -522,6 +546,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The expansion as a loop nest, axis by axis: the reference order and
+    /// seed derivation that [`ScenarioSpace::scenarios_in`] decodes ids
+    /// into.
+    fn nested_expansion(space: &ScenarioSpace, campaign_seed: u64) -> Vec<Scenario> {
+        let replicates = space.replicates.max(1);
+        let mut out = Vec::new();
+        for (source_idx, source) in space.sources.iter().enumerate() {
+            for (threshold_idx, thresholds) in space.thresholds.iter().enumerate() {
+                for &technology in &space.technologies {
+                    for sizing in &space.sizings {
+                        for replicate in 0..replicates {
+                            let stochastic_coordinate =
+                                (source_idx * space.thresholds.len() + threshold_idx) * replicates
+                                    + replicate;
+                            out.push(Scenario {
+                                id: out.len(),
+                                source: source.clone(),
+                                thresholds: *thresholds,
+                                technology,
+                                sizing: sizing.clone(),
+                                seed: mix(campaign_seed, stochastic_coordinate as u64),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_shard_range_expands_to_its_slice_of_the_full_expansion() {
+        use crate::campaign::CampaignConfig;
+        use crate::shard::ShardSpec;
+        let paper = ScenarioSpace::paper_grid(vec![
+            BackupSizing::BaselineBits(64),
+            BackupSizing::DiacReplacement(summary()),
+        ]);
+        for grid in [ScenarioSpace::smoke(), paper] {
+            for replicates in [1, 3] {
+                let space = ScenarioSpace { replicates, ..grid.clone() };
+                let config = CampaignConfig::new(space.clone(), 0xD1AC);
+                let full = space.scenarios(config.seed);
+                assert_eq!(full, nested_expansion(&space, config.seed));
+                let mut empty_ranges = 0;
+                for count in [1, 3, 8, 160] {
+                    for index in 0..count {
+                        let range = ShardSpec::new(config.clone(), index, count).range();
+                        empty_ranges += usize::from(range.is_empty());
+                        assert_eq!(
+                            space.scenarios_in(config.seed, range.clone()),
+                            full[range.clone()],
+                            "{} scenarios, shard {index} of {count} ({range:?})",
+                            space.len()
+                        );
+                    }
+                }
+                assert_eq!(empty_ranges, 160_usize.saturating_sub(space.len()));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past")]
+    fn a_range_past_the_space_is_rejected() {
+        let space = ScenarioSpace::smoke();
+        let _ = space.scenarios_in(1, 10..space.len() + 1);
     }
 
     #[test]
