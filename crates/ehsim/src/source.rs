@@ -42,7 +42,12 @@ fn split_cycles(x: f64) -> (u64, f64) {
 /// it), so the last tick strictly before the edge sits at offset
 /// `ceil(est) - 1`.  `inside(j)` re-checks offset `j` with the sampler's own
 /// arithmetic; it must hold on a prefix of offsets, so verifying the last
-/// claimed tick proves the whole window, however `est` rounded.
+/// claimed tick proves the whole window, however `est` rounded.  An
+/// estimate that ran long walks back to the last tick inside; one that ran
+/// short by its rounding error takes the one tick past it that is still
+/// inside, so the window is maximal either way.  (One probe, not a walk: a
+/// deliberately capped estimate — a cyclic schedule's wrap — must not run
+/// on around the cycle.)
 #[inline]
 fn window_end(tick: u64, est: f64, inside: impl Fn(u64) -> bool) -> u64 {
     // Past 2^53 ticks the grid instants stop being distinct f64 values.
@@ -59,8 +64,13 @@ fn window_end(tick: u64, est: f64, inside: impl Fn(u64) -> bool) -> u64 {
     } else {
         0
     };
-    while h > 0 && !inside(h) {
+    if h > 0 && !inside(h) {
         h -= 1;
+        while h > 0 && !inside(h) {
+            h -= 1;
+        }
+    } else if est < CAP && inside(h + 1) {
+        h += 1;
     }
     tick + 1 + h
 }
@@ -96,9 +106,9 @@ pub trait HarvestSource {
     /// `power_at(tick · dt)`, and `until > tick`.  The call leaves the source
     /// as `power_at(tick · dt)` would, and *not* querying the window's other
     /// ticks perturbs no later sample — draws are counter-indexed, and the
-    /// only per-query state left (memo caches, the piecewise cursor, the
-    /// Markov monotone clock) is self-healing.  A caller may therefore burn
-    /// the whole window on one sample.
+    /// only per-query state left (memo caches, the RFID edge table, the
+    /// piecewise cursor, the Markov monotone clock) is self-healing.  A
+    /// caller may therefore burn the whole window on one sample.
     ///
     /// The default is the length-1 window, which is always sound; sources
     /// whose sample genuinely varies per tick (solar daylight) answer that
@@ -139,6 +149,56 @@ impl HarvestSource for ConstantSource {
     }
 }
 
+/// Cycles an [`RfidSource`] tabulates per fill of its burst-edge table.  A
+/// fill costs a few divisions per cycle, but its cycles are independent, so
+/// they pipeline; a run of the paper grid's 2 s source spans 750 cycles, so
+/// a fill is paid once every few dozen windows, and a run's unused tail is
+/// at most one block.
+const EDGE_BLOCK: usize = 32;
+
+/// Burst edges are tabulated only below this tick (2^52).  Up to it every
+/// grid index, and the one past it, is an exact f64.  Queries past it get
+/// length-1 windows.
+const EDGE_CAP: i64 = 1 << 52;
+
+/// The edges a fill computes: a start and an end for each of its
+/// `EDGE_BLOCK` cycles and for the one after, whose start is the table's
+/// limit (its end is not needed, but keeps the loops regular).
+const RAW_EDGES: usize = 2 * EDGE_BLOCK + 2;
+
+/// The first tick `j` in `0..=EDGE_CAP` with `past(j)`, walking from a
+/// guess; `past` must be monotone.  Kept out of line: only estimates far
+/// out on the grid, near `EDGE_CAP`, miss an edge by more than a tick.
+#[inline(never)]
+fn walk_to_edge(mut j: i64, past: impl Fn(i64) -> bool) -> i64 {
+    while j < EDGE_CAP && !past(j) {
+        j += 1;
+    }
+    while j > 0 && past(j - 1) {
+        j -= 1;
+    }
+    j
+}
+
+/// An [`RfidSource`]'s burst edges on one tick grid, for a block of cycles.
+///
+/// `edges` is strictly increasing.  The source is off before `edges[0]`
+/// and toggles at every edge, so the parity of the cursor is the sample.
+/// The last edge is `limit`, the first tick the table does not answer.
+#[derive(Debug, Clone)]
+struct BurstEdges {
+    /// The bits of the step whose ticks the edges count.
+    dt_bits: u64,
+    /// The last tick answered; the cursor holds for every tick from here on.
+    from: u64,
+    /// The first tick the table does not answer.
+    limit: u64,
+    /// The index of the first edge past `from`.
+    cursor: usize,
+    /// The toggle ticks, `limit` last; slots past it are stale.
+    edges: [u64; 2 * EDGE_BLOCK + 1],
+}
+
 /// An RFID-reader-like source: periodic bursts of power while the tag is in
 /// the reader field, nothing in between, with optional jitter on the burst
 /// timing.
@@ -152,9 +212,10 @@ pub struct RfidSource {
     /// `(cycle, start, end)` memos of the last two windows computed, one
     /// slot per cycle parity.  Windows are pure functions of the cycle, so
     /// the memo can never go stale — it only saves the jitter mix on repeat
-    /// queries (several ticks per cycle on campaign grids, and a rest
-    /// segment asking about `cycle` and `cycle + 1` hits both slots).
+    /// `power_at` queries (several ticks per cycle on campaign grids).
     window_memo: [Option<(u64, f64, f64)>; 2],
+    /// The burst edges [`HarvestSource::segment`] answers from.
+    table: BurstEdges,
 }
 
 impl RfidSource {
@@ -170,6 +231,14 @@ impl RfidSource {
             jitter: jitter.clamp(0.0, 0.5),
             jitter_rng: CounterRng::new(seed),
             window_memo: [None; 2],
+            // `limit` 0 makes the first `segment` call fill the table.
+            table: BurstEdges {
+                dt_bits: 0,
+                from: 0,
+                limit: 0,
+                cursor: 0,
+                edges: [0; 2 * EDGE_BLOCK + 1],
+            },
         }
     }
 
@@ -196,8 +265,7 @@ impl RfidSource {
 
     /// [`Self::cycle_window`] behind the memo — the hot-path variant for
     /// repeat queries of the same (or adjacent) cycles.  Parity-indexed
-    /// slots keep `cycle` and `cycle + 1` cached side by side, so a rest
-    /// segment's two window lookups never evict each other.
+    /// slots keep `cycle` and `cycle + 1` cached side by side.
     fn cycle_window_memo(&mut self, cycle: u64) -> (f64, f64) {
         let slot = (cycle & 1) as usize;
         if let Some((cached, start, end)) = self.window_memo[slot] {
@@ -208,6 +276,103 @@ impl RfidSource {
         let (start, end) = self.cycle_window(cycle);
         self.window_memo[slot] = Some((cycle, start, end));
         (start, end)
+    }
+
+    /// Fills the edge table with the `EDGE_BLOCK` cycles from the one
+    /// holding `tick`, on the grid of step `dt`.  Returns `false`, leaving
+    /// the table stale, where no table applies: a step that is not a
+    /// positive finite number of ticks per period, or ticks too far out for
+    /// exact grid arithmetic.
+    ///
+    /// Cycle `c`'s burst is the tick range `[s_c, e_c)`: `s_c` is the first
+    /// tick at or past phase `(c, start)`, `e_c` the first at or past
+    /// `(c, end)` (`end == 1` meaning the next cycle's first tick).  Phase
+    /// is monotone in the tick index, so those ranges are exactly the ticks
+    /// `power_at` puts in the burst.  The raw edges `s_0, e_0, …, s_B` are
+    /// non-decreasing; cancelling equal neighbours (an empty burst, a rest
+    /// no tick lands in) leaves the toggles, and `s_B` — ticks before it are
+    /// known, since cycle `c_0 + B` is off up to its burst — is the limit.
+    /// Kept out of line so that the cursor step inlines into its callers.
+    #[inline(never)]
+    fn tabulate(&mut self, tick: u64, dt: f64) -> bool {
+        if self.period.is_non_positive() {
+            // Degenerate period: identically zero power, for every tick.
+            self.table.edges[0] = u64::MAX;
+            self.table.limit = u64::MAX;
+            self.table.from = 0;
+            self.table.cursor = 0;
+            self.table.dt_bits = dt.to_bits();
+            return true;
+        }
+        let period = self.period.as_seconds();
+        let per = period / dt;
+        let x = tick as f64 * dt / period;
+        if !(per > 0.0 && per.is_finite() && x < EDGE_CAP as f64) || tick >= EDGE_CAP as u64 {
+            return false;
+        }
+        // Edge `m` is the first tick at or past phase `f[m]` of cycle
+        // `cf[m]` (as an f64, exact below 2^53): even `m` a burst start,
+        // odd `m` its end.
+        let c0 = split_cycles(x).0;
+        let (mut cf, mut f) = ([0.0; RAW_EDGES], [0.0; RAW_EDGES]);
+        for n in 0..RAW_EDGES / 2 {
+            let c = c0 + n as u64;
+            (cf[2 * n], cf[2 * n + 1]) = (c as f64, c as f64);
+            (f[2 * n], f[2 * n + 1]) = self.cycle_window(c);
+        }
+        // Whether tick `j` (an integral f64) sits at or past phase `f` of
+        // cycle `cf`: `split_cycles(j · dt / period) >= (c, f)`, the
+        // `power_at` arithmetic.  With `x` the quotient, `x - cf` is exact
+        // wherever `x` lies in cycle `c` (Sterbenz), negative before it and
+        // at least 1 after it, so one subtraction compares both parts.
+        let past = |j: f64, cf: f64, f: f64| j * dt / period - cf >= f;
+        // The estimate `(cf + f) · per` is within a few ulps of the real
+        // edge, and the first tick past it is the real edge's ceiling unless
+        // the edge sits (nominally) on a tick, where the rounding of the
+        // `power_at` quotient decides between that tick and the next.
+        // Either way the edge is `j` or `j + 1` for `j` the estimate
+        // rounded to the nearest tick (adding and subtracting 2^52 rounds
+        // any value in `[0, 2^52]`), and three checks settle which.  The
+        // loop is branch-free float arithmetic over independent edges, so
+        // it pipelines; an edge outside the pair is walked to afterwards.
+        const ROUND: f64 = EDGE_CAP as f64;
+        let mut raw = [0_i64; RAW_EDGES];
+        let mut off = false;
+        for m in 0..RAW_EDGES {
+            let (cf, f) = (cf[m], f[m]);
+            let j = ((cf + f) * per).min(ROUND) + ROUND - ROUND;
+            let at = past(j, cf, f);
+            raw[m] = (if at { j } else { j + 1.0 }) as i64;
+            off |= past(j - 1.0, cf, f) | !(at | past(j + 1.0, cf, f));
+        }
+        if off {
+            for m in 0..RAW_EDGES {
+                raw[m] = walk_to_edge(raw[m], |j| past(j as f64, cf[m], f[m]));
+            }
+        }
+        // Cancel equal neighbours; the survivors strictly increase.
+        let limit = raw[2 * EDGE_BLOCK] as u64;
+        let edges = &mut self.table.edges;
+        let (mut len, mut top) = (0, u64::MAX);
+        for &e in &raw[..=2 * EDGE_BLOCK] {
+            let e = e as u64;
+            if e == top {
+                len -= 1;
+                top = if len > 0 { edges[len - 1] } else { u64::MAX };
+            } else {
+                edges[len] = e;
+                len += 1;
+                top = e;
+            }
+        }
+        // The table ends at the limit either way: `s_B` survived as the last
+        // edge, or it cancelled an equal `e_(B-1)` — the burst runs on past
+        // the limit — whose slot, just past the survivors, still holds it.
+        self.table.dt_bits = dt.to_bits();
+        self.table.from = tick;
+        self.table.limit = limit;
+        self.table.cursor = 0;
+        true
     }
 }
 
@@ -234,49 +399,28 @@ impl HarvestSource for RfidSource {
         )
     }
 
-    /// Constant while the tick grid stays inside one burst or one rest.
-    /// Windows are pure functions of the cycle index, so the rest after a
-    /// burst extends across the cycle wrap into the next cycle's pre-burst
-    /// rest — one contiguous zero-power stretch.  The cycle/phase split is
-    /// monotone in the tick index, so checking the window's last tick with
-    /// the exact `power_at` arithmetic proves the whole window.
+    /// A cursor step over the burst-edge table: the window runs from `tick`
+    /// to the next toggle, so bursts and rests come whole, and a rest spans
+    /// the cycle wrap into the next cycle's pre-burst rest.  The table is
+    /// rebuilt when the query leaves it — past its last cycle, backwards,
+    /// or onto another grid step.
     fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
-        if self.period.is_non_positive() {
-            // Degenerate period: identically zero power, no state.
-            return Segment { power: Power::ZERO, until: u64::MAX };
+        let dt_s = dt.as_seconds();
+        let t = &self.table;
+        if (tick < t.from || tick >= t.limit || dt_s.to_bits() != t.dt_bits)
+            && !self.tabulate(tick, dt_s)
+        {
+            let power = self.power_at(Seconds::new(tick as f64 * dt_s));
+            return Segment { power, until: tick + 1 };
         }
-        let (dt_s, period) = (dt.as_seconds(), self.period.as_seconds());
-        let t0 = tick as f64 * dt_s;
-        let (cycle, phase0) = split_cycles(t0 / period);
-        let (start, end) = self.cycle_window_memo(cycle);
-        let on = phase0 >= start && phase0 < end;
-        let power = if on { self.peak } else { Power::ZERO };
-        // The cycle splits into [0, start) off, [start, end) on, [end, 1)
-        // off — and the trailing rest runs on into [0, start') of cycle + 1.
-        let mut next_start = 0.0;
-        let edge = if phase0 < start {
-            cycle as f64 + start
-        } else if on {
-            cycle as f64 + end
-        } else {
-            next_start = self.cycle_window_memo(cycle + 1).0;
-            (cycle + 1) as f64 + next_start
-        };
-        let until = window_end(tick, (edge * period - t0) / dt_s, |j| {
-            let (c, phase) = split_cycles((tick + j) as f64 * dt_s / period);
-            if c == cycle {
-                if on {
-                    phase < end
-                } else if phase0 < start {
-                    phase < start
-                } else {
-                    phase >= end
-                }
-            } else {
-                phase0 >= end && c == cycle + 1 && phase < next_start
-            }
-        });
-        Segment { power, until }
+        let t = &mut self.table;
+        let mut k = t.cursor;
+        while t.edges[k] <= tick {
+            k += 1;
+        }
+        t.cursor = k;
+        t.from = tick;
+        Segment { power: if k % 2 == 1 { self.peak } else { Power::ZERO }, until: t.edges[k] }
     }
 }
 
@@ -701,12 +845,15 @@ mod tests {
     /// `power_at` at every tick of a window (on a copy of the source as the
     /// window left it) returns the window's sample bit for bit, and a walker
     /// that calls *only* `segment` — jumping from window to window —
-    /// reproduces the naive walk.  Returns the windows' exclusive ends and
-    /// the ticks covered by windows of two or more ticks.
+    /// reproduces the naive walk.  A window whose sample satisfies `maximal`
+    /// must also be maximal: endless, or followed by a tick that samples
+    /// differently.  Returns the windows' exclusive ends and the ticks
+    /// covered by windows of two or more ticks.
     fn check_segment_contract<S: HarvestSource + Clone>(
         make: impl Fn() -> S,
         ticks: u64,
         dt: f64,
+        maximal: impl Fn(Power) -> bool,
     ) -> (Vec<u64>, u64) {
         let at = |i: u64| Seconds::new(i as f64 * dt);
         let mut naive = make();
@@ -718,11 +865,15 @@ mod tests {
             let seg = walker.segment(i, Seconds::new(dt));
             assert!(seg.until > i, "empty window at tick {i}");
             let last = seg.until.min(ticks);
+            let bits = seg.power.value().to_bits();
             let mut probe = walker.clone();
             for j in i..last {
-                let bits = seg.power.value().to_bits();
                 assert_eq!(reference[j as usize], bits, "tick {j} of window {i}..{}", seg.until);
                 assert_eq!(probe.power_at(at(j)).value().to_bits(), bits, "power_at at tick {j}");
+            }
+            if maximal(seg.power) && seg.until != u64::MAX {
+                let next = probe.power_at(at(seg.until)).value().to_bits();
+                assert_ne!(next, bits, "window {i}..{} is not maximal", seg.until);
             }
             if last - i >= 2 {
                 covered += last - i;
@@ -733,10 +884,15 @@ mod tests {
         (ends, covered)
     }
 
+    /// Every window is maximal.
+    fn always(_: Power) -> bool {
+        true
+    }
+
     #[test]
     fn constant_sources_are_steady_forever() {
         let make = || ConstantSource::new(Power::from_milliwatts(0.3));
-        let (ends, covered) = check_segment_contract(make, 1000, 0.5);
+        let (ends, covered) = check_segment_contract(make, 1000, 0.5, always);
         assert_eq!((ends, covered), (vec![u64::MAX], 1000));
     }
 
@@ -751,9 +907,20 @@ mod tests {
                     seed,
                 )
             };
-            let (_, covered) = check_segment_contract(make, 8000, 0.5);
+            // A dwell shorter than a tick can switch back before the next
+            // sample, so a Markov window's maximality is its own: it ends
+            // on the first tick at or past the dwell's switch.
+            let (_, covered) = check_segment_contract(make, 8000, 0.5, |_| false);
             // Mean dwells span dozens of ticks, so most ticks are covered.
             assert!(covered > 6000, "seed {seed}: only {covered} covered");
+            let (mut source, mut i) = (make(), 0);
+            while i < 8000 {
+                let seg = source.segment(i, Seconds::new(0.5));
+                let switch = source.next_switch;
+                let (last, end) = ((seg.until - 1) as f64 * 0.5, seg.until as f64 * 0.5);
+                assert!(last < switch && switch <= end, "seed {seed}: window {i}..{}", seg.until);
+                i = seg.until;
+            }
         }
         // A switch landing exactly on a tick: that tick already samples the
         // new dwell, so the window must end right at it.
@@ -770,14 +937,14 @@ mod tests {
             .find(|&k| k as f64 * (switch / k as f64) == switch)
             .expect("a grid through the first switch instant");
         let dt = switch / k as f64;
-        let (ends, _) = check_segment_contract(make, 4 * k, dt);
+        let (ends, _) = check_segment_contract(make, 4 * k, dt, |_| false);
         assert!(ends.contains(&k), "no window ends at the switch tick {k}: {ends:?}");
     }
 
     #[test]
     fn rfid_steady_windows_never_cross_a_burst_boundary() {
         // A fine step lands ticks right on burst edges.
-        let (_, covered) = check_segment_contract(|| RfidSource::typical(42), 20_000, 0.05);
+        let (_, covered) = check_segment_contract(|| RfidSource::typical(42), 20_000, 0.05, always);
         assert!(covered > 15_000, "only {covered} ticks covered");
         // Maximal jitter, empty and full duty cycles, and degenerate periods.
         let mw = Power::from_milliwatts(0.6);
@@ -785,7 +952,7 @@ mod tests {
             [(5.0, 0.2, 0.5), (2.0, 0.0, 0.3), (2.0, 1.0, 0.3), (0.0, 0.4, 0.1), (-1.0, 0.4, 0.1)]
         {
             let make = || RfidSource::new(mw, Seconds::new(period), duty, jitter, 7);
-            let (ends, _) = check_segment_contract(make, 4_000, 0.05);
+            let (ends, _) = check_segment_contract(make, 4_000, 0.05, |_| duty > 0.0 && duty < 1.0);
             if period <= 0.0 {
                 assert_eq!(ends, vec![u64::MAX], "period {period}");
             }
@@ -831,7 +998,7 @@ mod tests {
                 || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, seed);
             // 4000 ticks at 0.5 s span two full days; nights are half of
             // each day, so at least ~1/3 of all ticks must be covered.
-            let (_, covered) = check_segment_contract(make, 4_000, 0.5);
+            let (_, covered) = check_segment_contract(make, 4_000, 0.5, |p| p == Power::ZERO);
             assert!(covered > 1_300, "seed {seed}: only {covered} covered");
         }
         // Tick 500 lands on phase 0.25 exactly, where the sine is exactly
@@ -840,12 +1007,12 @@ mod tests {
         assert_eq!(SolarSource::sun(0.25), 0.0);
         assert_eq!(make().power_at(Seconds::new(250.0)), Power::ZERO);
         assert!(make().power_at(Seconds::new(250.5)) > Power::ZERO);
-        let (ends, _) = check_segment_contract(make, 4_000, 0.5);
+        let (ends, _) = check_segment_contract(make, 4_000, 0.5, |p| p == Power::ZERO);
         assert!(ends.contains(&501), "{ends:?}");
         // A degenerate day is zero forever.
         for day in [0.0, -5.0] {
             let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(day), 0.4, 1);
-            assert_eq!(check_segment_contract(make, 100, 0.5).0, vec![u64::MAX]);
+            assert_eq!(check_segment_contract(make, 100, 0.5, always).0, vec![u64::MAX]);
         }
     }
 
@@ -870,8 +1037,99 @@ mod tests {
         for seed in 0..20 {
             let make =
                 || RfidSource::new(Power::from_milliwatts(0.6), Seconds::new(5.0), 0.2, 0.2, seed);
-            let (_, covered) = check_segment_contract(make, 8_000, 0.5);
+            let (_, covered) = check_segment_contract(make, 8_000, 0.5, always);
             assert!(covered > 0, "seed {seed} never covered a window");
+        }
+    }
+
+    /// Walks `source` window by window over ticks `from..to` of step `dt`
+    /// and checks every window against a naive `power_at` run-length scan
+    /// of a copy of the source: each tick of the window samples like it,
+    /// and the tick past it samples differently — the window is the whole
+    /// run — unless the window stops at the edge table's limit (or lies
+    /// past `EDGE_CAP`, where windows are one tick long).  Returns the tick
+    /// of the last query.
+    fn check_rfid_walk(source: &mut RfidSource, dt: f64, from: u64, to: u64) -> u64 {
+        let mut naive = source.clone();
+        let mut sample = |j: u64| naive.power_at(Seconds::new(j as f64 * dt)).value().to_bits();
+        let mut i = from;
+        while i < to {
+            let seg = source.segment(i, Seconds::new(dt));
+            assert!(seg.until > i, "empty window at tick {i}");
+            let bits = seg.power.value().to_bits();
+            for j in i..seg.until.min(to) {
+                assert_eq!(sample(j), bits, "tick {j} of window {i}..{}", seg.until);
+            }
+            if seg.until != source.table.limit && i < EDGE_CAP as u64 {
+                assert_ne!(sample(seg.until), bits, "window {i}..{} is not maximal", seg.until);
+            }
+            if seg.until >= to {
+                return i;
+            }
+            i = seg.until;
+        }
+        i
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The burst-edge table against the naive scan, over random shapes
+        /// — empty and full duty cycles, no jitter, periods a grid step
+        /// does not divide or that are shorter than it, and grids whose
+        /// edges land exactly on ticks — and every way a caller moves:
+        /// forward window by window, back, far ahead across several
+        /// blocks, and onto another grid step and back.
+        #[test]
+        fn rfid_windows_match_a_naive_run_length_scan(
+            shape in (0_u8..8, 0.0_f64..1.0, 0_u8..3, 0.0_f64..0.5, 0_u64..1_000),
+            grid in (0_u8..6, 0.05_f64..6.0, 0.02_f64..3.0, 1.1_f64..2.9),
+        ) {
+            let (duty_pick, duty, jitter_pick, jitter, seed) = shape;
+            let (grid_pick, period, ratio, stretch) = grid;
+            let picked = [0.0, 1.0, 0.2, 0.25, 0.4, 0.5].get(usize::from(duty_pick));
+            let duty = picked.map_or(duty, |&d| d);
+            let jitter = if jitter_pick == 0 { 0.0 } else { jitter };
+            // Grids whose edges land on ticks, a period shorter than the
+            // step, and random (non-dividing) steps.
+            let (period, dt) = match grid_pick {
+                0 => (2.0, 0.5),
+                1 => (5.0, 0.5),
+                2 => (3.0, 0.25),
+                3 => (0.3, 0.5),
+                _ => (period, period * ratio),
+            };
+            let peak = Power::from_milliwatts(0.7);
+            let mut source = RfidSource::new(peak, Seconds::new(period), duty, jitter, seed);
+            let ticks_per_block = (EDGE_BLOCK as f64 * period / dt).ceil() as u64 + 1;
+            let span = 3 * ticks_per_block + 50;
+            check_rfid_walk(&mut source, dt, 0, span);
+            // Back into the middle of the walk.
+            check_rfid_walk(&mut source, dt, span / 3, span / 3 + ticks_per_block);
+            // Far ahead, several blocks past the table.
+            let far = span + 5 * ticks_per_block + 17;
+            let last = check_rfid_walk(&mut source, dt, far, far + 2 * ticks_per_block);
+            // Onto another step mid-stream, at a tick the table still
+            // covers, and back.
+            let last = check_rfid_walk(&mut source, dt * stretch, last, last + ticks_per_block);
+            check_rfid_walk(&mut source, dt, last, last + ticks_per_block);
+        }
+    }
+
+    /// Near 2^52 ticks an edge estimate can be off by more than a tick, so
+    /// the table walks to the exact edges; past `EDGE_CAP` it answers with
+    /// length-1 windows.  Either way the windows match the naive scan.
+    #[test]
+    fn rfid_windows_stay_exact_far_out_on_the_grid() {
+        for (tick, dt, period) in [
+            (3 << 50, 1e-3, 0.7),
+            (7 << 49, 3.7e-3, 1.3),
+            ((1 << 52) - 40, 1e-3, 1.0),
+            (1 << 52, 0.5, 1.0),
+        ] {
+            let mut source =
+                RfidSource::new(Power::from_milliwatts(0.7), Seconds::new(period), 0.4, 0.2, 5);
+            check_rfid_walk(&mut source, dt, tick, tick + 100_000);
         }
     }
 
@@ -891,9 +1149,14 @@ mod tests {
             }
         };
         for cyclic in [false, true] {
-            let (_, covered) = check_segment_contract(make(cyclic), 4_000, 0.25);
+            let (_, covered) = check_segment_contract(make(cyclic), 4_000, 0.25, always);
             assert!(covered > 3_900, "cyclic={cyclic}: only {covered} covered");
         }
+        // One plateau that repeats: the window stops at the wrap, one
+        // probe past its capped estimate, and does not run on around.
+        let (ends, _) =
+            check_segment_contract(|| Schedule::plentiful().to_source(), 6_000, 0.5, |_| false);
+        assert!(ends.len() >= 3 && ends.windows(2).all(|w| w[1] - w[0] <= 2_001), "{ends:?}");
         // Non-cyclic schedules are constant — steady forever — past the end.
         assert_eq!(make(false)().segment(1000, Seconds::new(0.25)).until, u64::MAX);
         // A cyclic window ends at the wrap (tick 120 = 30 s).
@@ -910,7 +1173,7 @@ mod tests {
                 Seconds::new(25.0),
             )
         };
-        let (_, covered) = check_segment_contract(make, 2_000, 0.5);
+        let (_, covered) = check_segment_contract(make, 2_000, 0.5, always);
         assert!(covered > 1_900, "only {covered} covered");
         // The zero-power lead-in before the first segment is a window too.
         let seg = make().segment(0, Seconds::new(0.5));

@@ -11,9 +11,9 @@
 //! [`SynthesisPipeline`] front.
 //!
 //! Results always come back in item order regardless of which worker
-//! finished first, so parallel runs are byte-identical to serial ones — the
-//! `suite_sweep` bench in `crates/bench` relies on that to compare the two
-//! fairly.
+//! finished first, so parallel runs are byte-identical to serial ones
+//! (`serial_and_parallel_runners_agree` here and
+//! `fig5::tests::serial_and_parallel_sweeps_are_identical` pin it).
 
 use diac_core::pipeline::{CircuitArtifacts, SynthesisPipeline};
 use diac_core::schemes::{SchemeComparison, SchemeContext};

@@ -224,6 +224,9 @@ impl SourceScratch {
 /// A harvest source of any family, dispatching [`HarvestSource`] by enum
 /// (keeps the executors monomorphic and the scenario `Send`-able without
 /// boxing) — the one source type of the scalar and batched campaign paths.
+/// The RFID variant carries its burst-edge table inline, so a batch lane
+/// reaches it without a pointer chase and a source never allocates.
+#[allow(clippy::large_enum_variant)] // the inline RFID edge table, see above
 #[derive(Debug, Clone)]
 pub enum AnySource {
     /// Constant source.

@@ -312,7 +312,13 @@ fn the_paper_campaign_fast_forwards_most_ticks() {
         ("ticks_total", telemetry.ticks_total, 216 * 3000),
         ("ticks_fast_forwarded", telemetry.ticks_fast_forwarded, 603_104),
         ("horizon_recomputes", telemetry.horizon_recomputes, 50_032),
-        ("ticks_steady", telemetry.ticks_steady, 534_992),
+        // Maximal source windows: RFID bursts and rests from the edge table
+        // moved it from 534 992 to 537 008 (a window the old per-call
+        // estimate split in two is one window now), and solar nights that
+        // reach sunrise even when the estimate lands short moved it on to
+        // 537 032.  The other three counters did not move: every burn proof
+        // is unchanged, only windows are longer.
+        ("ticks_steady", telemetry.ticks_steady, 537_032),
     ] {
         assert_eq!(actual, pinned, "{counter}: got {actual}, pinned {pinned} ({telemetry:?})");
     }
