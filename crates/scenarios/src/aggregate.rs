@@ -1,10 +1,12 @@
-//! Online aggregation of per-scenario statistics.
+//! Aggregation of per-scenario statistics.
 //!
 //! A campaign never retains the per-run time-series traces: every finished
-//! scenario is immediately folded into one scalar sample per metric
-//! (a Welford running mean plus min/max, and the raw scalar kept for exact
-//! quantiles).  Memory is `O(runs × metrics)` scalars regardless of how long
-//! each simulated lifetime is.
+//! scenario is reduced to one row of scalar metrics ([`metric_values`]).
+//! Memory is `O(runs × metrics)` scalars regardless of how long each
+//! simulated lifetime is.  Summaries are computed once, from the rows, by
+//! [`CampaignSummary::of_rows`]: per metric, a left-to-right Welford fold
+//! for the mean and one [`f64::total_cmp`] sort for min, max and the
+//! quantiles.
 
 use std::fmt;
 
@@ -32,150 +34,6 @@ pub fn metric_values(stats: &RunStats) -> [f64; 6] {
     ]
 }
 
-/// Streaming accumulator of one metric.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineMetric {
-    count: u64,
-    mean: f64,
-    min: f64,
-    max: f64,
-    samples: Vec<f64>,
-}
-
-impl OnlineMetric {
-    /// Folds one sample in (Welford's update keeps the mean stable for long
-    /// campaigns; samples are recorded in arrival order so aggregation stays
-    /// deterministic).
-    ///
-    /// Min/max are tracked under [`f64::total_cmp`] — the same total order
-    /// `quantile`/`summarize` sort with — so every statistic of the metric
-    /// agrees about ordering even if a NaN ever reaches the aggregator
-    /// (`f64::min`/`f64::max` would silently drop the NaN side while the
-    /// sorted percentiles kept it).
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        self.mean += (value - self.mean) / self.count as f64;
-        if self.count == 1 {
-            self.min = value;
-            self.max = value;
-        } else {
-            if value.total_cmp(&self.min).is_lt() {
-                self.min = value;
-            }
-            if value.total_cmp(&self.max).is_gt() {
-                self.max = value;
-            }
-        }
-        self.samples.push(value);
-    }
-
-    /// Merges `other` into `self`, as if every sample of `other` had been
-    /// [`Self::push`]ed after `self`'s in arrival order: the sample vectors
-    /// concatenate, the Welford mean is *replayed* over `other`'s samples
-    /// (FP addition is not associative, so recombining the two means would
-    /// drift from the monolithic fold), and min/max recombine under
-    /// [`f64::total_cmp`] (which is associative, so the combine is exact).
-    ///
-    /// Because the replay only reads `other.samples`, any merge tree over a
-    /// contiguous partition of a sample stream — left fold, balanced tree,
-    /// arbitrary shape — reproduces the monolithic metric *bit for bit*.
-    /// The shard engine ([`crate::shard`]) is built on this guarantee.
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.clone_from(other);
-            return;
-        }
-        for &value in &other.samples {
-            self.count += 1;
-            self.mean += (value - self.mean) / self.count as f64;
-        }
-        if other.min.total_cmp(&self.min).is_lt() {
-            self.min = other.min;
-        }
-        if other.max.total_cmp(&self.max).is_gt() {
-            self.max = other.max;
-        }
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Number of samples folded in.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The samples in arrival order (the shard checkpoint writer reads
-    /// these; exact quantiles are computed from a sorted copy).
-    #[must_use]
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// The running Welford mean (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The smallest sample under [`f64::total_cmp`] (0.0 when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// The largest sample under [`f64::total_cmp`] (0.0 when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Reassembles a metric from checkpointed state.  The caller (the shard
-    /// record parser) is responsible for handing back exactly what
-    /// [`Self::samples`]/[`Self::mean`]/[`Self::min`]/[`Self::max`] emitted;
-    /// `count` must equal `samples.len()`.
-    pub(crate) fn from_parts(mean: f64, min: f64, max: f64, samples: Vec<f64>) -> Self {
-        Self { count: samples.len() as u64, mean, min, max, samples }
-    }
-
-    /// Exact nearest-rank quantile (`q` in `[0, 1]`); 0.0 for an empty
-    /// metric.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        nearest_rank(&sorted, q)
-    }
-
-    /// The six-number summary of this metric (one sort serves all three
-    /// quantiles).
-    #[must_use]
-    pub fn summarize(&self, name: &str) -> MetricRow {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        MetricRow {
-            name: name.to_string(),
-            mean: self.mean,
-            min: if self.count == 0 { 0.0 } else { self.min },
-            p50: nearest_rank(&sorted, 0.50),
-            p90: nearest_rank(&sorted, 0.90),
-            p99: nearest_rank(&sorted, 0.99),
-            max: if self.count == 0 { 0.0 } else { self.max },
-        }
-    }
-}
-
-/// Nearest-rank quantile over an already-sorted slice; 0.0 when empty.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Summary statistics of one metric over a whole campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricRow {
@@ -196,6 +54,29 @@ pub struct MetricRow {
 }
 
 impl MetricRow {
+    /// Summarises one metric's `samples`, given in arrival order: the mean
+    /// is a left-to-right Welford fold (so equal sample sequences give
+    /// bit-equal means), and one [`f64::total_cmp`] sort yields min, max
+    /// and the nearest-rank quantiles — one order for every statistic,
+    /// NaN and −0.0 included.  An empty metric summarises to zeros.
+    #[must_use]
+    pub fn of(name: &str, mut samples: Vec<f64>) -> Self {
+        let mut mean = 0.0;
+        for (count, &value) in (1_u64..).zip(&samples) {
+            mean += (value - mean) / count as f64;
+        }
+        samples.sort_by(f64::total_cmp);
+        MetricRow {
+            name: name.to_string(),
+            mean,
+            min: samples.first().copied().unwrap_or(0.0),
+            p50: nearest_rank(&samples, 0.50),
+            p90: nearest_rank(&samples, 0.90),
+            p99: nearest_rank(&samples, 0.99),
+            max: samples.last().copied().unwrap_or(0.0),
+        }
+    }
+
     /// The row's values in column order (mean, min, p50, p90, p99, max).
     #[must_use]
     pub fn values(&self) -> [f64; 6] {
@@ -203,11 +84,19 @@ impl MetricRow {
     }
 }
 
-/// Streams [`RunStats`] into per-metric accumulators.
+/// Nearest-rank quantile over an already-sorted slice; 0.0 when empty.
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Collects one [`metric_values`] row per finished run, in arrival order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Aggregator {
-    runs: usize,
-    metrics: [OnlineMetric; 6],
+    rows: Vec<[f64; 6]>,
 }
 
 impl Aggregator {
@@ -217,53 +106,21 @@ impl Aggregator {
         Self::default()
     }
 
-    /// Folds one finished run in.
+    /// Records one finished run.
     pub fn record(&mut self, stats: &RunStats) {
-        self.runs += 1;
-        for (metric, value) in self.metrics.iter_mut().zip(metric_values(stats)) {
-            metric.push(value);
-        }
+        self.rows.push(metric_values(stats));
     }
 
-    /// Number of runs folded in.
+    /// Number of runs recorded.
     #[must_use]
     pub fn runs(&self) -> usize {
-        self.runs
+        self.rows.len()
     }
 
-    /// Merges `other` into `self` as if `other`'s runs had been
-    /// [`Self::record`]ed after `self`'s, in their original order — see
-    /// [`OnlineMetric::merge`] for why the result is bit-identical to the
-    /// monolithic fold under any merge tree over a contiguous partition.
-    pub fn merge(&mut self, other: &Self) {
-        self.runs += other.runs;
-        for (metric, theirs) in self.metrics.iter_mut().zip(&other.metrics) {
-            metric.merge(theirs);
-        }
-    }
-
-    /// The per-metric accumulators in [`METRIC_NAMES`] order (the shard
-    /// checkpoint writer reads these).
-    pub(crate) fn metrics(&self) -> &[OnlineMetric; 6] {
-        &self.metrics
-    }
-
-    /// Reassembles an aggregator from checkpointed per-metric state.
-    pub(crate) fn from_parts(runs: usize, metrics: [OnlineMetric; 6]) -> Self {
-        Self { runs, metrics }
-    }
-
-    /// The frozen summary of everything recorded so far.
+    /// The summary of everything recorded so far.
     #[must_use]
     pub fn summary(&self) -> CampaignSummary {
-        CampaignSummary {
-            runs: self.runs,
-            rows: METRIC_NAMES
-                .iter()
-                .zip(&self.metrics)
-                .map(|(name, metric)| metric.summarize(name))
-                .collect(),
-        }
+        CampaignSummary::of_rows(self.rows.iter().copied())
     }
 }
 
@@ -277,6 +134,26 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
+    /// Summarises `rows` — one [`metric_values`] row per run, in run order —
+    /// metric by metric with [`MetricRow::of`].
+    #[must_use]
+    pub fn of_rows(rows: impl IntoIterator<Item = [f64; 6]>) -> Self {
+        let mut columns: [Vec<f64>; 6] = Default::default();
+        for row in rows {
+            for (column, value) in columns.iter_mut().zip(row) {
+                column.push(value);
+            }
+        }
+        CampaignSummary {
+            runs: columns[0].len(),
+            rows: METRIC_NAMES
+                .iter()
+                .zip(columns)
+                .map(|(name, c)| MetricRow::of(name, c))
+                .collect(),
+        }
+    }
+
     /// Looks one metric up by name.
     #[must_use]
     pub fn row(&self, name: &str) -> Option<&MetricRow> {
@@ -341,22 +218,24 @@ mod tests {
 
     #[test]
     fn quantiles_are_exact_nearest_rank() {
-        let mut m = OnlineMetric::default();
-        for v in 1..=100 {
-            m.push(f64::from(v));
-        }
-        assert_eq!(m.quantile(0.50), 50.0);
-        assert_eq!(m.quantile(0.90), 90.0);
-        assert_eq!(m.quantile(0.99), 99.0);
-        assert_eq!(m.quantile(0.0), 1.0);
-        assert_eq!(m.quantile(1.0), 100.0);
-        assert_eq!(m.count(), 100);
+        let row = MetricRow::of("ramp", (1..=100).map(f64::from).collect());
+        assert_eq!(row.p50, 50.0);
+        assert_eq!(row.p90, 90.0);
+        assert_eq!(row.p99, 99.0);
+        assert_eq!((row.min, row.max), (1.0, 100.0));
+        assert_eq!(row.mean, 50.5);
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&sorted, 0.0), 1.0);
+        assert_eq!(nearest_rank(&sorted, 1.0), 100.0);
     }
 
     #[test]
     fn empty_metrics_summarize_to_zero() {
-        let row = OnlineMetric::default().summarize("empty");
+        let row = MetricRow::of("empty", Vec::new());
         assert_eq!(row.values(), [0.0; 6]);
+        let summary = CampaignSummary::of_rows([]);
+        assert_eq!(summary.runs, 0);
+        assert!(summary.rows.iter().all(|row| row.values() == [0.0; 6]));
     }
 
     #[test]
@@ -391,71 +270,21 @@ mod tests {
 
     #[test]
     fn nan_samples_keep_min_max_and_quantiles_in_one_order() {
-        // `f64::min`/`f64::max` would drop the NaN side; total_cmp ranks
-        // +NaN above every finite value, exactly like the quantile sort.
-        let mut m = OnlineMetric::default();
-        m.push(f64::NAN);
-        m.push(1.0);
-        m.push(3.0);
-        assert!(m.max().is_nan(), "total_cmp ranks NaN above all finite samples");
-        assert_eq!(m.min(), 1.0);
-        assert!(m.quantile(1.0).is_nan(), "the sorted tail is the same NaN");
-        assert_eq!(m.quantile(0.0), 1.0);
-        let row = m.summarize("nan");
-        assert!(row.max.is_nan() && row.p99.is_nan(), "max and p99 agree on the order");
-    }
-
-    #[test]
-    fn metric_merge_is_bit_identical_to_the_monolithic_fold() {
-        let samples: Vec<f64> = (0..97).map(|i| (f64::from(i) * 0.37).sin() * 1e3).collect();
-        let mut monolithic = OnlineMetric::default();
-        for &v in &samples {
-            monolithic.push(v);
-        }
-        // Every split point, including the empty prefix and suffix.
-        for cut in 0..=samples.len() {
-            let (left, right) = samples.split_at(cut);
-            let mut a = OnlineMetric::default();
-            let mut b = OnlineMetric::default();
-            left.iter().for_each(|&v| a.push(v));
-            right.iter().for_each(|&v| b.push(v));
-            a.merge(&b);
-            assert_eq!(a, monolithic, "cut at {cut} diverged");
-            assert_eq!(a.mean().to_bits(), monolithic.mean().to_bits());
-        }
-        // And a three-way merge in both tree shapes.
-        let thirds: Vec<&[f64]> = samples.chunks(33).collect();
-        let build = |chunk: &[f64]| {
-            let mut m = OnlineMetric::default();
-            chunk.iter().for_each(|&v| m.push(v));
-            m
-        };
-        let (a, b, c) = (build(thirds[0]), build(thirds[1]), build(thirds[2]));
-        let mut left_fold = a.clone();
-        left_fold.merge(&b);
-        left_fold.merge(&c);
-        let mut right_first = b.clone();
-        right_first.merge(&c);
-        let mut right_fold = a;
-        right_fold.merge(&right_first);
-        assert_eq!(left_fold, monolithic);
-        assert_eq!(right_fold, monolithic);
-    }
-
-    #[test]
-    fn aggregator_merge_matches_recording_everything_in_order() {
-        let runs: Vec<RunStats> = (0..10_u64).map(|i| stats(i, i * 2, 10 - i)).collect();
-        let mut monolithic = Aggregator::new();
-        runs.iter().for_each(|r| monolithic.record(r));
-        for cut in 0..=runs.len() {
-            let mut a = Aggregator::new();
-            let mut b = Aggregator::new();
-            runs[..cut].iter().for_each(|r| a.record(r));
-            runs[cut..].iter().for_each(|r| b.record(r));
-            a.merge(&b);
-            assert_eq!(a, monolithic, "cut at {cut} diverged");
-            assert_eq!(a.summary().digest(), monolithic.summary().digest());
-        }
+        // `f64::min`/`f64::max` would drop the NaN side and treat the two
+        // zeros as equal; total_cmp ranks -NaN below every number, -0.0
+        // below +0.0 and +NaN above every number, exactly like the
+        // quantile sort.
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0001);
+        let samples = vec![f64::NAN, 1.0, 3.0, 0.0, -0.0, negative_nan];
+        let row = MetricRow::of("nan", samples);
+        assert_eq!(row.min.to_bits(), negative_nan.to_bits(), "the sorted head is -NaN");
+        assert_eq!(row.max.to_bits(), f64::NAN.to_bits(), "the sorted tail is +NaN");
+        // Sorted: -NaN, -0.0, +0.0, 1.0, 3.0, +NaN; nearest rank 3 of 6.
+        assert_eq!(row.p50.to_bits(), 0.0_f64.to_bits(), "p50 is +0.0, not -0.0");
+        assert_eq!(row.p99.to_bits(), f64::NAN.to_bits(), "max and p99 agree on the order");
+        let zeros = MetricRow::of("zeros", vec![0.0, -0.0]);
+        assert_eq!(zeros.min.to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(zeros.max.to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

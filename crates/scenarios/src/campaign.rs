@@ -125,15 +125,18 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 /// Runs a campaign on an explicit runner.
 ///
 /// Every scenario is executed independently (the embarrassingly parallel
-/// fan-out); the per-run statistics come back in scenario order and are
-/// folded into the aggregators serially, so the aggregate — and its digest —
-/// is identical for serial and parallel runs and across repeated invocations
-/// with the same seed.  The campaign runs as one full-range shard
-/// ([`crate::shard::run_range_with`] over `0..len`), so the monolithic fold
-/// and the sharded merge run the same aggregation code.
+/// fan-out); the per-run statistics come back in scenario order as one row
+/// each, and the summaries are computed from the rows in that order, so the
+/// aggregate — and its digest — is identical for serial and parallel runs
+/// and across repeated invocations with the same seed.  The campaign runs
+/// as one full-range shard ([`crate::shard::run_range_with`] over `0..len`)
+/// and ends in [`crate::shard::ShardResult::finish`], so the monolithic and
+/// the sharded paths run the same aggregation code.
 #[must_use]
 pub fn run_with(runner: &ParallelRunner, config: &CampaignConfig) -> CampaignResult {
-    run_range_with(runner, config, 0..config.space.len(), Execution::Scalar).into_result()
+    run_range_with(runner, config, 0..config.space.len(), Execution::Scalar)
+        .finish(config)
+        .expect("a full-range shard covers its campaign")
 }
 
 /// Runs `scenarios` through the scalar per-scenario executor on `runner`,
@@ -168,7 +171,8 @@ pub fn run_batched_with(
     width: usize,
 ) -> CampaignResult {
     run_range_with(runner, config, 0..config.space.len(), Execution::Batched { width })
-        .into_result()
+        .finish(config)
+        .expect("a full-range shard covers its campaign")
 }
 
 /// Runs `scenarios` through [`isim::batch::BatchExecutor`] banks of `width`

@@ -19,17 +19,18 @@
 //! order-preserving parallel work-queue ([`runner::ParallelRunner`], shared
 //! with `experiments::SuiteRunner`) or, batched, through the lockstep
 //! [`isim::batch::BatchExecutor`]
-//! ([`campaign::run_batched_with`], bit-identical digests), and streams the
-//! per-run statistics into an online aggregator
-//! ([`aggregate::Aggregator`]: mean/min/max and p50/p90/p99 of forward
-//! progress, backups, dead time, energy wasted) without retaining per-run
-//! traces.  Every campaign is bit-reproducible from its seed;
+//! ([`campaign::run_batched_with`], bit-identical digests), reduces every
+//! run to one row of scalar metrics without retaining per-run traces, and
+//! summarises the rows once ([`aggregate::CampaignSummary::of_rows`]:
+//! mean/min/max and p50/p90/p99 of forward progress, backups, dead time,
+//! energy wasted).  Every campaign is bit-reproducible from its seed;
 //! [`aggregate::CampaignSummary::digest`] pins that in CI.
 //!
 //! Campaigns also run as a *service*: [`shard::ShardSpec`] splits the
 //! expanded scenario list into contiguous ranges that execute in separate
-//! processes, checkpoint atomically (`diac-shard-v1` records) and merge
-//! back — bit-identically, at any shard count, resumable after a kill.
+//! processes, checkpoint their rows atomically (`diac-shard-v2` records)
+//! and concatenate back — bit-identically, at any shard count, resumable
+//! after a kill.
 //!
 //! See `DESIGN.md` at the repository root for where campaigns sit in the
 //! experiment index.

@@ -4,38 +4,38 @@
 //! one process: the scenario list is split into `shard_count` contiguous
 //! index ranges ([`ShardSpec`]), each shard runs independently (on its own
 //! worker pool, process, or host) through the scalar or batched executor,
-//! and the per-shard aggregates merge back into one [`CampaignResult`] that
-//! is **bit-identical** to the monolithic fold at any shard count.  A shard
-//! costs O(shard), not O(campaign): it expands only its own range, and
-//! everything else it needs — slot layout, fingerprint — comes from the
-//! space's axes.
+//! and the per-shard results merge back into one [`CampaignResult`] that
+//! is **bit-identical** to the monolithic run at any shard count.  A shard
+//! costs O(shard), not O(campaign): it expands only its own range, and its
+//! fingerprint comes from the space's axes.
 //!
-//! The determinism contract, layer by layer:
+//! A shard is its rows.  The determinism contract, layer by layer:
 //!
 //! * every scenario and its seed depend only on its global id (see
 //!   [`crate::space::ScenarioSpace::scenarios_in`]), so a shard runs exactly
 //!   the same simulations the monolithic campaign would;
-//! * each shard records its runs in scenario order into a
-//!   [`ShardResult`] whose slice structure (overall + per-family +
-//!   per-sizing) is derived from the *full* space's axes, so every shard
-//!   agrees on the slot layout even for families it never runs;
-//! * [`ShardResult::merge`] concatenates adjacent ranges: sample vectors
-//!   concatenate in scenario order, the Welford mean is replayed
-//!   ([`crate::aggregate::OnlineMetric::merge`]), and min/max recombine
-//!   under `total_cmp` — all bit-exact, for any merge tree shape over the
-//!   contiguous partition.
+//! * a [`ShardResult`] holds one row per scenario of its range, in scenario
+//!   order: that run's [`crate::aggregate::metric_values`], kept as bit
+//!   patterns;
+//! * [`ShardResult::merge`] appends the rows of the adjacent range, so any
+//!   merge tree over a contiguous partition yields the monolithic row
+//!   sequence;
+//! * [`ShardResult::finish`] labels each row with its family and sizing
+//!   from its id ([`crate::space::ScenarioSpace::coordinates`]) and
+//!   computes every summary once, over the same samples in the same order
+//!   as the monolithic run.
 //!
-//! Checkpoint/resume: a finished shard serialises its complete aggregator
-//! state as a `diac-shard-v1` text record (own writer/parser — the build
-//! environment has no serde) and writes it atomically (temp file + rename),
-//! so a killed campaign never leaves a corrupt checkpoint — at worst a
-//! missing one, and [`ShardSpec::load_checkpoint`] treats missing, corrupt
-//! and mismatched records alike: the shard simply runs again.  Records
-//! embed [`CampaignConfig::fingerprint`], a hash of the campaign's
-//! definition (every axis, source parameters included), so shards of
-//! *different* campaigns can never be spliced together.  The fingerprint
-//! identifies the campaign, not the simulator build; a change to the
-//! expansion order or the seed derivation must bump [`SHARD_SCHEMA`].
+//! Checkpoint/resume: a finished shard serialises its rows as a
+//! `diac-shard-v2` text record (own writer/parser — the build environment
+//! has no serde) and writes it atomically (temp file + rename), so a killed
+//! campaign never leaves a corrupt checkpoint — at worst a missing one, and
+//! [`ShardSpec::load_checkpoint`] treats missing, corrupt and mismatched
+//! records alike: the shard simply runs again.  Records embed
+//! [`CampaignConfig::fingerprint`], a hash of the campaign's definition
+//! (every axis, source parameters included), so shards of *different*
+//! campaigns can never be spliced together.  The fingerprint identifies the
+//! campaign, not the simulator build; a change to the expansion order or
+//! the seed derivation must bump [`SHARD_SCHEMA`].
 
 use std::fmt;
 use std::io;
@@ -44,14 +44,14 @@ use std::path::{Path, PathBuf};
 
 use isim::stats::RunStats;
 
-use crate::aggregate::{Aggregator, OnlineMetric, METRIC_NAMES};
+use crate::aggregate::{metric_values, CampaignSummary};
 use crate::campaign::{batched_stats, scalar_stats, CampaignConfig, CampaignResult};
 use crate::runner::ParallelRunner;
 use crate::scenario::Scenario;
 use crate::space::{SourceFamily, SourceSpec};
 
 /// Schema identifier of the checkpoint record format.
-pub const SHARD_SCHEMA: &str = "diac-shard-v1";
+pub const SHARD_SCHEMA: &str = "diac-shard-v2";
 
 /// FNV-1a accumulator shared by the campaign digest/fingerprint code.
 #[derive(Debug)]
@@ -190,9 +190,6 @@ pub enum ShardError {
         /// Start of the offered shard's range.
         start: usize,
     },
-    /// The slice layouts disagree (cannot happen for shards of one
-    /// campaign; guards against records doctored by hand).
-    SliceShape,
     /// The merged range does not cover the whole campaign yet.
     Incomplete {
         /// Range covered so far.
@@ -217,9 +214,6 @@ impl fmt::Display for ShardError {
                 "shard ranges are not adjacent: merged range ends at scenario {end}, \
                  offered shard starts at {start}"
             ),
-            ShardError::SliceShape => {
-                f.write_str("shard slice layouts disagree (family/sizing slots differ)")
-            }
             ShardError::Incomplete { start, end, expected } => write!(
                 f,
                 "merged shards cover scenarios {start}..{end} of {expected}; \
@@ -340,7 +334,7 @@ impl ShardSpec {
         let matches = record.shard_index == self.shard_index
             && record.shard_count == self.shard_count
             && record.result.fingerprint == self.config.fingerprint()
-            && (record.result.start..record.result.end) == self.range();
+            && record.result.range == self.range();
         matches.then_some(record.result)
     }
 
@@ -379,7 +373,7 @@ fn shard_range(len: usize, index: usize, count: usize) -> Range<usize> {
 }
 
 /// Runs an arbitrary contiguous `range` of the scenario list into one
-/// shard aggregate, expanding only that range — the single execution path
+/// shard's rows, expanding only that range — the single execution path
 /// of every campaign, sharded or not ([`ShardSpec::run_with`] runs its own
 /// range, a monolithic campaign `0..len`).  Public so tests can exercise
 /// merge boundaries the balanced partition never produces.
@@ -395,12 +389,12 @@ pub fn run_range_with(
     execution: Execution,
 ) -> ShardResult {
     let scenarios = config.space.scenarios_in(config.seed, range.clone());
-    let stats = execution.stats(runner, config, &scenarios);
-    let mut shard = ShardResult::new(config, range);
-    for (scenario, run_stats) in scenarios.iter().zip(&stats) {
-        shard.record(scenario, run_stats);
-    }
-    shard
+    let rows = execution
+        .stats(runner, config, &scenarios)
+        .iter()
+        .map(|stats| metric_values(stats).map(f64::to_bits))
+        .collect();
+    ShardResult { fingerprint: config.fingerprint(), range, rows }
 }
 
 /// Runs a whole campaign as `shard_count` shards on `runner` (shards run
@@ -439,107 +433,44 @@ pub fn run_sharded_with(
         .expect("the shards tile the whole campaign"))
 }
 
-/// The mergeable aggregate of one contiguous scenario range.
-///
-/// Slice slots (per-family, per-sizing) are derived from the *whole*
-/// campaign space's axes at construction, so every shard of a campaign
-/// carries the same layout — a shard that never runs a `solar` scenario
-/// still has the (empty) `solar` slot its neighbours will merge into.
+/// The rows of one contiguous scenario range: one [`metric_values`] row
+/// per scenario, in scenario order, each `f64` kept as its bit pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
     fingerprint: u64,
-    start: usize,
-    end: usize,
-    overall: Aggregator,
-    by_family: Vec<(SourceFamily, Aggregator)>,
-    by_sizing: Vec<(String, Aggregator)>,
-    recorded: usize,
+    range: Range<usize>,
+    rows: Vec<[u64; 6]>,
 }
 
 impl ShardResult {
-    /// An empty aggregate for `range`, with slice slots derived from the
-    /// axes of `config`'s space: one per family some scenario belongs to
-    /// (none when the space is empty), one per distinct sizing label.
-    pub(crate) fn new(config: &CampaignConfig, range: Range<usize>) -> Self {
-        let space = &config.space;
-        let by_family = SourceFamily::ALL
-            .iter()
-            .filter(|family| {
-                !space.is_empty() && space.sources.iter().any(|s| s.family() == **family)
-            })
-            .map(|family| (*family, Aggregator::new()))
-            .collect();
-        let mut by_sizing: Vec<(String, Aggregator)> = Vec::new();
-        for sizing in &config.space.sizings {
-            let label = sizing.label();
-            if !by_sizing.iter().any(|(l, _)| *l == label) {
-                by_sizing.push((label, Aggregator::new()));
-            }
-        }
-        Self {
-            fingerprint: config.fingerprint(),
-            start: range.start,
-            end: range.end,
-            overall: Aggregator::new(),
-            by_family,
-            by_sizing,
-            recorded: 0,
-        }
-    }
-
-    /// Folds one finished run in.  Runs must arrive in scenario order — the
-    /// executors guarantee it, and the merge contract depends on it.
-    pub(crate) fn record(&mut self, scenario: &Scenario, stats: &RunStats) {
-        self.overall.record(stats);
-        if let Some((_, agg)) =
-            self.by_family.iter_mut().find(|(family, _)| *family == scenario.source.family())
-        {
-            agg.record(stats);
-        }
-        let label = scenario.sizing.label();
-        if let Some((_, agg)) = self.by_sizing.iter_mut().find(|(l, _)| *l == label) {
-            agg.record(stats);
-        }
-        self.recorded += 1;
-    }
-
     /// The campaign fingerprint this shard belongs to.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// First scenario index (inclusive) of the covered range.
+    /// The covered range of scenario ids.
     #[must_use]
-    pub fn start(&self) -> usize {
-        self.start
+    pub fn range(&self) -> Range<usize> {
+        self.range.clone()
     }
 
-    /// Last scenario index (exclusive) of the covered range.
-    #[must_use]
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    /// Number of runs aggregated so far.
+    /// Number of runs (rows) held.
     #[must_use]
     pub fn runs(&self) -> usize {
-        self.overall.runs()
+        self.rows.len()
     }
 
-    /// Merges the shard covering the range immediately *after* this one
-    /// into `self`.  Adjacency-in-order is required so that sample vectors
-    /// concatenate in scenario order; any merge tree over a contiguous
-    /// partition satisfies it at every interior node, so hierarchical
-    /// merges (pairwise, balanced, left fold — any shape) all reproduce the
-    /// monolithic aggregate bit for bit.
+    /// Appends the rows of the shard covering the range immediately *after*
+    /// this one.  Adjacency-in-order keeps the rows in scenario order; any
+    /// merge tree over a contiguous partition satisfies it at every
+    /// interior node, so every tree shape yields the monolithic rows.
     ///
     /// # Errors
     ///
     /// [`ShardError::CampaignMismatch`] when the fingerprints differ,
     /// [`ShardError::NotAdjacent`] when `other` does not start exactly
-    /// where `self` ends, [`ShardError::SliceShape`] when the slice slots
-    /// disagree.
+    /// where `self` ends.
     pub fn merge(&mut self, other: &Self) -> Result<(), ShardError> {
         if self.fingerprint != other.fingerprint {
             return Err(ShardError::CampaignMismatch {
@@ -547,127 +478,111 @@ impl ShardResult {
                 found: other.fingerprint,
             });
         }
-        if self.end != other.start {
-            return Err(ShardError::NotAdjacent { end: self.end, start: other.start });
+        if self.range.end != other.range.start {
+            return Err(ShardError::NotAdjacent { end: self.range.end, start: other.range.start });
         }
-        let families_agree = self.by_family.len() == other.by_family.len()
-            && self
-                .by_family
-                .iter()
-                .zip(&other.by_family)
-                .all(|((ours, _), (theirs, _))| ours == theirs);
-        let sizings_agree = self.by_sizing.len() == other.by_sizing.len()
-            && self
-                .by_sizing
-                .iter()
-                .zip(&other.by_sizing)
-                .all(|((ours, _), (theirs, _))| ours == theirs);
-        if !families_agree || !sizings_agree {
-            return Err(ShardError::SliceShape);
-        }
-        self.overall.merge(&other.overall);
-        for ((_, ours), (_, theirs)) in self.by_family.iter_mut().zip(&other.by_family) {
-            ours.merge(theirs);
-        }
-        for ((_, ours), (_, theirs)) in self.by_sizing.iter_mut().zip(&other.by_sizing) {
-            ours.merge(theirs);
-        }
-        self.end = other.end;
-        self.recorded += other.recorded;
+        self.range.end = other.range.end;
+        self.rows.extend_from_slice(&other.rows);
         Ok(())
     }
 
-    /// Freezes the aggregate into a [`CampaignResult`] after verifying the
-    /// merged range covers the whole campaign.
+    /// Summarises the rows into a [`CampaignResult`] after verifying they
+    /// cover the whole campaign.  Each row is labelled with its family and
+    /// sizing from its id alone — no scenario or source is built — and
+    /// every slice is summarised once, in scenario order: the overall one,
+    /// one per family some scenario belongs to (in [`SourceFamily::ALL`]
+    /// order, none when the space is empty), and one per distinct sizing
+    /// label (in axis order).
     ///
     /// # Errors
     ///
-    /// [`ShardError::CampaignMismatch`] when this aggregate belongs to a
-    /// different campaign than `config`, [`ShardError::Incomplete`] when
-    /// the covered range is not `0..config.space.len()`.
+    /// [`ShardError::CampaignMismatch`] when the rows belong to a different
+    /// campaign than `config`, [`ShardError::Incomplete`] when the covered
+    /// range is not `0..config.space.len()`.
     pub fn finish(self, config: &CampaignConfig) -> Result<CampaignResult, ShardError> {
         let expected = config.fingerprint();
         if self.fingerprint != expected {
             return Err(ShardError::CampaignMismatch { expected, found: self.fingerprint });
         }
-        let expected = config.space.len();
-        if self.start != 0 || self.end != expected {
-            return Err(ShardError::Incomplete { start: self.start, end: self.end, expected });
+        let space = &config.space;
+        if self.range != (0..space.len()) {
+            let (start, end) = (self.range.start, self.range.end);
+            return Err(ShardError::Incomplete { start, end, expected: space.len() });
         }
-        Ok(self.into_result())
+        let families: Vec<SourceFamily> = SourceFamily::ALL
+            .into_iter()
+            .filter(|&f| !space.is_empty() && space.sources.iter().any(|s| s.family() == f))
+            .collect();
+        let mut labels: Vec<String> = Vec::new();
+        let slot_of_sizing: Vec<usize> = space
+            .sizings
+            .iter()
+            .map(|sizing| {
+                let label = sizing.label();
+                labels.iter().position(|l| *l == label).unwrap_or_else(|| {
+                    labels.push(label);
+                    labels.len() - 1
+                })
+            })
+            .collect();
+        // (family, sizing slot, metric values) per row, in scenario order.
+        let rows: Vec<(SourceFamily, usize, [f64; 6])> = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(id, bits)| {
+                let at = space.coordinates(id);
+                (
+                    space.sources[at.source].family(),
+                    slot_of_sizing[at.sizing],
+                    bits.map(f64::from_bits),
+                )
+            })
+            .collect();
+        let slice = |keep: &dyn Fn(SourceFamily, usize) -> bool| {
+            CampaignSummary::of_rows(rows.iter().filter(|r| keep(r.0, r.1)).map(|r| r.2))
+        };
+        Ok(CampaignResult {
+            runs: rows.len(),
+            overall: slice(&|_, _| true),
+            by_family: families.into_iter().map(|f| (f, slice(&|family, _| family == f))).collect(),
+            by_sizing: labels
+                .into_iter()
+                .enumerate()
+                .map(|(slot, label)| (label, slice(&|_, s| s == slot)))
+                .collect(),
+        })
     }
 
-    /// Freezes the aggregate into a [`CampaignResult`] without coverage
-    /// checks — the monolithic paths ([`crate::campaign::run_with`],
-    /// [`crate::campaign::run_batched_with`]) use this directly, since their
-    /// single shard covers the space by construction.
-    pub(crate) fn into_result(self) -> CampaignResult {
-        CampaignResult {
-            runs: self.overall.runs(),
-            overall: self.overall.summary(),
-            by_family: self
-                .by_family
-                .into_iter()
-                .map(|(family, agg)| (family, agg.summary()))
-                .collect(),
-            by_sizing: self
-                .by_sizing
-                .into_iter()
-                .map(|(label, agg)| (label, agg.summary()))
-                .collect(),
-        }
-    }
-
-    /// Serialises the shard as a `diac-shard-v1` completion record: a
-    /// line-oriented text format with every `f64` written as its exact bit
-    /// pattern (16 hex digits), closed by an `end` sentinel so truncated
-    /// files can never parse.
+    /// Serialises the shard as a `diac-shard-v2` completion record: the
+    /// schema, fingerprint, shard and range lines, then one line per row of
+    /// six 16-hex-digit `f64` bit patterns, closed by an `end` sentinel so
+    /// truncated files can never parse.
     #[must_use]
     pub fn to_record(&self, shard_index: usize, shard_count: usize) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
+        let mut out = String::with_capacity(128 + self.rows.len() * 6 * 17);
         let _ = writeln!(out, "{SHARD_SCHEMA}");
         let _ = writeln!(out, "fingerprint {:016x}", self.fingerprint);
         let _ = writeln!(out, "shard {shard_index} {shard_count}");
-        let _ = writeln!(out, "range {} {}", self.start, self.end);
-        let slice = |out: &mut String, key: &str, agg: &Aggregator| {
-            let _ = writeln!(out, "slice {key}");
-            let _ = writeln!(out, "runs {}", agg.runs());
-            for (name, metric) in METRIC_NAMES.iter().zip(agg.metrics()) {
-                let _ = write!(
-                    out,
-                    "metric {name} {} {:016x} {:016x} {:016x}",
-                    metric.count(),
-                    metric.mean().to_bits(),
-                    metric.min().to_bits(),
-                    metric.max().to_bits()
-                );
-                for sample in metric.samples() {
-                    let _ = write!(out, " {:016x}", sample.to_bits());
-                }
-                out.push('\n');
-            }
-        };
-        slice(&mut out, "overall", &self.overall);
-        for (family, agg) in &self.by_family {
-            slice(&mut out, &format!("family:{}", family.label()), agg);
-        }
-        for (label, agg) in &self.by_sizing {
-            slice(&mut out, &format!("sizing:{label}"), agg);
+        let _ = writeln!(out, "range {} {}", self.range.start, self.range.end);
+        for row in &self.rows {
+            let [a, b, c, d, e, f] = row;
+            let _ = writeln!(out, "{a:016x} {b:016x} {c:016x} {d:016x} {e:016x} {f:016x}");
         }
         out.push_str("end\n");
         out
     }
 }
 
-/// A parsed `diac-shard-v1` record: the shard geometry plus the aggregate.
+/// A parsed `diac-shard-v2` record: the shard geometry plus its rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRecord {
     /// The shard's index as written by [`ShardResult::to_record`].
     pub shard_index: usize,
     /// The shard count as written by [`ShardResult::to_record`].
     pub shard_count: usize,
-    /// The deserialised aggregate.
+    /// The deserialised rows.
     pub result: ShardResult,
 }
 
@@ -678,7 +593,8 @@ impl ShardRecord {
     /// # Errors
     ///
     /// Returns a description of the first missing or malformed line —
-    /// truncated files always fail (the `end` sentinel is required).
+    /// truncated files always fail (the `end` sentinel is required), and so
+    /// does a row count other than the range's length.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let schema = lines.next().ok_or("empty record")?;
@@ -697,112 +613,43 @@ impl ShardRecord {
         if end < start {
             return Err(format!("invalid range {start}..{end}"));
         }
-
-        let mut slices: Vec<(String, Aggregator)> = Vec::new();
-        let mut saw_end = false;
-        let mut line = lines.next();
-        while let Some(current) = line {
-            if current == "end" {
-                saw_end = true;
-                if lines.next().is_some() {
-                    return Err("trailing data after the end sentinel".to_string());
-                }
+        let mut rows = Vec::new();
+        loop {
+            let line = lines.next().ok_or("record is truncated (missing end sentinel)")?;
+            if line == "end" {
                 break;
             }
-            let key = field(Some(current), "slice")?.to_string();
-            let runs: usize = field(lines.next(), "runs")?
-                .trim()
-                .parse()
-                .map_err(|e| format!("slice {key}: bad runs: {e}"))?;
-            let mut metrics: Vec<OnlineMetric> = Vec::with_capacity(METRIC_NAMES.len());
-            for name in METRIC_NAMES {
-                let body = field(lines.next(), "metric")?;
-                let mut words = body.split_ascii_whitespace();
-                let found = words.next().ok_or("metric line missing name")?;
-                if found != name {
-                    return Err(format!("slice {key}: expected metric `{name}`, found `{found}`"));
-                }
-                let count: usize = words
-                    .next()
-                    .ok_or("metric line missing count")?
-                    .parse()
-                    .map_err(|e| format!("metric {name}: bad count: {e}"))?;
-                let mut bits = |what: &str| -> Result<f64, String> {
-                    let word = words.next().ok_or(format!("metric {name}: missing {what}"))?;
-                    Ok(f64::from_bits(
-                        u64::from_str_radix(word, 16)
-                            .map_err(|e| format!("metric {name}: bad {what}: {e}"))?,
-                    ))
-                };
-                let mean = bits("mean")?;
-                let min = bits("min")?;
-                let max = bits("max")?;
-                let mut samples = Vec::with_capacity(count);
-                for i in 0..count {
-                    samples.push(bits(&format!("sample {i}"))?);
-                }
-                if words.next().is_some() {
-                    return Err(format!("metric {name}: trailing samples beyond count {count}"));
-                }
-                metrics.push(OnlineMetric::from_parts(mean, min, max, samples));
-            }
-            if metrics.iter().any(|m| m.count() != runs as u64) {
-                return Err(format!("slice {key}: metric counts disagree with runs {runs}"));
-            }
-            let metrics: [OnlineMetric; 6] =
-                metrics.try_into().expect("exactly METRIC_NAMES.len() metrics were parsed");
-            slices.push((key, Aggregator::from_parts(runs, metrics)));
-            line = lines.next();
+            rows.push(parse_row(line).map_err(|e| format!("row {}: {e}", rows.len()))?);
         }
-        if !saw_end {
-            return Err("record is truncated (missing end sentinel)".to_string());
+        if lines.next().is_some() {
+            return Err("trailing data after the end sentinel".to_string());
         }
-
-        let mut slices = slices.into_iter();
-        let (first_key, overall) = slices.next().ok_or("record has no slices")?;
-        if first_key != "overall" {
-            return Err(format!("first slice must be `overall`, found `{first_key}`"));
+        if rows.len() != end - start {
+            return Err(format!("{} rows for range {start}..{end}", rows.len()));
         }
-        if overall.runs() != end - start {
-            return Err(format!(
-                "overall slice has {} runs for range {start}..{end}",
-                overall.runs()
-            ));
-        }
-        let mut by_family = Vec::new();
-        let mut by_sizing = Vec::new();
-        for (key, agg) in slices {
-            if let Some(label) = key.strip_prefix("family:") {
-                if !by_sizing.is_empty() {
-                    return Err("family slice after a sizing slice".to_string());
-                }
-                let family = SourceFamily::ALL
-                    .iter()
-                    .copied()
-                    .find(|f| f.label() == label)
-                    .ok_or_else(|| format!("unknown source family `{label}`"))?;
-                by_family.push((family, agg));
-            } else if let Some(label) = key.strip_prefix("sizing:") {
-                by_sizing.push((label.to_string(), agg));
-            } else {
-                return Err(format!("unknown slice key `{key}`"));
-            }
-        }
-        let recorded = overall.runs();
         Ok(Self {
             shard_index,
             shard_count,
-            result: ShardResult {
-                fingerprint,
-                start,
-                end,
-                overall,
-                by_family,
-                by_sizing,
-                recorded,
-            },
+            result: ShardResult { fingerprint, range: start..end, rows },
         })
     }
+}
+
+/// Parses one row: exactly six 16-hex-digit words.
+fn parse_row(line: &str) -> Result<[u64; 6], String> {
+    let mut words = line.split_ascii_whitespace();
+    let mut row = [0; 6];
+    for value in &mut row {
+        let word = words.next().ok_or("fewer than six values")?;
+        if word.len() != 16 || !word.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(format!("`{word}` is not 16 hex digits"));
+        }
+        *value = u64::from_str_radix(word, 16).map_err(|e| e.to_string())?;
+    }
+    if words.next().is_some() {
+        return Err("more than six values".to_string());
+    }
+    Ok(row)
 }
 
 /// Strips a required `key ` prefix from the next line.
@@ -889,6 +736,14 @@ mod tests {
         assert_eq!(parsed.shard_index, 1);
         assert_eq!(parsed.shard_count, 3);
         assert_eq!(parsed.result, result);
+        // Each sample is written once: one line of six words per scenario
+        // between the four header lines and the end sentinel.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], SHARD_SCHEMA);
+        assert_eq!(lines.last(), Some(&"end"));
+        let rows = &lines[4..lines.len() - 1];
+        assert_eq!(rows.len(), spec.range().len());
+        assert!(rows.iter().all(|row| row.split(' ').count() == 6));
     }
 
     #[test]
@@ -907,6 +762,36 @@ mod tests {
         let mut trailing = text.clone();
         trailing.push_str("extra\n");
         assert!(ShardRecord::parse(&trailing).is_err());
+
+        // Doctored records: each edit of one line must fail to parse.
+        let lines: Vec<&str> = text.lines().collect();
+        let first_row = lines[4];
+        let doctor = |edit: &dyn Fn(&mut Vec<String>)| {
+            let mut lines: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
+            edit(&mut lines);
+            lines.join("\n") + "\n"
+        };
+        let v1 = doctor(&|l| l[0] = "diac-shard-v1".to_string());
+        let row_missing = doctor(&|l| drop(l.remove(4)));
+        let row_repeated = doctor(&|l| l.insert(4, first_row.to_string()));
+        let five_words = doctor(&|l| l[4] = first_row.rsplit_once(' ').unwrap().0.to_string());
+        let seven_words = doctor(&|l| l[4] = format!("{first_row} {}", &first_row[..16]));
+        let last_word = |word: &str| format!("{}{word}", &first_row[..first_row.len() - 16]);
+        let non_hex = doctor(&|l| l[4] = last_word("zzzzzzzzzzzzzzzz"));
+        // `u64::from_str_radix` alone would accept a sign.
+        let signed = doctor(&|l| l[4] = last_word("+000000000000000"));
+        assert_eq!(ShardRecord::parse(&doctor(&|_| {})).map(|r| r.result), Ok(result));
+        for (name, record) in [
+            ("v1 header", v1),
+            ("one row too few", row_missing),
+            ("one row too many", row_repeated),
+            ("a row of 5 words", five_words),
+            ("a row of 7 words", seven_words),
+            ("a non-hex word", non_hex),
+            ("a signed word", signed),
+        ] {
+            assert!(ShardRecord::parse(&record).is_err(), "{name} must not parse");
+        }
     }
 
     #[test]
@@ -1054,12 +939,21 @@ mod tests {
     #[test]
     fn an_empty_space_runs_to_an_empty_result() {
         // One empty axis empties the space: nothing expands, and no family
-        // gets a slot although the source axis is not empty.
+        // gets a slice although the source axis is not empty.  Sizing
+        // slices come from the sizing axis alone, so the smoke grid's one
+        // sizing still has its (empty) slice.
         let mut config = smoke();
         config.space.technologies.clear();
         assert!(config.space.scenarios(config.seed).is_empty());
         let result = run_with(&ParallelRunner::serial(), &config);
         assert_eq!(result.runs, 0);
         assert!(result.by_family.is_empty());
+        let sizings: Vec<(&str, usize)> =
+            result.by_sizing.iter().map(|(label, s)| (label.as_str(), s.runs)).collect();
+        assert_eq!(sizings, [("baseline-64b", 0)]);
+        // Labels are deduplicated in axis order.
+        config.space.sizings = vec![BackupSizing::BaselineBits(64); 2];
+        let result = run_with(&ParallelRunner::serial(), &config);
+        assert_eq!(result.by_sizing.len(), 1);
     }
 }

@@ -452,29 +452,57 @@ impl ScenarioSpace {
         let replicates = self.replicates.max(1);
         range
             .map(|id| {
-                // Every axis is non-empty here: an empty axis makes the
-                // space, and therefore the range, empty.
-                let replicate = id % replicates;
-                let rest = id / replicates;
-                let sizing = rest % self.sizings.len();
-                let rest = rest / self.sizings.len();
-                let technology = rest % self.technologies.len();
-                let rest = rest / self.technologies.len();
-                let threshold = rest % self.thresholds.len();
-                let source = rest / self.thresholds.len();
+                let at = self.coordinates(id);
                 let stochastic_coordinate =
-                    (source * self.thresholds.len() + threshold) * replicates + replicate;
+                    (at.source * self.thresholds.len() + at.threshold) * replicates + at.replicate;
                 Scenario {
                     id,
-                    source: self.sources[source].clone(),
-                    thresholds: self.thresholds[threshold],
-                    technology: self.technologies[technology],
-                    sizing: self.sizings[sizing].clone(),
+                    source: self.sources[at.source].clone(),
+                    thresholds: self.thresholds[at.threshold],
+                    technology: self.technologies[at.technology],
+                    sizing: self.sizings[at.sizing].clone(),
                     seed: mix(campaign_seed, stochastic_coordinate as u64),
                 }
             })
             .collect()
     }
+
+    /// Decodes scenario `id` into its axis indices, source-major and
+    /// replicate-minor — the one decoder behind [`Self::scenarios_in`] and
+    /// the slice labels of [`crate::shard::ShardResult::finish`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (division by zero) if the space is empty; every id of a
+    /// non-empty space decodes.
+    #[must_use]
+    pub fn coordinates(&self, id: usize) -> Coordinates {
+        let replicates = self.replicates.max(1);
+        let replicate = id % replicates;
+        let rest = id / replicates;
+        let sizing = rest % self.sizings.len();
+        let rest = rest / self.sizings.len();
+        let technology = rest % self.technologies.len();
+        let rest = rest / self.technologies.len();
+        let threshold = rest % self.thresholds.len();
+        let source = rest / self.thresholds.len();
+        Coordinates { source, threshold, technology, sizing, replicate }
+    }
+}
+
+/// The axis indices of one scenario (see [`ScenarioSpace::coordinates`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coordinates {
+    /// Index into [`ScenarioSpace::sources`].
+    pub source: usize,
+    /// Index into [`ScenarioSpace::thresholds`].
+    pub threshold: usize,
+    /// Index into [`ScenarioSpace::technologies`].
+    pub technology: usize,
+    /// Index into [`ScenarioSpace::sizings`].
+    pub sizing: usize,
+    /// Replicate number in `0..replicates`.
+    pub replicate: usize,
 }
 
 #[cfg(test)]

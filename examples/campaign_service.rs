@@ -122,11 +122,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let spec = ShardSpec::new(config, index, args.shards);
         let result = spec.run_or_resume_with(&runner, execution, dir)?;
         println!(
-            "shard {}/{}: scenarios {}..{} ({} runs), fingerprint {:#018x}",
+            "shard {}/{}: scenarios {:?} ({} runs), fingerprint {:#018x}",
             index,
             args.shards,
-            result.start(),
-            result.end(),
+            result.range(),
             result.runs(),
             result.fingerprint(),
         );
