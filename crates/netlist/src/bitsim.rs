@@ -3,12 +3,29 @@
 //! [`BitSim`] packs 64 independent input patterns into one `u64` per signal
 //! (lane *k* of every word belongs to pattern *k*) and evaluates the whole
 //! netlist with plain word-wide boolean operations: one pass over the
-//! combinational gates settles all 64 patterns at once.  The evaluation
-//! schedule is frozen at construction — the combinational gates in
-//! topological order, each carrying its [`crate::gate::FaninSpan`] into the
-//! netlist's flat CSR arena — so the hot loop touches only three contiguous
-//! arrays (schedule, fan-in arena, value words) and performs no hashing, no
-//! pointer chasing and no allocation.
+//! combinational gates settles all 64 patterns at once.
+//!
+//! The evaluation schedule is compiled once, at construction, into *runs*:
+//! maximal groups of gates that share a level, a [`GateKind`] and a fan-in
+//! count.  Levels are visited in increasing order, and gates of one level
+//! never read each other, so any order inside a level is sound; ordering
+//! each level by (kind, fan-in count), with two stable counting sorts that
+//! are linear in the gate count, makes the runs as long as they can be.  The
+//! targets of all runs sit in one flat `u32` array and their fan-ins in
+//! another, both in run order, so a run is two contiguous slices.  The hot
+//! loop dispatches once per run, not once per gate, into a kernel
+//! specialised by arity: a const-generic fold for fan-ins 1–4 (buffers and
+//! inverters are the 1-input AND and NAND), a multiplexer kernel, and one
+//! generic-arity loop for the wider gates parsed `.bench`/BLIF files carry.
+//!
+//! [`BitSim::settle`] runs that loop and leaves every result in place: the
+//! signal words ([`BitSim::value`]) and the next state
+//! ([`BitSim::next_state`]).  It touches only the run table, the two index
+//! arrays and the value words, and performs no hashing, no pointer chasing
+//! and no allocation.  [`BitSim::evaluate`] and [`BitSim::step`] are thin
+//! wrappers that copy the results into a [`BitCycleResult`]; they allocate
+//! its two vectors per cycle, which the equivalence checker avoids by
+//! reading in place.
 //!
 //! Lane semantics: [`lane`] extracts pattern *k* from a word; lane 0 of a
 //! [`BitSim`] run over inputs whose lane 0 equals a scalar input vector is
@@ -19,8 +36,10 @@
 //! reason as the scalar simulator: their covers carry no interpreted logic
 //! function in this data model.
 
+use std::ops::{BitAnd, BitOr, BitXor};
+
 use crate::error::NetlistError;
-use crate::gate::{FaninSpan, GateId, GateKind};
+use crate::gate::{GateId, GateKind};
 use crate::levelize::levelize;
 use crate::netlist::Netlist;
 
@@ -46,21 +65,30 @@ pub struct BitCycleResult {
     pub next_state: Vec<u64>,
 }
 
-/// One frozen evaluation step: a combinational gate and its CSR span.
+/// One run of the schedule: gates of one level sharing a kind and a fan-in
+/// count.  Its targets are the next `gates` entries of [`BitSim`]'s target
+/// array and its fan-ins the next `gates * arity` entries of the fan-in
+/// array (gate by gate, each in its netlist fan-in order).
 #[derive(Debug, Clone, Copy)]
-struct Step {
-    target: GateId,
+struct Run {
     kind: GateKind,
-    span: FaninSpan,
+    arity: u32,
+    gates: u32,
 }
 
 /// A 64-lane word-parallel simulator bound to one netlist.
 #[derive(Debug, Clone)]
 pub struct BitSim<'a> {
     netlist: &'a Netlist,
-    steps: Vec<Step>,
+    runs: Vec<Run>,
+    /// Target gate of every scheduled gate, in run order.
+    targets: Vec<u32>,
+    /// Fan-ins of every scheduled gate, in run order.
+    fanins: Vec<u32>,
     words: Vec<u64>,
     state: Vec<u64>,
+    /// The D input of each flip-flop, in declaration order.
+    d_inputs: Vec<GateId>,
     /// Constant gates (sources, so outside the combinational schedule).
     consts: Vec<(GateId, u64)>,
 }
@@ -77,19 +105,45 @@ impl<'a> BitSim<'a> {
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
         netlist.check_simulable()?;
         let levels = levelize(netlist)?;
-        let steps = levels
-            .topological()
-            .iter()
-            .map(|&id| netlist.gate(id))
-            .filter(|g| g.kind.is_combinational())
-            .map(|g| Step { target: g.id, kind: g.kind, span: g.span })
-            .collect();
+        // Order the combinational gates by (level, kind, fan-in count) with
+        // two stable counting sorts, least significant key first: by
+        // kind-and-arity class, then by level.  Ties keep id order.
+        let stride = netlist.iter().map(|g| g.fanin_count()).max().unwrap_or(0) + 1;
+        let class: Vec<usize> =
+            netlist.iter().map(|g| g.kind as usize * stride + g.fanin_count()).collect();
+        let comb: Vec<GateId> =
+            netlist.iter().filter(|g| g.kind.is_combinational()).map(|g| g.id).collect();
+        let by_class = counting_sort(&comb, GateKind::ALL.len() * stride, |id| class[id.index()]);
+        let schedule =
+            counting_sort(&by_class, levels.by_level().len(), |id| levels.level(id) as usize);
+
+        let mut runs: Vec<Run> = Vec::new();
+        let mut targets = Vec::with_capacity(schedule.len());
+        let mut fanins = Vec::with_capacity(netlist.fanin_arena().len());
+        for run in schedule.chunk_by(|&a, &b| {
+            levels.level(a) == levels.level(b) && class[a.index()] == class[b.index()]
+        }) {
+            let first = netlist.gate(run[0]);
+            runs.push(Run {
+                kind: first.kind,
+                arity: first.fanin_count() as u32,
+                gates: run.len() as u32,
+            });
+            for &id in run {
+                targets.push(id.0);
+                fanins.extend(netlist.fanin(id).iter().map(|f| f.0));
+            }
+        }
+        let d_inputs = netlist.flip_flops().iter().map(|&ff| netlist.fanin(ff)[0]).collect();
         let consts = netlist.const_gates().map(|(id, v)| (id, if v { !0 } else { 0 })).collect();
         Ok(Self {
             netlist,
-            steps,
+            runs,
+            targets,
+            fanins,
             words: vec![0; netlist.gate_count()],
             state: vec![0; netlist.flip_flop_count()],
+            d_inputs,
             consts,
         })
     }
@@ -116,16 +170,29 @@ impl<'a> BitSim<'a> {
         self.words[id.index()]
     }
 
-    /// Evaluates one clock cycle over 64 packed patterns: `inputs` carries
-    /// one word per primary input in declaration order (the same dense slots
-    /// as [`crate::sim::Simulator::evaluate_dense`]).  The internal state is
-    /// *not* advanced — call [`Self::step`] for that.
+    /// Packed next state of flip-flop `slot` (declaration order) after the
+    /// most recent evaluation: the value of its D input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below the flip-flop count.
+    #[must_use]
+    pub fn next_state(&self, slot: usize) -> u64 {
+        self.words[self.d_inputs[slot].index()]
+    }
+
+    /// Settles one clock cycle over 64 packed patterns in place: `inputs`
+    /// carries one word per primary input in declaration order (the same
+    /// dense slots as [`crate::sim::Simulator::evaluate_dense`]).  Results
+    /// are read with [`Self::value`] and [`Self::next_state`]; the internal
+    /// state is *not* advanced — call [`Self::latch`] for that.  Allocates
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::UndefinedSignal`] if `inputs` is shorter than
     /// the primary-input count (extra entries are ignored).
-    pub fn evaluate(&mut self, inputs: &[u64]) -> Result<BitCycleResult, NetlistError> {
+    pub fn settle(&mut self, inputs: &[u64]) -> Result<(), NetlistError> {
         let pis = self.netlist.primary_inputs();
         if inputs.len() < pis.len() {
             return Err(NetlistError::UndefinedSignal {
@@ -136,29 +203,41 @@ impl<'a> BitSim<'a> {
         for (&pi, &word) in pis.iter().zip(inputs) {
             self.words[pi.index()] = word;
         }
-        for (slot, &ff) in self.netlist.flip_flops().iter().enumerate() {
-            self.words[ff.index()] = self.state[slot];
+        for (&ff, &word) in self.netlist.flip_flops().iter().zip(&self.state) {
+            self.words[ff.index()] = word;
         }
         for &(id, word) in &self.consts {
             self.words[id.index()] = word;
         }
-        let arena = self.netlist.fanin_arena();
-        for step in &self.steps {
-            let fanin = &arena[step.span.range()];
-            let word = eval_word(step.kind, fanin, &self.words);
-            self.words[step.target.index()] = word;
+        let (mut targets, mut fanins) = (self.targets.as_slice(), self.fanins.as_slice());
+        for run in &self.runs {
+            let (run_targets, rest) = targets.split_at(run.gates as usize);
+            let (run_fanins, rest_fanins) = fanins.split_at(run_targets.len() * run.arity as usize);
+            eval_run(run, run_targets, run_fanins, &mut self.words);
+            (targets, fanins) = (rest, rest_fanins);
         }
-        let outputs =
-            self.netlist.primary_outputs().iter().map(|&po| self.words[po.index()]).collect();
-        let next_state = self
-            .netlist
-            .flip_flops()
-            .iter()
-            .map(|&ff| {
-                let d = self.netlist.fanin(ff).first().copied();
-                d.map(|id| self.words[id.index()]).unwrap_or(0)
-            })
-            .collect();
+        Ok(())
+    }
+
+    /// Advances the packed flip-flop state to the next state of the most
+    /// recent evaluation.
+    pub fn latch(&mut self) {
+        for (slot, &d) in self.state.iter_mut().zip(&self.d_inputs) {
+            *slot = self.words[d.index()];
+        }
+    }
+
+    /// Evaluates one clock cycle over 64 packed patterns ([`Self::settle`])
+    /// and returns the primary outputs and the next state.  The internal
+    /// state is *not* advanced — call [`Self::step`] for that.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::settle`].
+    pub fn evaluate(&mut self, inputs: &[u64]) -> Result<BitCycleResult, NetlistError> {
+        self.settle(inputs)?;
+        let outputs = self.netlist.primary_outputs().iter().map(|&po| self.value(po)).collect();
+        let next_state = self.d_inputs.iter().map(|&d| self.value(d)).collect();
         Ok(BitCycleResult { outputs, next_state })
     }
 
@@ -166,35 +245,101 @@ impl<'a> BitSim<'a> {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::evaluate`].
+    /// Same as [`Self::settle`].
     pub fn step(&mut self, inputs: &[u64]) -> Result<BitCycleResult, NetlistError> {
         let result = self.evaluate(inputs)?;
-        self.state.copy_from_slice(&result.next_state);
+        self.latch();
         Ok(result)
     }
 }
 
-/// Evaluates one gate function word-wide over its fan-in slice.
-fn eval_word(kind: GateKind, fanin: &[GateId], words: &[u64]) -> u64 {
-    let val = |i: usize| fanin.get(i).map(|f| words[f.index()]).unwrap_or(0);
-    match kind {
-        GateKind::Const0 => 0,
-        GateKind::Const1 => !0,
-        GateKind::Buf => val(0),
-        GateKind::Not => !val(0),
-        GateKind::And => fanin.iter().fold(!0_u64, |acc, f| acc & words[f.index()]),
-        GateKind::Nand => !fanin.iter().fold(!0_u64, |acc, f| acc & words[f.index()]),
-        GateKind::Or => fanin.iter().fold(0_u64, |acc, f| acc | words[f.index()]),
-        GateKind::Nor => !fanin.iter().fold(0_u64, |acc, f| acc | words[f.index()]),
-        GateKind::Xor => fanin.iter().fold(0_u64, |acc, f| acc ^ words[f.index()]),
-        GateKind::Xnor => !fanin.iter().fold(0_u64, |acc, f| acc ^ words[f.index()]),
-        // MUX fan-in order: (select, a, b) — select chooses `b` when high.
-        GateKind::Mux => {
-            let select = val(0);
-            (select & val(2)) | (!select & val(1))
+/// Stable counting sort of `ids` by `key(id) < buckets`.
+fn counting_sort(ids: &[GateId], buckets: usize, key: impl Fn(GateId) -> usize) -> Vec<GateId> {
+    let mut next = vec![0_usize; buckets + 1];
+    for &id in ids {
+        next[key(id) + 1] += 1;
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    let mut sorted = vec![GateId(0); ids.len()];
+    for &id in ids {
+        let slot = &mut next[key(id)];
+        sorted[*slot] = id;
+        *slot += 1;
+    }
+    sorted
+}
+
+/// Evaluates one run: dispatches once on its kind and arity, then applies
+/// one kernel to every gate of the run.  Buffers and inverters are the
+/// 1-input AND and NAND.
+fn eval_run(run: &Run, targets: &[u32], fanins: &[u32], words: &mut [u64]) {
+    let arity = run.arity as usize;
+    match run.kind {
+        GateKind::Buf | GateKind::And => fold_run(arity, targets, fanins, words, u64::bitand, 0),
+        GateKind::Not | GateKind::Nand => fold_run(arity, targets, fanins, words, u64::bitand, !0),
+        GateKind::Or => fold_run(arity, targets, fanins, words, u64::bitor, 0),
+        GateKind::Nor => fold_run(arity, targets, fanins, words, u64::bitor, !0),
+        GateKind::Xor => fold_run(arity, targets, fanins, words, u64::bitxor, 0),
+        GateKind::Xnor => fold_run(arity, targets, fanins, words, u64::bitxor, !0),
+        GateKind::Mux => mux_run(targets, fanins, words),
+        GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff | GateKind::Lut => {
+            unreachable!("sources and LUTs are never scheduled")
         }
-        // Sources and LUTs are never evaluated here.
-        GateKind::Input | GateKind::Dff | GateKind::Lut => 0,
+    }
+}
+
+/// Folds `op` over each gate's fan-in words and XORs the result with
+/// `invert` (`!0` for the inverting kinds).
+fn fold_run<F: Fn(u64, u64) -> u64>(
+    arity: usize,
+    targets: &[u32],
+    fanins: &[u32],
+    words: &mut [u64],
+    op: F,
+    invert: u64,
+) {
+    match arity {
+        1 => fold_fixed::<1, _>(targets, fanins, words, op, invert),
+        2 => fold_fixed::<2, _>(targets, fanins, words, op, invert),
+        3 => fold_fixed::<3, _>(targets, fanins, words, op, invert),
+        4 => fold_fixed::<4, _>(targets, fanins, words, op, invert),
+        _ => {
+            for (&target, ins) in targets.iter().zip(fanins.chunks_exact(arity)) {
+                let acc = ins[1..]
+                    .iter()
+                    .fold(words[ins[0] as usize], |acc, &f| op(acc, words[f as usize]));
+                words[target as usize] = acc ^ invert;
+            }
+        }
+    }
+}
+
+/// [`fold_run`] for a fan-in count known at compile time.
+fn fold_fixed<const K: usize, F: Fn(u64, u64) -> u64>(
+    targets: &[u32],
+    fanins: &[u32],
+    words: &mut [u64],
+    op: F,
+    invert: u64,
+) {
+    let (gates, _) = fanins.as_chunks::<K>();
+    for (&target, ins) in targets.iter().zip(gates) {
+        let mut acc = words[ins[0] as usize];
+        for &f in &ins[1..] {
+            acc = op(acc, words[f as usize]);
+        }
+        words[target as usize] = acc ^ invert;
+    }
+}
+
+/// Multiplexers, fan-in order (select, a, b): select chooses `b` when high.
+fn mux_run(targets: &[u32], fanins: &[u32], words: &mut [u64]) {
+    let (gates, _) = fanins.as_chunks::<3>();
+    for (&target, &[select, a, b]) in targets.iter().zip(gates) {
+        let select = words[select as usize];
+        words[target as usize] = (select & words[b as usize]) | (!select & words[a as usize]);
     }
 }
 
@@ -204,6 +349,69 @@ mod tests {
     use crate::netlist::NetlistBuilder;
     use crate::parser::parse_bench;
     use crate::sim::Simulator;
+    use crate::suite::BenchmarkSuite;
+
+    /// Walks the compiled schedule of `nl` and asserts its structure: every
+    /// combinational gate is scheduled exactly once with its own fan-ins,
+    /// each run is one (level, kind, fan-in count) and the only run of that
+    /// key, and levels never decrease.  Returns the run count.
+    fn checked_run_count(nl: &Netlist) -> usize {
+        let sim = BitSim::new(nl).unwrap();
+        let levels = levelize(nl).unwrap();
+        let mut scheduled = vec![0_usize; nl.gate_count()];
+        let mut keys = std::collections::HashSet::new();
+        let (mut targets, mut fanins) = (sim.targets.as_slice(), sim.fanins.as_slice());
+        let mut last_level = 0;
+        for run in &sim.runs {
+            assert!(run.gates > 0, "empty run {run:?}");
+            let (run_targets, rest) = targets.split_at(run.gates as usize);
+            targets = rest;
+            let level = levels.level(GateId(run_targets[0]));
+            assert!(level >= last_level, "level {level} after level {last_level}");
+            last_level = level;
+            assert!(keys.insert((level, run.kind, run.arity)), "split run {run:?} at {level}");
+            for &target in run_targets {
+                let id = GateId(target);
+                let gate = nl.gate(id);
+                assert_eq!(
+                    (levels.level(id), gate.kind, gate.fanin_count()),
+                    (level, run.kind, run.arity as usize),
+                    "gate {} in run {run:?}",
+                    gate.name
+                );
+                let (ins, rest) = fanins.split_at(run.arity as usize);
+                fanins = rest;
+                assert!(ins.iter().map(|&f| GateId(f)).eq(nl.fanin(id).iter().copied()));
+                scheduled[id.index()] += 1;
+            }
+        }
+        assert!(targets.is_empty() && fanins.is_empty(), "schedule arrays outrun the runs");
+        for gate in nl.iter() {
+            let want = usize::from(gate.kind.is_combinational());
+            assert_eq!(scheduled[gate.id.index()], want, "gate {} scheduled", gate.name);
+        }
+        sim.runs.len()
+    }
+
+    #[test]
+    fn runs_cover_every_gate_once_in_level_order() {
+        // An inverter chain: one (Not, 1) run per level, never one run.
+        let mut b = NetlistBuilder::new("chain");
+        let mut signal = b.add_input("a");
+        for i in 0..3 {
+            signal = b.add_gate(format!("n{i}"), GateKind::Not, vec![signal]).unwrap();
+        }
+        b.mark_output(signal);
+        let chain = b.finish().unwrap();
+        let s27 = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
+        let b15 = BenchmarkSuite::diac_paper().materialize("b15").unwrap();
+        // Exact run counts: the dispatches one evaluation makes.  A change
+        // here means the schedule's grouping changed.
+        for (nl, pinned) in [(&chain, 3), (&s27, 9), (&b15, 787)] {
+            let runs = checked_run_count(nl);
+            assert_eq!(runs, pinned, "{}: got {runs} runs, pinned {pinned}", nl.name());
+        }
+    }
 
     #[test]
     fn lane_helpers_round_trip() {

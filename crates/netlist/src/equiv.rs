@@ -22,6 +22,7 @@ use rand::{RngCore, SeedableRng, StdRng};
 
 use crate::bitsim::{lane, BitSim};
 use crate::error::NetlistError;
+use crate::gate::GateId;
 use crate::netlist::Netlist;
 
 /// Configuration of one equivalence check.
@@ -138,7 +139,7 @@ fn interface_error(name: &str, side: &str) -> NetlistError {
 /// First name appearing more than once in `ids` (the `.bench` format allows
 /// e.g. a doubled `OUTPUT` line, which would make name-based matching
 /// ambiguous).
-fn find_duplicate<'n>(nl: &'n Netlist, ids: &[crate::gate::GateId]) -> Option<&'n str> {
+fn find_duplicate<'n>(nl: &'n Netlist, ids: &[GateId]) -> Option<&'n str> {
     let mut seen = std::collections::HashSet::new();
     ids.iter().map(|&id| nl.gate(id).name.as_str()).find(|n| !seen.insert(*n))
 }
@@ -149,9 +150,9 @@ fn find_duplicate<'n>(nl: &'n Netlist, ids: &[crate::gate::GateId]) -> Option<&'
 /// first missing or extra signal.
 fn map_class(
     left: &Netlist,
-    left_ids: &[crate::gate::GateId],
+    left_ids: &[GateId],
     right: &Netlist,
-    right_ids: &[crate::gate::GateId],
+    right_ids: &[GateId],
     class: &str,
 ) -> Result<Vec<usize>, NetlistError> {
     if let Some(dup) = find_duplicate(left, left_ids) {
@@ -232,6 +233,9 @@ pub fn check_equivalence(
     let zero_state_l = vec![0_u64; left.flip_flop_count()];
     let zero_state_r = vec![0_u64; right.flip_flop_count()];
 
+    let right_outputs: Vec<GateId> =
+        map.outputs.iter().map(|&slot| right.primary_outputs()[slot]).collect();
+
     let mut words_l = vec![0_u64; pi_count];
     let mut words_r = vec![0_u64; pi_count];
     let mut vectors = 0_u64;
@@ -249,19 +253,23 @@ pub fn check_equivalence(
                 *word = rng.next_u64();
                 words_r[map.inputs[i]] = *word;
             }
-            let out_l = sim_l.step(&words_l)?;
-            let out_r = sim_r.step(&words_r)?;
+            sim_l.settle(&words_l)?;
+            sim_r.settle(&words_r)?;
             vectors += 64;
 
-            let mismatch = left
+            // Read both designs in place: outputs, then next state.
+            let outputs = left
                 .primary_outputs()
                 .iter()
+                .zip(&right_outputs)
+                .map(|(&l, &r)| (sim_l.value(l) ^ sim_r.value(r), l));
+            let next_state = left
+                .flip_flops()
+                .iter()
+                .zip(&map.flip_flops)
                 .enumerate()
-                .map(|(i, &po)| (out_l.outputs[i] ^ out_r.outputs[map.outputs[i]], po))
-                .chain(left.flip_flops().iter().enumerate().map(|(i, &ff)| {
-                    (out_l.next_state[i] ^ out_r.next_state[map.flip_flops[i]], ff)
-                }))
-                .find(|(diff, _)| *diff != 0);
+                .map(|(i, (&ff, &slot))| (sim_l.next_state(i) ^ sim_r.next_state(slot), ff));
+            let mismatch = outputs.chain(next_state).find(|(diff, _)| *diff != 0);
             if let Some((diff, signal)) = mismatch {
                 let bad_lane = diff.trailing_zeros();
                 let inputs = left
@@ -283,6 +291,8 @@ pub fn check_equivalence(
                     }),
                 });
             }
+            sim_l.latch();
+            sim_r.latch();
         }
     }
 

@@ -12,7 +12,8 @@
 //! * [`sim`] — scalar two-valued simulation (dense input slots resolved at
 //!   construction).
 //! * [`bitsim`] — 64-lane bit-parallel simulation: one `u64` per signal
-//!   evaluates 64 input patterns per pass over the CSR slices.
+//!   evaluates 64 input patterns per pass over a schedule of level-ordered
+//!   runs of same-kind, same-arity gates.
 //! * [`equiv`] — seeded random-vector functional equivalence checking
 //!   (used to verify DIAC-replaced designs against their originals).
 //! * [`cone`] — transitive fan-in / fan-out cone extraction.

@@ -143,7 +143,7 @@ impl Netlist {
     /// The whole flat fan-in arena; [`crate::gate::FaninSpan`] ranges stored
     /// on each gate index into this slice.  Hot loops that already hold a
     /// gate's span can slice the arena directly instead of re-fetching the
-    /// gate (see `bitsim`).
+    /// gate.
     #[must_use]
     pub fn fanin_arena(&self) -> &[GateId] {
         &self.fanin_arena
