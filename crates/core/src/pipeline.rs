@@ -10,17 +10,19 @@
 //! * the operand tree clustered from the netlist,
 //! * the policy-restructured tree (identical for every sweep point sharing a
 //!   policy), and
-//! * the NVM replacement summary (identical for every evaluation sharing a
-//!   policy, technology and budget — in particular for DIAC and optimized
-//!   DIAC, which differ only in their backup *schedule*).
+//! * the NV-enhanced tree of one replacement run (identical for every
+//!   evaluation sharing a policy, technology and budget — in particular for
+//!   DIAC and optimized DIAC, which differ only in their backup *schedule*).
+//!   Both the replacement summary the schemes price and the replaced
+//!   netlist the equivalence check reads derive from that one run.
 //!
 //! [`CircuitArtifacts`] holds those shared products for one circuit;
 //! [`SynthesisPipeline`] builds artifacts and evaluates schemes against
 //! them.  The cached path is bit-identical to evaluating each scheme from
 //! scratch (asserted by the `pipeline_equivalence` integration test) because
 //! every cached product is a pure function of its inputs — including the
-//! arena-backed restructuring edits (see [`crate::tree`]), whose append-only
-//! id assignment keeps the policy/replacement tie-breaks deterministic, so
+//! restructuring edits (see [`crate::tree`]), whose append-only id
+//! assignment keeps the policy/replacement tie-breaks deterministic, so
 //! cached restructured trees and fresh ones are interchangeable.  The cost
 //! of the prepare/compare/replacement stages is measured per circuit suite
 //! by the repository benchmark's `synthesis_suite` workload (`DESIGN.md`,
@@ -51,7 +53,9 @@ use tech45::nvm::NvmTechnology;
 
 use crate::error::DiacError;
 use crate::policy::{apply_policy, Policy, PolicyBounds};
-use crate::replacement::{insert_nvm_boundaries, ReplacementConfig, ReplacementSummary};
+use crate::replacement::{
+    insert_nvm_boundaries, NvEnhancedTree, ReplacementConfig, ReplacementSummary,
+};
 use crate::schemes::{
     circuit_figures, evaluate_scheme_with, spec_for, CircuitFigures, SchemeComparison,
     SchemeContext, SchemeKind, SchemeResult,
@@ -112,9 +116,8 @@ pub struct CircuitArtifacts {
     // Lazily-filled caches.  Interior mutability keeps the evaluation API
     // `&self`, so one set of artifacts can be shared across sweep points.
     restructured: Mutex<HashMap<Policy, OperandTree>>,
-    replacements: Mutex<HashMap<ReplacementKey, ReplacementSummary>>,
+    replacements: Mutex<HashMap<ReplacementKey, Arc<NvEnhancedTree>>>,
     replaced: Mutex<HashMap<ReplacementKey, Arc<Netlist>>>,
-    verifications: Mutex<HashMap<(ReplacementKey, EquivConfig), EquivReport>>,
 }
 
 impl CircuitArtifacts {
@@ -138,7 +141,6 @@ impl CircuitArtifacts {
             restructured: Mutex::new(HashMap::new()),
             replacements: Mutex::new(HashMap::new()),
             replaced: Mutex::new(HashMap::new()),
-            verifications: Mutex::new(HashMap::new()),
         })
     }
 
@@ -164,12 +166,6 @@ impl CircuitArtifacts {
     #[must_use]
     pub fn cached_replacements(&self) -> usize {
         self.replacements.lock().expect("replacement cache lock").len()
-    }
-
-    /// Number of equivalence verifications currently cached (diagnostic).
-    #[must_use]
-    pub fn cached_verifications(&self) -> usize {
-        self.verifications.lock().expect("verification cache lock").len()
     }
 
     /// Number of replaced netlists currently cached (diagnostic).
@@ -222,30 +218,41 @@ impl CircuitArtifacts {
         Ok(tree)
     }
 
-    /// The replacement summary for `ctx`'s policy / technology / budget,
-    /// computing and caching it on first use.
+    /// The NV-enhanced tree for `ctx`'s policy / technology / budget and its
+    /// cache key, running the replacement on first use.
+    fn replacement(
+        &self,
+        ctx: &SchemeContext,
+    ) -> Result<(ReplacementKey, Arc<NvEnhancedTree>), DiacError> {
+        let mut config = ctx.replacement;
+        config.technology = ctx.nvm;
+        let key = ReplacementKey::new(ctx.policy, &config);
+        if let Some(enhanced) = self.replacements.lock().expect("replacement cache lock").get(&key)
+        {
+            return Ok((key, Arc::clone(enhanced)));
+        }
+        let tree = self.restructured_tree(ctx.policy, &ctx.library)?;
+        let enhanced = Arc::new(insert_nvm_boundaries(tree, &config)?);
+        self.replacements
+            .lock()
+            .expect("replacement cache lock")
+            .insert(key, Arc::clone(&enhanced));
+        Ok((key, enhanced))
+    }
+
+    /// The replacement summary for `ctx`'s policy / technology / budget.
     pub(crate) fn replacement_summary(
         &self,
         ctx: &SchemeContext,
     ) -> Result<ReplacementSummary, DiacError> {
-        let mut config = ctx.replacement;
-        config.technology = ctx.nvm;
-        let key = ReplacementKey::new(ctx.policy, &config);
-        if let Some(summary) = self.replacements.lock().expect("replacement cache lock").get(&key) {
-            return Ok(*summary);
-        }
-        let tree = self.restructured_tree(ctx.policy, &ctx.library)?;
-        let enhanced = insert_nvm_boundaries(tree, &config)?;
-        let summary = *enhanced.summary();
-        self.replacements.lock().expect("replacement cache lock").insert(key, summary);
-        Ok(summary)
+        Ok(*self.replacement(ctx)?.1.summary())
     }
 
     /// The DIAC-replaced netlist under `ctx`'s policy / technology / budget
     /// (NV buffers at every boundary operand's external outputs, see
-    /// [`crate::verify::replaced_netlist`]), computed once per replacement
-    /// coordinate and shared from the cache afterwards (`Arc`, no deep
-    /// copies on hits).
+    /// [`crate::verify::replaced_netlist`]), rewritten once per replacement
+    /// coordinate from the cached replacement run and shared from the cache
+    /// afterwards (`Arc`, no deep copies on hits).
     ///
     /// # Errors
     ///
@@ -253,26 +260,20 @@ impl CircuitArtifacts {
     /// propagates replacement and rewrite failures.
     pub fn replaced_netlist(&self, ctx: &SchemeContext) -> Result<Arc<Netlist>, DiacError> {
         self.check_context(ctx)?;
-        let mut config = ctx.replacement;
-        config.technology = ctx.nvm;
-        let key = ReplacementKey::new(ctx.policy, &config);
+        let (key, enhanced) = self.replacement(ctx)?;
         if let Some(replaced) = self.replaced.lock().expect("replaced cache lock").get(&key) {
             return Ok(Arc::clone(replaced));
         }
-        let tree = self.restructured_tree(ctx.policy, &ctx.library)?;
-        let enhanced = insert_nvm_boundaries(tree, &config)?;
         let replaced = Arc::new(verify::replaced_netlist(&self.netlist, enhanced.tree())?);
         self.replaced.lock().expect("replaced cache lock").insert(key, Arc::clone(&replaced));
         Ok(replaced)
     }
 
     /// Opt-in functional verification of the DIAC replacement under `ctx`:
-    /// checks the replaced netlist ([`Self::replaced_netlist`], cached per
-    /// replacement coordinate) against the original with seeded random
-    /// vectors.  The reports are cached too, keyed by the replacement
-    /// coordinates plus the equivalence configuration, so re-verifying with
-    /// a different seed repeats only the cheap vector comparison — never
-    /// the restructuring, replacement, or netlist rewrite.
+    /// checks the replaced netlist ([`Self::replaced_netlist`]) against the
+    /// original with seeded random vectors.  The report itself is not
+    /// cached; re-verifying repeats only the vector comparison — never the
+    /// restructuring, replacement, or netlist rewrite.
     ///
     /// # Errors
     ///
@@ -284,18 +285,8 @@ impl CircuitArtifacts {
         ctx: &SchemeContext,
         equiv: &EquivConfig,
     ) -> Result<EquivReport, DiacError> {
-        self.check_context(ctx)?;
-        let mut config = ctx.replacement;
-        config.technology = ctx.nvm;
-        let key = (ReplacementKey::new(ctx.policy, &config), *equiv);
-        if let Some(report) = self.verifications.lock().expect("verification cache lock").get(&key)
-        {
-            return Ok(report.clone());
-        }
         let replaced = self.replaced_netlist(ctx)?;
-        let report = netlist::equiv::check_equivalence(&self.netlist, &replaced, equiv)?;
-        self.verifications.lock().expect("verification cache lock").insert(key, report.clone());
-        Ok(report)
+        Ok(netlist::equiv::check_equivalence(&self.netlist, &replaced, equiv)?)
     }
 }
 
@@ -415,8 +406,12 @@ mod tests {
         let comparison = pipeline.compare_all(&artifacts).unwrap();
         assert_eq!(comparison.results.len(), 4);
         // DIAC and optimized DIAC share (policy, technology, budget), so the
-        // full comparison performs exactly one replacement run.
+        // full comparison performs exactly one replacement run, and the
+        // replaced netlist is rewritten from that same run.
         assert_eq!(artifacts.cached_replacements(), 1);
+        artifacts.replaced_netlist(pipeline.context()).unwrap();
+        assert_eq!(artifacts.cached_replacements(), 1);
+        assert_eq!(artifacts.cached_replaced_netlists(), 1);
         let diac = comparison.result(SchemeKind::Diac).unwrap();
         let opt = comparison.result(SchemeKind::DiacOptimized).unwrap();
         assert_eq!(diac.replacement, opt.replacement);
@@ -456,16 +451,15 @@ mod tests {
         let first = artifacts.verify_replacement(pipeline.context(), &equiv).unwrap();
         assert!(first.equivalent(), "{first}");
         assert_eq!(first.vectors, equiv.vectors());
-        // Second call with the same coordinates hits the cache.
+        // Re-verifying the same coordinates reproduces the report.
         let again = artifacts.verify_replacement(pipeline.context(), &equiv).unwrap();
         assert_eq!(first, again);
-        assert_eq!(artifacts.cached_verifications(), 1);
         // A different seed is a different verification, but the replaced
         // netlist is rebuilt only once per replacement coordinate.
         let reseeded = EquivConfig { seed: equiv.seed + 1, ..equiv };
         let other = artifacts.verify_replacement(pipeline.context(), &reseeded).unwrap();
         assert!(other.equivalent());
-        assert_eq!(artifacts.cached_verifications(), 2);
+        assert_eq!(artifacts.cached_replacements(), 1);
         assert_eq!(artifacts.cached_replaced_netlists(), 1);
         // The replaced netlist itself is exposed (and cache-cloned).
         let replaced = artifacts.replaced_netlist(pipeline.context()).unwrap();

@@ -146,9 +146,6 @@ fn split_pass(
     let mut splits = 0;
     let candidates: Vec<OperandId> =
         tree.iter().filter(|o| o.dict.energy() > bounds.split_above).map(|o| o.id).collect();
-    // One id buffer for the whole pass: together with the tree's internal
-    // buffer pool this keeps the loop allocation-free in steady state.
-    let mut new_ids = Vec::new();
     for id in candidates {
         let Some(op) = tree.try_operand(id) else { continue };
         let energy = op.dict.energy();
@@ -163,8 +160,7 @@ fn split_pass(
         if parts < 2 {
             continue;
         }
-        new_ids.clear();
-        tree.split_operand_into(id, parts, library, &mut new_ids)?;
+        tree.split_operand(id, parts, library)?;
         splits += 1;
     }
     Ok(splits)

@@ -13,31 +13,25 @@
 //!
 //! # Arena representation
 //!
-//! The tree is an index-based arena: one `Vec<Operand>` of slots addressed
-//! by `u32` [`OperandId`]s, with parent/child edges stored as id lists —
-//! no pointer chasing, no per-node boxing.  Structural edits are built for
-//! the policy loop's steady state:
+//! The tree is an index-based arena: one append-only `Vec<Operand>` of slots
+//! addressed by `u32` [`OperandId`]s, with parent/child edges stored as id
+//! lists — no pointer chasing, no per-node boxing.
 //!
-//! * retiring a node (a merge, or the original of a split) pushes its slot
-//!   onto a **free-list** and its gate/edge/name buffers into a spare pool;
-//!   new nodes draw their storage from that pool, so repeated
-//!   [`OperandTree::split_operand`] / [`OperandTree::merge_operands`] cycles
-//!   stop allocating once the pool is warm;
-//! * the traversals behind every edit ([`OperandTree::recompute_levels`] and
-//!   the topological order it needs) run on flat, slot-indexed scratch
-//!   buffers owned by the tree and reused across calls — no hash maps on the
-//!   hot path.
+//! * [`OperandTree::split_operand`] appends its parts as new slots, and
+//!   [`OperandTree::merge_operands`] folds its second operand into the first.
+//!   The node either edit retires stays in its slot as a tombstone: a slot
+//!   is never reused and ids are never renumbered, so
+//!   [`OperandTree::slots`] bounds every slot-indexed side table.
+//! * Every edit ends in [`OperandTree::recompute_levels`], one pass over the
+//!   topological order, which Kahn's algorithm builds on a flat slot-indexed
+//!   in-degree table — no hash maps.
 //!
-//! New ids are always assigned append-only (retired slots are *not* handed
-//! out again): the id-assignment order is part of the deterministic contract
-//! — golden reports and the pipeline-equivalence tests depend on it — so the
-//! free-list only feeds the buffer pool, and the slots themselves are
-//! reclaimed explicitly via [`OperandTree::compact`], which remaps ids
-//! densely.
+//! Append-only id assignment is part of the deterministic contract: the
+//! policy and replacement tie-breaks walk ids, and the golden reports and the
+//! pipeline-equivalence tests depend on them.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::fmt::Write as _;
 use std::mem;
 
 use netlist::levelize::levelize;
@@ -120,69 +114,10 @@ impl Default for TreeGeneratorConfig {
     }
 }
 
-/// Spare node storage recycled from retired operands: when a split or merge
-/// retires a node, its gate list, edge lists and name buffer land here and
-/// are handed to the next node created, so steady-state restructuring
-/// allocates nothing.
-#[derive(Debug, Default)]
-struct SparePool {
-    gates: Vec<Vec<GateId>>,
-    edges: Vec<Vec<OperandId>>,
-    names: Vec<String>,
-}
-
-impl SparePool {
-    fn gates_buf(&mut self) -> Vec<GateId> {
-        self.gates.pop().unwrap_or_default()
-    }
-
-    fn edge_buf(&mut self) -> Vec<OperandId> {
-        self.edges.pop().unwrap_or_default()
-    }
-
-    fn name_buf(&mut self) -> String {
-        self.names.pop().unwrap_or_default()
-    }
-
-    fn recycle_gates(&mut self, mut buf: Vec<GateId>) {
-        buf.clear();
-        self.gates.push(buf);
-    }
-
-    fn recycle_edges(&mut self, mut buf: Vec<OperandId>) {
-        buf.clear();
-        self.edges.push(buf);
-    }
-
-    fn recycle_name(&mut self, mut buf: String) {
-        buf.clear();
-        self.names.push(buf);
-    }
-
-    fn len(&self) -> usize {
-        self.gates.len() + self.edges.len() + self.names.len()
-    }
-}
-
-/// Flat slot-indexed traversal buffers reused across structural edits.
-#[derive(Debug, Default)]
-struct TraversalScratch {
-    /// Per-slot count of unprocessed live children (topological in-degree).
-    indegree: Vec<u32>,
-    /// Ready nodes, kept sorted ascending so `pop()` yields the highest id —
-    /// the same tie-break the original sort-then-pop implementation used.
-    ready: Vec<OperandId>,
-    /// Per-slot level, written by [`OperandTree::recompute_levels`].
-    levels: Vec<u32>,
-    /// Reusable topological-order buffer.
-    order: Vec<OperandId>,
-}
-
 /// The operand tree.
 ///
-/// See the [module docs](self) for the arena representation and its
-/// free-list / scratch-buffer reuse.
-#[derive(Debug)]
+/// See the [module docs](self) for the arena representation.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperandTree {
     name: String,
     operands: Vec<Operand>,
@@ -191,36 +126,6 @@ pub struct OperandTree {
     state_bits: u64,
     /// Live-node count, maintained incrementally (slots minus retired).
     live: usize,
-    /// Retired slots awaiting [`Self::compact`].
-    free: Vec<OperandId>,
-    spare: SparePool,
-    scratch: TraversalScratch,
-}
-
-impl Clone for OperandTree {
-    fn clone(&self) -> Self {
-        // Scratch and spare buffers are working storage, not tree state:
-        // clones start with empty pools.
-        Self {
-            name: self.name.clone(),
-            operands: self.operands.clone(),
-            state_bits: self.state_bits,
-            live: self.live,
-            free: self.free.clone(),
-            spare: SparePool::default(),
-            scratch: TraversalScratch::default(),
-        }
-    }
-}
-
-impl PartialEq for OperandTree {
-    fn eq(&self, other: &Self) -> bool {
-        // `live` and `free` are derivable from the slots' alive flags, and
-        // the scratch/spare pools are not tree state.
-        self.name == other.name
-            && self.operands == other.operands
-            && self.state_bits == other.state_bits
-    }
 }
 
 impl OperandTree {
@@ -338,15 +243,7 @@ impl OperandTree {
     /// Assembles a tree around a freshly built (all-alive) operand arena.
     fn from_parts(name: String, operands: Vec<Operand>, state_bits: u64) -> Self {
         let live = operands.len();
-        Self {
-            name,
-            operands,
-            state_bits,
-            live,
-            free: Vec::new(),
-            spare: SparePool::default(),
-            scratch: TraversalScratch::default(),
-        }
+        Self { name, operands, state_bits, live }
     }
 
     /// Starts building a tree from explicit nodes (energies given directly),
@@ -375,20 +272,6 @@ impl OperandTree {
     #[must_use]
     pub fn slots(&self) -> usize {
         self.operands.len()
-    }
-
-    /// Number of retired slots currently on the free-list (reclaimable via
-    /// [`Self::compact`]).
-    #[must_use]
-    pub fn retired(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Number of recycled node buffers currently waiting in the spare pool
-    /// (a diagnostic for the steady-state allocation behaviour).
-    #[must_use]
-    pub fn recycled_buffers(&self) -> usize {
-        self.spare.len()
     }
 
     /// Whether the tree has no live operands.
@@ -504,48 +387,38 @@ impl OperandTree {
     }
 
     /// Live operands in a topological order (children before parents).
+    ///
+    /// Kahn's algorithm on a slot-indexed in-degree table.  The ready set is
+    /// kept sorted ascending and popped from the back, so the node picked at
+    /// every step is the highest ready id.
     #[must_use]
     pub fn topological_order(&self) -> Vec<OperandId> {
-        let mut scratch = TraversalScratch::default();
-        let mut order = Vec::with_capacity(self.len());
-        self.topological_order_into(&mut scratch, &mut order);
-        order
-    }
-
-    /// Kahn's algorithm on flat slot-indexed scratch.  The ready set is kept
-    /// sorted ascending and popped from the back, so the node picked at every
-    /// step is the highest ready id — bit-identical to the historical
-    /// sort-then-pop implementation.
-    fn topological_order_into(&self, scratch: &mut TraversalScratch, out: &mut Vec<OperandId>) {
-        out.clear();
-        scratch.indegree.clear();
-        scratch.indegree.resize(self.operands.len(), 0);
-        scratch.ready.clear();
-        for op in &self.operands {
-            if !op.alive {
-                continue;
-            }
+        let mut indegree = vec![0_u32; self.operands.len()];
+        let mut ready = Vec::new();
+        for op in self.iter() {
             let degree = op.children.iter().filter(|c| self.is_alive(**c)).count() as u32;
-            scratch.indegree[op.id.index()] = degree;
+            indegree[op.id.index()] = degree;
             if degree == 0 {
                 // Slot scan order is ascending, so `ready` starts sorted.
-                scratch.ready.push(op.id);
+                ready.push(op.id);
             }
         }
-        while let Some(id) = scratch.ready.pop() {
-            out.push(id);
+        let mut order = Vec::with_capacity(self.len());
+        while let Some(id) = ready.pop() {
+            order.push(id);
             for &parent in &self.operands[id.index()].parents {
                 if !self.is_alive(parent) {
                     continue;
                 }
-                let degree = &mut scratch.indegree[parent.index()];
+                let degree = &mut indegree[parent.index()];
                 *degree -= 1;
                 if *degree == 0 {
-                    let pos = scratch.ready.binary_search(&parent).unwrap_or_else(|p| p);
-                    scratch.ready.insert(pos, parent);
+                    let pos = ready.binary_search(&parent).unwrap_or_else(|p| p);
+                    ready.insert(pos, parent);
                 }
             }
         }
+        order
     }
 
     fn is_alive(&self, id: OperandId) -> bool {
@@ -555,162 +428,69 @@ impl OperandTree {
     // --- structural edits ---------------------------------------------------
 
     /// Recomputes every live operand's level from the DAG (leaves = 0).
-    ///
-    /// Runs on the tree's own scratch buffers — called after every split and
-    /// merge, it allocates nothing once those buffers have grown to the
-    /// arena's size.
     pub fn recompute_levels(&mut self) {
-        let mut scratch = mem::take(&mut self.scratch);
-        let mut order = mem::take(&mut scratch.order);
-        self.topological_order_into(&mut scratch, &mut order);
-        scratch.levels.clear();
-        scratch.levels.resize(self.operands.len(), 0);
-        for &id in &order {
-            let level = {
-                let op = &self.operands[id.index()];
-                op.children
-                    .iter()
-                    .filter(|c| self.is_alive(**c))
-                    .map(|c| scratch.levels[c.index()] + 1)
-                    .max()
-                    .unwrap_or(0)
-            };
-            scratch.levels[id.index()] = level;
+        // Children precede parents in topological order, so every live
+        // child's level is already final when its parent reads it.
+        for id in self.topological_order() {
+            let level = self.operands[id.index()]
+                .children
+                .iter()
+                .filter_map(|&c| self.try_operand(c))
+                .map(|c| c.dict.level + 1)
+                .max()
+                .unwrap_or(0);
             self.operands[id.index()].dict.level = level;
         }
-        scratch.order = order;
-        self.scratch = scratch;
     }
 
     /// Splits a live operand into `parts` chained sub-operands (Policy1).
     ///
     /// The first part keeps the original children, each subsequent part reads
     /// the previous one, and the last part inherits the original parents.
-    /// Returns the ids of the new operands in chain order.
+    /// The parts are appended as new slots; the original stays behind as a
+    /// retired slot.  Returns the ids of the new operands in chain order.
     ///
     /// # Errors
     ///
     /// Returns [`DiacError::InvalidConfig`] when `parts < 2` or the operand
-    /// cannot be split that finely.
+    /// cannot be split that finely; the tree is then unchanged.
     pub fn split_operand(
         &mut self,
         id: OperandId,
         parts: usize,
         library: &CellLibrary,
     ) -> Result<Vec<OperandId>, DiacError> {
-        let mut new_ids = Vec::with_capacity(parts);
-        self.split_operand_into(id, parts, library, &mut new_ids)?;
-        Ok(new_ids)
-    }
-
-    /// Like [`Self::split_operand`], but appends the new ids to a
-    /// caller-provided buffer instead of allocating one — the form the
-    /// policy loop uses so that steady-state restructuring performs no heap
-    /// allocation at all.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::split_operand`]; on error nothing is appended and the
-    /// tree is unchanged.
-    pub fn split_operand_into(
-        &mut self,
-        id: OperandId,
-        parts: usize,
-        library: &CellLibrary,
-        out: &mut Vec<OperandId>,
-    ) -> Result<(), DiacError> {
         if parts < 2 {
             return Err(DiacError::InvalidConfig {
                 message: "splitting requires at least two parts".to_string(),
             });
         }
-        // Take ownership of the pieces we redistribute instead of cloning the
-        // whole node — the original is retired below, and its buffers (plus
-        // the spares recycled from earlier retirements) provide the storage
-        // of the new parts, so the policy loop's steady state allocates
-        // nothing here.
-        let original_dict = self.operand(id).dict;
-        let gate_count = self.operand(id).gates.len();
+        let original = self.operand(id);
+        let original_dict = original.dict;
+        let gate_count = original.gates.len();
         let gate_based = gate_count != 0;
         if gate_based && gate_count < parts {
             return Err(DiacError::InvalidConfig {
                 message: format!(
                     "operand {} has only {gate_count} gates, cannot split into {parts} parts",
-                    self.operand(id).name,
+                    original.name,
                 ),
             });
         }
-        let mut original_name = self.spare.name_buf();
-        original_name.push_str(&self.operands[id.index()].name);
+        // Retire the original, taking the pieces the chain redistributes.
         let node = &mut self.operands[id.index()];
+        let original_name = node.name.clone();
         let original_gates = mem::take(&mut node.gates);
-        let original_children = mem::take(&mut node.children);
+        let mut original_children = mem::take(&mut node.children);
         let mut original_parents = mem::take(&mut node.parents);
         node.alive = false;
         self.live -= 1;
-        self.free.push(id);
 
-        // Per-part gate ranges and estimates.  Gate-based parts take `chunk`
-        // consecutive gates each, the last part absorbing the remainder.
-        let chunk = if gate_based { gate_count.div_ceil(parts) } else { 0 };
-        let explicit_estimate = if gate_based {
-            None
-        } else {
-            let e = original_dict.estimate;
-            Some(EnergyEstimate {
-                dynamic: e.dynamic / parts as f64,
-                static_: e.static_ / parts as f64,
-                critical_path: e.critical_path / parts as f64,
-                leakage_power: e.leakage_power,
-                gate_count: (e.gate_count / parts).max(1),
-            })
-        };
-
-        // Create the chain, appending the new ids to `out` from `base`.
-        let base = out.len();
-        for i in 0..parts {
-            let new_id = OperandId(self.operands.len() as u32);
-            // Gate-based parts get a placeholder estimate here and are
-            // re-estimated from their gates once the chain is wired up.
-            let estimate = explicit_estimate.unwrap_or_default();
-            let mut gates = self.spare.gates_buf();
-            if gate_based {
-                let start = (i * chunk).min(gate_count);
-                let end =
-                    if i + 1 == parts { gate_count } else { ((i + 1) * chunk).min(gate_count) };
-                gates.extend_from_slice(&original_gates[start..end]);
-            }
-            let mut children = self.spare.edge_buf();
-            if i > 0 {
-                children.push(out[base + i - 1]);
-            }
-            let mut name = self.spare.name_buf();
-            let _ = write!(name, "{original_name}_{i}");
-            let fan_in = if i == 0 { original_dict.fan_in } else { 1 };
-            let fan_out = if i + 1 == parts { original_dict.fan_out } else { 1 };
-            let dict = FeatureDict::new(fan_in, fan_out, original_dict.level, estimate);
-            let parents = self.spare.edge_buf();
-            self.operands.push(Operand {
-                id: new_id,
-                name,
-                gates,
-                children,
-                parents,
-                dict,
-                alive: true,
-            });
-            self.live += 1;
-            out.push(new_id);
-        }
-        let new_ids = &out[base..];
-        // Chain the parents/children of intermediate parts.
-        for i in 0..parts - 1 {
-            let next = new_ids[i + 1];
-            self.operands[new_ids[i].index()].parents.push(next);
-        }
-        // Re-point the surrounding operands at the chain ends.
+        let base = self.operands.len() as u32;
+        let new_ids: Vec<OperandId> = (0..parts as u32).map(|i| OperandId(base + i)).collect();
         let first = new_ids[0];
         let last = new_ids[parts - 1];
+        // Re-point the surrounding operands at the chain ends.
         for &child in &original_children {
             if let Some(op) = self.operands.get_mut(child.index()) {
                 for p in &mut op.parents {
@@ -729,23 +509,58 @@ impl OperandTree {
                 }
             }
         }
-        // Hand the original's edge lists to the chain ends (the first part
-        // inherits the children, the last part the parents), and recycle
-        // every buffer the chain did not absorb.
-        let unused = mem::replace(&mut self.operands[first.index()].children, original_children);
-        self.spare.recycle_edges(unused);
-        self.operands[last.index()].parents.append(&mut original_parents);
-        self.spare.recycle_edges(original_parents);
-        self.spare.recycle_gates(original_gates);
-        self.spare.recycle_name(original_name);
-        // Recompute estimates of the gate-based parts.
-        if gate_based {
-            for i in 0..parts {
-                self.reestimate(out[base + i], library);
+
+        // Gate-based parts take `chunk` consecutive gates each, the last part
+        // absorbing the remainder; they get a placeholder estimate here and
+        // are re-estimated from their gates below.  Explicit parts share the
+        // original's estimate evenly.
+        let chunk = if gate_based { gate_count.div_ceil(parts) } else { 0 };
+        let estimate = if gate_based {
+            EnergyEstimate::default()
+        } else {
+            let e = original_dict.estimate;
+            EnergyEstimate {
+                dynamic: e.dynamic / parts as f64,
+                static_: e.static_ / parts as f64,
+                critical_path: e.critical_path / parts as f64,
+                leakage_power: e.leakage_power,
+                gate_count: (e.gate_count / parts).max(1),
+            }
+        };
+        for (i, &new_id) in new_ids.iter().enumerate() {
+            let gates = if gate_based {
+                let start = (i * chunk).min(gate_count);
+                let end =
+                    if i + 1 == parts { gate_count } else { ((i + 1) * chunk).min(gate_count) };
+                original_gates[start..end].to_vec()
+            } else {
+                Vec::new()
+            };
+            let children =
+                if i == 0 { mem::take(&mut original_children) } else { vec![new_ids[i - 1]] };
+            let parents = if i + 1 == parts {
+                mem::take(&mut original_parents)
+            } else {
+                vec![new_ids[i + 1]]
+            };
+            let fan_in = if i == 0 { original_dict.fan_in } else { 1 };
+            let fan_out = if i + 1 == parts { original_dict.fan_out } else { 1 };
+            self.operands.push(Operand {
+                id: new_id,
+                name: format!("{original_name}_{i}"),
+                gates,
+                children,
+                parents,
+                dict: FeatureDict::new(fan_in, fan_out, original_dict.level, estimate),
+                alive: true,
+            });
+            self.live += 1;
+            if gate_based {
+                self.reestimate(new_id, library);
             }
         }
         self.recompute_levels();
-        Ok(())
+        Ok(new_ids)
     }
 
     /// Merges two adjacent live operands into one (Policy2).  The survivor is
@@ -772,16 +587,13 @@ impl OperandTree {
                 message: "cannot merge retired operands".to_string(),
             });
         }
-        // Take ownership of b's pieces instead of cloning the node — b is
-        // retired here, its buffers recycled into the spare pool, so the
-        // policy loop's steady state allocates nothing.
+        // Retire b, taking the pieces that are folded into a.
         let b_dict = self.operands[b.index()].dict;
         let mut b_gates = mem::take(&mut self.operands[b.index()].gates);
         let mut b_children = mem::take(&mut self.operands[b.index()].children);
         let mut b_parents = mem::take(&mut self.operands[b.index()].parents);
         self.operands[b.index()].alive = false;
         self.live -= 1;
-        self.free.push(b);
 
         // Re-point the operands that referenced b.  Edges are symmetric, so
         // only b's former neighbours can hold such references — no need to
@@ -834,48 +646,11 @@ impl OperandTree {
             a_node.parents.sort_unstable();
             a_node.parents.dedup();
         }
-        self.spare.recycle_gates(b_gates);
-        self.spare.recycle_edges(b_children);
-        self.spare.recycle_edges(b_parents);
         if gate_based {
             self.reestimate(a, library);
         }
         self.recompute_levels();
         Ok(a)
-    }
-
-    /// Reclaims the retired slots on the free-list by rebuilding the arena
-    /// densely and remapping every id.
-    ///
-    /// Ids are normally append-only (the deterministic contract of the
-    /// restructuring flow — see the module docs), so long-running users that
-    /// split and merge heavily call this explicitly once a restructuring
-    /// phase is over.  Live operands keep their relative order, so
-    /// iteration-order-dependent outputs are unchanged; only the numeric ids
-    /// are renumbered densely.
-    pub fn compact(&mut self) {
-        if self.free.is_empty() {
-            return;
-        }
-        let mut remap: Vec<Option<OperandId>> = vec![None; self.operands.len()];
-        let mut dense: Vec<Operand> = Vec::with_capacity(self.live);
-        for op in self.operands.drain(..) {
-            if op.alive {
-                remap[op.id.index()] = Some(OperandId(dense.len() as u32));
-                dense.push(op);
-            }
-        }
-        for op in &mut dense {
-            op.id = remap[op.id.index()].expect("live operands are remapped");
-            for c in &mut op.children {
-                *c = remap[c.index()].expect("children of live operands are live");
-            }
-            for p in &mut op.parents {
-                *p = remap[p.index()].expect("parents of live operands are live");
-            }
-        }
-        self.operands = dense;
-        self.free.clear();
     }
 
     fn reestimate(&mut self, id: OperandId, library: &CellLibrary) {
@@ -1201,8 +976,14 @@ mod tests {
         let big = tree.iter().find(|o| o.gates.len() >= 4).map(|o| o.id);
         if let Some(id) = big {
             let total_before: usize = tree.iter().map(|o| o.gates.len()).sum();
+            let slots_before = tree.slots();
             let parts = tree.split_operand(id, 2, &lib()).unwrap();
-            assert_eq!(parts.len(), 2);
+            // The parts are appended; the original's slot is retired.
+            let appended: Vec<OperandId> =
+                (slots_before..slots_before + 2).map(|i| OperandId(i as u32)).collect();
+            assert_eq!(parts, appended);
+            assert_eq!(tree.slots(), slots_before + 2);
+            assert!(tree.try_operand(id).is_none());
             assert!(tree.validate().is_ok());
             let total_after: usize = tree.iter().map(|o| o.gates.len()).sum();
             assert_eq!(total_before, total_after);
@@ -1212,18 +993,22 @@ mod tests {
     #[test]
     fn split_rejects_degenerate_requests() {
         let mut tree = s27_tree();
+        let pristine = tree.clone();
         let any = tree.iter().next().unwrap().id;
         assert!(tree.split_operand(any, 1, &lib()).is_err());
         let small = tree.iter().find(|o| !o.gates.is_empty()).unwrap();
         let too_many = small.gates.len() + 5;
         let id = small.id;
         assert!(tree.split_operand(id, too_many, &lib()).is_err());
+        // A rejected split leaves the tree unchanged.
+        assert_eq!(tree, pristine);
     }
 
     #[test]
     fn merging_two_operands_reduces_the_count_and_stays_valid() {
         let mut tree = s27_tree();
         let before = tree.len();
+        assert_eq!(tree.slots(), before);
         // Merge a parent with its first child.
         let (parent, child) = tree
             .iter()
@@ -1233,7 +1018,10 @@ mod tests {
         assert_eq!(survivor, parent);
         assert_eq!(tree.len(), before - 1);
         assert!(tree.validate().is_ok());
+        // The retired child stays behind as a tombstone slot.
         assert!(tree.try_operand(child).is_none());
+        assert_eq!(tree.slots(), before);
+        assert_eq!(tree.clone(), tree);
     }
 
     #[test]
@@ -1256,93 +1044,6 @@ mod tests {
             assert!(text.contains(&op.name));
         }
         assert!(tree.to_string().contains("operand tree"));
-    }
-
-    #[test]
-    fn retired_slots_land_on_the_free_list_and_buffers_are_recycled() {
-        let mut tree = s27_tree();
-        assert_eq!(tree.retired(), 0);
-        assert_eq!(tree.slots(), tree.len());
-        let (parent, child) =
-            tree.iter().find_map(|o| o.children.first().map(|&c| (o.id, c))).expect("edge");
-        tree.merge_operands(parent, child, &lib()).unwrap();
-        assert_eq!(tree.retired(), 1);
-        // The retired node's gate list, two edge lists (and, for splits, the
-        // name buffer) are recycled into the spare pool.
-        assert!(tree.recycled_buffers() >= 3);
-        let pooled = tree.recycled_buffers();
-        let big = tree.iter().find(|o| o.gates.len() >= 2).map(|o| o.id).expect("splittable");
-        let parts = tree.split_operand(big, 2, &lib()).unwrap();
-        assert_eq!(parts.len(), 2);
-        assert_eq!(tree.retired(), 2);
-        // The split drew part storage from the pool and returned the
-        // original's buffers, so the pool never grows unboundedly.
-        assert!(tree.recycled_buffers() <= pooled + 4);
-        assert!(tree.validate().is_ok());
-    }
-
-    #[test]
-    fn compact_reclaims_retired_slots_and_preserves_the_tree_shape() {
-        let mut tree = s27_tree();
-        let big = tree.iter().find(|o| o.gates.len() >= 2).map(|o| o.id).expect("splittable");
-        tree.split_operand(big, 2, &lib()).unwrap();
-        let (parent, child) =
-            tree.iter().find_map(|o| o.children.first().map(|&c| (o.id, c))).expect("edge");
-        tree.merge_operands(parent, child, &lib()).unwrap();
-        assert!(tree.retired() >= 2);
-
-        let names_before: Vec<String> = tree.iter().map(|o| o.name.clone()).collect();
-        let energy_before = tree.total_energy();
-        let order_before: Vec<String> =
-            tree.topological_order().iter().map(|&id| tree.operand(id).name.clone()).collect();
-
-        tree.compact();
-        assert_eq!(tree.retired(), 0);
-        assert_eq!(tree.slots(), tree.len());
-        assert!(tree.validate().is_ok());
-        // Live operands keep their relative order, names and energies; ids
-        // are renumbered densely.
-        let names_after: Vec<String> = tree.iter().map(|o| o.name.clone()).collect();
-        assert_eq!(names_before, names_after);
-        assert!((tree.total_energy().value() - energy_before.value()).abs() < 1e-18);
-        let order_after: Vec<String> =
-            tree.topological_order().iter().map(|&id| tree.operand(id).name.clone()).collect();
-        assert_eq!(order_before, order_after);
-        for (slot, op) in tree.iter().enumerate() {
-            assert_eq!(op.id.index(), slot, "compact renumbers ids densely");
-        }
-        // Compacting a dense tree is a no-op.
-        let snapshot = tree.clone();
-        tree.compact();
-        assert_eq!(tree, snapshot);
-    }
-
-    #[test]
-    fn split_into_reuses_the_callers_id_buffer() {
-        let mut tree = s27_tree();
-        let big = tree.iter().find(|o| o.gates.len() >= 2).map(|o| o.id).expect("splittable");
-        let mut ids = Vec::new();
-        tree.split_operand_into(big, 2, &lib(), &mut ids).unwrap();
-        assert_eq!(ids.len(), 2);
-        assert!(ids.iter().all(|&id| tree.try_operand(id).is_some()));
-        // Errors append nothing.
-        let before = ids.clone();
-        assert!(tree.split_operand_into(ids[0], 1, &lib(), &mut ids).is_err());
-        assert_eq!(ids, before);
-    }
-
-    #[test]
-    fn clones_compare_equal_but_start_with_cold_pools() {
-        let mut tree = s27_tree();
-        let (parent, child) =
-            tree.iter().find_map(|o| o.children.first().map(|&c| (o.id, c))).expect("edge");
-        tree.merge_operands(parent, child, &lib()).unwrap();
-        assert!(tree.recycled_buffers() > 0);
-        let clone = tree.clone();
-        assert_eq!(clone, tree, "pools are working storage, not tree state");
-        assert_eq!(clone.recycled_buffers(), 0);
-        assert_eq!(clone.retired(), tree.retired());
-        assert_eq!(clone.len(), tree.len());
     }
 
     #[test]
