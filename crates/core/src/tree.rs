@@ -286,11 +286,6 @@ impl OperandTree {
         self.state_bits
     }
 
-    /// Overrides the architectural state bits (used by explicit trees).
-    pub fn set_state_bits(&mut self, bits: u64) {
-        self.state_bits = bits;
-    }
-
     /// Iterates over the live operands.
     pub fn iter(&self) -> impl Iterator<Item = &Operand> {
         self.operands.iter().filter(|o| o.alive)

@@ -19,9 +19,9 @@
 //!   sources: every draw is a pure function of `(seed, index)`, so a
 //!   segment's remaining queries can be skipped in O(1) with no replay
 //!   bookkeeping.
-//! * [`pmu`] — the power-management unit: the six thresholds of the paper's
-//!   FSM (Th_Se, Th_Cp, Th_Tr, Th_SafeZone, Th_Bk, Th_Off) and the operating
-//!   zone / interrupt classification derived from them.
+//! * [`pmu`] — the six power-management thresholds of the paper's FSM
+//!   (Th_Se, Th_Cp, Th_Tr, Th_SafeZone, Th_Bk, Th_Off) and their fixed-point
+//!   form, which the simulation FSM compares the stored energy against.
 //! * [`trace`] — time-series recording of the simulation for the Fig. 4
 //!   reproduction.
 //! * [`schedule`] — charging-rate schedules, including the exact piecewise
@@ -31,15 +31,16 @@
 //!
 //! ```
 //! use ehsim::capacitor::Capacitor;
-//! use ehsim::pmu::{Thresholds, OperatingZone};
+//! use ehsim::pmu::Thresholds;
 //! use tech45::units::{Energy, Power, Seconds};
 //!
 //! let mut cap = Capacitor::paper_default();
 //! cap.harvest(Power::from_milliwatts(1.0), Seconds::new(10.0));
 //! assert!(cap.energy() > Energy::ZERO);
 //!
-//! let thresholds = Thresholds::paper_default();
-//! assert_eq!(thresholds.zone(cap.energy()), OperatingZone::Active);
+//! // Above the safe zone: no backup pending, on the FSM's fixed-point grid.
+//! let thresholds = Thresholds::paper_default().fx();
+//! assert!(cap.energy().to_fx() >= thresholds.safe_zone);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,7 +55,7 @@ pub mod trace;
 
 pub use capacitor::{Capacitor, EnergyCell};
 pub use crng::CounterRng;
-pub use pmu::{OperatingZone, PowerEvent, PowerManagementUnit, Thresholds};
+pub use pmu::Thresholds;
 pub use schedule::Schedule;
 pub use source::{HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Segment, SolarSource};
 pub use trace::{NullSink, TraceRecorder, TraceSample, TraceSink};

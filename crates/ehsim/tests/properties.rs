@@ -1,23 +1,10 @@
 //! Property tests of the energy-harvesting substrate: capacitor invariants
-//! and the total ordering of the PMU operating zones over the energy axis.
+//! and the ordering of the PMU thresholds under any safe-zone margin.
 
 use ehsim::capacitor::Capacitor;
-use ehsim::pmu::{OperatingZone, Thresholds};
+use ehsim::pmu::Thresholds;
 use proptest::prelude::*;
 use tech45::units::{Energy, Power, Seconds};
-
-/// Ranks a zone by severity: strictly decreasing as the stored energy grows
-/// through the thresholds (Peak and Active tie only through the `E_MAX`
-/// cutoff, which is monotone too).
-fn severity(zone: OperatingZone) -> u8 {
-    match zone {
-        OperatingZone::Off => 4,
-        OperatingZone::BackupRequired => 3,
-        OperatingZone::SafeZone => 2,
-        OperatingZone::Active => 1,
-        OperatingZone::Peak => 0,
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -101,58 +88,14 @@ proptest! {
         }
     }
 
-    /// `Thresholds::zone` is a total, monotone classification: every energy
-    /// level maps to exactly one zone, and severity never increases as the
-    /// stored energy grows — for any consistent safe-zone margin.
+    /// Any safe-zone margin the campaigns sweep keeps the thresholds in
+    /// their Algorithm-1 order, with the safe zone exactly `margin` above
+    /// `Th_Bk`.
     #[test]
-    fn zone_classification_is_totally_ordered_over_energy(
-        margin_mj in 0.0_f64..4.0,
-        mut levels in prop::collection::vec(0.0_f64..30.0, 2..60),
-    ) {
-        let thresholds =
-            Thresholds::paper_default().with_safe_zone_margin(Energy::from_millijoules(margin_mj));
+    fn safe_zone_band_follows_the_margin(margin_mj in 0.0_f64..4.0) {
+        let margin = Energy::from_millijoules(margin_mj);
+        let thresholds = Thresholds::paper_default().with_safe_zone_margin(margin);
         prop_assert!(thresholds.is_consistent(), "{thresholds}");
-        levels.sort_by(f64::total_cmp);
-        let mut previous: Option<u8> = None;
-        for mj in levels {
-            let energy = Energy::from_millijoules(mj);
-            let zone = thresholds.zone(energy);
-            // Total: the classification agrees with the threshold ordering.
-            if energy < thresholds.off {
-                prop_assert_eq!(zone, OperatingZone::Off);
-            } else if energy < thresholds.backup {
-                prop_assert_eq!(zone, OperatingZone::BackupRequired);
-            } else if energy < thresholds.safe_zone {
-                prop_assert_eq!(zone, OperatingZone::SafeZone);
-            } else {
-                prop_assert!(matches!(zone, OperatingZone::Active | OperatingZone::Peak));
-            }
-            // Ordered: severity is non-increasing in the energy.
-            if let Some(prev) = previous {
-                prop_assert!(
-                    severity(zone) <= prev,
-                    "severity rose from {prev} to {} at {mj} mJ",
-                    severity(zone)
-                );
-            }
-            previous = Some(severity(zone));
-        }
-    }
-
-    /// A zero margin makes the SafeZone zone unreachable; a positive margin
-    /// makes it exactly the band `[Th_Bk, Th_SafeZone)`.
-    #[test]
-    fn safe_zone_band_follows_the_margin(margin_mj in 0.0_f64..2.0, mj in 0.0_f64..30.0) {
-        let thresholds =
-            Thresholds::paper_default().with_safe_zone_margin(Energy::from_millijoules(margin_mj));
-        let zone = thresholds.zone(Energy::from_millijoules(mj));
-        if margin_mj == 0.0 {
-            prop_assert_ne!(zone, OperatingZone::SafeZone);
-        }
-        let energy = Energy::from_millijoules(mj);
-        prop_assert_eq!(
-            zone == OperatingZone::SafeZone,
-            energy >= thresholds.backup && energy < thresholds.safe_zone
-        );
+        prop_assert_eq!(thresholds.safe_zone, thresholds.backup + margin);
     }
 }

@@ -261,18 +261,6 @@ impl<S: HarvestSource> BatchExecutor<S> {
         self.width
     }
 
-    /// Number of lanes currently mid-lifetime.
-    #[must_use]
-    pub fn live_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Number of jobs waiting in the queue.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether every enqueued job has run to completion.
     #[must_use]
     pub fn is_idle(&self) -> bool {

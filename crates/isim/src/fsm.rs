@@ -804,4 +804,68 @@ mod tests {
         assert!((c.uncertainty - 0.10).abs() < 1e-12);
         assert!(c.use_safe_zone);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The power interrupt fires exactly under Algorithm 1's ordering:
+        /// after the tick's leakage, a powered node at stored energy `e`
+        /// dies iff `e < Th_Off`, and otherwise backs up only if
+        /// `e < Th_Bk`.  Each schedule opens with a harvest-free stretch
+        /// long enough to drain a full capacitor, so every case reaches
+        /// both interrupts.
+        #[test]
+        fn power_interrupts_fire_only_below_their_thresholds(
+            initial_mj in 0.0_f64..25.0,
+            seed in 0_u64..1_000,
+            use_safe_zone in 0_u8..2,
+            recharges in proptest::collection::vec((0.0_f64..4.0, 1_u64..600), 1..8),
+        ) {
+            let mut config = FsmConfig::paper_default().with_seed(seed);
+            if use_safe_zone == 0 {
+                config = config.without_safe_zone();
+            }
+            config.sampling_interval = Seconds::new(1.0);
+            config.sleep_leakage = Power::from_milliwatts(1.0);
+            let dt = Seconds::new(0.1);
+            let leak_step = TickConstants::new(&config, dt).leak_step;
+            let th = config.thresholds.fx();
+            let mut fsm = NodeFsm::new(config);
+            let mut cap =
+                Capacitor::paper_default().with_energy(Energy::from_millijoules(initial_mj));
+            let mut tick = 0;
+            for (mw, dwell) in recharges {
+                for (mw, dwell) in [(0.0, 300), (mw, dwell)] {
+                    for _ in 0..dwell {
+                        cap.harvest(Power::from_milliwatts(mw), dt);
+                        let powered = fsm.state() != NodeState::Off;
+                        let mut checked = cap;
+                        if powered {
+                            checked.cell().drain_fx(leak_step);
+                        }
+                        let energy = checked.energy_fx();
+                        let (offs, backups) = (fsm.stats().off_events, fsm.stats().backups);
+                        fsm.step(&mut cap, tick, dt);
+                        tick += 1;
+                        let died = fsm.stats().off_events > offs;
+                        let backed_up = fsm.stats().backups > backups;
+                        proptest::prop_assert_eq!(
+                            died,
+                            powered && energy < th.off,
+                            "tick {}",
+                            tick
+                        );
+                        proptest::prop_assert!(
+                            !backed_up || (th.off <= energy && energy < th.backup),
+                            "backup at tick {} with {} stored",
+                            tick,
+                            energy
+                        );
+                    }
+                }
+            }
+            proptest::prop_assert!(fsm.stats().off_events >= 1, "{}", fsm.stats());
+            proptest::prop_assert!(fsm.stats().backups >= 1, "{}", fsm.stats());
+        }
+    }
 }

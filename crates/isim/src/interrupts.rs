@@ -3,10 +3,13 @@
 //! Algorithm 1 defines two interrupt routines: the **timer interrupt**, which
 //! enforces the maximum sampling rate by re-arming `Reg_Flag` to sense when
 //! the node has been idle for one interval, and the **power interrupt**,
-//! raised by the power-management unit when the stored energy is no longer
-//! sufficient to perform any task and a backup must happen now.  The power
-//! interrupt itself is produced by [`ehsim::pmu::PowerManagementUnit`]; this
-//! module provides the timer.
+//! raised when the stored energy is no longer sufficient to perform any task
+//! and a backup must happen now.  The power interrupt has no separate
+//! monitor: it is the FSM's own fixed-point threshold check at the top of
+//! every step (`FsmLaneMut::step`, behind [`crate::fsm::NodeFsm::step`]),
+//! which forces `Backup` below `Th_Bk` and `Off` below `Th_Off` (the
+//! [`ehsim::pmu::ThresholdsFx`] the run quantised once).  This module
+//! provides the timer.
 //!
 //! The timer lives on the executors' tick grid: its period is the sampling
 //! interval counted in `dt` ticks (derived once per run, see

@@ -16,7 +16,6 @@
 //!   runs of same-kind, same-arity gates.
 //! * [`equiv`] — seeded random-vector functional equivalence checking
 //!   (used to verify DIAC-replaced designs against their originals).
-//! * [`cone`] — transitive fan-in / fan-out cone extraction.
 //! * [`stats`] — per-netlist summary statistics (gate histogram, depth,
 //!   average fan-in/out) that feed DIAC's feature dictionaries.
 //! * [`synth`] — a deterministic synthetic benchmark generator used to stand
@@ -42,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod bitsim;
-pub mod cone;
 pub mod embedded;
 pub mod equiv;
 mod error;

@@ -8,7 +8,7 @@
 //! direction (fan-outs) is a second CSR — a prefix-offset table plus one
 //! arena — built once in [`NetlistBuilder::finish`] and cached, because a
 //! finished netlist is immutable.  Every consumer (`levelize`, `sim`,
-//! `bitsim`, `cone`, `stats`, the operand-tree clustering) reads contiguous
+//! `bitsim`, `stats`, the operand-tree clustering) reads contiguous
 //! slices via [`Netlist::fanin`] / [`Netlist::fanout`] instead of chasing
 //! per-gate `Vec`s or hashing names.
 

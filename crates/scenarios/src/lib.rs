@@ -11,10 +11,6 @@
 //! * backup sizing (baseline architectural state vs. a DIAC replacement
 //!   summary) ([`space::BackupSizing`]),
 //!
-//! plus an *equivalence-smoke* axis ([`equiv::EquivalenceAxis`]) asserting
-//! that every DIAC-replaced circuit of the evaluation suite still computes
-//! the original function under seeded random vectors —
-//!
 //! — runs each through [`isim::executor::IntermittentExecutor`] on the
 //! order-preserving parallel work-queue ([`runner::ParallelRunner`], shared
 //! with `experiments::SuiteRunner`) or, batched, through the lockstep
@@ -53,7 +49,6 @@
 
 pub mod aggregate;
 pub mod campaign;
-pub mod equiv;
 pub mod runner;
 pub mod scenario;
 pub mod seed;
@@ -64,7 +59,6 @@ pub use aggregate::{Aggregator, CampaignSummary, MetricRow, METRIC_NAMES};
 pub use campaign::{
     run_batched_with, run_with, CampaignConfig, CampaignResult, DEFAULT_BATCH_WIDTH,
 };
-pub use equiv::{run_equivalence_axis, EquivalenceAxis, EquivalenceOutcome, EquivalenceSmoke};
 pub use runner::ParallelRunner;
 pub use scenario::Scenario;
 pub use shard::{

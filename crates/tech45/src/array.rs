@@ -206,12 +206,6 @@ impl SramArray {
         Energy::from_femtojoules(3.0 * f64::from(self.word_bits))
     }
 
-    /// Access latency (reads and writes are symmetric at this granularity).
-    #[must_use]
-    pub fn access_latency(&self) -> Seconds {
-        Seconds::from_nanos(0.6)
-    }
-
     /// Leakage of the whole array — the reason volatile storage is unsuitable
     /// for long sleep periods in a batteryless node.
     #[must_use]

@@ -301,12 +301,6 @@ impl EnergyFx {
         self.0 as f64 / 1e15
     }
 
-    /// This energy in microjoules.
-    #[must_use]
-    pub fn as_microjoules(self) -> f64 {
-        self.0 as f64 / 1e12
-    }
-
     /// The larger of two energies.
     #[must_use]
     pub fn max(self, other: Self) -> Self {
@@ -409,12 +403,6 @@ impl Energy {
         Self::new(uj * 1e-6)
     }
 
-    /// Creates an energy expressed in nanojoules.
-    #[must_use]
-    pub fn from_nanojoules(nj: f64) -> Self {
-        Self::new(nj * 1e-9)
-    }
-
     /// Creates an energy expressed in picojoules.
     #[must_use]
     pub fn from_picojoules(pj: f64) -> Self {
@@ -437,12 +425,6 @@ impl Energy {
     #[must_use]
     pub fn as_millijoules(self) -> f64 {
         self.value() * 1e3
-    }
-
-    /// This energy in picojoules.
-    #[must_use]
-    pub fn as_picojoules(self) -> f64 {
-        self.value() * 1e12
     }
 
     /// This energy in femtojoules.
@@ -521,12 +503,6 @@ impl Seconds {
         self.value()
     }
 
-    /// This duration in nanoseconds.
-    #[must_use]
-    pub fn as_nanos(self) -> f64 {
-        self.value() * 1e9
-    }
-
     /// This duration in picoseconds.
     #[must_use]
     pub fn as_picos(self) -> f64 {
@@ -540,12 +516,6 @@ impl Voltage {
     pub fn as_volts(self) -> f64 {
         self.value()
     }
-
-    /// Creates a voltage expressed in millivolts.
-    #[must_use]
-    pub fn from_millivolts(mv: f64) -> Self {
-        Self::new(mv * 1e-3)
-    }
 }
 
 impl Capacitance {
@@ -555,23 +525,9 @@ impl Capacitance {
         Self::new(mf * 1e-3)
     }
 
-    /// Creates a capacitance expressed in microfarads.
-    #[must_use]
-    pub fn from_microfarads(uf: f64) -> Self {
-        Self::new(uf * 1e-6)
-    }
-
     /// This capacitance in farads.
     #[must_use]
     pub fn as_farads(self) -> f64 {
-        self.value()
-    }
-}
-
-impl Area {
-    /// This area in square micrometres.
-    #[must_use]
-    pub fn as_square_micrometers(self) -> f64 {
         self.value()
     }
 }

@@ -8,9 +8,13 @@
 //! artifacts — these tests pin that contract across the trimmed registry.
 //! (`PdpBreakdown`, `ReplacementSummary` and `SchemeResult` compare their
 //! `f64` fields with exact equality, so `assert_eq!` is a bitwise check.)
+//! The last test checks the pipeline's output itself: every replaced
+//! registry circuit still computes its original's function.
 
 use diac_core::pipeline::SynthesisPipeline;
 use diac_core::schemes::{compare_all_schemes, SchemeContext, SchemeKind};
+use diac_core::verify::nv_buffer_count;
+use netlist::equiv::EquivConfig;
 use netlist::suite::BenchmarkSuite;
 use tech45::nvm::NvmTechnology;
 
@@ -82,5 +86,32 @@ fn technology_sweeps_over_shared_artifacts_match_fresh_contexts() {
             .evaluate(&reference_artifacts, SchemeKind::DiacOptimized)
             .expect("reference evaluation");
         assert_eq!(swept, reference, "{technology}: swept evaluation deviates");
+    }
+}
+
+/// Every circuit of the 24-circuit registry, run through the default flow
+/// (clustering, Policy3 restructuring, NVM replacement, NV-boundary
+/// rewrite), matches its original under seeded random vectors through the
+/// 64-lane bit simulator.  A mismatch fails with the exact counterexample.
+#[test]
+fn every_registry_circuit_survives_replacement_functionally() {
+    let pipeline = SynthesisPipeline::new(SchemeContext::default());
+    let suite = BenchmarkSuite::diac_paper();
+    assert_eq!(suite.len(), 24);
+    for (index, spec) in suite.iter().enumerate() {
+        let netlist = spec.materialize().expect("registry circuits materialise");
+        let artifacts = pipeline.prepare(&netlist).expect("preparation succeeds");
+        let replaced = artifacts.replaced_netlist(pipeline.context()).expect("replacement");
+        // An empty rewrite would make the check vacuous.
+        assert!(nv_buffer_count(&replaced) > 0, "{} received no NV buffers", spec.name);
+        let equiv = EquivConfig {
+            seed: scenarios::seed::mix(0xD1AC_2024, index as u64),
+            rounds: 4,
+            cycles_per_round: 8,
+        };
+        let report =
+            artifacts.verify_replacement(pipeline.context(), &equiv).expect("verification");
+        assert!(report.equivalent(), "{}: {report}", spec.name);
+        assert_eq!(report.vectors, equiv.vectors());
     }
 }

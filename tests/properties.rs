@@ -3,7 +3,6 @@
 
 use diac_core::prelude::*;
 use ehsim::capacitor::Capacitor;
-use ehsim::pmu::{PowerManagementUnit, Thresholds};
 use netlist::synth::{generate, SynthesisConfig};
 use proptest::prelude::*;
 use tech45::cells::CellLibrary;
@@ -122,23 +121,6 @@ proptest! {
         }
         let stored = cap.energy().as_millijoules();
         prop_assert!((banked_total - drained_total - stored).abs() < 1e-6);
-    }
-
-    /// The PMU only raises a backup interrupt at or below the backup
-    /// threshold, and zone classification is monotone in the stored energy.
-    #[test]
-    fn pmu_interrupts_respect_the_thresholds(levels in prop::collection::vec(0.0_f64..25.0, 1..100)) {
-        let thresholds = Thresholds::paper_default();
-        let mut pmu = PowerManagementUnit::new(thresholds);
-        for mj in levels {
-            let events = pmu.observe(Energy::from_millijoules(mj));
-            if events.contains(&ehsim::pmu::PowerEvent::BackupInterrupt) {
-                prop_assert!(mj < thresholds.backup.as_millijoules());
-            }
-            if events.contains(&ehsim::pmu::PowerEvent::PowerLost) {
-                prop_assert!(mj < thresholds.off.as_millijoules());
-            }
-        }
     }
 
     /// Every NVM technology keeps writes at least as expensive as reads and
