@@ -8,17 +8,22 @@
 //! boot energies, timer fires on segment edges, a capacitor pinned at
 //! capacity across an edge, and lifetimes retiring mid-window.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use ehsim::capacitor::Capacitor;
 use ehsim::pmu::Thresholds;
 use ehsim::schedule::Schedule;
-use ehsim::source::{HarvestSource, PiecewiseSource};
+use ehsim::source::{HarvestSource, PiecewiseSource, Segment};
 use isim::batch::{BatchExecutor, BatchJob};
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
 use isim::stats::RunStats;
-use scenarios::space::{AnySource, BackupSizing, ScenarioSpace, SourceScratch, SourceSpec};
+use scenarios::space::{
+    AnySource, BackupSizing, ScenarioSpace, SourceFamily, SourceScratch, SourceSpec,
+};
 use scenarios::Scenario;
 use tech45::nvm::NvmTechnology;
 use tech45::units::{Energy, EnergyFx, Power, Seconds};
@@ -321,6 +326,75 @@ fn the_paper_campaign_fast_forwards_most_ticks() {
         ("ticks_steady", telemetry.ticks_steady, 537_032),
     ] {
         assert_eq!(actual, pinned, "{counter}: got {actual}, pinned {pinned} ({telemetry:?})");
+    }
+}
+
+/// A source that counts the window queries a lane makes of it; clones share
+/// the count.
+#[derive(Debug, Clone)]
+struct Counting<S> {
+    inner: S,
+    queries: Rc<Cell<u64>>,
+}
+
+impl<S: HarvestSource> HarvestSource for Counting<S> {
+    fn power_at(&mut self, t: Seconds) -> Power {
+        self.inner.power_at(t)
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+
+    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+        self.queries.set(self.queries.get() + 1);
+        self.inner.segment(tick, dt)
+    }
+}
+
+/// The per-family half of the exact-counter gate: each family's scenarios of
+/// the same 216-scenario campaign run in a bank of their own, and every work
+/// counter is pinned per family — full, fast-forwarded and steady ticks,
+/// horizon recomputes and source queries — at every bank width (lanes are
+/// independent, so the width must not move a count).
+#[test]
+fn per_family_work_counters_are_pinned_at_every_width() {
+    let space = ScenarioSpace::paper_grid(vec![
+        BackupSizing::BaselineBits(64),
+        BackupSizing::BaselineBits(256),
+    ]);
+    let scenarios = space.scenarios(0xD1AC);
+    let (duration, dt) = (Seconds::new(1500.0), Seconds::new(0.5));
+    // [full ticks, fast-forwarded ticks, steady ticks, horizon recomputes,
+    // source queries]
+    let pins = [
+        (SourceFamily::Constant, [10_128, 133_872, 129_328, 12_608, 48]),
+        (SourceFamily::Rfid, [13_840, 130_160, 115_288, 16_416, 50_408]),
+        (SourceFamily::Solar, [6_408, 65_592, 24_000, 4_488, 48_000]),
+        (SourceFamily::Markov, [8_496, 135_504, 132_392, 11_432, 2_128]),
+        (SourceFamily::Schedule, [6_024, 137_976, 136_024, 5_088, 624]),
+    ];
+    for width in [1, 16, 64, 256] {
+        for (family, pinned) in pins {
+            let queries = Rc::new(Cell::new(0));
+            let mut bank = BatchExecutor::new(width);
+            let mut scratch = SourceScratch::new();
+            for scenario in scenarios.iter().filter(|s| s.source.family() == family) {
+                let job = scenario.batch_job(duration, dt, &mut scratch);
+                let source = Counting { inner: job.source, queries: Rc::clone(&queries) };
+                bank.enqueue(BatchJob::new(job.config, source, duration, dt));
+            }
+            let _ = bank.run_to_completion();
+            let t = bank.telemetry();
+            let actual = [
+                t.ticks_total - t.ticks_fast_forwarded,
+                t.ticks_fast_forwarded,
+                t.ticks_steady,
+                t.horizon_recomputes,
+                queries.get(),
+            ];
+            assert_eq!(actual, pinned, "{} at width {width}", family.label());
+        }
     }
 }
 
