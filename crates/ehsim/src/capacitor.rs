@@ -16,6 +16,16 @@ use tech45::units::{
     capacitor_energy, capacitor_voltage, Capacitance, Energy, EnergyFx, Power, Seconds, Voltage,
 };
 
+/// The energy `power` delivers over `dt` on the attojoule grid:
+/// `max(power, 0) · dt`, quantised once.  Every offer and leak step goes
+/// through this one conversion — the sources' runs, both executors and the
+/// capacitor — so they agree on it bit for bit.
+#[inline]
+#[must_use]
+pub fn quantise(power: Power, dt: Seconds) -> EnergyFx {
+    (power.max(Power::ZERO) * dt).to_fx()
+}
+
 /// A storage capacitor that accumulates harvested energy and supplies the
 /// node's operations — the paper's "virtual energy source ... responsible for
 /// accumulating energy during power availability and deducting energy
@@ -195,7 +205,7 @@ impl EnergyCell<'_> {
     /// quantised once; the clamp against the remaining headroom is integer.
     #[inline]
     pub fn harvest(&mut self, power: Power, dt: Seconds) -> EnergyFx {
-        self.harvest_fx((power.max(Power::ZERO) * dt).to_fx())
+        self.harvest_fx(quantise(power, dt))
     }
 
     /// Banks an already-quantised offered amount, clamping at the capacity.
@@ -228,7 +238,7 @@ impl EnergyCell<'_> {
     /// Convenience for draining a constant `power` over `dt`.
     #[inline]
     pub fn drain_power(&mut self, power: Power, dt: Seconds) -> EnergyFx {
-        self.drain_fx((power.max(Power::ZERO) * dt).to_fx())
+        self.drain_fx(quantise(power, dt))
     }
 }
 

@@ -13,12 +13,11 @@
 //! * [`source`] — ambient harvest sources: constant, RFID-burst, solar-like,
 //!   two-state Markov, and piecewise schedules (behind a monotone segment
 //!   cursor).  Each answers per tick ([`source::HarvestSource::power_at`])
-//!   or per window ([`source::HarvestSource::segment`]: the sample plus the
-//!   run of ticks that repeat it bit for bit).
+//!   or per run ([`source::HarvestSource::run`]: the first tick's quantised
+//!   offer, where the run ends, and its exact total offer).
 //! * [`crng`] — the counter-indexed random streams behind the stochastic
-//!   sources: every draw is a pure function of `(seed, index)`, so a
-//!   segment's remaining queries can be skipped in O(1) with no replay
-//!   bookkeeping.
+//!   sources: every draw is a pure function of `(seed, index)`, so a run's
+//!   remaining queries can be skipped in O(1) with no replay bookkeeping.
 //! * [`pmu`] — the six power-management thresholds of the paper's FSM
 //!   (Th_Se, Th_Cp, Th_Tr, Th_SafeZone, Th_Bk, Th_Off) and their fixed-point
 //!   form, which the simulation FSM compares the stored energy against.
@@ -53,9 +52,9 @@ pub mod schedule;
 pub mod source;
 pub mod trace;
 
-pub use capacitor::{Capacitor, EnergyCell};
+pub use capacitor::{quantise, Capacitor, EnergyCell};
 pub use crng::CounterRng;
 pub use pmu::Thresholds;
 pub use schedule::Schedule;
-pub use source::{HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Segment, SolarSource};
+pub use source::{HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Run, SolarSource};
 pub use trace::{NullSink, TraceRecorder, TraceSample, TraceSink};

@@ -7,16 +7,24 @@
 //! are deterministic given their configuration (and seed, where randomness is
 //! involved) so that every experiment is reproducible.
 //!
+//! A caller that burns ticks in closed form asks for a [`Run`] instead of a
+//! sample: the first tick's quantised offer, where the run ends, and the
+//! run's exact total offer.  A run either repeats one offer (a plateau, a
+//! dwell, a night — the source's own window) or, for sources whose samples
+//! vary tick by tick, sums them up to the caller's limits: RFID counts burst
+//! ticks from its edge table, solar sums its daylight samples.
+//!
 //! Stochastic sources draw from counter-indexed streams ([`crate::crng`]):
 //! solar cloud noise is indexed by the query instant, RFID burst jitter by
 //! the cycle number, Markov dwell times by the switch count.  Each draw is a
-//! pure function of `(seed, index)`, so a caller that takes a whole
-//! [`Segment`] at once skips the window's remaining queries in O(1), without
-//! any replay bookkeeping.
+//! pure function of `(seed, index)`, so a caller that takes a whole run at
+//! once skips the run's remaining queries in O(1), without any replay
+//! bookkeeping.
 
+use crate::capacitor::quantise;
 use crate::crng::CounterRng;
 
-use tech45::units::{Power, Seconds};
+use tech45::units::{EnergyFx, Power, Seconds};
 
 /// `(x.floor() as u64, x.fract())` without the libm `floor`/`trunc` calls
 /// that otherwise dominate the periodic samplers' hot paths.  For `x` in
@@ -75,14 +83,33 @@ fn window_end(tick: u64, est: f64, inside: impl Fn(u64) -> bool) -> u64 {
     tick + 1 + h
 }
 
-/// A run of ticks over which a source's sample is bit-identical, as returned
-/// by [`HarvestSource::segment`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
-    /// The sample of every tick in the window.
-    pub power: Power,
-    /// The first tick past the window; always greater than the queried tick.
+/// A run of ticks answered by one [`HarvestSource::run`] query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// The quantised offer ([`quantise`]) of the queried tick.
+    pub first: EnergyFx,
+    /// The first tick past the run; always greater than the queried tick.
     pub until: u64,
+    /// The sum of the run's per-tick quantised offers (saturating at the
+    /// `i128` range for an endless uniform run).
+    pub total: EnergyFx,
+    /// Whether every tick of the run offers `first`.
+    pub uniform: bool,
+}
+
+impl Run {
+    /// The uniform run offering `first` on every tick of `tick..until`.
+    #[must_use]
+    pub fn uniform(first: EnergyFx, tick: u64, until: u64) -> Self {
+        let (offer, h) = (first.attojoules(), until - tick);
+        // One widening multiply where the offer fits 64 bits (every offer
+        // this workspace quantises), not the overflow-checked 128-bit one.
+        let total = match u64::try_from(offer) {
+            Ok(o) => i128::try_from(u128::from(o) * u128::from(h)).unwrap_or(i128::MAX),
+            Err(_) => offer.saturating_mul(i128::from(h)),
+        };
+        Self { first, until, total: EnergyFx::from_attojoules(total), uniform: true }
+    }
 }
 
 /// A source of ambient power.
@@ -101,23 +128,28 @@ pub trait HarvestSource {
     /// A short human-readable description of the source.
     fn describe(&self) -> String;
 
-    /// The sample of tick `tick` (at `t = tick · dt`) and the window it holds
-    /// for: every tick in `tick..until` samples bit-identically to
-    /// `power_at(tick · dt)`, and `until > tick`.  The call leaves the source
-    /// as `power_at(tick · dt)` would, and *not* querying the window's other
-    /// ticks perturbs no later sample — draws are counter-indexed, and the
-    /// only per-query state left (memo caches, the RFID edge table, the
-    /// piecewise cursor, the Markov monotone clock) is self-healing.  A
-    /// caller may therefore burn the whole window on one sample.
+    /// The run of ticks from `tick` (at `t = tick · dt`).  Tick `j` offers
+    /// `quantise(power_at(j · dt), dt)`; `first` is the offer of `tick`,
+    /// `until > tick`, and `total` is the exact sum of the run's offers.  A
+    /// run comes in one of two kinds:
     ///
-    /// The default is the length-1 window, which is always sound; sources
-    /// whose sample genuinely varies per tick (solar daylight) answer that
-    /// way too.
-    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
-        Segment {
-            power: self.power_at(Seconds::new(tick as f64 * dt.as_seconds())),
-            until: tick + 1,
-        }
+    /// * *uniform* — the source's window: every tick in `tick..until`
+    ///   offers `first`, whatever the limits say, so a caller may burn any
+    ///   prefix of it and keep the rest for later ticks;
+    /// * *mixed* (`uniform == false`) — at least two ticks that fit both
+    ///   limits, `until <= end` and `total <= budget`, to be burnt whole.
+    ///
+    /// The call leaves the source as `power_at` of the run's ticks would,
+    /// and *not* sampling them perturbs no later sample — draws are
+    /// counter-indexed, and the only per-query state left (memo caches, the
+    /// RFID edge table, the piecewise cursor, the Markov monotone clock) is
+    /// self-healing.
+    ///
+    /// The default is the length-1 run, which is always sound.
+    fn run(&mut self, tick: u64, dt: Seconds, end: u64, budget: EnergyFx) -> Run {
+        let _ = (end, budget);
+        let power = self.power_at(Seconds::new(tick as f64 * dt.as_seconds()));
+        Run::uniform(quantise(power, dt), tick, tick + 1)
     }
 }
 
@@ -144,8 +176,8 @@ impl HarvestSource for ConstantSource {
         format!("constant {:.3} mW", self.power.as_milliwatts())
     }
 
-    fn segment(&mut self, _tick: u64, _dt: Seconds) -> Segment {
-        Segment { power: self.power, until: u64::MAX }
+    fn run(&mut self, tick: u64, dt: Seconds, _end: u64, _budget: EnergyFx) -> Run {
+        Run::uniform(quantise(self.power, dt), tick, u64::MAX)
     }
 }
 
@@ -189,7 +221,10 @@ fn walk_to_edge(mut j: i64, past: impl Fn(i64) -> bool) -> i64 {
 struct BurstEdges {
     /// The bits of the step whose ticks the edges count.
     dt_bits: u64,
-    /// The last tick answered; the cursor holds for every tick from here on.
+    /// The quantised offer of a burst tick on that step.
+    peak: i128,
+    /// No earlier tick is answered from the table: every edge before the
+    /// cursor lies at or before it.
     from: u64,
     /// The first tick the table does not answer.
     limit: u64,
@@ -214,7 +249,7 @@ pub struct RfidSource {
     /// the memo can never go stale — it only saves the jitter mix on repeat
     /// `power_at` queries (several ticks per cycle on campaign grids).
     window_memo: [Option<(u64, f64, f64)>; 2],
-    /// The burst edges [`HarvestSource::segment`] answers from.
+    /// The burst edges [`HarvestSource::run`] answers from.
     table: BurstEdges,
 }
 
@@ -231,9 +266,10 @@ impl RfidSource {
             jitter: jitter.clamp(0.0, 0.5),
             jitter_rng: CounterRng::new(seed),
             window_memo: [None; 2],
-            // `limit` 0 makes the first `segment` call fill the table.
+            // `limit` 0 makes the first `run` call fill the table.
             table: BurstEdges {
                 dt_bits: 0,
+                peak: 0,
                 from: 0,
                 limit: 0,
                 cursor: 0,
@@ -292,7 +328,7 @@ impl RfidSource {
     /// non-decreasing; cancelling equal neighbours (an empty burst, a rest
     /// no tick lands in) leaves the toggles, and `s_B` — ticks before it are
     /// known, since cycle `c_0 + B` is off up to its burst — is the limit.
-    /// Kept out of line so that the cursor step inlines into its callers.
+    /// Kept out of line so that the cursor walk inlines into its callers.
     #[inline(never)]
     fn tabulate(&mut self, tick: u64, dt: f64) -> bool {
         if self.period.is_non_positive() {
@@ -302,6 +338,7 @@ impl RfidSource {
             self.table.from = 0;
             self.table.cursor = 0;
             self.table.dt_bits = dt.to_bits();
+            self.table.peak = 0;
             return true;
         }
         let period = self.period.as_seconds();
@@ -332,22 +369,26 @@ impl RfidSource {
         // `power_at` quotient decides between that tick and the next.
         // Either way the edge is `j` or `j + 1` for `j` the estimate
         // rounded to the nearest tick (adding and subtracting 2^52 rounds
-        // any value in `[0, 2^52]`), and three checks settle which.  The
-        // loop is branch-free float arithmetic over independent edges, so
-        // it pipelines; an edge outside the pair is walked to afterwards.
+        // any value in `[0, 2^52]`), and one check settles which.  That
+        // needs both roundings — about 3 ulps in the estimate, 2 in the
+        // quotient — to stay well under half a tick, which holds below
+        // 2^40 ticks with a 500-fold margin (raw edges are non-decreasing,
+        // so the last estimate is the largest); further out, the tick
+        // before each edge is checked too, and an edge outside the pair is
+        // walked to.  The loop is branch-free float arithmetic over
+        // independent edges, so it pipelines.
         const ROUND: f64 = EDGE_CAP as f64;
-        let mut raw = [0_i64; RAW_EDGES];
-        let mut off = false;
+        const NEAR: f64 = (1_u64 << 40) as f64;
+        let mut raw = [0.0; RAW_EDGES];
         for m in 0..RAW_EDGES {
-            let (cf, f) = (cf[m], f[m]);
-            let j = ((cf + f) * per).min(ROUND) + ROUND - ROUND;
-            let at = past(j, cf, f);
-            raw[m] = (if at { j } else { j + 1.0 }) as i64;
-            off |= past(j - 1.0, cf, f) | !(at | past(j + 1.0, cf, f));
+            let j = ((cf[m] + f[m]) * per).min(ROUND) + ROUND - ROUND;
+            raw[m] = if past(j, cf[m], f[m]) { j } else { j + 1.0 };
         }
-        if off {
+        if (cf[RAW_EDGES - 1] + f[RAW_EDGES - 1]) * per >= NEAR
+            && (0..RAW_EDGES).any(|m| past(raw[m] - 1.0, cf[m], f[m]) || !past(raw[m], cf[m], f[m]))
+        {
             for m in 0..RAW_EDGES {
-                raw[m] = walk_to_edge(raw[m], |j| past(j as f64, cf[m], f[m]));
+                raw[m] = walk_to_edge(raw[m] as i64, |j| past(j as f64, cf[m], f[m])) as f64;
             }
         }
         // Cancel equal neighbours; the survivors strictly increase.
@@ -369,6 +410,7 @@ impl RfidSource {
         // edge, or it cancelled an equal `e_(B-1)` — the burst runs on past
         // the limit — whose slot, just past the survivors, still holds it.
         self.table.dt_bits = dt.to_bits();
+        self.table.peak = quantise(self.peak, Seconds::new(dt)).attojoules();
         self.table.from = tick;
         self.table.limit = limit;
         self.table.cursor = 0;
@@ -399,28 +441,66 @@ impl HarvestSource for RfidSource {
         )
     }
 
-    /// A cursor step over the burst-edge table: the window runs from `tick`
+    /// A cursor walk over the burst-edge table.  The window from `tick` runs
     /// to the next toggle, so bursts and rests come whole, and a rest spans
-    /// the cycle wrap into the next cycle's pre-burst rest.  The table is
+    /// the cycle wrap into the next cycle's pre-burst rest.  Where the
+    /// limits reach past it, the walk goes on toggle by toggle — a burst
+    /// tick offers the quantised peak, a rest tick nothing — and stops at
+    /// `end`, at the table's limit, or inside the burst whose offer would
+    /// overrun the budget: a many-cycle run costs one walk.  The table is
     /// rebuilt when the query leaves it — past its last cycle, backwards,
     /// or onto another grid step.
-    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+    fn run(&mut self, tick: u64, dt: Seconds, end: u64, budget: EnergyFx) -> Run {
         let dt_s = dt.as_seconds();
         let t = &self.table;
         if (tick < t.from || tick >= t.limit || dt_s.to_bits() != t.dt_bits)
             && !self.tabulate(tick, dt_s)
         {
             let power = self.power_at(Seconds::new(tick as f64 * dt_s));
-            return Segment { power, until: tick + 1 };
+            return Run::uniform(quantise(power, dt), tick, tick + 1);
         }
         let t = &mut self.table;
+        let peak = t.peak;
         let mut k = t.cursor;
         while t.edges[k] <= tick {
             k += 1;
         }
         t.cursor = k;
         t.from = tick;
-        Segment { power: if k % 2 == 1 { self.peak } else { Power::ZERO }, until: t.edges[k] }
+        // Burst windows sit at odd edge indices.
+        let first = if k % 2 == 1 { peak } else { 0 };
+        let window = Run::uniform(EnergyFx::from_attojoules(first), tick, t.edges[k]);
+        let (stop, budget) = (end.min(t.limit), budget.attojoules());
+        if window.until >= stop || peak <= 0 || window.total.attojoules() > budget {
+            return window;
+        }
+        let (mut until, mut total) = (window.until, window.total.attojoules());
+        k += 1;
+        loop {
+            let next = t.edges[k].min(stop);
+            if k % 2 == 1 {
+                let room = budget - total;
+                let len = (next - until) as i128;
+                if len * peak > room {
+                    let fit = room / peak;
+                    (until, total) = (until + fit as u64, total + fit * peak);
+                    break;
+                }
+                total += len * peak;
+            }
+            until = next;
+            if until == stop {
+                break;
+            }
+            k += 1;
+        }
+        if until == window.until {
+            return window;
+        }
+        // Every edge before `k` lies at or before `until`.
+        t.cursor = k;
+        t.from = until;
+        Run { first: window.first, until, total: EnergyFx::from_attojoules(total), uniform: false }
     }
 }
 
@@ -496,25 +576,51 @@ impl HarvestSource for SolarSource {
         )
     }
 
-    /// Daylight samples carry a fresh cloud draw every tick, so they come as
-    /// length-1 windows.  Nights are steady at exactly zero: the window runs
-    /// to the next sunrise (phase 0.25 of this day, or of the next one after
-    /// sunset), and its last tick is re-checked with the exact `power_at`
-    /// sine expression — the dark phases of a day are one contiguous
-    /// interval across the day wrap, so a dark last tick proves the window.
-    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+    /// Daylight samples carry a fresh cloud draw every tick, so a daylight
+    /// run sums them, each with the exact `power_at` arithmetic, until
+    /// `end`, the budget or sunset — a mixed run, or a length-1 one where
+    /// the limits admit no second tick.  Nights are uniform at exactly zero:
+    /// the window runs to the next sunrise (phase 0.25 of this day, or of
+    /// the next one after sunset), and its last tick is re-checked with the
+    /// exact `power_at` sine expression — the dark phases of a day are one
+    /// contiguous interval across the day wrap, so a dark last tick proves
+    /// the window.
+    fn run(&mut self, tick: u64, dt: Seconds, end: u64, budget: EnergyFx) -> Run {
         if self.day_length.is_non_positive() {
             // Degenerate day: `power_at` early-returns zero, no state.
-            return Segment { power: Power::ZERO, until: u64::MAX };
+            return Run::uniform(EnergyFx::ZERO, tick, u64::MAX);
         }
         let (dt_s, day) = (dt.as_seconds(), self.day_length.as_seconds());
         let t0 = tick as f64 * dt_s;
         let (cycle, phase0) = split_cycles(t0 / day);
         let sun = Self::sun(phase0);
-        if sun != 0.0 {
-            return Segment { power: self.daylight(t0, sun), until: tick + 1 };
+        if sun == 0.0 {
+            return Run::uniform(
+                EnergyFx::ZERO,
+                tick,
+                Self::night_end(tick, dt_s, day, cycle, phase0),
+            );
         }
-        Segment { power: Power::ZERO, until: Self::night_end(tick, dt_s, day, cycle, phase0) }
+        let first = quantise(self.daylight(t0, sun), dt);
+        let (budget, mut total, mut until) = (budget.attojoules(), first.attojoules(), tick + 1);
+        // A first offer past the budget admits no second tick to sample.
+        while until < end && total <= budget {
+            let t = until as f64 * dt_s;
+            let sun = Self::sun(split_cycles(t / day).1);
+            if sun == 0.0 {
+                break;
+            }
+            let offer = quantise(self.daylight(t, sun), dt).attojoules();
+            if total + offer > budget {
+                break;
+            }
+            total += offer;
+            until += 1;
+        }
+        if until == tick + 1 {
+            return Run::uniform(first, tick, until);
+        }
+        Run { first, until, total: EnergyFx::from_attojoules(total), uniform: false }
     }
 }
 
@@ -587,13 +693,13 @@ impl HarvestSource for MarkovSource {
     /// nothing but `last_time`, a pure monotonicity clamp — and dwell draws
     /// are indexed by the switch count, so the catch-up loop produces the
     /// same dwell times whether the intermediate queries happen or not.
-    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+    fn run(&mut self, tick: u64, dt: Seconds, _end: u64, _budget: EnergyFx) -> Run {
         let dt_s = dt.as_seconds();
         let power = self.power_at(Seconds::new(tick as f64 * dt_s));
         let next = self.next_switch;
         let until =
             window_end(tick, next / dt_s - tick as f64, |j| ((tick + j) as f64 * dt_s) < next);
-        Segment { power, until }
+        Run::uniform(quantise(power, dt), tick, until)
     }
 }
 
@@ -710,17 +816,17 @@ impl HarvestSource for PiecewiseSource {
     /// segment is constant forever.  A cyclic window stays strictly inside
     /// one cycle, so local time is monotone over it and verifying the last
     /// tick with the exact wrapped-time mapping verifies the window.
-    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+    fn run(&mut self, tick: u64, dt: Seconds, _end: u64, _budget: EnergyFx) -> Run {
         let dt_s = dt.as_seconds();
         let w0 = self.wrapped_time(tick as f64 * dt_s);
         let at = self.locate(w0);
-        let power = at.map_or(Power::ZERO, |i| self.segments[i].1);
+        let first = quantise(at.map_or(Power::ZERO, |i| self.segments[i].1), dt);
         let total = self.total.as_seconds();
         let wraps = self.cyclic && total > 0.0;
         let boundary = match self.segments.get(at.map_or(0, |i| i + 1)) {
             Some(&(start, _)) => start.as_seconds(),
             None if wraps => total,
-            None => return Segment { power, until: u64::MAX },
+            None => return Run::uniform(first, tick, u64::MAX),
         };
         let mut est = (boundary - w0) / dt_s;
         if wraps {
@@ -730,7 +836,7 @@ impl HarvestSource for PiecewiseSource {
             let w = self.wrapped_time((tick + j) as f64 * dt_s);
             w >= w0 && w < boundary
         });
-        Segment { power, until }
+        Run::uniform(first, tick, until)
     }
 }
 
@@ -840,60 +946,137 @@ mod tests {
         );
     }
 
-    /// Pins the [`HarvestSource::segment`] contract against a naive
-    /// `power_at` walk over `ticks` ticks of `dt`: every window is non-empty,
-    /// `power_at` at every tick of a window (on a copy of the source as the
-    /// window left it) returns the window's sample bit for bit, and a walker
-    /// that calls *only* `segment` — jumping from window to window —
-    /// reproduces the naive walk.  A window whose sample satisfies `maximal`
-    /// must also be maximal: endless, or followed by a tick that samples
-    /// differently.  Returns the windows' exclusive ends and the ticks
-    /// covered by windows of two or more ticks.
-    fn check_segment_contract<S: HarvestSource + Clone>(
+    /// A budget no run can exhaust.
+    const UNLIMITED: EnergyFx = EnergyFx::from_attojoules(i128::MAX);
+
+    /// The uniform window of tick `tick`: a query whose limits admit no
+    /// second tick.
+    fn window<S: HarvestSource>(source: &mut S, tick: u64, dt: f64) -> Run {
+        let run = source.run(tick, Seconds::new(dt), tick + 1, EnergyFx::ZERO);
+        assert!(run.uniform, "a one-tick limit drew a mixed run at tick {tick}");
+        run
+    }
+
+    /// The quantised offer of tick `i` of step `dt`, sampled per tick.
+    fn offer<S: HarvestSource>(source: &mut S, i: u64, dt: f64) -> EnergyFx {
+        quantise(source.power_at(Seconds::new(i as f64 * dt)), Seconds::new(dt))
+    }
+
+    /// What a run walk found: the windows' exclusive ends, the ticks covered
+    /// by windows of two or more ticks, and the number of mixed runs.
+    struct Walk {
+        ends: Vec<u64>,
+        covered: u64,
+        mixed: u64,
+    }
+
+    /// Pins the [`HarvestSource::run`] contract against a naive `power_at`
+    /// walk over `ticks` ticks of `dt`, with two walkers that call *only*
+    /// `run`.
+    ///
+    /// The window walker's limits admit one tick, so every answer is the
+    /// source's uniform window: non-empty, and every tick of it — sampled
+    /// per tick, and sampled on a copy of the source as the query left it —
+    /// offers `first`.  A window whose offer satisfies `maximal` must also be
+    /// maximal: endless, or followed by a tick that samples differently.
+    ///
+    /// The run walker draws new limits for every query: a stretch end 1 to
+    /// 96 ticks ahead, and a budget from nothing to unlimited in multiples of
+    /// the largest offer.  Every run's total is the sum of its per-tick
+    /// offers, a uniform run offers `first` on every tick, a mixed run is at
+    /// least two ticks long and fits both limits, and the walk — which
+    /// sometimes takes only a prefix of a uniform run and queries again
+    /// mid-window — reproduces the naive grand total.
+    fn check_run_contract<S: HarvestSource + Clone>(
         make: impl Fn() -> S,
         ticks: u64,
         dt: f64,
-        maximal: impl Fn(Power) -> bool,
-    ) -> (Vec<u64>, u64) {
-        let at = |i: u64| Seconds::new(i as f64 * dt);
+        maximal: impl Fn(EnergyFx) -> bool,
+    ) -> Walk {
         let mut naive = make();
-        let reference: Vec<u64> =
-            (0..ticks).map(|i| naive.power_at(at(i)).value().to_bits()).collect();
+        let offers: Vec<EnergyFx> = (0..ticks).map(|i| offer(&mut naive, i, dt)).collect();
+        let sum = |from: u64, to: u64| offers[from as usize..to as usize].iter().copied().sum();
         let mut walker = make();
-        let (mut ends, mut covered, mut i) = (Vec::new(), 0, 0);
+        let mut walk = Walk { ends: Vec::new(), covered: 0, mixed: 0 };
+        let mut i = 0;
         while i < ticks {
-            let seg = walker.segment(i, Seconds::new(dt));
-            assert!(seg.until > i, "empty window at tick {i}");
-            let last = seg.until.min(ticks);
-            let bits = seg.power.value().to_bits();
+            let run = window(&mut walker, i, dt);
+            assert!(run.until > i, "empty window at tick {i}");
+            let last = run.until.min(ticks);
             let mut probe = walker.clone();
             for j in i..last {
-                assert_eq!(reference[j as usize], bits, "tick {j} of window {i}..{}", seg.until);
-                assert_eq!(probe.power_at(at(j)).value().to_bits(), bits, "power_at at tick {j}");
+                assert_eq!(offers[j as usize], run.first, "tick {j} of window {i}..{}", run.until);
+                assert_eq!(offer(&mut probe, j, dt), run.first, "power_at at tick {j}");
             }
-            if maximal(seg.power) && seg.until != u64::MAX {
-                let next = probe.power_at(at(seg.until)).value().to_bits();
-                assert_ne!(next, bits, "window {i}..{} is not maximal", seg.until);
+            if run.until <= ticks {
+                assert_eq!(run.total, sum(i, run.until), "total of window {i}..{}", run.until);
+            }
+            if maximal(run.first) && run.until != u64::MAX {
+                let mut sample = |j: u64| probe.power_at(Seconds::new(j as f64 * dt)).value();
+                let (last, next) = (sample(run.until - 1), sample(run.until));
+                assert_ne!(
+                    last.to_bits(),
+                    next.to_bits(),
+                    "window {i}..{} is not maximal",
+                    run.until
+                );
             }
             if last - i >= 2 {
-                covered += last - i;
+                walk.covered += last - i;
             }
-            ends.push(seg.until);
+            walk.ends.push(run.until);
             i = last;
         }
-        (ends, covered)
+
+        let most = offers.iter().copied().max().unwrap_or(EnergyFx::ZERO).attojoules().max(1);
+        let budgets = [0, most / 2, most, 3 * most, 40 * most, i128::MAX];
+        let (mut walker, mut grand, mut i) = (make(), EnergyFx::ZERO, 0);
+        for query in 0.. {
+            if i >= ticks {
+                break;
+            }
+            let r = crate::crng::mix64(query, 0x5EED);
+            let end = (i + 1 + r % 96).min(ticks);
+            let budget = EnergyFx::from_attojoules(budgets[(r >> 8) as usize % budgets.len()]);
+            let run = walker.run(i, Seconds::new(dt), end, budget);
+            let span = format!("run {i}..{} (end {end}, budget {budget})", run.until);
+            assert!(run.until > i, "empty {span}");
+            assert_eq!(run.first, offers[i as usize], "first offer of {span}");
+            let last = run.until.min(ticks);
+            if run.until <= ticks {
+                assert_eq!(run.total, sum(i, run.until), "total of {span}");
+            }
+            let taken = if run.uniform {
+                assert!(
+                    offers[i as usize..last as usize].iter().all(|&o| o == run.first),
+                    "{span}"
+                );
+                // Sometimes only a prefix, as a stretch that ends mid-window.
+                let take = if r & (1 << 20) != 0 { 1 + (r >> 24) % (last - i) } else { last - i };
+                grand += run.first * i128::from(take);
+                take
+            } else {
+                assert!(run.until - i >= 2 && run.until <= end && run.total <= budget, "{span}");
+                walk.mixed += 1;
+                grand += run.total;
+                run.until - i
+            };
+            i += taken;
+        }
+        assert_eq!(grand, sum(0, ticks), "the run walk's total offer");
+        walk
     }
 
     /// Every window is maximal.
-    fn always(_: Power) -> bool {
+    fn always(_: EnergyFx) -> bool {
         true
     }
 
     #[test]
     fn constant_sources_are_steady_forever() {
         let make = || ConstantSource::new(Power::from_milliwatts(0.3));
-        let (ends, covered) = check_segment_contract(make, 1000, 0.5, always);
-        assert_eq!((ends, covered), (vec![u64::MAX], 1000));
+        let walk = check_run_contract(make, 1000, 0.5, always);
+        assert_eq!((walk.ends, walk.covered, walk.mixed), (vec![u64::MAX], 1000, 0));
     }
 
     #[test]
@@ -910,16 +1093,16 @@ mod tests {
             // A dwell shorter than a tick can switch back before the next
             // sample, so a Markov window's maximality is its own: it ends
             // on the first tick at or past the dwell's switch.
-            let (_, covered) = check_segment_contract(make, 8000, 0.5, |_| false);
+            let walk = check_run_contract(make, 8000, 0.5, |_| false);
             // Mean dwells span dozens of ticks, so most ticks are covered.
-            assert!(covered > 6000, "seed {seed}: only {covered} covered");
+            assert!(walk.covered > 6000, "seed {seed}: only {} covered", walk.covered);
             let (mut source, mut i) = (make(), 0);
             while i < 8000 {
-                let seg = source.segment(i, Seconds::new(0.5));
+                let run = window(&mut source, i, 0.5);
                 let switch = source.next_switch;
-                let (last, end) = ((seg.until - 1) as f64 * 0.5, seg.until as f64 * 0.5);
-                assert!(last < switch && switch <= end, "seed {seed}: window {i}..{}", seg.until);
-                i = seg.until;
+                let (last, end) = ((run.until - 1) as f64 * 0.5, run.until as f64 * 0.5);
+                assert!(last < switch && switch <= end, "seed {seed}: window {i}..{}", run.until);
+                i = run.until;
             }
         }
         // A switch landing exactly on a tick: that tick already samples the
@@ -937,33 +1120,41 @@ mod tests {
             .find(|&k| k as f64 * (switch / k as f64) == switch)
             .expect("a grid through the first switch instant");
         let dt = switch / k as f64;
-        let (ends, _) = check_segment_contract(make, 4 * k, dt, |_| false);
-        assert!(ends.contains(&k), "no window ends at the switch tick {k}: {ends:?}");
+        let walk = check_run_contract(make, 4 * k, dt, |_| false);
+        assert!(walk.ends.contains(&k), "no window ends at the switch tick {k}: {:?}", walk.ends);
     }
 
     #[test]
     fn rfid_steady_windows_never_cross_a_burst_boundary() {
         // A fine step lands ticks right on burst edges.
-        let (_, covered) = check_segment_contract(|| RfidSource::typical(42), 20_000, 0.05, always);
-        assert!(covered > 15_000, "only {covered} ticks covered");
+        let walk = check_run_contract(|| RfidSource::typical(42), 20_000, 0.05, always);
+        assert!(walk.covered > 15_000, "only {} ticks covered", walk.covered);
+        assert!(walk.mixed > 100, "only {} mixed runs", walk.mixed);
         // Maximal jitter, empty and full duty cycles, and degenerate periods.
         let mw = Power::from_milliwatts(0.6);
-        for (period, duty, jitter) in
-            [(5.0, 0.2, 0.5), (2.0, 0.0, 0.3), (2.0, 1.0, 0.3), (0.0, 0.4, 0.1), (-1.0, 0.4, 0.1)]
-        {
+        for (period, duty, jitter) in [
+            (2.0, 0.4, 0.5),
+            (5.0, 0.2, 0.5),
+            (2.0, 0.0, 0.3),
+            (2.0, 1.0, 0.3),
+            (0.0, 0.4, 0.1),
+            (-1.0, 0.4, 0.1),
+        ] {
             let make = || RfidSource::new(mw, Seconds::new(period), duty, jitter, 7);
-            let (ends, _) = check_segment_contract(make, 4_000, 0.05, |_| duty > 0.0 && duty < 1.0);
+            let walk = check_run_contract(make, 4_000, 0.05, |_| duty > 0.0 && duty < 1.0);
             if period <= 0.0 {
-                assert_eq!(ends, vec![u64::MAX], "period {period}");
+                assert_eq!(walk.ends, vec![u64::MAX], "period {period}");
             }
+            // Only a source that toggles has runs of mixed offers.
+            assert_eq!(walk.mixed > 0, period > 0.0 && duty > 0.0 && duty < 1.0, "period {period}");
         }
-        // Windows are pure, so a fresh source vouches for a window anchored
+        // Runs are pure, so a fresh source vouches for a run anchored
         // anywhere — the promise must hold against fresh samples.
-        let seg = RfidSource::typical(42).segment(777, Seconds::new(0.05));
-        for j in 777..seg.until {
-            let p = RfidSource::typical(42).power_at(Seconds::new(j as f64 * 0.05));
-            assert_eq!(p.value().to_bits(), seg.power.value().to_bits(), "tick {j}");
-        }
+        let run = RfidSource::typical(42).run(777, Seconds::new(0.05), 1_500, UNLIMITED);
+        assert!(!run.uniform);
+        let fresh: EnergyFx =
+            (777..run.until).map(|j| offer(&mut RfidSource::typical(42), j, 0.05)).sum();
+        assert_eq!(fresh, run.total);
     }
 
     /// Probing an older cycle after the jitter stream had moved on used to
@@ -988,18 +1179,20 @@ mod tests {
         }
     }
 
-    /// Nights are one window each, daylight comes tick by tick, and a walker
-    /// jumping from window to window stays bit-identical to the naive walk
-    /// across every day/night boundary.
+    /// Nights are one window each, daylight comes tick by tick as windows and
+    /// as mixed runs of many ticks, and the walkers stay exact across every
+    /// day/night boundary.
     #[test]
     fn solar_steady_windows_cover_the_night() {
+        let dark = |o: EnergyFx| o == EnergyFx::ZERO;
         for seed in 0..8_u64 {
             let make =
                 || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, seed);
             // 4000 ticks at 0.5 s span two full days; nights are half of
             // each day, so at least ~1/3 of all ticks must be covered.
-            let (_, covered) = check_segment_contract(make, 4_000, 0.5, |p| p == Power::ZERO);
-            assert!(covered > 1_300, "seed {seed}: only {covered} covered");
+            let walk = check_run_contract(make, 4_000, 0.5, dark);
+            assert!(walk.covered > 1_300, "seed {seed}: only {} covered", walk.covered);
+            assert!(walk.mixed > 20, "seed {seed}: only {} mixed runs", walk.mixed);
         }
         // Tick 500 lands on phase 0.25 exactly, where the sine is exactly
         // zero: the last dark tick before sunrise, so a window ends there.
@@ -1007,12 +1200,17 @@ mod tests {
         assert_eq!(SolarSource::sun(0.25), 0.0);
         assert_eq!(make().power_at(Seconds::new(250.0)), Power::ZERO);
         assert!(make().power_at(Seconds::new(250.5)) > Power::ZERO);
-        let (ends, _) = check_segment_contract(make, 4_000, 0.5, |p| p == Power::ZERO);
-        assert!(ends.contains(&501), "{ends:?}");
+        let walk = check_run_contract(make, 4_000, 0.5, dark);
+        assert!(walk.ends.contains(&501), "{:?}", walk.ends);
+        // A daylight run stops at sunset.  Tick 1500 sits on phase 0.75,
+        // where the sine of the rounded `π` is a hair above zero: it is the
+        // last daylight tick, with a sample of about 1e-19 W.
+        let run = make().run(1_400, Seconds::new(0.5), 2_000, UNLIMITED);
+        assert_eq!((run.until, run.uniform), (1_501, false));
         // A degenerate day is zero forever.
         for day in [0.0, -5.0] {
             let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(day), 0.4, 1);
-            assert_eq!(check_segment_contract(make, 100, 0.5, always).0, vec![u64::MAX]);
+            assert_eq!(check_run_contract(make, 100, 0.5, always).ends, vec![u64::MAX]);
         }
     }
 
@@ -1037,36 +1235,55 @@ mod tests {
         for seed in 0..20 {
             let make =
                 || RfidSource::new(Power::from_milliwatts(0.6), Seconds::new(5.0), 0.2, 0.2, seed);
-            let (_, covered) = check_segment_contract(make, 8_000, 0.5, always);
-            assert!(covered > 0, "seed {seed} never covered a window");
+            let walk = check_run_contract(make, 8_000, 0.5, always);
+            assert!(walk.covered > 0, "seed {seed} never covered a window");
         }
     }
 
-    /// Walks `source` window by window over ticks `from..to` of step `dt`
-    /// and checks every window against a naive `power_at` run-length scan
-    /// of a copy of the source: each tick of the window samples like it,
-    /// and the tick past it samples differently — the window is the whole
-    /// run — unless the window stops at the edge table's limit (or lies
-    /// past `EDGE_CAP`, where windows are one tick long).  Returns the tick
-    /// of the last query.
+    /// Walks `source` over ticks `from..to` of step `dt`, alternating window
+    /// queries with run queries under varied limits, and checks every answer
+    /// against a naive `power_at` scan of a copy of the source.  A window is
+    /// the whole run of equal samples — the tick past it samples differently
+    /// — unless it stops at the edge table's limit (or lies past `EDGE_CAP`,
+    /// where windows are one tick long); a run's total is the sum of its
+    /// ticks' offers.  Returns the tick of the last query.
     fn check_rfid_walk(source: &mut RfidSource, dt: f64, from: u64, to: u64) -> u64 {
         let mut naive = source.clone();
-        let mut sample = |j: u64| naive.power_at(Seconds::new(j as f64 * dt)).value().to_bits();
+        let mut sample = |j: u64| offer(&mut naive, j, dt);
+        let peak = quantise(source.peak, Seconds::new(dt));
         let mut i = from;
         while i < to {
-            let seg = source.segment(i, Seconds::new(dt));
-            assert!(seg.until > i, "empty window at tick {i}");
-            let bits = seg.power.value().to_bits();
-            for j in i..seg.until.min(to) {
-                assert_eq!(sample(j), bits, "tick {j} of window {i}..{}", seg.until);
+            let r = crate::crng::mix64(i, 0xED6E);
+            if r.is_multiple_of(3) {
+                let end = i + 2 + (r >> 8) % 200;
+                let budget = peak * i128::from((r >> 16) % 12);
+                let run = source.run(i, Seconds::new(dt), end, budget);
+                let total: EnergyFx = (i..run.until).map(&mut sample).sum();
+                assert_eq!(total, run.total, "run {i}..{} (end {end})", run.until);
+                assert!(run.uniform || (run.until <= end && run.total <= budget));
+                if run.until >= to {
+                    return i;
+                }
+                i = run.until;
+                continue;
             }
-            if seg.until != source.table.limit && i < EDGE_CAP as u64 {
-                assert_ne!(sample(seg.until), bits, "window {i}..{} is not maximal", seg.until);
+            let run = window(source, i, dt);
+            assert!(run.until > i, "empty window at tick {i}");
+            for j in i..run.until.min(to) {
+                assert_eq!(sample(j), run.first, "tick {j} of window {i}..{}", run.until);
             }
-            if seg.until >= to {
+            if run.until != source.table.limit && i < EDGE_CAP as u64 {
+                assert_ne!(
+                    sample(run.until),
+                    run.first,
+                    "window {i}..{} is not maximal",
+                    run.until
+                );
+            }
+            if run.until >= to {
                 return i;
             }
-            i = seg.until;
+            i = run.until;
         }
         i
     }
@@ -1078,8 +1295,8 @@ mod tests {
         /// — empty and full duty cycles, no jitter, periods a grid step
         /// does not divide or that are shorter than it, and grids whose
         /// edges land exactly on ticks — and every way a caller moves:
-        /// forward window by window, back, far ahead across several
-        /// blocks, and onto another grid step and back.
+        /// forward run by run, back, far ahead across several blocks, and
+        /// onto another grid step and back.
         #[test]
         fn rfid_windows_match_a_naive_run_length_scan(
             shape in (0_u8..8, 0.0_f64..1.0, 0_u8..3, 0.0_f64..0.5, 0_u64..1_000),
@@ -1116,12 +1333,15 @@ mod tests {
         }
     }
 
-    /// Near 2^52 ticks an edge estimate can be off by more than a tick, so
-    /// the table walks to the exact edges; past `EDGE_CAP` it answers with
-    /// length-1 windows.  Either way the windows match the naive scan.
+    /// Just below 2^40 ticks one check per edge must still settle it; near
+    /// 2^52 an edge estimate can be off by more than a tick, so the table
+    /// walks to the exact edges; past `EDGE_CAP` it answers with length-1
+    /// windows.  Either way the windows match the naive scan.
     #[test]
     fn rfid_windows_stay_exact_far_out_on_the_grid() {
         for (tick, dt, period) in [
+            (1 << 39, 1e-3, 0.7),
+            ((1 << 40) - 30_000, 2.9e-3, 1.3),
             (3 << 50, 1e-3, 0.7),
             (7 << 49, 3.7e-3, 1.3),
             ((1 << 52) - 40, 1e-3, 1.0),
@@ -1149,19 +1369,20 @@ mod tests {
             }
         };
         for cyclic in [false, true] {
-            let (_, covered) = check_segment_contract(make(cyclic), 4_000, 0.25, always);
-            assert!(covered > 3_900, "cyclic={cyclic}: only {covered} covered");
+            let walk = check_run_contract(make(cyclic), 4_000, 0.25, always);
+            assert!(walk.covered > 3_900, "cyclic={cyclic}: only {} covered", walk.covered);
         }
         // One plateau that repeats: the window stops at the wrap, one
         // probe past its capped estimate, and does not run on around.
-        let (ends, _) =
-            check_segment_contract(|| Schedule::plentiful().to_source(), 6_000, 0.5, |_| false);
+        let walk = check_run_contract(|| Schedule::plentiful().to_source(), 6_000, 0.5, |_| false);
+        let ends = walk.ends;
         assert!(ends.len() >= 3 && ends.windows(2).all(|w| w[1] - w[0] <= 2_001), "{ends:?}");
         // Non-cyclic schedules are constant — steady forever — past the end.
-        assert_eq!(make(false)().segment(1000, Seconds::new(0.25)).until, u64::MAX);
+        assert_eq!(window(&mut make(false)(), 1000, 0.25).until, u64::MAX);
         // A cyclic window ends at the wrap (tick 120 = 30 s).
-        let seg = make(true)().segment(100, Seconds::new(0.25));
-        assert_eq!((seg.power, seg.until), (Power::from_milliwatts(0.5), 120));
+        let run = window(&mut make(true)(), 100, 0.25);
+        let half = quantise(Power::from_milliwatts(0.5), Seconds::new(0.25));
+        assert_eq!((run.first, run.until), (half, 120));
     }
 
     #[test]
@@ -1173,16 +1394,16 @@ mod tests {
                 Seconds::new(25.0),
             )
         };
-        let (_, covered) = check_segment_contract(make, 2_000, 0.5, always);
-        assert!(covered > 1_900, "only {covered} covered");
+        let walk = check_run_contract(make, 2_000, 0.5, always);
+        assert!(walk.covered > 1_900, "only {} covered", walk.covered);
         // The zero-power lead-in before the first segment is a window too.
-        let seg = make().segment(0, Seconds::new(0.5));
-        assert_eq!((seg.power, seg.until), (Power::ZERO, 20));
+        let run = window(&mut make(), 0, 0.5);
+        assert_eq!((run.first, run.until), (EnergyFx::ZERO, 20));
     }
 
     // The lockstep batch executor feeds schedule-driven lanes through
-    // `PiecewiseSource`'s monotone cursor and its segment windows; the tests
-    // below pin both against a linear segment scan.
+    // `PiecewiseSource`'s monotone cursor and its windows; the tests below
+    // pin both against a linear segment scan.
 
     /// The linear segment scan the cursor replaced — the reference every
     /// cursor lookup must reproduce.
@@ -1258,33 +1479,28 @@ mod tests {
             (Seconds::new(0.0), Power::from_milliwatts(1.0)),
             (Seconds::new(10.0), Power::ZERO),
         ];
-        let dt = Seconds::new(0.05);
-        let at = |tick: u64| Seconds::new(tick as f64 * dt.as_seconds());
+        let dt = 0.05;
         let mut source = PiecewiseSource::new(segments.clone(), true, Seconds::new(30.0));
-        // Every tick of a fine grid: the window holds the tick's own sample
+        // Every tick of a fine grid: the window holds the tick's own offer
         // up to its last tick, and the plateaus alternate between 1 mW and
-        // zero, so the first tick past the window samples something else.
+        // zero, so the first tick past the window offers something else.
         for tick in 0..3_000_u64 {
-            let here = source.power_at(at(tick));
-            let seg = source.segment(tick, dt);
-            assert!(seg.until > tick, "empty window at tick {tick}");
-            assert_eq!(seg.power.value().to_bits(), here.value().to_bits(), "tick {tick}");
+            let here = offer(&mut source, tick, dt);
+            let run = window(&mut source, tick, dt);
+            assert!(run.until > tick, "empty window at tick {tick}");
+            assert_eq!(run.first, here, "tick {tick}");
             // Probe on a copy, to keep the cursor's monotone sweep intact.
             let mut probe = source.clone();
-            assert_eq!(
-                probe.power_at(at(seg.until - 1)).value().to_bits(),
-                here.value().to_bits(),
-                "power changed inside the window at tick {tick}"
-            );
-            assert_ne!(probe.power_at(at(seg.until)), here, "window at tick {tick} ends early");
+            assert_eq!(offer(&mut probe, run.until - 1, dt), here, "change inside window {tick}");
+            assert_ne!(offer(&mut probe, run.until, dt), here, "window at tick {tick} ends early");
         }
         // A non-cyclic schedule past its last segment never changes again.
         let mut tail = PiecewiseSource::new(segments, false, Seconds::new(30.0));
-        assert_eq!(tail.segment(1_980, dt), Segment { power: Power::ZERO, until: u64::MAX });
+        assert_eq!(window(&mut tail, 1_980, dt), Run::uniform(EnergyFx::ZERO, 1_980, u64::MAX));
     }
 
     #[test]
-    fn the_default_segment_is_one_tick_long() {
+    fn the_default_run_is_one_tick_long() {
         struct Ramp;
         impl HarvestSource for Ramp {
             fn power_at(&mut self, t: Seconds) -> Power {
@@ -1294,10 +1510,10 @@ mod tests {
                 "ramp".into()
             }
         }
-        let seg = Ramp.segment(6, Seconds::new(0.5));
-        assert_eq!((seg.power, seg.until), (Power::new(3.0), 7));
+        let run = Ramp.run(6, Seconds::new(0.5), 100, UNLIMITED);
+        let first = quantise(Power::new(3.0), Seconds::new(0.5));
+        assert_eq!(run, Run { first, until: 7, total: first, uniform: true });
     }
-
     #[test]
     fn sources_are_deterministic_per_seed() {
         let collect = |seed| {

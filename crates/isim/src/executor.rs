@@ -5,7 +5,7 @@
 //! and (optionally) records the Fig. 4 trace.  It is deterministic: the same
 //! configuration, schedule and seed always produce exactly the same run.
 
-use ehsim::capacitor::Capacitor;
+use ehsim::capacitor::{quantise, Capacitor};
 use ehsim::schedule::Schedule;
 use ehsim::source::HarvestSource;
 use ehsim::trace::{NullSink, TraceRecorder, TraceSample, TraceSink};
@@ -133,7 +133,7 @@ impl<S: HarvestSource> IntermittentExecutor<S> {
             // `(ZERO, ZERO)` is a valid seed pair: a zero sample quantises
             // to a zero offer.
             if power != last_power {
-                offered = (power.max(Power::ZERO) * dt).to_fx();
+                offered = quantise(power, dt);
                 last_power = power;
             }
             let banked = self.capacitor.cell().harvest_fx(offered);

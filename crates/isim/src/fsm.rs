@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ehsim::capacitor::{Capacitor, EnergyCell};
+use ehsim::capacitor::{quantise, Capacitor, EnergyCell};
 use ehsim::pmu::{Thresholds, ThresholdsFx};
 use tech45::constants::{E_COMPUTE, E_SENSE, E_TRANSMIT, OPERATION_UNCERTAINTY, SLEEP_LEAKAGE_W};
 use tech45::units::{Energy, EnergyFx, Power, Seconds};
@@ -145,7 +145,7 @@ impl TickConstants {
     pub(crate) fn new(config: &FsmConfig, dt: Seconds) -> Self {
         assert!(config.sampling_interval.value() > 0.0, "timer period must be positive");
         Self {
-            leak_step: (config.sleep_leakage.max(Power::ZERO) * dt).to_fx(),
+            leak_step: quantise(config.sleep_leakage, dt),
             // A positive interval whose quotient by `dt` underflows to zero
             // fires on every tick, exactly as a one-tick period does.
             timer_period: step_count(config.sampling_interval, dt).max(1),

@@ -11,11 +11,11 @@ use std::ops::Range;
 use ehsim::pmu::Thresholds;
 use ehsim::schedule::Schedule;
 use ehsim::source::{
-    ConstantSource, HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Segment, SolarSource,
+    ConstantSource, HarvestSource, MarkovSource, PiecewiseSource, RfidSource, Run, SolarSource,
 };
 use isim::backup::BackupUnit;
 use tech45::nvm::NvmTechnology;
-use tech45::units::{Energy, Power, Seconds};
+use tech45::units::{Energy, EnergyFx, Power, Seconds};
 
 use diac_core::replacement::ReplacementSummary;
 
@@ -262,13 +262,13 @@ impl HarvestSource for AnySource {
         }
     }
 
-    fn segment(&mut self, tick: u64, dt: Seconds) -> Segment {
+    fn run(&mut self, tick: u64, dt: Seconds, end: u64, budget: EnergyFx) -> Run {
         match self {
-            AnySource::Constant(s) => s.segment(tick, dt),
-            AnySource::Rfid(s) => s.segment(tick, dt),
-            AnySource::Solar(s) => s.segment(tick, dt),
-            AnySource::Markov(s) => s.segment(tick, dt),
-            AnySource::Piecewise(s) => s.segment(tick, dt),
+            AnySource::Constant(s) => s.run(tick, dt, end, budget),
+            AnySource::Rfid(s) => s.run(tick, dt, end, budget),
+            AnySource::Solar(s) => s.run(tick, dt, end, budget),
+            AnySource::Markov(s) => s.run(tick, dt, end, budget),
+            AnySource::Piecewise(s) => s.run(tick, dt, end, budget),
         }
     }
 }
@@ -703,22 +703,30 @@ mod tests {
             SourceSpec::Schedule(Schedule::fig4()),
             SourceSpec::Schedule(Schedule::scarce()),
         ];
+        // The lane alternates window queries with runs under limits that
+        // vary from query to query, as the batch engine's stretches do; the
+        // scalar source answers tick by tick.
         let dt = Seconds::new(0.5);
+        let budgets = [0.0, 0.3, 1.0, 4.0, 1e3].map(|mj| Energy::from_millijoules(mj).to_fx());
         for spec in &specs {
             let mut scalar = spec.build_seeded(0xBEEF, &mut SourceScratch::new());
             let mut lane = spec.build_seeded(0xBEEF, &mut SourceScratch::new());
-            let mut i = 0_u64;
+            let (mut i, mut query) = (0_u64, 0_usize);
             while i < 20_000 {
-                let seg = lane.segment(i, dt);
-                for j in i..seg.until.min(20_000) {
-                    assert_eq!(
-                        scalar.power_at(Seconds::new(j as f64 * 0.5)).value().to_bits(),
-                        seg.power.value().to_bits(),
-                        "{} diverges at tick {j}",
-                        spec.family()
-                    );
+                query += 1;
+                let end = if query % 2 == 0 { i + 1 } else { i + 2 + (query % 97) as u64 };
+                let run = lane.run(i, dt, end.min(20_000), budgets[query % budgets.len()]);
+                let mut total = EnergyFx::ZERO;
+                for j in i..run.until.min(20_000) {
+                    let offer = ehsim::quantise(scalar.power_at(Seconds::new(j as f64 * 0.5)), dt);
+                    let expected = if run.uniform || j == i { run.first } else { offer };
+                    assert_eq!(offer, expected, "{} diverges at tick {j}", spec.family());
+                    total += offer;
                 }
-                i = seg.until;
+                if run.until <= 20_000 {
+                    assert_eq!(total, run.total, "{} run {i}..{}", spec.family(), run.until);
+                }
+                i = run.until;
             }
         }
         // Piecewise buffers recycle through the scratch.
