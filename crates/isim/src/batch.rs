@@ -26,10 +26,11 @@
 //!    and Sleep lanes with a pending request run straight through fires;
 //!    the skipped re-arms are replayed in closed form
 //!    ([`TimerInterrupt::replay`]) when the stretch closes.
-//! 2. **thresholds** — `fsm::LaneState::quiescent_distance` gives the
-//!    distance `dist` from the stored energy to the nearest threshold whose
-//!    crossing could alter control flow; the stretch keeps a running lower
-//!    bound on it, re-derived from the live energy, never guessed.
+//! 2. **thresholds** — `fsm::LaneState::quiescent_room` gives the room
+//!    `down` and `up` from the stored energy to the nearest threshold below
+//!    and above whose crossing could alter control flow; the stretch keeps
+//!    a running lower bound `dist` on the nearer of the two, re-derived from
+//!    the live energy, never guessed.
 //!
 //! The timer poll, threshold comparisons, safe-zone bookkeeping and FSM
 //! dispatch are hoisted out (each proven a no-op for the stretch), and the
@@ -48,11 +49,12 @@
 //! * *mixed* — offers that vary tick by tick (RFID bursts and rests across
 //!   many cycles, solar daylight), summed by the source within the limits
 //!   the lane passes: a stretch end cut so that `h · leak` fits both the
-//!   energy and the distance budget, and an upward budget of
-//!   `min(dist, e_max − e)` for the run's total offer `S`.  Three integer
-//!   checks — `e + S ≤ e_max`, `e ≥ h · leak` and `max(S, h · leak) ≤
-//!   dist` — prove that no clamp fires and no hoisted check flips, so the
-//!   run is one step: `S` banked, `h · leak` drained, nothing clipped.
+//!   energy and the room down, and an upward budget of `min(up − 1,
+//!   e_max − e)` for the run's total offer `S`.  Three integer checks —
+//!   `e + S ≤ e_max`, `e ≥ h · leak`, and `S < up` with `h · leak < down`
+//!   — prove that no clamp fires and no hoisted check flips, so the run is
+//!   one step: `S` banked, `h · leak` drained, nothing clipped.  The rooms
+//!   move exactly with the energy, so `dist` restarts from them.
 //!
 //! A tick whose move cannot be proven even from the live energy runs in
 //! full on the run already drawn, so the source is queried once per run.
@@ -424,14 +426,17 @@ impl<S: HarvestSource> Lane<S> {
             if i >= end || !matches!(state.state, NodeState::Sleep | NodeState::Off) {
                 continue;
             }
-            let Some(d0) = state.quiescent_distance(th, *energy) else { continue };
+            // The exact room from energy `at` down and up to the nearest
+            // control-flow threshold on each side, in attojoules: a move of
+            // the energy shifts both by as much (`room_at`).
+            let mut at = energy.attojoules();
+            let Some((mut down, mut up)) = state.quiescent_room(th, *energy) else { continue };
             recomputes += 1;
-            // Running lower bound on the distance from the live energy to
-            // the nearest control-flow threshold, in attojoules, one quantum
-            // shaved so that a move of at most `dist` preserves strict and
-            // non-strict comparisons alike.  Each run spends its actual move;
-            // the bound is re-derived from the live energy, never guessed.
-            let mut dist = d0.saturating_sub(1);
+            // Running lower bound on the distance to the nearest threshold
+            // either way, one quantum shaved so that a move of at most `dist`
+            // preserves strict and non-strict comparisons alike.  Each window
+            // spends its actual move; the bound is re-derived, never guessed.
+            let mut dist = down.min(up).saturating_sub(1);
             if dist <= 0 {
                 continue;
             }
@@ -462,10 +467,11 @@ impl<S: HarvestSource> Lane<S> {
             while i < stretch_end {
                 if i >= run.until {
                     // The limits of a mixed run the proof admits: `h · leak`
-                    // within the energy and the distance budget, the total
-                    // offer within the headroom and the distance budget.
-                    let reach = window_fit(stretch_end - i, dist.min(e), leak);
-                    let budget = EnergyFx::from_attojoules(dist.min(e_max_aj - e));
+                    // within the energy and below the room down, the total
+                    // offer within the headroom and below the room up.
+                    let (down, up) = room_at(down, up, e - at);
+                    let reach = window_fit(stretch_end - i, (down - 1).min(e), leak);
+                    let budget = EnergyFx::from_attojoules((up - 1).min(e_max_aj - e));
                     run = source.run(i, dt, i + reach, budget);
                 }
                 let offered = run.first.attojoules();
@@ -480,9 +486,10 @@ impl<S: HarvestSource> Lane<S> {
                         // Self-heal: re-derive the budget from the live
                         // energy (the FSM state is unchanged in a stretch).
                         let live = EnergyFx::from_attojoules(e);
-                        let Some(d) = state.quiescent_distance(th, live) else { break };
+                        let Some(room) = state.quiescent_room(th, live) else { break };
                         recomputes += 1;
-                        dist = d.saturating_sub(1);
+                        ((down, up), at) = (room, e);
+                        dist = down.min(up).saturating_sub(1);
                         h = window_fit(window, dist, step_mag);
                         if h == 0 {
                             // This tick's checks cannot be proven no-ops: it
@@ -500,13 +507,13 @@ impl<S: HarvestSource> Lane<S> {
                     (h, burn)
                 } else {
                     let (h, total) = (run.until - i, run.total.attojoules());
-                    let burn = burn_run(e, e_max_aj, total, leak, h, dist)
+                    let (d, u) = room_at(down, up, e - at);
+                    let burn = burn_run(e, e_max_aj, total, leak, h, d, u)
                         .expect("a mixed run fits the limits it was drawn with");
-                    // It spent its budget at once: re-derive the bound from
-                    // the energy it leaves, for the next run.
-                    let live = EnergyFx::from_attojoules(burn.energy);
-                    dist = state.quiescent_distance(th, live).map_or(0, |d| d.saturating_sub(1));
-                    recomputes += 1;
+                    // It may spend a whole side's room at once: the bound
+                    // restarts from the exact rooms it leaves.
+                    let (d, u) = room_at(down, up, burn.energy - at);
+                    dist = d.min(u).saturating_sub(1);
                     (h, burn)
                 };
                 e = burn.energy;
@@ -608,14 +615,27 @@ fn burn_window(e: i128, e_max: i128, offered: i128, leak: i128, h: u64) -> Burn 
 /// form, if the proof admits it.  Offers are non-negative, so every energy
 /// the run passes through — after each tick's bank and after its drain —
 /// lies in `[e − h·leak, e + total]`.  `e + total <= e_max` then means no
-/// bank clips, `e >= h·leak` that no drain saturates, and
-/// `max(total, h·leak) <= dist` that no hoisted check flips: the run is
-/// `total` banked and `h·leak` drained, nothing clipped — the bits of `h`
-/// [`Burn::tick`]s.
-fn burn_run(e: i128, e_max: i128, total: i128, leak: i128, h: u64, dist: i128) -> Option<Burn> {
+/// bank clips, `e >= h·leak` that no drain saturates, and `h·leak < down`,
+/// `total < up` — within the exact room to the nearest threshold below and
+/// above — that no hoisted check flips: the run is `total` banked and
+/// `h·leak` drained, nothing clipped — the bits of `h` [`Burn::tick`]s.
+fn burn_run(
+    e: i128,
+    e_max: i128,
+    total: i128,
+    leak: i128,
+    h: u64,
+    down: i128,
+    up: i128,
+) -> Option<Burn> {
     let drained = i128::from(h) * leak;
-    let admitted = e + total <= e_max && e >= drained && total.max(drained) <= dist;
+    let admitted = e + total <= e_max && e >= drained && drained < down && total < up;
     admitted.then_some(Burn { energy: e + total - drained, banked: total, clipped: 0, drained })
+}
+
+/// The room `(down, up)` after the energy moved by `shift`.
+fn room_at(down: i128, up: i128, shift: i128) -> (i128, i128) {
+    (down.saturating_add(shift), up.saturating_sub(shift))
 }
 
 /// How many ticks of a `window`, each moving the energy by at most `step`
@@ -813,19 +833,21 @@ mod tests {
 
     /// `offers` burnt tick by tick into a capacitor holding `e`: the totals,
     /// whether any tick clipped or saturated, and the farthest the energy
-    /// strayed from `e`, after a bank or after a drain.
+    /// strayed below and above `e`, after a bank or after a drain.
     fn one_by_one(
         e: i128,
         e_max: i128,
         leak: i128,
         offers: impl Iterator<Item = i128>,
-    ) -> (Burn, bool, i128) {
+    ) -> (Burn, bool, (i128, i128)) {
         let mut burn = Burn { energy: e, banked: 0, clipped: 0, drained: 0 };
-        let (mut clamped, mut reach) = (false, 0);
+        let (mut clamped, mut reach) = (false, (0, 0));
         for offered in offers {
             let tick = Burn::tick(burn.energy, e_max, offered, leak);
             clamped |= tick.clipped > 0 || tick.drained < leak;
-            reach = reach.max((burn.energy + tick.banked - e).abs()).max((tick.energy - e).abs());
+            for x in [burn.energy + tick.banked, tick.energy] {
+                reach = (reach.0.max(e - x), reach.1.max(x - e));
+            }
             burn.energy = tick.energy;
             burn.banked += tick.banked;
             burn.clipped += tick.clipped;
@@ -838,26 +860,27 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
         /// A mixed run the proof admits equals its ticks one by one, and a
-        /// run whose ticks would clip, saturate or pass `dist` is never
-        /// admitted — over random offers, an empty and a full capacitor,
-        /// and no leak at all (an Off lane).
+        /// run whose ticks would clip, saturate or reach the room below or
+        /// above is never admitted — over random offers, an empty and a
+        /// full capacitor, and no leak at all (an Off lane).
         #[test]
         fn an_admitted_mixed_run_equals_its_ticks_one_by_one(
             offers in proptest::collection::vec(0_i64..400, 2..40),
             (e_pick, e_any) in (0_u8..3, 0_i64..10_000),
             (leak_pick, leak_any) in (0_u8..2, 0_i64..300),
-            dist in 0_i64..20_000,
+            (down, up) in (0_i64..20_000, 0_i64..20_000),
         ) {
             let e_max = 10_000_i128;
             let e = [0, e_max, i128::from(e_any)][usize::from(e_pick)];
             let leak = if leak_pick == 0 { 0 } else { i128::from(leak_any) };
-            let dist = i128::from(dist);
-            let (naive, clamped, reach) =
+            let (down, up) = (i128::from(down), i128::from(up));
+            let (naive, clamped, (below, above)) =
                 one_by_one(e, e_max, leak, offers.iter().map(|&o| i128::from(o)));
             let total = offers.iter().map(|&o| i128::from(o)).sum();
-            if let Some(burn) = burn_run(e, e_max, total, leak, offers.len() as u64, dist) {
+            if let Some(burn) = burn_run(e, e_max, total, leak, offers.len() as u64, down, up) {
                 proptest::prop_assert_eq!(burn, naive);
-                proptest::prop_assert!(!clamped && reach <= dist, "admitted past a clamp or dist");
+                proptest::prop_assert!(!clamped, "admitted past a clip or a saturation");
+                proptest::prop_assert!(below < down && above < up, "admitted past a room");
             }
         }
     }

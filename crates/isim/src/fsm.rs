@@ -218,13 +218,13 @@ impl LaneState {
         }
     }
 
-    /// How far `energy` can drift — in either direction — before *any*
+    /// How far `energy` can drift down and up, `(down, up)`, before *any*
     /// control-flow decision of [`FsmLaneMut::step`] could change for this
     /// lane, or `None` if the lane is in a state that must be stepped in
-    /// full every tick.
+    /// full every tick.  A side with no threshold has `i128::MAX` room.
     ///
     /// Only Sleep and Off qualify: there, as long as the stored energy stays
-    /// strictly within the returned distance of its current value (and the
+    /// strictly within the returned room of its current value (and the
     /// timer interrupt does not fire — the caller bounds that separately via
     /// [`TimerInterrupt::next_fire`]), a step is provably a pure
     /// time-accounting + leakage + harvest tick: every threshold comparison
@@ -239,9 +239,11 @@ impl LaneState {
     /// * Off — stay below `Th_Sense` (recovery) and, while in a dip, below
     ///   `Th_SafeZone` (dip exit is counted in every state).
     ///
-    /// A non-positive distance means a comparison is exactly at its boundary
-    /// and the next tick must run in full; the caller treats it as a zero
-    /// horizon.  Distances are exact attojoule counts against the same
+    /// Each threshold bounds one side only: a comparison that flips when the
+    /// energy falls below its threshold cannot flip on a rise.  A
+    /// non-positive room means a comparison is exactly at its boundary and
+    /// the next tick must run in full; the caller treats it as a zero
+    /// horizon.  Rooms are exact attojoule counts against the same
     /// fixed-point thresholds the step comparisons use, so a caller that
     /// bounds the per-tick movement in attojoules gets a *proof*, not an
     /// estimate: movement strictly below the distance cannot flip a strict
@@ -252,36 +254,43 @@ impl LaneState {
     /// thresholds; callers cache it once per run ([`NodeFsm::new`], the
     /// batch executor's lane) because re-quantising six thresholds on every
     /// query is measurable in the hot loop.
-    pub(crate) fn quiescent_distance(&self, th: &ThresholdsFx, energy: EnergyFx) -> Option<i128> {
+    #[inline]
+    pub(crate) fn quiescent_room(
+        &self,
+        th: &ThresholdsFx,
+        energy: EnergyFx,
+    ) -> Option<(i128, i128)> {
         let e = energy.attojoules();
-        let mut d = i128::MAX;
+        let (mut down, mut up) = (i128::MAX, i128::MAX);
+        let above = |t: EnergyFx| t.attojoules() - e;
+        let below = |t: EnergyFx| e - t.attojoules();
         match self.state {
             NodeState::Sleep => {
-                d = if self.flags.in_safe_zone_dip {
-                    d.min(th.safe_zone.attojoules() - e)
+                if self.flags.in_safe_zone_dip {
+                    up = above(th.safe_zone);
                 } else {
-                    d.min(e - th.safe_zone.attojoules())
-                };
-                d = d.min(e - th.off.attojoules());
+                    down = below(th.safe_zone);
+                }
+                down = down.min(below(th.off));
                 if !self.flags.backed_up {
-                    d = d.min(e - th.backup.attojoules());
+                    down = down.min(below(th.backup));
                 }
                 match self.reg_flag {
-                    RegFlag::SENSE => d = d.min(th.sense.attojoules() - e),
-                    RegFlag::COMPUTE => d = d.min(th.compute.attojoules() - e),
-                    RegFlag::TRANSMIT => d = d.min(th.transmit.attojoules() - e),
+                    RegFlag::SENSE => up = up.min(above(th.sense)),
+                    RegFlag::COMPUTE => up = up.min(above(th.compute)),
+                    RegFlag::TRANSMIT => up = up.min(above(th.transmit)),
                     _ => {}
                 }
             }
             NodeState::Off => {
                 if self.flags.in_safe_zone_dip {
-                    d = d.min(th.safe_zone.attojoules() - e);
+                    up = above(th.safe_zone);
                 }
-                d = d.min(th.sense.attojoules() - e);
+                up = up.min(above(th.sense));
             }
             _ => return None,
         }
-        Some(d)
+        Some((down, up))
     }
 
     /// Borrows this lane as the step view shared with the batch executor.
