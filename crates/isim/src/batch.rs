@@ -58,9 +58,6 @@
 //!
 //! A tick whose move cannot be proven even from the live energy runs in
 //! full on the run already drawn, so the source is queried once per run.
-//! Source randomness is counter-indexed ([`ehsim::crng`]) — a pure function
-//! of `(seed, index)` — so the samples a run elides leave no stream to
-//! advance.
 //!
 //! [`TimerInterrupt::next_fire`]: crate::interrupts::TimerInterrupt::next_fire
 //! [`TimerInterrupt::replay`]: crate::interrupts::TimerInterrupt::replay
@@ -427,16 +424,13 @@ impl<S: HarvestSource> Lane<S> {
                 continue;
             }
             // The exact room from energy `at` down and up to the nearest
-            // control-flow threshold on each side, in attojoules: a move of
-            // the energy shifts both by as much (`room_at`).
+            // control-flow threshold on each side, and a running lower bound
+            // on the nearer, one quantum shaved so that a move of at most
+            // `dist` preserves strict and non-strict comparisons alike.
             let mut at = energy.attojoules();
-            let Some((mut down, mut up)) = state.quiescent_room(th, *energy) else { continue };
+            let Some(mut room) = state.quiescent_room(th, *energy) else { continue };
             recomputes += 1;
-            // Running lower bound on the distance to the nearest threshold
-            // either way, one quantum shaved so that a move of at most `dist`
-            // preserves strict and non-strict comparisons alike.  Each window
-            // spends its actual move; the bound is re-derived, never guessed.
-            let mut dist = down.min(up).saturating_sub(1);
+            let mut dist = room.0.min(room.1).saturating_sub(1);
             if dist <= 0 {
                 continue;
             }
@@ -455,8 +449,7 @@ impl<S: HarvestSource> Lane<S> {
                 continue;
             }
 
-            // Hoist the accumulators into raw integer locals: tick counters
-            // for time, attojoules for energy.
+            // Hoist the accumulators into raw integer locals.
             let mut t_state = *state.stats.tick_slot_mut(node_state);
             let mut t_total = *state.stats.total_ticks_mut();
             let mut e = energy.attojoules();
@@ -469,7 +462,7 @@ impl<S: HarvestSource> Lane<S> {
                     // The limits of a mixed run the proof admits: `h · leak`
                     // within the energy and below the room down, the total
                     // offer within the headroom and below the room up.
-                    let (down, up) = room_at(down, up, e - at);
+                    let (down, up) = room_at(room, e - at);
                     let reach = window_fit(stretch_end - i, (down - 1).min(e), leak);
                     let budget = EnergyFx::from_attojoules((up - 1).min(e_max_aj - e));
                     run = source.run(i, dt, i + reach, budget);
@@ -486,10 +479,10 @@ impl<S: HarvestSource> Lane<S> {
                         // Self-heal: re-derive the budget from the live
                         // energy (the FSM state is unchanged in a stretch).
                         let live = EnergyFx::from_attojoules(e);
-                        let Some(room) = state.quiescent_room(th, live) else { break };
+                        let Some(live_room) = state.quiescent_room(th, live) else { break };
                         recomputes += 1;
-                        ((down, up), at) = (room, e);
-                        dist = down.min(up).saturating_sub(1);
+                        (room, at) = (live_room, e);
+                        dist = room.0.min(room.1).saturating_sub(1);
                         h = window_fit(window, dist, step_mag);
                         if h == 0 {
                             // This tick's checks cannot be proven no-ops: it
@@ -507,13 +500,13 @@ impl<S: HarvestSource> Lane<S> {
                     (h, burn)
                 } else {
                     let (h, total) = (run.until - i, run.total.attojoules());
-                    let (d, u) = room_at(down, up, e - at);
-                    let burn = burn_run(e, e_max_aj, total, leak, h, d, u)
+                    let drained = i128::from(h) * leak;
+                    let burn = burn_run(e, e_max_aj, total, drained, room_at(room, e - at))
                         .expect("a mixed run fits the limits it was drawn with");
                     // It may spend a whole side's room at once: the bound
                     // restarts from the exact rooms it leaves.
-                    let (d, u) = room_at(down, up, burn.energy - at);
-                    dist = d.min(u).saturating_sub(1);
+                    let (down, up) = room_at(room, burn.energy - at);
+                    dist = down.min(up).saturating_sub(1);
                     (h, burn)
                 };
                 e = burn.energy;
@@ -611,38 +604,29 @@ fn burn_window(e: i128, e_max: i128, offered: i128, leak: i128, h: u64) -> Burn 
     burn
 }
 
-/// Burns a mixed run of `h` ticks whose offers sum to `total` in closed
+/// Burns a mixed run that offers `total` and drains `drained` in closed
 /// form, if the proof admits it.  Offers are non-negative, so every energy
 /// the run passes through — after each tick's bank and after its drain —
-/// lies in `[e − h·leak, e + total]`.  `e + total <= e_max` then means no
-/// bank clips, `e >= h·leak` that no drain saturates, and `h·leak < down`,
+/// lies in `[e − drained, e + total]`.  `e + total <= e_max` then means no
+/// bank clips, `e >= drained` that no drain saturates, and `drained < down`,
 /// `total < up` — within the exact room to the nearest threshold below and
 /// above — that no hoisted check flips: the run is `total` banked and
-/// `h·leak` drained, nothing clipped — the bits of `h` [`Burn::tick`]s.
-fn burn_run(
-    e: i128,
-    e_max: i128,
-    total: i128,
-    leak: i128,
-    h: u64,
-    down: i128,
-    up: i128,
-) -> Option<Burn> {
-    let drained = i128::from(h) * leak;
+/// `drained` drained, nothing clipped — the bits of its [`Burn::tick`]s.
+fn burn_run(e: i128, e_max: i128, total: i128, drained: i128, room: (i128, i128)) -> Option<Burn> {
+    let (down, up) = room;
     let admitted = e + total <= e_max && e >= drained && drained < down && total < up;
     admitted.then_some(Burn { energy: e + total - drained, banked: total, clipped: 0, drained })
 }
 
 /// The room `(down, up)` after the energy moved by `shift`.
-fn room_at(down: i128, up: i128, shift: i128) -> (i128, i128) {
+fn room_at((down, up): (i128, i128), shift: i128) -> (i128, i128) {
     (down.saturating_add(shift), up.saturating_sub(shift))
 }
 
 /// How many ticks of a `window`, each moving the energy by at most `step`
 /// attojoules, fit inside a movement budget of `dist` attojoules: the whole
-/// window when its worst case fits — one widening multiply, the common
-/// case, where the length-1 windows of sample-bound sources would otherwise
-/// pay an `i128` division per tick — else [`ticks_budget`]'s exact floor.
+/// window when its worst case fits (one widening multiply, the common
+/// case), else [`ticks_budget`]'s exact floor.
 fn window_fit(window: u64, dist: i128, step: i128) -> u64 {
     let fits = match (u64::try_from(step), u128::try_from(dist)) {
         (Ok(s), Ok(d)) => u128::from(window) * u128::from(s) <= d,
@@ -657,10 +641,8 @@ fn window_fit(window: u64, dist: i128, step: i128) -> u64 {
 
 /// How many per-tick energy steps of magnitude at most `step` attojoules
 /// fit inside a movement budget of `dist` attojoules — an exact
-/// `floor(dist / step)`, so `h · step <= dist` holds by construction.  A
-/// non-positive `step` means the energy provably cannot move: the horizon
-/// is unbounded and the caller's window (lifetime, timer, block) is the
-/// binding constraint.
+/// `floor(dist / step)`.  A non-positive `step` cannot move the energy: the
+/// horizon is unbounded and the caller's window binds.
 fn ticks_budget(dist: i128, step: i128) -> u64 {
     if dist <= 0 {
         return 0;
@@ -824,7 +806,7 @@ mod tests {
         ];
         for (e, offered, leak) in cases {
             for h in [1_u64, 2, 3, 17, 200] {
-                let (naive, ..) = one_by_one(e, e_max, leak, (0..h).map(|_| offered));
+                let (naive, ..) = one_by_one(e, e_max, leak, &vec![offered; h as usize]);
                 let burn = burn_window(e, e_max, offered, leak, h);
                 assert_eq!(burn, naive, "e={e} offered={offered} leak={leak} h={h}");
             }
@@ -834,15 +816,10 @@ mod tests {
     /// `offers` burnt tick by tick into a capacitor holding `e`: the totals,
     /// whether any tick clipped or saturated, and the farthest the energy
     /// strayed below and above `e`, after a bank or after a drain.
-    fn one_by_one(
-        e: i128,
-        e_max: i128,
-        leak: i128,
-        offers: impl Iterator<Item = i128>,
-    ) -> (Burn, bool, (i128, i128)) {
+    fn one_by_one(e: i128, e_max: i128, leak: i128, offers: &[i128]) -> (Burn, bool, (i128, i128)) {
         let mut burn = Burn { energy: e, banked: 0, clipped: 0, drained: 0 };
         let (mut clamped, mut reach) = (false, (0, 0));
-        for offered in offers {
+        for &offered in offers {
             let tick = Burn::tick(burn.energy, e_max, offered, leak);
             clamped |= tick.clipped > 0 || tick.drained < leak;
             for x in [burn.energy + tick.banked, tick.energy] {
@@ -874,10 +851,10 @@ mod tests {
             let e = [0, e_max, i128::from(e_any)][usize::from(e_pick)];
             let leak = if leak_pick == 0 { 0 } else { i128::from(leak_any) };
             let (down, up) = (i128::from(down), i128::from(up));
-            let (naive, clamped, (below, above)) =
-                one_by_one(e, e_max, leak, offers.iter().map(|&o| i128::from(o)));
-            let total = offers.iter().map(|&o| i128::from(o)).sum();
-            if let Some(burn) = burn_run(e, e_max, total, leak, offers.len() as u64, down, up) {
+            let offers: Vec<i128> = offers.iter().map(|&o| i128::from(o)).collect();
+            let (naive, clamped, (below, above)) = one_by_one(e, e_max, leak, &offers);
+            let drained = offers.len() as i128 * leak;
+            if let Some(burn) = burn_run(e, e_max, offers.iter().sum(), drained, (down, up)) {
                 proptest::prop_assert_eq!(burn, naive);
                 proptest::prop_assert!(!clamped, "admitted past a clip or a saturation");
                 proptest::prop_assert!(below < down && above < up, "admitted past a room");
