@@ -512,6 +512,10 @@ pub struct SolarSource {
     day_length: Seconds,
     cloudiness: f64,
     clouds: CounterRng,
+    /// `(tick, dt bits, offer)` of the daylight tick the last run sampled
+    /// but left out, over its budget: the next run starts on it.  A pure
+    /// cache — the offer is a function of the tick and the step.
+    spare: (u64, u64, i128),
 }
 
 impl SolarSource {
@@ -524,6 +528,7 @@ impl SolarSource {
             day_length,
             cloudiness: cloudiness.clamp(0.0, 1.0),
             clouds: CounterRng::new(seed),
+            spare: (u64::MAX, 0, 0),
         }
     }
 
@@ -591,17 +596,18 @@ impl HarvestSource for SolarSource {
             return Run::uniform(EnergyFx::ZERO, tick, u64::MAX);
         }
         let (dt_s, day) = (dt.as_seconds(), self.day_length.as_seconds());
-        let t0 = tick as f64 * dt_s;
-        let (cycle, phase0) = split_cycles(t0 / day);
-        let sun = Self::sun(phase0);
-        if sun == 0.0 {
-            return Run::uniform(
-                EnergyFx::ZERO,
-                tick,
-                Self::night_end(tick, dt_s, day, cycle, phase0),
-            );
-        }
-        let first = quantise(self.daylight(t0, sun), dt);
+        let first = if self.spare.0 == tick && self.spare.1 == dt_s.to_bits() {
+            EnergyFx::from_attojoules(self.spare.2)
+        } else {
+            let t0 = tick as f64 * dt_s;
+            let (cycle, phase0) = split_cycles(t0 / day);
+            let sun = Self::sun(phase0);
+            if sun == 0.0 {
+                let until = Self::night_end(tick, dt_s, day, cycle, phase0);
+                return Run::uniform(EnergyFx::ZERO, tick, until);
+            }
+            quantise(self.daylight(t0, sun), dt)
+        };
         let (budget, mut total, mut until) = (budget.attojoules(), first.attojoules(), tick + 1);
         // A first offer past the budget admits no second tick to sample.
         while until < end && total <= budget {
@@ -612,6 +618,7 @@ impl HarvestSource for SolarSource {
             }
             let offer = quantise(self.daylight(t, sun), dt).attojoules();
             if total + offer > budget {
+                self.spare = (until, dt_s.to_bits(), offer);
                 break;
             }
             total += offer;
@@ -1207,6 +1214,16 @@ mod tests {
         // last daylight tick, with a sample of about 1e-19 W.
         let run = make().run(1_400, Seconds::new(0.5), 2_000, UNLIMITED);
         assert_eq!((run.until, run.uniform), (1_501, false));
+        // A run cut by its budget keeps the sample past the cut for the next
+        // query, on its own step only.
+        let mut source = make();
+        let budget = quantise(Power::from_milliwatts(1.0), Seconds::new(0.5));
+        let cut = source.run(1_400, Seconds::new(0.5), 2_000, budget);
+        assert!(!cut.uniform && cut.until < 1_500, "{cut:?}");
+        for dt in [0.5, 0.25] {
+            let next = source.clone().run(cut.until, Seconds::new(dt), cut.until + 1, budget);
+            assert_eq!(next.first, offer(&mut make(), cut.until, dt), "dt {dt}");
+        }
         // A degenerate day is zero forever.
         for day in [0.0, -5.0] {
             let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(day), 0.4, 1);
