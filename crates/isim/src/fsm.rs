@@ -229,7 +229,7 @@ impl LaneState {
     /// [`TimerInterrupt::next_fire`]), a step is provably a pure
     /// time-accounting + leakage + harvest tick: every threshold comparison
     /// keeps its current verdict, no state transition, flag flip, RNG draw
-    /// or statistics event can occur.  The distances mirror the comparisons
+    /// or statistics event can occur.  The rooms mirror the comparisons
     /// of `step_after_leakage`/`step_sleep`/`step_off` one for one:
     ///
     /// * Sleep — stay on the current side of `Th_SafeZone` (dip bookkeeping),
@@ -246,15 +246,14 @@ impl LaneState {
     /// horizon.  Rooms are exact attojoule counts against the same
     /// fixed-point thresholds the step comparisons use, so a caller that
     /// bounds the per-tick movement in attojoules gets a *proof*, not an
-    /// estimate: movement strictly below the distance cannot flip a strict
-    /// comparison, and movement of at most `distance − 1` cannot flip a
+    /// estimate: movement strictly below the room cannot flip a strict
+    /// comparison, and movement of at most `room − 1` cannot flip a
     /// non-strict one either.
     ///
     /// `th` must be the fixed-point image of the lane's configured
     /// thresholds; callers cache it once per run ([`NodeFsm::new`], the
     /// batch executor's lane) because re-quantising six thresholds on every
     /// query is measurable in the hot loop.
-    #[inline]
     pub(crate) fn quiescent_room(
         &self,
         th: &ThresholdsFx,
