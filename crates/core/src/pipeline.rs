@@ -47,6 +47,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use netlist::equiv::{EquivConfig, EquivReport};
+use netlist::levelize::levelize;
 use netlist::Netlist;
 use tech45::cells::CellLibrary;
 use tech45::nvm::NvmTechnology;
@@ -128,8 +129,9 @@ impl CircuitArtifacts {
     ///
     /// Propagates netlist analysis and tree-construction failures.
     pub fn build(netlist: &Netlist, ctx: &SchemeContext) -> Result<Self, DiacError> {
-        let figures = circuit_figures(netlist, ctx)?;
-        let base_tree = OperandTree::from_netlist(netlist, &ctx.library, &ctx.tree_config)?;
+        let levels = levelize(netlist)?;
+        let figures = circuit_figures(netlist, &levels, ctx);
+        let base_tree = OperandTree::from_levels(netlist, &levels, &ctx.library, &ctx.tree_config)?;
         Ok(Self {
             name: netlist.name().to_string(),
             figures,

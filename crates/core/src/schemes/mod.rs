@@ -28,7 +28,7 @@ pub use nv_clustering::NvClustering;
 
 use std::fmt;
 
-use netlist::levelize::levelize;
+use netlist::levelize::Levels;
 use netlist::Netlist;
 use tech45::cells::CellLibrary;
 use tech45::flipflop::{FlipFlopKind, FlipFlopModel};
@@ -295,21 +295,21 @@ pub(crate) struct CircuitFigures {
 
 pub(crate) fn circuit_figures(
     netlist: &Netlist,
+    levels: &Levels,
     ctx: &SchemeContext,
-) -> Result<CircuitFigures, DiacError> {
-    let levels = levelize(netlist)?;
+) -> CircuitFigures {
     let cells: Vec<_> =
         netlist.iter().filter(|g| g.kind.is_combinational()).flat_map(|g| g.cells()).collect();
     let estimate = tech45::energy_model::OperandProfile::from_gates(cells)
         .with_depth(levels.depth().max(1) as usize)
         .with_activity(ctx.calibration.comb_activity)
         .estimate(&ctx.library);
-    Ok(CircuitFigures {
+    CircuitFigures {
         comb_energy: estimate.total(),
         comb_delay: estimate.critical_path,
         flip_flops: netlist.flip_flop_count() as u64,
         state_bits: netlist.architectural_state_bits(),
-    })
+    }
 }
 
 /// Per-evaluation energy/delay of the circuit with a given state element.

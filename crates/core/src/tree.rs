@@ -30,11 +30,11 @@
 //! policy and replacement tie-breaks walk ids, and the golden reports and the
 //! pipeline-equivalence tests depend on them.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::mem;
 
-use netlist::levelize::levelize;
+use netlist::levelize::{levelize, Levels};
 use netlist::{GateId, Netlist};
 use tech45::cells::CellLibrary;
 use tech45::energy_model::{EnergyEstimate, OperandProfile};
@@ -143,27 +143,34 @@ impl OperandTree {
         library: &CellLibrary,
         config: &TreeGeneratorConfig,
     ) -> Result<Self, DiacError> {
+        Self::from_levels(netlist, &levelize(netlist)?, library, config)
+    }
+
+    /// [`Self::from_netlist`] over levels the caller already computed, so a
+    /// caller that needs them too levelizes once.
+    pub(crate) fn from_levels(
+        netlist: &Netlist,
+        levels: &Levels,
+        library: &CellLibrary,
+        config: &TreeGeneratorConfig,
+    ) -> Result<Self, DiacError> {
         if config.gates_per_operand == 0 {
             return Err(DiacError::InvalidConfig {
                 message: "gates_per_operand must be at least 1".to_string(),
             });
         }
-        let levels = levelize(netlist)?;
-        let po_set: BTreeSet<GateId> = netlist.primary_outputs().iter().copied().collect();
 
         // 1. chunk the combinational gates of every level into operands.
         let mut operands: Vec<Operand> = Vec::new();
-        let mut operand_of: HashMap<GateId, OperandId> = HashMap::new();
+        let mut operand_of: Vec<Option<OperandId>> = vec![None; netlist.gate_count()];
+        let mut comb: Vec<GateId> = Vec::new();
         for (level_idx, level_gates) in levels.by_level().iter().enumerate() {
-            let comb: Vec<GateId> = level_gates
-                .iter()
-                .copied()
-                .filter(|&g| netlist.gate(g).kind.is_combinational())
-                .collect();
+            comb.clear();
+            comb.extend(level_gates.iter().filter(|&&g| netlist.gate(g).kind.is_combinational()));
             for (chunk_idx, chunk) in comb.chunks(config.gates_per_operand).enumerate() {
                 let id = OperandId(operands.len() as u32);
                 for &g in chunk {
-                    operand_of.insert(g, id);
+                    operand_of[g.index()] = Some(id);
                 }
                 operands.push(Operand {
                     id,
@@ -182,52 +189,59 @@ impl OperandTree {
             });
         }
 
-        // 2. connect operands following gate-level dependencies.
-        let mut child_sets: Vec<BTreeSet<OperandId>> = vec![BTreeSet::new(); operands.len()];
-        for (gate, &op) in &operand_of {
-            for &f in netlist.fanin(*gate) {
-                if let Some(&src_op) = operand_of.get(&f) {
-                    if src_op != op {
-                        child_sets[op.index()].insert(src_op);
-                    }
-                }
+        // 2. connect operands following gate-level dependencies.  Children
+        // are sorted, and parents come out sorted because the operands are
+        // visited in id order.
+        for index in 0..operands.len() {
+            let id = OperandId(index as u32);
+            let mut children: Vec<OperandId> = operands[index]
+                .gates
+                .iter()
+                .flat_map(|&g| netlist.fanin(g))
+                .filter_map(|f| operand_of[f.index()])
+                .filter(|&child| child != id)
+                .collect();
+            children.sort_unstable();
+            children.dedup();
+            for child in &children {
+                operands[child.index()].parents.push(id);
             }
-        }
-        for (idx, children) in child_sets.into_iter().enumerate() {
-            for child in children {
-                operands[idx].children.push(child);
-                operands[child.index()].parents.push(OperandId(idx as u32));
-            }
+            operands[index].children = children;
         }
 
-        // 3. feature dictionaries.
+        // 3. feature dictionaries.  Each chunk sits on one netlist level, so
+        // an operand is one gate level deep.  Flip-flops belong to no
+        // operand, so a gate feeding one is read outside its operand.
+        let mut is_output = vec![false; netlist.gate_count()];
+        for &po in netlist.primary_outputs() {
+            is_output[po.index()] = true;
+        }
+        // The operand that last counted each gate as an external input.
+        let mut counted_by: Vec<Option<OperandId>> = vec![None; netlist.gate_count()];
         for operand in &mut operands {
-            let mut external_inputs: BTreeSet<GateId> = BTreeSet::new();
-            let mut external_outputs: BTreeSet<GateId> = BTreeSet::new();
-            let member: BTreeSet<GateId> = operand.gates.iter().copied().collect();
-            let mut gate_levels: BTreeSet<u32> = BTreeSet::new();
+            let id = Some(operand.id);
+            let mut external_inputs = 0;
+            let mut external_outputs = 0;
             for &g in &operand.gates {
-                gate_levels.insert(levels.level(g));
                 for &f in netlist.fanin(g) {
-                    if !member.contains(&f) {
-                        external_inputs.insert(f);
+                    if operand_of[f.index()] != id && counted_by[f.index()] != id {
+                        counted_by[f.index()] = id;
+                        external_inputs += 1;
                     }
                 }
-                let read_outside = netlist.fanout(g).iter().any(|r| !member.contains(r));
-                let feeds_ff =
-                    netlist.fanout(g).iter().any(|&r| netlist.gate(r).kind.is_sequential());
-                if read_outside || feeds_ff || po_set.contains(&g) {
-                    external_outputs.insert(g);
+                if is_output[g.index()]
+                    || netlist.fanout(g).iter().any(|r| operand_of[r.index()] != id)
+                {
+                    external_outputs += 1;
                 }
             }
             let cells: Vec<_> =
                 operand.gates.iter().flat_map(|&g| netlist.gate(g).cells()).collect();
             let estimate = OperandProfile::from_gates(cells)
-                .with_depth(gate_levels.len().max(1))
+                .with_depth(1)
                 .with_activity(config.activity)
                 .estimate(library);
-            operand.dict =
-                FeatureDict::new(external_inputs.len(), external_outputs.len().max(1), 0, estimate);
+            operand.dict = FeatureDict::new(external_inputs, external_outputs.max(1), 0, estimate);
         }
 
         let mut tree = Self::from_parts(

@@ -23,8 +23,6 @@
 //! random-vector check flips an output for a dense set of patterns and the
 //! report carries the exact failing assignment.
 
-use std::collections::HashMap;
-
 use netlist::equiv::{check_equivalence, EquivConfig, EquivReport};
 use netlist::{GateId, GateKind, Netlist, NetlistBuilder};
 
@@ -50,11 +48,11 @@ pub const NV_BUFFER_SUFFIX: &str = "__nvb";
 pub fn replaced_netlist(netlist: &Netlist, tree: &OperandTree) -> Result<Netlist, DiacError> {
     // Which operand owns each combinational gate (live operands partition
     // the combinational gates).
-    let mut operand_of: HashMap<GateId, OperandId> = HashMap::new();
-    let mut needs_buffer: Vec<bool> = vec![false; netlist.gate_count()];
+    let gates = netlist.gate_count();
+    let mut operand_of: Vec<Option<OperandId>> = vec![None; gates];
     for operand in tree.iter() {
         for &g in &operand.gates {
-            if netlist.try_gate(g).is_none() {
+            let Some(owner) = operand_of.get_mut(g.index()) else {
                 return Err(DiacError::InvalidTree {
                     message: format!(
                         "operand {} of `{}` clusters gate {g} outside the netlist",
@@ -62,74 +60,54 @@ pub fn replaced_netlist(netlist: &Netlist, tree: &OperandTree) -> Result<Netlist
                         tree.name()
                     ),
                 });
-            }
-            operand_of.insert(g, operand.id);
+            };
+            *owner = Some(operand.id);
         }
     }
     // A gate needs an NV buffer when its operand commits (nvm_boundary) and
     // some reader sits outside the operand — another operand's gate or a
     // flip-flop D input.  Primary outputs stay on the original driver: the
-    // root commit happens beside the output, not in series with it.
-    for operand in tree.iter() {
-        if !operand.dict.nvm_boundary {
+    // root commit happens beside the output, not in series with it.  The
+    // buffers follow the original gates, in gate order, so their ids are
+    // known before any is added.
+    let mut buffer_of: Vec<Option<GateId>> = vec![None; gates];
+    let mut buffers: Vec<(GateId, String)> = Vec::new();
+    for gate in netlist.iter() {
+        let Some(op) = operand_of[gate.id.index()] else { continue };
+        let crosses = tree.operand(op).dict.nvm_boundary
+            && netlist.fanout(gate.id).iter().any(|r| operand_of[r.index()] != Some(op));
+        if !crosses {
             continue;
         }
-        for &g in &operand.gates {
-            let crosses =
-                netlist.fanout(g).iter().any(|reader| operand_of.get(reader) != Some(&operand.id));
-            if crosses {
-                needs_buffer[g.index()] = true;
-            }
-        }
-    }
-
-    let buffer_name = |name: &str| format!("{name}{NV_BUFFER_SUFFIX}");
-    for gate in netlist.iter() {
-        if needs_buffer[gate.id.index()] && netlist.find(&buffer_name(&gate.name)).is_some() {
+        let buffer = format!("{}{NV_BUFFER_SUFFIX}", gate.name);
+        if netlist.find(&buffer).is_some() {
             return Err(DiacError::InvalidTree {
                 message: format!(
-                    "cannot insert NV buffer for `{}`: `{}` already exists",
-                    gate.name,
-                    buffer_name(&gate.name)
+                    "cannot insert NV buffer for `{}`: `{buffer}` already exists",
+                    gate.name
                 ),
             });
         }
+        buffer_of[gate.id.index()] = Some(GateId((gates + buffers.len()) as u32));
+        buffers.push((gate.id, buffer));
     }
 
     let mut builder = NetlistBuilder::new(netlist.name());
     for gate in netlist.iter() {
-        if gate.kind == GateKind::Input {
-            builder.add_input(&gate.name);
-            continue;
-        }
-        let reader_operand = operand_of.get(&gate.id).copied();
-        let fanin_names: Vec<String> = netlist
-            .fanin(gate.id)
-            .iter()
-            .map(|&f| {
-                let driver = netlist.gate(f);
-                // Read through the NV buffer exactly when the edge leaves
-                // the driver's operand.
-                if needs_buffer[f.index()] && operand_of.get(&f).copied() != reader_operand {
-                    buffer_name(&driver.name)
-                } else {
-                    driver.name.clone()
-                }
-            })
-            .collect();
-        builder.add_gate_by_names(&gate.name, gate.kind, fanin_names)?;
+        let reader_operand = operand_of[gate.id.index()];
+        // Read through the NV buffer exactly when the edge leaves the
+        // driver's operand.
+        let fanin = netlist.fanin(gate.id).iter().map(|&f| match buffer_of[f.index()] {
+            Some(buffer) if operand_of[f.index()] != reader_operand => buffer,
+            _ => f,
+        });
+        builder.add_gate(&gate.name, gate.kind, fanin)?;
     }
-    for gate in netlist.iter() {
-        if needs_buffer[gate.id.index()] {
-            builder.add_gate_by_names(
-                buffer_name(&gate.name),
-                GateKind::Buf,
-                vec![gate.name.clone()],
-            )?;
-        }
+    for (driver, buffer) in buffers {
+        builder.add_gate(buffer, GateKind::Buf, [driver])?;
     }
     for &po in netlist.primary_outputs() {
-        builder.mark_output_name(netlist.gate(po).name.clone());
+        builder.mark_output(po);
     }
     Ok(builder.finish()?)
 }

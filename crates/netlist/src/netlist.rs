@@ -90,12 +90,6 @@ impl Netlist {
         &self.gates[id.index()]
     }
 
-    /// Fallible gate accessor.
-    #[must_use]
-    pub fn try_gate(&self, id: GateId) -> Option<&Gate> {
-        self.gates.get(id.index())
-    }
-
     /// Looks a gate up by its source-level name.
     #[must_use]
     pub fn find(&self, name: &str) -> Option<GateId> {
@@ -191,10 +185,7 @@ impl Netlist {
         for &po in &self.primary_outputs {
             s.push_str(&format!("OUTPUT({})\n", self.gate(po).name));
         }
-        for gate in &self.gates {
-            if gate.kind == GateKind::Input {
-                continue;
-            }
+        for gate in self.gates.iter().filter(|g| g.kind != GateKind::Input) {
             let args: Vec<&str> =
                 self.fanin(gate.id).iter().map(|&id| self.gate(id).name.as_str()).collect();
             s.push_str(&format!("{} = {}({})\n", gate.name, gate.kind, args.join(", ")));
@@ -224,19 +215,6 @@ impl Netlist {
             .filter(|g| matches!(g.kind, GateKind::Const0 | GateKind::Const1))
             .map(|g| (g.id, g.kind == GateKind::Const1))
     }
-
-    /// Bench-style rendering of one gate with resolved fan-in names
-    /// (`G9 = NAND(G1, G2)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this netlist.
-    #[must_use]
-    pub fn format_gate(&self, id: GateId) -> String {
-        let gate = self.gate(id);
-        let args: Vec<&str> = self.fanin(id).iter().map(|&f| self.gate(f).name.as_str()).collect();
-        format!("{} = {}({})", gate.name, gate.kind, args.join(", "))
-    }
 }
 
 impl fmt::Display for Netlist {
@@ -256,23 +234,29 @@ impl fmt::Display for Netlist {
 
 /// Incremental builder for [`Netlist`].
 ///
-/// The builder allows forward references: fan-ins may name gates that are
-/// defined later (as both `.bench` and BLIF files do); everything is resolved
-/// and validated in [`NetlistBuilder::finish`].
+/// Gates get ids in the order they are added.  Fan-ins are stored as ids in
+/// one flat arena, so a caller that knows its ids ([`Self::add_gate`]) never
+/// goes through names; ids may point forward, at gates added later.  A name
+/// ([`Self::add_gate_by_names`], [`Self::mark_output_name`]) resolves at once
+/// when it is already defined; only a name defined later (as both `.bench`
+/// and BLIF files allow) waits for [`NetlistBuilder::finish`], which resolves
+/// it and rejects every id that names no gate.
 #[derive(Debug, Clone, Default)]
 pub struct NetlistBuilder {
     name: String,
-    gates: Vec<PendingGate>,
-    outputs: Vec<String>,
-    by_name: HashMap<String, usize>,
+    gates: Vec<Gate>,
+    /// Fan-in arena; each gate's span indexes into it.
+    fanins: Vec<GateId>,
+    outputs: Vec<GateId>,
+    by_name: HashMap<String, GateId>,
+    /// Fan-in arena slots whose name was not defined yet.
+    forward_fanins: Vec<(usize, String)>,
+    /// Output slots whose name was not defined yet.
+    forward_outputs: Vec<(usize, String)>,
 }
 
-#[derive(Debug, Clone)]
-struct PendingGate {
-    name: String,
-    kind: GateKind,
-    fanin_names: Vec<String>,
-}
+/// Placeholder for a forward name until [`NetlistBuilder::finish`].
+const UNRESOLVED: GateId = GateId(u32::MAX);
 
 impl NetlistBuilder {
     /// Creates an empty builder for a design called `name`.
@@ -293,16 +277,13 @@ impl NetlistBuilder {
         self.gates.is_empty()
     }
 
-    /// Adds a primary input and returns its eventual id.
+    /// Adds a primary input and returns its id.
     pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
-        let name = name.into();
-        let id = GateId(self.gates.len() as u32);
-        self.by_name.insert(name.clone(), id.index());
-        self.gates.push(PendingGate { name, kind: GateKind::Input, fanin_names: Vec::new() });
-        id
+        self.push_gate(name.into(), GateKind::Input, self.fanins.len())
     }
 
-    /// Adds a gate whose fan-ins are already-known ids.
+    /// Adds a gate whose fan-ins are ids.  An id may name a gate added later;
+    /// [`Self::finish`] rejects one that names no gate.
     ///
     /// # Errors
     ///
@@ -312,20 +293,14 @@ impl NetlistBuilder {
         &mut self,
         name: impl Into<String>,
         kind: GateKind,
-        fanin: Vec<GateId>,
+        fanin: impl IntoIterator<Item = GateId>,
     ) -> Result<GateId, NetlistError> {
-        let fanin_names: Vec<String> = fanin
-            .iter()
-            .map(|id| {
-                self.gates.get(id.index()).map(|g| g.name.clone()).ok_or_else(|| {
-                    NetlistError::UndefinedSignal {
-                        name: id.to_string(),
-                        referenced_by: "builder".to_string(),
-                    }
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        self.add_gate_by_names(name, kind, fanin_names)
+        let offset = self.fanins.len();
+        self.fanins.extend(fanin);
+        let name = self
+            .admit(name.into(), kind, self.fanins.len() - offset)
+            .inspect_err(|_| self.fanins.truncate(offset))?;
+        Ok(self.push_gate(name, kind, offset))
     }
 
     /// Adds a gate whose fan-ins are referenced by signal name (which may be
@@ -341,118 +316,128 @@ impl NetlistBuilder {
         kind: GateKind,
         fanin_names: Vec<String>,
     ) -> Result<GateId, NetlistError> {
+        let name = self.admit(name.into(), kind, fanin_names.len())?;
+        let offset = self.fanins.len();
+        for fanin in fanin_names {
+            let id = self.by_name.get(&fanin).copied().unwrap_or_else(|| {
+                self.forward_fanins.push((self.fanins.len(), fanin));
+                UNRESOLVED
+            });
+            self.fanins.push(id);
+        }
+        Ok(self.push_gate(name, kind, offset))
+    }
+
+    /// Marks a gate as a primary output.  The id may name a gate added later;
+    /// [`Self::finish`] rejects one that names no gate.
+    pub fn mark_output(&mut self, id: GateId) {
+        self.outputs.push(id);
+    }
+
+    /// Marks a signal name as a primary output (the signal may be defined
+    /// later).
+    pub fn mark_output_name(&mut self, name: impl Into<String>) {
         let name = name.into();
+        let id = self.by_name.get(&name).copied().unwrap_or_else(|| {
+            self.forward_outputs.push((self.outputs.len(), name));
+            UNRESOLVED
+        });
+        self.outputs.push(id);
+    }
+
+    /// Admits a new gate: checks that its name is free and that `found`
+    /// fan-ins fit its kind, handing the name back.
+    fn admit(&self, name: String, kind: GateKind, found: usize) -> Result<String, NetlistError> {
         if self.by_name.contains_key(&name) {
             return Err(NetlistError::DuplicateGate { name });
         }
-        if !kind.accepts_fanin(fanin_names.len()) {
+        if !kind.accepts_fanin(found) {
             let (min, max) = kind.arity();
             let expected = match max {
                 Some(max) if max == min => format!("exactly {min}"),
                 Some(max) => format!("between {min} and {max}"),
                 None => format!("at least {min}"),
             };
-            return Err(NetlistError::ArityMismatch {
-                gate: name,
-                expected,
-                found: fanin_names.len(),
-            });
+            return Err(NetlistError::ArityMismatch { gate: name, expected, found });
         }
+        Ok(name)
+    }
+
+    /// Records a gate whose fan-ins start at arena slot `offset`.
+    fn push_gate(&mut self, name: String, kind: GateKind, offset: usize) -> GateId {
         let id = GateId(self.gates.len() as u32);
-        self.by_name.insert(name.clone(), id.index());
-        self.gates.push(PendingGate { name, kind, fanin_names });
-        Ok(id)
+        let span = FaninSpan { offset: offset as u32, len: (self.fanins.len() - offset) as u32 };
+        self.by_name.insert(name.clone(), id);
+        self.gates.push(Gate { id, name, kind, span });
+        id
     }
 
-    /// Marks an already-added gate as a primary output.
-    pub fn mark_output(&mut self, id: GateId) {
-        if let Some(gate) = self.gates.get(id.index()) {
-            self.outputs.push(gate.name.clone());
-        }
-    }
-
-    /// Marks a signal name as a primary output (the signal may be defined
-    /// later).
-    pub fn mark_output_name(&mut self, name: impl Into<String>) {
-        self.outputs.push(name.into());
-    }
-
-    /// Resolves all references and produces the validated [`Netlist`].
+    /// Resolves the forward names, checks every id and produces the
+    /// validated [`Netlist`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the netlist is empty, if any referenced signal is
-    /// never defined, or if an output names an unknown signal.
+    /// Returns an error if the netlist is empty, or if a fan-in or an output
+    /// names a signal that is never defined or an id past the last gate.
     pub fn finish(self) -> Result<Netlist, NetlistError> {
-        if self.gates.is_empty() {
+        let Self { name, gates, mut fanins, mut outputs, by_name, .. } = self;
+        if gates.is_empty() {
             return Err(NetlistError::EmptyNetlist);
         }
-        let n = self.gates.len();
-        let total_fanins: usize = self.gates.iter().map(|g| g.fanin_names.len()).sum();
-        let mut gates = Vec::with_capacity(n);
-        let mut fanin_arena: Vec<GateId> = Vec::with_capacity(total_fanins);
-        let mut primary_inputs = Vec::new();
-        let mut flip_flops = Vec::new();
-        for (index, pending) in self.gates.iter().enumerate() {
-            let id = GateId(index as u32);
-            let offset = fanin_arena.len() as u32;
-            for name in &pending.fanin_names {
-                let fanin = self.by_name.get(name).map(|&i| GateId(i as u32)).ok_or_else(|| {
-                    NetlistError::UndefinedSignal {
-                        name: name.clone(),
-                        referenced_by: pending.name.clone(),
-                    }
-                })?;
-                fanin_arena.push(fanin);
-            }
-            match pending.kind {
-                GateKind::Input => primary_inputs.push(id),
-                GateKind::Dff => flip_flops.push(id),
-                _ => {}
-            }
-            let span = FaninSpan { offset, len: pending.fanin_names.len() as u32 };
-            gates.push(Gate { id, name: pending.name.clone(), kind: pending.kind, span });
+        let n = gates.len();
+        // Spans tile the arena in gate order, so a slot's reader is the first
+        // gate whose span ends past it.
+        let reader =
+            |slot: usize| &gates[gates.partition_point(|g| g.span.range().end <= slot)].name;
+        let undefined = |name: String, referenced_by: &str| NetlistError::UndefinedSignal {
+            name,
+            referenced_by: referenced_by.to_string(),
+        };
+        let resolve = |signal: String, referenced_by: &str| {
+            by_name.get(&signal).copied().ok_or_else(|| undefined(signal, referenced_by))
+        };
+        for (slot, signal) in self.forward_fanins {
+            fanins[slot] = resolve(signal, reader(slot))?;
         }
+        for (slot, signal) in self.forward_outputs {
+            outputs[slot] = resolve(signal, "OUTPUT")?;
+        }
+        if let Some(slot) = fanins.iter().position(|f| f.index() >= n) {
+            return Err(undefined(fanins[slot].to_string(), reader(slot)));
+        }
+        if let Some(bad) = outputs.iter().find(|o| o.index() >= n) {
+            return Err(undefined(bad.to_string(), "OUTPUT"));
+        }
+        let of_kind = |kind| gates.iter().filter(|g| g.kind == kind).map(|g| g.id).collect();
+        let (primary_inputs, flip_flops) = (of_kind(GateKind::Input), of_kind(GateKind::Dff));
 
         // Reverse CSR: classic two-pass counting sort over the fan-in edges,
         // so `fanout(id)` lists readers in (reader id, input position) order.
         let mut fanout_offsets = vec![0_u32; n + 1];
-        for &src in &fanin_arena {
+        for &src in &fanins {
             fanout_offsets[src.index() + 1] += 1;
         }
         for i in 0..n {
             fanout_offsets[i + 1] += fanout_offsets[i];
         }
-        let mut fanout_arena = vec![GateId(0); fanin_arena.len()];
+        let mut fanout_arena = vec![GateId(0); fanins.len()];
         let mut cursor: Vec<u32> = fanout_offsets[..n].to_vec();
         for gate in &gates {
-            for &src in &fanin_arena[gate.span.range()] {
+            for &src in &fanins[gate.span.range()] {
                 let slot = &mut cursor[src.index()];
                 fanout_arena[*slot as usize] = gate.id;
                 *slot += 1;
             }
         }
 
-        let mut primary_outputs = Vec::with_capacity(self.outputs.len());
-        for name in &self.outputs {
-            let id = self.by_name.get(name).map(|&i| GateId(i as u32)).ok_or_else(|| {
-                NetlistError::UndefinedSignal {
-                    name: name.clone(),
-                    referenced_by: "OUTPUT".to_string(),
-                }
-            })?;
-            primary_outputs.push(id);
-        }
-        let by_name =
-            self.by_name.into_iter().map(|(name, index)| (name, GateId(index as u32))).collect();
         Ok(Netlist {
-            name: self.name,
+            name,
             gates,
-            fanin_arena,
+            fanin_arena: fanins,
             fanout_offsets,
             fanout_arena,
             primary_inputs,
-            primary_outputs,
+            primary_outputs: outputs,
             flip_flops,
             by_name,
         })
@@ -494,7 +479,6 @@ mod tests {
         assert_eq!(nl.gate(g1).name, "g1");
         assert_eq!(nl.gate(g1).kind, GateKind::And);
         assert!(nl.find("nope").is_none());
-        assert!(nl.try_gate(GateId(999)).is_none());
     }
 
     #[test]
@@ -541,7 +525,7 @@ mod tests {
         let nl = b.finish().unwrap();
         assert_eq!(nl.fanin(g), &[a, a]);
         assert_eq!(nl.fanout(a), &[g, g]);
-        assert_eq!(nl.format_gate(g), "g = AND(a, a)");
+        assert!(nl.to_bench().contains("g = AND(a, a)"));
     }
 
     #[test]
@@ -563,9 +547,10 @@ mod tests {
     #[test]
     fn undefined_signals_are_reported_at_finish() {
         let mut b = NetlistBuilder::new("undef");
+        let a = b.add_input("a");
+        b.add_gate("f", GateKind::Not, [a]).unwrap();
         b.add_gate_by_names("g", GateKind::Not, vec!["ghost".to_string()]).unwrap();
-        let err = b.finish().unwrap_err();
-        assert!(matches!(err, NetlistError::UndefinedSignal { .. }));
+        assert_eq!(b.finish().unwrap_err(), undefined("ghost", "g"));
     }
 
     #[test]
@@ -594,6 +579,47 @@ mod tests {
         let g = nl.find("g").unwrap();
         let later = nl.find("later").unwrap();
         assert_eq!(nl.fanin(g), &[later]);
+    }
+
+    #[test]
+    fn a_forward_flip_flop_id_resolves() {
+        let mut b = NetlistBuilder::new("fwd_id");
+        let a = b.add_input("a");
+        // `g` reads the flip-flop `q`, which is added after it.
+        let g = b.add_gate("g", GateKind::And, [a, GateId(2)]).unwrap();
+        let q = b.add_gate("q", GateKind::Dff, [g]).unwrap();
+        b.mark_output(g);
+        let nl = b.finish().unwrap();
+        assert_eq!((nl.fanin(g), nl.fanout(q)), (&[a, q][..], &[g][..]));
+    }
+
+    fn undefined(name: &str, referenced_by: &str) -> NetlistError {
+        NetlistError::UndefinedSignal { name: name.into(), referenced_by: referenced_by.into() }
+    }
+
+    #[test]
+    fn an_out_of_range_fanin_id_is_rejected() {
+        let mut b = NetlistBuilder::new("bad_fanin");
+        let a = b.add_input("a");
+        b.add_gate("g", GateKind::And, [a, GateId(2)]).unwrap();
+        assert_eq!(b.finish().unwrap_err(), undefined("n2", "g"));
+    }
+
+    #[test]
+    fn an_out_of_range_output_id_is_rejected() {
+        let mut b = NetlistBuilder::new("bad_output");
+        b.add_input("a");
+        b.mark_output(GateId(1));
+        assert_eq!(b.finish().unwrap_err(), undefined("n1", "OUTPUT"));
+    }
+
+    #[test]
+    fn a_rejected_gate_leaves_no_fanins_behind() {
+        let mut b = NetlistBuilder::new("rollback");
+        let a = b.add_input("a");
+        b.add_gate("g", GateKind::Not, [a, a]).unwrap_err();
+        let g = b.add_gate("g", GateKind::Not, [a]).unwrap();
+        assert_eq!(b.finish().unwrap().fanout(a), &[g]);
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! run of every experiment sees exactly the same netlist.  DIAC's accounting
 //! depends only on these structural quantities, not on the logic function.
 
+use std::iter;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::error::NetlistError;
-use crate::gate::GateKind;
+use crate::gate::{GateId, GateKind};
 use crate::netlist::{Netlist, NetlistBuilder};
 
 /// Structural parameters of a synthetic circuit.
@@ -105,83 +107,58 @@ pub fn generate(config: &SynthesisConfig) -> Result<Netlist, NetlistError> {
     config.validate()?;
     let mut rng = StdRng::seed_from_u64(config.seed ^ name_hash(&config.name));
     let mut builder = NetlistBuilder::new(&config.name);
+    // Sources: primary inputs and flip-flop outputs.  Ids follow the order
+    // of addition (inputs, combinational gates, flip-flops), so a
+    // flip-flop's id is known before it is added.
+    let mut signals: Vec<GateId> =
+        (0..config.primary_inputs).map(|i| builder.add_input(format!("pi{i}"))).collect();
+    let first_ff = config.primary_inputs + config.combinational_gates;
+    signals.extend((first_ff..first_ff + config.flip_flops).map(|id| GateId(id as u32)));
+    let sources = signals.len();
 
-    // Sources: primary inputs and flip-flop outputs.
-    let mut source_names: Vec<String> = Vec::new();
-    for i in 0..config.primary_inputs {
-        let name = format!("pi{i}");
-        builder.add_input(&name);
-        source_names.push(name);
-    }
-    let ff_names: Vec<String> = (0..config.flip_flops).map(|i| format!("ff{i}")).collect();
-    source_names.extend(ff_names.iter().cloned());
-
-    // Distribute the combinational gates over the levels.
+    // Distribute the combinational gates over the levels; none is empty,
+    // because the depth never exceeds the gate count.
     let depth = config.target_depth.min(config.combinational_gates);
     let mut level_sizes = vec![config.combinational_gates / depth; depth];
     for slot in level_sizes.iter_mut().take(config.combinational_gates % depth) {
         *slot += 1;
     }
 
-    let mut previous_level: Vec<String> = source_names.clone();
-    let mut all_signals: Vec<String> = source_names.clone();
-    let mut gate_index = 0_usize;
-    let mut last_level: Vec<String> = Vec::new();
-    for (level, &size) in level_sizes.iter().enumerate() {
-        let mut this_level = Vec::with_capacity(size);
+    // Every level's gates are appended to the sources, so the gates are
+    // `signals[sources..]`; fan-ins come from the earlier levels only.
+    let mut previous_level = 0..sources;
+    for &size in &level_sizes {
+        let earlier = signals.len();
         for _ in 0..size {
-            let name = format!("g{gate_index}");
-            gate_index += 1;
             let kind = random_kind(&mut rng);
             let fanin_count = fanin_count_for(kind, &mut rng);
-            let mut fanin_names = Vec::with_capacity(fanin_count);
             // Guarantee depth: the first fan-in comes from the previous level.
-            let anchor = previous_level.choose(&mut rng).cloned().unwrap_or_else(|| {
-                source_names.choose(&mut rng).cloned().expect("at least one source")
-            });
-            fanin_names.push(anchor);
-            for _ in 1..fanin_count {
-                let candidate = all_signals.choose(&mut rng).cloned().expect("nonempty");
-                fanin_names.push(candidate);
-            }
-            // Multi-input gates must not repeat the very same signal for all
-            // inputs; duplicates are fine (real netlists have them), so only
-            // the arity matters and the builder accepts this directly.
-            builder.add_gate_by_names(&name, kind, fanin_names)?;
-            this_level.push(name.clone());
-            let _ = level;
+            let anchor = *signals[previous_level.clone()].choose(&mut rng).expect("nonempty");
+            // Duplicates are fine (real netlists have them); only the arity
+            // matters, and the builder checks it.
+            let others =
+                (1..fanin_count).map(|_| *signals[..earlier].choose(&mut rng).expect("nonempty"));
+            let name = format!("g{}", signals.len() - sources);
+            let id = builder.add_gate(name, kind, iter::once(anchor).chain(others))?;
+            signals.push(id);
         }
-        all_signals.extend(this_level.iter().cloned());
-        previous_level = if this_level.is_empty() { previous_level } else { this_level.clone() };
-        last_level = this_level;
+        previous_level = earlier..signals.len();
     }
+    let gates = &signals[sources..];
 
     // Primary outputs: prefer the deepest gates so the outputs sit at the roots.
-    let mut output_pool: Vec<String> = last_level.clone();
-    let mut deeper_first: Vec<String> =
-        all_signals.iter().rev().filter(|s| s.starts_with('g')).cloned().collect();
-    output_pool.append(&mut deeper_first);
+    let mut output_pool: Vec<GateId> = signals[previous_level].to_vec();
+    output_pool.extend(gates.iter().rev());
     output_pool.dedup();
     for i in 0..config.primary_outputs {
-        let name = output_pool
-            .get(i % output_pool.len().max(1))
-            .cloned()
-            .unwrap_or_else(|| source_names.first().cloned().expect("at least one source"));
-        builder.mark_output_name(name);
+        builder.mark_output(output_pool[i % output_pool.len()]);
     }
 
     // Flip-flops: D inputs sample the deeper half of the logic.
-    let gate_signals: Vec<String> =
-        all_signals.iter().filter(|s| s.starts_with('g')).cloned().collect();
-    let deep_start = gate_signals.len() / 2;
-    for ff in &ff_names {
-        let d = if gate_signals.is_empty() {
-            source_names.choose(&mut rng).cloned().expect("at least one source")
-        } else {
-            let idx = rng.gen_range(deep_start..gate_signals.len());
-            gate_signals[idx].clone()
-        };
-        builder.add_gate_by_names(ff, GateKind::Dff, vec![d])?;
+    let deep_start = gates.len() / 2;
+    for i in 0..config.flip_flops {
+        let d = gates[rng.gen_range(deep_start..gates.len())];
+        builder.add_gate(format!("ff{i}"), GateKind::Dff, [d])?;
     }
 
     builder.finish()
