@@ -133,11 +133,12 @@ pub fn generate(config: &SynthesisConfig) -> Result<Netlist, NetlistError> {
             let kind = random_kind(&mut rng);
             let fanin_count = fanin_count_for(kind, &mut rng);
             // Guarantee depth: the first fan-in comes from the previous level.
-            let anchor = *signals[previous_level.clone()].choose(&mut rng).expect("nonempty");
+            let anchor =
+                *signals[previous_level.clone()].choose(&mut rng).expect("levels have gates");
             // Duplicates are fine (real netlists have them); only the arity
             // matters, and the builder checks it.
-            let others =
-                (1..fanin_count).map(|_| *signals[..earlier].choose(&mut rng).expect("nonempty"));
+            let others = (1..fanin_count)
+                .map(|_| *signals[..earlier].choose(&mut rng).expect("an input exists"));
             let name = format!("g{}", signals.len() - sources);
             let id = builder.add_gate(name, kind, iter::once(anchor).chain(others))?;
             signals.push(id);
