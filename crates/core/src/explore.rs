@@ -137,7 +137,7 @@ impl Explorer {
     pub fn explore_prepared(
         &self,
         pipeline: &SynthesisPipeline,
-        artifacts: &CircuitArtifacts,
+        artifacts: &CircuitArtifacts<'_>,
     ) -> Result<Vec<DesignPoint>, DiacError> {
         let base = pipeline.context();
         let mut points = Vec::with_capacity(self.config.point_count());

@@ -102,14 +102,15 @@ impl ReplacementKey {
 /// the combinational activity invalidates them; evaluation checks this and
 /// returns [`DiacError::InvalidConfig`] instead of silently reusing stale
 /// products.
+///
+/// The artifacts borrow the netlist they were built from (the caller keeps
+/// it alive), for the replaced netlist and the opt-in functional-equivalence
+/// pass ([`Self::verify_replacement`]).
 #[derive(Debug)]
-pub struct CircuitArtifacts {
-    name: String,
+pub struct CircuitArtifacts<'n> {
+    netlist: &'n Netlist,
     figures: CircuitFigures,
     base_tree: OperandTree,
-    /// The source netlist, kept for the opt-in functional-equivalence pass
-    /// ([`Self::verify_replacement`]).
-    netlist: Netlist,
     // Fingerprint of the context fields the cached products depend on.
     library: CellLibrary,
     tree_config: TreeGeneratorConfig,
@@ -121,22 +122,21 @@ pub struct CircuitArtifacts {
     replaced: Mutex<HashMap<ReplacementKey, Arc<Netlist>>>,
 }
 
-impl CircuitArtifacts {
+impl<'n> CircuitArtifacts<'n> {
     /// Runs the scheme-independent front of the flow once: levelization and
     /// circuit figures, plus the operand-tree clustering.
     ///
     /// # Errors
     ///
     /// Propagates netlist analysis and tree-construction failures.
-    pub fn build(netlist: &Netlist, ctx: &SchemeContext) -> Result<Self, DiacError> {
+    pub fn build(netlist: &'n Netlist, ctx: &SchemeContext) -> Result<Self, DiacError> {
         let levels = levelize(netlist)?;
         let figures = circuit_figures(netlist, &levels, ctx);
         let base_tree = OperandTree::from_levels(netlist, &levels, &ctx.library, &ctx.tree_config)?;
         Ok(Self {
-            name: netlist.name().to_string(),
+            netlist,
             figures,
             base_tree,
-            netlist: netlist.clone(),
             library: ctx.library.clone(),
             tree_config: ctx.tree_config,
             comb_activity: ctx.calibration.comb_activity,
@@ -148,8 +148,8 @@ impl CircuitArtifacts {
 
     /// Circuit name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'n str {
+        self.netlist.name()
     }
 
     /// The operand tree clustered from the netlist, before any policy.
@@ -160,8 +160,8 @@ impl CircuitArtifacts {
 
     /// The source netlist these artifacts were built from.
     #[must_use]
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+    pub fn netlist(&self) -> &'n Netlist {
+        self.netlist
     }
 
     /// Number of replacement runs currently cached (diagnostic).
@@ -196,7 +196,7 @@ impl CircuitArtifacts {
                 message: format!(
                     "artifacts of `{}` were built with a different library/tree configuration; \
                      rebuild them with SynthesisPipeline::prepare",
-                    self.name
+                    self.name()
                 ),
             });
         }
@@ -266,7 +266,7 @@ impl CircuitArtifacts {
         if let Some(replaced) = self.replaced.lock().expect("replaced cache lock").get(&key) {
             return Ok(Arc::clone(replaced));
         }
-        let replaced = Arc::new(verify::replaced_netlist(&self.netlist, enhanced.tree())?);
+        let replaced = Arc::new(verify::replaced_netlist(self.netlist, enhanced.tree())?);
         self.replaced.lock().expect("replaced cache lock").insert(key, Arc::clone(&replaced));
         Ok(replaced)
     }
@@ -288,7 +288,7 @@ impl CircuitArtifacts {
         equiv: &EquivConfig,
     ) -> Result<EquivReport, DiacError> {
         let replaced = self.replaced_netlist(ctx)?;
-        Ok(netlist::equiv::check_equivalence(&self.netlist, &replaced, equiv)?)
+        Ok(netlist::equiv::check_equivalence(self.netlist, &replaced, equiv)?)
     }
 }
 
@@ -316,7 +316,7 @@ impl SynthesisPipeline {
     /// # Errors
     ///
     /// Propagates netlist analysis and tree-construction failures.
-    pub fn prepare(&self, netlist: &Netlist) -> Result<CircuitArtifacts, DiacError> {
+    pub fn prepare<'n>(&self, netlist: &'n Netlist) -> Result<CircuitArtifacts<'n>, DiacError> {
         CircuitArtifacts::build(netlist, &self.ctx)
     }
 
@@ -327,7 +327,7 @@ impl SynthesisPipeline {
     /// Propagates configuration and evaluation failures.
     pub fn evaluate(
         &self,
-        artifacts: &CircuitArtifacts,
+        artifacts: &CircuitArtifacts<'_>,
         kind: SchemeKind,
     ) -> Result<SchemeResult, DiacError> {
         self.evaluate_in(artifacts, &self.ctx, kind)
@@ -344,7 +344,7 @@ impl SynthesisPipeline {
     /// propagates evaluation failures.
     pub fn evaluate_in(
         &self,
-        artifacts: &CircuitArtifacts,
+        artifacts: &CircuitArtifacts<'_>,
         ctx: &SchemeContext,
         kind: SchemeKind,
     ) -> Result<SchemeResult, DiacError> {
@@ -357,7 +357,10 @@ impl SynthesisPipeline {
     /// # Errors
     ///
     /// Propagates configuration and evaluation failures.
-    pub fn compare_all(&self, artifacts: &CircuitArtifacts) -> Result<SchemeComparison, DiacError> {
+    pub fn compare_all(
+        &self,
+        artifacts: &CircuitArtifacts<'_>,
+    ) -> Result<SchemeComparison, DiacError> {
         self.compare_all_in(artifacts, &self.ctx)
     }
 
@@ -369,7 +372,7 @@ impl SynthesisPipeline {
     /// Propagates configuration and evaluation failures.
     pub fn compare_all_in(
         &self,
-        artifacts: &CircuitArtifacts,
+        artifacts: &CircuitArtifacts<'_>,
         ctx: &SchemeContext,
     ) -> Result<SchemeComparison, DiacError> {
         artifacts.check_context(ctx)?;
@@ -393,7 +396,8 @@ mod tests {
     #[test]
     fn prepared_artifacts_evaluate_all_schemes() {
         let pipeline = SynthesisPipeline::default();
-        let artifacts = pipeline.prepare(&circuit("s298")).unwrap();
+        let netlist = circuit("s298");
+        let artifacts = pipeline.prepare(&netlist).unwrap();
         for kind in SchemeKind::ALL {
             let result = pipeline.evaluate(&artifacts, kind).unwrap();
             assert_eq!(result.kind, kind);
@@ -404,7 +408,8 @@ mod tests {
     #[test]
     fn the_two_diac_schemes_share_one_replacement_run() {
         let pipeline = SynthesisPipeline::default();
-        let artifacts = pipeline.prepare(&circuit("s344")).unwrap();
+        let netlist = circuit("s344");
+        let artifacts = pipeline.prepare(&netlist).unwrap();
         let comparison = pipeline.compare_all(&artifacts).unwrap();
         assert_eq!(comparison.results.len(), 4);
         // DIAC and optimized DIAC share (policy, technology, budget), so the
@@ -422,7 +427,8 @@ mod tests {
     #[test]
     fn sweeping_the_technology_reuses_the_tree_but_not_the_summary() {
         let pipeline = SynthesisPipeline::default();
-        let artifacts = pipeline.prepare(&circuit("s386")).unwrap();
+        let netlist = circuit("s386");
+        let artifacts = pipeline.prepare(&netlist).unwrap();
         for technology in NvmTechnology::ALL {
             let ctx = pipeline.context().clone().with_nvm(technology);
             let result = pipeline.evaluate_in(&artifacts, &ctx, SchemeKind::DiacOptimized).unwrap();
@@ -434,7 +440,8 @@ mod tests {
     #[test]
     fn stale_artifacts_are_rejected_instead_of_reused() {
         let pipeline = SynthesisPipeline::default();
-        let artifacts = pipeline.prepare(&circuit("s27")).unwrap();
+        let netlist = circuit("s27");
+        let artifacts = pipeline.prepare(&netlist).unwrap();
         let mut ctx = pipeline.context().clone();
         ctx.tree_config.gates_per_operand = 3;
         let err = pipeline.evaluate_in(&artifacts, &ctx, SchemeKind::Diac).unwrap_err();
@@ -448,7 +455,8 @@ mod tests {
     #[test]
     fn verify_replacement_passes_and_caches() {
         let pipeline = SynthesisPipeline::default();
-        let artifacts = pipeline.prepare(&circuit("s298")).unwrap();
+        let netlist = circuit("s298");
+        let artifacts = pipeline.prepare(&netlist).unwrap();
         let equiv = EquivConfig { rounds: 2, cycles_per_round: 4, ..EquivConfig::default() };
         let first = artifacts.verify_replacement(pipeline.context(), &equiv).unwrap();
         assert!(first.equivalent(), "{first}");
@@ -478,7 +486,8 @@ mod tests {
     #[test]
     fn artifacts_expose_the_clustered_tree() {
         let pipeline = SynthesisPipeline::default();
-        let artifacts = pipeline.prepare(&circuit("s27")).unwrap();
+        let netlist = circuit("s27");
+        let artifacts = pipeline.prepare(&netlist).unwrap();
         assert_eq!(artifacts.name(), "s27");
         assert!(!artifacts.operand_tree().is_empty());
         assert!(artifacts.operand_tree().validate().is_ok());

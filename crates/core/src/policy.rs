@@ -183,19 +183,23 @@ fn merge_pass(
             .iter()
             .filter(|o| o.dict.energy() < bounds.merge_below)
             .filter_map(|o| {
-                let neighbours = o.children.iter().chain(o.parents.iter());
+                // Each neighbour comes tagged with its side: `true` for a
+                // parent of `o`.  Children come first, so ties keep going to
+                // the first child.
+                let neighbours = (o.children.iter().map(|&n| (n, false)))
+                    .chain(o.parents.iter().map(|&n| (n, true)));
                 let best = neighbours
-                    .filter_map(|&n| tree.try_operand(n))
-                    .filter(|n| n.dict.energy() + o.dict.energy() <= bounds.split_above)
+                    .filter_map(|(n, is_parent)| Some((tree.try_operand(n)?, is_parent)))
+                    .filter(|(n, _)| n.dict.energy() + o.dict.energy() <= bounds.split_above)
                     // Contracting an edge of a DAG is only cycle-free when one
                     // endpoint has no other connection on that side: either
                     // the child end has a single parent or the parent end has
                     // a single child.  Reject any other pair.
-                    .filter(|n| {
-                        let (child, parent) =
-                            if o.parents.contains(&n.id) { (o, *n) } else { (*n, o) };
+                    .filter(|&(n, is_parent)| {
+                        let (child, parent) = if is_parent { (o, n) } else { (n, o) };
                         child.parents.len() == 1 || parent.children.len() == 1
                     })
+                    .map(|(n, _)| n)
                     .min_by(|a, b| {
                         a.dict.energy().partial_cmp(&b.dict.energy()).expect("finite energies")
                     })?;

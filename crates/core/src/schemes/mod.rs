@@ -298,12 +298,16 @@ pub(crate) fn circuit_figures(
     levels: &Levels,
     ctx: &SchemeContext,
 ) -> CircuitFigures {
-    let cells: Vec<_> =
-        netlist.iter().filter(|g| g.kind.is_combinational()).flat_map(|g| g.cells()).collect();
-    let estimate = tech45::energy_model::OperandProfile::from_gates(cells)
-        .with_depth(levels.depth().max(1) as usize)
-        .with_activity(ctx.calibration.comb_activity)
-        .estimate(&ctx.library);
+    let mut cells = Vec::new();
+    for gate in netlist.iter().filter(|g| g.kind.is_combinational()) {
+        gate.kind.decompose_into(gate.fanin_count(), &mut cells);
+    }
+    let estimate = tech45::energy_model::estimate(
+        &cells,
+        Some(levels.depth().max(1) as usize),
+        ctx.calibration.comb_activity,
+        &ctx.library,
+    );
     CircuitFigures {
         comb_energy: estimate.total(),
         comb_delay: estimate.critical_path,
@@ -340,7 +344,7 @@ pub(crate) fn spec_for(kind: SchemeKind) -> &'static dyn SchemeSpec {
 /// NVM replacement) come from the artifact caches; everything per-scheme is
 /// recomputed here.
 pub(crate) fn evaluate_scheme_with(
-    artifacts: &CircuitArtifacts,
+    artifacts: &CircuitArtifacts<'_>,
     ctx: &SchemeContext,
     spec: &dyn SchemeSpec,
 ) -> Result<SchemeResult, DiacError> {

@@ -37,7 +37,7 @@ use std::mem;
 use netlist::levelize::{levelize, Levels};
 use netlist::{GateId, Netlist};
 use tech45::cells::CellLibrary;
-use tech45::energy_model::{EnergyEstimate, OperandProfile};
+use tech45::energy_model::{self, EnergyEstimate};
 use tech45::units::{Energy, Seconds};
 
 use crate::error::DiacError;
@@ -189,24 +189,41 @@ impl OperandTree {
             });
         }
 
-        // 2. connect operands following gate-level dependencies.  Children
-        // are sorted, and parents come out sorted because the operands are
-        // visited in id order.
-        for index in 0..operands.len() {
-            let id = OperandId(index as u32);
-            let mut children: Vec<OperandId> = operands[index]
-                .gates
-                .iter()
-                .flat_map(|&g| netlist.fanin(g))
-                .filter_map(|f| operand_of[f.index()])
-                .filter(|&child| child != id)
-                .collect();
-            children.sort_unstable();
-            children.dedup();
-            for child in &children {
-                operands[child.index()].parents.push(id);
+        // 2. connect operands following gate-level dependencies.  A stamp
+        // vector (the operand that last listed each child) drops duplicate
+        // children before the sort, and each parent list is sized by a
+        // counting pass before it is filled.  Children are sorted, and parents
+        // come out sorted because the operands are visited in id order.
+        let mut listed_by = vec![u32::MAX; operands.len()];
+        let mut parent_count = vec![0_usize; operands.len()];
+        let mut children: Vec<OperandId> = Vec::new();
+        for operand in &mut operands {
+            let id = operand.id;
+            children.clear();
+            for &g in &operand.gates {
+                for f in netlist.fanin(g) {
+                    let Some(child) = operand_of[f.index()] else { continue };
+                    if child != id && listed_by[child.index()] != id.0 {
+                        listed_by[child.index()] = id.0;
+                        children.push(child);
+                    }
+                }
             }
-            operands[index].children = children;
+            children.sort_unstable();
+            for child in &children {
+                parent_count[child.index()] += 1;
+            }
+            operand.children = children.clone();
+        }
+        let mut parents: Vec<Vec<OperandId>> =
+            parent_count.iter().map(|&count| Vec::with_capacity(count)).collect();
+        for operand in &operands {
+            for child in &operand.children {
+                parents[child.index()].push(operand.id);
+            }
+        }
+        for (operand, parents) in operands.iter_mut().zip(parents) {
+            operand.parents = parents;
         }
 
         // 3. feature dictionaries.  Each chunk sits on one netlist level, so
@@ -218,6 +235,7 @@ impl OperandTree {
         }
         // The operand that last counted each gate as an external input.
         let mut counted_by: Vec<Option<OperandId>> = vec![None; netlist.gate_count()];
+        let mut cells = Vec::new();
         for operand in &mut operands {
             let id = Some(operand.id);
             let mut external_inputs = 0;
@@ -235,12 +253,12 @@ impl OperandTree {
                     external_outputs += 1;
                 }
             }
-            let cells: Vec<_> =
-                operand.gates.iter().flat_map(|&g| netlist.gate(g).cells()).collect();
-            let estimate = OperandProfile::from_gates(cells)
-                .with_depth(1)
-                .with_activity(config.activity)
-                .estimate(library);
+            cells.clear();
+            for &g in &operand.gates {
+                let gate = netlist.gate(g);
+                gate.kind.decompose_into(gate.fanin_count(), &mut cells);
+            }
+            let estimate = energy_model::estimate(&cells, Some(1), config.activity, library);
             operand.dict = FeatureDict::new(external_inputs, external_outputs.max(1), 0, estimate);
         }
 
@@ -420,6 +438,12 @@ impl OperandTree {
                     continue;
                 }
                 let degree = &mut indegree[parent.index()];
+                // An entry the parent does not mirror in its child list (a
+                // parent listed twice, say) would count past zero; the
+                // parent is then already ready, so the entry is skipped.
+                if *degree == 0 {
+                    continue;
+                }
                 *degree -= 1;
                 if *degree == 0 {
                     let pos = ready.binary_search(&parent).unwrap_or_else(|p| p);
@@ -672,7 +696,7 @@ impl OperandTree {
         }
         let cells = vec![tech45::cells::CellKind::Nand2; op.gates.len()];
         let activity = tech45::constants::DEFAULT_ACTIVITY;
-        let estimate = OperandProfile::from_gates(cells).with_activity(activity).estimate(library);
+        let estimate = energy_model::estimate(&cells, None, activity, library);
         let op = &mut self.operands[id.index()];
         op.dict.estimate = estimate;
         op.dict.gate_count = estimate.gate_count;
@@ -683,26 +707,80 @@ impl OperandTree {
     /// Checks structural consistency: symmetric edges, no dangling or retired
     /// references, acyclicity.
     ///
+    /// Edges are compared as sets: a list may hold an entry twice or out of
+    /// order.  The check is linear in slots plus edge entries.  The transpose
+    /// of the live children lists (bucketed by child slot with a counting
+    /// sort) is compared with each operand's `parents` through a stamp
+    /// vector, so no edge list is ever scanned for a member.
+    ///
     /// # Errors
     ///
-    /// Returns [`DiacError::InvalidTree`] describing the first inconsistency.
+    /// Returns [`DiacError::InvalidTree`] describing the first inconsistency
+    /// in slot order: a live operand's children, then its parents.
     pub fn validate(&self) -> Result<(), DiacError> {
+        let slots = self.operands.len();
+        let in_range = |id: OperandId| id.index() < slots;
+        // `readers[start[c]..start[c + 1]]`: the live operands listing `c` as
+        // a child, one entry per listing, in slot and list order.
+        let mut start = vec![0_usize; slots + 1];
+        for op in self.iter() {
+            for &child in op.children.iter().filter(|&&c| in_range(c)) {
+                start[child.index() + 1] += 1;
+            }
+        }
+        for i in 0..slots {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut readers = vec![OperandId(0); start[slots]];
+        for op in self.iter() {
+            for &child in op.children.iter().filter(|&&c| in_range(c)) {
+                readers[cursor[child.index()]] = op.id;
+                cursor[child.index()] += 1;
+            }
+        }
+        // `listed_back[k]`: whether the child of listing `k` lists its reader
+        // as a parent.  `stamp[p] == x` marks `p` as one of `x`'s parents.
+        let mut stamp = vec![u32::MAX; slots];
+        let mut listed_back = vec![false; readers.len()];
+        for op in self.iter() {
+            for &parent in op.parents.iter().filter(|&&p| in_range(p)) {
+                stamp[parent.index()] = op.id.0;
+            }
+            let listings = start[op.id.index()]..start[op.id.index() + 1];
+            for k in listings {
+                listed_back[k] = stamp[readers[k].index()] == op.id.0;
+            }
+        }
+        // Report in the order of the listings; `cursor` walks each child's
+        // bucket again, and `stamp` now marks an operand's readers.
+        cursor.copy_from_slice(&start);
+        stamp.fill(u32::MAX);
         for op in self.iter() {
             for &child in &op.children {
-                let c = self.try_operand(child).ok_or_else(|| DiacError::InvalidTree {
-                    message: format!("{} references retired child {child}", op.name),
-                })?;
-                if !c.parents.contains(&op.id) {
+                if !self.is_alive(child) {
+                    return Err(DiacError::InvalidTree {
+                        message: format!("{} references retired child {child}", op.name),
+                    });
+                }
+                let k = cursor[child.index()];
+                cursor[child.index()] += 1;
+                if !listed_back[k] {
                     return Err(DiacError::InvalidTree {
                         message: format!("edge {} -> {} is not symmetric", child, op.id),
                     });
                 }
             }
+            for &reader in &readers[start[op.id.index()]..start[op.id.index() + 1]] {
+                stamp[reader.index()] = op.id.0;
+            }
             for &parent in &op.parents {
-                let p = self.try_operand(parent).ok_or_else(|| DiacError::InvalidTree {
-                    message: format!("{} references retired parent {parent}", op.name),
-                })?;
-                if !p.children.contains(&op.id) {
+                if !self.is_alive(parent) {
+                    return Err(DiacError::InvalidTree {
+                        message: format!("{} references retired parent {parent}", op.name),
+                    });
+                }
+                if stamp[parent.index()] != op.id.0 {
                     return Err(DiacError::InvalidTree {
                         message: format!("edge {} -> {} is not symmetric", op.id, parent),
                     });

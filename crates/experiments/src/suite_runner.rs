@@ -108,7 +108,8 @@ impl SuiteRunner {
     ) -> Result<Vec<T>, DiacError>
     where
         T: Send,
-        F: Fn(&CircuitSpec, &SynthesisPipeline, &CircuitArtifacts) -> Result<T, DiacError> + Sync,
+        F: Fn(&CircuitSpec, &SynthesisPipeline, &CircuitArtifacts<'_>) -> Result<T, DiacError>
+            + Sync,
     {
         let pipeline = SynthesisPipeline::new(ctx.clone());
         self.try_map(suite.circuits(), |_, spec| {

@@ -133,39 +133,52 @@ impl GateKind {
     /// no silicon cost inside the operand).
     #[must_use]
     pub fn decompose(self, fanin_count: usize) -> Vec<CellKind> {
+        let mut cells = Vec::new();
+        self.decompose_into(fanin_count, &mut cells);
+        cells
+    }
+
+    /// [`Self::decompose`] appending to `cells`, so a caller summing many
+    /// gates reuses one buffer.
+    pub fn decompose_into(self, fanin_count: usize, cells: &mut Vec<CellKind>) {
         match self {
-            GateKind::Input | GateKind::Const0 | GateKind::Const1 => Vec::new(),
-            GateKind::Buf => vec![CellKind::Buf],
-            GateKind::Not => vec![CellKind::Inv],
-            GateKind::Dff => vec![CellKind::Dff],
-            GateKind::Mux => vec![CellKind::Mux2],
-            GateKind::And => wide_tree(fanin_count, CellKind::And2, CellKind::And4),
-            GateKind::Or => wide_tree(fanin_count, CellKind::Or2, CellKind::Or4),
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 => {}
+            GateKind::Buf => cells.push(CellKind::Buf),
+            GateKind::Not => cells.push(CellKind::Inv),
+            GateKind::Dff => cells.push(CellKind::Dff),
+            GateKind::Mux => cells.push(CellKind::Mux2),
+            GateKind::And => wide_tree(fanin_count, CellKind::And2, CellKind::And4, cells),
+            GateKind::Or => wide_tree(fanin_count, CellKind::Or2, CellKind::Or4, cells),
             GateKind::Nand => nand_like(
                 fanin_count,
                 CellKind::Nand2,
                 CellKind::Nand4,
                 CellKind::And2,
                 CellKind::And4,
+                cells,
             ),
-            GateKind::Nor => {
-                nand_like(fanin_count, CellKind::Nor2, CellKind::Nor4, CellKind::Or2, CellKind::Or4)
-            }
-            GateKind::Xor => xor_chain(fanin_count, CellKind::Xor2),
-            GateKind::Xnor => xor_chain(fanin_count, CellKind::Xnor2),
+            GateKind::Nor => nand_like(
+                fanin_count,
+                CellKind::Nor2,
+                CellKind::Nor4,
+                CellKind::Or2,
+                CellKind::Or4,
+                cells,
+            ),
+            GateKind::Xor => xor_chain(fanin_count, CellKind::Xor2, cells),
+            GateKind::Xnor => xor_chain(fanin_count, CellKind::Xnor2, cells),
             GateKind::Lut => {
                 // A k-input LUT is roughly a (k-1)-deep mux tree.
                 let k = fanin_count.max(1);
                 let luts = (1_usize << k.min(4)).saturating_sub(1).max(1);
-                vec![CellKind::Mux2; luts]
+                cells.extend(std::iter::repeat_n(CellKind::Mux2, luts));
             }
         }
     }
 }
 
-/// Builds a balanced reduction tree of 2/4-input cells covering `n` inputs.
-fn wide_tree(n: usize, two: CellKind, four: CellKind) -> Vec<CellKind> {
-    let mut cells = Vec::new();
+/// Appends a balanced reduction tree of 2/4-input cells covering `n` inputs.
+fn wide_tree(n: usize, two: CellKind, four: CellKind, cells: &mut Vec<CellKind>) {
     let mut remaining = n.max(2);
     while remaining > 1 {
         if remaining >= 4 {
@@ -176,7 +189,6 @@ fn wide_tree(n: usize, two: CellKind, four: CellKind) -> Vec<CellKind> {
             remaining -= 1;
         }
     }
-    cells
 }
 
 /// Inverting wide gates: the final stage is the inverting cell, earlier
@@ -187,20 +199,21 @@ fn nand_like(
     four_inv: CellKind,
     two: CellKind,
     four: CellKind,
-) -> Vec<CellKind> {
+    cells: &mut Vec<CellKind>,
+) {
     let n = n.max(2);
     if n <= 4 {
-        return vec![if n <= 2 { two_inv } else { four_inv }];
+        cells.push(if n <= 2 { two_inv } else { four_inv });
+        return;
     }
     // Reduce down to 4 signals with non-inverting cells, then one inverting cell.
-    let mut cells = wide_tree(n - 3, two, four);
+    wide_tree(n - 3, two, four, cells);
     cells.push(four_inv);
-    cells
 }
 
-/// XOR/XNOR chains decompose linearly.
-fn xor_chain(n: usize, two: CellKind) -> Vec<CellKind> {
-    vec![two; n.max(2) - 1]
+/// Appends the linear chain an XOR/XNOR decomposes into.
+fn xor_chain(n: usize, two: CellKind, cells: &mut Vec<CellKind>) {
+    cells.extend(std::iter::repeat_n(two, n.max(2) - 1));
 }
 
 impl fmt::Display for GateKind {
@@ -330,6 +343,58 @@ mod tests {
         assert_eq!(inverting, 1);
         let xor5 = GateKind::Xor.decompose(5);
         assert_eq!(xor5.len(), 4);
+    }
+
+    /// `decompose` as it was written before it appended to a buffer.
+    fn reference_decompose(kind: GateKind, n: usize) -> Vec<CellKind> {
+        fn wide(n: usize, two: CellKind, four: CellKind) -> Vec<CellKind> {
+            let mut cells = Vec::new();
+            let mut remaining = n.max(2);
+            while remaining > 1 {
+                let (cell, merged) = if remaining >= 4 { (four, 3) } else { (two, 1) };
+                cells.push(cell);
+                remaining -= merged;
+            }
+            cells
+        }
+        fn inverting(n: usize, [two_inv, four_inv, two, four]: [CellKind; 4]) -> Vec<CellKind> {
+            let n = n.max(2);
+            if n <= 4 {
+                return vec![if n <= 2 { two_inv } else { four_inv }];
+            }
+            let mut cells = wide(n - 3, two, four);
+            cells.push(four_inv);
+            cells
+        }
+        use CellKind as C;
+        match kind {
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 => Vec::new(),
+            GateKind::Buf => vec![C::Buf],
+            GateKind::Not => vec![C::Inv],
+            GateKind::Dff => vec![C::Dff],
+            GateKind::Mux => vec![C::Mux2],
+            GateKind::And => wide(n, C::And2, C::And4),
+            GateKind::Or => wide(n, C::Or2, C::Or4),
+            GateKind::Nand => inverting(n, [C::Nand2, C::Nand4, C::And2, C::And4]),
+            GateKind::Nor => inverting(n, [C::Nor2, C::Nor4, C::Or2, C::Or4]),
+            GateKind::Xor => vec![C::Xor2; n.max(2) - 1],
+            GateKind::Xnor => vec![C::Xnor2; n.max(2) - 1],
+            GateKind::Lut => vec![C::Mux2; (1_usize << n.clamp(1, 4)).saturating_sub(1).max(1)],
+        }
+    }
+
+    #[test]
+    fn decompose_into_appends_what_decompose_returns() {
+        for kind in GateKind::ALL {
+            for n in 0..=12 {
+                let expected = reference_decompose(kind, n);
+                assert_eq!(kind.decompose(n), expected, "{kind}/{n}");
+                // Appends after what the buffer already holds.
+                let mut cells = vec![CellKind::Tie];
+                kind.decompose_into(n, &mut cells);
+                assert_eq!((cells[0], &cells[1..]), (CellKind::Tie, &expected[..]), "{kind}/{n}");
+            }
+        }
     }
 
     #[test]

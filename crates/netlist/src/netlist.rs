@@ -253,6 +253,8 @@ pub struct NetlistBuilder {
     forward_fanins: Vec<(usize, String)>,
     /// Output slots whose name was not defined yet.
     forward_outputs: Vec<(usize, String)>,
+    /// The first primary input whose name was already defined.
+    duplicate_input: Option<String>,
 }
 
 /// Placeholder for a forward name until [`NetlistBuilder::finish`].
@@ -277,9 +279,15 @@ impl NetlistBuilder {
         self.gates.is_empty()
     }
 
-    /// Adds a primary input and returns its id.
+    /// Adds a primary input and returns its id.  A name that is already
+    /// defined makes [`Self::finish`] fail with
+    /// [`NetlistError::DuplicateGate`].
     pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
-        self.push_gate(name.into(), GateKind::Input, self.fanins.len())
+        let name = name.into();
+        if self.duplicate_input.is_none() && self.by_name.contains_key(&name) {
+            self.duplicate_input = Some(name.clone());
+        }
+        self.push_gate(name, GateKind::Input, self.fanins.len())
     }
 
     /// Adds a gate whose fan-ins are ids.  An id may name a gate added later;
@@ -377,12 +385,16 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the netlist is empty, or if a fan-in or an output
-    /// names a signal that is never defined or an id past the last gate.
+    /// Returns an error if the netlist is empty, if a primary input reuses a
+    /// defined name, or if a fan-in or an output names a signal that is never
+    /// defined or an id past the last gate.
     pub fn finish(self) -> Result<Netlist, NetlistError> {
         let Self { name, gates, mut fanins, mut outputs, by_name, .. } = self;
         if gates.is_empty() {
             return Err(NetlistError::EmptyNetlist);
+        }
+        if let Some(name) = self.duplicate_input {
+            return Err(NetlistError::DuplicateGate { name });
         }
         let n = gates.len();
         // Spans tile the arena in gate order, so a slot's reader is the first
@@ -534,6 +546,22 @@ mod tests {
         let a = b.add_input("a");
         let err = b.add_gate("a", GateKind::Not, vec![a]).unwrap_err();
         assert!(matches!(err, NetlistError::DuplicateGate { .. }));
+    }
+
+    #[test]
+    fn a_duplicate_input_is_rejected_at_finish() {
+        let mut b = NetlistBuilder::new("dup_input");
+        let a = b.add_input("a");
+        b.add_input("a");
+        let g = b.add_gate("g", GateKind::Not, [a]).unwrap();
+        b.mark_output(g);
+        assert_eq!(b.finish().unwrap_err(), NetlistError::DuplicateGate { name: "a".into() });
+        // An input may not take a gate's name either.
+        let mut b = NetlistBuilder::new("input_after_gate");
+        let a = b.add_input("a");
+        b.add_gate("g", GateKind::Not, [a]).unwrap();
+        b.add_input("g");
+        assert_eq!(b.finish().unwrap_err(), NetlistError::DuplicateGate { name: "g".into() });
     }
 
     #[test]

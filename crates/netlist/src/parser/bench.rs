@@ -184,6 +184,12 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_input_is_an_error() {
+        let err = parse_bench("c", "INPUT(a)\nINPUT(a)\nOUTPUT(g)\ng = NOT(a)\n").unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateGate { name: "a".into() });
+    }
+
+    #[test]
     fn dangling_reference_is_an_error() {
         let err = parse_bench("c", "INPUT(a)\nOUTPUT(g)\ng = AND(a, ghost)\n").unwrap_err();
         assert!(matches!(err, NetlistError::UndefinedSignal { .. }));

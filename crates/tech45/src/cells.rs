@@ -8,7 +8,6 @@
 //! leakage of a small cell ≈ 10–100 nW); the DIAC decision procedure only
 //! depends on the *relative* ordering of these values.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::units::{Area, Energy, Power, Seconds};
@@ -95,6 +94,16 @@ impl CellKind {
         CellKind::Tie,
     ];
 
+    /// Number of cell kinds.
+    pub const COUNT: usize = Self::ALL.len();
+
+    /// Position of the kind in [`Self::ALL`] (declaration order, which is
+    /// also the kind order).
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Number of logic inputs of the cell.
     #[must_use]
     pub fn input_count(self) -> usize {
@@ -159,10 +168,13 @@ impl Cell {
 }
 
 /// A complete cell library: one [`Cell`] per [`CellKind`].
+///
+/// The cells sit in a table indexed by [`CellKind::index`], so a lookup is
+/// one array access.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     name: String,
-    cells: BTreeMap<CellKind, Cell>,
+    cells: [Option<Cell>; CellKind::COUNT],
 }
 
 impl CellLibrary {
@@ -171,11 +183,11 @@ impl CellLibrary {
     /// Later duplicates of the same [`CellKind`] replace earlier ones.
     #[must_use]
     pub fn from_cells(name: impl Into<String>, cells: impl IntoIterator<Item = Cell>) -> Self {
-        let mut map = BTreeMap::new();
+        let mut table = [None; CellKind::COUNT];
         for cell in cells {
-            map.insert(cell.kind, cell);
+            table[cell.kind.index()] = Some(cell);
         }
-        Self { name: name.into(), cells: map }
+        Self { name: name.into(), cells: table }
     }
 
     /// The surrogate NCSU/Nangate-45-like library used throughout the
@@ -231,13 +243,13 @@ impl CellLibrary {
     /// Number of characterised cells.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.iter().count()
     }
 
     /// Returns `true` when the library holds no cells.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.len() == 0
     }
 
     /// Looks up a cell by kind.
@@ -255,19 +267,18 @@ impl CellLibrary {
     /// Fallible lookup of a cell by kind.
     #[must_use]
     pub fn try_cell(&self, kind: CellKind) -> Option<&Cell> {
-        self.cells.get(&kind)
+        self.cells[kind.index()].as_ref()
     }
 
     /// Iterates over all cells in kind order.
     pub fn iter(&self) -> impl Iterator<Item = &Cell> {
-        self.cells.values()
+        self.cells.iter().flatten()
     }
 
     /// The slowest cell in the library (excluding tie cells).
     #[must_use]
     pub fn slowest_cell(&self) -> Option<&Cell> {
-        self.cells
-            .values()
+        self.iter()
             .filter(|c| c.kind != CellKind::Tie)
             .max_by(|a, b| a.delay.partial_cmp(&b.delay).expect("finite delays"))
     }
@@ -338,6 +349,43 @@ mod tests {
         let lib = CellLibrary::nangate45_surrogate();
         assert_eq!(lib.cell(CellKind::Xor2).kind, CellKind::Xor2);
         assert!(lib.try_cell(CellKind::Xor2).is_some());
+    }
+
+    #[test]
+    fn kind_indices_follow_the_kind_order() {
+        for (i, kind) in CellKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
+        assert!(CellKind::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn the_table_keeps_the_library_semantics() {
+        let full = CellLibrary::nangate45_surrogate();
+        // Cells come back in kind order whatever order they went in.
+        let mut cells: Vec<Cell> = full.iter().copied().collect();
+        cells.reverse();
+        let reversed = CellLibrary::from_cells(full.name(), cells);
+        assert!(reversed.iter().map(|c| c.kind).eq(CellKind::ALL));
+        assert_eq!(reversed, full);
+        // A partial library counts only what it holds; a later duplicate wins.
+        let xor = *full.cell(CellKind::Xor2);
+        let slow_xor = Cell { delay: Seconds::from_picos(500.0), ..xor };
+        let partial =
+            CellLibrary::from_cells("partial", [xor, *full.cell(CellKind::Inv), slow_xor]);
+        assert_eq!(partial.len(), 2);
+        assert!(!partial.is_empty());
+        assert!(partial.iter().map(|c| c.kind).eq([CellKind::Inv, CellKind::Xor2]));
+        assert_eq!(partial.try_cell(CellKind::Nand2), None);
+        assert_eq!(partial.try_cell(CellKind::Xor2), Some(&slow_xor));
+        assert_eq!(partial.slowest_cell(), Some(&slow_xor));
+        // Equality compares the name and every cell.
+        assert_ne!(partial, full);
+        assert_ne!(CellLibrary::from_cells("renamed", full.iter().copied()), full);
+        let retuned = CellLibrary::from_cells(full.name(), full.iter().copied().chain([slow_xor]));
+        assert_ne!(retuned, full);
+        let empty = CellLibrary::from_cells("empty", []);
+        assert_eq!((empty.len(), empty.is_empty(), empty.slowest_cell()), (0, true, None));
     }
 
     #[test]

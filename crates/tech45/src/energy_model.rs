@@ -14,7 +14,7 @@
 //! the critical path, and [`EnergyEstimate`] is the resulting summary that
 //! feeds DIAC's feature dictionaries.
 
-use crate::cells::{Cell, CellKind, CellLibrary};
+use crate::cells::{CellKind, CellLibrary};
 use crate::units::{Energy, Power, Seconds};
 
 /// Design-time energy/delay estimate of one operand (a cluster of gates).
@@ -126,51 +126,68 @@ impl OperandProfile {
     /// Evaluates the paper's formulas against `library`.
     #[must_use]
     pub fn estimate(&self, library: &CellLibrary) -> EnergyEstimate {
-        if self.gates.is_empty() {
-            return EnergyEstimate::default();
+        estimate(&self.gates, self.depth, self.activity, library)
+    }
+}
+
+/// Evaluates the paper's formulas for the gate bag `cells` against
+/// `library`, without building an [`OperandProfile`].
+///
+/// `depth` is the known logic depth (longest gate chain); `None` assumes
+/// that all gates chain.  `activity` is clamped to `[0, 1]`.  Each cell is
+/// looked up once, and the sums run in `cells` order.
+#[must_use]
+pub fn estimate(
+    cells: &[CellKind],
+    depth: Option<usize>,
+    activity: f64,
+    library: &CellLibrary,
+) -> EnergyEstimate {
+    let Some(&first) = cells.first() else {
+        return EnergyEstimate::default();
+    };
+    let activity = activity.clamp(0.0, 1.0);
+    let chain_len = depth.unwrap_or(cells.len()).clamp(1, cells.len());
+
+    // Dynamic: 2 * Σ delay_i * P_dyn,i, weighted by activity (only the
+    // toggling gates contribute switching energy).  The sums start from
+    // -0.0, the identity `f64::sum` folds from.
+    let mut dynamic_raw = -0.0_f64;
+    let mut leakage_watts = -0.0_f64;
+    let mut max_leak = 0.0_f64;
+    let mut slowest = library.cell(first).delay;
+    // The chain's delays, needed only when it is longer than one gate.
+    let mut delays: Vec<Seconds> = Vec::new();
+    for &kind in cells {
+        let cell = library.cell(kind);
+        dynamic_raw += 2.0 * cell.delay.as_seconds() * cell.dynamic_power.as_watts();
+        leakage_watts += cell.static_power.as_watts();
+        max_leak = max_leak.max(cell.static_power.as_watts());
+        if cell.delay > slowest {
+            slowest = cell.delay;
         }
-        let cells: Vec<&Cell> = self.gates.iter().map(|&k| library.cell(k)).collect();
+        if chain_len > 1 {
+            delays.push(cell.delay);
+        }
+    }
+    let dynamic = Energy::new(dynamic_raw * activity.max(1e-3));
 
-        // Dynamic: 2 * Σ delay_i * P_dyn,i, weighted by activity (only the
-        // toggling gates contribute switching energy).
-        let dynamic_raw: f64 =
-            cells.iter().map(|c| 2.0 * c.delay.as_seconds() * c.dynamic_power.as_watts()).sum();
-        let dynamic = Energy::new(dynamic_raw * self.activity.max(1e-3));
-
-        // Critical delay path: if the caller told us the depth, take the
-        // `depth` slowest gates as the chain; otherwise assume all gates chain.
-        let mut delays: Vec<Seconds> = cells.iter().map(|c| c.delay).collect();
+    // Critical delay path: if the caller told us the depth, take the
+    // `depth` slowest gates as the chain; otherwise assume all gates chain.
+    let critical_path = if chain_len == 1 {
+        slowest
+    } else {
         delays.sort_by(|a, b| b.partial_cmp(a).expect("finite delays"));
-        let chain_len = self.depth.unwrap_or(delays.len()).clamp(1, delays.len());
-        let critical_path: Seconds = delays.iter().take(chain_len).copied().sum();
+        delays.iter().take(chain_len).copied().sum()
+    };
 
-        // Static: CDP * Σ P_stat,i over the inactive gates (all but the one
-        // currently switching — the paper excludes the active gate).
-        let leakage_power: Power = cells.iter().map(|c| c.static_power).copied_sum();
-        let inactive_leakage: f64 = if cells.len() > 1 {
-            let max_leak = cells.iter().map(|c| c.static_power.as_watts()).fold(0.0_f64, f64::max);
-            leakage_power.as_watts() - max_leak
-        } else {
-            0.0
-        };
-        let static_ = Energy::new(critical_path.as_seconds() * inactive_leakage);
+    // Static: CDP * Σ P_stat,i over the inactive gates (all but the one
+    // currently switching — the paper excludes the active gate).
+    let leakage_power = Power::new(leakage_watts);
+    let inactive_leakage = if cells.len() > 1 { leakage_watts - max_leak } else { 0.0 };
+    let static_ = Energy::new(critical_path.as_seconds() * inactive_leakage);
 
-        EnergyEstimate { dynamic, static_, critical_path, leakage_power, gate_count: cells.len() }
-    }
-}
-
-/// Tiny extension so the sum above reads naturally for borrowed powers.
-trait CopiedSum {
-    fn copied_sum(self) -> Power;
-}
-
-impl<I> CopiedSum for I
-where
-    I: Iterator<Item = Power>,
-{
-    fn copied_sum(self) -> Power {
-        self.sum()
-    }
+    EnergyEstimate { dynamic, static_, critical_path, leakage_power, gate_count: cells.len() }
 }
 
 #[cfg(test)]
@@ -257,6 +274,78 @@ mod tests {
             (m.critical_path.as_seconds() - (a.critical_path + b.critical_path).as_seconds()).abs()
                 < 1e-18
         );
+    }
+
+    /// The estimate as it was written before it read a slice: every cell
+    /// collected first, the delays always sorted.
+    fn reference_estimate(
+        gates: &[CellKind],
+        depth: Option<usize>,
+        activity: f64,
+        library: &CellLibrary,
+    ) -> EnergyEstimate {
+        if gates.is_empty() {
+            return EnergyEstimate::default();
+        }
+        let activity = activity.clamp(0.0, 1.0);
+        let cells: Vec<&crate::cells::Cell> = gates.iter().map(|&k| library.cell(k)).collect();
+        let dynamic_raw: f64 =
+            cells.iter().map(|c| 2.0 * c.delay.as_seconds() * c.dynamic_power.as_watts()).sum();
+        let dynamic = Energy::new(dynamic_raw * activity.max(1e-3));
+        let mut delays: Vec<Seconds> = cells.iter().map(|c| c.delay).collect();
+        delays.sort_by(|a, b| b.partial_cmp(a).expect("finite delays"));
+        let chain_len = depth.unwrap_or(delays.len()).clamp(1, delays.len());
+        let critical_path: Seconds = delays.iter().take(chain_len).copied().sum();
+        let leakage_power: Power = cells.iter().map(|c| c.static_power).sum();
+        let inactive_leakage: f64 = if cells.len() > 1 {
+            let max_leak = cells.iter().map(|c| c.static_power.as_watts()).fold(0.0_f64, f64::max);
+            leakage_power.as_watts() - max_leak
+        } else {
+            0.0
+        };
+        let static_ = Energy::new(critical_path.as_seconds() * inactive_leakage);
+        EnergyEstimate { dynamic, static_, critical_path, leakage_power, gate_count: cells.len() }
+    }
+
+    fn bits(e: &EnergyEstimate) -> ([u64; 4], usize) {
+        let words = [e.dynamic.value(), e.static_.value(), e.critical_path.value()];
+        let [d, s, c] = words.map(f64::to_bits);
+        ([d, s, c, e.leakage_power.value().to_bits()], e.gate_count)
+    }
+
+    #[test]
+    fn the_slice_estimate_is_bit_identical_to_the_reference() {
+        // A 64-bit LCG: random cell bags, depths, activities and libraries
+        // whose delays repeat, so the slowest-cell ties come up.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for case in 0..2_000 {
+            let library = if case % 2 == 0 {
+                lib()
+            } else {
+                let cells = CellKind::ALL.map(|kind| crate::cells::Cell {
+                    kind,
+                    delay: Seconds::from_picos([0.0, 12.0, 16.0, 30.0][next(4)]),
+                    dynamic_power: Power::from_microwatts(next(100) as f64),
+                    static_power: Power::from_nanowatts(next(50) as f64),
+                    area: crate::units::Area::new(1.0),
+                });
+                CellLibrary::from_cells("random", cells)
+            };
+            let len = next(40);
+            let cells: Vec<CellKind> =
+                (0..len).map(|_| CellKind::ALL[next(CellKind::COUNT)]).collect();
+            let depth = if next(4) == 0 { None } else { Some(next(len + 3)) };
+            let activity = [0.0, 1e-4, 0.2, 0.5, 1.0, 1.5, -0.3][next(7)];
+            let slice = estimate(&cells, depth, activity, &library);
+            let reference = reference_estimate(&cells, depth, activity, &library);
+            assert_eq!(bits(&slice), bits(&reference), "{cells:?} depth {depth:?}");
+        }
     }
 
     #[test]
