@@ -119,11 +119,11 @@ impl fmt::Display for FeatureDict {
 mod tests {
     use super::*;
     use tech45::cells::{CellKind, CellLibrary};
-    use tech45::energy_model::OperandProfile;
 
     fn estimate(gates: usize) -> EnergyEstimate {
         let lib = CellLibrary::nangate45_surrogate();
-        OperandProfile::from_gates(vec![CellKind::Nand2; gates]).estimate(&lib)
+        let activity = tech45::constants::DEFAULT_ACTIVITY;
+        tech45::energy_model::estimate(&vec![CellKind::Nand2; gates], None, activity, &lib)
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   `CDP` is the critical-delay-path of the operand (while one gate switches
 //!   the others only leak).
 //!
-//! [`OperandProfile`] aggregates a bag of gates into those two numbers plus
-//! the critical path, and [`EnergyEstimate`] is the resulting summary that
-//! feeds DIAC's feature dictionaries.
+//! [`estimate`] aggregates a bag of gates into those two numbers plus the
+//! critical path, and [`EnergyEstimate`] is the resulting summary that feeds
+//! DIAC's feature dictionaries.
 
 use crate::cells::{CellKind, CellLibrary};
 use crate::units::{Energy, Power, Seconds};
@@ -60,81 +60,12 @@ impl EnergyEstimate {
     }
 }
 
-/// Aggregates per-gate library data into the paper's operand-level estimate.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct OperandProfile {
-    gates: Vec<CellKind>,
-    /// Longest chain of gates inside the operand (in gates).  When unknown we
-    /// conservatively assume the gates form one chain.
-    depth: Option<usize>,
-    /// Switching activity: fraction of gates that toggle per activation.
-    activity: f64,
-}
-
-impl OperandProfile {
-    /// Creates an empty profile with the default switching activity.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { gates: Vec::new(), depth: None, activity: crate::constants::DEFAULT_ACTIVITY }
-    }
-
-    /// Creates a profile from a list of gates.
-    #[must_use]
-    pub fn from_gates(gates: impl IntoIterator<Item = CellKind>) -> Self {
-        let mut profile = Self::new();
-        profile.gates = gates.into_iter().collect();
-        profile
-    }
-
-    /// Sets the known logic depth (longest gate chain) of the operand.
-    #[must_use]
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        self.depth = Some(depth);
-        self
-    }
-
-    /// Sets the switching activity (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn with_activity(mut self, activity: f64) -> Self {
-        self.activity = activity.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Adds one gate to the operand.
-    pub fn push(&mut self, gate: CellKind) {
-        self.gates.push(gate);
-    }
-
-    /// Number of gates in the operand.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// Whether the operand holds no gates.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
-    }
-
-    /// Gates of the operand.
-    #[must_use]
-    pub fn gates(&self) -> &[CellKind] {
-        &self.gates
-    }
-
-    /// Evaluates the paper's formulas against `library`.
-    #[must_use]
-    pub fn estimate(&self, library: &CellLibrary) -> EnergyEstimate {
-        estimate(&self.gates, self.depth, self.activity, library)
-    }
-}
-
-/// Evaluates the paper's formulas for the gate bag `cells` against
-/// `library`, without building an [`OperandProfile`].
+/// Evaluates the paper's formulas for the gate bag `cells` of one operand
+/// against `library`.
 ///
-/// `depth` is the known logic depth (longest gate chain); `None` assumes
-/// that all gates chain.  `activity` is clamped to `[0, 1]`.  Each cell is
+/// `depth` is the known logic depth (longest gate chain); `None`
+/// conservatively assumes that all gates chain.  `activity`, the fraction of
+/// gates that toggle per activation, is clamped to `[0, 1]`.  Each cell is
 /// looked up once, and the sums run in `cells` order.
 #[must_use]
 pub fn estimate(
@@ -194,13 +125,15 @@ pub fn estimate(
 mod tests {
     use super::*;
 
+    const ACTIVITY: f64 = crate::constants::DEFAULT_ACTIVITY;
+
     fn lib() -> CellLibrary {
         CellLibrary::nangate45_surrogate()
     }
 
     #[test]
     fn empty_operand_estimates_to_zero() {
-        let est = OperandProfile::new().estimate(&lib());
+        let est = estimate(&[], None, ACTIVITY, &lib());
         assert_eq!(est.gate_count, 0);
         assert_eq!(est.total(), Energy::ZERO);
         assert_eq!(est.pdp(), 0.0);
@@ -210,8 +143,7 @@ mod tests {
     fn dynamic_energy_matches_formula_for_single_gate() {
         let library = lib();
         let nand = library.cell(CellKind::Nand2);
-        let est =
-            OperandProfile::from_gates([CellKind::Nand2]).with_activity(1.0).estimate(&library);
+        let est = estimate(&[CellKind::Nand2], None, 1.0, &library);
         let expected = 2.0 * nand.delay.as_seconds() * nand.dynamic_power.as_watts();
         assert!((est.dynamic.as_joules() - expected).abs() < 1e-24);
         // A single gate has no inactive neighbours, so no static term.
@@ -222,9 +154,7 @@ mod tests {
     #[test]
     fn static_energy_excludes_the_active_gate() {
         let library = lib();
-        let est = OperandProfile::from_gates([CellKind::Inv, CellKind::Inv, CellKind::Inv])
-            .with_activity(1.0)
-            .estimate(&library);
+        let est = estimate(&[CellKind::Inv; 3], None, 1.0, &library);
         let inv = library.cell(CellKind::Inv);
         let expected_static = est.critical_path.as_seconds() * (2.0 * inv.static_power.as_watts());
         assert!((est.static_.as_joules() - expected_static).abs() < 1e-24);
@@ -233,8 +163,8 @@ mod tests {
     #[test]
     fn more_gates_mean_more_energy() {
         let library = lib();
-        let small = OperandProfile::from_gates(vec![CellKind::Nand2; 4]).estimate(&library);
-        let large = OperandProfile::from_gates(vec![CellKind::Nand2; 40]).estimate(&library);
+        let small = estimate(&[CellKind::Nand2; 4], None, ACTIVITY, &library);
+        let large = estimate(&[CellKind::Nand2; 40], None, ACTIVITY, &library);
         assert!(large.total() > small.total());
         assert!(large.pdp() > small.pdp());
     }
@@ -242,9 +172,9 @@ mod tests {
     #[test]
     fn known_depth_shortens_the_critical_path() {
         let library = lib();
-        let gates = vec![CellKind::Nand2; 16];
-        let chained = OperandProfile::from_gates(gates.clone()).estimate(&library);
-        let shallow = OperandProfile::from_gates(gates).with_depth(4).estimate(&library);
+        let gates = [CellKind::Nand2; 16];
+        let chained = estimate(&gates, None, ACTIVITY, &library);
+        let shallow = estimate(&gates, Some(4), ACTIVITY, &library);
         assert!(shallow.critical_path < chained.critical_path);
         // Dynamic energy is unaffected by the depth hint.
         assert_eq!(shallow.dynamic, chained.dynamic);
@@ -253,20 +183,16 @@ mod tests {
     #[test]
     fn activity_scales_dynamic_energy_linearly() {
         let library = lib();
-        let full = OperandProfile::from_gates(vec![CellKind::Xor2; 8])
-            .with_activity(1.0)
-            .estimate(&library);
-        let half = OperandProfile::from_gates(vec![CellKind::Xor2; 8])
-            .with_activity(0.5)
-            .estimate(&library);
+        let full = estimate(&[CellKind::Xor2; 8], None, 1.0, &library);
+        let half = estimate(&[CellKind::Xor2; 8], None, 0.5, &library);
         assert!((full.dynamic.as_joules() / half.dynamic.as_joules() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn merged_estimates_add_up() {
         let library = lib();
-        let a = OperandProfile::from_gates(vec![CellKind::And2; 5]).estimate(&library);
-        let b = OperandProfile::from_gates(vec![CellKind::Or2; 3]).estimate(&library);
+        let a = estimate(&[CellKind::And2; 5], None, ACTIVITY, &library);
+        let b = estimate(&[CellKind::Or2; 3], None, ACTIVITY, &library);
         let m = a.merged_with(&b);
         assert_eq!(m.gate_count, 8);
         assert!((m.dynamic.as_joules() - (a.dynamic + b.dynamic).as_joules()).abs() < 1e-24);
@@ -276,8 +202,8 @@ mod tests {
         );
     }
 
-    /// The estimate as it was written before it read a slice: every cell
-    /// collected first, the delays always sorted.
+    /// The estimate as `OperandProfile::estimate` wrote it before it read a
+    /// slice: every cell collected first, the delays always sorted.
     fn reference_estimate(
         gates: &[CellKind],
         depth: Option<usize>,
@@ -346,15 +272,5 @@ mod tests {
             let reference = reference_estimate(&cells, depth, activity, &library);
             assert_eq!(bits(&slice), bits(&reference), "{cells:?} depth {depth:?}");
         }
-    }
-
-    #[test]
-    fn push_and_accessors() {
-        let mut p = OperandProfile::new();
-        assert!(p.is_empty());
-        p.push(CellKind::Inv);
-        p.push(CellKind::Nand2);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.gates(), &[CellKind::Inv, CellKind::Nand2]);
     }
 }

@@ -49,7 +49,7 @@ pub mod units;
 
 pub use array::NvmArray;
 pub use cells::{Cell, CellKind, CellLibrary};
-pub use energy_model::{EnergyEstimate, OperandProfile};
+pub use energy_model::EnergyEstimate;
 pub use flipflop::{FlipFlopKind, FlipFlopModel};
 pub use nvm::{NvmCell, NvmTechnology};
 pub use units::{Capacitance, Energy, EnergyFx, Power, Seconds, Voltage};
