@@ -707,11 +707,12 @@ impl OperandTree {
     /// Checks structural consistency: symmetric edges, no dangling or retired
     /// references, acyclicity.
     ///
-    /// Edges are compared as sets: a list may hold an entry twice or out of
-    /// order.  The check is linear in slots plus edge entries.  The transpose
-    /// of the live children lists (bucketed by child slot with a counting
-    /// sort) is compared with each operand's `parents` through a stamp
-    /// vector, so no edge list is ever scanned for a member.
+    /// Edges are compared as sets, by the symmetry check and the cycle check
+    /// alike: a list may hold an entry twice or out of order.  The check is
+    /// linear in slots plus edge entries.  The transpose of the live
+    /// children lists (bucketed by child slot with a counting sort) is
+    /// compared with each operand's `parents` through a stamp vector, so no
+    /// edge list is ever scanned for a member.
     ///
     /// # Errors
     ///
@@ -787,7 +788,41 @@ impl OperandTree {
                 }
             }
         }
-        if self.topological_order().len() != self.len() {
+        // Kahn's algorithm over the edge *sets* the symmetry check above
+        // accepted: a child listed twice adds one to the in-degree, and a
+        // popped operand lowers each distinct parent's once.  (The
+        // `topological_order` count works per entry, so a child entry
+        // repeated on one side only would keep its reader from ever
+        // becoming ready.)  `stamp[x] == y` marks `x` as seen from `y`.
+        stamp.fill(u32::MAX);
+        let mut indegree = vec![0_u32; slots];
+        let mut ready = Vec::new();
+        for op in self.iter() {
+            for &child in &op.children {
+                if stamp[child.index()] != op.id.0 {
+                    stamp[child.index()] = op.id.0;
+                    indegree[op.id.index()] += 1;
+                }
+            }
+            if indegree[op.id.index()] == 0 {
+                ready.push(op.id);
+            }
+        }
+        stamp.fill(u32::MAX);
+        let mut ordered = 0;
+        while let Some(id) = ready.pop() {
+            ordered += 1;
+            for &parent in &self.operands[id.index()].parents {
+                if stamp[parent.index()] != id.0 {
+                    stamp[parent.index()] = id.0;
+                    indegree[parent.index()] -= 1;
+                    if indegree[parent.index()] == 0 {
+                        ready.push(parent);
+                    }
+                }
+            }
+        }
+        if ordered != self.len() {
             return Err(DiacError::InvalidTree {
                 message: "operand graph contains a cycle".to_string(),
             });

@@ -435,6 +435,9 @@ impl FsmLaneMut<'_> {
         // Recover once there is enough energy to do useful work again.
         if cap.energy() >= self.th.sense {
             if self.flags.needs_restore {
+                // One of the two reads of the backup unit, each counted:
+                // `RunStats::reads_backup_unit` relies on there being no
+                // uncounted read.
                 cap.drain(self.config.backup.restore_energy());
                 self.stats.restores += 1;
                 self.flags.needs_restore = false;
@@ -445,6 +448,7 @@ impl FsmLaneMut<'_> {
     }
 
     fn step_backup(&mut self, cap: &mut EnergyCell<'_>) {
+        // The other read of the backup unit; it counts a backup.
         cap.drain(self.config.backup.backup_energy());
         self.stats.backups += 1;
         self.flags.backed_up = true;
@@ -535,6 +539,26 @@ impl FsmLaneMut<'_> {
         } else {
             *self.in_flight = Some(op);
         }
+    }
+}
+
+impl RunStats {
+    /// Whether the run read its backup unit — whether any other
+    /// [`BackupUnit`] could have changed it.
+    ///
+    /// `FsmConfig::backup` enters a run in exactly two places, both above:
+    /// the backup drain of `FsmLaneMut::step_backup`, which counts a backup,
+    /// and the restore drain of `FsmLaneMut::step_off`, which counts a
+    /// restore.  Neither executor reads the unit anywhere else: the
+    /// quiescence proofs, the tick loop and the statistics never see it.  A
+    /// run with no backup and no restore therefore performed the same
+    /// computation, bit for bit, under *any* unit, and its statistics stand
+    /// for every configuration that differs from its own only in `backup`.
+    /// Campaigns use this to run the technology × sizing siblings of a
+    /// stochastic point once.
+    #[must_use]
+    pub fn reads_backup_unit(&self) -> bool {
+        self.backups > 0 || self.restores > 0
     }
 }
 

@@ -1,14 +1,22 @@
 //! Property tests of the FSM/executor layer: internal consistency of
-//! [`RunStats`] across random harvest schedules and seeds, and agreement
-//! between the traced and untraced execution paths.
+//! [`RunStats`] across random harvest schedules and seeds, agreement
+//! between the traced and untraced execution paths, and the witness that a
+//! run which never read its backup unit is the same run under any unit.
 
-use ehsim::source::PiecewiseSource;
+use ehsim::capacitor::Capacitor;
+use ehsim::pmu::Thresholds;
+use ehsim::schedule::Schedule;
+use ehsim::source::{ConstantSource, HarvestSource, PiecewiseSource};
+use isim::backup::BackupUnit;
+use isim::batch::{BatchExecutor, BatchJob};
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
 use isim::state::NodeState;
 use isim::stats::RunStats;
 use proptest::prelude::*;
-use tech45::units::{Power, Seconds};
+use rand::{Rng, SeedableRng, StdRng};
+use tech45::nvm::NvmTechnology;
+use tech45::units::{Energy, Power, Seconds};
 
 /// Builds a valid piecewise source from raw `(duration, power)` pairs by
 /// accumulating the starts — sorted by construction.
@@ -122,4 +130,102 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// One random run of the witness test: its configuration (without the
+/// backup unit), source and initial energy.
+struct WitnessCase {
+    config: FsmConfig,
+    source: WitnessSource,
+    initial: Energy,
+    duration: Seconds,
+}
+
+#[derive(Clone, Copy)]
+enum WitnessSource {
+    Constant(Power),
+    Fig4,
+    Scarce,
+}
+
+impl WitnessCase {
+    fn draw(rng: &mut StdRng) -> Self {
+        let mj = Energy::from_millijoules;
+        let thresholds = loop {
+            let mut th = Thresholds::paper_default();
+            th.off = mj(rng.gen_range(0.5..3.0));
+            th.backup = mj(rng.gen_range(3.0..6.0));
+            let th = th.with_safe_zone_margin(mj(rng.gen_range(0.0..3.0)));
+            if th.is_consistent() {
+                break th;
+            }
+        };
+        let source = match rng.gen_range(0_u32..3) {
+            0 => WitnessSource::Constant(Power::from_milliwatts(rng.gen_range(0.0..0.5))),
+            1 => WitnessSource::Fig4,
+            _ => WitnessSource::Scarce,
+        };
+        Self {
+            config: FsmConfig::paper_default()
+                .with_thresholds(thresholds)
+                .with_seed(rng.gen_range(0_u64..1_000_000)),
+            source,
+            initial: mj(rng.gen_range(0.0..25.0)),
+            duration: Seconds::new(rng.gen_range(600.0..3000.0)),
+        }
+    }
+
+    /// The case's statistics under `unit`, from the scalar executor and
+    /// from a batch lane (which must agree).
+    fn run(&self, unit: BackupUnit) -> RunStats {
+        match self.source {
+            WitnessSource::Constant(power) => self.run_on(unit, ConstantSource::new(power)),
+            WitnessSource::Fig4 => self.run_on(unit, Schedule::fig4().to_source()),
+            WitnessSource::Scarce => self.run_on(unit, Schedule::scarce().to_source()),
+        }
+    }
+
+    fn run_on<S: HarvestSource + Clone>(&self, unit: BackupUnit, source: S) -> RunStats {
+        let config = self.config.clone().with_backup(unit);
+        let dt = Seconds::new(0.5);
+        let mut scalar = IntermittentExecutor::with_source(config.clone(), source.clone())
+            .with_initial_energy(self.initial);
+        let stats = scalar.run(self.duration, dt);
+        let capacitor = Capacitor::paper_default().with_energy(self.initial);
+        let mut batch = BatchExecutor::new(1);
+        batch.enqueue(BatchJob::new(config, source, self.duration, dt).with_capacitor(capacitor));
+        assert_eq!(batch.run_to_completion(), std::slice::from_ref(&stats), "batch lane diverged");
+        stats
+    }
+}
+
+/// `RunStats::reads_backup_unit` is the proof campaigns rely on to share
+/// one run among the technology × sizing siblings of a stochastic point:
+/// whenever either of two runs that differ only in their backup unit says
+/// it never read the unit, the two runs are equal.  The two units differ
+/// in price, so most runs that do back up tell them apart: a predicate
+/// stuck at `false` fails the test.
+#[test]
+fn a_run_that_never_read_its_backup_unit_is_the_same_under_any_unit() {
+    let cheap = BackupUnit::from_state_bits(16, NvmTechnology::Mram);
+    let dear = BackupUnit::from_state_bits(4096, NvmTechnology::Pcm);
+    assert!(dear.backup_energy() > cheap.backup_energy());
+    assert!(dear.restore_energy() > cheap.restore_energy());
+    let mut rng = StdRng::seed_from_u64(0xB0C0);
+    let (mut read, mut told_apart) = (0, 0);
+    for case in 0..160 {
+        let witness = WitnessCase::draw(&mut rng);
+        let (a, b) = (witness.run(cheap), witness.run(dear));
+        if !a.reads_backup_unit() || !b.reads_backup_unit() {
+            assert_eq!(a, b, "case {case}: a run that never read its unit changed with it");
+        } else {
+            read += 1;
+            told_apart += usize::from(a != b);
+        }
+    }
+    assert!(read >= 10, "only {read} of 160 cases read their backup unit");
+    assert!(
+        told_apart * 2 >= read,
+        "only {told_apart} of {read} runs that read the unit changed with it"
+    );
 }

@@ -1,5 +1,6 @@
 //! The campaign engine: expand the space, fan the runs out, aggregate.
 
+use isim::stats::RunStats;
 use tech45::units::Seconds;
 
 use crate::aggregate::CampaignSummary;
@@ -155,15 +156,17 @@ pub(crate) fn scalar_stats(
 }
 
 /// Runs a campaign through [`isim::batch::BatchExecutor`] banks of `width`
-/// lanes, one bank per `width`-scenario chunk, chunks fanned out on
-/// `runner` — again as one full-range shard.
+/// lanes on `runner` — again as one full-range shard.  The technology ×
+/// sizing siblings of a stochastic point run once unless that run read its
+/// backup unit (see [`Execution::Batched`]).
 ///
-/// Bit-identical to [`run_with`] by construction: the per-scenario seed
-/// derivation is [`Scenario::batch_job`]'s (the same as the scalar path),
-/// every lane executes the shared per-step physics, the per-run statistics
-/// are flattened back into scenario order, and the aggregation is the same
-/// code — so the digest matches the scalar campaign at any worker count and
-/// any batch width.  `tests/campaign.rs` pins this.
+/// Bit-identical to [`run_with`]: every run that executes is
+/// [`Scenario::batch_job`]'s, with the scalar path's seed derivation and
+/// per-step physics; a run shared among siblings is one no sibling's unit
+/// could have changed; the per-run statistics come back in scenario order,
+/// and the aggregation is the same code.  So the digest matches the scalar
+/// campaign at any worker count and any batch width.  `tests/campaign.rs`
+/// pins this.
 #[must_use]
 pub fn run_batched_with(
     runner: &ParallelRunner,
@@ -176,21 +179,88 @@ pub fn run_batched_with(
 }
 
 /// Runs `scenarios` through [`isim::batch::BatchExecutor`] banks of `width`
-/// lanes, one bank per `width`-scenario chunk; the per-run statistics come
-/// back flattened into scenario order.  Chunks go through the runner's
-/// atomic work queue, so a worker that drew cheap scenarios claims more
-/// chunks instead of idling while another works through a slow family.
-/// The engine behind [`Execution::Batched`].
+/// lanes and returns the per-run statistics in scenario order.  The engine
+/// behind [`Execution::Batched`], in two phases:
+///
+/// 1. The scenarios are grouped by stochastic coordinate (source,
+///    thresholds, replicate).  The *siblings* of a group share their seed,
+///    source and thresholds and differ only in `config.backup`, the
+///    technology × sizing axes.  One representative per group, the
+///    lowest id, runs.
+/// 2. The siblings of the groups whose representative read its backup
+///    unit run as well.  Every other sibling gets a copy of its
+///    representative's statistics.  The copy is exact:
+///    [`isim::stats::RunStats::reads_backup_unit`] is false only for a run
+///    that is the same computation under any backup unit.
+///
+/// Each phase fans `width`-scenario banks out on the runner's atomic work
+/// queue, so a worker that drew cheap scenarios claims more banks instead
+/// of idling while another works through a slow family.  Grouping sorts
+/// the given scenarios, so it costs O(n log n) in their number, whatever
+/// the size of the space.  A group cut by a shard boundary shares only
+/// among its siblings inside the shard.
 pub(crate) fn batched_stats(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     scenarios: &[Scenario],
     width: usize,
-) -> Vec<isim::stats::RunStats> {
-    let chunks: Vec<&[Scenario]> = scenarios.chunks(width.max(1)).collect();
-    let per_chunk: Vec<Vec<isim::stats::RunStats>> =
+) -> Vec<RunStats> {
+    let width = width.max(1);
+    // `order` lists the scenario indices by (stochastic index, index), so
+    // each group is a run of it and its representative comes first;
+    // `starts` holds where each group begins, plus the end.
+    let mut keyed: Vec<(usize, usize)> = scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (config.space.stochastic_index(config.space.coordinates(s.id)), i))
+        .collect();
+    keyed.sort_unstable();
+    let order: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
+    let starts: Vec<usize> = (0..keyed.len())
+        .filter(|&k| k == 0 || keyed[k].0 != keyed[k - 1].0)
+        .chain([keyed.len()])
+        .collect();
+    let groups = || starts.windows(2).map(|w| &order[w[0]..w[1]]);
+    debug_assert!(groups().all(|group| group
+        .iter()
+        .all(|&i| scenarios[group[0]].differs_only_in_backup(&scenarios[i]))));
+
+    let representatives: Vec<&Scenario> = groups().map(|group| &scenarios[group[0]]).collect();
+    let shared = run_banks(runner, config, &representatives, width);
+
+    let rerun: Vec<usize> = groups()
+        .zip(&shared)
+        .filter(|(_, stats)| stats.reads_backup_unit())
+        .flat_map(|(group, _)| group[1..].iter().copied())
+        .collect();
+    let siblings: Vec<&Scenario> = rerun.iter().map(|&i| &scenarios[i]).collect();
+    let rerun_stats = run_banks(runner, config, &siblings, width);
+
+    let mut stats = vec![RunStats::default(); scenarios.len()];
+    for (group, representative) in groups().zip(&shared) {
+        for &i in group {
+            stats[i].clone_from(representative);
+        }
+    }
+    for (i, run) in rerun.into_iter().zip(rerun_stats) {
+        stats[i] = run;
+    }
+    stats
+}
+
+/// Runs `scenarios` in banks of up to `width` lanes, one bank per chunk,
+/// chunks fanned out on `runner`; the statistics come back in the order of
+/// `scenarios`.
+fn run_banks(
+    runner: &ParallelRunner,
+    config: &CampaignConfig,
+    scenarios: &[&Scenario],
+    width: usize,
+) -> Vec<RunStats> {
+    let chunks: Vec<&[&Scenario]> = scenarios.chunks(width).collect();
+    let per_chunk: Vec<Vec<RunStats>> =
         runner.map_init(&chunks, crate::space::SourceScratch::new, |scratch, _, chunk| {
-            let mut batch = isim::batch::BatchExecutor::new(width);
+            let mut batch = isim::batch::BatchExecutor::new(chunk.len());
             for scenario in *chunk {
                 batch.enqueue(scenario.batch_job(config.duration, config.dt, scratch));
             }
@@ -237,6 +307,41 @@ mod tests {
         assert_eq!(scalar, wide);
         let parallel_batched = run_batched_with(&ParallelRunner::with_threads(8), &config, 4);
         assert_eq!(scalar, parallel_batched);
+    }
+
+    #[test]
+    fn batched_stats_equal_the_scalar_runs_energy_included() {
+        // A campaign row keeps six metrics, and the backup and restore
+        // energies of the technology × sizing axes rarely move any of them.
+        // The whole `RunStats` does carry them (`energy_consumed`), so a
+        // sibling copied where it should have re-run shows here.
+        let summary = diac_core::replacement::ReplacementSummary {
+            boundaries: 4,
+            total_boundary_bits: 48,
+            average_boundary_bits: 12.0,
+            energy_budget: tech45::units::Energy::from_millijoules(1.0),
+            max_unsaved_energy: tech45::units::Energy::from_millijoules(1.0),
+            backup_energy: tech45::units::Energy::ZERO,
+            backup_latency: Seconds::ZERO,
+            restore_energy: tech45::units::Energy::ZERO,
+            restore_latency: Seconds::ZERO,
+        };
+        let mut paper = ScenarioSpace::paper_grid(vec![
+            crate::space::BackupSizing::BaselineBits(64),
+            crate::space::BackupSizing::DiacReplacement(summary),
+        ]);
+        paper.replicates = 2;
+        for config in [CampaignConfig::smoke(), CampaignConfig::new(paper, 0xD1AC)] {
+            let scenarios = config.space.scenarios(config.seed);
+            let scalar = scalar_stats(&ParallelRunner::serial(), &config, &scenarios);
+            assert!(scalar.iter().any(|stats| stats.backups > 0), "the grid backs up somewhere");
+            for width in [1, 3, 64] {
+                for runner in [ParallelRunner::serial(), ParallelRunner::with_threads(3)] {
+                    let batched = batched_stats(&runner, &config, &scenarios, width);
+                    assert!(batched == scalar, "width {width}, {} workers", runner.threads());
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,6 +86,18 @@ impl Scenario {
         BatchJob::new(self.fsm_config(), source, duration, dt)
     }
 
+    /// Whether `other`'s [`Self::batch_job`] differs from this scenario's
+    /// at most in `config.backup`: both read the same source spec, seed and
+    /// FSM configuration apart from the backup unit.  True of the
+    /// technology × sizing siblings of one stochastic coordinate.
+    pub(crate) fn differs_only_in_backup(&self, other: &Scenario) -> bool {
+        let config = self.fsm_config();
+        let other_config = other.fsm_config();
+        self.source == other.source
+            && self.seed == other.seed
+            && config.with_backup(other_config.backup) == other_config
+    }
+
     /// One-line description for logs and tables.
     #[must_use]
     pub fn describe(&self) -> String {

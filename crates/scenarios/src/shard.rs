@@ -230,9 +230,17 @@ impl std::error::Error for ShardError {}
 /// proptests), so the choice is pure throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Execution {
-    /// One `IntermittentExecutor` per scenario on the parallel work-queue.
+    /// One `IntermittentExecutor` per scenario on the parallel work-queue:
+    /// every scenario runs in full, which makes this the oracle.
     Scalar,
-    /// Lockstep `BatchExecutor` banks of the given lane width.
+    /// Lockstep `BatchExecutor` banks of the given lane width, in two
+    /// phases.  First one representative per stochastic coordinate
+    /// (source, thresholds, replicate) runs; its technology × sizing
+    /// siblings differ from it only in the backup unit.  Then the siblings
+    /// of the representatives that read their backup unit
+    /// ([`RunStats::reads_backup_unit`]) run too, and every other sibling
+    /// gets a copy of its representative's statistics, which is exact.
+    /// Groups form within the shard's range only.
     Batched {
         /// Lanes per worker bank (clamped to at least 1).
         width: usize,

@@ -449,22 +449,28 @@ impl ScenarioSpace {
             "range {range:?} reaches past the {} scenarios of the space",
             self.len()
         );
-        let replicates = self.replicates.max(1);
         range
             .map(|id| {
                 let at = self.coordinates(id);
-                let stochastic_coordinate =
-                    (at.source * self.thresholds.len() + at.threshold) * replicates + at.replicate;
                 Scenario {
                     id,
                     source: self.sources[at.source].clone(),
                     thresholds: self.thresholds[at.threshold],
                     technology: self.technologies[at.technology],
                     sizing: self.sizings[at.sizing].clone(),
-                    seed: mix(campaign_seed, stochastic_coordinate as u64),
+                    seed: mix(campaign_seed, self.stochastic_index(at) as u64),
                 }
             })
             .collect()
+    }
+
+    /// The index of `at`'s *stochastic* coordinate — source × thresholds ×
+    /// replicate, ignoring the technology and sizing axes.  It is what a
+    /// scenario seed is derived from, so scenarios with equal indices are
+    /// the common-random-numbers siblings the batched campaign path groups
+    /// ([`crate::campaign`]).
+    pub(crate) fn stochastic_index(&self, at: Coordinates) -> usize {
+        (at.source * self.thresholds.len() + at.threshold) * self.replicates.max(1) + at.replicate
     }
 
     /// Decodes scenario `id` into its axis indices, source-major and

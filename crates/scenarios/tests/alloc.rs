@@ -1,7 +1,7 @@
 //! Asserts that a shard costs O(shard), not O(campaign): fingerprinting the
 //! campaign, probing a shard's checkpoint and running a one-scenario shard
 //! together allocate a bounded number of bytes, however many scenarios the
-//! campaign expands to.
+//! campaign expands to — and so does running that shard batched.
 //!
 //! The test installs a counting global allocator and sums the bytes the
 //! measuring thread requests.  It is deliberately the only test in this
@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use diac_core::replacement::ReplacementSummary;
 use scenarios::{
     BackupSizing, CampaignConfig, Execution, ParallelRunner, ScenarioSpace, ShardSpec,
+    DEFAULT_BATCH_WIDTH,
 };
 use tech45::units::{Energy, Seconds};
 
@@ -95,6 +96,10 @@ fn a_one_scenario_shard_of_a_huge_campaign_allocates_only_for_itself() {
     let resumed = spec.load_checkpoint(&dir);
     let shard = spec.run_with(&runner, Execution::Scalar);
     let after = BYTES.load(Ordering::SeqCst);
+    // The batched engine groups the shard's scenarios into sibling groups;
+    // that too must cost O(shard), with no table over the whole space.
+    let batched = spec.run_with(&runner, Execution::Batched { width: DEFAULT_BATCH_WIDTH });
+    let after_batched = BYTES.load(Ordering::SeqCst);
     COUNTED.with(|counted| counted.set(false));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -104,8 +109,15 @@ fn a_one_scenario_shard_of_a_huge_campaign_allocates_only_for_itself() {
         "one shard of {} scenarios allocated {bytes} bytes (bound {SHARD_BYTES})",
         config.space.len()
     );
+    let batched_bytes = after_batched - after;
+    assert!(
+        batched_bytes < SHARD_BYTES,
+        "one batched shard of {} scenarios allocated {batched_bytes} bytes (bound {SHARD_BYTES})",
+        config.space.len()
+    );
     // The calls did their work, not a no-op.
     assert!(resumed.is_none(), "the directory holds no checkpoint");
     assert_eq!(shard.runs(), 1);
     assert_eq!(shard.fingerprint(), fingerprint);
+    assert_eq!(batched, shard, "the batched shard matches the scalar one");
 }

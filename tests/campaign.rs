@@ -156,3 +156,83 @@ fn smoke_and_paper_spaces_stay_distinct() {
     let paper = campaign::paper_campaign(0).expect("builds").space;
     assert!(paper.len() >= 200, "paper grid shrank to {}", paper.len());
 }
+
+/// The paper grid at `replicates` replicates per grid point.
+fn paper_at(seed: u64, replicates: usize) -> CampaignConfig {
+    let mut config = campaign::paper_campaign(seed).expect("campaign config builds");
+    config.space.replicates = replicates;
+    config
+}
+
+#[test]
+fn batched_campaigns_match_the_scalar_oracle_on_the_smoke_and_tripled_paper_grids() {
+    // The batched path runs one sibling per stochastic point and copies or
+    // re-runs the rest; the scalar path runs every scenario in full.  Both
+    // grids hold groups that back up (fig4) and groups that never do.
+    for config in [CampaignConfig::smoke(), paper_at(0xD1AC, 3)] {
+        let oracle = scenarios::run_with(&ParallelRunner::serial(), &config);
+        for width in [1, 3, 64] {
+            for runner in [ParallelRunner::serial(), ParallelRunner::with_threads(8)] {
+                let batched = scenarios::run_batched_with(&runner, &config, width);
+                assert_eq!(
+                    oracle,
+                    batched,
+                    "{} scenarios, width {width}, {} workers diverged",
+                    config.space.len(),
+                    runner.threads()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_ranges_that_cut_sibling_groups_match_the_scalar_rows() {
+    use scenarios::{run_range_with, Execution};
+    // Three replicates: the siblings of one stochastic point lie three ids
+    // apart, so most ranges hold only some of a group.
+    let config = paper_at(0xD1AC, 3);
+    let scenarios = config.space.scenarios(config.seed);
+    // A scenario whose run backs up, and its next sibling three ids on.
+    let backs_up = scenarios
+        .iter()
+        .find(|s| s.run(config.duration, config.dt).reads_backup_unit())
+        .expect("the paper grid backs up somewhere")
+        .id;
+    assert_eq!(scenarios[backs_up + 3].seed, scenarios[backs_up].seed, "siblings share a seed");
+    let ranges = [0..config.space.len(), 5..200, 7..8, 100..101, backs_up..backs_up + 4];
+    for range in ranges {
+        for width in [1, 3, 64] {
+            for runner in [ParallelRunner::serial(), ParallelRunner::with_threads(8)] {
+                let scalar = run_range_with(&runner, &config, range.clone(), Execution::Scalar);
+                let batched =
+                    run_range_with(&runner, &config, range.clone(), Execution::Batched { width });
+                assert_eq!(scalar, batched, "range {range:?}, width {width} diverged");
+            }
+        }
+    }
+}
+
+#[test]
+fn two_of_the_27_paper_groups_read_their_backup_unit() {
+    // The traffic the batched path saves: 27 stochastic points of eight
+    // technology × sizing siblings each, of which only the representatives
+    // of one Markov and one schedule point ever back up or restore.
+    let config = campaign::paper_campaign(0xD1AC).expect("campaign config builds");
+    let scenarios = config.space.scenarios(config.seed);
+    let mut groups: Vec<Vec<&scenarios::Scenario>> = Vec::new();
+    for scenario in &scenarios {
+        match groups.iter_mut().find(|g| g[0].seed == scenario.seed) {
+            Some(group) => group.push(scenario),
+            None => groups.push(vec![scenario]),
+        }
+    }
+    assert_eq!(groups.len(), 27);
+    assert!(groups.iter().all(|g| g.len() == 8), "eight siblings per stochastic point");
+    let reading: Vec<SourceFamily> = groups
+        .iter()
+        .filter(|g| g[0].run(config.duration, config.dt).reads_backup_unit())
+        .map(|g| g[0].source.family())
+        .collect();
+    assert_eq!(reading, [SourceFamily::Markov, SourceFamily::Schedule]);
+}
