@@ -1418,7 +1418,7 @@ mod tests {
         assert_eq!((run.first, run.until), (EnergyFx::ZERO, 20));
     }
 
-    // The lockstep batch executor feeds schedule-driven lanes through
+    // The batch executor feeds schedule-driven lanes through
     // `PiecewiseSource`'s monotone cursor and its windows; the tests below
     // pin both against a linear segment scan.
 

@@ -32,12 +32,6 @@ pub struct TraceSample {
 pub trait TraceSink {
     /// Records one sample.
     fn record(&mut self, sample: TraceSample);
-
-    /// Whether the sink actually stores samples (diagnostic; the default
-    /// says yes).
-    fn is_recording(&self) -> bool {
-        true
-    }
 }
 
 /// The compile-time no-op sink: every sample is discarded for free.
@@ -47,54 +41,31 @@ pub struct NullSink;
 impl TraceSink for NullSink {
     #[inline(always)]
     fn record(&mut self, _sample: TraceSample) {}
-
-    fn is_recording(&self) -> bool {
-        false
-    }
 }
 
-/// Collects [`TraceSample`]s during a run.
+/// Collects [`TraceSample`]s during a run.  It keeps every sample it is
+/// given; a run that should record nothing takes [`NullSink`] instead.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceRecorder {
     samples: Vec<TraceSample>,
-    enabled: bool,
 }
 
 impl TraceSink for TraceRecorder {
     fn record(&mut self, sample: TraceSample) {
         TraceRecorder::record(self, sample);
     }
-
-    fn is_recording(&self) -> bool {
-        self.enabled
-    }
 }
 
 impl TraceRecorder {
-    /// Creates an enabled recorder.
+    /// Creates an empty recorder.
     #[must_use]
     pub fn new() -> Self {
-        Self { samples: Vec::new(), enabled: true }
+        Self::default()
     }
 
-    /// Creates a recorder that drops every sample (for benchmark runs where
-    /// recording would distort timings).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { samples: Vec::new(), enabled: false }
-    }
-
-    /// Whether the recorder keeps samples.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one sample (no-op when disabled).
+    /// Records one sample.
     pub fn record(&mut self, sample: TraceSample) {
-        if self.enabled {
-            self.samples.push(sample);
-        }
+        self.samples.push(sample);
     }
 
     /// All recorded samples in time order.
@@ -185,24 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_drops_samples() {
-        let mut rec = TraceRecorder::disabled();
-        rec.record(sample(0.0, 1.0));
-        assert!(rec.is_empty());
-        assert!(!rec.is_enabled());
-        assert!(rec.min_stored().is_none());
-    }
-
-    #[test]
-    fn sinks_report_whether_they_record() {
-        let mut null = NullSink;
-        TraceSink::record(&mut null, sample(0.0, 1.0));
-        assert!(!null.is_recording());
-        let mut rec = TraceRecorder::new();
+    fn a_default_recorder_keeps_what_it_records() {
+        let mut rec = TraceRecorder::default();
         TraceSink::record(&mut rec, sample(0.0, 1.0));
-        assert!(TraceSink::is_recording(&rec));
-        assert_eq!(rec.len(), 1);
-        assert!(!TraceSink::is_recording(&TraceRecorder::disabled()));
+        assert_eq!(rec.samples(), &[sample(0.0, 1.0)]);
     }
 
     #[test]

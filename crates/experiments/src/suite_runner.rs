@@ -16,7 +16,7 @@
 //! `fig5::tests::serial_and_parallel_sweeps_are_identical` pin it).
 
 use diac_core::pipeline::{CircuitArtifacts, SynthesisPipeline};
-use diac_core::schemes::{SchemeComparison, SchemeContext};
+use diac_core::schemes::SchemeContext;
 use diac_core::DiacError;
 use netlist::suite::{BenchmarkSuite, CircuitSpec};
 use scenarios::runner::ParallelRunner;
@@ -118,20 +118,6 @@ impl SuiteRunner {
             f(spec, &pipeline, &artifacts)
         })
     }
-
-    /// Convenience wrapper: compares all four schemes on every circuit of
-    /// `suite`, in registry order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates materialisation, preparation and evaluation failures.
-    pub fn compare_suite(
-        &self,
-        suite: &BenchmarkSuite,
-        ctx: &SchemeContext,
-    ) -> Result<Vec<SchemeComparison>, DiacError> {
-        self.run_suite(suite, ctx, |_, pipeline, artifacts| pipeline.compare_all(artifacts))
-    }
 }
 
 #[cfg(test)]
@@ -227,10 +213,11 @@ mod tests {
     }
 
     #[test]
-    fn compare_suite_covers_the_whole_registry_in_order() {
+    fn run_suite_compares_the_whole_registry_in_order() {
         let suite = BenchmarkSuite::diac_paper_small();
-        let comparisons =
-            SuiteRunner::new().compare_suite(&suite, &SchemeContext::default()).unwrap();
+        let comparisons = SuiteRunner::new()
+            .run_suite(&suite, &SchemeContext::default(), |_, p, a| p.compare_all(a))
+            .unwrap();
         assert_eq!(comparisons.len(), suite.len());
         for (comparison, spec) in comparisons.iter().zip(suite.iter()) {
             assert_eq!(comparison.circuit, spec.name);

@@ -1,15 +1,14 @@
-//! The batch executor: N scenarios stepped in lockstep.
+//! The batch executor: queued scenarios, each run to completion on the
+//! event-horizon fast path.
 //!
 //! [`crate::executor::IntermittentExecutor`] advances one FSM + capacitor +
 //! harvest source per `dt` tick; a campaign runs hundreds of such
-//! independent lifetimes.  [`BatchExecutor`] owns up to `width` lanes plus a
-//! job queue.  A lane is one struct holding a job's whole mid-lifetime state
-//! — FSM state (`fsm::LaneState`), stored energy, source, tick counter,
-//! energy accumulators and the per-run constants derived at fill time
-//! (fixed-point thresholds, leak step, timer period).  The executor advances
-//! every live lane by a block of ticks in turn, retires lanes whose
-//! lifetime is over and fills the freed room from the queue, so ragged
-//! durations never stall the bank.
+//! independent lifetimes.  [`BatchExecutor`] holds a list of jobs and runs
+//! them one after another.  Each job boots into one *lane* — a
+//! [`NodeFsm`], the stored energy, the source, the energy accumulators and
+//! the leak step and timer period derived once — and the lane runs from
+//! tick 0 to the end of its lifetime in one loop.  Lanes never exchange
+//! data, so nothing is gained by interleaving them.
 //!
 //! # Event-horizon fast-forwarding
 //!
@@ -26,7 +25,7 @@
 //!    and Sleep lanes with a pending request run straight through fires;
 //!    the skipped re-arms are replayed in closed form
 //!    ([`TimerInterrupt::replay`]) when the stretch closes.
-//! 2. **thresholds** — `fsm::LaneState::quiescent_room` gives the room
+//! 2. **thresholds** — `NodeFsm::quiescent_room` gives the room
 //!    `down` and `up` from the stored energy to the nearest threshold below
 //!    and above whose crossing could alter control flow; the stretch keeps
 //!    a running lower bound `dist` on the nearer of the two, re-derived from
@@ -40,7 +39,7 @@
 //!
 //! * *uniform* — the source's own window of one repeated offer (segment
 //!   plateaus, Markov dwells, solar nights, whole RFID bursts and rests).
-//!   The lane keeps it across the block and burns `h = min(until, stretch
+//!   The lane keeps it across full ticks and burns `h = min(until, stretch
 //!   end) − i` ticks at a time, capped by the distance budget.  Corridor
 //!   proofs over the window's arithmetic progression reduce the
 //!   `EnergyCell` clamps to identities and the window to one `e += h · net`
@@ -67,11 +66,11 @@
 //!
 //! # Why the batch is bit-identical to the scalar path
 //!
-//! Lanes never exchange data, and each lane runs the arithmetic of
+//! Each lane runs the arithmetic of
 //! [`IntermittentExecutor::run`](crate::executor::IntermittentExecutor::run):
 //! its full ticks are the scalar per-step body, the shared
-//! [`ehsim::capacitor::EnergyCell`] / `fsm::FsmLaneMut` code, and a freshly
-//! filled lane boots exactly as a fresh scalar executor.  Offers are
+//! [`ehsim::capacitor::EnergyCell`] / [`NodeFsm`] transition, and a lane
+//! boots exactly as a fresh scalar executor.  Offers are
 //! quantised by the one [`ehsim::capacitor::quantise`], and below it every
 //! accumulator update is associative integer arithmetic, so a burnt run
 //! equals its ticks one by one, bit for bit.  The hoisted checks are pure
@@ -80,14 +79,11 @@
 //! contract.  So the per-scenario [`RunStats`], and every campaign digest,
 //! match the scalar oracle exactly.
 
-use std::collections::VecDeque;
-
 use ehsim::capacitor::{Capacitor, EnergyCell};
-use ehsim::pmu::ThresholdsFx;
 use ehsim::source::{HarvestSource, Run};
 use tech45::units::{EnergyFx, Seconds};
 
-use crate::fsm::{FsmConfig, LaneState, TickConstants};
+use crate::fsm::{FsmConfig, NodeFsm, TickConstants};
 use crate::state::NodeState;
 use crate::stats::RunStats;
 
@@ -137,8 +133,8 @@ impl<S> BatchJob<S> {
     }
 }
 
-/// Steps up to `width` scenarios in lockstep, retiring finished lanes and
-/// refilling the freed room from an internal job queue.
+/// Runs queued jobs one after another, each to completion, returning their
+/// statistics in enqueue order.
 ///
 /// ```
 /// use ehsim::schedule::Schedule;
@@ -148,7 +144,7 @@ impl<S> BatchJob<S> {
 /// use tech45::units::Seconds;
 ///
 /// let (duration, dt) = (Seconds::new(1500.0), Seconds::new(0.5));
-/// let mut batch = BatchExecutor::new(4);
+/// let mut batch = BatchExecutor::new(6);
 /// for seed in 0..6_u64 {
 ///     let config = FsmConfig::paper_default().with_seed(seed);
 ///     batch.enqueue(BatchJob::new(config, Schedule::fig4().to_source(), duration, dt));
@@ -163,14 +159,8 @@ impl<S> BatchJob<S> {
 /// ```
 #[derive(Debug)]
 pub struct BatchExecutor<S> {
-    width: usize,
-    queue: VecDeque<(usize, BatchJob<S>)>,
-    next_job: usize,
-    results: Vec<Option<RunStats>>,
+    jobs: Vec<BatchJob<S>>,
     retired_sources: Vec<S>,
-    /// The live lanes, in no particular order (a retired lane is
-    /// swap-removed).
-    lanes: Vec<Lane<S>>,
     telemetry: BatchTelemetry,
 }
 
@@ -194,26 +184,15 @@ pub struct BatchTelemetry {
     pub ticks_steady: u64,
 }
 
-/// Ticks one lane advances per lockstep block in
-/// [`BatchExecutor::run_to_completion`]: sized so a typical campaign
-/// lifetime (3000 ticks at the default 1500 s / 0.5 s grid) runs as a
-/// single block, while longer lifetimes still interleave, retire and refill
-/// at block granularity.
-const BLOCK_TICKS: u64 = 4096;
-
 impl<S: HarvestSource> BatchExecutor<S> {
-    /// An executor stepping at most `width` lanes in lockstep (at least
-    /// one).
+    /// An empty executor whose job list has room for `capacity` jobs before
+    /// it grows.  The capacity is only a hint: any number of jobs may be
+    /// enqueued.
     #[must_use]
-    pub fn new(width: usize) -> Self {
-        let width = width.max(1);
+    pub fn new(capacity: usize) -> Self {
         Self {
-            width,
-            queue: VecDeque::new(),
-            next_job: 0,
-            results: Vec::new(),
+            jobs: Vec::with_capacity(capacity),
             retired_sources: Vec::new(),
-            lanes: Vec::with_capacity(width),
             telemetry: BatchTelemetry::default(),
         }
     }
@@ -224,322 +203,212 @@ impl<S: HarvestSource> BatchExecutor<S> {
         self.telemetry
     }
 
-    /// Enqueues a job; it starts as soon as a lane frees up.  Returns the
-    /// job's id — its index into the [`Self::run_to_completion`] result.
+    /// Enqueues a job.  Returns the job's id — its index into the
+    /// [`Self::run_to_completion`] result.
     pub fn enqueue(&mut self, job: BatchJob<S>) -> usize {
-        let id = self.next_job;
-        self.next_job += 1;
-        self.results.push(None);
-        self.queue.push_back((id, job));
-        id
+        self.jobs.push(job);
+        self.jobs.len() - 1
     }
 
-    /// Hands back the harvest sources of retired lanes, so callers can
+    /// Hands back the harvest sources of finished jobs, so callers can
     /// recycle their buffers into the next jobs.
     pub fn take_retired_sources(&mut self) -> Vec<S> {
         std::mem::take(&mut self.retired_sources)
     }
 
-    /// Pops queued jobs into free lanes.  Zero-step jobs retire immediately
-    /// (the scalar executor's behaviour for a non-positive duration).
-    fn fill_lanes(&mut self) {
-        while self.lanes.len() < self.width {
-            let Some((id, job)) = self.queue.pop_front() else { break };
-            let lane = Lane::boot(id, job);
-            if lane.steps == 0 {
-                self.retire(lane);
-            } else {
-                self.lanes.push(lane);
-            }
-        }
-    }
-
-    /// Finalises one finished lane through [`RunStats::finalize`] — the
-    /// exact epilogue the scalar executor runs — and parks the result under
-    /// the lane's job id.
-    fn retire(&mut self, lane: Lane<S>) {
-        let mut stats = lane.fsm.stats;
-        stats.finalize(lane.dt, lane.harvested, lane.clipped, lane.consumed);
-        self.results[lane.job_id] = Some(stats);
-        self.retired_sources.push(lane.source);
-    }
-
-    /// Advances every live lane by its own `dt` (filling free lanes from the
-    /// queue first).  Returns `false` once no lane is live and the queue is
-    /// empty.
-    pub fn tick(&mut self) -> bool {
-        self.advance(1)
-    }
-
-    /// Advances every live lane by up to `ticks` steps of its own `dt`,
-    /// filling free lanes from the queue first.  Lanes are independent, so
-    /// the order they run in and the block length change no lane's
-    /// arithmetic.
-    fn advance(&mut self, ticks: u64) -> bool {
-        self.fill_lanes();
-        if self.lanes.is_empty() {
-            return false;
-        }
-        let mut slot = 0;
-        while slot < self.lanes.len() {
-            if self.lanes[slot].advance_block(ticks, &mut self.telemetry) {
-                let lane = self.lanes.swap_remove(slot);
-                self.retire(lane);
-            } else {
-                slot += 1;
-            }
-        }
-        true
-    }
-
     /// Runs every enqueued job to completion and returns their statistics in
     /// enqueue order.  The executor is reusable afterwards.
     pub fn run_to_completion(&mut self) -> Vec<RunStats> {
-        while self.advance(BLOCK_TICKS) {}
-        self.next_job = 0;
-        self.results
+        self.jobs
             .drain(..)
-            .map(|slot| slot.expect("every enqueued job retires with statistics"))
+            .map(|job| {
+                let (stats, source) = run_lane(job, &mut self.telemetry);
+                self.retired_sources.push(source);
+                stats
+            })
             .collect()
     }
 }
 
-/// One occupied slot of a [`BatchExecutor`]: everything one job's lifetime
-/// needs between two blocks, in one place.
-#[derive(Debug)]
-struct Lane<S> {
-    job_id: usize,
-    config: FsmConfig,
-    /// `config.thresholds` on the fixed-point grid: the step transition and
-    /// the quiescence proofs compare against them many times per tick.
-    th: ThresholdsFx,
-    /// The leak step and timer period of the lane's `dt`.
-    k: TickConstants,
-    fsm: LaneState,
-    /// The stored energy and capacity of the lane's capacitor.
-    energy: EnergyFx,
-    e_max: EnergyFx,
-    source: S,
-    dt: Seconds,
-    /// The next tick to run, and the lifetime in ticks.
-    tick: u64,
-    steps: u64,
-    harvested: EnergyFx,
-    clipped: EnergyFx,
-    consumed: EnergyFx,
-}
+/// Runs one job from tick 0 to the end of its lifetime and returns its
+/// statistics, finalised through [`RunStats::finalize`] — the exact
+/// epilogue the scalar executor runs — together with its source.
+///
+/// The lane boots exactly as a fresh scalar executor does, then alternates
+/// full-fidelity ticks with event-horizon stretches (see the module docs):
+/// after every full tick that leaves the node in Sleep or Off it derives
+/// the quiescent threshold distance and burns the source's runs with every
+/// check it proves a no-op hoisted out.
+///
+/// # Panics
+///
+/// Panics if the job's `dt` or sampling interval is not strictly positive.
+fn run_lane<S: HarvestSource>(job: BatchJob<S>, telemetry: &mut BatchTelemetry) -> (RunStats, S) {
+    // The scalar executor's run-time contract, re-checked here so a job
+    // assembled as a struct literal (the fields are public) cannot smuggle
+    // a degenerate grid past `BatchJob::new`.
+    assert!(job.dt.value() > 0.0, "time step must be positive");
+    let steps = job.steps();
+    let BatchJob { config, capacitor, mut source, dt, .. } = job;
+    let k = TickConstants::new(&config, dt);
+    let mut fsm = NodeFsm::new(config);
+    let mut energy = capacitor.energy_fx();
+    let e_max = capacitor.max_energy_fx();
+    let (mut harvested, mut clipped, mut consumed) =
+        (EnergyFx::ZERO, EnergyFx::ZERO, EnergyFx::ZERO);
+    let e_max_aj = e_max.attojoules();
+    let period = k.timer_period;
+    // Worst-case per-tick drain of the fast path: Sleep only leaks, Off
+    // does not even do that.
+    let ls = k.leak_step.attojoules();
+    let (mut fast, mut steady, mut recomputes) = (0_u64, 0_u64, 0_u64);
 
-impl<S: HarvestSource> Lane<S> {
-    /// Boots job `id` into a lane: the boot state a fresh scalar executor
-    /// starts from, plus the per-run constants derived once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job's `dt` or sampling interval is not strictly
-    /// positive.
-    fn boot(job_id: usize, job: BatchJob<S>) -> Self {
-        // The scalar executor's run-time contract, re-checked here so a job
-        // assembled as a struct literal (the fields are public) cannot
-        // smuggle a degenerate grid past `BatchJob::new`.
-        assert!(job.dt.value() > 0.0, "time step must be positive");
-        Self {
-            job_id,
-            th: job.config.thresholds.fx(),
-            k: TickConstants::new(&job.config, job.dt),
-            fsm: LaneState::boot(&job.config),
-            steps: job.steps(),
-            config: job.config,
-            energy: job.capacitor.energy_fx(),
-            e_max: job.capacitor.max_energy_fx(),
-            source: job.source,
-            dt: job.dt,
-            tick: 0,
-            harvested: EnergyFx::ZERO,
-            clipped: EnergyFx::ZERO,
-            consumed: EnergyFx::ZERO,
+    // The lane's current source run.  A uniform run is kept across the
+    // whole lifetime — its suffix is still a uniform run — so full ticks and
+    // stretches alike reuse it until `until`; a mixed run is burnt whole as
+    // soon as it is drawn.  A full tick needs only its own offer, so it asks
+    // with limits that admit no second tick: the source's window.
+    let mut run = Run::uniform(EnergyFx::ZERO, 0, 0);
+    let mut i = 0;
+    while i < steps {
+        if i >= run.until {
+            run = source.run(i, dt, i + 1, EnergyFx::ZERO);
         }
-    }
+        // The scalar executor's per-step body, verbatim (see
+        // `IntermittentExecutor::run_with_sink`), around the one shared
+        // `NodeFsm` transition.
+        let before = energy;
+        let mut cell = EnergyCell::from_parts(&mut energy, e_max);
+        let banked = cell.harvest_fx(run.first);
+        fsm.step_with(&mut cell, i, dt, k);
+        harvested += banked;
+        clipped += run.first - banked;
+        // Exact — integer drains can never overshoot, so no clamp.
+        consumed += before + banked - energy;
+        i += 1;
 
-    /// Runs the lane for up to `ticks` steps (bounded by its remaining
-    /// lifetime) and reports whether the lifetime is complete.
-    ///
-    /// The loop alternates full-fidelity ticks with event-horizon stretches
-    /// (see the module docs): after every full tick that leaves the lane in
-    /// Sleep or Off it derives the quiescent threshold distance and burns
-    /// the source's runs with every check it proves a no-op hoisted out.
-    fn advance_block(&mut self, ticks: u64, telemetry: &mut BatchTelemetry) -> bool {
-        let Self {
-            config,
-            th,
-            k,
-            fsm: state,
-            energy,
-            e_max,
-            source,
-            dt,
-            tick,
-            steps,
-            harvested,
-            clipped,
-            consumed,
-            ..
-        } = self;
-        let (config, th, k, e_max, dt) = (&*config, &*th, *k, *e_max, *dt);
-        let start = *tick;
-        let end = (start + ticks).min(*steps);
-        let e_max_aj = e_max.attojoules();
-        let period = k.timer_period;
-        // Worst-case per-tick drain of the fast path: Sleep only leaks, Off
-        // does not even do that.
-        let ls = k.leak_step.attojoules();
-        let (mut fast, mut steady, mut recomputes) = (0_u64, 0_u64, 0_u64);
+        // Event-horizon attempt: only Sleep and Off are quiescent
+        // candidates.
+        if i >= steps || !matches!(fsm.state(), NodeState::Sleep | NodeState::Off) {
+            continue;
+        }
+        // The exact room from energy `at` down and up to the nearest
+        // control-flow threshold on each side, and a running lower bound on
+        // the nearer, one quantum shaved so that a move of at most `dist`
+        // preserves strict and non-strict comparisons alike.
+        let mut at = energy.attojoules();
+        let Some(mut room) = fsm.quiescent_room(energy) else { continue };
+        recomputes += 1;
+        let mut dist = room.0.min(room.1).saturating_sub(1);
+        if dist <= 0 {
+            continue;
+        }
+        let node_state = fsm.state();
+        // Off lanes do not leak, which makes them the zero-leak case of
+        // every bound below.
+        let leak = if node_state == NodeState::Off { 0 } else { ls };
+        // A timer fire only changes control flow when it can set the
+        // sensing flag — idle Sleep — so there the stretch ends before the
+        // firing tick.  Off lanes and Sleep lanes with a request already
+        // pending run straight through fires (`poll` then merely re-arms),
+        // and the re-arms are replayed after the stretch.
+        let idle_sleep = node_state == NodeState::Sleep && fsm.reg_flag().is_idle();
+        let stretch_end = if idle_sleep { fsm.timer.next_fire(period).min(steps) } else { steps };
+        if stretch_end <= i {
+            continue;
+        }
 
-        // The lane's current source run.  A uniform run is kept across the
-        // whole block — its suffix is still a uniform run — so full ticks and
-        // stretches alike reuse it until `until`; a mixed run is burnt whole
-        // as soon as it is drawn.  A full tick needs only its own offer, so
-        // it asks with limits that admit no second tick: the source's window.
-        let mut run = Run::uniform(EnergyFx::ZERO, start, start);
-        let mut i = start;
-        while i < end {
+        // Hoist the accumulators into raw integer locals.
+        let mut t_state = *fsm.stats.tick_slot_mut(node_state);
+        let mut t_total = *fsm.stats.total_ticks_mut();
+        let mut e = energy.attojoules();
+        let mut hv = harvested.attojoules();
+        let mut cl = clipped.attojoules();
+        let mut co = consumed.attojoules();
+        let burn_start = i;
+        while i < stretch_end {
             if i >= run.until {
-                run = source.run(i, dt, i + 1, EnergyFx::ZERO);
+                // The limits of a mixed run the proof admits: `h · leak`
+                // within the energy and below the room down, the total offer
+                // within the headroom and below the room up.
+                let (down, up) = room_at(room, e - at);
+                let reach = window_fit(stretch_end - i, (down - 1).min(e), leak);
+                let budget = EnergyFx::from_attojoules((up - 1).min(e_max_aj - e));
+                run = source.run(i, dt, i + reach, budget);
             }
-            // The scalar executor's per-step body, verbatim (see
-            // `IntermittentExecutor::run_with_sink`), around the one shared
-            // `FsmLaneMut::step`.
-            let before = *energy;
-            let mut cell = EnergyCell::from_parts(energy, e_max);
-            let banked = cell.harvest_fx(run.first);
-            state.as_lane_mut(config, th, k).step(&mut cell, i, dt);
-            *harvested += banked;
-            *clipped += run.first - banked;
-            // Exact — integer drains can never overshoot, so no clamp.
-            *consumed += before + banked - *energy;
-            i += 1;
-
-            // Event-horizon attempt: only Sleep and Off are quiescent
-            // candidates.
-            if i >= end || !matches!(state.state, NodeState::Sleep | NodeState::Off) {
-                continue;
-            }
-            // The exact room from energy `at` down and up to the nearest
-            // control-flow threshold on each side, and a running lower bound
-            // on the nearer, one quantum shaved so that a move of at most
-            // `dist` preserves strict and non-strict comparisons alike.
-            let mut at = energy.attojoules();
-            let Some(mut room) = state.quiescent_room(th, *energy) else { continue };
-            recomputes += 1;
-            let mut dist = room.0.min(room.1).saturating_sub(1);
-            if dist <= 0 {
-                continue;
-            }
-            let node_state = state.state;
-            // Off lanes do not leak, which makes them the zero-leak case of
-            // every bound below.
-            let leak = if node_state == NodeState::Off { 0 } else { ls };
-            // A timer fire only changes control flow when it can set the
-            // sensing flag — idle Sleep — so there the stretch ends before
-            // the firing tick.  Off lanes and Sleep lanes with a request
-            // already pending run straight through fires (`poll` then merely
-            // re-arms), and the re-arms are replayed after the stretch.
-            let idle_sleep = node_state == NodeState::Sleep && state.reg_flag.is_idle();
-            let stretch_end = if idle_sleep { state.timer.next_fire(period).min(end) } else { end };
-            if stretch_end <= i {
-                continue;
-            }
-
-            // Hoist the accumulators into raw integer locals.
-            let mut t_state = *state.stats.tick_slot_mut(node_state);
-            let mut t_total = *state.stats.total_ticks_mut();
-            let mut e = energy.attojoules();
-            let mut hv = harvested.attojoules();
-            let mut cl = clipped.attojoules();
-            let mut co = consumed.attojoules();
-            let burn_start = i;
-            while i < stretch_end {
-                if i >= run.until {
-                    // The limits of a mixed run the proof admits: `h · leak`
-                    // within the energy and below the room down, the total
-                    // offer within the headroom and below the room up.
-                    let (down, up) = room_at(room, e - at);
-                    let reach = window_fit(stretch_end - i, (down - 1).min(e), leak);
-                    let budget = EnergyFx::from_attojoules((up - 1).min(e_max_aj - e));
-                    run = source.run(i, dt, i + reach, budget);
-                }
-                let offered = run.first.attojoules();
-                let (h, burn) = if run.uniform {
-                    // A tick moves the energy by at most `max(offered, leak)`
-                    // either side of the checks the stretch hoists, so a
-                    // window of `h` ticks stays within `h` such steps of `e`.
-                    let step_mag = offered.max(leak);
-                    let window = run.until.min(stretch_end) - i;
-                    let mut h = window_fit(window, dist, step_mag);
+            let offered = run.first.attojoules();
+            let (h, burn) = if run.uniform {
+                // A tick moves the energy by at most `max(offered, leak)`
+                // either side of the checks the stretch hoists, so a window
+                // of `h` ticks stays within `h` such steps of `e`.
+                let step_mag = offered.max(leak);
+                let window = run.until.min(stretch_end) - i;
+                let mut h = window_fit(window, dist, step_mag);
+                if h == 0 {
+                    // Self-heal: re-derive the budget from the live energy
+                    // (the FSM state is unchanged in a stretch).
+                    let live = EnergyFx::from_attojoules(e);
+                    let Some(live_room) = fsm.quiescent_room(live) else { break };
+                    recomputes += 1;
+                    (room, at) = (live_room, e);
+                    dist = room.0.min(room.1).saturating_sub(1);
+                    h = window_fit(window, dist, step_mag);
                     if h == 0 {
-                        // Self-heal: re-derive the budget from the live
-                        // energy (the FSM state is unchanged in a stretch).
-                        let live = EnergyFx::from_attojoules(e);
-                        let Some(live_room) = state.quiescent_room(th, live) else { break };
-                        recomputes += 1;
-                        (room, at) = (live_room, e);
-                        dist = room.0.min(room.1).saturating_sub(1);
-                        h = window_fit(window, dist, step_mag);
-                        if h == 0 {
-                            // This tick's checks cannot be proven no-ops: it
-                            // runs in full, on the run already drawn.
-                            break;
-                        }
+                        // This tick's checks cannot be proven no-ops: it runs
+                        // in full, on the run already drawn.
+                        break;
                     }
-                    // A single tick is cheapest as the per-tick body itself.
-                    let burn = if h == 1 {
-                        Burn::tick(e, e_max_aj, offered, leak)
-                    } else {
-                        burn_window(e, e_max_aj, offered, leak, h)
-                    };
-                    dist -= (burn.energy - e).abs();
-                    (h, burn)
-                } else {
-                    let (h, total) = (run.until - i, run.total.attojoules());
-                    let drained = i128::from(h) * leak;
-                    let burn = burn_run(e, e_max_aj, total, drained, room_at(room, e - at))
-                        .expect("a mixed run fits the limits it was drawn with");
-                    // It may spend a whole side's room at once: the bound
-                    // restarts from the exact rooms it leaves.
-                    let (down, up) = room_at(room, burn.energy - at);
-                    dist = down.min(up).saturating_sub(1);
-                    (h, burn)
-                };
-                e = burn.energy;
-                hv += burn.banked;
-                cl += burn.clipped;
-                co += burn.drained;
-                t_state += h;
-                t_total += h;
-                fast += h;
-                if h > 1 {
-                    steady += h;
                 }
-                i += h;
+                // A single tick is cheapest as the per-tick body itself.
+                let burn = if h == 1 {
+                    Burn::tick(e, e_max_aj, offered, leak)
+                } else {
+                    burn_window(e, e_max_aj, offered, leak, h)
+                };
+                dist -= (burn.energy - e).abs();
+                (h, burn)
+            } else {
+                let (h, total) = (run.until - i, run.total.attojoules());
+                let drained = i128::from(h) * leak;
+                let burn = burn_run(e, e_max_aj, total, drained, room_at(room, e - at))
+                    .expect("a mixed run fits the limits it was drawn with");
+                // It may spend a whole side's room at once: the bound
+                // restarts from the exact rooms it leaves.
+                let (down, up) = room_at(room, burn.energy - at);
+                dist = down.min(up).saturating_sub(1);
+                (h, burn)
+            };
+            e = burn.energy;
+            hv += burn.banked;
+            cl += burn.clipped;
+            co += burn.drained;
+            t_state += h;
+            t_total += h;
+            fast += h;
+            if h > 1 {
+                steady += h;
             }
-
-            // Write the stretch locals back.
-            *energy = EnergyFx::from_attojoules(e);
-            *harvested = EnergyFx::from_attojoules(hv);
-            *clipped = EnergyFx::from_attojoules(cl);
-            *consumed = EnergyFx::from_attojoules(co);
-            *state.stats.tick_slot_mut(node_state) = t_state;
-            *state.stats.total_ticks_mut() = t_total;
-            // The polls of the burnt ticks (none fires in idle Sleep).
-            state.timer.replay(burn_start, i, period);
+            i += h;
         }
 
-        *tick = end;
-        telemetry.ticks_total += end - start;
-        telemetry.ticks_fast_forwarded += fast;
-        telemetry.horizon_recomputes += recomputes;
-        telemetry.ticks_steady += steady;
-        end >= *steps
+        // Write the stretch locals back.
+        energy = EnergyFx::from_attojoules(e);
+        harvested = EnergyFx::from_attojoules(hv);
+        clipped = EnergyFx::from_attojoules(cl);
+        consumed = EnergyFx::from_attojoules(co);
+        *fsm.stats.tick_slot_mut(node_state) = t_state;
+        *fsm.stats.total_ticks_mut() = t_total;
+        // The polls of the burnt ticks (none fires in idle Sleep).
+        fsm.timer.replay(burn_start, i, period);
     }
+
+    telemetry.ticks_total += steps;
+    telemetry.ticks_fast_forwarded += fast;
+    telemetry.horizon_recomputes += recomputes;
+    telemetry.ticks_steady += steady;
+    let mut stats = fsm.stats;
+    stats.finalize(dt, harvested, clipped, consumed);
+    (stats, source)
 }
 
 /// The exact integer outcome of burning one window: the final stored
@@ -695,9 +564,9 @@ mod tests {
     }
 
     #[test]
-    fn ragged_durations_retire_and_refill_without_perturbing_neighbours() {
-        // Five jobs with wildly different lifetimes and steps through two
-        // lanes: every refill lands mid-flight of the other lane.
+    fn ragged_durations_and_steps_each_match_their_scalar_run() {
+        // Five jobs with wildly different lifetimes and steps through one
+        // executor, whose capacity hint is below the job count.
         let points = [(400.0, 0.5), (2600.0, 0.5), (150.0, 0.1), (900.0, 0.25), (50.0, 0.5)];
         let mut batch = BatchExecutor::new(2);
         for (i, &(duration, dt)) in points.iter().enumerate() {

@@ -139,7 +139,7 @@ impl<S: HarvestSource> IntermittentExecutor<S> {
             let banked = self.capacitor.cell().harvest_fx(offered);
             harvested_total += banked;
             clipped_total += offered - banked;
-            self.fsm.step_with(&mut self.capacitor, i, dt, k);
+            self.fsm.step_with(&mut self.capacitor.cell(), i, dt, k);
             consumed_total += before + banked - self.capacitor.energy_fx();
             sink.record(TraceSample {
                 time: now,

@@ -155,7 +155,7 @@ impl TickConstants {
 
 /// An atomic operation currently in flight.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct InFlight {
+struct InFlight {
     remaining_energy: Energy,
     remaining_time: Seconds,
     total_energy: Energy,
@@ -164,22 +164,22 @@ pub(crate) struct InFlight {
 
 /// The backup/restore bookkeeping flags of one FSM lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct LaneFlags {
+struct LaneFlags {
     /// Whether the current volatile state has been captured by a backup.
-    pub(crate) backed_up: bool,
+    backed_up: bool,
     /// Whether a restore from NVM is required before resuming.
-    pub(crate) needs_restore: bool,
+    needs_restore: bool,
     /// Whether the node is currently below the safe-zone threshold.
-    pub(crate) in_safe_zone_dip: bool,
+    in_safe_zone_dip: bool,
     /// Whether a backup happened during the current dip.
-    pub(crate) backup_during_dip: bool,
+    backup_during_dip: bool,
 }
 
 impl LaneFlags {
     /// Boot-time flags: start as if already inside a (handled) dip so that a
     /// node that boots with an empty capacitor does not count the initial
     /// charge-up as a safe-zone entry or recovery.
-    pub(crate) fn boot() -> Self {
+    fn boot() -> Self {
         Self {
             backed_up: false,
             needs_restore: false,
@@ -189,25 +189,36 @@ impl LaneFlags {
     }
 }
 
-/// The complete mutable per-lane state of one FSM — everything except the
-/// configuration.  [`NodeFsm`] owns exactly one, and so does each lane of
-/// the batch executor.
+/// The node state machine: one node's configuration, its fixed-point
+/// thresholds and its whole mutable state.  The scalar executor owns one,
+/// and so does each lane of the batch executor; both step it through the
+/// one transition below, which is what makes the batch executor
+/// bit-identical to the scalar path by construction rather than by
+/// parallel maintenance.
 #[derive(Debug, Clone)]
-pub(crate) struct LaneState {
-    pub(crate) state: NodeState,
-    pub(crate) reg_flag: RegFlag,
-    pub(crate) rng: StdRng,
+pub struct NodeFsm {
+    config: FsmConfig,
+    /// `config.thresholds` on the fixed-point grid, quantised once here:
+    /// the configuration is immutable for the FSM's lifetime, and the step
+    /// transition compares the stored energy against the thresholds several
+    /// times per tick, which costs less than re-deriving six values.
+    th: ThresholdsFx,
+    state: NodeState,
+    reg_flag: RegFlag,
+    rng: StdRng,
     pub(crate) timer: TimerInterrupt,
-    pub(crate) in_flight: Option<InFlight>,
-    pub(crate) flags: LaneFlags,
+    in_flight: Option<InFlight>,
+    flags: LaneFlags,
     pub(crate) stats: RunStats,
 }
 
-impl LaneState {
-    /// The boot state of a lane running `config`: Sleep, idle `Reg_Flag`,
-    /// seeded RNG, armed timer.
-    pub(crate) fn boot(config: &FsmConfig) -> Self {
+impl NodeFsm {
+    /// Creates the FSM in the Sleep state with an idle `Reg_Flag`, a seeded
+    /// RNG and an armed timer.
+    #[must_use]
+    pub fn new(config: FsmConfig) -> Self {
         Self {
+            th: config.thresholds.fx(),
             state: NodeState::Sleep,
             reg_flag: RegFlag::IDLE,
             rng: StdRng::seed_from_u64(config.seed),
@@ -215,13 +226,60 @@ impl LaneState {
             in_flight: None,
             flags: LaneFlags::boot(),
             stats: RunStats::default(),
+            config,
         }
     }
 
+    /// Current node state.
+    #[must_use]
+    pub fn state(&self) -> NodeState {
+        self.state
+    }
+
+    /// Current `Reg_Flag`.
+    #[must_use]
+    pub fn reg_flag(&self) -> RegFlag {
+        self.reg_flag
+    }
+
+    /// Statistics collected so far.
+    #[must_use]
+    pub fn stats(&self) -> &RunStats {
+        &self.stats
+    }
+
+    /// Mutable access to the statistics (the executor adds the energy
+    /// aggregates it measures at the capacitor).
+    pub fn stats_mut(&mut self) -> &mut RunStats {
+        &mut self.stats
+    }
+
+    /// The FSM configuration.
+    #[must_use]
+    pub fn config(&self) -> &FsmConfig {
+        &self.config
+    }
+
+    /// Advances the node through tick `tick` (covering
+    /// `[tick·dt, (tick+1)·dt)`), drawing from and observing `capacitor`.
+    ///
+    /// A run is one increasing tick sequence at one `dt`: `dt` is constant
+    /// over a run, because the timer counts its sampling interval in ticks
+    /// of it, and the timer fires once `tick` reaches a whole interval past
+    /// its last fire, so ticks must not go backwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured sampling interval is not strictly positive.
+    pub fn step(&mut self, capacitor: &mut Capacitor, tick: u64, dt: Seconds) {
+        let k = TickConstants::new(&self.config, dt);
+        self.step_with(&mut capacitor.cell(), tick, dt, k);
+    }
+
     /// How far `energy` can drift down and up, `(down, up)`, before *any*
-    /// control-flow decision of [`FsmLaneMut::step`] could change for this
-    /// lane, or `None` if the lane is in a state that must be stepped in
-    /// full every tick.  A side with no threshold has `i128::MAX` room.
+    /// control-flow decision of [`Self::step_with`] could change, or `None`
+    /// if the node is in a state that must be stepped in full every tick.
+    /// A side with no threshold has `i128::MAX` room.
     ///
     /// Only Sleep and Off qualify: there, as long as the stored energy stays
     /// strictly within the returned room of its current value (and the
@@ -230,7 +288,7 @@ impl LaneState {
     /// time-accounting + leakage + harvest tick: every threshold comparison
     /// keeps its current verdict, no state transition, flag flip, RNG draw
     /// or statistics event can occur.  The rooms mirror the comparisons
-    /// of `step_after_leakage`/`step_sleep`/`step_off` one for one:
+    /// of `step_with`/`step_sleep`/`step_off` one for one:
     ///
     /// * Sleep — stay on the current side of `Th_SafeZone` (dip bookkeeping),
     ///   at or above `Th_Off` (death) and `Th_Bk` (forced backup, unless
@@ -249,16 +307,8 @@ impl LaneState {
     /// estimate: movement strictly below the room cannot flip a strict
     /// comparison, and movement of at most `room − 1` cannot flip a
     /// non-strict one either.
-    ///
-    /// `th` must be the fixed-point image of the lane's configured
-    /// thresholds; callers cache it once per run ([`NodeFsm::new`], the
-    /// batch executor's lane) because re-quantising six thresholds on every
-    /// query is measurable in the hot loop.
-    pub(crate) fn quiescent_room(
-        &self,
-        th: &ThresholdsFx,
-        energy: EnergyFx,
-    ) -> Option<(i128, i128)> {
+    pub(crate) fn quiescent_room(&self, energy: EnergyFx) -> Option<(i128, i128)> {
+        let th = &self.th;
         let e = energy.attojoules();
         let (mut down, mut up) = (i128::MAX, i128::MAX);
         let above = |t: EnergyFx| t.attojoules() - e;
@@ -292,83 +342,32 @@ impl LaneState {
         Some((down, up))
     }
 
-    /// Borrows this lane as the step view shared with the batch executor.
-    /// `th` is the caller-cached fixed-point image of `config.thresholds`,
-    /// `k` the caller-cached [`TickConstants`] of the `dt` the step will run
-    /// at.
-    pub(crate) fn as_lane_mut<'a>(
-        &'a mut self,
-        config: &'a FsmConfig,
-        th: &'a ThresholdsFx,
-        k: TickConstants,
-    ) -> FsmLaneMut<'a> {
-        FsmLaneMut {
-            config,
-            th,
-            k,
-            state: &mut self.state,
-            reg_flag: &mut self.reg_flag,
-            rng: &mut self.rng,
-            timer: &mut self.timer,
-            in_flight: &mut self.in_flight,
-            flags: &mut self.flags,
-            stats: &mut self.stats,
-        }
-    }
-}
-
-/// A mutable view of one FSM lane's state, borrowed either from a
-/// [`NodeFsm`] or from one lane of a [`crate::batch::BatchExecutor`].
-///
-/// The *entire* Algorithm-1 step transition is defined on this view, once;
-/// the scalar and batched execution paths both call into it, which is what
-/// makes the batch executor bit-identical to [`NodeFsm::step`] by
-/// construction rather than by parallel maintenance.
-#[derive(Debug)]
-pub(crate) struct FsmLaneMut<'a> {
-    pub(crate) config: &'a FsmConfig,
-    /// `config.thresholds` quantised once per run: the step transition
-    /// compares the stored energy against the thresholds several times per
-    /// tick, and re-deriving six fixed-point values each time costs more
-    /// than the comparisons themselves.
-    pub(crate) th: &'a ThresholdsFx,
-    /// The leak step and timer period of the run's `dt` (the same caching
-    /// rationale as [`Self::th`]).
-    pub(crate) k: TickConstants,
-    pub(crate) state: &'a mut NodeState,
-    pub(crate) reg_flag: &'a mut RegFlag,
-    pub(crate) rng: &'a mut StdRng,
-    pub(crate) timer: &'a mut TimerInterrupt,
-    pub(crate) in_flight: &'a mut Option<InFlight>,
-    pub(crate) flags: &'a mut LaneFlags,
-    pub(crate) stats: &'a mut RunStats,
-}
-
-impl FsmLaneMut<'_> {
-    /// Advances the lane by tick `tick` of width `dt`, drawing from and
-    /// observing `cap` — the full per-step transition including time
-    /// accounting and sleep leakage.
+    /// The whole Algorithm-1 step transition: advances the node by tick
+    /// `tick` of width `dt`, drawing from and observing `cap` — time
+    /// accounting, sleep leakage, interrupts and the state's own work.  `k`
+    /// holds the leak step and timer period of `dt`, which both executors
+    /// derive once per run instead of once per tick.
     #[inline]
-    pub(crate) fn step(&mut self, cap: &mut EnergyCell<'_>, tick: u64, dt: Seconds) {
-        self.stats.record_tick(*self.state);
+    pub(crate) fn step_with(
+        &mut self,
+        cap: &mut EnergyCell<'_>,
+        tick: u64,
+        dt: Seconds,
+        k: TickConstants,
+    ) {
+        self.stats.record_tick(self.state);
 
         // Leakage is drawn in every state except Off.
-        if *self.state != NodeState::Off {
-            cap.drain_fx(self.k.leak_step);
+        if self.state != NodeState::Off {
+            cap.drain_fx(k.leak_step);
         }
 
-        self.step_after_leakage(cap, tick, dt);
-    }
-
-    /// The step transition after the time accounting and leakage draw.
-    #[inline]
-    fn step_after_leakage(&mut self, cap: &mut EnergyCell<'_>, tick: u64, dt: Seconds) {
         // Timer interrupt: re-arm the sensing request when idle.
-        if self.timer.poll(tick, self.k.timer_period)
+        if self.timer.poll(tick, k.timer_period)
             && self.reg_flag.is_idle()
-            && *self.state == NodeState::Sleep
+            && self.state == NodeState::Sleep
         {
-            *self.reg_flag = RegFlag::SENSE;
+            self.reg_flag = RegFlag::SENSE;
         }
 
         // All threshold comparisons are native fixed-point integer compares:
@@ -376,11 +375,11 @@ impl FsmLaneMut<'_> {
         // threshold (one f64 ulp at 25 mJ spans ~3.5 attojoules) and flip a
         // verdict the exact representation would not.
         let energy = cap.energy();
-        let th = self.th;
+        let th = &self.th;
 
         // Safe-zone bookkeeping (entries and recoveries are counted on the
         // threshold crossings, whatever state the node is in).
-        if !self.flags.in_safe_zone_dip && energy < th.safe_zone && *self.state != NodeState::Off {
+        if !self.flags.in_safe_zone_dip && energy < th.safe_zone && self.state != NodeState::Off {
             self.flags.in_safe_zone_dip = true;
             self.flags.backup_during_dip = false;
             self.stats.safe_zone_entries += 1;
@@ -393,17 +392,17 @@ impl FsmLaneMut<'_> {
 
         // Power interrupt: below Th_Bk a backup is mandatory; below Th_Off the
         // node dies.
-        if *self.state != NodeState::Off {
+        if self.state != NodeState::Off {
             if energy < th.off {
                 self.enter_off();
                 return;
             }
-            if energy < th.backup && !self.flags.backed_up && *self.state != NodeState::Backup {
-                *self.state = NodeState::Backup;
+            if energy < th.backup && !self.flags.backed_up && self.state != NodeState::Backup {
+                self.state = NodeState::Backup;
             }
         }
 
-        match *self.state {
+        match self.state {
             NodeState::Off => self.step_off(cap),
             NodeState::Backup => self.step_backup(cap),
             NodeState::Sleep => self.step_sleep(cap),
@@ -419,15 +418,15 @@ impl FsmLaneMut<'_> {
         self.flags.backup_during_dip = true;
         if !self.flags.backed_up && self.in_flight.is_some() {
             // Whatever was in flight is gone; it will be re-executed.
-            *self.in_flight = None;
+            self.in_flight = None;
             self.stats.reexecutions += 1;
             if !self.reg_flag.is_idle() {
                 // The request itself survives only if it was backed up.
-                *self.reg_flag = RegFlag::SENSE;
+                self.reg_flag = RegFlag::SENSE;
             }
         }
         self.flags.needs_restore = self.flags.backed_up;
-        *self.state = NodeState::Off;
+        self.state = NodeState::Off;
         self.stats.off_events += 1;
     }
 
@@ -443,7 +442,7 @@ impl FsmLaneMut<'_> {
                 self.flags.needs_restore = false;
             }
             self.flags.backed_up = false;
-            *self.state = NodeState::Sleep;
+            self.state = NodeState::Sleep;
         }
     }
 
@@ -453,13 +452,13 @@ impl FsmLaneMut<'_> {
         self.stats.backups += 1;
         self.flags.backed_up = true;
         self.flags.backup_during_dip = true;
-        *self.state = NodeState::Sleep;
+        self.state = NodeState::Sleep;
     }
 
     fn step_sleep(&mut self, cap: &mut EnergyCell<'_>) {
         let energy = cap.energy();
-        let th = self.th;
-        let next = match *self.reg_flag {
+        let th = &self.th;
+        let next = match self.reg_flag {
             RegFlag::SENSE if energy > th.sense => Some(NodeState::Sense),
             RegFlag::COMPUTE if energy > th.compute => Some(NodeState::Compute),
             RegFlag::TRANSMIT if energy > th.transmit => Some(NodeState::Transmit),
@@ -467,9 +466,9 @@ impl FsmLaneMut<'_> {
         };
         if let Some(state) = next {
             if self.in_flight.is_none() {
-                *self.in_flight = Some(self.new_operation(state));
+                self.in_flight = Some(self.new_operation(state));
             }
-            *self.state = state;
+            self.state = state;
         }
     }
 
@@ -496,12 +495,12 @@ impl FsmLaneMut<'_> {
         // above the safe zone; otherwise retreat to Sleep (the volatile
         // registers keep the progress).
         if state != NodeState::Sense && cap.energy() <= self.th.safe_zone {
-            *self.state = NodeState::Sleep;
+            self.state = NodeState::Sleep;
             return;
         }
 
-        let Some(mut op) = *self.in_flight else {
-            *self.state = NodeState::Sleep;
+        let Some(mut op) = self.in_flight else {
+            self.state = NodeState::Sleep;
             return;
         };
         // Consume energy proportionally to the time simulated this step.
@@ -518,26 +517,26 @@ impl FsmLaneMut<'_> {
         self.flags.backed_up = false;
 
         if op.remaining_time.is_non_positive() || op.remaining_energy.is_non_positive() {
-            *self.in_flight = None;
+            self.in_flight = None;
             match state {
                 NodeState::Sense => {
                     self.stats.samples_sensed += 1;
-                    *self.reg_flag = RegFlag::COMPUTE;
+                    self.reg_flag = RegFlag::COMPUTE;
                 }
                 NodeState::Compute => {
                     self.stats.computations_completed += 1;
                     let transmit = self.rng.gen::<f64>() < self.config.transmit_probability;
-                    *self.reg_flag = if transmit { RegFlag::TRANSMIT } else { RegFlag::IDLE };
+                    self.reg_flag = if transmit { RegFlag::TRANSMIT } else { RegFlag::IDLE };
                 }
                 NodeState::Transmit => {
                     self.stats.transmissions_completed += 1;
-                    *self.reg_flag = RegFlag::IDLE;
+                    self.reg_flag = RegFlag::IDLE;
                 }
                 _ => {}
             }
-            *self.state = NodeState::Sleep;
+            self.state = NodeState::Sleep;
         } else {
-            *self.in_flight = Some(op);
+            self.in_flight = Some(op);
         }
     }
 }
@@ -547,8 +546,8 @@ impl RunStats {
     /// [`BackupUnit`] could have changed it.
     ///
     /// `FsmConfig::backup` enters a run in exactly two places, both above:
-    /// the backup drain of `FsmLaneMut::step_backup`, which counts a backup,
-    /// and the restore drain of `FsmLaneMut::step_off`, which counts a
+    /// the backup drain of `NodeFsm::step_backup`, which counts a backup,
+    /// and the restore drain of `NodeFsm::step_off`, which counts a
     /// restore.  Neither executor reads the unit anywhere else: the
     /// quiescence proofs, the tick loop and the statistics never see it.  A
     /// run with no backup and no restore therefore performed the same
@@ -559,87 +558,6 @@ impl RunStats {
     #[must_use]
     pub fn reads_backup_unit(&self) -> bool {
         self.backups > 0 || self.restores > 0
-    }
-}
-
-/// The node state machine.
-#[derive(Debug, Clone)]
-pub struct NodeFsm {
-    config: FsmConfig,
-    /// `config.thresholds` on the fixed-point grid, quantised once here:
-    /// the configuration is immutable for the FSM's lifetime, so every step
-    /// reuses these six values instead of re-deriving them.
-    th: ThresholdsFx,
-    lane: LaneState,
-}
-
-impl NodeFsm {
-    /// Creates the FSM in the Sleep state with an idle `Reg_Flag`.
-    #[must_use]
-    pub fn new(config: FsmConfig) -> Self {
-        let lane = LaneState::boot(&config);
-        let th = config.thresholds.fx();
-        Self { config, th, lane }
-    }
-
-    /// Current node state.
-    #[must_use]
-    pub fn state(&self) -> NodeState {
-        self.lane.state
-    }
-
-    /// Current `Reg_Flag`.
-    #[must_use]
-    pub fn reg_flag(&self) -> RegFlag {
-        self.lane.reg_flag
-    }
-
-    /// Statistics collected so far.
-    #[must_use]
-    pub fn stats(&self) -> &RunStats {
-        &self.lane.stats
-    }
-
-    /// Mutable access to the statistics (the executor adds the energy
-    /// aggregates it measures at the capacitor).
-    pub fn stats_mut(&mut self) -> &mut RunStats {
-        &mut self.lane.stats
-    }
-
-    /// The FSM configuration.
-    #[must_use]
-    pub fn config(&self) -> &FsmConfig {
-        &self.config
-    }
-
-    /// Advances the node through tick `tick` (covering
-    /// `[tick·dt, (tick+1)·dt)`), drawing from and observing `capacitor`.
-    ///
-    /// A run is one increasing tick sequence at one `dt`: `dt` is constant
-    /// over a run, because the timer counts its sampling interval in ticks
-    /// of it, and the timer fires once `tick` reaches a whole interval past
-    /// its last fire, so ticks must not go backwards.
-    ///
-    /// The whole transition runs on the `FsmLaneMut` view shared with the
-    /// batch executor, so both paths execute the same code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured sampling interval is not strictly positive.
-    pub fn step(&mut self, capacitor: &mut Capacitor, tick: u64, dt: Seconds) {
-        self.step_with(capacitor, tick, dt, TickConstants::new(&self.config, dt));
-    }
-
-    /// [`Self::step`] with the run's [`TickConstants`], which the scalar
-    /// executor derives once per run instead of once per tick.
-    pub(crate) fn step_with(
-        &mut self,
-        capacitor: &mut Capacitor,
-        tick: u64,
-        dt: Seconds,
-        k: TickConstants,
-    ) {
-        self.lane.as_lane_mut(&self.config, &self.th, k).step(&mut capacitor.cell(), tick, dt);
     }
 }
 

@@ -16,9 +16,10 @@
 //!   from the architectural state of a baseline design.
 //! * [`executor`] — drives the FSM against a harvest source, records the
 //!   Fig. 4 trace, and accumulates [`stats::RunStats`].
-//! * [`batch`] — the batch executor: N scenarios stepped in lockstep, one
-//!   lane struct per scenario holding its FSM state, stored energy, source
-//!   and accumulators, bit-identical to the scalar executor lane for lane.
+//! * [`batch`] — the batch executor: a job list whose jobs each run to
+//!   completion, one lane per job holding its [`fsm::NodeFsm`], stored
+//!   energy, source and accumulators, burning provably quiescent ticks in
+//!   closed form, bit-identical to the scalar executor job for job.
 //! * [`stats`] — run statistics and their conversion into the
 //!   [`diac_core::IntermittencyProfile`] consumed by the PDP model.
 //!

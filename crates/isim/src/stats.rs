@@ -103,7 +103,7 @@ impl RunStats {
 
     /// The shared end-of-run epilogue: records the run's constant `dt` (which
     /// turns the tick counters into times) and the three energy totals.  Both
-    /// the scalar executor and the batch lane-retire path end runs through
+    /// the scalar executor and the batch executor's lanes end runs through
     /// here, so the conversion-at-finish logic exists exactly once.
     pub(crate) fn finalize(
         &mut self,

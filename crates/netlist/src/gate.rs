@@ -28,8 +28,8 @@ impl fmt::Display for GateId {
 /// The logic function of a gate.
 ///
 /// Multi-input kinds (`And`, `Or`, …) accept any fan-in of two or more; the
-/// technology mapping in [`GateKind::decompose`] converts wide gates into a
-/// tree of library cells for costing purposes.
+/// technology mapping in [`GateKind::decompose_into`] converts wide gates
+/// into a tree of library cells for costing purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// Primary input (no fan-in).
@@ -125,21 +125,13 @@ impl GateKind {
         fanin_count >= min && max.is_none_or(|m| fanin_count <= m)
     }
 
-    /// Maps this (possibly wide) gate onto a bag of 45 nm library cells.
+    /// Maps this (possibly wide) gate onto a bag of 45 nm library cells,
+    /// appended to `cells`, so a caller summing many gates reuses one buffer.
     ///
     /// Wide AND/OR/NAND/NOR gates become a balanced tree of 4- and 2-input
     /// cells; wide XOR/XNORs become a chain of 2-input cells; LUTs are
     /// approximated as a multiplexer tree.  Sources map to nothing (they have
     /// no silicon cost inside the operand).
-    #[must_use]
-    pub fn decompose(self, fanin_count: usize) -> Vec<CellKind> {
-        let mut cells = Vec::new();
-        self.decompose_into(fanin_count, &mut cells);
-        cells
-    }
-
-    /// [`Self::decompose`] appending to `cells`, so a caller summing many
-    /// gates reuses one buffer.
     pub fn decompose_into(self, fanin_count: usize, cells: &mut Vec<CellKind>) {
         match self {
             GateKind::Input | GateKind::Const0 | GateKind::Const1 => {}
@@ -281,12 +273,6 @@ impl Gate {
     pub fn fanin_count(&self) -> usize {
         self.span.len as usize
     }
-
-    /// Library cells this gate maps to.
-    #[must_use]
-    pub fn cells(&self) -> Vec<CellKind> {
-        self.kind.decompose(self.fanin_count())
-    }
 }
 
 impl fmt::Display for Gate {
@@ -325,27 +311,34 @@ mod tests {
 
     #[test]
     fn two_input_gates_map_to_single_cells() {
-        assert_eq!(GateKind::And.decompose(2), vec![CellKind::And2]);
-        assert_eq!(GateKind::Nand.decompose(2), vec![CellKind::Nand2]);
-        assert_eq!(GateKind::Xor.decompose(2), vec![CellKind::Xor2]);
-        assert_eq!(GateKind::Not.decompose(1), vec![CellKind::Inv]);
-        assert_eq!(GateKind::Dff.decompose(1), vec![CellKind::Dff]);
+        assert_eq!(cells(GateKind::And, 2), vec![CellKind::And2]);
+        assert_eq!(cells(GateKind::Nand, 2), vec![CellKind::Nand2]);
+        assert_eq!(cells(GateKind::Xor, 2), vec![CellKind::Xor2]);
+        assert_eq!(cells(GateKind::Not, 1), vec![CellKind::Inv]);
+        assert_eq!(cells(GateKind::Dff, 1), vec![CellKind::Dff]);
     }
 
     #[test]
     fn wide_gates_decompose_into_trees() {
-        let and8 = GateKind::And.decompose(8);
+        let and8 = cells(GateKind::And, 8);
         assert!(and8.len() >= 2, "an 8-input AND needs several cells: {and8:?}");
-        let nand8 = GateKind::Nand.decompose(8);
+        let nand8 = cells(GateKind::Nand, 8);
         // Exactly one inverting cell at the root.
         let inverting =
             nand8.iter().filter(|c| matches!(c, CellKind::Nand4 | CellKind::Nand2)).count();
         assert_eq!(inverting, 1);
-        let xor5 = GateKind::Xor.decompose(5);
+        let xor5 = cells(GateKind::Xor, 5);
         assert_eq!(xor5.len(), 4);
     }
 
-    /// `decompose` as it was written before it appended to a buffer.
+    /// The cells `kind` maps to at fan-in `n`, in a fresh buffer.
+    fn cells(kind: GateKind, n: usize) -> Vec<CellKind> {
+        let mut cells = Vec::new();
+        kind.decompose_into(n, &mut cells);
+        cells
+    }
+
+    /// The decomposition as it was written before it appended to a buffer.
     fn reference_decompose(kind: GateKind, n: usize) -> Vec<CellKind> {
         fn wide(n: usize, two: CellKind, four: CellKind) -> Vec<CellKind> {
             let mut cells = Vec::new();
@@ -384,11 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn decompose_into_appends_what_decompose_returns() {
+    fn decompose_into_appends_the_reference_decomposition() {
         for kind in GateKind::ALL {
             for n in 0..=12 {
                 let expected = reference_decompose(kind, n);
-                assert_eq!(kind.decompose(n), expected, "{kind}/{n}");
+                assert_eq!(cells(kind, n), expected, "{kind}/{n}");
                 // Appends after what the buffer already holds.
                 let mut cells = vec![CellKind::Tie];
                 kind.decompose_into(n, &mut cells);
@@ -399,13 +392,13 @@ mod tests {
 
     #[test]
     fn sources_have_no_cells() {
-        assert!(GateKind::Input.decompose(0).is_empty());
-        assert!(GateKind::Const1.decompose(0).is_empty());
+        assert!(cells(GateKind::Input, 0).is_empty());
+        assert!(cells(GateKind::Const1, 0).is_empty());
     }
 
     #[test]
     fn lut_decomposition_grows_with_inputs() {
-        assert!(GateKind::Lut.decompose(2).len() < GateKind::Lut.decompose(4).len());
+        assert!(cells(GateKind::Lut, 2).len() < cells(GateKind::Lut, 4).len());
     }
 
     #[test]
@@ -418,7 +411,7 @@ mod tests {
         };
         assert_eq!(g.to_string(), "G9 = NAND/2");
         assert_eq!(g.fanin_count(), 2);
-        assert_eq!(g.cells(), vec![CellKind::Nand2]);
+        assert_eq!(cells(g.kind, g.fanin_count()), vec![CellKind::Nand2]);
         assert_eq!(g.span.range(), 10..12);
     }
 

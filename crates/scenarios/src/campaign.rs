@@ -119,8 +119,9 @@ impl CampaignResult {
     }
 }
 
-/// The default lane count of the batched campaign path: matches the 64-lane
-/// word-parallel convention of the logic-side `BitSim`.
+/// The default bank width of the batched campaign path: the number of
+/// scenarios per unit of work on the parallel queue (see
+/// [`Execution::Batched`]).
 pub const DEFAULT_BATCH_WIDTH: usize = 64;
 
 /// Runs a campaign on an explicit runner.
@@ -156,7 +157,7 @@ pub(crate) fn scalar_stats(
 }
 
 /// Runs a campaign through [`isim::batch::BatchExecutor`] banks of `width`
-/// lanes on `runner` — again as one full-range shard.  The technology ×
+/// scenarios on `runner` — again as one full-range shard.  The technology ×
 /// sizing siblings of a stochastic point run once unless that run read its
 /// backup unit (see [`Execution::Batched`]).
 ///
@@ -179,7 +180,7 @@ pub fn run_batched_with(
 }
 
 /// Runs `scenarios` through [`isim::batch::BatchExecutor`] banks of `width`
-/// lanes and returns the per-run statistics in scenario order.  The engine
+/// scenarios and returns the per-run statistics in scenario order.  The engine
 /// behind [`Execution::Batched`], in two phases:
 ///
 /// 1. The scenarios are grouped by stochastic coordinate (source,
@@ -248,9 +249,9 @@ pub(crate) fn batched_stats(
     stats
 }
 
-/// Runs `scenarios` in banks of up to `width` lanes, one bank per chunk,
-/// chunks fanned out on `runner`; the statistics come back in the order of
-/// `scenarios`.
+/// Runs `scenarios` in chunks of up to `width`, one bank per chunk, chunks
+/// fanned out on `runner` as its units of work; the statistics come back
+/// in the order of `scenarios`.
 fn run_banks(
     runner: &ParallelRunner,
     config: &CampaignConfig,

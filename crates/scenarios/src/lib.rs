@@ -13,11 +13,11 @@
 //!
 //! — runs each through [`isim::executor::IntermittentExecutor`] on the
 //! order-preserving parallel work-queue ([`runner::ParallelRunner`], shared
-//! with `experiments::SuiteRunner`) or, batched, through the lockstep
-//! [`isim::batch::BatchExecutor`]
-//! ([`campaign::run_batched_with`], bit-identical digests), reduces every
-//! run to one row of scalar metrics without retaining per-run traces, and
-//! summarises the rows once ([`aggregate::CampaignSummary::of_rows`]:
+//! with `experiments::SuiteRunner`) or, batched, through
+//! [`isim::batch::BatchExecutor`], which burns provably quiescent ticks in
+//! closed form ([`campaign::run_batched_with`], bit-identical digests),
+//! reduces every run to one row of scalar metrics without retaining
+//! per-run traces, and summarises the rows once ([`aggregate::CampaignSummary::of_rows`]:
 //! mean/min/max and p50/p90/p99 of forward progress, backups, dead time,
 //! energy wasted).  Every campaign is bit-reproducible from its seed;
 //! [`aggregate::CampaignSummary::digest`] pins that in CI.

@@ -69,7 +69,7 @@ impl Scenario {
         stats
     }
 
-    /// Packages the scenario as a [`BatchJob`] for the lockstep
+    /// Packages the scenario as a [`BatchJob`] for
     /// [`isim::batch::BatchExecutor`].
     ///
     /// The seed derivation and the source are *identical* to

@@ -233,8 +233,7 @@ pub enum Execution {
     /// One `IntermittentExecutor` per scenario on the parallel work-queue:
     /// every scenario runs in full, which makes this the oracle.
     Scalar,
-    /// Lockstep `BatchExecutor` banks of the given lane width, in two
-    /// phases.  First one representative per stochastic coordinate
+    /// `BatchExecutor` banks of `width` scenarios each, in two phases.  First one representative per stochastic coordinate
     /// (source, thresholds, replicate) runs; its technology × sizing
     /// siblings differ from it only in the backup unit.  Then the siblings
     /// of the representatives that read their backup unit
@@ -242,7 +241,10 @@ pub enum Execution {
     /// gets a copy of its representative's statistics, which is exact.
     /// Groups form within the shard's range only.
     Batched {
-        /// Lanes per worker bank (clamped to at least 1).
+        /// Scenarios per bank, the unit of work a worker claims from the
+        /// parallel queue (clamped to at least 1).  Each bank runs its
+        /// scenarios one after another, so the width sets the scheduling
+        /// grain only; no width changes a result.
         width: usize,
     },
 }

@@ -1,9 +1,9 @@
 //! Property test: batch-vs-scalar bit-identity over random scenario points.
 //!
 //! For random `(thresholds, sizing, technology, seed, duration)` points —
-//! including ragged durations sharing one bank, which forces mid-flight lane
-//! retirement and refill — the lanes of a `BatchExecutor` must reproduce the
-//! scalar `Scenario::run` statistics field for field.  Adversarial generators
+//! including ragged durations sharing one executor — the jobs of a
+//! `BatchExecutor` must reproduce the scalar `Scenario::run` statistics
+//! field for field.  Adversarial generators
 //! aim at the edges of the batch engine's source windows: threshold-hugging
 //! boot energies, timer fires on segment edges, a capacitor pinned at
 //! capacity across an edge, and lifetimes retiring mid-window.
@@ -71,7 +71,7 @@ fn sizing(baseline_bits: u64, use_baseline: bool) -> BackupSizing {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random scenario points through one shared bank, with ragged
+    /// Random scenario points through one shared executor, with ragged
     /// durations, reproduce the scalar oracle field for field.
     #[test]
     fn batch_lanes_reproduce_scalar_run_stats(
@@ -103,8 +103,8 @@ proptest! {
             })
             .collect();
 
-        // All scenarios share one bank narrower than the queue, so lanes
-        // with shorter lifetimes retire and refill mid-flight of the rest.
+        // All scenarios share one executor, whose capacity hint is at most
+        // the number of jobs.
         let mut batch = BatchExecutor::new(width);
         let mut scratch = SourceScratch::new();
         for (scenario, &duration) in scenarios.iter().zip(&durations) {
@@ -363,8 +363,8 @@ impl<S: HarvestSource> HarvestSource for Counting<S> {
 /// The per-family half of the exact-counter gate: each family's scenarios of
 /// the same 216-scenario campaign run in a bank of their own, and every work
 /// counter is pinned per family — full, fast-forwarded and steady ticks,
-/// horizon recomputes and source queries — at every bank width (lanes are
-/// independent, so the width must not move a count).
+/// horizon recomputes and source queries — at every bank width (the width
+/// is only a capacity hint, so it must not move a count).
 #[test]
 fn per_family_work_counters_are_pinned_at_every_width() {
     let space = ScenarioSpace::paper_grid(vec![
@@ -419,7 +419,7 @@ fn per_family_work_counters_are_pinned_at_every_width() {
     }
 }
 
-/// Runs one job through a two-lane bank and through the scalar oracle,
+/// Runs one job through a batch executor and through the scalar oracle,
 /// returning `(scalar, batched)` statistics.
 fn scalar_and_batched<S: HarvestSource + Clone>(
     config: FsmConfig,
@@ -502,19 +502,18 @@ proptest! {
         prop_assert_eq!(scalar, batched);
     }
 
-    /// Ragged lifetimes that retire in the middle of a window: sources
-    /// whose windows outlive every lane (constant levels, zero power, the
+    /// Ragged lifetimes that end in the middle of a window: sources whose
+    /// windows outlive every job (constant levels, zero power, the
     /// single-segment plentiful schedule, long Markov dwells), lifetimes off
-    /// the tick grid, a bank narrower than the queue so refills land
-    /// mid-window of their neighbours, and a prefix of single-tick blocks
-    /// that cuts every live window at block edges.
+    /// the tick grid, and one lifetime per case longer than 4 096 ticks, so
+    /// a window and a quiescent stretch run that long in one go.
     #[test]
     fn ragged_lifetimes_retiring_mid_window_preserve_bit_identity(
         picks in prop::collection::vec(0_usize..5, 3..7),
         durations in prop::collection::vec(1.0_f64..900.0, 7..8),
         seeds in prop::collection::vec(0_u64..u64::MAX, 7..8),
         width in 1_usize..4,
-        single_ticks in 0_usize..40,
+        (long, long_ticks) in (0_usize..7, 4_097_u64..6_000),
         dt_s in (0_usize..2).prop_map(|i| [0.5_f64, 0.3][i]),
     ) {
         let mw = Power::from_milliwatts;
@@ -531,6 +530,8 @@ proptest! {
             },
         };
         let dt = Seconds::new(dt_s);
+        let mut durations = durations;
+        durations[long % picks.len()] = (long_ticks as f64 - 0.5) * dt_s;
         let mut scratch = SourceScratch::new();
         let jobs: Vec<BatchJob<AnySource>> = picks
             .iter()
@@ -542,12 +543,10 @@ proptest! {
                 BatchJob::new(config, source, Seconds::new(duration), dt)
             })
             .collect();
+        prop_assert!(jobs.iter().any(|job| job.steps() > 4_096));
         let mut batch = BatchExecutor::new(width);
         for job in &jobs {
             batch.enqueue(job.clone());
-        }
-        for _ in 0..single_ticks {
-            batch.tick();
         }
         let batched = batch.run_to_completion();
         for (k, (job, batched)) in jobs.into_iter().zip(&batched).enumerate() {

@@ -1,6 +1,6 @@
 //! Smoke test of the batched campaign path: the smoke campaign's digest
 //! must be bit-identical between the scalar per-scenario executor and the
-//! lockstep batch executor, across batch widths and worker counts, and
+//! batch executor, across batch widths and worker counts, and
 //! reproducible across invocations.
 
 use scenarios::{run_batched_with, run_with, CampaignConfig, ParallelRunner};

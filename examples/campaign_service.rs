@@ -9,7 +9,7 @@
 //! cargo run --release --example campaign_service                  # full paper grid (216 runs)
 //! cargo run --release --example campaign_service -- smoke         # CI-sized grid (16 runs)
 //! cargo run --release --example campaign_service -- seed 7        # full grid, custom seed
-//! cargo run --release --example campaign_service -- --mode batch  # lockstep batch executor
+//! cargo run --release --example campaign_service -- --mode batch  # batch executor, same digest
 //!
 //! # One worker per shard (run these anywhere, any order, kill and re-run):
 //! cargo run --release --example campaign_service -- smoke --shards 3 --shard 0 --checkpoint /tmp/ckpt
@@ -25,8 +25,9 @@
 //!
 //! Without `smoke` the full paper grid (216 runs) runs; `seed N` reseeds
 //! either grid.  `--mode serial|parallel|batch` picks the engine: one
-//! worker, the all-cores scalar fan-out (default), or the lockstep batch
-//! executor.  Every combination of shard count, engine and worker
+//! worker, the all-cores scalar fan-out (default), or the batch executor,
+//! which runs each scenario to completion and burns its provably quiescent
+//! ticks in closed form.  Every combination of shard count, engine and worker
 //! count prints the same digest, and a kill-and-resume cannot change it:
 //! checkpoints are written atomically and validated against the campaign
 //! fingerprint, so a partial write is indistinguishable from no write at all.

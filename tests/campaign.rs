@@ -38,7 +38,7 @@ fn parallel_and_serial_campaigns_agree_for_every_worker_count() {
 fn the_paper_campaign_digest_is_identical_across_serial_parallel_and_batched_execution() {
     // The acceptance pin of the batch engine: the 216-run paper campaign
     // aggregates bit-identically whatever executes it — one worker, the
-    // all-cores scalar fan-out, or the lockstep batch executor at any batch
+    // all-cores scalar fan-out, or the batch executor at any batch
     // width and worker count.
     let config = campaign::paper_campaign(0xD1AC).expect("campaign config builds");
     assert!(config.space.len() >= 200, "only {} scenarios", config.space.len());
