@@ -5,10 +5,29 @@
 //! harvest source per `dt` tick; a campaign runs hundreds of such
 //! independent lifetimes.  [`BatchExecutor`] holds a list of jobs and runs
 //! them one after another.  Each job boots into one *lane* — a
-//! [`NodeFsm`], the stored energy, the source, the energy accumulators and
-//! the leak step and timer period derived once — and the lane runs from
-//! tick 0 to the end of its lifetime in one loop.  Lanes never exchange
-//! data, so nothing is gained by interleaving them.
+//! [`NodeFsm`], the stored energy, the energy accumulators, the current
+//! source run, the source and the tick, with the leak step and timer period
+//! derived once — and the lane runs from tick 0 to the end of its lifetime
+//! in one loop.  Lanes never exchange data, so nothing is gained by
+//! interleaving them.  A lane is one value that resumes from any tick
+//! boundary, so a clone of it is a fork of the run.
+//!
+//! # Sibling forks
+//!
+//! A campaign sweeps the backup unit along its technology × sizing axes,
+//! so many of its jobs differ only in `FsmConfig::backup`.
+//! [`BatchExecutor::enqueue_with_siblings`] queues one job with the units
+//! of such *siblings*.  The unit enters a run only through the backup and
+//! restore drains ([`RunStats::reads_backup_unit`]), so until the job's
+//! lane first reads it, every sibling is the same computation, tick for
+//! tick.  Before each full tick that may be that read
+//! (`NodeFsm::may_back_up`, a necessary condition), the lane copies its
+//! node.  When the tick does read the unit, the copy is each sibling's own
+//! state before it: every sibling forks from it with its unit swapped in,
+//! together with the run already drawn and the source as it is after that
+//! draw, re-runs the tick and runs on to its end after the lane.  A lane
+//! that never reads its unit stands for all its siblings, which get copies
+//! of its statistics.
 //!
 //! # Event-horizon fast-forwarding
 //!
@@ -61,8 +80,8 @@
 //! [`TimerInterrupt::next_fire`]: crate::interrupts::TimerInterrupt::next_fire
 //! [`TimerInterrupt::replay`]: crate::interrupts::TimerInterrupt::replay
 //!
-//! [`BatchTelemetry`] counts total, fast-forwarded and steady ticks and
-//! horizon recomputes, so the win is measurable.
+//! [`BatchTelemetry`] counts total, fast-forwarded and steady ticks,
+//! horizon recomputes and forks, so the win is measurable.
 //!
 //! # Why the batch is bit-identical to the scalar path
 //!
@@ -76,13 +95,17 @@
 //! equals its ticks one by one, bit for bit.  The hoisted checks are pure
 //! reads proven constant over each run by exact integer comparisons, and
 //! the samples a run elides are covered by the [`HarvestSource::run`]
-//! contract.  So the per-scenario [`RunStats`], and every campaign digest,
+//! contract.  A fork starts from its sibling's own state (see "Sibling
+//! forks").  So the per-scenario [`RunStats`], and every campaign digest,
 //! match the scalar oracle exactly.
+
+use std::ops::Range;
 
 use ehsim::capacitor::{Capacitor, EnergyCell};
 use ehsim::source::{HarvestSource, Run};
 use tech45::units::{EnergyFx, Seconds};
 
+use crate::backup::BackupUnit;
 use crate::fsm::{FsmConfig, NodeFsm, TickConstants};
 use crate::state::NodeState;
 use crate::stats::RunStats;
@@ -159,18 +182,23 @@ impl<S> BatchJob<S> {
 /// ```
 #[derive(Debug)]
 pub struct BatchExecutor<S> {
-    jobs: Vec<BatchJob<S>>,
+    /// The queued jobs, each with its range of `siblings`.
+    jobs: Vec<(BatchJob<S>, Range<usize>)>,
+    /// The backup units of every queued job's siblings, flat.
+    siblings: Vec<BackupUnit>,
     retired_sources: Vec<S>,
     telemetry: BatchTelemetry,
 }
 
 /// Tick-level counters of one [`BatchExecutor`]: how much of the simulated
 /// time was burnt through the event-horizon fast path (see the module docs)
-/// versus stepped in full.  Cumulative over the executor's lifetime,
-/// including reuse across [`BatchExecutor::run_to_completion`] calls.
+/// versus stepped in full, and how many siblings forked.  Cumulative over
+/// the executor's lifetime, including reuse across
+/// [`BatchExecutor::run_to_completion`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchTelemetry {
-    /// Ticks executed in total (fast and full-fidelity alike).
+    /// Ticks executed in total (fast and full-fidelity alike); a forked
+    /// sibling counts the ticks from its fork on.
     pub ticks_total: u64,
     /// Ticks executed by the branch-free fast-forward loops.
     pub ticks_fast_forwarded: u64,
@@ -182,9 +210,13 @@ pub struct BatchTelemetry {
     /// alike, one source query per run — the rest of
     /// [`Self::ticks_fast_forwarded`] were length-1 runs.
     pub ticks_steady: u64,
+    /// Siblings forked from their job's lane at its first read of the
+    /// backup unit (see [`BatchExecutor::enqueue_with_siblings`]); the
+    /// siblings of a job that never read it are copies, not forks.
+    pub forks: u64,
 }
 
-impl<S: HarvestSource> BatchExecutor<S> {
+impl<S: HarvestSource + Clone> BatchExecutor<S> {
     /// An empty executor whose job list has room for `capacity` jobs before
     /// it grows.  The capacity is only a hint: any number of jobs may be
     /// enqueued.
@@ -192,6 +224,7 @@ impl<S: HarvestSource> BatchExecutor<S> {
     pub fn new(capacity: usize) -> Self {
         Self {
             jobs: Vec::with_capacity(capacity),
+            siblings: Vec::new(),
             retired_sources: Vec::new(),
             telemetry: BatchTelemetry::default(),
         }
@@ -206,8 +239,30 @@ impl<S: HarvestSource> BatchExecutor<S> {
     /// Enqueues a job.  Returns the job's id — its index into the
     /// [`Self::run_to_completion`] result.
     pub fn enqueue(&mut self, job: BatchJob<S>) -> usize {
-        self.jobs.push(job);
-        self.jobs.len() - 1
+        self.enqueue_with_siblings(job, [])
+    }
+
+    /// Enqueues a job together with its *siblings*: the jobs that differ
+    /// from it only in `config.backup`, one per unit of `siblings`.
+    /// Returns the job's id, its index into the
+    /// [`Self::run_to_completion`] result; the siblings' statistics follow
+    /// it, in the order of `siblings`.
+    ///
+    /// The siblings run as forks of the job's lane (see the module docs):
+    /// until the job first reads its backup unit, every sibling is the
+    /// same computation, so each starts from the job's state before that
+    /// tick, with its own unit swapped in.  A job that never reads its unit
+    /// stands for all its siblings, which get copies of its statistics.
+    pub fn enqueue_with_siblings(
+        &mut self,
+        job: BatchJob<S>,
+        siblings: impl IntoIterator<Item = BackupUnit>,
+    ) -> usize {
+        let id = self.jobs.len() + self.siblings.len();
+        let start = self.siblings.len();
+        self.siblings.extend(siblings);
+        self.jobs.push((job, start..self.siblings.len()));
+        id
     }
 
     /// Hands back the harvest sources of finished jobs, so callers can
@@ -217,198 +272,301 @@ impl<S: HarvestSource> BatchExecutor<S> {
     }
 
     /// Runs every enqueued job to completion and returns their statistics in
-    /// enqueue order.  The executor is reusable afterwards.
+    /// enqueue order, each job's followed by its siblings'.  The executor is
+    /// reusable afterwards.
     pub fn run_to_completion(&mut self) -> Vec<RunStats> {
-        self.jobs
-            .drain(..)
-            .map(|job| {
-                let (stats, source) = run_lane(job, &mut self.telemetry);
-                self.retired_sources.push(source);
-                stats
-            })
-            .collect()
+        let mut stats = Vec::with_capacity(self.jobs.len() + self.siblings.len());
+        for (job, range) in self.jobs.drain(..) {
+            let units = &self.siblings[range];
+            let (job_stats, source, forks) = Lane::boot(job).run(units, &mut self.telemetry);
+            self.retired_sources.push(source);
+            if forks.is_empty() {
+                // The job stands for every sibling: copies of its stats.
+                stats.extend(std::iter::repeat_n(job_stats, units.len() + 1));
+                continue;
+            }
+            stats.push(job_stats);
+            for fork in forks {
+                stats.push(fork.run(&[], &mut self.telemetry).0);
+            }
+        }
+        self.siblings.clear();
+        stats
     }
 }
 
-/// Runs one job from tick 0 to the end of its lifetime and returns its
-/// statistics, finalised through [`RunStats::finalize`] — the exact
-/// epilogue the scalar executor runs — together with its source.
-///
-/// The lane boots exactly as a fresh scalar executor does, then alternates
-/// full-fidelity ticks with event-horizon stretches (see the module docs):
-/// after every full tick that leaves the node in Sleep or Off it derives
-/// the quiescent threshold distance and burns the source's runs with every
-/// check it proves a no-op hoisted out.
-///
-/// # Panics
-///
-/// Panics if the job's `dt` or sampling interval is not strictly positive.
-fn run_lane<S: HarvestSource>(job: BatchJob<S>, telemetry: &mut BatchTelemetry) -> (RunStats, S) {
-    // The scalar executor's run-time contract, re-checked here so a job
-    // assembled as a struct literal (the fields are public) cannot smuggle
-    // a degenerate grid past `BatchJob::new`.
-    assert!(job.dt.value() > 0.0, "time step must be positive");
-    let steps = job.steps();
-    let BatchJob { config, capacitor, mut source, dt, .. } = job;
-    let k = TickConstants::new(&config, dt);
-    let mut fsm = NodeFsm::new(config);
-    let mut energy = capacitor.energy_fx();
-    let e_max = capacitor.max_energy_fx();
-    let (mut harvested, mut clipped, mut consumed) =
-        (EnergyFx::ZERO, EnergyFx::ZERO, EnergyFx::ZERO);
-    let e_max_aj = e_max.attojoules();
-    let period = k.timer_period;
-    // Worst-case per-tick drain of the fast path: Sleep only leaks, Off
-    // does not even do that.
-    let ls = k.leak_step.attojoules();
-    let (mut fast, mut steady, mut recomputes) = (0_u64, 0_u64, 0_u64);
+/// The loop constants of one job, shared by its forks: its tick count and
+/// step, the leak step and timer period derived once, and the capacitor's
+/// ceiling.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    steps: u64,
+    dt: Seconds,
+    k: TickConstants,
+    e_max: EnergyFx,
+}
 
-    // The lane's current source run.  A uniform run is kept across the
-    // whole lifetime — its suffix is still a uniform run — so full ticks and
-    // stretches alike reuse it until `until`; a mixed run is burnt whole as
-    // soon as it is drawn.  A full tick needs only its own offer, so it asks
-    // with limits that admit no second tick: the source's window.
-    let mut run = Run::uniform(EnergyFx::ZERO, 0, 0);
-    let mut i = 0;
-    while i < steps {
-        if i >= run.until {
-            run = source.run(i, dt, i + 1, EnergyFx::ZERO);
-        }
-        // The scalar executor's per-step body, verbatim (see
-        // `IntermittentExecutor::run_with_sink`), around the one shared
-        // `NodeFsm` transition.
-        let before = energy;
-        let mut cell = EnergyCell::from_parts(&mut energy, e_max);
-        let banked = cell.harvest_fx(run.first);
-        fsm.step_with(&mut cell, i, dt, k);
-        harvested += banked;
-        clipped += run.first - banked;
+/// What a full tick's body changes: the [`NodeFsm`], the stored energy and
+/// the three energy accumulators.  No field holds heap memory, so a clone
+/// is a plain copy.
+#[derive(Debug, Clone)]
+struct Node {
+    fsm: NodeFsm,
+    energy: EnergyFx,
+    harvested: EnergyFx,
+    clipped: EnergyFx,
+    consumed: EnergyFx,
+}
+
+impl Node {
+    /// One full tick `i` on the offer `offered`: the scalar executor's
+    /// per-step body, verbatim (see `IntermittentExecutor::run_with_sink`),
+    /// around the one shared `NodeFsm` transition.
+    #[inline]
+    fn tick(&mut self, offered: EnergyFx, i: u64, grid: Grid) {
+        let before = self.energy;
+        let mut cell = EnergyCell::from_parts(&mut self.energy, grid.e_max);
+        let banked = cell.harvest_fx(offered);
+        self.fsm.step_with(&mut cell, i, grid.dt, grid.k);
+        self.harvested += banked;
+        self.clipped += offered - banked;
         // Exact — integer drains can never overshoot, so no clamp.
-        consumed += before + banked - energy;
-        i += 1;
+        self.consumed += before + banked - self.energy;
+    }
+}
 
-        // Event-horizon attempt: only Sleep and Off are quiescent
-        // candidates.
-        if i >= steps || !matches!(fsm.state(), NodeState::Sleep | NodeState::Off) {
-            continue;
-        }
-        // The exact room from energy `at` down and up to the nearest
-        // control-flow threshold on each side, and a running lower bound on
-        // the nearer, one quantum shaved so that a move of at most `dist`
-        // preserves strict and non-strict comparisons alike.
-        let mut at = energy.attojoules();
-        let Some(mut room) = fsm.quiescent_room(energy) else { continue };
-        recomputes += 1;
-        let mut dist = room.0.min(room.1).saturating_sub(1);
-        if dist <= 0 {
-            continue;
-        }
-        let node_state = fsm.state();
-        // Off lanes do not leak, which makes them the zero-leak case of
-        // every bound below.
-        let leak = if node_state == NodeState::Off { 0 } else { ls };
-        // A timer fire only changes control flow when it can set the
-        // sensing flag — idle Sleep — so there the stretch ends before the
-        // firing tick.  Off lanes and Sleep lanes with a request already
-        // pending run straight through fires (`poll` then merely re-arms),
-        // and the re-arms are replayed after the stretch.
-        let idle_sleep = node_state == NodeState::Sleep && fsm.reg_flag().is_idle();
-        let stretch_end = if idle_sleep { fsm.timer.next_fire(period).min(steps) } else { steps };
-        if stretch_end <= i {
-            continue;
-        }
+/// One job's run at a tick boundary: the node, the current source run, the
+/// source and the next tick.  A lane resumes from any boundary, so a clone
+/// is a fork of the run.
+#[derive(Debug, Clone)]
+struct Lane<S> {
+    node: Node,
+    /// The current source run.  A uniform run is kept across the whole
+    /// lifetime — its suffix is still a uniform run — so full ticks and
+    /// stretches alike reuse it until `until`; a mixed run is burnt whole
+    /// as soon as it is drawn.
+    run: Run,
+    source: S,
+    tick: u64,
+    grid: Grid,
+}
 
-        // Hoist the accumulators into raw integer locals.
-        let mut t_state = *fsm.stats.tick_slot_mut(node_state);
-        let mut t_total = *fsm.stats.total_ticks_mut();
-        let mut e = energy.attojoules();
-        let mut hv = harvested.attojoules();
-        let mut cl = clipped.attojoules();
-        let mut co = consumed.attojoules();
-        let burn_start = i;
-        while i < stretch_end {
-            if i >= run.until {
-                // The limits of a mixed run the proof admits: `h · leak`
-                // within the energy and below the room down, the total offer
-                // within the headroom and below the room up.
-                let (down, up) = room_at(room, e - at);
-                let reach = window_fit(stretch_end - i, (down - 1).min(e), leak);
-                let budget = EnergyFx::from_attojoules((up - 1).min(e_max_aj - e));
-                run = source.run(i, dt, i + reach, budget);
-            }
-            let offered = run.first.attojoules();
-            let (h, burn) = if run.uniform {
-                // A tick moves the energy by at most `max(offered, leak)`
-                // either side of the checks the stretch hoists, so a window
-                // of `h` ticks stays within `h` such steps of `e`.
-                let step_mag = offered.max(leak);
-                let window = run.until.min(stretch_end) - i;
-                let mut h = window_fit(window, dist, step_mag);
-                if h == 0 {
-                    // Self-heal: re-derive the budget from the live energy
-                    // (the FSM state is unchanged in a stretch).
-                    let live = EnergyFx::from_attojoules(e);
-                    let Some(live_room) = fsm.quiescent_room(live) else { break };
-                    recomputes += 1;
-                    (room, at) = (live_room, e);
-                    dist = room.0.min(room.1).saturating_sub(1);
-                    h = window_fit(window, dist, step_mag);
-                    if h == 0 {
-                        // This tick's checks cannot be proven no-ops: it runs
-                        // in full, on the run already drawn.
-                        break;
-                    }
-                }
-                // A single tick is cheapest as the per-tick body itself.
-                let burn = if h == 1 {
-                    Burn::tick(e, e_max_aj, offered, leak)
-                } else {
-                    burn_window(e, e_max_aj, offered, leak, h)
-                };
-                dist -= (burn.energy - e).abs();
-                (h, burn)
-            } else {
-                let (h, total) = (run.until - i, run.total.attojoules());
-                let drained = i128::from(h) * leak;
-                let burn = burn_run(e, e_max_aj, total, drained, room_at(room, e - at))
-                    .expect("a mixed run fits the limits it was drawn with");
-                // It may spend a whole side's room at once: the bound
-                // restarts from the exact rooms it leaves.
-                let (down, up) = room_at(room, burn.energy - at);
-                dist = down.min(up).saturating_sub(1);
-                (h, burn)
-            };
-            e = burn.energy;
-            hv += burn.banked;
-            cl += burn.clipped;
-            co += burn.drained;
-            t_state += h;
-            t_total += h;
-            fast += h;
-            if h > 1 {
-                steady += h;
-            }
-            i += h;
+impl<S: HarvestSource + Clone> Lane<S> {
+    /// The lane of `job` at tick 0, booted exactly as a fresh scalar
+    /// executor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's `dt` or sampling interval is not strictly
+    /// positive.
+    fn boot(job: BatchJob<S>) -> Self {
+        // The scalar executor's run-time contract, re-checked here so a job
+        // assembled as a struct literal (the fields are public) cannot
+        // smuggle a degenerate grid past `BatchJob::new`.
+        assert!(job.dt.value() > 0.0, "time step must be positive");
+        let steps = job.steps();
+        let BatchJob { config, capacitor, source, dt, .. } = job;
+        let k = TickConstants::new(&config, dt);
+        let zero = EnergyFx::ZERO;
+        Self {
+            node: Node {
+                fsm: NodeFsm::new(config),
+                energy: capacitor.energy_fx(),
+                harvested: zero,
+                clipped: zero,
+                consumed: zero,
+            },
+            run: Run::uniform(zero, 0, 0),
+            source,
+            tick: 0,
+            grid: Grid { steps, dt, k, e_max: capacitor.max_energy_fx() },
         }
-
-        // Write the stretch locals back.
-        energy = EnergyFx::from_attojoules(e);
-        harvested = EnergyFx::from_attojoules(hv);
-        clipped = EnergyFx::from_attojoules(cl);
-        consumed = EnergyFx::from_attojoules(co);
-        *fsm.stats.tick_slot_mut(node_state) = t_state;
-        *fsm.stats.total_ticks_mut() = t_total;
-        // The polls of the burnt ticks (none fires in idle Sleep).
-        fsm.timer.replay(burn_start, i, period);
     }
 
-    telemetry.ticks_total += steps;
-    telemetry.ticks_fast_forwarded += fast;
-    telemetry.horizon_recomputes += recomputes;
-    telemetry.ticks_steady += steady;
-    let mut stats = fsm.stats;
-    stats.finalize(dt, harvested, clipped, consumed);
-    (stats, source)
+    /// Runs the lane from its tick to the end of its lifetime and returns
+    /// its statistics, finalised through [`RunStats::finalize`] — the exact
+    /// epilogue the scalar executor runs — together with its source and the
+    /// forks of `siblings`: empty if the lane never read its backup unit,
+    /// else one lane per sibling unit, in order, each at the tick of the
+    /// first read.
+    ///
+    /// The lane alternates full-fidelity ticks with event-horizon stretches
+    /// (see the module docs): after every full tick that leaves the node in
+    /// Sleep or Off it derives the quiescent threshold distance and burns
+    /// the source's runs with every check it proves a no-op hoisted out.
+    fn run(
+        self,
+        siblings: &[BackupUnit],
+        telemetry: &mut BatchTelemetry,
+    ) -> (RunStats, S, Vec<Self>) {
+        let Lane { mut node, mut run, mut source, tick: start, grid } = self;
+        let Grid { steps, dt, k, e_max } = grid;
+        let e_max_aj = e_max.attojoules();
+        let period = k.timer_period;
+        // Worst-case per-tick drain of the fast path: Sleep only leaks, Off
+        // does not even do that.
+        let ls = k.leak_step.attojoules();
+        let (mut fast, mut steady, mut recomputes) = (0_u64, 0_u64, 0_u64);
+        // Whether siblings still wait to fork.  Stretches never read the
+        // unit, so only a full tick can be the fork tick.
+        let mut unforked = !siblings.is_empty();
+        let mut forks = Vec::new();
+
+        let mut i = start;
+        while i < steps {
+            // A full tick needs only its own offer, so it asks with limits
+            // that admit no second tick: the source's window.
+            if i >= run.until {
+                run = source.run(i, dt, i + 1, EnergyFx::ZERO);
+            }
+            // The node before a tick that may read the unit first; the
+            // copy allocates nothing.
+            let pre_tick = (unforked && node.fsm.may_back_up(node.energy, k)).then(|| node.clone());
+            node.tick(run.first, i, grid);
+            if unforked && node.fsm.stats.reads_backup_unit() {
+                // The first read: up to this tick every sibling ran this
+                // very computation, so `pre_tick` is each one's own state,
+                // and the body above left `run` and the source alone.
+                let pre_tick = pre_tick.expect("only a tick that may back up reads the unit first");
+                forks = siblings
+                    .iter()
+                    .map(|&unit| {
+                        let mut node = pre_tick.clone();
+                        node.fsm.set_backup(unit);
+                        Lane { node, run, source: source.clone(), tick: i, grid }
+                    })
+                    .collect();
+                telemetry.forks += siblings.len() as u64;
+                unforked = false;
+            }
+            i += 1;
+
+            // Event-horizon attempt: only Sleep and Off are quiescent
+            // candidates.
+            let fsm = &mut node.fsm;
+            if i >= steps || !matches!(fsm.state(), NodeState::Sleep | NodeState::Off) {
+                continue;
+            }
+            // The exact room from energy `at` down and up to the nearest
+            // control-flow threshold on each side, and a running lower bound
+            // on the nearer, one quantum shaved so that a move of at most
+            // `dist` preserves strict and non-strict comparisons alike.
+            let mut at = node.energy.attojoules();
+            let Some(mut room) = fsm.quiescent_room(node.energy) else { continue };
+            recomputes += 1;
+            let mut dist = room.0.min(room.1).saturating_sub(1);
+            if dist <= 0 {
+                continue;
+            }
+            let node_state = fsm.state();
+            // Off lanes do not leak, which makes them the zero-leak case of
+            // every bound below.
+            let leak = if node_state == NodeState::Off { 0 } else { ls };
+            // A timer fire only changes control flow when it can set the
+            // sensing flag — idle Sleep — so there the stretch ends before
+            // the firing tick.  Off lanes and Sleep lanes with a request
+            // already pending run straight through fires (`poll` then merely
+            // re-arms), and the re-arms are replayed after the stretch.
+            let idle_sleep = node_state == NodeState::Sleep && fsm.reg_flag().is_idle();
+            let stretch_end =
+                if idle_sleep { fsm.timer.next_fire(period).min(steps) } else { steps };
+            if stretch_end <= i {
+                continue;
+            }
+
+            // Hoist the accumulators into raw integer locals.
+            let mut t_state = *fsm.stats.tick_slot_mut(node_state);
+            let mut t_total = *fsm.stats.total_ticks_mut();
+            let mut e = node.energy.attojoules();
+            let mut hv = node.harvested.attojoules();
+            let mut cl = node.clipped.attojoules();
+            let mut co = node.consumed.attojoules();
+            let burn_start = i;
+            while i < stretch_end {
+                if i >= run.until {
+                    // The limits of a mixed run the proof admits: `h · leak`
+                    // within the energy and below the room down, the total
+                    // offer within the headroom and below the room up.
+                    let (down, up) = room_at(room, e - at);
+                    let reach = window_fit(stretch_end - i, (down - 1).min(e), leak);
+                    let budget = EnergyFx::from_attojoules((up - 1).min(e_max_aj - e));
+                    run = source.run(i, dt, i + reach, budget);
+                }
+                let offered = run.first.attojoules();
+                let (h, burn) = if run.uniform {
+                    // A tick moves the energy by at most `max(offered, leak)`
+                    // either side of the checks the stretch hoists, so a
+                    // window of `h` ticks stays within `h` such steps of `e`.
+                    let step_mag = offered.max(leak);
+                    let window = run.until.min(stretch_end) - i;
+                    let mut h = window_fit(window, dist, step_mag);
+                    if h == 0 {
+                        // Self-heal: re-derive the budget from the live
+                        // energy (the FSM state is unchanged in a stretch).
+                        let live = EnergyFx::from_attojoules(e);
+                        let Some(live_room) = fsm.quiescent_room(live) else { break };
+                        recomputes += 1;
+                        (room, at) = (live_room, e);
+                        dist = room.0.min(room.1).saturating_sub(1);
+                        h = window_fit(window, dist, step_mag);
+                        if h == 0 {
+                            // This tick's checks cannot be proven no-ops: it
+                            // runs in full, on the run already drawn.
+                            break;
+                        }
+                    }
+                    // A single tick is cheapest as the per-tick body itself.
+                    let burn = if h == 1 {
+                        Burn::tick(e, e_max_aj, offered, leak)
+                    } else {
+                        burn_window(e, e_max_aj, offered, leak, h)
+                    };
+                    dist -= (burn.energy - e).abs();
+                    (h, burn)
+                } else {
+                    let (h, total) = (run.until - i, run.total.attojoules());
+                    let drained = i128::from(h) * leak;
+                    let burn = burn_run(e, e_max_aj, total, drained, room_at(room, e - at))
+                        .expect("a mixed run fits the limits it was drawn with");
+                    // It may spend a whole side's room at once: the bound
+                    // restarts from the exact rooms it leaves.
+                    let (down, up) = room_at(room, burn.energy - at);
+                    dist = down.min(up).saturating_sub(1);
+                    (h, burn)
+                };
+                e = burn.energy;
+                hv += burn.banked;
+                cl += burn.clipped;
+                co += burn.drained;
+                t_state += h;
+                t_total += h;
+                fast += h;
+                if h > 1 {
+                    steady += h;
+                }
+                i += h;
+            }
+
+            // Write the stretch locals back.
+            node.energy = EnergyFx::from_attojoules(e);
+            node.harvested = EnergyFx::from_attojoules(hv);
+            node.clipped = EnergyFx::from_attojoules(cl);
+            node.consumed = EnergyFx::from_attojoules(co);
+            *fsm.stats.tick_slot_mut(node_state) = t_state;
+            *fsm.stats.total_ticks_mut() = t_total;
+            // The polls of the burnt ticks (none fires in idle Sleep).
+            fsm.timer.replay(burn_start, i, period);
+        }
+
+        telemetry.ticks_total += steps - start;
+        telemetry.ticks_fast_forwarded += fast;
+        telemetry.horizon_recomputes += recomputes;
+        telemetry.ticks_steady += steady;
+        let Node { fsm, harvested, clipped, consumed, .. } = node;
+        let mut stats = fsm.stats;
+        stats.finalize(dt, harvested, clipped, consumed);
+        (stats, source, forks)
+    }
 }
 
 /// The exact integer outcome of burning one window: the final stored
@@ -594,6 +752,35 @@ mod tests {
         assert_eq!(id, 0);
         let second = batch.run_to_completion();
         assert_eq!(second[0], first[0]);
+    }
+
+    #[test]
+    fn siblings_follow_their_job_and_ids_count_them() {
+        let (cheap, dear) = (
+            BackupUnit::from_state_bits(16, tech45::nvm::NvmTechnology::Mram),
+            BackupUnit::from_state_bits(4096, tech45::nvm::NvmTechnology::Pcm),
+        );
+        let fig4 = || Schedule::fig4().to_source();
+        let mut batch = BatchExecutor::new(2);
+        // The Fig. 4 schedule's power-loss phase starts after 1 700 s: a
+        // 600 s job never backs up, so its siblings are copies, and a
+        // 2 600 s job does, so its siblings fork.
+        assert_eq!(batch.enqueue_with_siblings(job(3, fig4(), 600.0, 0.5), [cheap, dear]), 0);
+        assert_eq!(batch.enqueue_with_siblings(job(4, fig4(), 2600.0, 0.5), [dear, cheap]), 3);
+        assert_eq!(batch.enqueue(job(5, fig4(), 300.0, 0.5)), 6);
+        let stats = batch.run_to_completion();
+        assert_eq!(batch.telemetry().forks, 2);
+        assert_eq!(batch.take_retired_sources().len(), 3, "a source per job, none per sibling");
+        let own = BackupUnit::default();
+        let expected = [(3, own, 600.0), (3, cheap, 600.0), (3, dear, 600.0)]
+            .into_iter()
+            .chain([(4, own, 2600.0), (4, dear, 2600.0), (4, cheap, 2600.0), (5, own, 300.0)])
+            .map(|(seed, unit, duration)| {
+                let config = FsmConfig::paper_default().with_seed(seed).with_backup(unit);
+                scalar(config, &Schedule::fig4(), duration, 0.5)
+            });
+        assert_eq!(stats, expected.collect::<Vec<_>>());
+        assert_ne!(stats[4], stats[5], "the forks kept their own units");
     }
 
     #[test]

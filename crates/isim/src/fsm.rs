@@ -276,6 +276,30 @@ impl NodeFsm {
         self.step_with(&mut capacitor.cell(), tick, dt, k);
     }
 
+    /// Swaps in another backup unit — the fork of a run into a sibling
+    /// that differs only in `FsmConfig::backup` (see [`crate::batch`]).
+    /// Sound only before the run first reads its unit: the thresholds and
+    /// every other derived value are independent of the unit, so the node
+    /// is then exactly the sibling's own.
+    pub(crate) fn set_backup(&mut self, unit: BackupUnit) {
+        debug_assert!(!self.stats.reads_backup_unit(), "the run already read its backup unit");
+        self.config.backup = unit;
+    }
+
+    /// Whether the next tick, from the stored `energy` before it, could be
+    /// the run's first read of its backup unit — a necessary condition,
+    /// cheap enough to ask before every full tick.
+    ///
+    /// Before the first read the node has never backed up, so it needs no
+    /// restore, and the read can only be the backup drain: a node that is
+    /// not Off finds the energy below `Th_Bk` after the tick's harvest and
+    /// leak.  Harvest never lowers the energy and the leak drains at most
+    /// `k.leak_step`, so the energy before the tick is then below
+    /// `Th_Bk + leak_step`.
+    pub(crate) fn may_back_up(&self, energy: EnergyFx, k: TickConstants) -> bool {
+        self.state != NodeState::Off && energy < self.th.backup + k.leak_step
+    }
+
     /// How far `energy` can drift down and up, `(down, up)`, before *any*
     /// control-flow decision of [`Self::step_with`] could change, or `None`
     /// if the node is in a state that must be stepped in full every tick.

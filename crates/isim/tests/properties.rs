@@ -8,7 +8,7 @@ use ehsim::pmu::Thresholds;
 use ehsim::schedule::Schedule;
 use ehsim::source::{ConstantSource, HarvestSource, PiecewiseSource};
 use isim::backup::BackupUnit;
-use isim::batch::{BatchExecutor, BatchJob};
+use isim::batch::{BatchExecutor, BatchJob, BatchTelemetry};
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
 use isim::state::NodeState;
@@ -197,6 +197,98 @@ impl WitnessCase {
         assert_eq!(batch.run_to_completion(), std::slice::from_ref(&stats), "batch lane diverged");
         stats
     }
+}
+
+impl WitnessCase {
+    /// Runs the case as one batch job with `siblings` — its own unit first
+    /// — and requires the job's and each sibling's statistics to equal the
+    /// scalar run under that unit.  Returns the executor's telemetry.
+    fn check_forks(&self, siblings: &[BackupUnit]) -> BatchTelemetry {
+        match self.source {
+            WitnessSource::Constant(power) => {
+                self.check_forks_on(siblings, ConstantSource::new(power))
+            }
+            WitnessSource::Fig4 => self.check_forks_on(siblings, Schedule::fig4().to_source()),
+            WitnessSource::Scarce => self.check_forks_on(siblings, Schedule::scarce().to_source()),
+        }
+    }
+
+    fn check_forks_on<S: HarvestSource + Clone>(
+        &self,
+        siblings: &[BackupUnit],
+        source: S,
+    ) -> BatchTelemetry {
+        let dt = Seconds::new(0.5);
+        let capacitor = Capacitor::paper_default().with_energy(self.initial);
+        let job = BatchJob::new(self.config.clone(), source.clone(), self.duration, dt);
+        let mut batch = BatchExecutor::new(1);
+        batch.enqueue_with_siblings(job.with_capacitor(capacitor), siblings.iter().copied());
+        let batched = batch.run_to_completion();
+        let scalar: Vec<RunStats> = std::iter::once(self.config.backup)
+            .chain(siblings.iter().copied())
+            .map(|unit| {
+                let config = self.config.clone().with_backup(unit);
+                let mut exec = IntermittentExecutor::with_source(config, source.clone())
+                    .with_initial_energy(self.initial);
+                exec.run(self.duration, dt)
+            })
+            .collect();
+        assert_eq!(batched, scalar, "a sibling diverged from its scalar run");
+        batch.telemetry()
+    }
+
+    /// The scalar run of the case's first `ticks` ticks under its own unit.
+    fn first_ticks(&self, ticks: u64) -> RunStats {
+        let duration = Seconds::new(ticks as f64 * 0.5);
+        let case = WitnessCase { config: self.config.clone(), duration, ..*self };
+        case.run(self.config.backup)
+    }
+}
+
+/// The siblings of a batch job fork from its lane at its first read of the
+/// backup unit: each must equal the scalar run under its own unit, over the
+/// witness draws, with siblings under the job's own unit, a cheaper and a
+/// dearer one.  The test fails an engine that forks from the state after
+/// the fork tick (that tick's drain is the job's) and one that never forks
+/// (the siblings would get copies).
+#[test]
+fn forked_siblings_equal_their_scalar_runs() {
+    let cheap = BackupUnit::from_state_bits(16, NvmTechnology::Mram);
+    let dear = BackupUnit::from_state_bits(4096, NvmTechnology::Pcm);
+    let mut rng = StdRng::seed_from_u64(0xF0C5);
+    let mut forked = Vec::new();
+    for _ in 0..160 {
+        let witness = WitnessCase::draw(&mut rng);
+        let siblings = [witness.config.backup, cheap, dear];
+        let telemetry = witness.check_forks(&siblings);
+        if telemetry.forks > 0 {
+            assert_eq!(telemetry.forks, 3);
+            forked.push(witness);
+        }
+    }
+    assert!(forked.len() >= 10, "only {} of 160 cases forked", forked.len());
+
+    // A case cut to end on its first backup: the forks re-run that one
+    // tick only.
+    let witness = &forked[0];
+    let steps = (witness.duration.as_seconds() / 0.5).ceil() as u64;
+    let (mut lo, mut hi) = (0, steps);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if witness.first_ticks(mid).reads_backup_unit() {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    let last = WitnessCase {
+        config: witness.config.clone(),
+        duration: Seconds::new(hi as f64 * 0.5),
+        ..*witness
+    };
+    let telemetry = last.check_forks(&[witness.config.backup, cheap, dear]);
+    assert_eq!(telemetry.forks, 3);
+    assert_eq!(telemetry.ticks_total, hi + 3, "each fork runs the last tick alone");
 }
 
 /// `RunStats::reads_backup_unit` is the proof campaigns rely on to share

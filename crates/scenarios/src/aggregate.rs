@@ -5,8 +5,8 @@
 //! Memory is `O(runs × metrics)` scalars regardless of how long each
 //! simulated lifetime is.  Summaries are computed once, from the rows, by
 //! [`CampaignSummary::of_rows`]: per metric, a left-to-right Welford fold
-//! for the mean and one [`f64::total_cmp`] sort for min, max and the
-//! quantiles.
+//! for the mean and, in the one [`f64::total_cmp`] order, a scan for min
+//! and max and a selection per quantile.
 
 use std::fmt;
 
@@ -56,25 +56,20 @@ pub struct MetricRow {
 impl MetricRow {
     /// Summarises one metric's `samples`, given in arrival order: the mean
     /// is a left-to-right Welford fold (so equal sample sequences give
-    /// bit-equal means), and one [`f64::total_cmp`] sort yields min, max
-    /// and the nearest-rank quantiles — one order for every statistic,
-    /// NaN and −0.0 included.  An empty metric summarises to zeros.
+    /// bit-equal means), and min, max and the nearest-rank quantiles are
+    /// taken in the one [`f64::total_cmp`] order — NaN and −0.0 included —
+    /// so they are the bits a full sort would put at their ranks.  An empty
+    /// metric summarises to zeros.
     #[must_use]
     pub fn of(name: &str, mut samples: Vec<f64>) -> Self {
         let mut mean = 0.0;
         for (count, &value) in (1_u64..).zip(&samples) {
             mean += (value - mean) / count as f64;
         }
-        samples.sort_by(f64::total_cmp);
-        MetricRow {
-            name: name.to_string(),
-            mean,
-            min: samples.first().copied().unwrap_or(0.0),
-            p50: nearest_rank(&samples, 0.50),
-            p90: nearest_rank(&samples, 0.90),
-            p99: nearest_rank(&samples, 0.99),
-            max: samples.last().copied().unwrap_or(0.0),
-        }
+        let min = samples.iter().copied().min_by(f64::total_cmp).unwrap_or(0.0);
+        let max = samples.iter().copied().max_by(f64::total_cmp).unwrap_or(0.0);
+        let [p99, p90, p50] = select_nearest_ranks(&mut samples, [0.99, 0.90, 0.50]);
+        MetricRow { name: name.to_string(), mean, min, p50, p90, p99, max }
     }
 
     /// The row's values in column order (mean, min, p50, p90, p99, max).
@@ -84,13 +79,30 @@ impl MetricRow {
     }
 }
 
-/// Nearest-rank quantile over an already-sorted slice; 0.0 when empty.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// The nearest-rank quantiles `qs`, given in descending order, of
+/// `samples` in the [`f64::total_cmp`] order; zeros when empty.  Each is
+/// one selection, nested: the quantile below it lies among the samples
+/// the selection put before it.  Leaves `samples` permuted.
+fn select_nearest_ranks<const N: usize>(samples: &mut [f64], qs: [f64; N]) -> [f64; N] {
+    debug_assert!(qs.windows(2).all(|w| w[0] >= w[1]), "quantiles in descending order");
+    let len = samples.len();
+    let mut quantiles = [0.0; N];
+    if len == 0 {
+        return quantiles;
     }
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let (mut below, mut above) = (samples, 0.0);
+    for (quantile, q) in quantiles.iter_mut().zip(qs) {
+        let index = ((q.clamp(0.0, 1.0) * len as f64).ceil() as usize).clamp(1, len) - 1;
+        // `below` holds the samples ranked before the previous quantile,
+        // which is `above`; an index past them is that quantile's own.
+        if index < below.len() {
+            let (lower, nth, _) = below.select_nth_unstable_by(index, f64::total_cmp);
+            above = *nth;
+            below = lower;
+        }
+        *quantile = above;
+    }
+    quantiles
 }
 
 /// Collects one [`metric_values`] row per finished run, in arrival order.
@@ -204,6 +216,67 @@ impl fmt::Display for CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Nearest-rank quantile over an already-sorted slice; 0.0 when empty —
+    /// the full-sort reference of [`select_nearest_ranks`].
+    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    /// The row a full [`f64::total_cmp`] sort gives: bits of the sorted
+    /// head, tail and nearest ranks, and the Welford mean in arrival order.
+    fn sorted_reference(samples: &[f64]) -> [u64; 6] {
+        let mut mean = 0.0;
+        for (count, &value) in (1_u64..).zip(samples) {
+            mean += (value - mean) / count as f64;
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let ends = (sorted.first().copied(), sorted.last().copied());
+        let (min, max) = (ends.0.unwrap_or(0.0), ends.1.unwrap_or(0.0));
+        let [p50, p90, p99] = [0.50, 0.90, 0.99].map(|q| nearest_rank(&sorted, q));
+        [mean, min, p50, p90, p99, max].map(f64::to_bits)
+    }
+
+    /// NaNs of both signs, both zeros and both infinities.
+    const SPECIALS: [f64; 6] = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn selection_matches_the_full_sort_on_the_smallest_samples() {
+        let mut cases = vec![Vec::new()];
+        let values = SPECIALS.into_iter().chain([1.5, -2.0]);
+        cases.extend(values.clone().map(|a| vec![a]));
+        cases.extend(values.clone().flat_map(|a| values.clone().map(move |b| vec![a, b])));
+        for samples in cases {
+            let row = MetricRow::of("small", samples.clone());
+            let bits = row.values().map(f64::to_bits);
+            assert_eq!(bits, sorted_reference(&samples), "{samples:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Min, max and the quantiles by selection are the bits a full sort
+        /// puts at their ranks, and the mean is the arrival-order fold —
+        /// over random samples salted with NaNs, signed zeros, infinities
+        /// and ties.
+        #[test]
+        fn selection_matches_the_full_sort(
+            picks in proptest::collection::vec((0_usize..10, -40_i32..40), 0..300),
+        ) {
+            let samples: Vec<f64> = picks
+                .iter()
+                .map(|&(pick, x)| SPECIALS.get(pick).copied().unwrap_or(f64::from(x) / 4.0))
+                .collect();
+            let row = MetricRow::of("random", samples.clone());
+            proptest::prop_assert_eq!(row.values().map(f64::to_bits), sorted_reference(&samples));
+        }
+    }
 
     // `RunStats` carries private integer accumulators now, so tests build
     // one from the default and set the public counters they need.

@@ -120,7 +120,7 @@ impl CampaignResult {
 }
 
 /// The default bank width of the batched campaign path: the number of
-/// scenarios per unit of work on the parallel queue (see
+/// sibling groups per unit of work on the parallel queue (see
 /// [`Execution::Batched`]).
 pub const DEFAULT_BATCH_WIDTH: usize = 64;
 
@@ -142,32 +142,34 @@ pub fn run_with(runner: &ParallelRunner, config: &CampaignConfig) -> CampaignRes
 }
 
 /// Runs `scenarios` through the scalar per-scenario executor on `runner`,
-/// returning the per-run statistics in scenario order.  Every worker owns
-/// one `SourceScratch`, so the fan-out recycles source buffers across the
-/// runs it claims instead of allocating per run.  The engine behind
-/// [`Execution::Scalar`].
-pub(crate) fn scalar_stats(
+/// returning `each` of the per-run statistics in scenario order.  Every
+/// worker owns one `SourceScratch`, so the fan-out recycles source buffers
+/// across the runs it claims instead of allocating per run.  The engine
+/// behind [`Execution::Scalar`].
+pub(crate) fn scalar_runs<T: Send>(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     scenarios: &[Scenario],
-) -> Vec<isim::stats::RunStats> {
+    each: impl Fn(RunStats) -> T + Sync,
+) -> Vec<T> {
     runner.map_init(scenarios, crate::space::SourceScratch::new, |scratch, _, scenario| {
-        scenario.run_with_scratch(config.duration, config.dt, scratch)
+        each(scenario.run_with_scratch(config.duration, config.dt, scratch))
     })
 }
 
 /// Runs a campaign through [`isim::batch::BatchExecutor`] banks of `width`
-/// scenarios on `runner` — again as one full-range shard.  The technology ×
-/// sizing siblings of a stochastic point run once unless that run read its
-/// backup unit (see [`Execution::Batched`]).
+/// sibling groups on `runner` — again as one full-range shard.  The
+/// technology × sizing siblings of a stochastic point run as one lane until
+/// it first reads its backup unit, and fork there (see
+/// [`Execution::Batched`]).
 ///
-/// Bit-identical to [`run_with`]: every run that executes is
-/// [`Scenario::batch_job`]'s, with the scalar path's seed derivation and
-/// per-step physics; a run shared among siblings is one no sibling's unit
-/// could have changed; the per-run statistics come back in scenario order,
-/// and the aggregation is the same code.  So the digest matches the scalar
-/// campaign at any worker count and any batch width.  `tests/campaign.rs`
-/// pins this.
+/// Bit-identical to [`run_with`]: every run is [`Scenario::batch_job`]'s,
+/// with the scalar path's seed derivation and per-step physics; a fork
+/// starts from its sibling's own state, and a run shared among siblings is
+/// one no sibling's unit could have changed; the per-run statistics come
+/// back in scenario order, and the aggregation is the same code.  So the
+/// digest matches the scalar campaign at any worker count and any batch
+/// width.  `tests/campaign.rs` pins this.
 #[must_use]
 pub fn run_batched_with(
     runner: &ParallelRunner,
@@ -179,104 +181,93 @@ pub fn run_batched_with(
         .expect("a full-range shard covers its campaign")
 }
 
-/// Runs `scenarios` through [`isim::batch::BatchExecutor`] banks of `width`
-/// scenarios and returns the per-run statistics in scenario order.  The engine
-/// behind [`Execution::Batched`], in two phases:
+/// Runs `scenarios` through [`isim::batch::BatchExecutor`] banks and
+/// returns `each` of the per-run statistics in scenario order.  The engine
+/// behind [`Execution::Batched`].
 ///
-/// 1. The scenarios are grouped by stochastic coordinate (source,
-///    thresholds, replicate).  The *siblings* of a group share their seed,
-///    source and thresholds and differ only in `config.backup`, the
-///    technology × sizing axes.  One representative per group, the
-///    lowest id, runs.
-/// 2. The siblings of the groups whose representative read its backup
-///    unit run as well.  Every other sibling gets a copy of its
-///    representative's statistics.  The copy is exact:
-///    [`isim::stats::RunStats::reads_backup_unit`] is false only for a run
-///    that is the same computation under any backup unit.
+/// The scenarios are grouped by stochastic coordinate (source, thresholds,
+/// replicate).  The *siblings* of a group share their seed, source and
+/// thresholds and differ only in `config.backup`, the technology × sizing
+/// axes.  Each group's lowest id runs as a job with the others' backup
+/// units as its siblings
+/// ([`isim::batch::BatchExecutor::enqueue_with_siblings`]): they fork from
+/// its lane at its first read of the unit, or get copies of its statistics
+/// if it never reads it.  Both are exact: the runs are one computation up
+/// to that read ([`isim::stats::RunStats::reads_backup_unit`]).
 ///
-/// Each phase fans `width`-scenario banks out on the runner's atomic work
-/// queue, so a worker that drew cheap scenarios claims more banks instead
-/// of idling while another works through a slow family.  Grouping sorts
-/// the given scenarios, so it costs O(n log n) in their number, whatever
-/// the size of the space.  A group cut by a shard boundary shares only
-/// among its siblings inside the shard.
-pub(crate) fn batched_stats(
+/// Banks of `width` groups fan out on the runner's atomic work queue, so a
+/// worker that drew cheap groups claims more banks instead of idling while
+/// another works through a slow family.  Each worker applies `each` to its
+/// bank's statistics, and the results land straight in scenario order.
+/// Grouping sorts the given scenarios, so it costs O(n log n) in their
+/// number, whatever the size of the space.  A group cut by a shard
+/// boundary shares only among its siblings inside the shard.
+pub(crate) fn batched_runs<T: Clone + Default + Send>(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     scenarios: &[Scenario],
     width: usize,
-) -> Vec<RunStats> {
-    let width = width.max(1);
-    // `order` lists the scenario indices by (stochastic index, index), so
-    // each group is a run of it and its representative comes first;
-    // `starts` holds where each group begins, plus the end.
+    each: impl Fn(RunStats) -> T + Sync,
+) -> Vec<T> {
+    // `keyed` lists (stochastic index, scenario index) in order, so each
+    // group is a run of it, representative first — the order the banks
+    // return the statistics in.
     let mut keyed: Vec<(usize, usize)> = scenarios
         .iter()
         .enumerate()
         .map(|(i, s)| (config.space.stochastic_index(config.space.coordinates(s.id)), i))
         .collect();
     keyed.sort_unstable();
-    let order: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
-    let starts: Vec<usize> = (0..keyed.len())
-        .filter(|&k| k == 0 || keyed[k].0 != keyed[k - 1].0)
-        .chain([keyed.len()])
-        .collect();
-    let groups = || starts.windows(2).map(|w| &order[w[0]..w[1]]);
-    debug_assert!(groups().all(|group| group
+    let groups: Vec<&[(usize, usize)]> = keyed.chunk_by(|a, b| a.0 == b.0).collect();
+    debug_assert!(groups.iter().all(|group| group
         .iter()
-        .all(|&i| scenarios[group[0]].differs_only_in_backup(&scenarios[i]))));
+        .all(|&(_, i)| scenarios[group[0].1].differs_only_in_backup(&scenarios[i]))));
 
-    let representatives: Vec<&Scenario> = groups().map(|group| &scenarios[group[0]]).collect();
-    let shared = run_banks(runner, config, &representatives, width);
-
-    let rerun: Vec<usize> = groups()
-        .zip(&shared)
-        .filter(|(_, stats)| stats.reads_backup_unit())
-        .flat_map(|(group, _)| group[1..].iter().copied())
-        .collect();
-    let siblings: Vec<&Scenario> = rerun.iter().map(|&i| &scenarios[i]).collect();
-    let rerun_stats = run_banks(runner, config, &siblings, width);
-
-    let mut stats = vec![RunStats::default(); scenarios.len()];
-    for (group, representative) in groups().zip(&shared) {
-        for &i in group {
-            stats[i].clone_from(representative);
-        }
-    }
-    for (i, run) in rerun.into_iter().zip(rerun_stats) {
-        stats[i] = run;
-    }
-    stats
-}
-
-/// Runs `scenarios` in chunks of up to `width`, one bank per chunk, chunks
-/// fanned out on `runner` as its units of work; the statistics come back
-/// in the order of `scenarios`.
-fn run_banks(
-    runner: &ParallelRunner,
-    config: &CampaignConfig,
-    scenarios: &[&Scenario],
-    width: usize,
-) -> Vec<RunStats> {
-    let chunks: Vec<&[&Scenario]> = scenarios.chunks(width).collect();
-    let per_chunk: Vec<Vec<RunStats>> =
-        runner.map_init(&chunks, crate::space::SourceScratch::new, |scratch, _, chunk| {
-            let mut batch = isim::batch::BatchExecutor::new(chunk.len());
-            for scenario in *chunk {
-                batch.enqueue(scenario.batch_job(config.duration, config.dt, scratch));
+    let banks: Vec<&[&[(usize, usize)]]> = groups.chunks(width.max(1)).collect();
+    let per_bank: Vec<Vec<T>> =
+        runner.map_init(&banks, crate::space::SourceScratch::new, |scratch, _, bank| {
+            let mut batch = isim::batch::BatchExecutor::new(bank.len());
+            for group in *bank {
+                let job = scenarios[group[0].1].batch_job(config.duration, config.dt, scratch);
+                let siblings = group[1..].iter().map(|&(_, i)| scenarios[i].backup_unit());
+                batch.enqueue_with_siblings(job, siblings);
             }
-            let stats = batch.run_to_completion();
+            let runs = batch.run_to_completion().into_iter().map(&each).collect();
             for source in batch.take_retired_sources() {
                 scratch.recycle(source);
             }
-            stats
+            runs
         });
-    per_chunk.into_iter().flatten().collect()
+
+    let mut runs = vec![T::default(); scenarios.len()];
+    for (&(_, i), run) in keyed.iter().zip(per_bank.into_iter().flatten()) {
+        runs[i] = run;
+    }
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every run's whole statistics through the scalar engine.
+    fn scalar_stats(
+        runner: &ParallelRunner,
+        config: &CampaignConfig,
+        scenarios: &[Scenario],
+    ) -> Vec<RunStats> {
+        scalar_runs(runner, config, scenarios, |stats| stats)
+    }
+
+    /// Every run's whole statistics through the batched engine.
+    fn batched_stats(
+        runner: &ParallelRunner,
+        config: &CampaignConfig,
+        scenarios: &[Scenario],
+        width: usize,
+    ) -> Vec<RunStats> {
+        batched_runs(runner, config, scenarios, width, |stats| stats)
+    }
 
     #[test]
     fn the_smoke_campaign_is_deterministic_across_invocations() {

@@ -1,6 +1,7 @@
 //! One deterministic `(config, seed)` point of a campaign.
 
 use ehsim::pmu::Thresholds;
+use isim::backup::BackupUnit;
 use isim::batch::BatchJob;
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
@@ -39,8 +40,14 @@ impl Scenario {
     pub fn fsm_config(&self) -> FsmConfig {
         FsmConfig::paper_default()
             .with_thresholds(self.thresholds)
-            .with_backup(self.sizing.unit(self.technology))
+            .with_backup(self.backup_unit())
             .with_seed(mix(self.seed, 0x0F5A))
+    }
+
+    /// The backup unit of [`Self::fsm_config`]: the sizing on the
+    /// scenario's technology.
+    pub(crate) fn backup_unit(&self) -> BackupUnit {
+        self.sizing.unit(self.technology)
     }
 
     /// Runs the scenario for `duration` in steps of `dt`.

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use isim::stats::RunStats;
 
 use crate::aggregate::{metric_values, CampaignSummary};
-use crate::campaign::{batched_stats, scalar_stats, CampaignConfig, CampaignResult};
+use crate::campaign::{batched_runs, scalar_runs, CampaignConfig, CampaignResult};
 use crate::runner::ParallelRunner;
 use crate::scenario::Scenario;
 use crate::space::{SourceFamily, SourceSpec};
@@ -233,32 +233,34 @@ pub enum Execution {
     /// One `IntermittentExecutor` per scenario on the parallel work-queue:
     /// every scenario runs in full, which makes this the oracle.
     Scalar,
-    /// `BatchExecutor` banks of `width` scenarios each, in two phases.  First one representative per stochastic coordinate
-    /// (source, thresholds, replicate) runs; its technology × sizing
-    /// siblings differ from it only in the backup unit.  Then the siblings
-    /// of the representatives that read their backup unit
-    /// ([`RunStats::reads_backup_unit`]) run too, and every other sibling
-    /// gets a copy of its representative's statistics, which is exact.
-    /// Groups form within the shard's range only.
+    /// `BatchExecutor` banks in one fan-out.  One representative per
+    /// stochastic coordinate (source, thresholds, replicate) runs; its
+    /// technology × sizing siblings differ from it only in the backup
+    /// unit.  They fork from its run at its first read of the unit
+    /// ([`RunStats::reads_backup_unit`]), or get copies of its statistics
+    /// if it never reads it; both are exact.  Groups form within the
+    /// shard's range only.
     Batched {
-        /// Scenarios per bank, the unit of work a worker claims from the
-        /// parallel queue (clamped to at least 1).  Each bank runs its
-        /// scenarios one after another, so the width sets the scheduling
+        /// Sibling groups per bank, the unit of work a worker claims from
+        /// the parallel queue (clamped to at least 1).  Each bank runs its
+        /// groups one after another, so the width sets the scheduling
         /// grain only; no width changes a result.
         width: usize,
     },
 }
 
 impl Execution {
-    fn stats(
+    /// The [`metric_values`] row of every scenario, in scenario order.
+    fn rows(
         self,
         runner: &ParallelRunner,
         config: &CampaignConfig,
         scenarios: &[Scenario],
-    ) -> Vec<RunStats> {
+    ) -> Vec<[u64; 6]> {
+        let row = |stats: RunStats| metric_values(&stats).map(f64::to_bits);
         match self {
-            Execution::Scalar => scalar_stats(runner, config, scenarios),
-            Execution::Batched { width } => batched_stats(runner, config, scenarios, width),
+            Execution::Scalar => scalar_runs(runner, config, scenarios, row),
+            Execution::Batched { width } => batched_runs(runner, config, scenarios, width, row),
         }
     }
 }
@@ -399,11 +401,7 @@ pub fn run_range_with(
     execution: Execution,
 ) -> ShardResult {
     let scenarios = config.space.scenarios_in(config.seed, range.clone());
-    let rows = execution
-        .stats(runner, config, &scenarios)
-        .iter()
-        .map(|stats| metric_values(stats).map(f64::to_bits))
-        .collect();
+    let rows = execution.rows(runner, config, &scenarios);
     ShardResult { fingerprint: config.fingerprint(), range, rows }
 }
 

@@ -82,7 +82,6 @@ proptest! {
         durations in prop::collection::vec(100.0_f64..1200.0, 5..6),
         source_offset in 0_usize..6,
         tech_index in 0_usize..4,
-        width in 1_usize..4,
     ) {
         let thresholds = Thresholds::paper_default()
             .with_safe_zone_margin(Energy::from_millijoules(margin_mj));
@@ -103,9 +102,9 @@ proptest! {
             })
             .collect();
 
-        // All scenarios share one executor, whose capacity hint is at most
+        // All scenarios share one executor, whose capacity hint is below
         // the number of jobs.
-        let mut batch = BatchExecutor::new(width);
+        let mut batch = BatchExecutor::new(2);
         let mut scratch = SourceScratch::new();
         for (scenario, &duration) in scenarios.iter().zip(&durations) {
             batch.enqueue(scenario.batch_job(Seconds::new(duration), dt, &mut scratch));
@@ -363,10 +362,11 @@ impl<S: HarvestSource> HarvestSource for Counting<S> {
 /// The per-family half of the exact-counter gate: each family's scenarios of
 /// the same 216-scenario campaign run in a bank of their own, and every work
 /// counter is pinned per family — full, fast-forwarded and steady ticks,
-/// horizon recomputes and source queries — at every bank width (the width
-/// is only a capacity hint, so it must not move a count).
+/// horizon recomputes and source queries.  A bank runs its jobs one after
+/// another and its width is only a capacity hint, so one width stands for
+/// all.
 #[test]
-fn per_family_work_counters_are_pinned_at_every_width() {
+fn per_family_work_counters_are_pinned() {
     let space = ScenarioSpace::paper_grid(vec![
         BackupSizing::BaselineBits(64),
         BackupSizing::BaselineBits(256),
@@ -395,27 +395,73 @@ fn per_family_work_counters_are_pinned_at_every_width() {
         (SourceFamily::Markov, [8_496, 135_504, 132_392, 11_432, 2_128]),
         (SourceFamily::Schedule, [6_024, 137_976, 136_024, 5_088, 624]),
     ];
-    for width in [1, 16, 64, 256] {
-        for (family, pinned) in pins {
-            let queries = Rc::new(Cell::new(0));
-            let mut bank = BatchExecutor::new(width);
-            let mut scratch = SourceScratch::new();
-            for scenario in scenarios.iter().filter(|s| s.source.family() == family) {
-                let job = scenario.batch_job(duration, dt, &mut scratch);
-                let source = Counting { inner: job.source, queries: Rc::clone(&queries) };
-                bank.enqueue(BatchJob::new(job.config, source, duration, dt));
-            }
-            let _ = bank.run_to_completion();
-            let t = bank.telemetry();
-            let actual = [
-                t.ticks_total - t.ticks_fast_forwarded,
-                t.ticks_fast_forwarded,
-                t.ticks_steady,
-                t.horizon_recomputes,
-                queries.get(),
-            ];
-            assert_eq!(actual, pinned, "{} at width {width}", family.label());
+    for (family, pinned) in pins {
+        let queries = Rc::new(Cell::new(0));
+        let mut bank = BatchExecutor::new(64);
+        let mut scratch = SourceScratch::new();
+        for scenario in scenarios.iter().filter(|s| s.source.family() == family) {
+            let job = scenario.batch_job(duration, dt, &mut scratch);
+            let source = Counting { inner: job.source, queries: Rc::clone(&queries) };
+            bank.enqueue(BatchJob::new(job.config, source, duration, dt));
         }
+        let _ = bank.run_to_completion();
+        let t = bank.telemetry();
+        let actual = [
+            t.ticks_total - t.ticks_fast_forwarded,
+            t.ticks_fast_forwarded,
+            t.ticks_steady,
+            t.horizon_recomputes,
+            queries.get(),
+        ];
+        assert_eq!(actual, pinned, "{}", family.label());
+    }
+}
+
+/// The sibling traffic of the same campaign: each family's 8-sibling
+/// groups run as one job each through
+/// [`BatchExecutor::enqueue_with_siblings`], and the forks and the ticks
+/// run are pinned per family.  Constant, RFID and solar groups never back
+/// up, so their siblings are copies; one Markov and one schedule group
+/// fork their seven siblings at the first backup, which re-run only the
+/// ticks from there on.  Every result still equals the scalar run.
+#[test]
+fn per_family_sibling_forks_are_pinned() {
+    let space = ScenarioSpace::paper_grid(vec![
+        BackupSizing::BaselineBits(64),
+        BackupSizing::BaselineBits(256),
+    ]);
+    let scenarios = space.scenarios(0xD1AC);
+    let (duration, dt) = (Seconds::new(1500.0), Seconds::new(0.5));
+    // [groups, forks, ticks run, full ticks].  A Markov fork re-runs 481
+    // of the 3 000 ticks, a schedule fork 675.
+    let pins = [
+        (SourceFamily::Constant, [6, 0, 18_000, 1_266]),
+        (SourceFamily::Rfid, [6, 0, 18_000, 1_668]),
+        (SourceFamily::Solar, [3, 0, 9_000, 786]),
+        (SourceFamily::Markov, [6, 7, 21_367, 1_244]),
+        (SourceFamily::Schedule, [6, 7, 22_725, 802]),
+    ];
+    for (family, pinned) in pins {
+        let family_scenarios: Vec<&Scenario> =
+            scenarios.iter().filter(|s| s.source.family() == family).collect();
+        // The siblings of a point share its seed and lie next to each
+        // other, its lowest id first.
+        let groups: Vec<&[&Scenario]> =
+            family_scenarios.chunk_by(|a, b| a.seed == b.seed).collect();
+        let mut bank = BatchExecutor::new(64);
+        let mut scratch = SourceScratch::new();
+        for group in &groups {
+            let job = group[0].batch_job(duration, dt, &mut scratch);
+            bank.enqueue_with_siblings(job, group[1..].iter().map(|s| s.fsm_config().backup));
+        }
+        let stats = bank.run_to_completion();
+        for (scenario, batched) in groups.iter().flat_map(|g| g.iter()).zip(&stats) {
+            assert_eq!(&scenario.run(duration, dt), batched, "scenario #{}", scenario.id);
+        }
+        let t = bank.telemetry();
+        let actual =
+            [groups.len() as u64, t.forks, t.ticks_total, t.ticks_total - t.ticks_fast_forwarded];
+        assert_eq!(actual, pinned, "{}", family.label());
     }
 }
 

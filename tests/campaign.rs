@@ -166,9 +166,10 @@ fn paper_at(seed: u64, replicates: usize) -> CampaignConfig {
 
 #[test]
 fn batched_campaigns_match_the_scalar_oracle_on_the_smoke_and_tripled_paper_grids() {
-    // The batched path runs one sibling per stochastic point and copies or
-    // re-runs the rest; the scalar path runs every scenario in full.  Both
-    // grids hold groups that back up (fig4) and groups that never do.
+    // The batched path runs one sibling per stochastic point, and the rest
+    // fork from it at its first backup or copy its statistics; the scalar
+    // path runs every scenario in full.  Both grids hold groups that back
+    // up (fig4) and groups that never do.
     for config in [CampaignConfig::smoke(), paper_at(0xD1AC, 3)] {
         let oracle = scenarios::run_with(&ParallelRunner::serial(), &config);
         for width in [1, 3, 64] {
