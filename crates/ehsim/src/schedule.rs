@@ -15,15 +15,20 @@
 //! 6. the source is interrupted, a backup is taken, but charging resumes
 //!    before a full shutdown so no restore is needed.
 
+use std::sync::Arc;
+
 use tech45::units::{Power, Seconds};
 
 use crate::source::PiecewiseSource;
 
 /// A named charging-rate schedule.
+///
+/// The segment table is immutable and shared: cloning a schedule, and
+/// building its [`PiecewiseSource`], is one reference-count increment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     name: &'static str,
-    segments: Vec<(Seconds, Power)>,
+    segments: Arc<[(Seconds, Power)]>,
     duration: Seconds,
     cyclic: bool,
 }
@@ -35,7 +40,7 @@ impl Schedule {
         let mw = Power::from_milliwatts;
         let s = Seconds::new;
         // (segment start, charging rate)
-        let segments = vec![
+        let segments = [
             // (1) plentiful harvest: saturate at E_MAX, operate at peak.
             // The node's worst-case demand is one full sense/compute/transmit
             // pipeline (15 mJ) per 30 s sampling interval, i.e. 0.5 mW, so
@@ -63,7 +68,7 @@ impl Schedule {
             (s(3400.0), mw(0.002)),
             (s(3700.0), mw(0.110)),
         ];
-        Self { name: "fig4", segments, duration: s(4000.0), cyclic: false }
+        Self { name: "fig4", segments: segments.into(), duration: s(4000.0), cyclic: false }
     }
 
     /// A steady, generous supply — the "first type" of batteryless system
@@ -72,7 +77,7 @@ impl Schedule {
     pub fn plentiful() -> Self {
         Self {
             name: "plentiful",
-            segments: vec![(Seconds::new(0.0), Power::from_milliwatts(0.25))],
+            segments: [(Seconds::new(0.0), Power::from_milliwatts(0.25))].into(),
             duration: Seconds::new(1000.0),
             cyclic: true,
         }
@@ -85,12 +90,13 @@ impl Schedule {
         let s = Seconds::new;
         Self {
             name: "scarce",
-            segments: vec![
+            segments: [
                 (s(0.0), mw(0.080)),
                 (s(60.0), mw(0.000)),
                 (s(140.0), mw(0.060)),
                 (s(200.0), mw(0.004)),
-            ],
+            ]
+            .into(),
             duration: s(260.0),
             cyclic: true,
         }
@@ -122,36 +128,10 @@ impl Schedule {
     }
 
     /// Converts the schedule into a [`PiecewiseSource`] the simulator can
-    /// sample.
+    /// sample.  The source shares the schedule's segment table.
     #[must_use]
     pub fn to_source(&self) -> PiecewiseSource {
-        self.to_source_reusing(Vec::new())
-    }
-
-    /// Like [`Self::to_source`], but fills a caller-provided segment buffer
-    /// (cleared first) instead of allocating a fresh one.  Campaign workers
-    /// recycle the buffer of a finished run's source (see
-    /// [`PiecewiseSource::into_segments`]) through this, so repeated
-    /// schedule-driven runs stop allocating.
-    #[must_use]
-    pub fn to_source_reusing(&self, mut buffer: Vec<(Seconds, Power)>) -> PiecewiseSource {
-        buffer.clear();
-        buffer.extend_from_slice(&self.segments);
-        PiecewiseSource::new(buffer, self.cyclic, self.duration)
-    }
-
-    /// Average charging rate over one cycle of the schedule.
-    #[must_use]
-    pub fn average_power(&self) -> Power {
-        if self.segments.is_empty() || self.duration.is_non_positive() {
-            return Power::ZERO;
-        }
-        let mut total_energy = 0.0;
-        for (i, &(start, power)) in self.segments.iter().enumerate() {
-            let end = self.segments.get(i + 1).map_or(self.duration, |&(next_start, _)| next_start);
-            total_energy += power.as_watts() * (end - start).as_seconds().max(0.0);
-        }
-        Power::new(total_energy / self.duration.as_seconds())
+        PiecewiseSource::shared(Arc::clone(&self.segments), self.cyclic, self.duration)
     }
 }
 
@@ -176,15 +156,6 @@ mod tests {
         // Scenario 6: low but non-zero, then recovery.
         assert!(src.power_at(Seconds::new(3500.0)).as_milliwatts() < 0.01);
         assert!(src.power_at(Seconds::new(3800.0)).as_milliwatts() > 0.05);
-    }
-
-    #[test]
-    fn average_power_is_between_min_and_max_segment() {
-        for sched in [Schedule::fig4(), Schedule::plentiful(), Schedule::scarce()] {
-            let avg = sched.average_power();
-            let max = sched.segments().iter().map(|&(_, p)| p.as_watts()).fold(0.0_f64, f64::max);
-            assert!(avg.as_watts() >= 0.0 && avg.as_watts() <= max, "{}", sched.name());
-        }
     }
 
     #[test]

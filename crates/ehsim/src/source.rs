@@ -21,6 +21,8 @@
 //! once skips the run's remaining queries in O(1), without any replay
 //! bookkeeping.
 
+use std::sync::Arc;
+
 use crate::capacitor::quantise;
 use crate::crng::CounterRng;
 
@@ -720,9 +722,12 @@ impl HarvestSource for MarkovSource {
 /// a cyclic schedule wraps (or a query goes back in time).  The answers are
 /// the exact segment values a linear scan finds — a table lookup, not new
 /// arithmetic — and equality ignores the cursor.
+///
+/// The segment table is immutable and shared, so a clone (a batch lane's
+/// fork, say) costs a reference-count increment, not a copy.
 #[derive(Debug, Clone)]
 pub struct PiecewiseSource {
-    segments: Vec<(Seconds, Power)>,
+    segments: Arc<[(Seconds, Power)]>,
     cyclic: bool,
     total: Seconds,
     cursor: usize,
@@ -745,6 +750,16 @@ impl PiecewiseSource {
     /// Panics if `segments` is empty or not sorted by start time.
     #[must_use]
     pub fn new(segments: Vec<(Seconds, Power)>, cyclic: bool, total_duration: Seconds) -> Self {
+        Self::shared(segments.into(), cyclic, total_duration)
+    }
+
+    /// [`Self::new`] over a table shared with its owner (a
+    /// [`crate::schedule::Schedule`]), under the same checks.
+    pub(crate) fn shared(
+        segments: Arc<[(Seconds, Power)]>,
+        cyclic: bool,
+        total_duration: Seconds,
+    ) -> Self {
         assert!(!segments.is_empty(), "a piecewise source needs at least one segment");
         assert!(
             segments.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -757,14 +772,6 @@ impl PiecewiseSource {
     #[must_use]
     pub fn duration(&self) -> Seconds {
         self.total
-    }
-
-    /// Consumes the source and returns its segment buffer, so a finished
-    /// run's allocation can be recycled into the next source (see
-    /// [`crate::schedule::Schedule::to_source_reusing`]).
-    #[must_use]
-    pub fn into_segments(self) -> Vec<(Seconds, Power)> {
-        self.segments
     }
 
     /// The `(segment_start, power)` table.

@@ -186,7 +186,6 @@ pub struct BatchExecutor<S> {
     jobs: Vec<(BatchJob<S>, Range<usize>)>,
     /// The backup units of every queued job's siblings, flat.
     siblings: Vec<BackupUnit>,
-    retired_sources: Vec<S>,
     telemetry: BatchTelemetry,
 }
 
@@ -225,7 +224,6 @@ impl<S: HarvestSource + Clone> BatchExecutor<S> {
         Self {
             jobs: Vec::with_capacity(capacity),
             siblings: Vec::new(),
-            retired_sources: Vec::new(),
             telemetry: BatchTelemetry::default(),
         }
     }
@@ -265,12 +263,6 @@ impl<S: HarvestSource + Clone> BatchExecutor<S> {
         id
     }
 
-    /// Hands back the harvest sources of finished jobs, so callers can
-    /// recycle their buffers into the next jobs.
-    pub fn take_retired_sources(&mut self) -> Vec<S> {
-        std::mem::take(&mut self.retired_sources)
-    }
-
     /// Runs every enqueued job to completion and returns their statistics in
     /// enqueue order, each job's followed by its siblings'.  The executor is
     /// reusable afterwards.
@@ -278,8 +270,7 @@ impl<S: HarvestSource + Clone> BatchExecutor<S> {
         let mut stats = Vec::with_capacity(self.jobs.len() + self.siblings.len());
         for (job, range) in self.jobs.drain(..) {
             let units = &self.siblings[range];
-            let (job_stats, source, forks) = Lane::boot(job).run(units, &mut self.telemetry);
-            self.retired_sources.push(source);
+            let (job_stats, forks) = Lane::boot(job).run(units, &mut self.telemetry);
             if forks.is_empty() {
                 // The job stands for every sibling: copies of its stats.
                 stats.extend(std::iter::repeat_n(job_stats, units.len() + 1));
@@ -385,8 +376,8 @@ impl<S: HarvestSource + Clone> Lane<S> {
 
     /// Runs the lane from its tick to the end of its lifetime and returns
     /// its statistics, finalised through [`RunStats::finalize`] — the exact
-    /// epilogue the scalar executor runs — together with its source and the
-    /// forks of `siblings`: empty if the lane never read its backup unit,
+    /// epilogue the scalar executor runs — together with the forks of
+    /// `siblings`: empty if the lane never read its backup unit,
     /// else one lane per sibling unit, in order, each at the tick of the
     /// first read.
     ///
@@ -394,11 +385,7 @@ impl<S: HarvestSource + Clone> Lane<S> {
     /// (see the module docs): after every full tick that leaves the node in
     /// Sleep or Off it derives the quiescent threshold distance and burns
     /// the source's runs with every check it proves a no-op hoisted out.
-    fn run(
-        self,
-        siblings: &[BackupUnit],
-        telemetry: &mut BatchTelemetry,
-    ) -> (RunStats, S, Vec<Self>) {
+    fn run(self, siblings: &[BackupUnit], telemetry: &mut BatchTelemetry) -> (RunStats, Vec<Self>) {
         let Lane { mut node, mut run, mut source, tick: start, grid } = self;
         let Grid { steps, dt, k, e_max } = grid;
         let e_max_aj = e_max.attojoules();
@@ -565,7 +552,7 @@ impl<S: HarvestSource + Clone> Lane<S> {
         let Node { fsm, harvested, clipped, consumed, .. } = node;
         let mut stats = fsm.stats;
         stats.finalize(dt, harvested, clipped, consumed);
-        (stats, source, forks)
+        (stats, forks)
     }
 }
 
@@ -718,7 +705,6 @@ mod tests {
             let config = FsmConfig::paper_default().with_seed(1000 + i as u64);
             assert_eq!(stats[i], scalar(config, schedule, 2600.0, 0.5), "lane {i}");
         }
-        assert_eq!(batch.take_retired_sources().len(), 3);
     }
 
     #[test]
@@ -770,7 +756,6 @@ mod tests {
         assert_eq!(batch.enqueue(job(5, fig4(), 300.0, 0.5)), 6);
         let stats = batch.run_to_completion();
         assert_eq!(batch.telemetry().forks, 2);
-        assert_eq!(batch.take_retired_sources().len(), 3, "a source per job, none per sibling");
         let own = BackupUnit::default();
         let expected = [(3, own, 600.0), (3, cheap, 600.0), (3, dear, 600.0)]
             .into_iter()

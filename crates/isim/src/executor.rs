@@ -76,13 +76,6 @@ impl<S: HarvestSource> IntermittentExecutor<S> {
         &self.capacitor
     }
 
-    /// Consumes the executor and returns its harvest source — the campaign
-    /// engine uses this to recycle source buffers across runs.
-    #[must_use]
-    pub fn into_source(self) -> S {
-        self.source
-    }
-
     /// Runs the simulation for `duration` in steps of `dt` and returns the
     /// accumulated statistics.
     ///
@@ -191,15 +184,6 @@ mod tests {
         let mut null = IntermittentExecutor::new(FsmConfig::paper_default(), Schedule::fig4());
         let mut sink = ehsim::trace::NullSink;
         assert_eq!(null.run_with_sink(Seconds::new(1500.0), Seconds::new(0.1), &mut sink), stats);
-    }
-
-    #[test]
-    fn into_source_returns_the_harvester() {
-        let source = ConstantSource::new(Power::from_milliwatts(1.0));
-        let mut exec = IntermittentExecutor::with_source(FsmConfig::paper_default(), source);
-        let _ = exec.run(Seconds::new(10.0), Seconds::new(1.0));
-        let recovered = exec.into_source();
-        assert_eq!(recovered, source);
     }
 
     #[test]

@@ -1,39 +1,45 @@
-//! Asserts the executor's allocation contract: a traced-off run performs
-//! **zero heap allocations after setup**.
+//! Asserts the executors' allocation contracts: a traced-off run performs
+//! **zero heap allocations after setup**, and a batch job's sibling forks
+//! share its source's storage instead of copying it.
 //!
-//! The test installs a counting global allocator and snapshots the
-//! allocation count around `IntermittentExecutor::run` (which drives the
-//! tick loop against the no-op `NullSink`).  It is deliberately the only
-//! test in this binary, and only the measuring thread's allocations count:
-//! the harness's main thread may allocate while it waits for the test (its
-//! channel wait sets up per-thread state on first block), which must not
-//! read as a hot-loop allocation.
+//! The tests install a counting global allocator and snapshot the
+//! allocation count around the call under test.  Counts are kept per
+//! thread, so each test sees only its own thread's allocations: the
+//! harness's main thread may allocate while it waits for the tests (its
+//! channel wait sets up per-thread state on first block), and neither that
+//! nor a test running alongside must read as a hot-loop allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ehsim::schedule::Schedule;
+use isim::backup::BackupUnit;
+use isim::batch::{BatchExecutor, BatchJob};
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
+use tech45::nvm::NvmTechnology;
 use tech45::units::Seconds;
 
 /// Counts every allocation and reallocation the measuring thread routes
 /// through the system allocator.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether this thread's allocations count (const-initialised, no
-    /// destructor: reading it never allocates).
+    /// Whether this thread's allocations count, and how many it made
+    /// (const-initialised, no destructors: touching them never allocates).
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+/// The allocations the calling thread has made while counted.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -61,9 +67,9 @@ fn an_untraced_run_allocates_nothing_after_setup() {
     let mut exec = IntermittentExecutor::new(FsmConfig::paper_default(), Schedule::fig4());
 
     COUNTED.with(|counted| counted.set(true));
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let stats = exec.run(Seconds::new(4000.0), Seconds::new(0.05));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     COUNTED.with(|counted| counted.set(false));
 
     assert_eq!(
@@ -76,4 +82,32 @@ fn an_untraced_run_allocates_nothing_after_setup() {
     assert!(stats.backups >= 1, "{stats}");
     assert!(stats.off_events >= 1, "{stats}");
     assert!(stats.samples_sensed >= 1, "{stats}");
+}
+
+/// The allocations of `run_to_completion` for one Fig. 4 job with
+/// `siblings` siblings, which it forks at its first backup.
+fn forking_job_allocations(siblings: usize) -> u64 {
+    let (duration, dt) = (Seconds::new(2600.0), Seconds::new(0.5));
+    let job = BatchJob::new(FsmConfig::paper_default(), Schedule::fig4().to_source(), duration, dt);
+    let units = (0..siblings).map(|i| BackupUnit::from_state_bits(16 << i, NvmTechnology::Mram));
+    let mut batch = BatchExecutor::new(1);
+    batch.enqueue_with_siblings(job, units);
+
+    COUNTED.with(|counted| counted.set(true));
+    let before = allocations();
+    let stats = batch.run_to_completion();
+    let after = allocations();
+    COUNTED.with(|counted| counted.set(false));
+
+    // The job read its unit, so every sibling forked, not copied.
+    assert_eq!(batch.telemetry().forks, siblings as u64);
+    assert_eq!(stats.len(), siblings + 1);
+    after - before
+}
+
+#[test]
+fn sibling_forks_share_the_piecewise_segment_table() {
+    // A fork clones its lane's source; a piecewise source's clone shares
+    // the table, so six more forks allocate nothing more.
+    assert_eq!(forking_job_allocations(1), forking_job_allocations(7));
 }

@@ -10,8 +10,6 @@
 //! in this data model and are rejected; everything the `.bench` front-end and
 //! the synthetic generator produce is supported.
 
-use std::collections::HashMap;
-
 use crate::error::NetlistError;
 use crate::gate::{GateId, GateKind};
 use crate::levelize::{levelize, Levels};
@@ -29,20 +27,15 @@ pub struct CycleResult {
 /// A functional simulator bound to one netlist.
 ///
 /// Primary inputs are addressed by *dense slot* (their position in
-/// [`Netlist::primary_inputs`] declaration order), so the per-cycle hot path
+/// [`Netlist::primary_inputs`] declaration order), so the per-cycle path
 /// ([`Simulator::evaluate_dense`] / [`Simulator::step_dense`]) performs no
-/// hashing at all.  The original `HashMap`-keyed [`Simulator::evaluate`] /
-/// [`Simulator::step`] survive as thin shims that fill a reusable dense
-/// buffer (one lookup into the *caller's* map per input — inherent to the
-/// map-shaped argument).
+/// hashing at all; [`Simulator::input_slot`] maps a name to its slot.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
     levels: Levels,
     values: Vec<bool>,
     state: Vec<bool>,
-    /// Reusable dense input buffer backing the `HashMap` shim.
-    input_buf: Vec<bool>,
     /// Constant gates (sources, so outside the combinational schedule).
     consts: Vec<(GateId, bool)>,
 }
@@ -64,7 +57,6 @@ impl<'a> Simulator<'a> {
             levels,
             values: vec![false; netlist.gate_count()],
             state: vec![false; netlist.flip_flop_count()],
-            input_buf: vec![false; netlist.primary_inputs().len()],
             consts,
         })
     }
@@ -170,50 +162,6 @@ impl<'a> Simulator<'a> {
         Ok(result)
     }
 
-    /// Evaluates one clock cycle from a name-keyed input map.  Thin shim over
-    /// [`Self::evaluate_dense`]: fills the reusable dense buffer with one
-    /// lookup into the caller's map per primary input, then runs the
-    /// hash-free dense path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UndefinedSignal`] if `inputs` misses a primary
-    /// input.
-    pub fn evaluate(
-        &mut self,
-        inputs: &HashMap<String, bool>,
-    ) -> Result<CycleResult, NetlistError> {
-        self.fill_input_buf(inputs)?;
-        let buf = std::mem::take(&mut self.input_buf);
-        let result = self.evaluate_dense(&buf);
-        self.input_buf = buf;
-        result
-    }
-
-    /// Evaluates one name-keyed cycle and advances the flip-flop state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::evaluate`].
-    pub fn step(&mut self, inputs: &HashMap<String, bool>) -> Result<CycleResult, NetlistError> {
-        let result = self.evaluate(inputs)?;
-        self.state.copy_from_slice(&result.next_state);
-        Ok(result)
-    }
-
-    fn fill_input_buf(&mut self, inputs: &HashMap<String, bool>) -> Result<(), NetlistError> {
-        for (&pi, slot) in self.netlist.primary_inputs().iter().zip(0..) {
-            let gate = self.netlist.gate(pi);
-            let value =
-                inputs.get(&gate.name).copied().ok_or_else(|| NetlistError::UndefinedSignal {
-                    name: gate.name.clone(),
-                    referenced_by: "simulation input vector".to_string(),
-                })?;
-            self.input_buf[slot] = value;
-        }
-        Ok(())
-    }
-
     /// Checks that every combinational gate's stored value is consistent with
     /// its fan-in values — a whole-netlist self-consistency assertion used by
     /// the property tests.
@@ -260,8 +208,14 @@ mod tests {
     use crate::netlist::NetlistBuilder;
     use crate::parser::parse_bench;
 
-    fn inputs(pairs: &[(&str, bool)]) -> HashMap<String, bool> {
-        pairs.iter().map(|(n, v)| ((*n).to_string(), *v)).collect()
+    /// The dense input vector that gives every primary input its value in
+    /// `pairs`, addressed by name through [`Simulator::input_slot`].
+    fn inputs(sim: &Simulator, pairs: &[(&str, bool)]) -> Vec<bool> {
+        let mut vector = vec![None; sim.netlist.primary_inputs().len()];
+        for &(name, value) in pairs {
+            vector[sim.input_slot(name).expect("a primary input")] = Some(value);
+        }
+        vector.into_iter().map(|value| value.expect("every input named")).collect()
     }
 
     #[test]
@@ -283,7 +237,8 @@ mod tests {
             (true, false, [false, true, false]),
             (true, true, [true, false, false]),
         ] {
-            let r = sim.evaluate(&inputs(&[("a", va), ("b", vb)])).unwrap();
+            let vector = inputs(&sim, &[("a", va), ("b", vb)]);
+            let r = sim.evaluate_dense(&vector).unwrap();
             assert_eq!(r.outputs, expected, "a={va} b={vb}");
             assert!(sim.is_consistent());
         }
@@ -299,9 +254,11 @@ mod tests {
         b.mark_output(m);
         let nl = b.finish().unwrap();
         let mut sim = Simulator::new(&nl).unwrap();
-        let r = sim.evaluate(&inputs(&[("s", false), ("x", true), ("y", false)])).unwrap();
+        let vector = inputs(&sim, &[("s", false), ("x", true), ("y", false)]);
+        let r = sim.evaluate_dense(&vector).unwrap();
         assert_eq!(r.outputs, vec![true]);
-        let r = sim.evaluate(&inputs(&[("s", true), ("x", true), ("y", false)])).unwrap();
+        let vector = inputs(&sim, &[("s", true), ("x", true), ("y", false)]);
+        let r = sim.evaluate_dense(&vector).unwrap();
         assert_eq!(r.outputs, vec![false]);
     }
 
@@ -314,10 +271,9 @@ mod tests {
         b.mark_output_name("q");
         let nl = b.finish().unwrap();
         let mut sim = Simulator::new(&nl).unwrap();
-        let empty = HashMap::new();
         let mut seen = Vec::new();
         for _ in 0..4 {
-            let r = sim.step(&empty).unwrap();
+            let r = sim.step_dense(&[]).unwrap();
             seen.push(r.outputs[0]);
         }
         assert_eq!(seen, vec![false, true, false, true]);
@@ -327,8 +283,8 @@ mod tests {
     fn s27_simulation_is_self_consistent_and_state_dependent() {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
         let mut sim = Simulator::new(&nl).unwrap();
-        let vector = inputs(&[("G0", false), ("G1", true), ("G2", false), ("G3", true)]);
-        sim.step(&vector).unwrap();
+        let vector = inputs(&sim, &[("G0", false), ("G1", true), ("G2", false), ("G3", true)]);
+        sim.step_dense(&vector).unwrap();
         assert!(sim.is_consistent());
         // The paper's output G17 is the complement of the internal signal G11.
         assert_eq!(sim.value_of("G17"), sim.value_of("G11").map(|v| !v));
@@ -336,10 +292,10 @@ mod tests {
         // With G0 = 0, G14 = NOT(G0) = 1, so G8 = AND(G14, G6) mirrors the
         // second flip-flop: evaluating from different states must change it.
         sim.set_state(&[false, false, false]);
-        sim.evaluate(&vector).unwrap();
+        sim.evaluate_dense(&vector).unwrap();
         let g8_when_zero = sim.value_of("G8");
         sim.set_state(&[true, true, true]);
-        sim.evaluate(&vector).unwrap();
+        sim.evaluate_dense(&vector).unwrap();
         let g8_when_one = sim.value_of("G8");
         assert_ne!(g8_when_zero, g8_when_one);
         assert!(sim.is_consistent());
@@ -350,13 +306,8 @@ mod tests {
         use crate::synth::{generate, SynthesisConfig};
         let nl = generate(&SynthesisConfig::sized("simcheck", 150)).unwrap();
         let mut sim = Simulator::new(&nl).unwrap();
-        let vector: HashMap<String, bool> = nl
-            .primary_inputs()
-            .iter()
-            .enumerate()
-            .map(|(i, &pi)| (nl.gate(pi).name.clone(), i % 3 == 0))
-            .collect();
-        let r = sim.step(&vector).unwrap();
+        let vector: Vec<bool> = (0..nl.primary_inputs().len()).map(|i| i % 3 == 0).collect();
+        let r = sim.step_dense(&vector).unwrap();
         assert_eq!(r.outputs.len(), nl.primary_outputs().len());
         assert_eq!(r.next_state.len(), nl.flip_flop_count());
         assert!(sim.is_consistent());
@@ -365,23 +316,12 @@ mod tests {
     #[test]
     fn dense_and_named_inputs_agree() {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
-        let mut named = Simulator::new(&nl).unwrap();
-        let mut dense = Simulator::new(&nl).unwrap();
-        // Dense slots follow declaration order and match the resolved map.
+        let sim = Simulator::new(&nl).unwrap();
+        // Dense slots follow declaration order, and names resolve to them.
         for (slot, &pi) in nl.primary_inputs().iter().enumerate() {
-            assert_eq!(dense.input_slot(&nl.gate(pi).name), Some(slot));
+            assert_eq!(sim.input_slot(&nl.gate(pi).name), Some(slot));
         }
-        assert_eq!(dense.input_slot("nope"), None);
-        for pattern in 0..16_u32 {
-            let vector: Vec<bool> = (0..4).map(|bit| pattern & (1 << bit) != 0).collect();
-            let map: HashMap<String, bool> = nl
-                .primary_inputs()
-                .iter()
-                .zip(&vector)
-                .map(|(&pi, &v)| (nl.gate(pi).name.clone(), v))
-                .collect();
-            assert_eq!(named.step(&map).unwrap(), dense.step_dense(&vector).unwrap());
-        }
+        assert_eq!(sim.input_slot("nope"), None);
     }
 
     #[test]
@@ -403,7 +343,7 @@ mod tests {
     fn missing_inputs_and_lut_gates_are_rejected() {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
         let mut sim = Simulator::new(&nl).unwrap();
-        let err = sim.evaluate(&HashMap::new()).unwrap_err();
+        let err = sim.evaluate_dense(&[]).unwrap_err();
         assert!(matches!(err, NetlistError::UndefinedSignal { .. }));
 
         let blif = ".model lut\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";

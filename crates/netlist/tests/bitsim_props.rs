@@ -129,22 +129,4 @@ proptest! {
         let nl = odd_netlist(seed, gates);
         assert_lane_zero_matches_scalar(&nl, pattern_seed, 5);
     }
-
-    #[test]
-    fn named_and_dense_input_shims_agree_on_random_netlists(
-        (gates, seed) in (20_usize..120, 0_u64..500)
-    ) {
-        let nl = generate(&SynthesisConfig::sized("shim", gates).with_seed(seed)).unwrap();
-        let mut dense = Simulator::new(&nl).unwrap();
-        let mut named = Simulator::new(&nl).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let pattern: Vec<bool> = (0..nl.primary_inputs().len()).map(|_| rng.gen_bool(0.5)).collect();
-        let map: std::collections::HashMap<String, bool> = nl
-            .primary_inputs()
-            .iter()
-            .zip(&pattern)
-            .map(|(&pi, &v)| (nl.gate(pi).name.clone(), v))
-            .collect();
-        prop_assert_eq!(dense.step_dense(&pattern).unwrap(), named.step(&map).unwrap());
-    }
 }

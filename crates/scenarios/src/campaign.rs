@@ -7,7 +7,7 @@ use crate::aggregate::CampaignSummary;
 use crate::runner::ParallelRunner;
 use crate::scenario::Scenario;
 use crate::shard::{run_range_with, Execution};
-use crate::space::{ScenarioSpace, SourceFamily};
+use crate::space::{ScenarioSpace, SourceFamily, SourceScratch};
 
 /// Configuration of one campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,19 +142,15 @@ pub fn run_with(runner: &ParallelRunner, config: &CampaignConfig) -> CampaignRes
 }
 
 /// Runs `scenarios` through the scalar per-scenario executor on `runner`,
-/// returning `each` of the per-run statistics in scenario order.  Every
-/// worker owns one `SourceScratch`, so the fan-out recycles source buffers
-/// across the runs it claims instead of allocating per run.  The engine
-/// behind [`Execution::Scalar`].
+/// returning `each` of the per-run statistics in scenario order.  The
+/// engine behind [`Execution::Scalar`].
 pub(crate) fn scalar_runs<T: Send>(
     runner: &ParallelRunner,
     config: &CampaignConfig,
     scenarios: &[Scenario],
     each: impl Fn(RunStats) -> T + Sync,
 ) -> Vec<T> {
-    runner.map_init(scenarios, crate::space::SourceScratch::new, |scratch, _, scenario| {
-        each(scenario.run_with_scratch(config.duration, config.dt, scratch))
-    })
+    runner.map(scenarios, |_, scenario| each(scenario.run(config.duration, config.dt)))
 }
 
 /// Runs a campaign through [`isim::batch::BatchExecutor`] banks of `width`
@@ -224,20 +220,16 @@ pub(crate) fn batched_runs<T: Clone + Default + Send>(
         .all(|&(_, i)| scenarios[group[0].1].differs_only_in_backup(&scenarios[i]))));
 
     let banks: Vec<&[&[(usize, usize)]]> = groups.chunks(width.max(1)).collect();
-    let per_bank: Vec<Vec<T>> =
-        runner.map_init(&banks, crate::space::SourceScratch::new, |scratch, _, bank| {
-            let mut batch = isim::batch::BatchExecutor::new(bank.len());
-            for group in *bank {
-                let job = scenarios[group[0].1].batch_job(config.duration, config.dt, scratch);
-                let siblings = group[1..].iter().map(|&(_, i)| scenarios[i].backup_unit());
-                batch.enqueue_with_siblings(job, siblings);
-            }
-            let runs = batch.run_to_completion().into_iter().map(&each).collect();
-            for source in batch.take_retired_sources() {
-                scratch.recycle(source);
-            }
-            runs
-        });
+    let per_bank: Vec<Vec<T>> = runner.map(&banks, |_, bank| {
+        let mut batch = isim::batch::BatchExecutor::new(bank.len());
+        for group in *bank {
+            let job =
+                scenarios[group[0].1].batch_job(config.duration, config.dt, &mut SourceScratch);
+            let siblings = group[1..].iter().map(|&(_, i)| scenarios[i].backup_unit());
+            batch.enqueue_with_siblings(job, siblings);
+        }
+        batch.run_to_completion().into_iter().map(&each).collect()
+    });
 
     let mut runs = vec![T::default(); scenarios.len()];
     for (&(_, i), run) in keyed.iter().zip(per_bank.into_iter().flatten()) {

@@ -67,26 +67,8 @@ impl ParallelRunner {
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        self.map_init(items, || (), |(), index, item| f(index, item))
-    }
-
-    /// Like [`Self::map`], but every worker first builds a private state with
-    /// `init` and threads it through all the items it claims — the hook that
-    /// lets campaign workers recycle scratch buffers across runs instead of
-    /// allocating per item.  Results are independent of which worker ran
-    /// which item, provided `f` keeps its output a pure function of the item
-    /// (state must be scratch, not memory).
-    pub fn map_init<I, T, S, G, F>(&self, items: &[I], init: G, f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        G: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &I) -> T + Sync,
-    {
-        self.try_map_init(items, init, |state, index, item| {
-            Ok::<T, std::convert::Infallible>(f(state, index, item))
-        })
-        .unwrap_or_else(|e| match e {})
+        self.try_map(items, |index, item| Ok::<T, std::convert::Infallible>(f(index, item)))
+            .unwrap_or_else(|e| match e {})
     }
 
     /// Maps a fallible `f` over `items` in parallel; on failure, the
@@ -105,26 +87,8 @@ impl ParallelRunner {
         E: Send,
         F: Fn(usize, &I) -> Result<T, E> + Sync,
     {
-        self.try_map_init(items, || (), |(), index, item| f(index, item))
-    }
-
-    /// The fallible form of [`Self::map_init`]: per-worker state plus
-    /// early-exit error handling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-indexed error produced by `f`.
-    pub fn try_map_init<I, T, E, S, G, F>(&self, items: &[I], init: G, f: F) -> Result<Vec<T>, E>
-    where
-        I: Sync,
-        T: Send,
-        E: Send,
-        G: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &I) -> Result<T, E> + Sync,
-    {
         if self.threads <= 1 || items.len() <= 1 {
-            let mut state = init();
-            return items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
+            return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
         }
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
@@ -132,20 +96,17 @@ impl ParallelRunner {
             items.iter().map(|_| Mutex::new(None)).collect();
         thread::scope(|scope| {
             for _ in 0..self.threads.min(items.len()) {
-                scope.spawn(|| {
-                    let mut state = init();
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else { break };
-                        let value = f(&mut state, index, item);
-                        if value.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        *slots[index].lock().expect("result slot lock") = Some(value);
+                scope.spawn(|| loop {
+                    if failed.load(Ordering::Relaxed) {
+                        break;
                     }
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(index) else { break };
+                    let value = f(index, item);
+                    if value.is_err() {
+                        failed.store(true, Ordering::Relaxed);
+                    }
+                    *slots[index].lock().expect("result slot lock") = Some(value);
                 });
             }
         });
@@ -230,35 +191,6 @@ mod tests {
             calls.load(Ordering::Relaxed),
             items.len()
         );
-    }
-
-    #[test]
-    fn map_init_reuses_one_state_per_worker() {
-        let items: Vec<usize> = (0..256).collect();
-        let runner = ParallelRunner::with_threads(4);
-        // Each worker's state counts the items it processed; the item result
-        // records the state's running count, so reuse is observable.
-        let counts = runner.map_init(
-            &items,
-            || 0_usize,
-            |seen, index, &item| {
-                assert_eq!(index, item);
-                *seen += 1;
-                *seen
-            },
-        );
-        assert_eq!(counts.len(), items.len());
-        // States were reused across items: with 4 workers over 256 items at
-        // least one worker must have processed more than one item.
-        assert!(counts.iter().copied().max().unwrap() > 1);
-    }
-
-    #[test]
-    fn map_init_matches_map_output() {
-        let items: Vec<u64> = (0..64).collect();
-        let plain = ParallelRunner::with_threads(3).map(&items, |_, &x| x * x);
-        let with_state = ParallelRunner::with_threads(5).map_init(&items, || (), |(), _, &x| x * x);
-        assert_eq!(plain, with_state);
     }
 
     #[test]

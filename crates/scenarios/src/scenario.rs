@@ -55,41 +55,40 @@ impl Scenario {
     /// No trace is recorded — campaigns keep only the scalar statistics.
     #[must_use]
     pub fn run(&self, duration: Seconds, dt: Seconds) -> RunStats {
-        self.run_with_scratch(duration, dt, &mut SourceScratch::new())
+        let source = self.source.build(mix(self.seed, 0x50BC));
+        IntermittentExecutor::with_source(self.fsm_config(), source).run(duration, dt)
     }
 
-    /// Like [`Self::run`], but draws the source's buffers from — and returns
-    /// them to — a reusable per-worker scratch, so a campaign worker running
-    /// many scenarios allocates once instead of per run.  Bit-identical to
-    /// [`Self::run`]: the scratch only recycles storage, never state.
+    /// [`Self::run`]; the scratch is an inert [`SourceScratch`].  Kept only
+    /// for the call sites of the repository benchmark (`benchmark/`); it
+    /// goes in the next change allowed to edit the benchmark.
     #[must_use]
     pub fn run_with_scratch(
         &self,
         duration: Seconds,
         dt: Seconds,
-        scratch: &mut SourceScratch,
+        _scratch: &mut SourceScratch,
     ) -> RunStats {
-        let source = self.source.build_seeded(mix(self.seed, 0x50BC), scratch);
-        let mut exec = IntermittentExecutor::with_source(self.fsm_config(), source);
-        let stats = exec.run(duration, dt);
-        scratch.recycle(exec.into_source());
-        stats
+        self.run(duration, dt)
     }
 
     /// Packages the scenario as a [`BatchJob`] for
     /// [`isim::batch::BatchExecutor`].
     ///
     /// The seed derivation and the source are *identical* to
-    /// [`Self::run_with_scratch`]'s — same FSM seed, same seeded source — so
-    /// a batched lane reproduces [`Self::run`] bit for bit.
+    /// [`Self::run`]'s — same FSM seed, same seeded source — so a batched
+    /// lane reproduces [`Self::run`] bit for bit.  The scratch is an inert
+    /// [`SourceScratch`], kept only for the call sites of the repository
+    /// benchmark (`benchmark/`); the argument goes in the next change
+    /// allowed to edit the benchmark.
     #[must_use]
     pub fn batch_job(
         &self,
         duration: Seconds,
         dt: Seconds,
-        scratch: &mut SourceScratch,
+        _scratch: &mut SourceScratch,
     ) -> BatchJob<AnySource> {
-        let source = self.source.build_seeded(mix(self.seed, 0x50BC), scratch);
+        let source = self.source.build(mix(self.seed, 0x50BC));
         BatchJob::new(self.fsm_config(), source, duration, dt)
     }
 

@@ -131,44 +131,12 @@ impl SourceSpec {
         }
     }
 
-    /// Returns the spec with its base seed mixed with `scenario_seed`.
-    /// Deterministic sources come back unchanged.
+    /// Materialises the source a scenario of seed `scenario_seed` samples:
+    /// the stochastic families mix their base seed with it, and constant
+    /// and schedule sources ignore it.  A schedule's source shares the
+    /// schedule's segment table, so building one allocates nothing.
     #[must_use]
-    pub fn reseeded(&self, scenario_seed: u64) -> Self {
-        let mut spec = self.clone();
-        match &mut spec {
-            SourceSpec::Rfid { seed, .. }
-            | SourceSpec::Solar { seed, .. }
-            | SourceSpec::Markov { seed, .. } => *seed = mix(*seed, scenario_seed),
-            SourceSpec::Constant { .. } | SourceSpec::Schedule(_) => {}
-        }
-        spec
-    }
-
-    /// Materialises the source the executor will sample.
-    #[must_use]
-    pub fn build(&self) -> AnySource {
-        match self {
-            SourceSpec::Constant { power } => AnySource::Constant(ConstantSource::new(*power)),
-            SourceSpec::Rfid { peak, period, duty_cycle, jitter, seed } => {
-                AnySource::Rfid(RfidSource::new(*peak, *period, *duty_cycle, *jitter, *seed))
-            }
-            SourceSpec::Solar { peak, day_length, cloudiness, seed } => {
-                AnySource::Solar(SolarSource::new(*peak, *day_length, *cloudiness, *seed))
-            }
-            SourceSpec::Markov { on_power, mean_on, mean_off, seed } => {
-                AnySource::Markov(MarkovSource::new(*on_power, *mean_on, *mean_off, *seed))
-            }
-            SourceSpec::Schedule(schedule) => AnySource::Piecewise(schedule.to_source()),
-        }
-    }
-
-    /// Materialises the seeded source directly, recycling `scratch`'s
-    /// buffers: equivalent to `self.reseeded(scenario_seed).build()` but
-    /// without cloning the spec, and piecewise schedules reuse the segment
-    /// buffer of the previous run's source.  The campaign hot path.
-    #[must_use]
-    pub fn build_seeded(&self, scenario_seed: u64, scratch: &mut SourceScratch) -> AnySource {
+    pub fn build(&self, scenario_seed: u64) -> AnySource {
         match self {
             SourceSpec::Constant { power } => AnySource::Constant(ConstantSource::new(*power)),
             SourceSpec::Rfid { peak, period, duty_cycle, jitter, seed } => AnySource::Rfid(
@@ -180,44 +148,24 @@ impl SourceSpec {
             SourceSpec::Markov { on_power, mean_on, mean_off, seed } => AnySource::Markov(
                 MarkovSource::new(*on_power, *mean_on, *mean_off, mix(*seed, scenario_seed)),
             ),
-            SourceSpec::Schedule(schedule) => {
-                AnySource::Piecewise(schedule.to_source_reusing(scratch.take_piecewise()))
-            }
+            SourceSpec::Schedule(schedule) => AnySource::Piecewise(schedule.to_source()),
         }
     }
 }
 
-/// Recycled buffers for materialising sources — one per campaign worker,
-/// threaded through [`crate::ParallelRunner::map_init`] so that repeated
-/// runs reuse their allocations instead of repeating them.
-///
-/// The scalar campaign path holds at most one piecewise buffer at a time
-/// (build, run, recycle); the batched path builds a whole chunk of jobs up
-/// front and hands every retired lane's buffer back at once, so the scratch
-/// keeps a *pool* of spare buffers rather than a single slot.
+/// An empty placeholder that holds nothing: sources share their tables, so
+/// there is nothing to recycle.  Kept only for the call sites of the
+/// repository benchmark (`benchmark/`), with [`Scenario::run_with_scratch`]
+/// and the argument of [`Scenario::batch_job`]; it goes in the next change
+/// allowed to edit the benchmark.
 #[derive(Debug, Default)]
-pub struct SourceScratch {
-    piecewise: Vec<Vec<(Seconds, Power)>>,
-}
+pub struct SourceScratch;
 
 impl SourceScratch {
-    /// A scratch with no spare buffers yet.
+    /// The placeholder.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hands out a spare piecewise segment buffer (empty, capacity
-    /// retained), or a fresh one when the pool is dry.
-    fn take_piecewise(&mut self) -> Vec<(Seconds, Power)> {
-        self.piecewise.pop().unwrap_or_default()
-    }
-
-    /// Recovers the buffers of a finished run's source for the next run.
-    pub fn recycle(&mut self, source: AnySource) {
-        if let AnySource::Piecewise(piecewise) = source {
-            self.piecewise.push(piecewise.into_segments());
-        }
+        Self
     }
 }
 
@@ -656,26 +604,35 @@ mod tests {
 
     #[test]
     fn reseeding_changes_stochastic_sources_only() {
-        let rfid = SourceSpec::Rfid {
-            peak: Power::from_milliwatts(1.0),
-            period: Seconds::new(2.0),
-            duty_cycle: 0.4,
-            jitter: 0.1,
-            seed: 1,
-        };
-        assert_ne!(rfid.reseeded(9), rfid);
+        // A source's first 2 000 samples at 0.1 s, as bit patterns.
+        fn trace(mut source: AnySource) -> Vec<u64> {
+            (0..2000)
+                .map(|i| source.power_at(Seconds::new(f64::from(i) * 0.1)).value().to_bits())
+                .collect()
+        }
+        let (peak, period) = (Power::from_milliwatts(1.0), Seconds::new(2.0));
+        let rfid = SourceSpec::Rfid { peak, period, duty_cycle: 0.4, jitter: 0.1, seed: 1 };
+        // A stochastic family mixes its base seed with the scenario seed.
+        let mixed = RfidSource::new(peak, period, 0.4, 0.1, mix(1, 9));
+        assert_eq!(trace(rfid.build(9)), trace(AnySource::Rfid(mixed)));
+        assert_ne!(trace(rfid.build(9)), trace(rfid.build(10)));
+        // Deterministic families ignore it.
         let constant = SourceSpec::Constant { power: Power::from_milliwatts(0.1) };
-        assert_eq!(constant.reseeded(9), constant);
-        let schedule = SourceSpec::Schedule(Schedule::fig4());
-        assert_eq!(schedule.reseeded(9), schedule);
+        for seed in [9, 10] {
+            let AnySource::Constant(built) = constant.build(seed) else { panic!("constant") };
+            assert_eq!(built, ConstantSource::new(Power::from_milliwatts(0.1)));
+            let schedule = SourceSpec::Schedule(Schedule::fig4());
+            let AnySource::Piecewise(built) = schedule.build(seed) else { panic!("piecewise") };
+            assert_eq!(built, Schedule::fig4().to_source());
+        }
     }
 
     #[test]
     fn any_source_delegates_to_its_family() {
-        let mut s = SourceSpec::Constant { power: Power::from_milliwatts(2.0) }.build();
+        let mut s = SourceSpec::Constant { power: Power::from_milliwatts(2.0) }.build(0);
         assert_eq!(s.power_at(Seconds::new(5.0)), Power::from_milliwatts(2.0));
         assert!(s.describe().contains("constant"));
-        let mut sched = SourceSpec::Schedule(Schedule::scarce()).build();
+        let mut sched = SourceSpec::Schedule(Schedule::scarce()).build(0);
         assert!(sched.describe().contains("piecewise"));
         let _ = sched.power_at(Seconds::new(1.0));
     }
@@ -715,8 +672,8 @@ mod tests {
         let dt = Seconds::new(0.5);
         let budgets = [0.0, 0.3, 1.0, 4.0, 1e3].map(|mj| Energy::from_millijoules(mj).to_fx());
         for spec in &specs {
-            let mut scalar = spec.build_seeded(0xBEEF, &mut SourceScratch::new());
-            let mut lane = spec.build_seeded(0xBEEF, &mut SourceScratch::new());
+            let mut scalar = spec.build(0xBEEF);
+            let mut lane = spec.build(0xBEEF);
             let (mut i, mut query) = (0_u64, 0_usize);
             while i < 20_000 {
                 query += 1;
@@ -735,13 +692,12 @@ mod tests {
                 i = run.until;
             }
         }
-        // Piecewise buffers recycle through the scratch.
-        let mut scratch = SourceScratch::new();
-        let source = SourceSpec::Schedule(Schedule::fig4()).build_seeded(1, &mut scratch);
-        scratch.recycle(source);
-        let again = SourceSpec::Schedule(Schedule::fig4()).build_seeded(1, &mut scratch);
-        assert!(matches!(again, AnySource::Piecewise(_)));
-        assert!(scratch.piecewise.is_empty());
+        // A schedule's sources share its one segment table.
+        let schedule = Schedule::fig4();
+        let AnySource::Piecewise(source) = SourceSpec::Schedule(schedule.clone()).build(1) else {
+            panic!("a schedule builds a piecewise source")
+        };
+        assert_eq!(source.segments().as_ptr(), schedule.segments().as_ptr());
     }
 
     #[test]

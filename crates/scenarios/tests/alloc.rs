@@ -1,40 +1,52 @@
 //! Asserts that a shard costs O(shard), not O(campaign): fingerprinting the
 //! campaign, probing a shard's checkpoint and running a one-scenario shard
 //! together allocate a bounded number of bytes, however many scenarios the
-//! campaign expands to — and so does running that shard batched.
+//! campaign expands to — and so does running that shard batched.  Also
+//! asserts that schedule-driven scenarios share their schedule's segment
+//! table instead of copying it.
 //!
-//! The test installs a counting global allocator and sums the bytes the
-//! measuring thread requests.  It is deliberately the only test in this
-//! binary, and only the measuring thread's allocations count: the
-//! harness's main thread may allocate while it waits for the test.
+//! The tests install a counting global allocator that sums the bytes and
+//! the allocations the measuring thread requests.  Counts are kept per
+//! thread, so each test sees only its own thread's allocations, not the
+//! harness's main thread's nor a test running alongside.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use diac_core::replacement::ReplacementSummary;
 use scenarios::{
     BackupSizing, CampaignConfig, Execution, ParallelRunner, ScenarioSpace, ShardSpec,
-    DEFAULT_BATCH_WIDTH,
+    SourceFamily, DEFAULT_BATCH_WIDTH,
 };
 use tech45::units::{Energy, Seconds};
 
 /// Counts the bytes of every allocation and reallocation the measuring
-/// thread routes through the system allocator.
+/// thread routes through the system allocator, and their number.
 struct CountingAllocator;
 
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether this thread's allocations count (const-initialised, no
-    /// destructor: reading it never allocates).
+    /// Whether this thread's allocations count, and their bytes and number
+    /// (const-initialised, no destructors: touching them never allocates).
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+/// The bytes the calling thread has requested while counted.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+/// The allocations the calling thread has made while counted.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -61,10 +73,8 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// 2 160 000 scenarios below would cost hundreds of megabytes.
 const SHARD_BYTES: u64 = 1 << 20;
 
-#[test]
-fn a_one_scenario_shard_of_a_huge_campaign_allocates_only_for_itself() {
-    // The paper grid, with a replacement-shaped DIAC sizing, at 10 000
-    // replicates.
+/// The paper grid with a baseline and a replacement-shaped DIAC sizing.
+fn paper_grid() -> ScenarioSpace {
     let summary = ReplacementSummary {
         boundaries: 4,
         total_boundary_bits: 48,
@@ -76,10 +86,17 @@ fn a_one_scenario_shard_of_a_huge_campaign_allocates_only_for_itself() {
         restore_energy: Energy::ZERO,
         restore_latency: Seconds::ZERO,
     };
-    let mut space = ScenarioSpace::paper_grid(vec![
+    ScenarioSpace::paper_grid(vec![
         BackupSizing::BaselineBits(64),
         BackupSizing::DiacReplacement(summary),
-    ]);
+    ])
+}
+
+#[test]
+fn a_one_scenario_shard_of_a_huge_campaign_allocates_only_for_itself() {
+    // The paper grid, with a replacement-shaped DIAC sizing, at 10 000
+    // replicates.
+    let mut space = paper_grid();
     space.replicates = 10_000;
     let config = CampaignConfig::new(space, 0xD1AC);
     assert_eq!(config.space.len(), 2_160_000);
@@ -91,15 +108,15 @@ fn a_one_scenario_shard_of_a_huge_campaign_allocates_only_for_itself() {
     let runner = ParallelRunner::serial();
 
     COUNTED.with(|counted| counted.set(true));
-    let before = BYTES.load(Ordering::SeqCst);
+    let before = bytes();
     let fingerprint = config.fingerprint();
     let resumed = spec.load_checkpoint(&dir);
     let shard = spec.run_with(&runner, Execution::Scalar);
-    let after = BYTES.load(Ordering::SeqCst);
+    let after = bytes();
     // The batched engine groups the shard's scenarios into sibling groups;
     // that too must cost O(shard), with no table over the whole space.
     let batched = spec.run_with(&runner, Execution::Batched { width: DEFAULT_BATCH_WIDTH });
-    let after_batched = BYTES.load(Ordering::SeqCst);
+    let after_batched = bytes();
     COUNTED.with(|counted| counted.set(false));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -120,4 +137,26 @@ fn a_one_scenario_shard_of_a_huge_campaign_allocates_only_for_itself() {
     assert_eq!(shard.runs(), 1);
     assert_eq!(shard.fingerprint(), fingerprint);
     assert_eq!(batched, shard, "the batched shard matches the scalar one");
+}
+
+#[test]
+fn expanding_schedule_scenarios_allocates_only_the_scenario_list() {
+    // The sources are the outermost axis and the paper grid lists its two
+    // schedules last, so its last sources' blocks of ids are all
+    // schedule-driven.
+    let mut space = paper_grid();
+    space.replicates = 4;
+    let per_source = space.len() / space.sources.len();
+    let first = space.sources.iter().position(|s| s.family() == SourceFamily::Schedule);
+    let range = first.expect("the paper grid has schedules") * per_source..space.len();
+
+    COUNTED.with(|counted| counted.set(true));
+    let before = allocations();
+    let scenarios = space.scenarios_in(0xD1AC, range.clone());
+    let after = allocations();
+    COUNTED.with(|counted| counted.set(false));
+
+    assert_eq!(after - before, 1, "the Vec<Scenario> and nothing per scenario");
+    assert_eq!(scenarios.len(), range.len());
+    assert!(scenarios.iter().all(|s| s.source.family() == SourceFamily::Schedule));
 }

@@ -191,13 +191,12 @@ proptest! {
         let config = FsmConfig::paper_default().with_seed(seed);
         let dt = Seconds::new(dt_s);
         let spec = adversarial_source(source_index);
-        let mut scratch = SourceScratch::new();
 
         let mut batch = BatchExecutor::new(2);
         batch.enqueue(
             BatchJob::new(
                 config.clone(),
-                spec.build_seeded(seed, &mut scratch),
+                spec.build(seed),
                 Seconds::new(duration),
                 dt,
             )
@@ -207,7 +206,7 @@ proptest! {
 
         let mut scalar = IntermittentExecutor::with_source(
             config,
-            spec.build_seeded(seed, &mut scratch),
+            spec.build(seed),
         )
         .with_capacitor(cap);
         let expected = scalar.run(Seconds::new(duration), dt);
@@ -245,10 +244,9 @@ proptest! {
         let initial_fx = cap.energy_fx();
         let e_max = cap.max_energy().value();
         let spec = adversarial_source(source_index);
-        let mut scratch = SourceScratch::new();
         let mut exec = IntermittentExecutor::with_source(
             FsmConfig::paper_default().with_seed(seed),
-            spec.build_seeded(seed, &mut scratch),
+            spec.build(seed),
         )
         .with_capacitor(cap);
         let (stats, trace) = exec.run_with_trace(Seconds::new(duration), dt);
@@ -578,14 +576,13 @@ proptest! {
         let dt = Seconds::new(dt_s);
         let mut durations = durations;
         durations[long % picks.len()] = (long_ticks as f64 - 0.5) * dt_s;
-        let mut scratch = SourceScratch::new();
         let jobs: Vec<BatchJob<AnySource>> = picks
             .iter()
             .zip(&durations)
             .zip(&seeds)
             .map(|((&pick, &duration), &seed)| {
                 let config = FsmConfig::paper_default().with_seed(seed);
-                let source = long_window(pick).build_seeded(seed, &mut scratch);
+                let source = long_window(pick).build(seed);
                 BatchJob::new(config, source, Seconds::new(duration), dt)
             })
             .collect();
