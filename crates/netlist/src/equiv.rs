@@ -357,10 +357,27 @@ mod tests {
         let cex = report.counterexample.expect("counterexample");
         assert_eq!(cex.signal, "G17");
         assert_eq!(cex.inputs.len(), left.primary_inputs().len());
-        // The counterexample replays: evaluate both scalar simulators on the
-        // reported pattern after reaching the reported cycle with the same
-        // seeded stream, lane-exactly.
-        assert!(cex.lane < 64);
+        // The counterexample replays: two scalar simulators stepped with the
+        // reported round's stream at the reported lane agree on every cycle
+        // before the reported one and disagree on the named signal at it.
+        let seed = EquivConfig::default().seed ^ (cex.round as u64).wrapping_mul(0x9E37);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sim_l = crate::sim::Simulator::new(&left).unwrap();
+        let mut sim_r = crate::sim::Simulator::new(&right).unwrap();
+        let signal = left.primary_outputs().iter().position(|&po| left.gate(po).name == "G17");
+        let signal = signal.expect("G17 is a primary output");
+        for cycle in 0..=cex.cycle {
+            let pattern: Vec<bool> =
+                left.primary_inputs().iter().map(|_| lane(rng.next_u64(), cex.lane)).collect();
+            let l = sim_l.step_dense(&pattern).unwrap();
+            let r = sim_r.step_dense(&pattern).unwrap();
+            if cycle < cex.cycle {
+                assert_eq!(l, r, "the designs agree at cycle {cycle}");
+            } else {
+                assert!(cex.inputs.iter().map(|(_, v)| *v).eq(pattern.iter().copied()));
+                assert_ne!(l.outputs[signal], r.outputs[signal], "G17 differs at the cycle");
+            }
+        }
     }
 
     #[test]
