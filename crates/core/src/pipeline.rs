@@ -6,15 +6,16 @@
 //! efficiently means not recomputing the expensive, *scheme-independent*
 //! parts of the flow for every scheme or sweep point:
 //!
-//! * the levelization and circuit-level energy figures,
-//! * the operand tree clustered from the netlist,
-//! * the policy-restructured tree (identical for every sweep point sharing a
-//!   policy), and
+//! * the levelization and circuit-level energy figures (the levels also
+//!   compile the original design for the equivalence check),
+//! * the operand tree clustered from the netlist, and
 //! * the NV-enhanced tree of one replacement run (identical for every
 //!   evaluation sharing a policy, technology and budget — in particular for
 //!   DIAC and optimized DIAC, which differ only in their backup *schedule*).
 //!   Both the replacement summary the schemes price and the replaced
-//!   netlist the equivalence check reads derive from that one run.
+//!   netlist the equivalence check reads derive from that one run.  A
+//!   second run under the same policy starts from the first run's tree
+//!   instead of restructuring the base tree again.
 //!
 //! [`CircuitArtifacts`] holds those shared products for one circuit;
 //! [`SynthesisPipeline`] builds artifacts and evaluates schemes against
@@ -46,8 +47,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use netlist::equiv::{EquivConfig, EquivReport};
-use netlist::levelize::levelize;
+use netlist::bitsim::BitSim;
+use netlist::equiv::{check_equivalence_compiled, EquivConfig, EquivReport};
+use netlist::levelize::{levelize, Levels};
 use netlist::Netlist;
 use tech45::cells::CellLibrary;
 use tech45::nvm::NvmTechnology;
@@ -109,6 +111,9 @@ impl ReplacementKey {
 #[derive(Debug)]
 pub struct CircuitArtifacts<'n> {
     netlist: &'n Netlist,
+    /// The netlist's levels, kept for compiling it in
+    /// [`Self::verify_replacement`].
+    levels: Levels,
     figures: CircuitFigures,
     base_tree: OperandTree,
     // Fingerprint of the context fields the cached products depend on.
@@ -117,7 +122,6 @@ pub struct CircuitArtifacts<'n> {
     comb_activity: f64,
     // Lazily-filled caches.  Interior mutability keeps the evaluation API
     // `&self`, so one set of artifacts can be shared across sweep points.
-    restructured: Mutex<HashMap<Policy, OperandTree>>,
     replacements: Mutex<HashMap<ReplacementKey, Arc<NvEnhancedTree>>>,
     replaced: Mutex<HashMap<ReplacementKey, Arc<Netlist>>>,
 }
@@ -135,12 +139,12 @@ impl<'n> CircuitArtifacts<'n> {
         let base_tree = OperandTree::from_levels(netlist, &levels, &ctx.library, &ctx.tree_config)?;
         Ok(Self {
             netlist,
+            levels,
             figures,
             base_tree,
             library: ctx.library.clone(),
             tree_config: ctx.tree_config,
             comb_activity: ctx.calibration.comb_activity,
-            restructured: Mutex::new(HashMap::new()),
             replacements: Mutex::new(HashMap::new()),
             replaced: Mutex::new(HashMap::new()),
         })
@@ -203,20 +207,24 @@ impl<'n> CircuitArtifacts<'n> {
         Ok(())
     }
 
-    /// The tree after `policy`, cloned from the per-policy cache.
+    /// A copy of the tree after `policy`: one copy either way.  A cached
+    /// replacement run under `policy` holds that tree with its boundary
+    /// annotations, which every replacement run rewrites for every live
+    /// operand, so its tree serves as well as a fresh one.  Without such a
+    /// run the policy restructures a copy of the base tree.
     fn restructured_tree(
         &self,
         policy: Policy,
         library: &CellLibrary,
     ) -> Result<OperandTree, DiacError> {
-        let mut cache = self.restructured.lock().expect("restructured cache lock");
-        if let Some(tree) = cache.get(&policy) {
-            return Ok(tree.clone());
+        let cached = self.replacements.lock().expect("replacement cache lock");
+        if let Some((_, enhanced)) = cached.iter().find(|(key, _)| key.policy == policy) {
+            return Ok(enhanced.tree().clone());
         }
+        drop(cached);
         let mut tree = self.base_tree.clone();
         let bounds = PolicyBounds::relative_to(&tree, POLICY_UPPER_FRACTION, POLICY_LOWER_FRACTION);
         apply_policy(&mut tree, policy, &bounds, library)?;
-        cache.insert(policy, tree.clone());
         Ok(tree)
     }
 
@@ -273,9 +281,11 @@ impl<'n> CircuitArtifacts<'n> {
 
     /// Opt-in functional verification of the DIAC replacement under `ctx`:
     /// checks the replaced netlist ([`Self::replaced_netlist`]) against the
-    /// original with seeded random vectors.  The report itself is not
-    /// cached; re-verifying repeats only the vector comparison — never the
-    /// restructuring, replacement, or netlist rewrite.
+    /// original with seeded random vectors.  The original is compiled from
+    /// the levels the artifacts kept, so it is not levelized again.  The
+    /// report itself is not cached; re-verifying repeats only compiling the
+    /// two designs and the vector comparison — never the restructuring,
+    /// replacement, or netlist rewrite.
     ///
     /// # Errors
     ///
@@ -288,7 +298,8 @@ impl<'n> CircuitArtifacts<'n> {
         equiv: &EquivConfig,
     ) -> Result<EquivReport, DiacError> {
         let replaced = self.replaced_netlist(ctx)?;
-        Ok(netlist::equiv::check_equivalence(self.netlist, &replaced, equiv)?)
+        let original = BitSim::from_levels(self.netlist, &self.levels)?;
+        Ok(check_equivalence_compiled(&original, &replaced, equiv)?)
     }
 }
 

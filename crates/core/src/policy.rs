@@ -175,12 +175,16 @@ fn merge_pass(
     library: &CellLibrary,
 ) -> Result<usize, DiacError> {
     let mut merges = 0;
+    // Every round merges the first candidate in slot order.  The scan
+    // resumes at `resume`: every live operand below it was no candidate
+    // when last scanned, and no merge since has changed that (see below).
+    let mut resume = 0;
     // Iterate until a fixed point (each pass may enable further merges), with
     // a hard cap to guarantee termination even for adversarial inputs.
     let max_rounds = tree.len().max(32);
     for _round in 0..max_rounds {
-        let candidate = tree
-            .iter()
+        let candidate = (resume..tree.slots())
+            .filter_map(|slot| tree.try_operand(OperandId(slot as u32)))
             .filter(|o| o.dict.energy() < bounds.merge_below)
             .filter_map(|o| {
                 // Each neighbour comes tagged with its side: `true` for a
@@ -210,6 +214,21 @@ fn merge_pass(
             Some((small, neighbour)) => {
                 tree.merge_operands(neighbour, small, library)?;
                 merges += 1;
+                // Candidacy reads an operand's energy and edges and its
+                // neighbours' energies and edge counts.  The merge changed
+                // the survivor's energy and edges, retired `small` and
+                // re-pointed `small`'s neighbours at the survivor, so only
+                // the survivor and its neighbours can have become
+                // candidates.  (A neighbour's neighbour can only see an
+                // edge count fall from three or more to two or more, which
+                // admits no new pair.)  Everything below `small` was no
+                // candidate before.
+                let survivor = tree.operand(neighbour);
+                resume = (survivor.children.iter().chain(&survivor.parents))
+                    .chain([&neighbour, &small])
+                    .map(|id| id.index())
+                    .min()
+                    .expect("the survivor and the merged operand have slots");
             }
             None => break,
         }

@@ -22,15 +22,19 @@
 //!   The node either edit retires stays in its slot as a tombstone: a slot
 //!   is never reused and ids are never renumbered, so
 //!   [`OperandTree::slots`] bounds every slot-indexed side table.
-//! * Every edit ends in [`OperandTree::recompute_levels`], one pass over the
-//!   topological order, which Kahn's algorithm builds on a flat slot-indexed
-//!   in-degree table — no hash maps.
+//! * Every edit leaves the levels current.  A split ends in
+//!   [`OperandTree::recompute_levels`], one pass over the topological order,
+//!   which Kahn's algorithm builds on a flat slot-indexed in-degree table —
+//!   no hash maps.  A merge changes only the survivor's children, so it
+//!   updates the survivor and the operands above it, and stops wherever a
+//!   level does not move.
 //!
 //! Append-only id assignment is part of the deterministic contract: the
 //! policy and replacement tie-breaks walk ids, and the golden reports and the
 //! pipeline-equivalence tests depend on them.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::mem;
 
@@ -465,14 +469,7 @@ impl OperandTree {
         // Children precede parents in topological order, so every live
         // child's level is already final when its parent reads it.
         for id in self.topological_order() {
-            let level = self.operands[id.index()]
-                .children
-                .iter()
-                .filter_map(|&c| self.try_operand(c))
-                .map(|c| c.dict.level + 1)
-                .max()
-                .unwrap_or(0);
-            self.operands[id.index()].dict.level = level;
+            self.operands[id.index()].dict.level = self.level_from_children(id);
         }
     }
 
@@ -682,8 +679,60 @@ impl OperandTree {
         if gate_based {
             self.reestimate(a, library);
         }
-        self.recompute_levels();
+        self.update_levels_above(a);
         Ok(a)
+    }
+
+    /// The level `id` takes from its live children (leaves = 0).
+    fn level_from_children(&self, id: OperandId) -> u32 {
+        self.operands[id.index()]
+            .children
+            .iter()
+            .filter_map(|&c| self.try_operand(c))
+            .map(|c| c.dict.level + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Brings levels up to date after an edit that changed the children of
+    /// `id` only (and re-pointed its new parents at it): only `id` and the
+    /// operands above it can move, since a level depends on the children
+    /// alone.
+    ///
+    /// The operands are visited in increasing order of their level before
+    /// the edit, `id` first.  Outside `id`, every edge joins a lower level
+    /// to a higher one, so that order is topological and each operand is
+    /// visited once, after all of its moved children.  An operand whose
+    /// level does not move stops the walk on its side.  An edit that closed
+    /// a cycle (which [`Self::validate`] rejects) can send the walk round
+    /// it; after more visits than live operands the walk hands over to
+    /// [`Self::recompute_levels`].
+    fn update_levels_above(&mut self, id: OperandId) {
+        let mut pending = BinaryHeap::from([Reverse((0, id))]);
+        let mut last = None;
+        let mut visits = 0;
+        while let Some(Reverse((_, next))) = pending.pop() {
+            // An operand's entries share one key, so they pop in a row.
+            if last.replace(next) == Some(next) {
+                continue;
+            }
+            visits += 1;
+            if visits > self.live {
+                self.recompute_levels();
+                return;
+            }
+            let level = self.level_from_children(next);
+            let op = &mut self.operands[next.index()];
+            if level == op.dict.level && next != id {
+                continue;
+            }
+            op.dict.level = level;
+            for &parent in &self.operands[next.index()].parents {
+                if let Some(p) = self.try_operand(parent) {
+                    pending.push(Reverse((p.dict.level, parent)));
+                }
+            }
+        }
     }
 
     fn reestimate(&mut self, id: OperandId, library: &CellLibrary) {
@@ -1155,6 +1204,23 @@ mod tests {
             tree.iter().find_map(|o| o.children.first().map(|&c| (o.id, c))).expect("edge");
         tree.merge_operands(parent, child, &lib()).unwrap();
         assert!(tree.merge_operands(parent, child, &lib()).is_err());
+    }
+
+    #[test]
+    fn a_merge_that_closes_a_cycle_still_returns() {
+        // Folding the sink D into the source A of a diamond makes A read B
+        // and C, which read A: the level walk would go round for ever.
+        let mj = Energy::from_millijoules;
+        let ms = Seconds::from_millis;
+        let mut tree = OperandTree::builder("diamond")
+            .node("A", mj(1.0), ms(1.0), &[])
+            .node("B", mj(1.0), ms(1.0), &["A"])
+            .node("C", mj(1.0), ms(1.0), &["A"])
+            .node("D", mj(1.0), ms(1.0), &["B", "C"])
+            .build()
+            .unwrap();
+        tree.merge_operands(OperandId(0), OperandId(3), &lib()).unwrap();
+        assert!(tree.validate().is_err(), "the cycle is reported");
     }
 
     #[test]

@@ -5,18 +5,27 @@
 //! netlist with plain word-wide boolean operations: one pass over the
 //! combinational gates settles all 64 patterns at once.
 //!
-//! The evaluation schedule is compiled once, at construction, into *runs*:
-//! maximal groups of gates that share a level, a [`GateKind`] and a fan-in
-//! count.  Levels are visited in increasing order, and gates of one level
-//! never read each other, so any order inside a level is sound; ordering
-//! each level by (kind, fan-in count), with two stable counting sorts that
-//! are linear in the gate count, makes the runs as long as they can be.  The
+//! The evaluation schedule is compiled once, at construction
+//! ([`BitSim::new`], or [`BitSim::from_levels`] for a caller that has
+//! levelized already), into *runs*: maximal groups of gates that share a
+//! level, a [`GateKind`] and a fan-in count.  Levels are visited in
+//! increasing order, and gates of one level never read each other, so any
+//! order inside a level is sound; ordering each level by (kind, fan-in
+//! count), with one stable counting sort per level that is linear in its
+//! gate count, makes the runs as long as they can be.  The
 //! targets of all runs sit in one flat `u32` array and their fan-ins in
 //! another, both in run order, so a run is two contiguous slices.  The hot
 //! loop dispatches once per run, not once per gate, into a kernel
 //! specialised by arity: a const-generic fold for fan-ins 1–4 (buffers and
 //! inverters are the 1-input AND and NAND), a multiplexer kernel, and one
 //! generic-arity loop for the wider gates parsed `.bench`/BLIF files carry.
+//!
+//! The compiled schedule is kept apart from the words it settles, and its
+//! kernels are generic over a lane width `R`: a signal is `[u64; R]`, and
+//! every boolean operation applies to each of its `R` words.  [`BitSim`]
+//! is the `R = 1` case.  The equivalence checker settles eight independent
+//! rounds at once on `[u64; 8]` words, both designs in one shared buffer
+//! (see [`crate::equiv`]).
 //!
 //! [`BitSim::settle`] runs that loop and leaves every result in place: the
 //! signal words ([`BitSim::value`]) and the next state
@@ -40,7 +49,7 @@ use std::ops::{BitAnd, BitOr, BitXor};
 
 use crate::error::NetlistError;
 use crate::gate::{GateId, GateKind};
-use crate::levelize::levelize;
+use crate::levelize::{levelize, Levels};
 use crate::netlist::Netlist;
 
 /// Extracts one pattern lane from a packed simulation word.
@@ -66,7 +75,7 @@ pub struct BitCycleResult {
 }
 
 /// One run of the schedule: gates of one level sharing a kind and a fan-in
-/// count.  Its targets are the next `gates` entries of [`BitSim`]'s target
+/// count.  Its targets are the next `gates` entries of [`Schedule`]'s target
 /// array and its fan-ins the next `gates * arity` entries of the fan-in
 /// array (gate by gate, each in its netlist fan-in order).
 #[derive(Debug, Clone, Copy)]
@@ -76,21 +85,102 @@ struct Run {
     gates: u32,
 }
 
-/// A 64-lane word-parallel simulator bound to one netlist.
+/// The compiled evaluation schedule of one netlist: everything a settle
+/// reads but the words themselves.  It is immutable once built, so one
+/// schedule can settle any number of word buffers of any lane width.
 #[derive(Debug, Clone)]
-pub struct BitSim<'a> {
-    netlist: &'a Netlist,
+pub(crate) struct Schedule<'a> {
+    pub(crate) netlist: &'a Netlist,
     runs: Vec<Run>,
     /// Target gate of every scheduled gate, in run order.
     targets: Vec<u32>,
     /// Fan-ins of every scheduled gate, in run order.
     fanins: Vec<u32>,
-    words: Vec<u64>,
-    state: Vec<u64>,
     /// The D input of each flip-flop, in declaration order.
-    d_inputs: Vec<GateId>,
+    pub(crate) d_inputs: Vec<GateId>,
     /// Constant gates (sources, so outside the combinational schedule).
     consts: Vec<(GateId, u64)>,
+}
+
+impl<'a> Schedule<'a> {
+    /// Levelizes `netlist` and compiles its schedule.
+    pub(crate) fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
+        netlist.check_simulable()?;
+        Ok(Self::compile(netlist, &levelize(netlist)?))
+    }
+
+    /// Compiles the schedule of a simulable `netlist` from its levels.
+    fn compile(netlist: &'a Netlist, levels: &Levels) -> Self {
+        // `by_level` lists each level's gates in id order; a stable counting
+        // sort of a level's combinational gates by kind-and-arity class
+        // makes its runs, and ties keep id order.
+        let stride = netlist.iter().map(|g| g.fanin_count()).max().unwrap_or(0) + 1;
+        let class: Vec<usize> =
+            netlist.iter().map(|g| g.kind as usize * stride + g.fanin_count()).collect();
+        let mut runs: Vec<Run> = Vec::new();
+        let mut targets = Vec::with_capacity(netlist.gate_count());
+        let mut fanins = Vec::with_capacity(netlist.fanin_arena().len());
+        let mut comb = Vec::new();
+        for level in levels.by_level() {
+            comb.clear();
+            comb.extend(level.iter().filter(|&&id| netlist.gate(id).kind.is_combinational()));
+            let sorted = counting_sort(&comb, GateKind::ALL.len() * stride, |id| class[id.index()]);
+            for run in sorted.chunk_by(|&a, &b| class[a.index()] == class[b.index()]) {
+                let first = netlist.gate(run[0]);
+                runs.push(Run {
+                    kind: first.kind,
+                    arity: first.fanin_count() as u32,
+                    gates: run.len() as u32,
+                });
+                for &id in run {
+                    targets.push(id.0);
+                    fanins.extend(netlist.fanin(id).iter().map(|f| f.0));
+                }
+            }
+        }
+        let d_inputs = netlist.flip_flops().iter().map(|&ff| netlist.fanin(ff)[0]).collect();
+        let consts = netlist.const_gates().map(|(id, v)| (id, if v { !0 } else { 0 })).collect();
+        Self { netlist, runs, targets, fanins, d_inputs, consts }
+    }
+
+    /// Settles one clock cycle over `R` words of 64 lanes per signal:
+    /// writes the sources (one input word per primary input in declaration
+    /// order, the flip-flop `state`, the constants) into `words`, then
+    /// evaluates every run.  `words` needs at least one entry per gate and
+    /// may be longer, so designs of different sizes can share one buffer;
+    /// entries of gates this netlist does not have are left alone.
+    pub(crate) fn settle<const R: usize>(
+        &self,
+        inputs: &[[u64; R]],
+        state: &[[u64; R]],
+        words: &mut [[u64; R]],
+    ) {
+        for (&pi, &word) in self.netlist.primary_inputs().iter().zip(inputs) {
+            words[pi.index()] = word;
+        }
+        for (&ff, &word) in self.netlist.flip_flops().iter().zip(state) {
+            words[ff.index()] = word;
+        }
+        for &(id, word) in &self.consts {
+            words[id.index()] = [word; R];
+        }
+        let (mut targets, mut fanins) = (self.targets.as_slice(), self.fanins.as_slice());
+        for run in &self.runs {
+            let (run_targets, rest) = targets.split_at(run.gates as usize);
+            let (run_fanins, rest_fanins) = fanins.split_at(run_targets.len() * run.arity as usize);
+            eval_run(run, run_targets, run_fanins, words);
+            (targets, fanins) = (rest, rest_fanins);
+        }
+    }
+}
+
+/// A 64-lane word-parallel simulator bound to one netlist: a compiled
+/// schedule and one word per signal.
+#[derive(Debug, Clone)]
+pub struct BitSim<'a> {
+    schedule: Schedule<'a>,
+    words: Vec<[u64; 1]>,
+    state: Vec<[u64; 1]>,
 }
 
 impl<'a> BitSim<'a> {
@@ -103,55 +193,48 @@ impl<'a> BitSim<'a> {
     /// gates whose function is unknown (the same rejection — and reason —
     /// as the scalar [`crate::sim::Simulator`]).
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        netlist.check_simulable()?;
-        let levels = levelize(netlist)?;
-        // Order the combinational gates by (level, kind, fan-in count) with
-        // two stable counting sorts, least significant key first: by
-        // kind-and-arity class, then by level.  Ties keep id order.
-        let stride = netlist.iter().map(|g| g.fanin_count()).max().unwrap_or(0) + 1;
-        let class: Vec<usize> =
-            netlist.iter().map(|g| g.kind as usize * stride + g.fanin_count()).collect();
-        let comb: Vec<GateId> =
-            netlist.iter().filter(|g| g.kind.is_combinational()).map(|g| g.id).collect();
-        let by_class = counting_sort(&comb, GateKind::ALL.len() * stride, |id| class[id.index()]);
-        let schedule =
-            counting_sort(&by_class, levels.by_level().len(), |id| levels.level(id) as usize);
+        Ok(Self::from_schedule(Schedule::new(netlist)?))
+    }
 
-        let mut runs: Vec<Run> = Vec::new();
-        let mut targets = Vec::with_capacity(schedule.len());
-        let mut fanins = Vec::with_capacity(netlist.fanin_arena().len());
-        for run in schedule.chunk_by(|&a, &b| {
-            levels.level(a) == levels.level(b) && class[a.index()] == class[b.index()]
-        }) {
-            let first = netlist.gate(run[0]);
-            runs.push(Run {
-                kind: first.kind,
-                arity: first.fanin_count() as u32,
-                gates: run.len() as u32,
-            });
-            for &id in run {
-                targets.push(id.0);
-                fanins.extend(netlist.fanin(id).iter().map(|f| f.0));
-            }
+    /// [`Self::new`] over levels the caller already computed with
+    /// [`levelize`], so a caller that needs them too levelizes once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnsupportedGate`] for LUT gates, like
+    /// [`Self::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` does not level one entry per gate of `netlist`.
+    pub fn from_levels(netlist: &'a Netlist, levels: &Levels) -> Result<Self, NetlistError> {
+        assert_eq!(
+            levels.topological().len(),
+            netlist.gate_count(),
+            "levels of another netlist passed to BitSim::from_levels"
+        );
+        netlist.check_simulable()?;
+        Ok(Self::from_schedule(Schedule::compile(netlist, levels)))
+    }
+
+    fn from_schedule(schedule: Schedule<'a>) -> Self {
+        let netlist = schedule.netlist;
+        Self {
+            schedule,
+            words: vec![[0]; netlist.gate_count()],
+            state: vec![[0]; netlist.flip_flop_count()],
         }
-        let d_inputs = netlist.flip_flops().iter().map(|&ff| netlist.fanin(ff)[0]).collect();
-        let consts = netlist.const_gates().map(|(id, v)| (id, if v { !0 } else { 0 })).collect();
-        Ok(Self {
-            netlist,
-            runs,
-            targets,
-            fanins,
-            words: vec![0; netlist.gate_count()],
-            state: vec![0; netlist.flip_flop_count()],
-            d_inputs,
-            consts,
-        })
+    }
+
+    /// The compiled schedule, for settling wider word buffers.
+    pub(crate) fn schedule(&self) -> &Schedule<'a> {
+        &self.schedule
     }
 
     /// The current packed flip-flop state, in declaration order.
     #[must_use]
     pub fn state(&self) -> &[u64] {
-        &self.state
+        self.state.as_flattened()
     }
 
     /// Overrides the packed flip-flop state.
@@ -161,13 +244,13 @@ impl<'a> BitSim<'a> {
     /// Panics if `state` does not have one word per flip-flop.
     pub fn set_state(&mut self, state: &[u64]) {
         assert_eq!(state.len(), self.state.len(), "state vector must have one word per flip-flop");
-        self.state.copy_from_slice(state);
+        self.state.as_flattened_mut().copy_from_slice(state);
     }
 
     /// Packed value of one signal after the most recent evaluation.
     #[must_use]
     pub fn value(&self, id: GateId) -> u64 {
-        self.words[id.index()]
+        self.words[id.index()][0]
     }
 
     /// Packed next state of flip-flop `slot` (declaration order) after the
@@ -178,7 +261,7 @@ impl<'a> BitSim<'a> {
     /// Panics if `slot` is not below the flip-flop count.
     #[must_use]
     pub fn next_state(&self, slot: usize) -> u64 {
-        self.words[self.d_inputs[slot].index()]
+        self.value(self.schedule.d_inputs[slot])
     }
 
     /// Settles one clock cycle over 64 packed patterns in place: `inputs`
@@ -193,36 +276,22 @@ impl<'a> BitSim<'a> {
     /// Returns [`NetlistError::UndefinedSignal`] if `inputs` is shorter than
     /// the primary-input count (extra entries are ignored).
     pub fn settle(&mut self, inputs: &[u64]) -> Result<(), NetlistError> {
-        let pis = self.netlist.primary_inputs();
+        let netlist = self.schedule.netlist;
+        let pis = netlist.primary_inputs();
         if inputs.len() < pis.len() {
             return Err(NetlistError::UndefinedSignal {
-                name: self.netlist.gate(pis[inputs.len()]).name.clone(),
+                name: netlist.gate(pis[inputs.len()]).name.clone(),
                 referenced_by: "bit-parallel input vector".to_string(),
             });
         }
-        for (&pi, &word) in pis.iter().zip(inputs) {
-            self.words[pi.index()] = word;
-        }
-        for (&ff, &word) in self.netlist.flip_flops().iter().zip(&self.state) {
-            self.words[ff.index()] = word;
-        }
-        for &(id, word) in &self.consts {
-            self.words[id.index()] = word;
-        }
-        let (mut targets, mut fanins) = (self.targets.as_slice(), self.fanins.as_slice());
-        for run in &self.runs {
-            let (run_targets, rest) = targets.split_at(run.gates as usize);
-            let (run_fanins, rest_fanins) = fanins.split_at(run_targets.len() * run.arity as usize);
-            eval_run(run, run_targets, run_fanins, &mut self.words);
-            (targets, fanins) = (rest, rest_fanins);
-        }
+        self.schedule.settle(inputs.as_chunks::<1>().0, &self.state, &mut self.words);
         Ok(())
     }
 
     /// Advances the packed flip-flop state to the next state of the most
     /// recent evaluation.
     pub fn latch(&mut self) {
-        for (slot, &d) in self.state.iter_mut().zip(&self.d_inputs) {
+        for (slot, &d) in self.state.iter_mut().zip(&self.schedule.d_inputs) {
             *slot = self.words[d.index()];
         }
     }
@@ -236,8 +305,9 @@ impl<'a> BitSim<'a> {
     /// Same as [`Self::settle`].
     pub fn evaluate(&mut self, inputs: &[u64]) -> Result<BitCycleResult, NetlistError> {
         self.settle(inputs)?;
-        let outputs = self.netlist.primary_outputs().iter().map(|&po| self.value(po)).collect();
-        let next_state = self.d_inputs.iter().map(|&d| self.value(d)).collect();
+        let outputs =
+            self.schedule.netlist.primary_outputs().iter().map(|&po| self.value(po)).collect();
+        let next_state = self.schedule.d_inputs.iter().map(|&d| self.value(d)).collect();
         Ok(BitCycleResult { outputs, next_state })
     }
 
@@ -271,10 +341,10 @@ fn counting_sort(ids: &[GateId], buckets: usize, key: impl Fn(GateId) -> usize) 
     sorted
 }
 
-/// Evaluates one run: dispatches once on its kind and arity, then applies
-/// one kernel to every gate of the run.  Buffers and inverters are the
-/// 1-input AND and NAND.
-fn eval_run(run: &Run, targets: &[u32], fanins: &[u32], words: &mut [u64]) {
+/// Evaluates one run over `R` words per signal: dispatches once on its
+/// kind and arity, then applies one kernel to every gate of the run.
+/// Buffers and inverters are the 1-input AND and NAND.
+fn eval_run<const R: usize>(run: &Run, targets: &[u32], fanins: &[u32], words: &mut [[u64; R]]) {
     let arity = run.arity as usize;
     match run.kind {
         GateKind::Buf | GateKind::And => fold_run(arity, targets, fanins, words, u64::bitand, 0),
@@ -290,37 +360,45 @@ fn eval_run(run: &Run, targets: &[u32], fanins: &[u32], words: &mut [u64]) {
     }
 }
 
+/// `acc = op(acc, word)`, lane by lane.
+fn fold_into<const R: usize, F: Fn(u64, u64) -> u64>(acc: &mut [u64; R], word: &[u64; R], op: &F) {
+    for (a, &w) in acc.iter_mut().zip(word) {
+        *a = op(*a, w);
+    }
+}
+
 /// Folds `op` over each gate's fan-in words and XORs the result with
 /// `invert` (`!0` for the inverting kinds).
-fn fold_run<F: Fn(u64, u64) -> u64>(
+fn fold_run<const R: usize, F: Fn(u64, u64) -> u64>(
     arity: usize,
     targets: &[u32],
     fanins: &[u32],
-    words: &mut [u64],
+    words: &mut [[u64; R]],
     op: F,
     invert: u64,
 ) {
     match arity {
-        1 => fold_fixed::<1, _>(targets, fanins, words, op, invert),
-        2 => fold_fixed::<2, _>(targets, fanins, words, op, invert),
-        3 => fold_fixed::<3, _>(targets, fanins, words, op, invert),
-        4 => fold_fixed::<4, _>(targets, fanins, words, op, invert),
+        1 => fold_fixed::<1, R, _>(targets, fanins, words, op, invert),
+        2 => fold_fixed::<2, R, _>(targets, fanins, words, op, invert),
+        3 => fold_fixed::<3, R, _>(targets, fanins, words, op, invert),
+        4 => fold_fixed::<4, R, _>(targets, fanins, words, op, invert),
         _ => {
             for (&target, ins) in targets.iter().zip(fanins.chunks_exact(arity)) {
-                let acc = ins[1..]
-                    .iter()
-                    .fold(words[ins[0] as usize], |acc, &f| op(acc, words[f as usize]));
-                words[target as usize] = acc ^ invert;
+                let mut acc = words[ins[0] as usize];
+                for &f in &ins[1..] {
+                    fold_into(&mut acc, &words[f as usize], &op);
+                }
+                words[target as usize] = acc.map(|a| a ^ invert);
             }
         }
     }
 }
 
 /// [`fold_run`] for a fan-in count known at compile time.
-fn fold_fixed<const K: usize, F: Fn(u64, u64) -> u64>(
+fn fold_fixed<const K: usize, const R: usize, F: Fn(u64, u64) -> u64>(
     targets: &[u32],
     fanins: &[u32],
-    words: &mut [u64],
+    words: &mut [[u64; R]],
     op: F,
     invert: u64,
 ) {
@@ -328,18 +406,18 @@ fn fold_fixed<const K: usize, F: Fn(u64, u64) -> u64>(
     for (&target, ins) in targets.iter().zip(gates) {
         let mut acc = words[ins[0] as usize];
         for &f in &ins[1..] {
-            acc = op(acc, words[f as usize]);
+            fold_into(&mut acc, &words[f as usize], &op);
         }
-        words[target as usize] = acc ^ invert;
+        words[target as usize] = acc.map(|a| a ^ invert);
     }
 }
 
 /// Multiplexers, fan-in order (select, a, b): select chooses `b` when high.
-fn mux_run(targets: &[u32], fanins: &[u32], words: &mut [u64]) {
+fn mux_run<const R: usize>(targets: &[u32], fanins: &[u32], words: &mut [[u64; R]]) {
     let (gates, _) = fanins.as_chunks::<3>();
     for (&target, &[select, a, b]) in targets.iter().zip(gates) {
-        let select = words[select as usize];
-        words[target as usize] = (select & words[b as usize]) | (!select & words[a as usize]);
+        let (select, a, b) = (words[select as usize], words[a as usize], words[b as usize]);
+        words[target as usize] = std::array::from_fn(|l| (select[l] & b[l]) | (!select[l] & a[l]));
     }
 }
 
@@ -350,13 +428,14 @@ mod tests {
     use crate::parser::parse_bench;
     use crate::sim::Simulator;
     use crate::suite::BenchmarkSuite;
+    use rand::{RngCore, SeedableRng, StdRng};
 
     /// Walks the compiled schedule of `nl` and asserts its structure: every
     /// combinational gate is scheduled exactly once with its own fan-ins,
     /// each run is one (level, kind, fan-in count) and the only run of that
     /// key, and levels never decrease.  Returns the run count.
     fn checked_run_count(nl: &Netlist) -> usize {
-        let sim = BitSim::new(nl).unwrap();
+        let sim = Schedule::new(nl).unwrap();
         let levels = levelize(nl).unwrap();
         let mut scheduled = vec![0_usize; nl.gate_count()];
         let mut keys = std::collections::HashSet::new();
@@ -410,6 +489,41 @@ mod tests {
         for (nl, pinned) in [(&chain, 3), (&s27, 9), (&b15, 787)] {
             let runs = checked_run_count(nl);
             assert_eq!(runs, pinned, "{}: got {runs} runs, pinned {pinned}", nl.name());
+        }
+    }
+
+    #[test]
+    fn wide_words_settle_each_word_like_a_bitsim() {
+        // Every kernel: a wide XNOR, a multiplexer, a constant, a NOR and a
+        // flip-flop, besides s27's fixed-arity gates.
+        let mut b = NetlistBuilder::new("kernels");
+        let x: Vec<GateId> = (0..5).map(|i| b.add_input(format!("x{i}"))).collect();
+        let one = b.add_gate("one", GateKind::Const1, vec![]).unwrap();
+        let wide = b.add_gate("wide", GateKind::Xnor, x.clone()).unwrap();
+        let m = b.add_gate("m", GateKind::Mux, vec![x[0], wide, one]).unwrap();
+        let q = b.add_gate("q", GateKind::Dff, vec![m]).unwrap();
+        let o = b.add_gate("o", GateKind::Nor, vec![q, x[4], wide]).unwrap();
+        b.mark_output(o);
+        let kernels = b.finish().unwrap();
+        let s27 = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        for nl in [&kernels, &s27] {
+            let mut random = |count: usize| -> Vec<[u64; 8]> {
+                (0..count).map(|_| std::array::from_fn(|_| rng.next_u64())).collect()
+            };
+            let inputs = random(nl.primary_inputs().len());
+            let state = random(nl.flip_flop_count());
+            let mut words = vec![[0_u64; 8]; nl.gate_count()];
+            Schedule::new(nl).unwrap().settle(&inputs, &state, &mut words);
+            for k in 0..8 {
+                let word_k = |words: &[[u64; 8]]| words.iter().map(|w| w[k]).collect::<Vec<_>>();
+                let mut sim = BitSim::new(nl).unwrap();
+                sim.set_state(&word_k(&state));
+                sim.settle(&word_k(&inputs)).unwrap();
+                for id in nl.ids() {
+                    assert_eq!(words[id.index()][k], sim.value(id), "{} word {k}", nl.name());
+                }
+            }
         }
     }
 

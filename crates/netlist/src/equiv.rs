@@ -5,10 +5,11 @@
 //! streams of seeded random input patterns — the common-random-numbers
 //! discipline the scenario campaigns use — and compares every primary output
 //! and every flip-flop's next state on every cycle.  Each round packs 64
-//! patterns per cycle through [`crate::bitsim::BitSim`], so a default
-//! configuration checks thousands of vectors in a handful of word-parallel
-//! passes.  Sequential behaviour is covered by running several consecutive
-//! cycles per round from the all-zero reset state.
+//! patterns per cycle into a word, and eight rounds settle together through
+//! the compiled [`crate::bitsim::BitSim`] schedule, so a default
+//! configuration checks thousands of vectors in eight word-parallel passes
+//! per design.  Sequential behaviour is covered by running several
+//! consecutive cycles per round from the all-zero reset state.
 //!
 //! Random simulation is a refutation procedure, not a proof: a passing
 //! report means no counterexample was found among `vectors()` seeded
@@ -20,7 +21,7 @@
 
 use rand::{RngCore, SeedableRng, StdRng};
 
-use crate::bitsim::{lane, BitSim};
+use crate::bitsim::{lane, BitSim, Schedule};
 use crate::error::NetlistError;
 use crate::gate::GateId;
 use crate::netlist::Netlist;
@@ -208,6 +209,16 @@ fn map_interface(left: &Netlist, right: &Netlist) -> Result<InterfaceMap, Netlis
     })
 }
 
+/// Rounds settled together: each round is one `u64` of a word, so a pass
+/// over the schedule settles this many rounds of one cycle at once.
+const BLOCK: usize = 8;
+
+/// The input stream of one round: the word for input `i` at cycle `c` is
+/// draw number `c * inputs + i`.
+fn round_stream(seed: u64, round: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (round as u64).wrapping_mul(0x9E37))
+}
+
 /// Checks `left` against `right` with seeded random vectors.
 ///
 /// The two designs must expose the same interface by name: identical sets of
@@ -227,81 +238,131 @@ pub fn check_equivalence(
     config: &EquivConfig,
 ) -> Result<EquivReport, NetlistError> {
     let map = map_interface(left, right)?;
-    let mut sim_l = BitSim::new(left)?;
-    let mut sim_r = BitSim::new(right)?;
-    let pi_count = left.primary_inputs().len();
-    let zero_state_l = vec![0_u64; left.flip_flop_count()];
-    let zero_state_r = vec![0_u64; right.flip_flop_count()];
+    compare(&Schedule::new(left)?, right, &map, config)
+}
 
+/// [`check_equivalence`] with the left design already compiled, for a
+/// caller that keeps its levels (see [`BitSim::from_levels`]).  Only the
+/// compiled schedule is read; the simulator's own state is left alone.
+///
+/// # Errors
+///
+/// Same as [`check_equivalence`].
+pub fn check_equivalence_compiled(
+    left: &BitSim<'_>,
+    right: &Netlist,
+    config: &EquivConfig,
+) -> Result<EquivReport, NetlistError> {
+    let schedule = left.schedule();
+    let map = map_interface(schedule.netlist, right)?;
+    compare(schedule, right, &map, config)
+}
+
+/// The comparison behind both entry points.
+///
+/// Rounds are settled [`BLOCK`] at a time, round `k` of a block in word
+/// `k` of every signal, each from its own stream.  Both designs share one
+/// word buffer: per cycle the left design settles, its outputs are kept and
+/// its state latched, then the right design settles over the same words.
+///
+/// The reported mismatch is the least (round, cycle, signal, lane), the
+/// one a round-by-round check meets first.  Within a block a later round
+/// may fail at an earlier cycle, so a mismatch only bounds the rounds that
+/// can still beat it: those below its own, which run on to the block's last
+/// cycle.
+fn compare(
+    left: &Schedule<'_>,
+    right: &Netlist,
+    map: &InterfaceMap,
+    config: &EquivConfig,
+) -> Result<EquivReport, NetlistError> {
+    let right_schedule = Schedule::new(right)?;
+    let left_nl = left.netlist;
+    let left_outputs = left_nl.primary_outputs();
     let right_outputs: Vec<GateId> =
         map.outputs.iter().map(|&slot| right.primary_outputs()[slot]).collect();
+    let right_next: Vec<GateId> =
+        map.flip_flops.iter().map(|&slot| right_schedule.d_inputs[slot]).collect();
 
-    let mut words_l = vec![0_u64; pi_count];
-    let mut words_r = vec![0_u64; pi_count];
-    let mut vectors = 0_u64;
+    let zero = [0_u64; BLOCK];
+    let mut words = vec![zero; left_nl.gate_count().max(right.gate_count())];
+    let mut inputs_l = vec![zero; left_nl.primary_inputs().len()];
+    let mut inputs_r = vec![zero; inputs_l.len()];
+    let mut state_l = vec![zero; left_nl.flip_flop_count()];
+    let mut state_r = vec![zero; right.flip_flop_count()];
+    let mut outputs_l = vec![zero; left_outputs.len()];
+    let report = |vectors, counterexample| EquivReport {
+        left: left_nl.name().to_string(),
+        right: right.name().to_string(),
+        vectors,
+        counterexample,
+    };
 
     // Zero rounds/cycles are honoured literally (an empty check reports zero
     // vectors and no counterexample), keeping `vectors` == `config.vectors()`.
-    for round in 0..config.rounds {
-        // One deterministic stream per round: the word for input i at cycle c
-        // is draw number `c * pi_count + i`.
-        let mut rng = StdRng::seed_from_u64(config.seed ^ (round as u64).wrapping_mul(0x9E37));
-        sim_l.set_state(&zero_state_l);
-        sim_r.set_state(&zero_state_r);
+    for first in (0..config.rounds).step_by(BLOCK) {
+        let mut streams: Vec<StdRng> = (first..config.rounds.min(first + BLOCK))
+            .map(|r| round_stream(config.seed, r))
+            .collect();
+        state_l.fill(zero);
+        state_r.fill(zero);
+        // Rounds `first..first + live` can still beat the best mismatch.
+        let mut live = streams.len();
+        let mut found: Option<Counterexample> = None;
         for cycle in 0..config.cycles_per_round {
-            for (i, word) in words_l.iter_mut().enumerate() {
-                *word = rng.next_u64();
-                words_r[map.inputs[i]] = *word;
+            for (k, stream) in streams[..live].iter_mut().enumerate() {
+                for (i, word) in inputs_l.iter_mut().enumerate() {
+                    word[k] = stream.next_u64();
+                    inputs_r[map.inputs[i]][k] = word[k];
+                }
             }
-            sim_l.settle(&words_l)?;
-            sim_r.settle(&words_r)?;
-            vectors += 64;
+            left.settle(&inputs_l, &state_l, &mut words);
+            for (kept, &po) in outputs_l.iter_mut().zip(left_outputs) {
+                *kept = words[po.index()];
+            }
+            for (state, &d) in state_l.iter_mut().zip(&left.d_inputs) {
+                *state = words[d.index()];
+            }
+            right_schedule.settle(&inputs_r, &state_r, &mut words);
 
-            // Read both designs in place: outputs, then next state.
-            let outputs = left
-                .primary_outputs()
-                .iter()
-                .zip(&right_outputs)
-                .map(|(&l, &r)| (sim_l.value(l) ^ sim_r.value(r), l));
-            let next_state = left
-                .flip_flops()
-                .iter()
-                .zip(&map.flip_flops)
-                .enumerate()
-                .map(|(i, (&ff, &slot))| (sim_l.next_state(i) ^ sim_r.next_state(slot), ff));
-            let mismatch = outputs.chain(next_state).find(|(diff, _)| *diff != 0);
-            if let Some((diff, signal)) = mismatch {
-                let bad_lane = diff.trailing_zeros();
-                let inputs = left
-                    .primary_inputs()
-                    .iter()
-                    .zip(&words_l)
-                    .map(|(&pi, &word)| (left.gate(pi).name.clone(), lane(word, bad_lane)))
-                    .collect();
-                return Ok(EquivReport {
-                    left: left.name().to_string(),
-                    right: right.name().to_string(),
-                    vectors,
-                    counterexample: Some(Counterexample {
-                        round,
-                        cycle,
-                        lane: bad_lane,
-                        signal: left.gate(signal).name.clone(),
-                        inputs,
-                    }),
-                });
+            // Outputs, then next state: the first signal of the least
+            // round that differs.
+            let diffs = (outputs_l.iter().zip(&right_outputs).zip(left_outputs))
+                .chain(state_l.iter().zip(&right_next).zip(left_nl.flip_flops()));
+            let mut hit = None;
+            for ((kept, &r), &signal) in diffs {
+                let right_word = &words[r.index()];
+                if let Some(k) = (0..live).find(|&k| kept[k] != right_word[k]) {
+                    hit = Some((k, signal, kept[k] ^ right_word[k]));
+                    live = k;
+                }
             }
-            sim_l.latch();
-            sim_r.latch();
+            if let Some((k, signal, diff)) = hit {
+                let lane_index = diff.trailing_zeros();
+                let inputs = (left_nl.primary_inputs().iter().zip(&inputs_l))
+                    .map(|(&pi, word)| (left_nl.gate(pi).name.clone(), lane(word[k], lane_index)))
+                    .collect();
+                found = Some(Counterexample {
+                    round: first + k,
+                    cycle,
+                    lane: lane_index,
+                    signal: left_nl.gate(signal).name.clone(),
+                    inputs,
+                });
+                if live == 0 {
+                    break;
+                }
+            }
+            for (state, &d) in state_r.iter_mut().zip(&right_schedule.d_inputs) {
+                *state = words[d.index()];
+            }
+        }
+        if let Some(cex) = found {
+            let checked = cex.round * config.cycles_per_round + cex.cycle + 1;
+            return Ok(report(64 * checked as u64, Some(cex)));
         }
     }
-
-    Ok(EquivReport {
-        left: left.name().to_string(),
-        right: right.name().to_string(),
-        vectors,
-        counterexample: None,
-    })
+    Ok(report(config.vectors(), None))
 }
 
 #[cfg(test)]
