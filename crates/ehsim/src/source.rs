@@ -21,6 +21,7 @@
 //! once skips the run's remaining queries in O(1), without any replay
 //! bookkeeping.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::capacitor::quantise;
@@ -506,8 +507,87 @@ impl HarvestSource for RfidSource {
     }
 }
 
+/// Ticks at or past this index are never memoised in a [`SunCurve`]: their
+/// sun factor is computed where it is needed.  A full curve is 8 MiB.
+const SUN_MEMO_CAP: u64 = 1 << 20;
+
+/// The `(day_length, dt)` pairs whose curves one thread keeps, most
+/// recently used first.
+const SUN_CURVES: usize = 4;
+
+/// The sun factor of every tick `j < suns.len()` on one `(day_length, dt)`
+/// grid: exactly `SolarSource::sun(split_cycles(j as f64 * dt / day).1)`,
+/// the expression a daylight tick would evaluate.  A campaign's solar
+/// lanes share a step and, per source, a day length, so a bank's lanes
+/// read one curve instead of each evaluating the same sines.
+struct SunCurve {
+    day: f64,
+    dt: f64,
+    suns: Vec<f64>,
+}
+
+thread_local! {
+    /// This thread's sun curves, most recently used first.
+    static SUN_MEMO: RefCell<Vec<SunCurve>> = const { RefCell::new(Vec::new()) };
+}
+
+impl SunCurve {
+    /// The sun factor of tick `j`, computed.
+    fn compute(day: f64, dt: f64, j: u64) -> f64 {
+        SolarSource::sun(split_cycles(j as f64 * dt / day).1)
+    }
+
+    /// The sun factor of tick `j` of a run limited to `end`.
+    #[inline]
+    fn at(&mut self, j: u64, end: u64) -> f64 {
+        if j < self.suns.len() as u64 {
+            self.suns[j as usize]
+        } else {
+            self.grow(j, end)
+        }
+    }
+
+    /// Extends the curve past tick `j` — geometrically, but never past the
+    /// run's `end` or the cap — and returns tick `j`'s factor.  Ticks past
+    /// the cap are computed without being kept.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, j: u64, end: u64) -> f64 {
+        let (day, dt) = (self.day, self.dt);
+        if j >= SUN_MEMO_CAP {
+            return Self::compute(day, dt, j);
+        }
+        let len = self.suns.len() as u64;
+        let target = (2 * len).max(1024).min(end).min(SUN_MEMO_CAP).max(j + 1);
+        self.suns.extend((len..target).map(|k| Self::compute(day, dt, k)));
+        self.suns[j as usize]
+    }
+
+    /// Runs `f` on this thread's curve of `(day, dt)`, making it the most
+    /// recently used; a new pair evicts the least recently used curve
+    /// once [`SUN_CURVES`] are kept.
+    fn with<R>(day: f64, dt: f64, f: impl FnOnce(&mut SunCurve) -> R) -> R {
+        SUN_MEMO.with_borrow_mut(|curves| {
+            let key = (day.to_bits(), dt.to_bits());
+            match curves.iter().position(|c| (c.day.to_bits(), c.dt.to_bits()) == key) {
+                Some(at) => curves[..=at].rotate_right(1),
+                None => {
+                    curves.truncate(SUN_CURVES - 1);
+                    curves.insert(0, SunCurve { day, dt, suns: Vec::new() });
+                }
+            }
+            f(&mut curves[0])
+        })
+    }
+}
+
 /// A slow solar-like source: a raised sinusoid over a configurable "day",
 /// with multiplicative cloud noise.
+///
+/// [`HarvestSource::power_at`] evaluates the sine of its instant;
+/// [`HarvestSource::run`] reads the sun factor of each tick from a
+/// per-thread memo of the tick grid's curve, whose every entry is that same
+/// expression.  So every batch-versus-scalar check also checks the memo.
 #[derive(Debug, Clone)]
 pub struct SolarSource {
     peak: Power,
@@ -535,8 +615,15 @@ impl SolarSource {
     }
 
     /// The clamped sine factor at a day phase: daylight between phase 0.25
-    /// and 0.75, exactly `0.0` at night.
+    /// and 0.75, exactly `0.0` at night.  A phase in `[0, 0.24)` or
+    /// `(0.76, 1)` puts the sine's argument in `[-π/2, -0.02π]` or
+    /// `(1.02π, 1.5π)`, where the sine is negative and clamps to `0.0`, so
+    /// those phases skip it; phases outside `[0, 1)` (a negative instant)
+    /// take the exact expression.
     fn sun(phase: f64) -> f64 {
+        if (0.0..0.24).contains(&phase) || (phase > 0.76 && phase < 1.0) {
+            return 0.0;
+        }
         (std::f64::consts::PI * (phase * 2.0 - 0.5)).sin().max(0.0)
     }
 
@@ -591,45 +678,48 @@ impl HarvestSource for SolarSource {
     /// the next one after sunset), and its last tick is re-checked with the
     /// exact `power_at` sine expression — the dark phases of a day are one
     /// contiguous interval across the day wrap, so a dark last tick proves
-    /// the window.
+    /// the window.  Each tick's sun factor comes from this thread's memo of
+    /// the `(day_length, dt)` curve ([`SunCurve`]).
     fn run(&mut self, tick: u64, dt: Seconds, end: u64, budget: EnergyFx) -> Run {
         if self.day_length.is_non_positive() {
             // Degenerate day: `power_at` early-returns zero, no state.
             return Run::uniform(EnergyFx::ZERO, tick, u64::MAX);
         }
         let (dt_s, day) = (dt.as_seconds(), self.day_length.as_seconds());
-        let first = if self.spare.0 == tick && self.spare.1 == dt_s.to_bits() {
-            EnergyFx::from_attojoules(self.spare.2)
-        } else {
-            let t0 = tick as f64 * dt_s;
-            let (cycle, phase0) = split_cycles(t0 / day);
-            let sun = Self::sun(phase0);
-            if sun == 0.0 {
-                let until = Self::night_end(tick, dt_s, day, cycle, phase0);
-                return Run::uniform(EnergyFx::ZERO, tick, until);
+        SunCurve::with(day, dt_s, |suns| {
+            let first = if self.spare.0 == tick && self.spare.1 == dt_s.to_bits() {
+                EnergyFx::from_attojoules(self.spare.2)
+            } else {
+                let t0 = tick as f64 * dt_s;
+                let sun = suns.at(tick, end);
+                if sun == 0.0 {
+                    let (cycle, phase0) = split_cycles(t0 / day);
+                    let until = Self::night_end(tick, dt_s, day, cycle, phase0);
+                    return Run::uniform(EnergyFx::ZERO, tick, until);
+                }
+                quantise(self.daylight(t0, sun), dt)
+            };
+            let (budget, mut total, mut until) =
+                (budget.attojoules(), first.attojoules(), tick + 1);
+            // A first offer past the budget admits no second tick to sample.
+            while until < end && total <= budget {
+                let sun = suns.at(until, end);
+                if sun == 0.0 {
+                    break;
+                }
+                let offer = quantise(self.daylight(until as f64 * dt_s, sun), dt).attojoules();
+                if total + offer > budget {
+                    self.spare = (until, dt_s.to_bits(), offer);
+                    break;
+                }
+                total += offer;
+                until += 1;
             }
-            quantise(self.daylight(t0, sun), dt)
-        };
-        let (budget, mut total, mut until) = (budget.attojoules(), first.attojoules(), tick + 1);
-        // A first offer past the budget admits no second tick to sample.
-        while until < end && total <= budget {
-            let t = until as f64 * dt_s;
-            let sun = Self::sun(split_cycles(t / day).1);
-            if sun == 0.0 {
-                break;
+            if until == tick + 1 {
+                return Run::uniform(first, tick, until);
             }
-            let offer = quantise(self.daylight(t, sun), dt).attojoules();
-            if total + offer > budget {
-                self.spare = (until, dt_s.to_bits(), offer);
-                break;
-            }
-            total += offer;
-            until += 1;
-        }
-        if until == tick + 1 {
-            return Run::uniform(first, tick, until);
-        }
-        Run { first, until, total: EnergyFx::from_attojoules(total), uniform: false }
+            Run { first, until, total: EnergyFx::from_attojoules(total), uniform: false }
+        })
     }
 }
 
@@ -1236,6 +1326,137 @@ mod tests {
             let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(day), 0.4, 1);
             assert_eq!(check_run_contract(make, 100, 0.5, always).ends, vec![u64::MAX]);
         }
+    }
+
+    /// The sun factor without the night guard.
+    fn unguarded_sun(phase: f64) -> f64 {
+        (std::f64::consts::PI * (phase * 2.0 - 0.5)).sin().max(0.0)
+    }
+
+    /// The night guard skips only sines that clamp to `0.0`: phases swept
+    /// ulp by ulp and in fine steps around both guard edges and the
+    /// sunrise and sunset phases, and samples far out on the tick grid,
+    /// have the unguarded expression's bits.
+    #[test]
+    fn the_night_guard_is_bit_identical_to_the_sine() {
+        let mut phases: Vec<f64> = Vec::new();
+        for centre in [0.0_f64, 0.24, 0.25, 0.75, 0.76, 1.0] {
+            let (mut down, mut up) = (centre, centre);
+            for _ in 0..2_000 {
+                (down, up) = (down.next_down(), up.next_up());
+                phases.extend([down, up]);
+            }
+            phases.extend((-2_000..=2_000).map(|k| centre + f64::from(k) * 1e-6));
+        }
+        phases.extend((0..=10_000).map(|k| f64::from(k) / 10_000.0));
+        phases.extend([-0.5, -0.75, -0.25, -0.0, f64::NAN, f64::INFINITY]);
+        for phase in phases {
+            let (guarded, exact) = (SolarSource::sun(phase), unguarded_sun(phase));
+            assert_eq!(guarded.to_bits(), exact.to_bits(), "phase {phase:e}");
+        }
+        // `power_at` far out on two tick grids, against the unguarded sample.
+        for (day, dt) in [(1000.0, 0.5), (2000.0, 0.25), (777.7, 0.1)] {
+            let mut source =
+                SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(day), 0.4, 9);
+            for start in [0_u64, 1 << 20, 1 << 33, 1 << 45] {
+                for j in (start..start + 40_000).step_by(7) {
+                    let t = j as f64 * dt;
+                    let sun = unguarded_sun(split_cycles(t / day).1);
+                    let exact = if sun == 0.0 { Power::ZERO } else { source.daylight(t, sun) };
+                    let sample = source.power_at(Seconds::new(t));
+                    assert_eq!(sample.value().to_bits(), exact.value().to_bits(), "tick {j}");
+                }
+            }
+        }
+    }
+
+    /// Walks `from..to` with `run` queries of varied limits, checking each
+    /// run's first offer and total against per-tick `power_at` samples of a
+    /// fresh source.  Returns the walk's total offer.
+    fn walk_solar(source: &mut SolarSource, from: u64, to: u64, dt: f64, salt: u64) -> EnergyFx {
+        let mut naive = source.clone();
+        let mut offers = |a: u64, b: u64| (a..b).map(|j| offer(&mut naive, j, dt)).sum();
+        let most = quantise(source.peak, Seconds::new(dt)).attojoules().max(1);
+        let budgets = [0, most / 2, most, 3 * most, 40 * most, i128::MAX];
+        let (mut i, mut grand) = (from, EnergyFx::ZERO);
+        for query in 0.. {
+            if i >= to {
+                break;
+            }
+            let r = crate::crng::mix64(query, salt);
+            let end = (i + 1 + r % 300).min(to);
+            let budget = EnergyFx::from_attojoules(budgets[(r >> 8) as usize % budgets.len()]);
+            let run = source.run(i, Seconds::new(dt), end, budget);
+            let span = format!("run {i}..{} (end {end}, dt {dt})", run.until);
+            assert_eq!(run.first, offers(i, i + 1), "first offer of {span}");
+            let last = if run.uniform { run.until.min(end) } else { run.until };
+            assert!(run.uniform || run.until <= end, "{span}");
+            let total = if run.uniform { run.first * i128::from(last - i) } else { run.total };
+            assert_eq!(total, offers(i, last), "total of {span}");
+            grand += total;
+            i = last;
+        }
+        grand
+    }
+
+    /// Runs that cross the memo's cap take the sines past it directly, and
+    /// agree with `power_at` on both sides.
+    #[test]
+    fn solar_runs_stay_exact_across_the_memo_cap() {
+        let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, 5);
+        // Tick 2^20 of a 0.5 s step sits at phase 0.288: daylight on both
+        // sides of the cap, so daylight runs cross it.
+        let cap = SUN_MEMO_CAP;
+        let run = make().run(cap - 30, Seconds::new(0.5), cap + 300, UNLIMITED);
+        assert!(!run.uniform && run.until == cap + 300, "{run:?}");
+        walk_solar(&mut make(), cap - 200, cap + 2_500, 0.5, 1);
+        walk_solar(&mut make(), cap - 200, cap + 2_500, 0.5, 2);
+        // A run asked for far past the cap keeps the memo within it.
+        SunCurve::with(1000.0, 0.5, |curve| assert!(curve.suns.len() as u64 <= cap));
+    }
+
+    /// One thread alternating two steps and three day lengths — more pairs
+    /// than it keeps curves for — reads each grid's own sun factors.
+    #[test]
+    fn solar_runs_on_alternating_grids_share_no_sun_factors() {
+        let grids = [(1000.0, 0.5), (1000.0, 0.25), (1500.0, 0.5), (1500.0, 0.25), (700.0, 0.5)];
+        let mut sources: Vec<SolarSource> = (0..grids.len() as u64)
+            .map(|seed| {
+                let day = Seconds::new(grids[seed as usize].0);
+                SolarSource::new(Power::from_milliwatts(0.8), day, 0.4, seed)
+            })
+            .collect();
+        for round in 0..12_u64 {
+            for (k, ((_, dt), source)) in grids.iter().zip(&mut sources).enumerate() {
+                let span = (round * 500, round * 500 + 500);
+                walk_solar(source, span.0, span.1, *dt, round * 8 + k as u64);
+            }
+        }
+        SUN_MEMO.with_borrow(|curves| assert_eq!(curves.len(), SUN_CURVES));
+    }
+
+    /// A clone taken mid-walk — a batch lane's fork — continues exactly as
+    /// the original does, budget spare included, and both as a fresh source.
+    #[test]
+    fn solar_clones_continue_like_their_original() {
+        let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, 3);
+        let dt = Seconds::new(0.5);
+        let mut original = make();
+        let budget = quantise(Power::from_milliwatts(1.0), dt);
+        let cut = original.run(1_400, dt, 2_000, budget);
+        assert!(!cut.uniform && cut.until < 1_500, "{cut:?}");
+        let mut fork = original.clone();
+        let mut fresh = make();
+        for (tick, end) in [(cut.until, 1_700), (cut.until, 1_500), (1_500, 3_200), (3_000, 6_000)]
+        {
+            let a = original.run(tick, dt, end, budget);
+            let b = fork.run(tick, dt, end, budget);
+            let c = fresh.run(tick, dt, end, budget);
+            assert_eq!((a, a), (b, c), "tick {tick}, end {end}");
+        }
+        let walks: Vec<EnergyFx> =
+            [original, fork, make()].iter_mut().map(|s| walk_solar(s, 0, 8_000, 0.5, 4)).collect();
+        assert!(walks.windows(2).all(|w| w[0] == w[1]), "{walks:?}");
     }
 
     /// Cloud noise is indexed by the query instant, so solar samples are

@@ -4,9 +4,10 @@
 //! scenario is reduced to one row of scalar metrics ([`metric_values`]).
 //! Memory is `O(runs × metrics)` scalars regardless of how long each
 //! simulated lifetime is.  Summaries are computed once, from the rows, by
-//! [`CampaignSummary::of_rows`]: per metric, a left-to-right Welford fold
-//! for the mean and, in the one [`f64::total_cmp`] order, a scan for min
-//! and max and a selection per quantile.
+//! one core behind [`CampaignSummary::of_rows`] and the campaign's slices:
+//! one pass folds every metric's mean left to right (Welford), then, per
+//! metric and in the one [`f64::total_cmp`] order, a scan finds min and max
+//! and one selection per quantile finds the quantiles.
 
 use std::fmt;
 
@@ -62,13 +63,16 @@ impl MetricRow {
     /// metric summarises to zeros.
     #[must_use]
     pub fn of(name: &str, mut samples: Vec<f64>) -> Self {
-        let mut mean = 0.0;
-        for (count, &value) in (1_u64..).zip(&samples) {
-            mean += (value - mean) / count as f64;
-        }
+        let ([mean], _) = fold_means(samples.iter().map(|&value| [value]));
+        Self::with_mean(name, mean, &mut samples)
+    }
+
+    /// The row of `samples` whose mean is already folded: min, max and the
+    /// quantiles by selection.  Leaves `samples` permuted.
+    fn with_mean(name: &str, mean: f64, samples: &mut [f64]) -> Self {
         let min = samples.iter().copied().min_by(f64::total_cmp).unwrap_or(0.0);
         let max = samples.iter().copied().max_by(f64::total_cmp).unwrap_or(0.0);
-        let [p99, p90, p50] = select_nearest_ranks(&mut samples, [0.99, 0.90, 0.50]);
+        let [p99, p90, p50] = select_nearest_ranks(samples, [0.99, 0.90, 0.50]);
         MetricRow { name: name.to_string(), mean, min, p50, p90, p99, max }
     }
 
@@ -77,6 +81,21 @@ impl MetricRow {
     pub fn values(&self) -> [f64; 6] {
         [self.mean, self.min, self.p50, self.p90, self.p99, self.max]
     }
+}
+
+/// Every column's left-to-right Welford mean of `rows`, in one pass, and
+/// the row count.  Each column keeps its own chain of divisions, so its
+/// mean has the bits of a fold over that column alone; interleaving the
+/// chains only lets them overlap.
+fn fold_means<const N: usize>(rows: impl Iterator<Item = [f64; N]>) -> ([f64; N], usize) {
+    let (mut means, mut count) = ([0.0; N], 0_u64);
+    for row in rows {
+        count += 1;
+        for (mean, value) in means.iter_mut().zip(row) {
+            *mean += (value - *mean) / count as f64;
+        }
+    }
+    (means, count as usize)
 }
 
 /// The nearest-rank quantiles `qs`, given in descending order, of
@@ -132,7 +151,7 @@ impl Aggregator {
     /// The summary of everything recorded so far.
     #[must_use]
     pub fn summary(&self) -> CampaignSummary {
-        CampaignSummary::of_rows(self.rows.iter().copied())
+        CampaignSummary::of_slice(|| self.rows.iter().copied())
     }
 }
 
@@ -146,24 +165,34 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
-    /// Summarises `rows` — one [`metric_values`] row per run, in run order —
-    /// metric by metric with [`MetricRow::of`].
+    /// Summarises `rows` — one [`metric_values`] row per run, in run order.
+    /// Every metric's row has the bits [`MetricRow::of`] gives for its
+    /// column.
     #[must_use]
     pub fn of_rows(rows: impl IntoIterator<Item = [f64; 6]>) -> Self {
-        let mut columns: [Vec<f64>; 6] = Default::default();
-        for row in rows {
-            for (column, value) in columns.iter_mut().zip(row) {
-                column.push(value);
-            }
-        }
-        CampaignSummary {
-            runs: columns[0].len(),
-            rows: METRIC_NAMES
-                .iter()
-                .zip(columns)
-                .map(|(name, c)| MetricRow::of(name, c))
-                .collect(),
-        }
+        let rows: Vec<[f64; 6]> = rows.into_iter().collect();
+        Self::of_slice(|| rows.iter().copied())
+    }
+
+    /// The summarising core: the rows `rows()` yields, in run order.  One
+    /// pass folds the six means; then each metric's column is gathered
+    /// into one scratch column, reused across the metrics, for min, max
+    /// and the quantiles.  `rows` is called for the fold and again for
+    /// each metric, so it must yield the same rows every time.
+    pub(crate) fn of_slice<R: Iterator<Item = [f64; 6]>>(rows: impl Fn() -> R) -> Self {
+        let (means, runs) = fold_means(rows());
+        let mut column = Vec::with_capacity(runs);
+        let metrics = METRIC_NAMES
+            .iter()
+            .zip(means)
+            .enumerate()
+            .map(|(metric, (name, mean))| {
+                column.clear();
+                column.extend(rows().map(|row| row[metric]));
+                MetricRow::with_mean(name, mean, &mut column)
+            })
+            .collect();
+        CampaignSummary { runs, rows: metrics }
     }
 
     /// Looks one metric up by name.

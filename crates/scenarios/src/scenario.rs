@@ -183,6 +183,41 @@ mod tests {
         }
     }
 
+    /// Solar lanes read their sun factors from the worker's memo of each
+    /// `(day_length, dt)` grid.  One bank mixing two day lengths and both
+    /// steps must still reproduce every scalar run, whose `power_at`
+    /// computes each sine.
+    #[test]
+    fn solar_batch_jobs_reproduce_the_scalar_run_at_both_steps() {
+        use isim::batch::BatchExecutor;
+        use tech45::units::Power;
+        let mut space = ScenarioSpace::smoke();
+        space.sources = [(2000.0, 0.3, 3), (700.0, 0.6, 8)]
+            .map(|(day, cloudiness, seed)| SourceSpec::Solar {
+                peak: Power::from_milliwatts(0.8),
+                day_length: Seconds::new(day),
+                cloudiness,
+                seed,
+            })
+            .to_vec();
+        let scenarios = space.scenarios(0xD1AC);
+        let duration = Seconds::new(2600.0);
+        let steps = [Seconds::new(0.5), Seconds::new(0.25)];
+        let mut batch = BatchExecutor::new(3);
+        let mut scratch = SourceScratch::new();
+        for scenario in &scenarios {
+            for dt in steps {
+                batch.enqueue(scenario.batch_job(duration, dt, &mut scratch));
+            }
+        }
+        let batched = batch.run_to_completion();
+        let expected = scenarios.iter().flat_map(|s| steps.map(|dt| (s, dt, s.run(duration, dt))));
+        for ((scenario, dt, scalar), batched) in expected.zip(&batched) {
+            assert_eq!(&scalar, batched, "scenario #{} at dt {dt:?}", scenario.id);
+        }
+        assert!(batched.iter().any(|stats| stats.completed_tasks() > 0), "daylight runs work");
+    }
+
     #[test]
     fn the_safe_zone_rule_follows_the_margin() {
         let space = ScenarioSpace::smoke();

@@ -495,12 +495,15 @@ impl ShardResult {
     }
 
     /// Summarises the rows into a [`CampaignResult`] after verifying they
-    /// cover the whole campaign.  Each row is labelled with its family and
-    /// sizing from its id alone — no scenario or source is built — and
+    /// cover the whole campaign.  Each row is labelled once with its family
+    /// and sizing from its id alone — no scenario or source is built — and
     /// every slice is summarised once, in scenario order: the overall one,
     /// one per family some scenario belongs to (in [`SourceFamily::ALL`]
     /// order, none when the space is empty), and one per distinct sizing
-    /// label (in axis order).
+    /// label (in axis order).  A family or sizing slice is a list of row
+    /// ids, not a copy of its rows.  Per slice, one pass folds the six
+    /// means, then min, max and the quantiles are taken metric by metric on
+    /// one scratch column.
     ///
     /// # Errors
     ///
@@ -533,32 +536,32 @@ impl ShardResult {
                 })
             })
             .collect();
-        // (family, sizing slot, metric values) per row, in scenario order.
-        let rows: Vec<(SourceFamily, usize, [f64; 6])> = self
-            .rows
+        let slot_of_source: Vec<Option<usize>> = space
+            .sources
             .iter()
-            .enumerate()
-            .map(|(id, bits)| {
-                let at = space.coordinates(id);
-                (
-                    space.sources[at.source].family(),
-                    slot_of_sizing[at.sizing],
-                    bits.map(f64::from_bits),
-                )
-            })
+            .map(|source| families.iter().position(|&f| f == source.family()))
             .collect();
-        let slice = |keep: &dyn Fn(SourceFamily, usize) -> bool| {
-            CampaignSummary::of_rows(rows.iter().filter(|r| keep(r.0, r.1)).map(|r| r.2))
-        };
+        // The row ids of each family slice, then of each sizing slice, in
+        // scenario order.
+        let mut slices: Vec<Vec<u32>> = vec![Vec::new(); families.len() + labels.len()];
+        for id in 0..self.rows.len() {
+            let at = space.coordinates(id);
+            let family = slot_of_source[at.source].expect("a space with rows slices its families");
+            let id32 = u32::try_from(id).expect("a campaign's rows are indexed by u32");
+            slices[family].push(id32);
+            slices[families.len() + slot_of_sizing[at.sizing]].push(id32);
+        }
+        let rows = &self.rows;
+        let values = |bits: &[u64; 6]| bits.map(f64::from_bits);
+        let mut summaries = slices.iter().map(|ids| {
+            CampaignSummary::of_slice(|| ids.iter().map(|&id| values(&rows[id as usize])))
+        });
+        let mut next = || summaries.next().expect("one summary per slice");
         Ok(CampaignResult {
             runs: rows.len(),
-            overall: slice(&|_, _| true),
-            by_family: families.into_iter().map(|f| (f, slice(&|family, _| family == f))).collect(),
-            by_sizing: labels
-                .into_iter()
-                .enumerate()
-                .map(|(slot, label)| (label, slice(&|_, s| s == slot)))
-                .collect(),
+            overall: CampaignSummary::of_slice(|| rows.iter().map(values)),
+            by_family: families.iter().map(|&f| (f, next())).collect(),
+            by_sizing: labels.into_iter().map(|label| (label, next())).collect(),
         })
     }
 
@@ -963,5 +966,175 @@ mod tests {
         config.space.sizings = vec![BackupSizing::BaselineBits(64); 2];
         let result = run_with(&ParallelRunner::serial(), &config);
         assert_eq!(result.by_sizing.len(), 1);
+    }
+
+    /// The summary of the earlier `finish`, kept as the oracle: each slice
+    /// filters the rows and summarises every metric's column on its own,
+    /// with a Welford fold and a full `total_cmp` sort.
+    fn reference_finish(rows: &[[u64; 6]], config: &CampaignConfig) -> CampaignResult {
+        let space = &config.space;
+        let labelled: Vec<(SourceFamily, String, [f64; 6])> = rows
+            .iter()
+            .enumerate()
+            .map(|(id, bits)| {
+                let at = space.coordinates(id);
+                let family = space.sources[at.source].family();
+                (family, space.sizings[at.sizing].label(), bits.map(f64::from_bits))
+            })
+            .collect();
+        let slice = |keep: &dyn Fn(SourceFamily, &str) -> bool| {
+            let rows: Vec<[f64; 6]> =
+                labelled.iter().filter(|r| keep(r.0, &r.1)).map(|r| r.2).collect();
+            let rows = crate::aggregate::METRIC_NAMES
+                .iter()
+                .enumerate()
+                .map(|(metric, name)| {
+                    let column: Vec<f64> = rows.iter().map(|row| row[metric]).collect();
+                    reference_row(name, &column)
+                })
+                .collect();
+            CampaignSummary { runs: labelled.iter().filter(|r| keep(r.0, &r.1)).count(), rows }
+        };
+        let families = SourceFamily::ALL
+            .into_iter()
+            .filter(|&f| !space.is_empty() && space.sources.iter().any(|s| s.family() == f));
+        let mut labels: Vec<String> = Vec::new();
+        for label in space.sizings.iter().map(BackupSizing::label) {
+            if !labels.contains(&label) {
+                labels.push(label);
+            }
+        }
+        CampaignResult {
+            runs: rows.len(),
+            overall: slice(&|_, _| true),
+            by_family: families.map(|f| (f, slice(&|family, _| family == f))).collect(),
+            by_sizing: labels
+                .into_iter()
+                .map(|label| {
+                    let summary = slice(&|_, l| l == label);
+                    (label, summary)
+                })
+                .collect(),
+        }
+    }
+
+    /// One metric's row by a left-to-right Welford fold and a full sort.
+    fn reference_row(name: &str, samples: &[f64]) -> crate::aggregate::MetricRow {
+        let mut mean = 0.0;
+        for (count, &value) in (1_u64..).zip(samples) {
+            mean += (value - mean) / count as f64;
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = |q: f64| {
+            let len = sorted.len();
+            let index = ((q * len as f64).ceil() as usize).clamp(1, len.max(1)) - 1;
+            sorted.get(index).copied().unwrap_or(0.0)
+        };
+        crate::aggregate::MetricRow {
+            name: name.to_string(),
+            mean,
+            min: sorted.first().copied().unwrap_or(0.0),
+            p50: rank(0.50),
+            p90: rank(0.90),
+            p99: rank(0.99),
+            max: sorted.last().copied().unwrap_or(0.0),
+        }
+    }
+
+    /// A result as bits, so NaN samples compare too.
+    fn result_bits(result: &CampaignResult) -> Vec<(String, usize, Vec<[u64; 6]>)> {
+        let summary = |label: &str, s: &CampaignSummary| {
+            let rows = s.rows.iter().map(|row| row.values().map(f64::to_bits)).collect();
+            (label.to_string(), s.runs, rows)
+        };
+        let mut bits = vec![summary("overall", &result.overall)];
+        bits.extend(result.by_family.iter().map(|(f, s)| summary(f.label(), s)));
+        bits.extend(result.by_sizing.iter().map(|(l, s)| summary(l, s)));
+        bits.push((String::new(), result.runs, Vec::new()));
+        bits
+    }
+
+    /// `finish` summarises `rows` of `config` to the reference's bits.
+    fn check_summaries(config: &CampaignConfig, rows: Vec<[u64; 6]>) {
+        let reference = result_bits(&reference_finish(&rows, config));
+        let shard = ShardResult { fingerprint: config.fingerprint(), range: 0..rows.len(), rows };
+        let finished = shard.finish(config).expect("full coverage");
+        assert_eq!(result_bits(&finished), reference);
+    }
+
+    /// Rows of `len` runs drawn from `values` (cycled), each metric's
+    /// column rotated to a different offset.
+    fn rows_from(len: usize, values: &[f64]) -> Vec<[u64; 6]> {
+        (0..len)
+            .map(|id| {
+                std::array::from_fn(|metric| {
+                    let pick = ehsim::crng::mix64(id as u64, metric as u64) as usize;
+                    values.get(pick % values.len().max(1)).copied().unwrap_or(0.0).to_bits()
+                })
+            })
+            .collect()
+    }
+
+    /// Small values with ties, both zeros, NaNs of both signs and both
+    /// infinities.
+    fn salted_values() -> Vec<f64> {
+        let mut values: Vec<f64> = (-6..12).map(|x| f64::from(x) / 4.0).collect();
+        values.extend([0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        values
+    }
+
+    #[test]
+    fn summaries_match_the_filter_per_slice_reference() {
+        // The smoke grid's own rows, and salted ones.
+        let config = smoke();
+        let runner = ParallelRunner::serial();
+        let run = run_range_with(&runner, &config, 0..config.space.len(), Execution::Scalar);
+        check_summaries(&config, run.rows);
+        check_summaries(&config, rows_from(config.space.len(), &salted_values()));
+        // The paper grid ×3: every family, two sizings.
+        let mut tripled = paper();
+        tripled.space.replicates = 3;
+        check_summaries(&tripled, rows_from(tripled.space.len(), &salted_values()));
+        // An empty space: no family slices, an empty sizing slice.
+        let mut empty = smoke();
+        empty.space.technologies.clear();
+        check_summaries(&empty, Vec::new());
+        // Two sizings that share a label summarise as one slice holding
+        // both sizings' rows in scenario order.
+        let mut shared = paper();
+        shared.space.sizings = vec![BackupSizing::BaselineBits(64), BackupSizing::BaselineBits(64)];
+        shared.space.replicates = 2;
+        let rows = rows_from(shared.space.len(), &salted_values());
+        let by_sizing = reference_finish(&rows, &shared).by_sizing;
+        assert_eq!(by_sizing.len(), 1);
+        assert_eq!(by_sizing[0].1.runs, rows.len());
+        check_summaries(&shared, rows);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Random rows salted with NaNs and signed zeros over spaces of 1 to
+        /// 3 replicates and one or two sizing labels.
+        #[test]
+        fn summaries_match_the_reference_on_salted_rows(
+            picks in proptest::collection::vec((0_usize..8, -20_i32..20), 0..200),
+            replicates in 1_usize..4,
+            shared_label in 0_usize..2,
+        ) {
+            let specials = [f64::NAN, -f64::NAN, 0.0, -0.0];
+            let values: Vec<f64> = picks
+                .iter()
+                .map(|&(pick, x)| specials.get(pick).copied().unwrap_or(f64::from(x) / 2.0))
+                .collect();
+            let mut config = smoke();
+            config.space.replicates = replicates;
+            config.space.sizings = vec![
+                BackupSizing::BaselineBits(64),
+                BackupSizing::BaselineBits(if shared_label == 1 { 64 } else { 128 }),
+            ];
+            check_summaries(&config, rows_from(config.space.len(), &values));
+        }
     }
 }
