@@ -511,10 +511,6 @@ impl HarvestSource for RfidSource {
 /// sun factor is computed where it is needed.  A full curve is 8 MiB.
 const SUN_MEMO_CAP: u64 = 1 << 20;
 
-/// The `(day_length, dt)` pairs whose curves one thread keeps, most
-/// recently used first.
-const SUN_CURVES: usize = 4;
-
 /// The sun factor of every tick `j < suns.len()` on one `(day_length, dt)`
 /// grid: exactly `SolarSource::sun(split_cycles(j as f64 * dt / day).1)`,
 /// the expression a daylight tick would evaluate.  A campaign's solar
@@ -527,8 +523,9 @@ struct SunCurve {
 }
 
 thread_local! {
-    /// This thread's sun curves, most recently used first.
-    static SUN_MEMO: RefCell<Vec<SunCurve>> = const { RefCell::new(Vec::new()) };
+    /// This thread's sun curve: the grid it last ran solar ticks on.
+    static SUN_MEMO: RefCell<SunCurve> =
+        const { RefCell::new(SunCurve { day: 0.0, dt: 0.0, suns: Vec::new() }) };
 }
 
 impl SunCurve {
@@ -563,20 +560,14 @@ impl SunCurve {
         self.suns[j as usize]
     }
 
-    /// Runs `f` on this thread's curve of `(day, dt)`, making it the most
-    /// recently used; a new pair evicts the least recently used curve
-    /// once [`SUN_CURVES`] are kept.
+    /// Runs `f` on this thread's curve of `(day, dt)`, starting the curve
+    /// afresh when the thread last ran on another grid.
     fn with<R>(day: f64, dt: f64, f: impl FnOnce(&mut SunCurve) -> R) -> R {
-        SUN_MEMO.with_borrow_mut(|curves| {
-            let key = (day.to_bits(), dt.to_bits());
-            match curves.iter().position(|c| (c.day.to_bits(), c.dt.to_bits()) == key) {
-                Some(at) => curves[..=at].rotate_right(1),
-                None => {
-                    curves.truncate(SUN_CURVES - 1);
-                    curves.insert(0, SunCurve { day, dt, suns: Vec::new() });
-                }
+        SUN_MEMO.with_borrow_mut(|curve| {
+            if (curve.day.to_bits(), curve.dt.to_bits()) != (day.to_bits(), dt.to_bits()) {
+                *curve = SunCurve { day, dt, suns: Vec::new() };
             }
-            f(&mut curves[0])
+            f(curve)
         })
     }
 }
@@ -679,7 +670,7 @@ impl HarvestSource for SolarSource {
     /// exact `power_at` sine expression — the dark phases of a day are one
     /// contiguous interval across the day wrap, so a dark last tick proves
     /// the window.  Each tick's sun factor comes from this thread's memo of
-    /// the `(day_length, dt)` curve ([`SunCurve`]).
+    /// the `(day_length, dt)` curve (`SunCurve`).
     fn run(&mut self, tick: u64, dt: Seconds, end: u64, budget: EnergyFx) -> Run {
         if self.day_length.is_non_positive() {
             // Degenerate day: `power_at` early-returns zero, no state.
@@ -1415,8 +1406,8 @@ mod tests {
         SunCurve::with(1000.0, 0.5, |curve| assert!(curve.suns.len() as u64 <= cap));
     }
 
-    /// One thread alternating two steps and three day lengths — more pairs
-    /// than it keeps curves for — reads each grid's own sun factors.
+    /// One thread alternating two steps and three day lengths reads each
+    /// grid's own sun factors.
     #[test]
     fn solar_runs_on_alternating_grids_share_no_sun_factors() {
         let grids = [(1000.0, 0.5), (1000.0, 0.25), (1500.0, 0.5), (1500.0, 0.25), (700.0, 0.5)];
@@ -1432,7 +1423,6 @@ mod tests {
                 walk_solar(source, span.0, span.1, *dt, round * 8 + k as u64);
             }
         }
-        SUN_MEMO.with_borrow(|curves| assert_eq!(curves.len(), SUN_CURVES));
     }
 
     /// A clone taken mid-walk — a batch lane's fork — continues exactly as

@@ -4,7 +4,8 @@
 //! scenario is reduced to one row of scalar metrics ([`metric_values`]).
 //! Memory is `O(runs × metrics)` scalars regardless of how long each
 //! simulated lifetime is.  Summaries are computed once, from the rows, by
-//! one core behind [`CampaignSummary::of_rows`] and the campaign's slices:
+//! one core, [`CampaignSummary::of_rows`], for the whole campaign and each
+//! of its slices:
 //! one pass folds every metric's mean left to right (Welford), then, per
 //! metric and in the one [`f64::total_cmp`] order, a scan finds min and max
 //! and one selection per quantile finds the quantiles.
@@ -151,7 +152,7 @@ impl Aggregator {
     /// The summary of everything recorded so far.
     #[must_use]
     pub fn summary(&self) -> CampaignSummary {
-        CampaignSummary::of_slice(|| self.rows.iter().copied())
+        CampaignSummary::of_rows(self.rows.iter().copied())
     }
 }
 
@@ -167,20 +168,17 @@ pub struct CampaignSummary {
 impl CampaignSummary {
     /// Summarises `rows` — one [`metric_values`] row per run, in run order.
     /// Every metric's row has the bits [`MetricRow::of`] gives for its
-    /// column.
+    /// column.  This is the one summarising core: one pass folds the six
+    /// means; then each metric's column is gathered into one scratch
+    /// column, reused across the metrics, for min, max and the quantiles.
+    /// `rows` is iterated once for the fold and once per metric, through
+    /// clones, so a slice is read in place and never copied.
     #[must_use]
-    pub fn of_rows(rows: impl IntoIterator<Item = [f64; 6]>) -> Self {
-        let rows: Vec<[f64; 6]> = rows.into_iter().collect();
-        Self::of_slice(|| rows.iter().copied())
-    }
-
-    /// The summarising core: the rows `rows()` yields, in run order.  One
-    /// pass folds the six means; then each metric's column is gathered
-    /// into one scratch column, reused across the metrics, for min, max
-    /// and the quantiles.  `rows` is called for the fold and again for
-    /// each metric, so it must yield the same rows every time.
-    pub(crate) fn of_slice<R: Iterator<Item = [f64; 6]>>(rows: impl Fn() -> R) -> Self {
-        let (means, runs) = fold_means(rows());
+    pub fn of_rows<I>(rows: I) -> Self
+    where
+        I: IntoIterator<Item = [f64; 6]> + Clone,
+    {
+        let (means, runs) = fold_means(rows.clone().into_iter());
         let mut column = Vec::with_capacity(runs);
         let metrics = METRIC_NAMES
             .iter()
@@ -188,7 +186,7 @@ impl CampaignSummary {
             .enumerate()
             .map(|(metric, (name, mean))| {
                 column.clear();
-                column.extend(rows().map(|row| row[metric]));
+                column.extend(rows.clone().into_iter().map(|row| row[metric]));
                 MetricRow::with_mean(name, mean, &mut column)
             })
             .collect();

@@ -553,13 +553,13 @@ impl ShardResult {
         }
         let rows = &self.rows;
         let values = |bits: &[u64; 6]| bits.map(f64::from_bits);
-        let mut summaries = slices.iter().map(|ids| {
-            CampaignSummary::of_slice(|| ids.iter().map(|&id| values(&rows[id as usize])))
-        });
+        let mut summaries = slices
+            .iter()
+            .map(|ids| CampaignSummary::of_rows(ids.iter().map(|&id| values(&rows[id as usize]))));
         let mut next = || summaries.next().expect("one summary per slice");
         Ok(CampaignResult {
             runs: rows.len(),
-            overall: CampaignSummary::of_slice(|| rows.iter().map(values)),
+            overall: CampaignSummary::of_rows(rows.iter().map(values)),
             by_family: families.iter().map(|&f| (f, next())).collect(),
             by_sizing: labels.into_iter().map(|label| (label, next())).collect(),
         })
