@@ -21,7 +21,6 @@
 //! once skips the run's remaining queries in O(1), without any replay
 //! bookkeeping.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::capacitor::quantise;
@@ -507,68 +506,39 @@ impl HarvestSource for RfidSource {
     }
 }
 
-/// Ticks at or past this index are never memoised in a [`SunCurve`]: their
-/// sun factor is computed where it is needed.  A full curve is 8 MiB.
-const SUN_MEMO_CAP: u64 = 1 << 20;
+/// Ticks at or past this index are never in a [`SunTable`]: their sun
+/// factor is computed where it is needed.  A full table is 8 MiB.
+const SUN_TABLE_CAP: u64 = 1 << 20;
 
-/// The sun factor of every tick `j < suns.len()` on one `(day_length, dt)`
-/// grid: exactly `SolarSource::sun(split_cycles(j as f64 * dt / day).1)`,
-/// the expression a daylight tick would evaluate.  A campaign's solar
-/// lanes share a step and, per source, a day length, so a bank's lanes
-/// read one curve instead of each evaluating the same sines.
-struct SunCurve {
-    day: f64,
-    dt: f64,
-    suns: Vec<f64>,
+/// The sun factor of every tick `j` below its length on one
+/// `(day_length, dt)` grid: exactly
+/// `SolarSource::sun(split_cycles(j as f64 * dt / day).1)`, the expression
+/// a daylight tick would evaluate.  The table is immutable and shared, so
+/// the solar lanes of one grid read one table, and a clone (a sibling
+/// fork's source, say) costs a reference-count increment.
+#[derive(Debug, Clone)]
+pub struct SunTable {
+    /// The bits of `(day_length, dt)`.
+    key: (u64, u64),
+    suns: Arc<[f64]>,
 }
 
-thread_local! {
-    /// This thread's sun curve: the grid it last ran solar ticks on.
-    static SUN_MEMO: RefCell<SunCurve> =
-        const { RefCell::new(SunCurve { day: 0.0, dt: 0.0, suns: Vec::new() }) };
-}
-
-impl SunCurve {
-    /// The sun factor of tick `j`, computed.
-    fn compute(day: f64, dt: f64, j: u64) -> f64 {
-        SolarSource::sun(split_cycles(j as f64 * dt / day).1)
+impl SunTable {
+    /// The table of the first `ticks` ticks of step `dt` under a day of
+    /// `day_length`, capped at 2^20 ticks: later ticks compute their sine.
+    #[must_use]
+    pub fn new(day_length: Seconds, dt: Seconds, ticks: u64) -> Self {
+        let (day, dt_s) = (day_length.as_seconds(), dt.as_seconds());
+        let suns = (0..ticks.min(SUN_TABLE_CAP))
+            .map(|j| SolarSource::sun(split_cycles(j as f64 * dt_s / day).1))
+            .collect();
+        Self { key: (day.to_bits(), dt_s.to_bits()), suns }
     }
 
-    /// The sun factor of tick `j` of a run limited to `end`.
-    #[inline]
-    fn at(&mut self, j: u64, end: u64) -> f64 {
-        if j < self.suns.len() as u64 {
-            self.suns[j as usize]
-        } else {
-            self.grow(j, end)
-        }
-    }
-
-    /// Extends the curve past tick `j` — geometrically, but never past the
-    /// run's `end` or the cap — and returns tick `j`'s factor.  Ticks past
-    /// the cap are computed without being kept.
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self, j: u64, end: u64) -> f64 {
-        let (day, dt) = (self.day, self.dt);
-        if j >= SUN_MEMO_CAP {
-            return Self::compute(day, dt, j);
-        }
-        let len = self.suns.len() as u64;
-        let target = (2 * len).max(1024).min(end).min(SUN_MEMO_CAP).max(j + 1);
-        self.suns.extend((len..target).map(|k| Self::compute(day, dt, k)));
-        self.suns[j as usize]
-    }
-
-    /// Runs `f` on this thread's curve of `(day, dt)`, starting the curve
-    /// afresh when the thread last ran on another grid.
-    fn with<R>(day: f64, dt: f64, f: impl FnOnce(&mut SunCurve) -> R) -> R {
-        SUN_MEMO.with_borrow_mut(|curve| {
-            if (curve.day.to_bits(), curve.dt.to_bits()) != (day.to_bits(), dt.to_bits()) {
-                *curve = SunCurve { day, dt, suns: Vec::new() };
-            }
-            f(curve)
-        })
+    /// Whether the table is the grid of a day of `day_length` in steps of
+    /// `dt`, bit for bit.
+    fn fits(&self, day_length: Seconds, dt: Seconds) -> bool {
+        self.key == (day_length.as_seconds().to_bits(), dt.as_seconds().to_bits())
     }
 }
 
@@ -576,9 +546,10 @@ impl SunCurve {
 /// with multiplicative cloud noise.
 ///
 /// [`HarvestSource::power_at`] evaluates the sine of its instant;
-/// [`HarvestSource::run`] reads the sun factor of each tick from a
-/// per-thread memo of the tick grid's curve, whose every entry is that same
-/// expression.  So every batch-versus-scalar check also checks the memo.
+/// [`HarvestSource::run`] reads the sun factor of each tick from the
+/// attached [`SunTable`] of its tick grid, whose every entry is that same
+/// expression, and computes it where no such entry exists.  So every
+/// batch-versus-scalar check also checks the table.
 #[derive(Debug, Clone)]
 pub struct SolarSource {
     peak: Power,
@@ -589,6 +560,8 @@ pub struct SolarSource {
     /// but left out, over its budget: the next run starts on it.  A pure
     /// cache — the offer is a function of the tick and the step.
     spare: (u64, u64, i128),
+    /// The sun factors [`HarvestSource::run`] reads on a grid it fits.
+    suns: Option<SunTable>,
 }
 
 impl SolarSource {
@@ -602,7 +575,15 @@ impl SolarSource {
             cloudiness: cloudiness.clamp(0.0, 1.0),
             clouds: CounterRng::new(seed),
             spare: (u64::MAX, 0, 0),
+            suns: None,
         }
+    }
+
+    /// Attaches the table of `tables` that fits this source's day on steps
+    /// of `dt`, if any (a clone: a reference-count increment).
+    /// [`HarvestSource::run`] reads it on runs of that step.
+    pub fn attach_sun_table(&mut self, tables: &[SunTable], dt: Seconds) {
+        self.suns = tables.iter().find(|table| table.fits(self.day_length, dt)).cloned();
     }
 
     /// The clamped sine factor at a day phase: daylight between phase 0.25
@@ -669,48 +650,52 @@ impl HarvestSource for SolarSource {
     /// the next one after sunset), and its last tick is re-checked with the
     /// exact `power_at` sine expression — the dark phases of a day are one
     /// contiguous interval across the day wrap, so a dark last tick proves
-    /// the window.  Each tick's sun factor comes from this thread's memo of
-    /// the `(day_length, dt)` curve (`SunCurve`).
+    /// the window.  Each tick's sun factor is read from the attached
+    /// [`SunTable`] where the table fits `(day_length, dt)` and holds the
+    /// tick, and computed otherwise.
     fn run(&mut self, tick: u64, dt: Seconds, end: u64, budget: EnergyFx) -> Run {
         if self.day_length.is_non_positive() {
             // Degenerate day: `power_at` early-returns zero, no state.
             return Run::uniform(EnergyFx::ZERO, tick, u64::MAX);
         }
         let (dt_s, day) = (dt.as_seconds(), self.day_length.as_seconds());
-        SunCurve::with(day, dt_s, |suns| {
-            let first = if self.spare.0 == tick && self.spare.1 == dt_s.to_bits() {
-                EnergyFx::from_attojoules(self.spare.2)
-            } else {
-                let t0 = tick as f64 * dt_s;
-                let sun = suns.at(tick, end);
-                if sun == 0.0 {
-                    let (cycle, phase0) = split_cycles(t0 / day);
-                    let until = Self::night_end(tick, dt_s, day, cycle, phase0);
-                    return Run::uniform(EnergyFx::ZERO, tick, until);
-                }
-                quantise(self.daylight(t0, sun), dt)
-            };
-            let (budget, mut total, mut until) =
-                (budget.attojoules(), first.attojoules(), tick + 1);
-            // A first offer past the budget admits no second tick to sample.
-            while until < end && total <= budget {
-                let sun = suns.at(until, end);
-                if sun == 0.0 {
-                    break;
-                }
-                let offer = quantise(self.daylight(until as f64 * dt_s, sun), dt).attojoules();
-                if total + offer > budget {
-                    self.spare = (until, dt_s.to_bits(), offer);
-                    break;
-                }
-                total += offer;
-                until += 1;
+        let table = self.suns.as_ref().filter(|table| table.fits(self.day_length, dt));
+        let suns = table.map_or(&[][..], |table| &table.suns);
+        let sun_at = |j: u64| match usize::try_from(j).ok().and_then(|j| suns.get(j)) {
+            Some(&sun) => sun,
+            None => Self::sun(split_cycles(j as f64 * dt_s / day).1),
+        };
+        let first = if self.spare.0 == tick && self.spare.1 == dt_s.to_bits() {
+            EnergyFx::from_attojoules(self.spare.2)
+        } else {
+            let t0 = tick as f64 * dt_s;
+            let sun = sun_at(tick);
+            if sun == 0.0 {
+                let (cycle, phase0) = split_cycles(t0 / day);
+                let until = Self::night_end(tick, dt_s, day, cycle, phase0);
+                return Run::uniform(EnergyFx::ZERO, tick, until);
             }
-            if until == tick + 1 {
-                return Run::uniform(first, tick, until);
+            quantise(self.daylight(t0, sun), dt)
+        };
+        let (budget, mut total, mut until) = (budget.attojoules(), first.attojoules(), tick + 1);
+        // A first offer past the budget admits no second tick to sample.
+        while until < end && total <= budget {
+            let sun = sun_at(until);
+            if sun == 0.0 {
+                break;
             }
-            Run { first, until, total: EnergyFx::from_attojoules(total), uniform: false }
-        })
+            let offer = quantise(self.daylight(until as f64 * dt_s, sun), dt).attojoules();
+            if total + offer > budget {
+                self.spare = (until, dt_s.to_bits(), offer);
+                break;
+            }
+            total += offer;
+            until += 1;
+        }
+        if until == tick + 1 {
+            return Run::uniform(first, tick, until);
+        }
+        Run { first, until, total: EnergyFx::from_attojoules(total), uniform: false }
     }
 }
 
@@ -1390,39 +1375,76 @@ mod tests {
         grand
     }
 
-    /// Runs that cross the memo's cap take the sines past it directly, and
-    /// agree with `power_at` on both sides.
-    #[test]
-    fn solar_runs_stay_exact_across_the_memo_cap() {
-        let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, 5);
-        // Tick 2^20 of a 0.5 s step sits at phase 0.288: daylight on both
-        // sides of the cap, so daylight runs cross it.
-        let cap = SUN_MEMO_CAP;
-        let run = make().run(cap - 30, Seconds::new(0.5), cap + 300, UNLIMITED);
-        assert!(!run.uniform && run.until == cap + 300, "{run:?}");
-        walk_solar(&mut make(), cap - 200, cap + 2_500, 0.5, 1);
-        walk_solar(&mut make(), cap - 200, cap + 2_500, 0.5, 2);
-        // A run asked for far past the cap keeps the memo within it.
-        SunCurve::with(1000.0, 0.5, |curve| assert!(curve.suns.len() as u64 <= cap));
+    /// `source`, given `table` for runs of step `dt`.
+    fn with_table(mut source: SolarSource, table: &SunTable, dt: f64) -> SolarSource {
+        source.attach_sun_table(std::slice::from_ref(table), Seconds::new(dt));
+        source
     }
 
-    /// One thread alternating two steps and three day lengths reads each
-    /// grid's own sun factors.
+    /// Runs that cross a table's end compute the sines past it, and agree
+    /// with `power_at` on both sides: a short table ending in daylight, and
+    /// one asked for past the cap, which it keeps to.
     #[test]
-    fn solar_runs_on_alternating_grids_share_no_sun_factors() {
-        let grids = [(1000.0, 0.5), (1000.0, 0.25), (1500.0, 0.5), (1500.0, 0.25), (700.0, 0.5)];
-        let mut sources: Vec<SolarSource> = (0..grids.len() as u64)
-            .map(|seed| {
-                let day = Seconds::new(grids[seed as usize].0);
-                SolarSource::new(Power::from_milliwatts(0.8), day, 0.4, seed)
-            })
-            .collect();
-        for round in 0..12_u64 {
-            for (k, ((_, dt), source)) in grids.iter().zip(&mut sources).enumerate() {
-                let span = (round * 500, round * 500 + 500);
-                walk_solar(source, span.0, span.1, *dt, round * 8 + k as u64);
-            }
+    fn solar_runs_stay_exact_across_the_table_end() {
+        let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, 5);
+        let (day, dt) = (Seconds::new(1000.0), Seconds::new(0.5));
+        // Tick 1200 of a 0.5 s step sits at phase 0.6, and tick 2^20 at
+        // phase 0.288: daylight on both sides of either end.
+        let short = SunTable::new(day, dt, 1_200);
+        let run = with_table(make(), &short, 0.5).run(1_100, dt, 1_400, UNLIMITED);
+        assert_eq!(run, make().run(1_100, dt, 1_400, UNLIMITED));
+        assert!(!run.uniform && run.until == 1_400, "{run:?}");
+        for salt in [1, 2] {
+            walk_solar(&mut with_table(make(), &short, 0.5), 0, 4_500, 0.5, salt);
         }
+        let cap = SUN_TABLE_CAP;
+        let full = SunTable::new(day, dt, cap + 5_000);
+        assert_eq!(full.suns.len() as u64, cap);
+        let run = with_table(make(), &full, 0.5).run(cap - 30, dt, cap + 300, UNLIMITED);
+        assert!(!run.uniform && run.until == cap + 300, "{run:?}");
+        for salt in [3, 4] {
+            walk_solar(&mut with_table(make(), &full, 0.5), cap - 200, cap + 2_500, 0.5, salt);
+        }
+    }
+
+    /// A source is given only the table of its own day, and reads it only
+    /// on runs of the table's step: given another day's table, or its own
+    /// day's on another step, it answers every run exactly as a source
+    /// without a table does.  A clone shares its table rather than copying
+    /// it.
+    #[test]
+    fn solar_sources_read_only_a_table_of_their_own_grid() {
+        let make = || SolarSource::new(Power::from_milliwatts(0.8), Seconds::new(1000.0), 0.4, 7);
+        let (day, dt) = (Seconds::new(1000.0), Seconds::new(0.5));
+        let ticks = 8_000;
+        let other_day = SunTable::new(Seconds::new(1500.0), dt, ticks);
+        assert!(with_table(make(), &other_day, 0.5).suns.is_none());
+        let other_step = SunTable::new(day, Seconds::new(0.25), ticks);
+        for mut tabled in
+            [with_table(make(), &other_day, 0.5), with_table(make(), &other_step, 0.25)]
+        {
+            let mut bare = make();
+            let budgets = [0, 40_000, 400_000, i128::MAX].map(EnergyFx::from_attojoules);
+            let mut tick = 0;
+            for query in 0_u64.. {
+                if tick >= ticks {
+                    break;
+                }
+                let end = tick + 1 + query % 300;
+                let budget = budgets[query as usize % budgets.len()];
+                let run = tabled.run(tick, dt, end, budget);
+                assert_eq!(run, bare.run(tick, dt, end, budget), "tick {tick}");
+                tick = if run.uniform { run.until.min(end) } else { run.until };
+            }
+            walk_solar(&mut tabled, 0, ticks, 0.5, 6);
+        }
+        let own = SunTable::new(day, dt, ticks);
+        let tables = [other_day, other_step, own.clone()];
+        let mut source = make();
+        source.attach_sun_table(&tables, dt);
+        let mut fork = source.clone();
+        assert_eq!(Arc::strong_count(&own.suns), 4, "the source and its fork share one table");
+        walk_solar(&mut fork, 0, ticks, 0.5, 8);
     }
 
     /// A clone taken mid-walk — a batch lane's fork — continues exactly as

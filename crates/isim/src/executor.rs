@@ -17,8 +17,9 @@ use crate::stats::RunStats;
 /// Number of `dt` ticks a span of `duration` takes — the one step-count
 /// formula shared by the scalar executor and the batch engine, for run
 /// lifetimes ([`crate::batch::BatchJob::steps`]) and timer periods
-/// (`fsm::TickConstants`) alike, so neither can drift between them.
-pub(crate) fn step_count(duration: Seconds, dt: Seconds) -> u64 {
+/// (`fsm::TickConstants`) alike, so neither can drift between them.  A
+/// campaign sizes its solar sun tables by it too.
+pub fn step_count(duration: Seconds, dt: Seconds) -> u64 {
     (duration.as_seconds() / dt.as_seconds()).ceil() as u64
 }
 

@@ -13,12 +13,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ehsim::schedule::Schedule;
+use ehsim::source::{HarvestSource, SolarSource, SunTable};
 use isim::backup::BackupUnit;
 use isim::batch::{BatchExecutor, BatchJob};
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
 use tech45::nvm::NvmTechnology;
-use tech45::units::Seconds;
+use tech45::units::{Power, Seconds};
 
 /// Counts every allocation and reallocation the measuring thread routes
 /// through the system allocator.
@@ -84,11 +85,11 @@ fn an_untraced_run_allocates_nothing_after_setup() {
     assert!(stats.samples_sensed >= 1, "{stats}");
 }
 
-/// The allocations of `run_to_completion` for one Fig. 4 job with
+/// The allocations of `run_to_completion` for one job over `source` with
 /// `siblings` siblings, which it forks at its first backup.
-fn forking_job_allocations(siblings: usize) -> u64 {
+fn forking_job_allocations<S: HarvestSource + Clone>(source: S, siblings: usize) -> u64 {
     let (duration, dt) = (Seconds::new(2600.0), Seconds::new(0.5));
-    let job = BatchJob::new(FsmConfig::paper_default(), Schedule::fig4().to_source(), duration, dt);
+    let job = BatchJob::new(FsmConfig::paper_default(), source, duration, dt);
     let units = (0..siblings).map(|i| BackupUnit::from_state_bits(16 << i, NvmTechnology::Mram));
     let mut batch = BatchExecutor::new(1);
     batch.enqueue_with_siblings(job, units);
@@ -109,5 +110,30 @@ fn forking_job_allocations(siblings: usize) -> u64 {
 fn sibling_forks_share_the_piecewise_segment_table() {
     // A fork clones its lane's source; a piecewise source's clone shares
     // the table, so six more forks allocate nothing more.
-    assert_eq!(forking_job_allocations(1), forking_job_allocations(7));
+    let fig4 = || Schedule::fig4().to_source();
+    assert_eq!(forking_job_allocations(fig4(), 1), forking_job_allocations(fig4(), 7));
+}
+
+#[test]
+fn sibling_forks_share_the_solar_sun_table() {
+    // A 1 000 s day at 0.8 mW backs up within the run (the paper grid's
+    // solar points never do in a campaign lifetime), so the siblings fork.
+    let (day, dt) = (Seconds::new(1000.0), Seconds::new(0.5));
+    let bare = || SolarSource::new(Power::from_milliwatts(0.8), day, 0.3, 3);
+    let tables = [SunTable::new(day, dt, 5_200)];
+    let tabled = || {
+        let mut source = bare();
+        source.attach_sun_table(&tables, dt);
+        source
+    };
+    // Reading the shared table allocates nothing a tableless job does not,
+    // and six more forks share it rather than copy it.
+    for siblings in [1, 7] {
+        assert_eq!(
+            forking_job_allocations(tabled(), siblings),
+            forking_job_allocations(bare(), siblings),
+            "{siblings} siblings"
+        );
+    }
+    assert_eq!(forking_job_allocations(tabled(), 1), forking_job_allocations(tabled(), 7));
 }

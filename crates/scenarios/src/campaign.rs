@@ -1,5 +1,6 @@
 //! The campaign engine: expand the space, fan the runs out, aggregate.
 
+use ehsim::source::SunTable;
 use isim::stats::RunStats;
 use tech45::units::Seconds;
 
@@ -7,7 +8,7 @@ use crate::aggregate::CampaignSummary;
 use crate::runner::ParallelRunner;
 use crate::scenario::Scenario;
 use crate::shard::{run_range_with, Execution};
-use crate::space::{ScenarioSpace, SourceFamily, SourceScratch};
+use crate::space::{AnySource, ScenarioSpace, SourceFamily, SourceScratch, SourceSpec};
 
 /// Configuration of one campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,6 +192,11 @@ pub fn run_batched_with(
 /// if it never reads it.  Both are exact: the runs are one computation up
 /// to that read ([`isim::stats::RunStats::reads_backup_unit`]).
 ///
+/// Before the fan-out, the calling thread builds one [`SunTable`] per solar
+/// spec the scenarios use, on the pass's tick grid ([`sun_tables`]).  Each
+/// solar representative's source gets its spec's table, and a fork, which
+/// clones its lane's source, shares it.  No worker holds state of its own.
+///
 /// Banks of `width` groups fan out on the runner's atomic work queue, so a
 /// worker that drew cheap groups claims more banks instead of idling while
 /// another works through a slow family.  Each worker applies `each` to its
@@ -219,12 +225,16 @@ pub(crate) fn batched_runs<T: Clone + Default + Send>(
         .iter()
         .all(|&(_, i)| scenarios[group[0].1].differs_only_in_backup(&scenarios[i]))));
 
+    let suns = sun_tables(scenarios, config);
     let banks: Vec<&[&[(usize, usize)]]> = groups.chunks(width.max(1)).collect();
     let per_bank: Vec<Vec<T>> = runner.map(&banks, |_, bank| {
         let mut batch = isim::batch::BatchExecutor::new(bank.len());
         for group in *bank {
-            let job =
+            let mut job =
                 scenarios[group[0].1].batch_job(config.duration, config.dt, &mut SourceScratch);
+            if let AnySource::Solar(solar) = &mut job.source {
+                solar.attach_sun_table(&suns, config.dt);
+            }
             let siblings = group[1..].iter().map(|&(_, i)| scenarios[i].backup_unit());
             batch.enqueue_with_siblings(job, siblings);
         }
@@ -236,6 +246,23 @@ pub(crate) fn batched_runs<T: Clone + Default + Send>(
         runs[i] = run;
     }
     runs
+}
+
+/// One [`SunTable`] per solar spec among `scenarios`, covering the ticks of
+/// a run of `config`: the tables a batched pass hands its solar lanes.  The
+/// scenarios lie in id order, source-major, so a spec's are adjacent (and
+/// adjacent specs of one day length share a table).
+pub(crate) fn sun_tables(scenarios: &[Scenario], config: &CampaignConfig) -> Vec<SunTable> {
+    let mut days: Vec<Seconds> = scenarios
+        .iter()
+        .filter_map(|scenario| match scenario.source {
+            SourceSpec::Solar { day_length, .. } => Some(day_length),
+            _ => None,
+        })
+        .collect();
+    days.dedup();
+    let ticks = isim::executor::step_count(config.duration, config.dt);
+    days.into_iter().map(|day| SunTable::new(day, config.dt, ticks)).collect()
 }
 
 #[cfg(test)]

@@ -183,13 +183,14 @@ mod tests {
         }
     }
 
-    /// Solar lanes read their sun factors from the worker's memo of each
-    /// `(day_length, dt)` grid.  One bank mixing two day lengths and both
-    /// steps must still reproduce every scalar run, whose `power_at`
-    /// computes each sine.
+    /// Solar lanes read their sun factors from the table of their
+    /// `(day_length, dt)` grid that a batched pass builds ([`sun_tables`]).
+    /// Passes over two day lengths, at both steps, must still reproduce
+    /// every scalar run, whose `power_at` computes each sine.
     #[test]
     fn solar_batch_jobs_reproduce_the_scalar_run_at_both_steps() {
-        use isim::batch::BatchExecutor;
+        use crate::campaign::{batched_runs, sun_tables, CampaignConfig};
+        use crate::runner::ParallelRunner;
         use tech45::units::Power;
         let mut space = ScenarioSpace::smoke();
         space.sources = [(2000.0, 0.3, 3), (700.0, 0.6, 8)]
@@ -200,22 +201,20 @@ mod tests {
                 seed,
             })
             .to_vec();
-        let scenarios = space.scenarios(0xD1AC);
-        let duration = Seconds::new(2600.0);
-        let steps = [Seconds::new(0.5), Seconds::new(0.25)];
-        let mut batch = BatchExecutor::new(3);
-        let mut scratch = SourceScratch::new();
-        for scenario in &scenarios {
-            for dt in steps {
-                batch.enqueue(scenario.batch_job(duration, dt, &mut scratch));
+        let mut config =
+            CampaignConfig { duration: Seconds::new(2600.0), ..CampaignConfig::new(space, 0xD1AC) };
+        let scenarios = config.space.scenarios(config.seed);
+        for dt in [0.5, 0.25] {
+            config.dt = Seconds::new(dt);
+            // Two day lengths get two tables.
+            assert_eq!(sun_tables(&scenarios, &config).len(), 2, "dt {dt}");
+            let batched = batched_runs(&ParallelRunner::serial(), &config, &scenarios, 3, |s| s);
+            for (scenario, batched) in scenarios.iter().zip(&batched) {
+                let scalar = scenario.run(config.duration, config.dt);
+                assert_eq!(&scalar, batched, "scenario #{} at dt {dt}", scenario.id);
             }
+            assert!(batched.iter().any(|stats| stats.completed_tasks() > 0), "daylight runs work");
         }
-        let batched = batch.run_to_completion();
-        let expected = scenarios.iter().flat_map(|s| steps.map(|dt| (s, dt, s.run(duration, dt))));
-        for ((scenario, dt, scalar), batched) in expected.zip(&batched) {
-            assert_eq!(&scalar, batched, "scenario #{} at dt {dt:?}", scenario.id);
-        }
-        assert!(batched.iter().any(|stats| stats.completed_tasks() > 0), "daylight runs work");
     }
 
     #[test]

@@ -26,11 +26,14 @@
 //! Without `smoke` the full paper grid (216 runs) runs; `seed N` reseeds
 //! either grid.  `--mode serial|parallel|batch` picks the engine: one
 //! worker, the all-cores scalar fan-out (default), or the batch executor,
-//! which runs each scenario to completion and burns its provably quiescent
-//! ticks in closed form.  Every combination of shard count, engine and worker
-//! count prints the same digest, and a kill-and-resume cannot change it:
-//! checkpoints are written atomically and validated against the campaign
-//! fingerprint, so a partial write is indistinguishable from no write at all.
+//! which runs one lane per sibling group (the technology × sizing siblings
+//! of one stochastic point), forks the siblings from it at its first backup
+//! or copies its statistics to them if it never backs up, and burns
+//! provably quiescent ticks in closed form.  Every combination of shard
+//! count, engine and worker count prints the same digest, and a
+//! kill-and-resume cannot change it: checkpoints are written atomically and
+//! validated against the campaign fingerprint, so a partial write is
+//! indistinguishable from no write at all.
 
 use std::path::PathBuf;
 

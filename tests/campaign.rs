@@ -237,3 +237,48 @@ fn two_of_the_27_paper_groups_read_their_backup_unit() {
         .collect();
     assert_eq!(reading, [SourceFamily::Markov, SourceFamily::Schedule]);
 }
+
+#[test]
+fn batched_solar_lanes_of_two_day_lengths_match_the_scalar_rows() {
+    use scenarios::{run_range_with, Execution, SourceSpec};
+    use tech45::units::{Power, Seconds};
+    // A batched pass builds one sun table per solar spec on its own tick
+    // grid, and each solar lane must read its own grid's table.  The
+    // second solar spec's sub-range builds only its table.
+    let solar = |day: f64, seed: u64| SourceSpec::Solar {
+        peak: Power::from_milliwatts(0.8),
+        day_length: Seconds::new(day),
+        cloudiness: 0.3,
+        seed,
+    };
+    let mut config = CampaignConfig::smoke();
+    config.space.sources = vec![
+        solar(2000.0, 3),
+        SourceSpec::Constant { power: Power::from_milliwatts(0.1) },
+        solar(700.0, 8),
+    ];
+    config.space.replicates = 2;
+    let per_source = config.space.len() / config.space.sources.len();
+    for dt in [0.5, 0.25] {
+        config.dt = Seconds::new(dt);
+        for range in [0..config.space.len(), 2 * per_source..3 * per_source] {
+            for runner in [ParallelRunner::serial(), ParallelRunner::with_threads(2)] {
+                let scalar = run_range_with(&runner, &config, range.clone(), Execution::Scalar);
+                for width in [1, 64] {
+                    let batched = run_range_with(
+                        &runner,
+                        &config,
+                        range.clone(),
+                        Execution::Batched { width },
+                    );
+                    assert_eq!(
+                        scalar,
+                        batched,
+                        "dt {dt}, range {range:?}, width {width}, {} workers",
+                        runner.threads()
+                    );
+                }
+            }
+        }
+    }
+}
