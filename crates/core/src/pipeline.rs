@@ -60,7 +60,7 @@ use crate::replacement::{
     insert_nvm_boundaries, NvEnhancedTree, ReplacementConfig, ReplacementSummary,
 };
 use crate::schemes::{
-    circuit_figures, evaluate_scheme_with, spec_for, CircuitFigures, SchemeComparison,
+    circuit_figures, compare_with, evaluate_scheme_with, CircuitFigures, SchemeComparison,
     SchemeContext, SchemeKind, SchemeResult,
 };
 use crate::tree::{OperandTree, TreeGeneratorConfig};
@@ -234,15 +234,14 @@ impl<'n> CircuitArtifacts<'n> {
         &self,
         ctx: &SchemeContext,
     ) -> Result<(ReplacementKey, Arc<NvEnhancedTree>), DiacError> {
-        let mut config = ctx.replacement;
-        config.technology = ctx.nvm;
-        let key = ReplacementKey::new(ctx.policy, &config);
+        let config = &ctx.replacement;
+        let key = ReplacementKey::new(ctx.policy, config);
         if let Some(enhanced) = self.replacements.lock().expect("replacement cache lock").get(&key)
         {
             return Ok((key, Arc::clone(enhanced)));
         }
         let tree = self.restructured_tree(ctx.policy, &ctx.library)?;
-        let enhanced = Arc::new(insert_nvm_boundaries(tree, &config)?);
+        let enhanced = Arc::new(insert_nvm_boundaries(tree, config)?);
         self.replacements
             .lock()
             .expect("replacement cache lock")
@@ -360,7 +359,7 @@ impl SynthesisPipeline {
         kind: SchemeKind,
     ) -> Result<SchemeResult, DiacError> {
         artifacts.check_context(ctx)?;
-        evaluate_scheme_with(artifacts, ctx, spec_for(kind))
+        evaluate_scheme_with(artifacts, ctx, kind)
     }
 
     /// Evaluates all four schemes against prepared artifacts.
@@ -387,11 +386,7 @@ impl SynthesisPipeline {
         ctx: &SchemeContext,
     ) -> Result<SchemeComparison, DiacError> {
         artifacts.check_context(ctx)?;
-        let mut results = Vec::with_capacity(SchemeKind::ALL.len());
-        for kind in SchemeKind::ALL {
-            results.push(evaluate_scheme_with(artifacts, ctx, spec_for(kind))?);
-        }
-        Ok(SchemeComparison { circuit: artifacts.name().to_string(), results })
+        compare_with(artifacts, ctx)
     }
 }
 

@@ -27,7 +27,11 @@ use crate::tree::OperandTree;
 /// Configuration of the replacement procedure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplacementConfig {
-    /// NVM technology used for the backup arrays.
+    /// NVM technology used for the backup arrays.  Inside a
+    /// [`SchemeContext`](crate::schemes::SchemeContext) it is the context's
+    /// one technology: the baselines' NV-FF and LE-FF state elements use it
+    /// too ([`SchemeContext::with_nvm`](crate::schemes::SchemeContext::with_nvm)
+    /// sets it).
     pub technology: NvmTechnology,
     /// Fraction of the whole tree's per-activation energy that may remain
     /// unsaved between two NVM boundaries.  Smaller fractions mean more

@@ -5,26 +5,22 @@
 //! and number of NVM writes* plus the run-time cost of the state elements
 //! differ):
 //!
-//! * [`NvBased`] — every flip-flop becomes an NV-FF; backups store every
-//!   architectural state bit and the heavier flip-flops slow down and
-//!   energise every single register update.
-//! * [`NvClustering`] — the LE-FF approach of Roohi & DeMara: logic cones
-//!   embedded into the state element reduce both the run-time penalty and the
-//!   per-backup traffic.
-//! * [`Diac`] — the proposed flow: volatile flip-flops at run time, backups
-//!   restricted to the tree-selected NVM boundaries.
-//! * [`DiacOptimized`] — DIAC plus the `Th_SafeZone` mechanism, which skips the
-//!   backups for emergencies that recover before `Th_Bk`.
-
-mod diac;
-mod diac_opt;
-mod nv_based;
-mod nv_clustering;
-
-pub use diac::Diac;
-pub use diac_opt::DiacOptimized;
-pub use nv_based::NvBased;
-pub use nv_clustering::NvClustering;
+//! * [`SchemeKind::NvBased`] — every flip-flop becomes an NV-FF; backups
+//!   store every architectural state bit and the heavier flip-flops slow down
+//!   and energise every single register update.
+//! * [`SchemeKind::NvClustering`] — the LE-FF approach of Roohi & DeMara:
+//!   logic cones embedded into the state element reduce both the run-time
+//!   penalty and the per-backup traffic.
+//! * [`SchemeKind::Diac`] — the proposed flow: volatile flip-flops at run
+//!   time, backups restricted to the tree-selected NVM boundaries.
+//! * [`SchemeKind::DiacOptimized`] — DIAC plus the `Th_SafeZone` mechanism,
+//!   which skips the backups for emergencies that recover before `Th_Bk`.
+//!
+//! Each scheme differs from the others only in five parameters, the
+//! crate-private `match` methods on [`SchemeKind`] that
+//! [`compare_all_schemes`] reads: the run-time flip-flop, whether it uses the
+//! safe zone, whether it runs the tree flow, the bits per backup and the
+//! re-execution exposure.
 
 use std::fmt;
 
@@ -46,12 +42,41 @@ use crate::tree::TreeGeneratorConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Conventional checkpointing with one NV-FF per flip-flop.
+    ///
+    /// "The NV-based method operates similarly to conventional
+    /// checkpointing, where flip-flops (FFs) are replaced by the NV-FFs to
+    /// store states.  It provides the highest resiliency at the cost of
+    /// significant overhead."  (Section IV.B of the paper.)
     NvBased,
     /// NV-Clustering with logic-embedded flip-flops (LE-FF).
+    ///
+    /// Reproduces the first-order behaviour of Roohi & DeMara,
+    /// "NV-Clustering: Normally-Off Computing Using Non-Volatile Datapaths"
+    /// (IEEE TC 2018), the second comparison point of the paper: Boolean
+    /// logic is embedded into the state-holding cell, so clusters of gates
+    /// share one non-volatile element — cheaper run-time updates than one
+    /// NV-FF per bit and better-packed backup writes, but still no tree-level
+    /// placement optimisation and no safe zone.
     NvClustering,
     /// DIAC without the safe zone.
+    ///
+    /// The design keeps plain volatile flip-flops at run time (no per-update
+    /// penalty) and commits to NVM only at the tree-selected boundaries when
+    /// the power-management unit raises a backup interrupt.  Because the
+    /// replacement criteria prefer narrow, well-connected cuts near the
+    /// outputs, a backup moves far fewer bits than checkpointing every state
+    /// element.
     Diac,
     /// DIAC with the safe zone (the "optimized DIAC" of the paper).
+    ///
+    /// "To make the evaluation more comprehensive, we have considered two
+    /// DIAC-based implementations, excluding and including Th_SafeZone […]
+    /// this state allows us to reduce power consumption and delay by reducing
+    /// the number of NVM writes required."  (Section IV.B.)  Whenever the
+    /// stored energy dips below the operating threshold but recovers before
+    /// reaching `Th_Bk`, the pending backup is skipped entirely; the fraction
+    /// of emergencies that recover this way comes from the intermittency
+    /// profile.
     DiacOptimized,
 }
 
@@ -72,6 +97,85 @@ impl SchemeKind {
             SchemeKind::NvClustering => "NV-Clustering",
             SchemeKind::Diac => "DIAC",
             SchemeKind::DiacOptimized => "Optimized DIAC",
+        }
+    }
+
+    /// The state element the scheme uses at run time.
+    pub(crate) fn flip_flop(self, ctx: &SchemeContext) -> FlipFlopKind {
+        let technology = ctx.replacement.technology;
+        match self {
+            SchemeKind::NvBased => FlipFlopKind::NonVolatile(technology),
+            SchemeKind::NvClustering => FlipFlopKind::LogicEmbedded {
+                technology,
+                cluster_size: ctx.calibration.cluster_size,
+            },
+            SchemeKind::Diac | SchemeKind::DiacOptimized => FlipFlopKind::Volatile,
+        }
+    }
+
+    /// Whether the scheme implements the `Th_SafeZone` mechanism.
+    pub(crate) fn uses_safe_zone(self) -> bool {
+        self == SchemeKind::DiacOptimized
+    }
+
+    /// Whether the scheme runs the DIAC tree flow (policy + replacement).
+    pub(crate) fn needs_tree(self) -> bool {
+        matches!(self, SchemeKind::Diac | SchemeKind::DiacOptimized)
+    }
+
+    /// Bits written per backup event.
+    pub(crate) fn bits_per_backup(
+        self,
+        state_bits: u64,
+        replacement: Option<&ReplacementSummary>,
+        calibration: &Calibration,
+    ) -> f64 {
+        match self {
+            // Every architectural state bit lives in its own scattered NV-FF,
+            // so every backup commits all of them and cannot share write
+            // peripherals the way a packed backup array can.
+            SchemeKind::NvBased => state_bits as f64 * 1.25,
+            SchemeKind::NvClustering => {
+                // Clustering lets several state bits share one write driver:
+                // the commits are grouped per cluster, but each clustered
+                // commit carries a packing premium because the embedded cone
+                // needs a stronger driver.  Net effect: noticeably cheaper
+                // than one scattered NV-FF write per bit, yet still
+                // proportional to the full architectural state.
+                let cluster = calibration.cluster_size.max(1) as f64;
+                let commits = (state_bits as f64 / cluster).ceil();
+                let bits_per_commit = cluster * (1.0 + 0.15 * cluster.sqrt()) * 0.78;
+                commits * bits_per_commit
+            }
+            // Both DIAC schemes store the live boundary cut plus the control
+            // state (`Reg_Flag`, FSM state) that the backup routine always
+            // stores.
+            SchemeKind::Diac | SchemeKind::DiacOptimized => {
+                let boundary_bits = replacement
+                    .map(|r| r.average_boundary_bits)
+                    .filter(|&b| b > 0.0)
+                    // Without a replacement summary fall back to the
+                    // architectural state, which is what a naive backup of
+                    // the design would store.
+                    .unwrap_or(state_bits as f64);
+                boundary_bits + calibration.control_state_bits as f64
+            }
+        }
+    }
+
+    /// Fraction of one cycle's usable energy that is lost (and must be
+    /// re-executed) when power fails completely.
+    pub(crate) fn reexecution_exposure(self) -> f64 {
+        match self {
+            // With every flip-flop non-volatile, only the work of the cycle
+            // in flight is lost on a sudden failure.
+            SchemeKind::NvBased => 0.02,
+            SchemeKind::NvClustering => 0.05,
+            // Work since the last committed boundary is lost on a sudden
+            // failure; the boundaries are spaced by the replacement budget,
+            // so the exposure is larger than for the always-persistent
+            // baselines.
+            SchemeKind::Diac | SchemeKind::DiacOptimized => 0.10,
         }
     }
 }
@@ -141,15 +245,15 @@ impl Default for Calibration {
 pub struct SchemeContext {
     /// Standard-cell library used for the energy estimates.
     pub library: CellLibrary,
-    /// NVM technology used for state retention (same for all schemes).
-    pub nvm: NvmTechnology,
     /// Intermittency of the ambient supply.
     pub profile: IntermittencyProfile,
     /// Restructuring policy applied before NVM insertion (DIAC schemes only).
     pub policy: Policy,
     /// Netlist-to-tree clustering configuration.
     pub tree_config: TreeGeneratorConfig,
-    /// NVM-boundary insertion configuration.
+    /// NVM-boundary insertion configuration.  Its `technology` is the NVM
+    /// technology every scheme retains state in (the paper's fairness
+    /// condition), not only the DIAC backup arrays.
     pub replacement: ReplacementConfig,
     /// System-level calibration constants.
     pub calibration: Calibration,
@@ -159,7 +263,6 @@ impl Default for SchemeContext {
     fn default() -> Self {
         Self {
             library: CellLibrary::nangate45_surrogate(),
-            nvm: NvmTechnology::Mram,
             profile: IntermittencyProfile::default(),
             policy: Policy::Policy3,
             tree_config: TreeGeneratorConfig::default(),
@@ -174,7 +277,6 @@ impl SchemeContext {
     /// study of Section IV.C).
     #[must_use]
     pub fn with_nvm(mut self, nvm: NvmTechnology) -> Self {
-        self.nvm = nvm;
         self.replacement.technology = nvm;
         self
     }
@@ -192,33 +294,6 @@ impl SchemeContext {
         self.policy = policy;
         self
     }
-}
-
-/// The per-scheme knobs of the shared accounting path.
-pub(crate) trait SchemeSpec {
-    /// Which scheme this is.
-    fn kind(&self) -> SchemeKind;
-
-    /// The state element the scheme uses at run time.
-    fn flip_flop(&self, ctx: &SchemeContext) -> FlipFlopKind;
-
-    /// Whether the scheme implements the `Th_SafeZone` mechanism.
-    fn uses_safe_zone(&self) -> bool;
-
-    /// Whether the scheme runs the DIAC tree flow (policy + replacement).
-    fn needs_tree(&self) -> bool;
-
-    /// Bits written per backup event.
-    fn bits_per_backup(
-        &self,
-        state_bits: u64,
-        replacement: Option<&ReplacementSummary>,
-        calibration: &Calibration,
-    ) -> f64;
-
-    /// Fraction of one cycle's usable energy that is lost (and must be
-    /// re-executed) when power fails completely.
-    fn reexecution_exposure(&self) -> f64;
 }
 
 /// Result of evaluating one scheme on one circuit.
@@ -329,16 +404,6 @@ fn evaluation_cost(
     (energy, delay)
 }
 
-/// The spec of one scheme kind.
-pub(crate) fn spec_for(kind: SchemeKind) -> &'static dyn SchemeSpec {
-    match kind {
-        SchemeKind::NvBased => &NvBased,
-        SchemeKind::NvClustering => &NvClustering,
-        SchemeKind::Diac => &Diac,
-        SchemeKind::DiacOptimized => &DiacOptimized,
-    }
-}
-
 /// Evaluates one scheme against prepared circuit artifacts.  The expensive
 /// scheme-independent products (figures, operand tree, policy restructuring,
 /// NVM replacement) come from the artifact caches; everything per-scheme is
@@ -346,7 +411,7 @@ pub(crate) fn spec_for(kind: SchemeKind) -> &'static dyn SchemeSpec {
 pub(crate) fn evaluate_scheme_with(
     artifacts: &CircuitArtifacts<'_>,
     ctx: &SchemeContext,
-    spec: &dyn SchemeSpec,
+    kind: SchemeKind,
 ) -> Result<SchemeResult, DiacError> {
     if !ctx.profile.is_valid() {
         return Err(DiacError::InvalidConfig {
@@ -358,7 +423,7 @@ pub(crate) fn evaluate_scheme_with(
 
     // Run-time cost of the scheme's state elements vs. a volatile design.
     let volatile = FlipFlopModel::for_kind(FlipFlopKind::Volatile, &ctx.library);
-    let scheme_ff = FlipFlopModel::for_kind(spec.flip_flop(ctx), &ctx.library);
+    let scheme_ff = FlipFlopModel::for_kind(kind.flip_flop(ctx), &ctx.library);
     let (e_eval_ref, t_eval_ref) = evaluation_cost(&figures, &volatile, calibration);
     let (e_eval, t_eval) = evaluation_cost(&figures, &scheme_ff, calibration);
     let runtime_energy_factor = e_eval.ratio(e_eval_ref);
@@ -366,7 +431,7 @@ pub(crate) fn evaluate_scheme_with(
 
     // DIAC schemes run the tree flow to find their backup boundaries.
     let replacement =
-        if spec.needs_tree() { Some(artifacts.replacement_summary(ctx)?) } else { None };
+        if kind.needs_tree() { Some(artifacts.replacement_summary(ctx)?) } else { None };
 
     // --- task-level accounting ----------------------------------------------
     let task_energy_ref = calibration.task_compute_energy;
@@ -377,16 +442,16 @@ pub(crate) fn evaluate_scheme_with(
     let usable = ctx.profile.usable_energy_per_cycle;
     let cycles = (compute_energy.ratio(usable)).max(1.0);
     let safe_fraction =
-        if spec.uses_safe_zone() { ctx.profile.safe_zone_recovery_fraction } else { 0.0 };
+        if kind.uses_safe_zone() { ctx.profile.safe_zone_recovery_fraction } else { 0.0 };
     let backups = cycles * (1.0 - safe_fraction);
     let restores = backups * ctx.profile.power_loss_fraction;
 
     // Backup / restore cost per event, scaled by the NVM technology.
-    let cell = NvmCell::for_technology(ctx.nvm);
+    let cell = NvmCell::for_technology(ctx.replacement.technology);
     let write_ratio = cell.write_energy_vs_mram();
     let latency_ratio =
         cell.write_latency.ratio(NvmCell::for_technology(NvmTechnology::Mram).write_latency);
-    let bits = spec.bits_per_backup(figures.state_bits, replacement.as_ref(), calibration);
+    let bits = kind.bits_per_backup(figures.state_bits, replacement.as_ref(), calibration);
     let backup_energy_per_event =
         calibration.backup_fixed_energy + calibration.backup_energy_per_bit * (bits * write_ratio);
     let backup_latency_per_event = calibration.backup_fixed_latency
@@ -400,7 +465,7 @@ pub(crate) fn evaluate_scheme_with(
     let restore_delay = restore_latency_per_event * restores;
 
     // Work lost to complete power failures and redone afterwards.
-    let reexecution_energy = usable * (spec.reexecution_exposure() * restores);
+    let reexecution_energy = usable * (kind.reexecution_exposure() * restores);
     let compute_power = e_eval_ref / t_eval_ref;
     let reexecution_delay = reexecution_energy / compute_power;
 
@@ -424,7 +489,7 @@ pub(crate) fn evaluate_scheme_with(
     };
 
     Ok(SchemeResult {
-        kind: spec.kind(),
+        kind,
         circuit: artifacts.name().to_string(),
         breakdown,
         runtime_energy_factor,
@@ -448,11 +513,19 @@ pub fn compare_all_schemes(
     netlist: &Netlist,
     ctx: &SchemeContext,
 ) -> Result<SchemeComparison, DiacError> {
-    let artifacts = CircuitArtifacts::build(netlist, ctx)?;
-    let mut results = Vec::with_capacity(SchemeKind::ALL.len());
-    for kind in SchemeKind::ALL {
-        results.push(evaluate_scheme_with(&artifacts, ctx, spec_for(kind))?);
-    }
+    compare_with(&CircuitArtifacts::build(netlist, ctx)?, ctx)
+}
+
+/// Evaluates all four schemes, in [`SchemeKind::ALL`] order, against
+/// artifacts that are known to match `ctx`.
+pub(crate) fn compare_with(
+    artifacts: &CircuitArtifacts<'_>,
+    ctx: &SchemeContext,
+) -> Result<SchemeComparison, DiacError> {
+    let results = SchemeKind::ALL
+        .into_iter()
+        .map(|kind| evaluate_scheme_with(artifacts, ctx, kind))
+        .collect::<Result<_, _>>()?;
     Ok(SchemeComparison { circuit: artifacts.name().to_string(), results })
 }
 
@@ -558,5 +631,142 @@ mod tests {
         assert_eq!(SchemeKind::NvClustering.to_string(), "NV-Clustering");
         assert_eq!(SchemeKind::Diac.to_string(), "DIAC");
         assert_eq!(SchemeKind::DiacOptimized.to_string(), "Optimized DIAC");
+    }
+}
+
+// The parameter checks of each scheme, one module per scheme.
+
+#[cfg(test)]
+mod nv_based {
+    mod tests {
+        use crate::schemes::{Calibration, SchemeContext, SchemeKind::NvBased};
+        use tech45::flipflop::FlipFlopKind;
+        use tech45::nvm::NvmTechnology;
+
+        #[test]
+        fn uses_nv_ffs_and_no_safe_zone() {
+            let mut ctx = SchemeContext::default();
+            assert_eq!(NvBased.flip_flop(&ctx), FlipFlopKind::NonVolatile(NvmTechnology::Mram));
+            ctx.replacement.technology = NvmTechnology::Pcm;
+            assert_eq!(NvBased.flip_flop(&ctx), FlipFlopKind::NonVolatile(NvmTechnology::Pcm));
+            assert!(!NvBased.uses_safe_zone());
+            assert!(!NvBased.needs_tree());
+        }
+
+        #[test]
+        fn backs_up_every_state_bit_with_a_scatter_penalty() {
+            let bits = NvBased.bits_per_backup(100, None, &Calibration::default());
+            assert!((bits - 125.0).abs() < 1e-9);
+        }
+
+        #[test]
+        fn has_the_smallest_reexecution_exposure() {
+            assert!(NvBased.reexecution_exposure() < 0.1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod nv_clustering {
+    mod tests {
+        use crate::schemes::{Calibration, SchemeContext, SchemeKind::NvClustering};
+        use tech45::flipflop::FlipFlopKind;
+
+        #[test]
+        fn uses_le_ffs_without_a_safe_zone_or_tree() {
+            let ctx = SchemeContext::default();
+            assert!(matches!(
+                NvClustering.flip_flop(&ctx),
+                FlipFlopKind::LogicEmbedded { cluster_size: 5, .. }
+            ));
+            assert!(!NvClustering.uses_safe_zone());
+            assert!(!NvClustering.needs_tree());
+        }
+
+        #[test]
+        fn backup_traffic_sits_between_diac_and_nv_based() {
+            let calibration = Calibration::default();
+            let bits = NvClustering.bits_per_backup(100, None, &calibration);
+            assert!(bits < 125.0, "must beat NV-based ({bits})");
+            assert!(bits > 10.0, "must not be implausibly small ({bits})");
+        }
+
+        #[test]
+        fn exposure_is_between_the_extremes() {
+            assert!(NvClustering.reexecution_exposure() > 0.02);
+            assert!(NvClustering.reexecution_exposure() < 0.5);
+        }
+    }
+}
+
+#[cfg(test)]
+mod diac {
+    mod tests {
+        use crate::replacement::ReplacementSummary;
+        use crate::schemes::{Calibration, SchemeContext, SchemeKind::Diac};
+        use tech45::flipflop::FlipFlopKind;
+        use tech45::units::{Energy, Seconds};
+
+        #[test]
+        fn uses_volatile_ffs_and_the_tree_flow() {
+            let ctx = SchemeContext::default();
+            assert_eq!(Diac.flip_flop(&ctx), FlipFlopKind::Volatile);
+            assert!(!Diac.uses_safe_zone());
+            assert!(Diac.needs_tree());
+        }
+
+        #[test]
+        fn backup_bits_come_from_the_boundary_cut() {
+            let calibration = Calibration::default();
+            let summary = ReplacementSummary {
+                boundaries: 5,
+                total_boundary_bits: 60,
+                average_boundary_bits: 12.0,
+                energy_budget: Energy::from_millijoules(1.0),
+                max_unsaved_energy: Energy::from_millijoules(1.0),
+                backup_energy: Energy::ZERO,
+                backup_latency: Seconds::ZERO,
+                restore_energy: Energy::ZERO,
+                restore_latency: Seconds::ZERO,
+            };
+            let bits = Diac.bits_per_backup(200, Some(&summary), &calibration);
+            assert!((bits - 20.0).abs() < 1e-9, "12 boundary bits + 8 control bits, got {bits}");
+        }
+
+        #[test]
+        fn falls_back_to_state_bits_without_a_summary() {
+            let calibration = Calibration::default();
+            let bits = Diac.bits_per_backup(40, None, &calibration);
+            assert!((bits - 48.0).abs() < 1e-9);
+        }
+
+        #[test]
+        fn exposure_reflects_the_coarser_checkpoints() {
+            assert!(Diac.reexecution_exposure() > 0.05);
+        }
+    }
+}
+
+#[cfg(test)]
+mod diac_opt {
+    mod tests {
+        use crate::schemes::{Calibration, SchemeContext, SchemeKind::DiacOptimized};
+        use tech45::flipflop::FlipFlopKind;
+
+        #[test]
+        fn is_diac_plus_the_safe_zone() {
+            let ctx = SchemeContext::default();
+            assert_eq!(DiacOptimized.flip_flop(&ctx), FlipFlopKind::Volatile);
+            assert!(DiacOptimized.uses_safe_zone());
+            assert!(DiacOptimized.needs_tree());
+        }
+
+        #[test]
+        fn backup_bits_match_plain_diac() {
+            let calibration = Calibration::default();
+            let a = DiacOptimized.bits_per_backup(64, None, &calibration);
+            let b = crate::schemes::SchemeKind::Diac.bits_per_backup(64, None, &calibration);
+            assert!((a - b).abs() < 1e-12);
+        }
     }
 }

@@ -86,6 +86,18 @@ fn technology_sweeps_over_shared_artifacts_match_fresh_contexts() {
             .evaluate(&reference_artifacts, SchemeKind::DiacOptimized)
             .expect("reference evaluation");
         assert_eq!(swept, reference, "{technology}: swept evaluation deviates");
+        // A context whose only edit is the replacement technology is priced
+        // in that technology by every scheme, exactly like `with_nvm`.
+        let mut edited = base.clone();
+        edited.replacement.technology = technology;
+        for kind in SchemeKind::ALL {
+            let via_with_nvm = pipeline.evaluate_in(&shared, &ctx, kind).expect("with_nvm");
+            let via_field = pipeline.evaluate_in(&shared, &edited, kind).expect("edited field");
+            assert_eq!(
+                via_field, via_with_nvm,
+                "{technology}/{kind}: setting only replacement.technology deviates from with_nvm"
+            );
+        }
     }
 }
 
