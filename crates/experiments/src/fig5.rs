@@ -10,7 +10,7 @@ use diac_core::DiacError;
 use netlist::suite::{BenchmarkSuite, SuiteKind};
 
 use crate::report::{norm, Table};
-use crate::suite_runner::SuiteRunner;
+use crate::suite_runner::{run_suite, SuiteRunner};
 
 /// One row of the Fig. 5 data: one circuit, four normalized PDP values.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +119,7 @@ pub fn run_on_with(
     suite: &BenchmarkSuite,
     ctx: &SchemeContext,
 ) -> Result<Fig5Result, DiacError> {
-    let rows = runner.run_suite(suite, ctx, |spec, pipeline, artifacts| {
+    let rows = run_suite(runner, suite, ctx, |spec, pipeline, artifacts| {
         let comparison = pipeline.compare_all(artifacts)?;
         Ok(row_from(&comparison, spec.suite, spec.gates))
     })?;

@@ -13,7 +13,7 @@ use netlist::suite::BenchmarkSuite;
 use tech45::nvm::NvmTechnology;
 
 use crate::report::Table;
-use crate::suite_runner::SuiteRunner;
+use crate::suite_runner::{run_suite, SuiteRunner};
 
 /// Result for one NVM technology.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +77,7 @@ pub fn run_on(
     base: &SchemeContext,
 ) -> Result<NvmSensitivity, DiacError> {
     // Per circuit: normalized (optimized, plain) DIAC PDP for each technology.
-    let per_circuit = runner.run_suite(suite, base, |_, pipeline, artifacts| {
+    let per_circuit = run_suite(runner, suite, base, |_, pipeline, artifacts| {
         NvmTechnology::ALL
             .iter()
             .map(|&technology| {

@@ -12,9 +12,9 @@
 //!   summary) ([`space::BackupSizing`]),
 //!
 //! — runs each through [`isim::executor::IntermittentExecutor`] on the
-//! order-preserving parallel work-queue ([`runner::ParallelRunner`], shared
-//! with `experiments::SuiteRunner`) or, batched, through
-//! [`isim::batch::BatchExecutor`], which burns provably quiescent ticks in
+//! order-preserving parallel work-queue ([`runner::ParallelRunner`], which
+//! `experiments` re-exports as `SuiteRunner` for the circuit sweeps) or,
+//! batched, through [`isim::batch::BatchExecutor`], which burns provably quiescent ticks in
 //! closed form ([`campaign::run_batched_with`], bit-identical digests),
 //! reduces every run to one row of scalar metrics without retaining
 //! per-run traces, and summarises the rows once ([`aggregate::CampaignSummary::of_rows`]:

@@ -1,10 +1,10 @@
 //! The generic order-preserving parallel work-queue.
 //!
-//! PR 1 introduced this pattern inside `experiments::SuiteRunner` for the
-//! circuit sweeps; scenario campaigns need the identical shape — hundreds of
-//! independent `(config, seed)` runs fanned out across cores with results
-//! returned in item order — so the queue now lives here, generic over the
-//! item, result and error types, and `SuiteRunner` delegates to it.
+//! Circuit sweeps and scenario campaigns need the same shape — independent
+//! items (registry circuits, `(config, seed)` runs) fanned out across cores
+//! with results returned in item order — so the queue lives here, generic
+//! over the item, result and error types.  `experiments::SuiteRunner` is
+//! this type under the name the circuit sweeps use.
 //!
 //! Workers claim item indices from one atomic counter and park each result
 //! in its own slot, so results always come back in item order regardless of
@@ -149,6 +149,17 @@ mod tests {
     }
 
     #[test]
+    fn map_uses_every_worker_exactly_once_per_item() {
+        use std::sync::atomic::AtomicUsize;
+        let calls = AtomicUsize::new(0);
+        let items: Vec<u32> = (0..33).collect();
+        ParallelRunner::with_threads(4).map(&items, |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), items.len());
+    }
+
+    #[test]
     fn serial_and_parallel_results_are_identical() {
         let items: Vec<f64> = (1..=50).map(f64::from).collect();
         let serial = ParallelRunner::serial().map(&items, |_, &x| (x.ln() * 1e9).to_bits());
@@ -168,6 +179,23 @@ mod tests {
             }
         });
         assert_eq!(result.unwrap_err(), "item 5");
+    }
+
+    #[test]
+    fn serial_try_map_stops_exactly_at_the_failing_item() {
+        use std::sync::atomic::AtomicUsize;
+        let calls = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..16).collect();
+        let result = ParallelRunner::serial().try_map(&items, |_, &item| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            if item == 3 {
+                Err("stop")
+            } else {
+                Ok(item)
+            }
+        });
+        assert_eq!(result, Err("stop"));
+        assert_eq!(calls.load(Ordering::Relaxed), 4, "nothing after the failing item runs");
     }
 
     #[test]
