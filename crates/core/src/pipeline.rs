@@ -234,14 +234,13 @@ impl<'n> CircuitArtifacts<'n> {
         &self,
         ctx: &SchemeContext,
     ) -> Result<(ReplacementKey, Arc<NvEnhancedTree>), DiacError> {
-        let config = &ctx.replacement;
-        let key = ReplacementKey::new(ctx.policy, config);
+        let key = ReplacementKey::new(ctx.policy, &ctx.replacement);
         if let Some(enhanced) = self.replacements.lock().expect("replacement cache lock").get(&key)
         {
             return Ok((key, Arc::clone(enhanced)));
         }
         let tree = self.restructured_tree(ctx.policy, &ctx.library)?;
-        let enhanced = Arc::new(insert_nvm_boundaries(tree, config)?);
+        let enhanced = Arc::new(insert_nvm_boundaries(tree, &ctx.replacement)?);
         self.replacements
             .lock()
             .expect("replacement cache lock")
