@@ -69,9 +69,7 @@ pub use pdp::{IntermittencyProfile, PdpBreakdown};
 pub use pipeline::{CircuitArtifacts, SynthesisPipeline};
 pub use policy::{Policy, PolicyBounds};
 pub use replacement::{NvEnhancedTree, ReplacementConfig, ReplacementSummary};
-pub use schemes::{
-    compare_all_schemes, Calibration, SchemeComparison, SchemeContext, SchemeKind, SchemeResult,
-};
+pub use schemes::{compare_all_schemes, SchemeComparison, SchemeContext, SchemeKind, SchemeResult};
 pub use tree::{Operand, OperandId, OperandTree, TreeGeneratorConfig};
 pub use verify::{replaced_netlist, verify_replacement};
 
@@ -88,7 +86,7 @@ pub mod prelude {
     pub use crate::policy::{Policy, PolicyBounds};
     pub use crate::replacement::{NvEnhancedTree, ReplacementConfig, ReplacementSummary};
     pub use crate::schemes::{
-        compare_all_schemes, Calibration, SchemeComparison, SchemeContext, SchemeKind, SchemeResult,
+        compare_all_schemes, SchemeComparison, SchemeContext, SchemeKind, SchemeResult,
     };
     pub use crate::timing::{validate_timing, TimingReport};
     pub use crate::tree::{Operand, OperandId, OperandTree, TreeGeneratorConfig};

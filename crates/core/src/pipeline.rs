@@ -78,8 +78,6 @@ struct ReplacementKey {
     policy: Policy,
     technology: NvmTechnology,
     budget_bits: u64,
-    word_bits: u32,
-    bits_per_signal: u32,
 }
 
 impl ReplacementKey {
@@ -88,8 +86,6 @@ impl ReplacementKey {
             policy,
             technology: config.technology,
             budget_bits: config.budget_fraction.to_bits(),
-            word_bits: config.word_bits,
-            bits_per_signal: config.bits_per_signal,
         }
     }
 }
@@ -97,13 +93,12 @@ impl ReplacementKey {
 /// Scheme-independent synthesis products of one circuit, computed once and
 /// shared across all scheme evaluations and design-space sweep points.
 ///
-/// Artifacts stay valid while the sweep only varies the restructuring
-/// policy, the NVM technology, the replacement budget, the intermittency
-/// profile, or calibration constants that do not feed the netlist-level
-/// figures.  Changing the cell library, the tree-generator configuration or
-/// the combinational activity invalidates them; evaluation checks this and
-/// returns [`DiacError::InvalidConfig`] instead of silently reusing stale
-/// products.
+/// The figures and the tree are built with the one cell library
+/// ([`CellLibrary::nangate45_surrogate`]) and the default
+/// [`TreeGeneratorConfig`], which no [`SchemeContext`] can change, so one
+/// set of artifacts serves every sweep context: the restructuring policy,
+/// the NVM technology, the replacement budget and the intermittency profile
+/// are all read at evaluation time.
 ///
 /// The artifacts borrow the netlist they were built from (the caller keeps
 /// it alive), for the replaced netlist and the opt-in functional-equivalence
@@ -116,10 +111,9 @@ pub struct CircuitArtifacts<'n> {
     levels: Levels,
     figures: CircuitFigures,
     base_tree: OperandTree,
-    // Fingerprint of the context fields the cached products depend on.
+    /// The library the figures and the tree were estimated with, kept for
+    /// the policies' re-estimation of restructured operands.
     library: CellLibrary,
-    tree_config: TreeGeneratorConfig,
-    comb_activity: f64,
     // Lazily-filled caches.  Interior mutability keeps the evaluation API
     // `&self`, so one set of artifacts can be shared across sweep points.
     replacements: Mutex<HashMap<ReplacementKey, Arc<NvEnhancedTree>>>,
@@ -133,18 +127,18 @@ impl<'n> CircuitArtifacts<'n> {
     /// # Errors
     ///
     /// Propagates netlist analysis and tree-construction failures.
-    pub fn build(netlist: &'n Netlist, ctx: &SchemeContext) -> Result<Self, DiacError> {
+    pub fn build(netlist: &'n Netlist) -> Result<Self, DiacError> {
+        let library = CellLibrary::nangate45_surrogate();
         let levels = levelize(netlist)?;
-        let figures = circuit_figures(netlist, &levels, ctx);
-        let base_tree = OperandTree::from_levels(netlist, &levels, &ctx.library, &ctx.tree_config)?;
+        let figures = circuit_figures(netlist, &levels, &library);
+        let base_tree =
+            OperandTree::from_levels(netlist, &levels, &library, &TreeGeneratorConfig::default())?;
         Ok(Self {
             netlist,
             levels,
             figures,
             base_tree,
-            library: ctx.library.clone(),
-            tree_config: ctx.tree_config,
-            comb_activity: ctx.calibration.comb_activity,
+            library,
             replacements: Mutex::new(HashMap::new()),
             replaced: Mutex::new(HashMap::new()),
         })
@@ -184,39 +178,12 @@ impl<'n> CircuitArtifacts<'n> {
         &self.figures
     }
 
-    /// Whether `ctx` is compatible with the inputs these artifacts were
-    /// built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiacError::InvalidConfig`] when the context differs in the
-    /// cell library, tree configuration or combinational activity.
-    pub(crate) fn check_context(&self, ctx: &SchemeContext) -> Result<(), DiacError> {
-        if ctx.library != self.library
-            || ctx.tree_config != self.tree_config
-            || ctx.calibration.comb_activity != self.comb_activity
-        {
-            return Err(DiacError::InvalidConfig {
-                message: format!(
-                    "artifacts of `{}` were built with a different library/tree configuration; \
-                     rebuild them with SynthesisPipeline::prepare",
-                    self.name()
-                ),
-            });
-        }
-        Ok(())
-    }
-
     /// A copy of the tree after `policy`: one copy either way.  A cached
     /// replacement run under `policy` holds that tree with its boundary
     /// annotations, which every replacement run rewrites for every live
     /// operand, so its tree serves as well as a fresh one.  Without such a
     /// run the policy restructures a copy of the base tree.
-    fn restructured_tree(
-        &self,
-        policy: Policy,
-        library: &CellLibrary,
-    ) -> Result<OperandTree, DiacError> {
+    fn restructured_tree(&self, policy: Policy) -> Result<OperandTree, DiacError> {
         let cached = self.replacements.lock().expect("replacement cache lock");
         if let Some((_, enhanced)) = cached.iter().find(|(key, _)| key.policy == policy) {
             return Ok(enhanced.tree().clone());
@@ -224,7 +191,7 @@ impl<'n> CircuitArtifacts<'n> {
         drop(cached);
         let mut tree = self.base_tree.clone();
         let bounds = PolicyBounds::relative_to(&tree, POLICY_UPPER_FRACTION, POLICY_LOWER_FRACTION);
-        apply_policy(&mut tree, policy, &bounds, library)?;
+        apply_policy(&mut tree, policy, &bounds, &self.library)?;
         Ok(tree)
     }
 
@@ -239,7 +206,7 @@ impl<'n> CircuitArtifacts<'n> {
         {
             return Ok((key, Arc::clone(enhanced)));
         }
-        let tree = self.restructured_tree(ctx.policy, &ctx.library)?;
+        let tree = self.restructured_tree(ctx.policy)?;
         let enhanced = Arc::new(insert_nvm_boundaries(tree, &ctx.replacement)?);
         self.replacements
             .lock()
@@ -264,10 +231,8 @@ impl<'n> CircuitArtifacts<'n> {
     ///
     /// # Errors
     ///
-    /// Returns [`DiacError::InvalidConfig`] for stale artifacts and
-    /// propagates replacement and rewrite failures.
+    /// Propagates replacement and rewrite failures.
     pub fn replaced_netlist(&self, ctx: &SchemeContext) -> Result<Arc<Netlist>, DiacError> {
-        self.check_context(ctx)?;
         let (key, enhanced) = self.replacement(ctx)?;
         if let Some(replaced) = self.replaced.lock().expect("replaced cache lock").get(&key) {
             return Ok(Arc::clone(replaced));
@@ -287,9 +252,7 @@ impl<'n> CircuitArtifacts<'n> {
     ///
     /// # Errors
     ///
-    /// Returns [`DiacError::InvalidConfig`] for stale artifacts (see
-    /// the context check every artifact use performs) and propagates
-    /// replacement and equivalence failures.
+    /// Propagates replacement and equivalence failures.
     pub fn verify_replacement(
         &self,
         ctx: &SchemeContext,
@@ -326,7 +289,7 @@ impl SynthesisPipeline {
     ///
     /// Propagates netlist analysis and tree-construction failures.
     pub fn prepare<'n>(&self, netlist: &'n Netlist) -> Result<CircuitArtifacts<'n>, DiacError> {
-        CircuitArtifacts::build(netlist, &self.ctx)
+        CircuitArtifacts::build(netlist)
     }
 
     /// Evaluates one scheme against prepared artifacts.
@@ -343,21 +306,18 @@ impl SynthesisPipeline {
     }
 
     /// Evaluates one scheme under a sweep context that may differ from the
-    /// pipeline's in policy, NVM technology, replacement budget, profile or
-    /// calibration — the knobs [`crate::explore::Explorer`] varies.
+    /// pipeline's in policy, NVM technology, replacement budget or profile —
+    /// the knobs [`crate::explore::Explorer`] varies.
     ///
     /// # Errors
     ///
-    /// Returns [`DiacError::InvalidConfig`] when `ctx` differs from the
-    /// artifacts in the library or tree configuration (stale artifacts), and
-    /// propagates evaluation failures.
+    /// Propagates configuration and evaluation failures.
     pub fn evaluate_in(
         &self,
         artifacts: &CircuitArtifacts<'_>,
         ctx: &SchemeContext,
         kind: SchemeKind,
     ) -> Result<SchemeResult, DiacError> {
-        artifacts.check_context(ctx)?;
         evaluate_scheme_with(artifacts, ctx, kind)
     }
 
@@ -384,7 +344,6 @@ impl SynthesisPipeline {
         artifacts: &CircuitArtifacts<'_>,
         ctx: &SchemeContext,
     ) -> Result<SchemeComparison, DiacError> {
-        artifacts.check_context(ctx)?;
         compare_with(artifacts, ctx)
     }
 }
@@ -443,21 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_artifacts_are_rejected_instead_of_reused() {
-        let pipeline = SynthesisPipeline::default();
-        let netlist = circuit("s27");
-        let artifacts = pipeline.prepare(&netlist).unwrap();
-        let mut ctx = pipeline.context().clone();
-        ctx.tree_config.gates_per_operand = 3;
-        let err = pipeline.evaluate_in(&artifacts, &ctx, SchemeKind::Diac).unwrap_err();
-        assert!(matches!(err, DiacError::InvalidConfig { .. }));
-        let mut ctx = pipeline.context().clone();
-        ctx.calibration.comb_activity *= 2.0;
-        let err = pipeline.compare_all_in(&artifacts, &ctx).unwrap_err();
-        assert!(matches!(err, DiacError::InvalidConfig { .. }));
-    }
-
-    #[test]
     fn verify_replacement_passes_and_caches() {
         let pipeline = SynthesisPipeline::default();
         let netlist = circuit("s298");
@@ -479,13 +423,6 @@ mod tests {
         // The replaced netlist itself is exposed (and cache-cloned).
         let replaced = artifacts.replaced_netlist(pipeline.context()).unwrap();
         assert!(crate::verify::nv_buffer_count(&replaced) > 0);
-        // Stale contexts are rejected like every other artifact use.
-        let mut stale = pipeline.context().clone();
-        stale.tree_config.gates_per_operand = 3;
-        assert!(matches!(
-            artifacts.verify_replacement(&stale, &equiv),
-            Err(DiacError::InvalidConfig { .. })
-        ));
     }
 
     #[test]

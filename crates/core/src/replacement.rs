@@ -24,7 +24,15 @@ use crate::error::DiacError;
 use crate::feature::FeatureDict;
 use crate::tree::OperandTree;
 
-/// Configuration of the replacement procedure.
+/// Word width of the backup array in bits.
+const WORD_BITS: u32 = 32;
+/// Width in bits of one signal crossing an operand boundary.
+const BITS_PER_SIGNAL: u64 = 1;
+
+/// Configuration of the replacement procedure: the NVM technology and the
+/// budget, the two values a design-space sweep varies.  The backup array's
+/// word width (32 bits) and the width of a boundary signal (1 bit) are
+/// constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplacementConfig {
     /// NVM technology used for the backup arrays.  Inside a
@@ -37,20 +45,11 @@ pub struct ReplacementConfig {
     /// unsaved between two NVM boundaries.  Smaller fractions mean more
     /// boundaries (more resiliency, more write overhead).
     pub budget_fraction: f64,
-    /// Word width of the backup array in bits.
-    pub word_bits: u32,
-    /// Assumed width in bits of one signal crossing an operand boundary.
-    pub bits_per_signal: u32,
 }
 
 impl Default for ReplacementConfig {
     fn default() -> Self {
-        Self {
-            technology: NvmTechnology::Mram,
-            budget_fraction: 0.15,
-            word_bits: 32,
-            bits_per_signal: 1,
-        }
+        Self { technology: NvmTechnology::Mram, budget_fraction: 0.15 }
     }
 }
 
@@ -59,17 +58,12 @@ impl ReplacementConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`DiacError::InvalidConfig`] for out-of-range fractions or a
-    /// zero word width.
+    /// Returns [`DiacError::InvalidConfig`] for a budget fraction outside
+    /// `(0, 1]`.
     pub fn validate(&self) -> Result<(), DiacError> {
         if !(0.0..=1.0).contains(&self.budget_fraction) || self.budget_fraction == 0.0 {
             return Err(DiacError::InvalidConfig {
                 message: format!("budget_fraction must be in (0, 1], got {}", self.budget_fraction),
-            });
-        }
-        if self.word_bits == 0 || self.bits_per_signal == 0 {
-            return Err(DiacError::InvalidConfig {
-                message: "word_bits and bits_per_signal must be non-zero".to_string(),
             });
         }
         Ok(())
@@ -146,8 +140,8 @@ impl NvEnhancedTree {
     pub fn backup_array(&self) -> NvmArray {
         NvmArray::new(
             self.config.technology,
-            self.summary.total_boundary_bits.max(u64::from(self.config.word_bits)),
-            self.config.word_bits,
+            self.summary.total_boundary_bits.max(u64::from(WORD_BITS)),
+            WORD_BITS,
         )
     }
 
@@ -211,7 +205,7 @@ pub fn insert_nvm_boundaries(
         // harvesting burst can re-do.  Roots always commit the final result.
         let over_budget = unsaved > budget;
         if over_budget || is_root {
-            let bits = (fan_out as u64).max(1) * u64::from(config.bits_per_signal);
+            let bits = (fan_out as u64).max(1) * BITS_PER_SIGNAL;
             dict.mark_boundary(bits);
             accumulated[id.index()] = Energy::ZERO;
             boundaries += 1;
@@ -223,11 +217,7 @@ pub fn insert_nvm_boundaries(
 
     let average_boundary_bits =
         if boundaries == 0 { 0.0 } else { total_bits as f64 / boundaries as f64 };
-    let array = NvmArray::new(
-        config.technology,
-        total_bits.max(u64::from(config.word_bits)),
-        config.word_bits,
-    );
+    let array = NvmArray::new(config.technology, total_bits.max(u64::from(WORD_BITS)), WORD_BITS);
     let avg_bits = average_boundary_bits.ceil() as u64;
     let summary = ReplacementSummary {
         boundaries,
@@ -271,10 +261,6 @@ mod tests {
         let c = ReplacementConfig { budget_fraction: 0.0, ..ReplacementConfig::default() };
         assert!(c.validate().is_err());
         let c = ReplacementConfig { budget_fraction: 1.5, ..ReplacementConfig::default() };
-        assert!(c.validate().is_err());
-        let c = ReplacementConfig { word_bits: 0, ..ReplacementConfig::default() };
-        assert!(c.validate().is_err());
-        let c = ReplacementConfig { bits_per_signal: 0, ..ReplacementConfig::default() };
         assert!(c.validate().is_err());
     }
 

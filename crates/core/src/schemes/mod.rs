@@ -18,16 +18,39 @@
 //!
 //! Each scheme differs from the others only in five parameters, the
 //! crate-private `match` methods on [`SchemeKind`] that
-//! [`compare_all_schemes`] reads: the run-time flip-flop, whether it uses the
-//! safe zone, whether it runs the tree flow, the bits per backup and the
-//! re-execution exposure.
+//! [`compare_all_schemes`] reads: the run-time cost factors of its state
+//! element, whether it uses the safe zone, whether it runs the tree flow, the
+//! bits per backup and the re-execution exposure.
+//!
+//! # Model constants
+//!
+//! A [`SchemeContext`] holds only what a sweep varies: the intermittency
+//! profile, the restructuring policy, the NVM technology and the replacement
+//! budget.  Everything else the PDP model reads is a constant of this module.
+//! The absolute values are surrogate (the paper's were obtained from HSPICE,
+//! Design Compiler and a modified CACTI on hardware we do not have); they are
+//! chosen so that one backup costs on the order of a millijoule — consistent
+//! with the paper's `Th_Bk` = 4 mJ reserve:
+//!
+//! | constant | value |
+//! |---|---|
+//! | compute energy of one task | 30 mJ |
+//! | fixed energy / latency of one backup | 2 mJ / 1 ms |
+//! | energy / latency per backed-up bit (MRAM) | 3 µJ / 2 µs |
+//! | restore cost relative to backup cost | 0.25 |
+//! | flip-flop / combinational switching activity | 0.5 / 0.2 |
+//! | control bits per DIAC backup | 8 |
+//! | gates per LE-FF cluster | 5 |
+//!
+//! The circuit side is fixed too: [`CircuitArtifacts`] prices gates with
+//! [`CellLibrary::nangate45_surrogate`] and clusters them with the default
+//! [`TreeGeneratorConfig`](crate::tree::TreeGeneratorConfig).
 
 use std::fmt;
 
 use netlist::levelize::Levels;
 use netlist::Netlist;
-use tech45::cells::CellLibrary;
-use tech45::flipflop::{FlipFlopKind, FlipFlopModel};
+use tech45::cells::{CellKind, CellLibrary};
 use tech45::nvm::{NvmCell, NvmTechnology};
 use tech45::units::{Energy, Seconds};
 
@@ -36,7 +59,32 @@ use crate::pdp::{IntermittencyProfile, PdpBreakdown};
 use crate::pipeline::CircuitArtifacts;
 use crate::policy::Policy;
 use crate::replacement::{ReplacementConfig, ReplacementSummary};
-use crate::tree::TreeGeneratorConfig;
+
+/// Energy one benchmark task must spend on computation.  Per the paper's
+/// assumption (1) this exceeds the 25 mJ storage capacity, so every task
+/// spans several charge cycles.
+const TASK_COMPUTE_ENERGY: Energy = Energy::from_millijoules(30.0);
+/// Fixed energy of one backup (memory-controller wake-up, regulator and
+/// peripheral losses), independent of how many bits are stored.
+const BACKUP_FIXED_ENERGY: Energy = Energy::from_millijoules(2.0);
+/// System-level energy per backed-up bit for the MRAM reference technology
+/// (other technologies scale by their device write-energy ratio).
+const BACKUP_ENERGY_PER_BIT: Energy = Energy::from_microjoules(3.0);
+/// Fixed latency of one backup.
+const BACKUP_FIXED_LATENCY: Seconds = Seconds::from_millis(1.0);
+/// Per-bit backup latency (serial transfer into the backup array).
+const BACKUP_LATENCY_PER_BIT: Seconds = Seconds::from_micros(2.0);
+/// Restore cost relative to backup cost (NVM reads are much cheaper than
+/// writes).
+const RESTORE_COST_RATIO: f64 = 0.25;
+/// Switching activity of flip-flops (fraction updating per evaluation).
+const FF_ACTIVITY: f64 = 0.5;
+/// Switching activity of combinational gates.
+const COMB_ACTIVITY: f64 = tech45::constants::DEFAULT_ACTIVITY;
+/// Extra bits stored per DIAC backup for the `Reg_Flag` and FSM state.
+const CONTROL_STATE_BITS: f64 = 8.0;
+/// Average number of logic gates embedded per LE-FF cluster.
+const CLUSTER_SIZE: f64 = 5.0;
 
 /// Which of the four schemes is being evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,16 +148,22 @@ impl SchemeKind {
         }
     }
 
-    /// The state element the scheme uses at run time.
-    pub(crate) fn flip_flop(self, ctx: &SchemeContext) -> FlipFlopKind {
-        let technology = ctx.replacement.technology;
+    /// Energy and delay of one register update of the scheme's state
+    /// element, as factors of the library's volatile DFF.
+    pub(crate) fn update_cost_factors(self) -> (f64, f64) {
         match self {
-            SchemeKind::NvBased => FlipFlopKind::NonVolatile(technology),
-            SchemeKind::NvClustering => FlipFlopKind::LogicEmbedded {
-                technology,
-                cluster_size: ctx.calibration.cluster_size,
-            },
-            SchemeKind::Diac | SchemeKind::DiacOptimized => FlipFlopKind::Volatile,
+            // The MTJ / ferroelectric stack loads the internal nodes of the
+            // NV-FF, so even ordinary (volatile) updates are noticeably
+            // slower and hungrier than a plain DFF — this is the run-time
+            // overhead the paper attributes to the NV-based baseline.
+            SchemeKind::NvBased => (1.45, 1.35),
+            // Embedding the logic cone keeps the LE-FF lighter than a full
+            // NV-FF, but the state node still carries the MTJ stack, so
+            // updates are noticeably costlier than a plain DFF (between the
+            // volatile and NV-FF extremes).
+            SchemeKind::NvClustering => (1.25, 1.20),
+            // DIAC keeps plain volatile flip-flops at run time.
+            SchemeKind::Diac | SchemeKind::DiacOptimized => (1.0, 1.0),
         }
     }
 
@@ -128,7 +182,6 @@ impl SchemeKind {
         self,
         state_bits: u64,
         replacement: Option<&ReplacementSummary>,
-        calibration: &Calibration,
     ) -> f64 {
         match self {
             // Every architectural state bit lives in its own scattered NV-FF,
@@ -142,9 +195,8 @@ impl SchemeKind {
                 // needs a stronger driver.  Net effect: noticeably cheaper
                 // than one scattered NV-FF write per bit, yet still
                 // proportional to the full architectural state.
-                let cluster = calibration.cluster_size.max(1) as f64;
-                let commits = (state_bits as f64 / cluster).ceil();
-                let bits_per_commit = cluster * (1.0 + 0.15 * cluster.sqrt()) * 0.78;
+                let commits = (state_bits as f64 / CLUSTER_SIZE).ceil();
+                let bits_per_commit = CLUSTER_SIZE * (1.0 + 0.15 * CLUSTER_SIZE.sqrt()) * 0.78;
                 commits * bits_per_commit
             }
             // Both DIAC schemes store the live boundary cut plus the control
@@ -158,7 +210,7 @@ impl SchemeKind {
                     // architectural state, which is what a naive backup of
                     // the design would store.
                     .unwrap_or(state_bits as f64);
-                boundary_bits + calibration.control_state_bits as f64
+                boundary_bits + CONTROL_STATE_BITS
             }
         }
     }
@@ -186,88 +238,27 @@ impl fmt::Display for SchemeKind {
     }
 }
 
-/// System-level calibration constants of the PDP model.
-///
-/// The absolute values are surrogate (the paper's were obtained from HSPICE,
-/// Design Compiler and a modified CACTI on hardware we do not have); they are
-/// chosen so that one backup costs on the order of a millijoule — consistent
-/// with the paper's `Th_Bk` = 4 mJ reserve — and are documented here so every
-/// experiment states its assumptions explicitly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Calibration {
-    /// Energy one benchmark task must spend on computation.  Per the paper's
-    /// assumption (1) this exceeds the 25 mJ storage capacity, so every task
-    /// spans several charge cycles.
-    pub task_compute_energy: Energy,
-    /// Fixed energy of one backup (memory-controller wake-up, regulator and
-    /// peripheral losses), independent of how many bits are stored.
-    pub backup_fixed_energy: Energy,
-    /// System-level energy per backed-up bit for the MRAM reference
-    /// technology (other technologies scale by their device write-energy
-    /// ratio).
-    pub backup_energy_per_bit: Energy,
-    /// Fixed latency of one backup.
-    pub backup_fixed_latency: Seconds,
-    /// Per-bit backup latency (serial transfer into the backup array).
-    pub backup_latency_per_bit: Seconds,
-    /// Restore cost relative to backup cost (NVM reads are much cheaper than
-    /// writes).
-    pub restore_cost_ratio: f64,
-    /// Switching activity of flip-flops (fraction updating per evaluation).
-    pub ff_activity: f64,
-    /// Switching activity of combinational gates.
-    pub comb_activity: f64,
-    /// Extra bits stored per DIAC backup for the `Reg_Flag` and FSM state.
-    pub control_state_bits: u64,
-    /// Average number of logic gates embedded per LE-FF cluster.
-    pub cluster_size: usize,
-}
-
-impl Default for Calibration {
-    fn default() -> Self {
-        Self {
-            task_compute_energy: Energy::from_millijoules(30.0),
-            backup_fixed_energy: Energy::from_millijoules(2.0),
-            backup_energy_per_bit: Energy::from_microjoules(3.0),
-            backup_fixed_latency: Seconds::from_millis(1.0),
-            backup_latency_per_bit: Seconds::from_micros(2.0),
-            restore_cost_ratio: 0.25,
-            ff_activity: 0.5,
-            comb_activity: tech45::constants::DEFAULT_ACTIVITY,
-            control_state_bits: 8,
-            cluster_size: 5,
-        }
-    }
-}
-
-/// Everything a scheme evaluation needs besides the netlist itself.
+/// Everything a scheme evaluation needs besides the netlist itself: the
+/// values a design-space sweep varies.  The library, the tree clustering and
+/// the model constants are fixed (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemeContext {
-    /// Standard-cell library used for the energy estimates.
-    pub library: CellLibrary,
     /// Intermittency of the ambient supply.
     pub profile: IntermittencyProfile,
     /// Restructuring policy applied before NVM insertion (DIAC schemes only).
     pub policy: Policy,
-    /// Netlist-to-tree clustering configuration.
-    pub tree_config: TreeGeneratorConfig,
-    /// NVM-boundary insertion configuration.  Its `technology` is the NVM
+    /// NVM technology and replacement budget.  Its `technology` is the NVM
     /// technology every scheme retains state in (the paper's fairness
     /// condition), not only the DIAC backup arrays.
     pub replacement: ReplacementConfig,
-    /// System-level calibration constants.
-    pub calibration: Calibration,
 }
 
 impl Default for SchemeContext {
     fn default() -> Self {
         Self {
-            library: CellLibrary::nangate45_surrogate(),
             profile: IntermittencyProfile::default(),
             policy: Policy::Policy3,
-            tree_config: TreeGeneratorConfig::default(),
             replacement: ReplacementConfig::default(),
-            calibration: Calibration::default(),
         }
     }
 }
@@ -364,6 +355,9 @@ impl SchemeComparison {
 pub(crate) struct CircuitFigures {
     comb_energy: Energy,
     comb_delay: Seconds,
+    /// Energy and delay of one update of the library's volatile DFF.
+    dff_energy: Energy,
+    dff_delay: Seconds,
     flip_flops: u64,
     state_bits: u64,
 }
@@ -371,7 +365,7 @@ pub(crate) struct CircuitFigures {
 pub(crate) fn circuit_figures(
     netlist: &Netlist,
     levels: &Levels,
-    ctx: &SchemeContext,
+    library: &CellLibrary,
 ) -> CircuitFigures {
     let mut cells = Vec::new();
     for gate in netlist.iter().filter(|g| g.kind.is_combinational()) {
@@ -380,27 +374,30 @@ pub(crate) fn circuit_figures(
     let estimate = tech45::energy_model::estimate(
         &cells,
         Some(levels.depth().max(1) as usize),
-        ctx.calibration.comb_activity,
-        &ctx.library,
+        COMB_ACTIVITY,
+        library,
     );
+    let dff = library.cell(CellKind::Dff);
     CircuitFigures {
         comb_energy: estimate.total(),
         comb_delay: estimate.critical_path,
+        dff_energy: dff.switching_energy(),
+        dff_delay: dff.delay,
         flip_flops: netlist.flip_flop_count() as u64,
         state_bits: netlist.architectural_state_bits(),
     }
 }
 
-/// Per-evaluation energy/delay of the circuit with a given state element.
+/// Per-evaluation energy/delay of the circuit whose flip-flop updates cost
+/// the DFF's times `(energy_factor, delay_factor)`.
 fn evaluation_cost(
     figures: &CircuitFigures,
-    ff: &FlipFlopModel,
-    calibration: &Calibration,
+    (energy_factor, delay_factor): (f64, f64),
 ) -> (Energy, Seconds) {
-    let ff_updates = figures.flip_flops as f64 * calibration.ff_activity;
-    let energy = figures.comb_energy + ff.update_energy * ff_updates;
+    let ff_updates = figures.flip_flops as f64 * FF_ACTIVITY;
+    let energy = figures.comb_energy + (figures.dff_energy * energy_factor) * ff_updates;
     // One register stage sits on the critical path of every evaluation.
-    let delay = figures.comb_delay + ff.update_delay;
+    let delay = figures.comb_delay + figures.dff_delay * delay_factor;
     (energy, delay)
 }
 
@@ -418,14 +415,11 @@ pub(crate) fn evaluate_scheme_with(
             message: format!("intermittency profile is invalid: {}", ctx.profile),
         });
     }
-    let calibration = &ctx.calibration;
     let figures = *artifacts.figures();
 
     // Run-time cost of the scheme's state elements vs. a volatile design.
-    let volatile = FlipFlopModel::for_kind(FlipFlopKind::Volatile, &ctx.library);
-    let scheme_ff = FlipFlopModel::for_kind(kind.flip_flop(ctx), &ctx.library);
-    let (e_eval_ref, t_eval_ref) = evaluation_cost(&figures, &volatile, calibration);
-    let (e_eval, t_eval) = evaluation_cost(&figures, &scheme_ff, calibration);
+    let (e_eval_ref, t_eval_ref) = evaluation_cost(&figures, (1.0, 1.0));
+    let (e_eval, t_eval) = evaluation_cost(&figures, kind.update_cost_factors());
     let runtime_energy_factor = e_eval.ratio(e_eval_ref);
     let runtime_delay_factor = t_eval.ratio(t_eval_ref);
 
@@ -434,7 +428,7 @@ pub(crate) fn evaluate_scheme_with(
         if kind.needs_tree() { Some(artifacts.replacement_summary(ctx)?) } else { None };
 
     // --- task-level accounting ----------------------------------------------
-    let task_energy_ref = calibration.task_compute_energy;
+    let task_energy_ref = TASK_COMPUTE_ENERGY;
     let evaluations = task_energy_ref.ratio(e_eval_ref);
     let compute_energy = task_energy_ref * runtime_energy_factor;
     let compute_delay = Seconds::new(t_eval.as_seconds() * evaluations);
@@ -451,13 +445,13 @@ pub(crate) fn evaluate_scheme_with(
     let write_ratio = cell.write_energy_vs_mram();
     let latency_ratio =
         cell.write_latency.ratio(NvmCell::for_technology(NvmTechnology::Mram).write_latency);
-    let bits = kind.bits_per_backup(figures.state_bits, replacement.as_ref(), calibration);
+    let bits = kind.bits_per_backup(figures.state_bits, replacement.as_ref());
     let backup_energy_per_event =
-        calibration.backup_fixed_energy + calibration.backup_energy_per_bit * (bits * write_ratio);
-    let backup_latency_per_event = calibration.backup_fixed_latency
-        + calibration.backup_latency_per_bit * (bits * latency_ratio);
-    let restore_energy_per_event = backup_energy_per_event * calibration.restore_cost_ratio;
-    let restore_latency_per_event = backup_latency_per_event * calibration.restore_cost_ratio;
+        BACKUP_FIXED_ENERGY + BACKUP_ENERGY_PER_BIT * (bits * write_ratio);
+    let backup_latency_per_event =
+        BACKUP_FIXED_LATENCY + BACKUP_LATENCY_PER_BIT * (bits * latency_ratio);
+    let restore_energy_per_event = backup_energy_per_event * RESTORE_COST_RATIO;
+    let restore_latency_per_event = backup_latency_per_event * RESTORE_COST_RATIO;
 
     let checkpoint_energy = backup_energy_per_event * backups;
     let checkpoint_delay = backup_latency_per_event * backups;
@@ -513,11 +507,11 @@ pub fn compare_all_schemes(
     netlist: &Netlist,
     ctx: &SchemeContext,
 ) -> Result<SchemeComparison, DiacError> {
-    compare_with(&CircuitArtifacts::build(netlist, ctx)?, ctx)
+    compare_with(&CircuitArtifacts::build(netlist)?, ctx)
 }
 
 /// Evaluates all four schemes, in [`SchemeKind::ALL`] order, against
-/// artifacts that are known to match `ctx`.
+/// prepared artifacts.
 pub(crate) fn compare_with(
     artifacts: &CircuitArtifacts<'_>,
     ctx: &SchemeContext,
@@ -639,23 +633,20 @@ mod tests {
 #[cfg(test)]
 mod nv_based {
     mod tests {
-        use crate::schemes::{Calibration, SchemeContext, SchemeKind::NvBased};
-        use tech45::flipflop::FlipFlopKind;
-        use tech45::nvm::NvmTechnology;
+        use crate::schemes::SchemeKind::NvBased;
 
         #[test]
         fn uses_nv_ffs_and_no_safe_zone() {
-            let mut ctx = SchemeContext::default();
-            assert_eq!(NvBased.flip_flop(&ctx), FlipFlopKind::NonVolatile(NvmTechnology::Mram));
-            ctx.replacement.technology = NvmTechnology::Pcm;
-            assert_eq!(NvBased.flip_flop(&ctx), FlipFlopKind::NonVolatile(NvmTechnology::Pcm));
+            // Every NV-FF update costs more energy and time than a DFF's.
+            let (energy, delay) = NvBased.update_cost_factors();
+            assert!(energy > 1.0 && delay > 1.0, "({energy}, {delay})");
             assert!(!NvBased.uses_safe_zone());
             assert!(!NvBased.needs_tree());
         }
 
         #[test]
         fn backs_up_every_state_bit_with_a_scatter_penalty() {
-            let bits = NvBased.bits_per_backup(100, None, &Calibration::default());
+            let bits = NvBased.bits_per_backup(100, None);
             assert!((bits - 125.0).abs() < 1e-9);
         }
 
@@ -669,24 +660,24 @@ mod nv_based {
 #[cfg(test)]
 mod nv_clustering {
     mod tests {
-        use crate::schemes::{Calibration, SchemeContext, SchemeKind::NvClustering};
-        use tech45::flipflop::FlipFlopKind;
+        use crate::schemes::SchemeKind::{Diac, NvBased, NvClustering};
 
         #[test]
         fn uses_le_ffs_without_a_safe_zone_or_tree() {
-            let ctx = SchemeContext::default();
-            assert!(matches!(
-                NvClustering.flip_flop(&ctx),
-                FlipFlopKind::LogicEmbedded { cluster_size: 5, .. }
-            ));
+            // An LE-FF update sits strictly between a volatile DFF's and an
+            // NV-FF's, in both energy and delay.
+            let (le_energy, le_delay) = NvClustering.update_cost_factors();
+            let (dff_energy, dff_delay) = Diac.update_cost_factors();
+            let (nv_energy, nv_delay) = NvBased.update_cost_factors();
+            assert!(dff_energy < le_energy && le_energy < nv_energy);
+            assert!(dff_delay < le_delay && le_delay < nv_delay);
             assert!(!NvClustering.uses_safe_zone());
             assert!(!NvClustering.needs_tree());
         }
 
         #[test]
         fn backup_traffic_sits_between_diac_and_nv_based() {
-            let calibration = Calibration::default();
-            let bits = NvClustering.bits_per_backup(100, None, &calibration);
+            let bits = NvClustering.bits_per_backup(100, None);
             assert!(bits < 125.0, "must beat NV-based ({bits})");
             assert!(bits > 10.0, "must not be implausibly small ({bits})");
         }
@@ -703,21 +694,18 @@ mod nv_clustering {
 mod diac {
     mod tests {
         use crate::replacement::ReplacementSummary;
-        use crate::schemes::{Calibration, SchemeContext, SchemeKind::Diac};
-        use tech45::flipflop::FlipFlopKind;
+        use crate::schemes::SchemeKind::Diac;
         use tech45::units::{Energy, Seconds};
 
         #[test]
         fn uses_volatile_ffs_and_the_tree_flow() {
-            let ctx = SchemeContext::default();
-            assert_eq!(Diac.flip_flop(&ctx), FlipFlopKind::Volatile);
+            assert_eq!(Diac.update_cost_factors(), (1.0, 1.0));
             assert!(!Diac.uses_safe_zone());
             assert!(Diac.needs_tree());
         }
 
         #[test]
         fn backup_bits_come_from_the_boundary_cut() {
-            let calibration = Calibration::default();
             let summary = ReplacementSummary {
                 boundaries: 5,
                 total_boundary_bits: 60,
@@ -729,14 +717,13 @@ mod diac {
                 restore_energy: Energy::ZERO,
                 restore_latency: Seconds::ZERO,
             };
-            let bits = Diac.bits_per_backup(200, Some(&summary), &calibration);
+            let bits = Diac.bits_per_backup(200, Some(&summary));
             assert!((bits - 20.0).abs() < 1e-9, "12 boundary bits + 8 control bits, got {bits}");
         }
 
         #[test]
         fn falls_back_to_state_bits_without_a_summary() {
-            let calibration = Calibration::default();
-            let bits = Diac.bits_per_backup(40, None, &calibration);
+            let bits = Diac.bits_per_backup(40, None);
             assert!((bits - 48.0).abs() < 1e-9);
         }
 
@@ -750,22 +737,19 @@ mod diac {
 #[cfg(test)]
 mod diac_opt {
     mod tests {
-        use crate::schemes::{Calibration, SchemeContext, SchemeKind::DiacOptimized};
-        use tech45::flipflop::FlipFlopKind;
+        use crate::schemes::SchemeKind::DiacOptimized;
 
         #[test]
         fn is_diac_plus_the_safe_zone() {
-            let ctx = SchemeContext::default();
-            assert_eq!(DiacOptimized.flip_flop(&ctx), FlipFlopKind::Volatile);
+            assert_eq!(DiacOptimized.update_cost_factors(), (1.0, 1.0));
             assert!(DiacOptimized.uses_safe_zone());
             assert!(DiacOptimized.needs_tree());
         }
 
         #[test]
         fn backup_bits_match_plain_diac() {
-            let calibration = Calibration::default();
-            let a = DiacOptimized.bits_per_backup(64, None, &calibration);
-            let b = crate::schemes::SchemeKind::Diac.bits_per_backup(64, None, &calibration);
+            let a = DiacOptimized.bits_per_backup(64, None);
+            let b = crate::schemes::SchemeKind::Diac.bits_per_backup(64, None);
             assert!((a - b).abs() < 1e-12);
         }
     }

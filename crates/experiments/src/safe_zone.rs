@@ -68,7 +68,6 @@ impl SafeZoneAblation {
 pub fn run_with_margins(margins_mj: &[f64], duration: Seconds) -> SafeZoneAblation {
     let rows = SuiteRunner::new().map(margins_mj, |_, &margin| {
         let mut config = FsmConfig::paper_default();
-        config.use_safe_zone = margin > 0.0;
         config.thresholds =
             config.thresholds.with_safe_zone_margin(Energy::from_millijoules(margin));
         let mut exec = IntermittentExecutor::new(config, Schedule::scarce());

@@ -14,8 +14,8 @@ use tech45::nvm::NvmTechnology;
 use tech45::units::{Energy, Seconds};
 
 /// Fixed energy of waking the backup path (controller, regulator), on top of
-/// the per-bit array cost.  See `diac_core::schemes::Calibration` for the
-/// system-level justification.
+/// the per-bit array cost.  See the model constants of [`diac_core::schemes`]
+/// for the system-level justification.
 const CONTROLLER_ENERGY: Energy = Energy::new(0.4e-3);
 
 /// Fixed latency of a backup or restore.

@@ -49,9 +49,6 @@ pub struct FsmConfig {
     pub transmit_probability: f64,
     /// The backup/restore engine.
     pub backup: BackupUnit,
-    /// Whether the `Th_SafeZone` mechanism is enabled (optimized DIAC).  When
-    /// disabled the safe zone collapses onto the backup threshold.
-    pub use_safe_zone: bool,
     /// RNG seed (operation-energy jitter, transmit decisions).
     pub seed: u64,
 }
@@ -75,15 +72,14 @@ impl FsmConfig {
             sleep_leakage: Power::new(SLEEP_LEAKAGE_W),
             transmit_probability: 1.0,
             backup: BackupUnit::default(),
-            use_safe_zone: true,
             seed: 0xD1AC,
         }
     }
 
-    /// Same configuration with the safe zone disabled (plain DIAC).
+    /// Same configuration with the safe zone disabled (plain DIAC): the
+    /// safe-zone threshold collapses onto the backup threshold.
     #[must_use]
     pub fn without_safe_zone(mut self) -> Self {
-        self.use_safe_zone = false;
         self.thresholds = self.thresholds.with_safe_zone_margin(Energy::ZERO);
         self
     }
@@ -93,7 +89,6 @@ impl FsmConfig {
     /// [`Self::without_safe_zone`]; any positive margin enables it.
     #[must_use]
     pub fn with_thresholds(mut self, thresholds: Thresholds) -> Self {
-        self.use_safe_zone = thresholds.safe_zone > thresholds.backup;
         self.thresholds = thresholds;
         self
     }
@@ -703,7 +698,6 @@ mod tests {
     #[test]
     fn disabling_the_safe_zone_goes_straight_to_backup() {
         let config = FsmConfig::paper_default().without_safe_zone();
-        assert!(!config.use_safe_zone);
         assert_eq!(config.thresholds.safe_zone, config.thresholds.backup);
         let mut fsm = NodeFsm::new(config);
         let mut cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(10.0));
@@ -743,13 +737,19 @@ mod tests {
                 tech45::nvm::NvmTechnology::Pcm,
             ))
             .with_seed(77);
-        assert!(!config.use_safe_zone, "collapsed margin must disable the safe zone");
+        assert!(
+            config.thresholds.safe_zone <= config.thresholds.backup,
+            "collapsed margin must disable the safe zone"
+        );
         assert_eq!(config.backup.bits(), 256);
         assert_eq!(config.seed, 77);
         let margined = FsmConfig::paper_default()
             .without_safe_zone()
             .with_thresholds(Thresholds::paper_default());
-        assert!(margined.use_safe_zone, "positive margin must re-enable the safe zone");
+        assert!(
+            margined.thresholds.safe_zone > margined.thresholds.backup,
+            "positive margin must re-enable the safe zone"
+        );
     }
 
     #[test]
@@ -776,7 +776,7 @@ mod tests {
         assert!((c.compute_energy.as_millijoules() - 4.0).abs() < 1e-12);
         assert!((c.transmit_energy.as_millijoules() - 9.0).abs() < 1e-12);
         assert!((c.uncertainty - 0.10).abs() < 1e-12);
-        assert!(c.use_safe_zone);
+        assert!(c.thresholds.safe_zone > c.thresholds.backup);
     }
 
     proptest::proptest! {
@@ -792,11 +792,11 @@ mod tests {
         fn power_interrupts_fire_only_below_their_thresholds(
             initial_mj in 0.0_f64..25.0,
             seed in 0_u64..1_000,
-            use_safe_zone in 0_u8..2,
+            with_safe_zone in 0_u8..2,
             recharges in proptest::collection::vec((0.0_f64..4.0, 1_u64..600), 1..8),
         ) {
             let mut config = FsmConfig::paper_default().with_seed(seed);
-            if use_safe_zone == 0 {
+            if with_safe_zone == 0 {
                 config = config.without_safe_zone();
             }
             config.sampling_interval = Seconds::new(1.0);

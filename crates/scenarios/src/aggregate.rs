@@ -15,6 +15,8 @@ use std::fmt;
 use isim::state::NodeState;
 use isim::stats::RunStats;
 
+use crate::shard::Fnv;
+
 /// The metrics a campaign aggregates, in table order.
 pub const METRIC_NAMES: [&str; 6] =
     ["progress", "backups", "restores", "dead_time_s", "energy_wasted_mj", "safe_zone_recoveries"];
@@ -204,25 +206,15 @@ impl CampaignSummary {
     /// same seed must produce the same digest — the CI smoke job pins this.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        for byte in (self.runs as u64).to_le_bytes() {
-            eat(byte);
-        }
+        let mut fnv = Fnv::new();
+        fnv.eat_u64(self.runs as u64);
         for row in &self.rows {
-            for byte in row.name.bytes() {
-                eat(byte);
-            }
+            fnv.eat_str(&row.name);
             for value in row.values() {
-                for byte in value.to_bits().to_le_bytes() {
-                    eat(byte);
-                }
+                fnv.eat_f64(value);
             }
         }
-        hash
+        fnv.finish()
     }
 }
 

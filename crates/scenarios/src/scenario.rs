@@ -225,12 +225,14 @@ mod tests {
             .iter()
             .find(|s| s.thresholds.safe_zone == s.thresholds.backup)
             .expect("zero-margin point in the smoke grid");
-        assert!(!collapsed.fsm_config().use_safe_zone);
+        let thresholds = collapsed.fsm_config().thresholds;
+        assert!(thresholds.safe_zone <= thresholds.backup);
         let margined = scenarios
             .iter()
             .find(|s| s.thresholds.safe_zone > s.thresholds.backup)
             .expect("margined point in the smoke grid");
-        assert!(margined.fsm_config().use_safe_zone);
+        let thresholds = margined.fsm_config().thresholds;
+        assert!(thresholds.safe_zone > thresholds.backup);
     }
 
     #[test]

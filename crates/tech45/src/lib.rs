@@ -11,8 +11,6 @@
 //!   seconds.
 //! * [`cells`] — a 45 nm standard-cell library with per-cell delay, dynamic
 //!   energy, and leakage figures in the range published for 45 nm bulk CMOS.
-//! * [`flipflop`] — volatile D flip-flops, non-volatile flip-flops (NV-FF),
-//!   and logic-embedded flip-flops (LE-FF, the NV-Clustering storage element).
 //! * [`nvm`] — device-level models for MRAM, ReRAM, FeRAM and PCM bit cells.
 //! * [`mod@array`] — a mini-CACTI analytical model for NVM / SRAM arrays
 //!   (peripheral overheads scale with the square root of the bit count).
@@ -43,13 +41,11 @@ pub mod array;
 pub mod cells;
 pub mod constants;
 pub mod energy_model;
-pub mod flipflop;
 pub mod nvm;
 pub mod units;
 
 pub use array::NvmArray;
 pub use cells::{Cell, CellKind, CellLibrary};
 pub use energy_model::EnergyEstimate;
-pub use flipflop::{FlipFlopKind, FlipFlopModel};
 pub use nvm::{NvmCell, NvmTechnology};
 pub use units::{Capacitance, Energy, EnergyFx, Power, Seconds, Voltage};

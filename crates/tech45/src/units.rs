@@ -393,13 +393,13 @@ impl Energy {
 
     /// Creates an energy expressed in millijoules.
     #[must_use]
-    pub fn from_millijoules(mj: f64) -> Self {
+    pub const fn from_millijoules(mj: f64) -> Self {
         Self::new(mj * 1e-3)
     }
 
     /// Creates an energy expressed in microjoules.
     #[must_use]
-    pub fn from_microjoules(uj: f64) -> Self {
+    pub const fn from_microjoules(uj: f64) -> Self {
         Self::new(uj * 1e-6)
     }
 
@@ -475,13 +475,13 @@ impl Power {
 impl Seconds {
     /// Creates a duration expressed in milliseconds.
     #[must_use]
-    pub fn from_millis(ms: f64) -> Self {
+    pub const fn from_millis(ms: f64) -> Self {
         Self::new(ms * 1e-3)
     }
 
     /// Creates a duration expressed in microseconds.
     #[must_use]
-    pub fn from_micros(us: f64) -> Self {
+    pub const fn from_micros(us: f64) -> Self {
         Self::new(us * 1e-6)
     }
 
