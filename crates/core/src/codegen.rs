@@ -81,7 +81,7 @@ pub fn generate_hdl(enhanced: &NvEnhancedTree) -> Result<GeneratedHdl, DiacError
             text,
             "    // operand {name}: level {}, {} gates, fan-in {}, fan-out {}, {:.3e} J",
             op.dict.level,
-            op.dict.gate_count,
+            op.dict.estimate.gate_count,
             op.dict.fan_in,
             op.dict.fan_out,
             op.dict.energy().as_joules()
@@ -94,7 +94,7 @@ pub fn generate_hdl(enhanced: &NvEnhancedTree) -> Result<GeneratedHdl, DiacError
         let _ = writeln!(
             text,
             "    diac_operand #(.GATES({}), .LEVEL({})) u_{name} (.in({{{}}}), .out({name}_y));",
-            op.dict.gate_count,
+            op.dict.estimate.gate_count,
             op.dict.level,
             inputs.join(", ")
         );
@@ -142,18 +142,12 @@ fn sanitize(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::replacement::{insert_nvm_boundaries, ReplacementConfig};
-    use crate::tree::{OperandTree, TreeGeneratorConfig};
+    use crate::tree::OperandTree;
     use netlist::parser::parse_bench;
-    use tech45::cells::CellLibrary;
 
     fn enhanced_s27() -> NvEnhancedTree {
         let nl = parse_bench("s27", netlist::embedded::S27_BENCH).unwrap();
-        let tree = OperandTree::from_netlist(
-            &nl,
-            &CellLibrary::nangate45_surrogate(),
-            &TreeGeneratorConfig::default(),
-        )
-        .unwrap();
+        let tree = OperandTree::from_netlist(&nl).unwrap();
         insert_nvm_boundaries(tree, &ReplacementConfig::default()).unwrap()
     }
 

@@ -21,9 +21,8 @@ pub struct FeatureDict {
     pub fan_out: usize,
     /// Tree level of the node (0 = leaves / inputs).
     pub level: u32,
-    /// Number of netlist gates clustered in the operand.
-    pub gate_count: usize,
-    /// Design-time energy/delay estimate of one activation.
+    /// Design-time energy/delay estimate of one activation, with the number
+    /// of gates it aggregates.
     pub estimate: EnergyEstimate,
     /// Energy accumulated since the last NVM boundary below this node
     /// (written by the replacement procedure).
@@ -43,7 +42,6 @@ impl FeatureDict {
             fan_in,
             fan_out,
             level,
-            gate_count: estimate.gate_count,
             estimate,
             accumulated: Energy::ZERO,
             nvm_boundary: false,
@@ -107,7 +105,7 @@ impl fmt::Display for FeatureDict {
             self.level,
             self.fan_in,
             self.fan_out,
-            self.gate_count,
+            self.estimate.gate_count,
             self.energy().as_joules(),
             self.delay().as_seconds(),
             if self.nvm_boundary { " | NVM" } else { "" }
@@ -118,12 +116,10 @@ impl fmt::Display for FeatureDict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tech45::cells::{CellKind, CellLibrary};
+    use tech45::cells::CellKind;
 
     fn estimate(gates: usize) -> EnergyEstimate {
-        let lib = CellLibrary::nangate45_surrogate();
-        let activity = tech45::constants::DEFAULT_ACTIVITY;
-        tech45::energy_model::estimate(&vec![CellKind::Nand2; gates], None, activity, &lib)
+        tech45::energy_model::estimate(&vec![CellKind::Nand2; gates], None)
     }
 
     #[test]
@@ -132,7 +128,7 @@ mod tests {
         assert!(!dict.nvm_boundary);
         assert_eq!(dict.boundary_bits, 0);
         assert_eq!(dict.accumulated, Energy::ZERO);
-        assert_eq!(dict.gate_count, 4);
+        assert_eq!(dict.estimate.gate_count, 4);
         assert!(dict.energy().value() > 0.0);
         assert!(dict.average_power().value() > 0.0);
     }

@@ -70,7 +70,7 @@ pub use pipeline::{CircuitArtifacts, SynthesisPipeline};
 pub use policy::{Policy, PolicyBounds};
 pub use replacement::{NvEnhancedTree, ReplacementConfig, ReplacementSummary};
 pub use schemes::{compare_all_schemes, SchemeComparison, SchemeContext, SchemeKind, SchemeResult};
-pub use tree::{Operand, OperandId, OperandTree, TreeGeneratorConfig};
+pub use tree::{Operand, OperandId, OperandTree};
 pub use verify::{replaced_netlist, verify_replacement};
 
 pub use atomic::{plan_atomic_operations, AtomicOperation, AtomicPlan, OperationSpec};
@@ -89,7 +89,7 @@ pub mod prelude {
         compare_all_schemes, SchemeComparison, SchemeContext, SchemeKind, SchemeResult,
     };
     pub use crate::timing::{validate_timing, TimingReport};
-    pub use crate::tree::{Operand, OperandId, OperandTree, TreeGeneratorConfig};
+    pub use crate::tree::{Operand, OperandId, OperandTree};
     pub use crate::verify::{replaced_netlist, verify_replacement};
     pub use crate::DiacError;
 }

@@ -51,7 +51,6 @@ use netlist::bitsim::BitSim;
 use netlist::equiv::{check_equivalence_compiled, EquivConfig, EquivReport};
 use netlist::levelize::{levelize, Levels};
 use netlist::Netlist;
-use tech45::cells::CellLibrary;
 use tech45::nvm::NvmTechnology;
 
 use crate::error::DiacError;
@@ -63,7 +62,7 @@ use crate::schemes::{
     circuit_figures, compare_with, evaluate_scheme_with, CircuitFigures, SchemeComparison,
     SchemeContext, SchemeKind, SchemeResult,
 };
-use crate::tree::{OperandTree, TreeGeneratorConfig};
+use crate::tree::OperandTree;
 use crate::verify;
 
 /// The relative bounds steering the restructuring policies, as used by the
@@ -93,12 +92,11 @@ impl ReplacementKey {
 /// Scheme-independent synthesis products of one circuit, computed once and
 /// shared across all scheme evaluations and design-space sweep points.
 ///
-/// The figures and the tree are built with the one cell library
-/// ([`CellLibrary::nangate45_surrogate`]) and the default
-/// [`TreeGeneratorConfig`], which no [`SchemeContext`] can change, so one
-/// set of artifacts serves every sweep context: the restructuring policy,
-/// the NVM technology, the replacement budget and the intermittency profile
-/// are all read at evaluation time.
+/// The figures and the tree depend on the netlist alone (gates are priced
+/// with the one surrogate cell table, see [`tech45::energy_model`]), so one
+/// set of artifacts serves every [`SchemeContext`]: the restructuring
+/// policy, the NVM technology, the replacement budget and the intermittency
+/// profile are all read at evaluation time.
 ///
 /// The artifacts borrow the netlist they were built from (the caller keeps
 /// it alive), for the replaced netlist and the opt-in functional-equivalence
@@ -111,9 +109,6 @@ pub struct CircuitArtifacts<'n> {
     levels: Levels,
     figures: CircuitFigures,
     base_tree: OperandTree,
-    /// The library the figures and the tree were estimated with, kept for
-    /// the policies' re-estimation of restructured operands.
-    library: CellLibrary,
     // Lazily-filled caches.  Interior mutability keeps the evaluation API
     // `&self`, so one set of artifacts can be shared across sweep points.
     replacements: Mutex<HashMap<ReplacementKey, Arc<NvEnhancedTree>>>,
@@ -128,17 +123,14 @@ impl<'n> CircuitArtifacts<'n> {
     ///
     /// Propagates netlist analysis and tree-construction failures.
     pub fn build(netlist: &'n Netlist) -> Result<Self, DiacError> {
-        let library = CellLibrary::nangate45_surrogate();
         let levels = levelize(netlist)?;
-        let figures = circuit_figures(netlist, &levels, &library);
-        let base_tree =
-            OperandTree::from_levels(netlist, &levels, &library, &TreeGeneratorConfig::default())?;
+        let figures = circuit_figures(netlist, &levels);
+        let base_tree = OperandTree::from_levels(netlist, &levels)?;
         Ok(Self {
             netlist,
             levels,
             figures,
             base_tree,
-            library,
             replacements: Mutex::new(HashMap::new()),
             replaced: Mutex::new(HashMap::new()),
         })
@@ -191,7 +183,7 @@ impl<'n> CircuitArtifacts<'n> {
         drop(cached);
         let mut tree = self.base_tree.clone();
         let bounds = PolicyBounds::relative_to(&tree, POLICY_UPPER_FRACTION, POLICY_LOWER_FRACTION);
-        apply_policy(&mut tree, policy, &bounds, &self.library)?;
+        apply_policy(&mut tree, policy, &bounds)?;
         Ok(tree)
     }
 

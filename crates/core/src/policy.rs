@@ -14,7 +14,6 @@
 
 use std::fmt;
 
-use tech45::cells::CellLibrary;
 use tech45::units::Energy;
 
 use crate::error::DiacError;
@@ -116,7 +115,6 @@ pub fn apply_policy(
     tree: &mut OperandTree,
     policy: Policy,
     bounds: &PolicyBounds,
-    library: &CellLibrary,
 ) -> Result<PolicyOutcome, DiacError> {
     if !bounds.is_consistent() {
         return Err(DiacError::InvalidConfig {
@@ -128,21 +126,17 @@ pub fn apply_policy(
     }
     let mut outcome = PolicyOutcome::default();
     if matches!(policy, Policy::Policy1 | Policy::Policy3) {
-        outcome.splits = split_pass(tree, bounds, library)?;
+        outcome.splits = split_pass(tree, bounds)?;
     }
     if matches!(policy, Policy::Policy2 | Policy::Policy3) {
-        outcome.merges = merge_pass(tree, bounds, library)?;
+        outcome.merges = merge_pass(tree, bounds)?;
     }
     tree.validate()?;
     Ok(outcome)
 }
 
 /// Splits every operand whose energy exceeds the upper bound.
-fn split_pass(
-    tree: &mut OperandTree,
-    bounds: &PolicyBounds,
-    library: &CellLibrary,
-) -> Result<usize, DiacError> {
+fn split_pass(tree: &mut OperandTree, bounds: &PolicyBounds) -> Result<usize, DiacError> {
     let mut splits = 0;
     let candidates: Vec<OperandId> =
         tree.iter().filter(|o| o.dict.energy() > bounds.split_above).map(|o| o.id).collect();
@@ -160,7 +154,7 @@ fn split_pass(
         if parts < 2 {
             continue;
         }
-        tree.split_operand(id, parts, library)?;
+        tree.split_operand(id, parts)?;
         splits += 1;
     }
     Ok(splits)
@@ -169,11 +163,7 @@ fn split_pass(
 /// Merges every operand whose energy falls below the lower bound into its
 /// cheapest neighbour, as long as the merged operand stays below the upper
 /// bound.
-fn merge_pass(
-    tree: &mut OperandTree,
-    bounds: &PolicyBounds,
-    library: &CellLibrary,
-) -> Result<usize, DiacError> {
+fn merge_pass(tree: &mut OperandTree, bounds: &PolicyBounds) -> Result<usize, DiacError> {
     let mut merges = 0;
     // Every round merges the first candidate in slot order.  The scan
     // resumes at `resume`: every live operand below it was no candidate
@@ -212,7 +202,7 @@ fn merge_pass(
             .next();
         match candidate {
             Some((small, neighbour)) => {
-                tree.merge_operands(neighbour, small, library)?;
+                tree.merge_operands(neighbour, small)?;
                 merges += 1;
                 // Candidacy reads an operand's energy and edges and its
                 // neighbours' energies and edge counts.  The merge changed
@@ -239,13 +229,8 @@ fn merge_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeGeneratorConfig;
     use netlist::parser::parse_bench;
     use tech45::units::Seconds;
-
-    fn lib() -> CellLibrary {
-        CellLibrary::nangate45_surrogate()
-    }
 
     /// The Fig. 2 tree: eight leaf operands F1..F8 reduced towards one output,
     /// with F2 oversized (must be split) and F5..F8 undersized (must merge).
@@ -280,7 +265,7 @@ mod tests {
             split_above: Energy::from_millijoules(10.0),
             merge_below: Energy::from_millijoules(20.0),
         };
-        let err = apply_policy(&mut tree, Policy::Policy3, &bad, &lib()).unwrap_err();
+        let err = apply_policy(&mut tree, Policy::Policy3, &bad).unwrap_err();
         assert!(matches!(err, DiacError::InvalidConfig { .. }));
     }
 
@@ -289,8 +274,7 @@ mod tests {
         let mut tree = fig2_tree();
         let before = tree.len();
         let outcome =
-            apply_policy(&mut tree, Policy::Policy1, &PolicyBounds::paper_example(), &lib())
-                .unwrap();
+            apply_policy(&mut tree, Policy::Policy1, &PolicyBounds::paper_example()).unwrap();
         assert!(outcome.splits >= 1);
         assert_eq!(outcome.merges, 0);
         assert!(tree.len() > before);
@@ -310,8 +294,7 @@ mod tests {
         let mut tree = fig2_tree();
         let before = tree.len();
         let outcome =
-            apply_policy(&mut tree, Policy::Policy2, &PolicyBounds::paper_example(), &lib())
-                .unwrap();
+            apply_policy(&mut tree, Policy::Policy2, &PolicyBounds::paper_example()).unwrap();
         assert!(outcome.merges >= 1);
         assert_eq!(outcome.splits, 0);
         assert!(tree.len() < before);
@@ -322,8 +305,7 @@ mod tests {
         let mut tree = fig2_tree();
         let total_before = tree.total_energy();
         let outcome =
-            apply_policy(&mut tree, Policy::Policy3, &PolicyBounds::paper_example(), &lib())
-                .unwrap();
+            apply_policy(&mut tree, Policy::Policy3, &PolicyBounds::paper_example()).unwrap();
         assert!(outcome.splits >= 1);
         assert!(outcome.merges >= 1);
         assert!(
@@ -338,9 +320,9 @@ mod tests {
         let mut p2 = fig2_tree();
         let mut p3 = fig2_tree();
         let bounds = PolicyBounds::paper_example();
-        apply_policy(&mut p1, Policy::Policy1, &bounds, &lib()).unwrap();
-        apply_policy(&mut p2, Policy::Policy2, &bounds, &lib()).unwrap();
-        apply_policy(&mut p3, Policy::Policy3, &bounds, &lib()).unwrap();
+        apply_policy(&mut p1, Policy::Policy1, &bounds).unwrap();
+        apply_policy(&mut p2, Policy::Policy2, &bounds).unwrap();
+        apply_policy(&mut p3, Policy::Policy3, &bounds).unwrap();
         // Policy1 only adds nodes, Policy2 only removes them, Policy3 lands
         // in between.
         assert!(p1.len() >= p3.len());
@@ -350,7 +332,7 @@ mod tests {
     #[test]
     fn relative_bounds_scale_with_the_tree() {
         let nl = parse_bench("s27", netlist::embedded::S27_BENCH).unwrap();
-        let tree = OperandTree::from_netlist(&nl, &lib(), &TreeGeneratorConfig::default()).unwrap();
+        let tree = OperandTree::from_netlist(&nl).unwrap();
         let bounds = PolicyBounds::relative_to(&tree, 0.4, 0.05);
         assert!(bounds.is_consistent());
         assert!(bounds.split_above < tree.total_energy());
@@ -359,18 +341,17 @@ mod tests {
 
     #[test]
     fn policies_keep_netlist_trees_valid() {
-        let nl = parse_bench("s27", netlist::embedded::S27_BENCH).unwrap();
+        // At these bounds Policy3 both splits and merges s382's operands.
+        let nl = netlist::suite::BenchmarkSuite::diac_paper().materialize("s382").unwrap();
         for policy in Policy::ALL {
-            let mut tree = OperandTree::from_netlist(
-                &nl,
-                &lib(),
-                &TreeGeneratorConfig { gates_per_operand: 3, activity: 0.2 },
-            )
-            .unwrap();
-            let bounds = PolicyBounds::relative_to(&tree, 0.3, 0.05);
-            apply_policy(&mut tree, policy, &bounds, &lib()).unwrap();
+            let mut tree = OperandTree::from_netlist(&nl).unwrap();
+            let bounds = PolicyBounds::relative_to(&tree, 0.05, 0.01);
+            let outcome = apply_policy(&mut tree, policy, &bounds).unwrap();
             assert!(tree.validate().is_ok(), "{policy}");
             assert!(!tree.is_empty());
+            if policy == Policy::Policy3 {
+                assert!(outcome.splits >= 1 && outcome.merges >= 1, "{outcome:?}");
+            }
         }
     }
 

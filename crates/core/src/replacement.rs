@@ -135,16 +135,6 @@ impl NvEnhancedTree {
         &self.config
     }
 
-    /// The NVM array sized for this tree's boundaries.
-    #[must_use]
-    pub fn backup_array(&self) -> NvmArray {
-        NvmArray::new(
-            self.config.technology,
-            self.summary.total_boundary_bits.max(u64::from(WORD_BITS)),
-            WORD_BITS,
-        )
-    }
-
     /// Consumes the wrapper and returns the annotated tree.
     #[must_use]
     pub fn into_tree(self) -> OperandTree {
@@ -238,17 +228,12 @@ pub fn insert_nvm_boundaries(
 mod tests {
     use super::*;
     use crate::policy::{apply_policy, Policy, PolicyBounds};
-    use crate::tree::{OperandTree, TreeGeneratorConfig};
+    use crate::tree::OperandTree;
     use netlist::suite::BenchmarkSuite;
-    use tech45::cells::CellLibrary;
-
-    fn lib() -> CellLibrary {
-        CellLibrary::nangate45_surrogate()
-    }
 
     fn tree_of(circuit: &str) -> OperandTree {
         let nl = BenchmarkSuite::diac_paper().materialize(circuit).unwrap();
-        OperandTree::from_netlist(&nl, &lib(), &TreeGeneratorConfig::default()).unwrap()
+        OperandTree::from_netlist(&nl).unwrap()
     }
 
     #[test]
@@ -344,7 +329,7 @@ mod tests {
     fn replacement_after_policy3_still_works() {
         let mut tree = tree_of("s382");
         let bounds = PolicyBounds::relative_to(&tree, 0.2, 0.02);
-        apply_policy(&mut tree, Policy::Policy3, &bounds, &lib()).unwrap();
+        apply_policy(&mut tree, Policy::Policy3, &bounds).unwrap();
         let enhanced = insert_nvm_boundaries(tree, &ReplacementConfig::default()).unwrap();
         assert!(enhanced.summary().boundaries > 0);
         assert!(enhanced.tree().validate().is_ok());
@@ -359,15 +344,6 @@ mod tests {
             insert_nvm_boundaries(enhanced.into_tree(), &ReplacementConfig::default()).unwrap();
         assert_eq!(first.boundaries, again.summary().boundaries);
         assert_eq!(first.total_boundary_bits, again.summary().total_boundary_bits);
-    }
-
-    #[test]
-    fn backup_array_is_sized_for_the_boundaries() {
-        let enhanced =
-            insert_nvm_boundaries(tree_of("s344"), &ReplacementConfig::default()).unwrap();
-        let array = enhanced.backup_array();
-        assert!(array.capacity_bits() >= enhanced.summary().total_boundary_bits);
-        assert_eq!(array.technology(), NvmTechnology::Mram);
     }
 
     #[test]

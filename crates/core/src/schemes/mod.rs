@@ -38,19 +38,20 @@
 //! | fixed energy / latency of one backup | 2 mJ / 1 ms |
 //! | energy / latency per backed-up bit (MRAM) | 3 µJ / 2 µs |
 //! | restore cost relative to backup cost | 0.25 |
-//! | flip-flop / combinational switching activity | 0.5 / 0.2 |
+//! | flip-flop switching activity | 0.5 |
 //! | control bits per DIAC backup | 8 |
 //! | gates per LE-FF cluster | 5 |
 //!
 //! The circuit side is fixed too: [`CircuitArtifacts`] prices gates with
-//! [`CellLibrary::nangate45_surrogate`] and clusters them with the default
-//! [`TreeGeneratorConfig`](crate::tree::TreeGeneratorConfig).
+//! [`tech45::energy_model::estimate`], which reads one constant cell table at
+//! a combinational switching activity of 0.2, and clusters eight gates per
+//! operand.
 
 use std::fmt;
 
 use netlist::levelize::Levels;
 use netlist::Netlist;
-use tech45::cells::{CellKind, CellLibrary};
+use tech45::cells::CellKind;
 use tech45::nvm::{NvmCell, NvmTechnology};
 use tech45::units::{Energy, Seconds};
 
@@ -79,8 +80,6 @@ const BACKUP_LATENCY_PER_BIT: Seconds = Seconds::from_micros(2.0);
 const RESTORE_COST_RATIO: f64 = 0.25;
 /// Switching activity of flip-flops (fraction updating per evaluation).
 const FF_ACTIVITY: f64 = 0.5;
-/// Switching activity of combinational gates.
-const COMB_ACTIVITY: f64 = tech45::constants::DEFAULT_ACTIVITY;
 /// Extra bits stored per DIAC backup for the `Reg_Flag` and FSM state.
 const CONTROL_STATE_BITS: f64 = 8.0;
 /// Average number of logic gates embedded per LE-FF cluster.
@@ -355,29 +354,20 @@ impl SchemeComparison {
 pub(crate) struct CircuitFigures {
     comb_energy: Energy,
     comb_delay: Seconds,
-    /// Energy and delay of one update of the library's volatile DFF.
+    /// Energy and delay of one update of the volatile DFF.
     dff_energy: Energy,
     dff_delay: Seconds,
     flip_flops: u64,
     state_bits: u64,
 }
 
-pub(crate) fn circuit_figures(
-    netlist: &Netlist,
-    levels: &Levels,
-    library: &CellLibrary,
-) -> CircuitFigures {
+pub(crate) fn circuit_figures(netlist: &Netlist, levels: &Levels) -> CircuitFigures {
     let mut cells = Vec::new();
     for gate in netlist.iter().filter(|g| g.kind.is_combinational()) {
         gate.kind.decompose_into(gate.fanin_count(), &mut cells);
     }
-    let estimate = tech45::energy_model::estimate(
-        &cells,
-        Some(levels.depth().max(1) as usize),
-        COMB_ACTIVITY,
-        library,
-    );
-    let dff = library.cell(CellKind::Dff);
+    let estimate = tech45::energy_model::estimate(&cells, Some(levels.depth().max(1) as usize));
+    let dff = CellKind::Dff.cell();
     CircuitFigures {
         comb_energy: estimate.total(),
         comb_delay: estimate.critical_path,

@@ -158,18 +158,12 @@ pub fn validate_timing(enhanced: &NvEnhancedTree, constraints: &TimingConstraint
 mod tests {
     use super::*;
     use crate::replacement::{insert_nvm_boundaries, ReplacementConfig};
-    use crate::tree::{OperandTree, TreeGeneratorConfig};
+    use crate::tree::OperandTree;
     use netlist::suite::BenchmarkSuite;
-    use tech45::cells::CellLibrary;
 
     fn enhanced(circuit: &str) -> NvEnhancedTree {
         let nl = BenchmarkSuite::diac_paper().materialize(circuit).unwrap();
-        let tree = OperandTree::from_netlist(
-            &nl,
-            &CellLibrary::nangate45_surrogate(),
-            &TreeGeneratorConfig::default(),
-        )
-        .unwrap();
+        let tree = OperandTree::from_netlist(&nl).unwrap();
         insert_nvm_boundaries(tree, &ReplacementConfig::default()).unwrap()
     }
 

@@ -40,7 +40,6 @@ use std::mem;
 
 use netlist::levelize::{levelize, Levels};
 use netlist::{GateId, Netlist};
-use tech45::cells::CellLibrary;
 use tech45::energy_model::{self, EnergyEstimate};
 use tech45::units::{Energy, Seconds};
 
@@ -103,20 +102,9 @@ impl Operand {
     }
 }
 
-/// Configuration of the netlist-to-tree clustering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeGeneratorConfig {
-    /// Target number of netlist gates per operand.
-    pub gates_per_operand: usize,
-    /// Switching activity assumed for the energy estimates.
-    pub activity: f64,
-}
-
-impl Default for TreeGeneratorConfig {
-    fn default() -> Self {
-        Self { gates_per_operand: 8, activity: tech45::constants::DEFAULT_ACTIVITY }
-    }
-}
+/// Number of netlist gates the clustering puts in one operand (the last
+/// operand of a level takes the remainder).
+const GATES_PER_OPERAND: usize = 8;
 
 /// The operand tree.
 ///
@@ -135,35 +123,20 @@ pub struct OperandTree {
 impl OperandTree {
     // --- construction -------------------------------------------------------
 
-    /// Clusters `netlist` into an operand tree using the surrogate `library`
-    /// for the energy estimates.
+    /// Clusters `netlist` into an operand tree, eight gates of one level
+    /// per operand, each estimated with [`energy_model::estimate`].
     ///
     /// # Errors
     ///
     /// Returns [`DiacError::Netlist`] if the netlist cannot be levelized and
-    /// [`DiacError::InvalidConfig`] for a zero `gates_per_operand`.
-    pub fn from_netlist(
-        netlist: &Netlist,
-        library: &CellLibrary,
-        config: &TreeGeneratorConfig,
-    ) -> Result<Self, DiacError> {
-        Self::from_levels(netlist, &levelize(netlist)?, library, config)
+    /// [`DiacError::InvalidTree`] if it has no combinational gate.
+    pub fn from_netlist(netlist: &Netlist) -> Result<Self, DiacError> {
+        Self::from_levels(netlist, &levelize(netlist)?)
     }
 
     /// [`Self::from_netlist`] over levels the caller already computed, so a
     /// caller that needs them too levelizes once.
-    pub(crate) fn from_levels(
-        netlist: &Netlist,
-        levels: &Levels,
-        library: &CellLibrary,
-        config: &TreeGeneratorConfig,
-    ) -> Result<Self, DiacError> {
-        if config.gates_per_operand == 0 {
-            return Err(DiacError::InvalidConfig {
-                message: "gates_per_operand must be at least 1".to_string(),
-            });
-        }
-
+    pub(crate) fn from_levels(netlist: &Netlist, levels: &Levels) -> Result<Self, DiacError> {
         // 1. chunk the combinational gates of every level into operands.
         let mut operands: Vec<Operand> = Vec::new();
         let mut operand_of: Vec<Option<OperandId>> = vec![None; netlist.gate_count()];
@@ -171,7 +144,7 @@ impl OperandTree {
         for (level_idx, level_gates) in levels.by_level().iter().enumerate() {
             comb.clear();
             comb.extend(level_gates.iter().filter(|&&g| netlist.gate(g).kind.is_combinational()));
-            for (chunk_idx, chunk) in comb.chunks(config.gates_per_operand).enumerate() {
+            for (chunk_idx, chunk) in comb.chunks(GATES_PER_OPERAND).enumerate() {
                 let id = OperandId(operands.len() as u32);
                 for &g in chunk {
                     operand_of[g.index()] = Some(id);
@@ -262,7 +235,7 @@ impl OperandTree {
                 let gate = netlist.gate(g);
                 gate.kind.decompose_into(gate.fanin_count(), &mut cells);
             }
-            let estimate = energy_model::estimate(&cells, Some(1), config.activity, library);
+            let estimate = energy_model::estimate(&cells, Some(1));
             operand.dict = FeatureDict::new(external_inputs, external_outputs.max(1), 0, estimate);
         }
 
@@ -488,7 +461,6 @@ impl OperandTree {
         &mut self,
         id: OperandId,
         parts: usize,
-        library: &CellLibrary,
     ) -> Result<Vec<OperandId>, DiacError> {
         if parts < 2 {
             return Err(DiacError::InvalidConfig {
@@ -586,7 +558,7 @@ impl OperandTree {
             });
             self.live += 1;
             if gate_based {
-                self.reestimate(new_id, library);
+                self.reestimate(new_id);
             }
         }
         self.recompute_levels();
@@ -601,12 +573,7 @@ impl OperandTree {
     ///
     /// Returns [`DiacError::InvalidConfig`] when `a == b` or either operand
     /// has been retired already.
-    pub fn merge_operands(
-        &mut self,
-        a: OperandId,
-        b: OperandId,
-        library: &CellLibrary,
-    ) -> Result<OperandId, DiacError> {
+    pub fn merge_operands(&mut self, a: OperandId, b: OperandId) -> Result<OperandId, DiacError> {
         if a == b {
             return Err(DiacError::InvalidConfig {
                 message: "cannot merge an operand with itself".to_string(),
@@ -662,11 +629,9 @@ impl OperandTree {
             let a_node = &mut self.operands[a.index()];
             gate_based = !a_node.gates.is_empty() || !b_gates.is_empty();
             a_node.gates.append(&mut b_gates);
-            let merged_estimate = a_node.dict.estimate.merged_with(&b_dict.estimate);
             a_node.dict.fan_in += b_dict.fan_in;
             a_node.dict.fan_out = (a_node.dict.fan_out + b_dict.fan_out).saturating_sub(1);
-            a_node.dict.estimate = merged_estimate;
-            a_node.dict.gate_count = merged_estimate.gate_count;
+            a_node.dict.estimate = a_node.dict.estimate.merged_with(&b_dict.estimate);
             a_node.children.append(&mut b_children);
             a_node.children.retain(|&c| c != a && c != b);
             a_node.children.sort_unstable();
@@ -677,7 +642,7 @@ impl OperandTree {
             a_node.parents.dedup();
         }
         if gate_based {
-            self.reestimate(a, library);
+            self.reestimate(a);
         }
         self.update_levels_above(a);
         Ok(a)
@@ -735,20 +700,16 @@ impl OperandTree {
         }
     }
 
-    fn reestimate(&mut self, id: OperandId, library: &CellLibrary) {
+    fn reestimate(&mut self, id: OperandId) {
         // Gate kinds are not stored per operand, so the re-estimate treats
         // every clustered gate as an average 2-input cell; the original
         // netlist-accurate estimate is preserved for unmodified operands.
-        let op = &self.operands[id.index()];
+        let op = &mut self.operands[id.index()];
         if op.gates.is_empty() {
             return;
         }
         let cells = vec![tech45::cells::CellKind::Nand2; op.gates.len()];
-        let activity = tech45::constants::DEFAULT_ACTIVITY;
-        let estimate = energy_model::estimate(&cells, None, activity, library);
-        let op = &mut self.operands[id.index()];
-        op.dict.estimate = estimate;
-        op.dict.gate_count = estimate.gate_count;
+        op.dict.estimate = energy_model::estimate(&cells, None);
     }
 
     // --- validation & rendering ---------------------------------------------
@@ -892,7 +853,7 @@ impl OperandTree {
                 out.push_str(&format!(
                     "  {} ({} gates, {:.3e} J, fan-in {}, fan-out {}){}\n",
                     op.name,
-                    op.dict.gate_count,
+                    op.dict.estimate.gate_count,
                     op.dict.energy().as_joules(),
                     op.dict.fan_in,
                     op.dict.fan_out,
@@ -1007,13 +968,9 @@ mod tests {
     use netlist::parser::parse_bench;
     use netlist::suite::BenchmarkSuite;
 
-    fn lib() -> CellLibrary {
-        CellLibrary::nangate45_surrogate()
-    }
-
     fn s27_tree() -> OperandTree {
         let nl = parse_bench("s27", netlist::embedded::S27_BENCH).unwrap();
-        OperandTree::from_netlist(&nl, &lib(), &TreeGeneratorConfig::default()).unwrap()
+        OperandTree::from_netlist(&nl).unwrap()
     }
 
     #[test]
@@ -1031,39 +988,9 @@ mod tests {
     #[test]
     fn every_combinational_gate_lands_in_exactly_one_operand() {
         let nl = parse_bench("s27", netlist::embedded::S27_BENCH).unwrap();
-        let tree = OperandTree::from_netlist(&nl, &lib(), &TreeGeneratorConfig::default()).unwrap();
+        let tree = OperandTree::from_netlist(&nl).unwrap();
         let clustered: usize = tree.iter().map(|o| o.gates.len()).sum();
         assert_eq!(clustered, nl.combinational_count());
-    }
-
-    #[test]
-    fn smaller_clusters_give_more_operands() {
-        let nl = BenchmarkSuite::diac_paper().materialize("s298").unwrap();
-        let coarse = OperandTree::from_netlist(
-            &nl,
-            &lib(),
-            &TreeGeneratorConfig { gates_per_operand: 16, activity: 0.2 },
-        )
-        .unwrap();
-        let fine = OperandTree::from_netlist(
-            &nl,
-            &lib(),
-            &TreeGeneratorConfig { gates_per_operand: 2, activity: 0.2 },
-        )
-        .unwrap();
-        assert!(fine.len() > coarse.len());
-    }
-
-    #[test]
-    fn zero_cluster_size_is_rejected() {
-        let nl = parse_bench("s27", netlist::embedded::S27_BENCH).unwrap();
-        let err = OperandTree::from_netlist(
-            &nl,
-            &lib(),
-            &TreeGeneratorConfig { gates_per_operand: 0, activity: 0.2 },
-        )
-        .unwrap_err();
-        assert!(matches!(err, DiacError::InvalidConfig { .. }));
     }
 
     #[test]
@@ -1131,7 +1058,7 @@ mod tests {
             .build()
             .unwrap();
         let before = tree.total_energy();
-        let parts = tree.split_operand(OperandId(0), 3, &lib()).unwrap();
+        let parts = tree.split_operand(OperandId(0), 3).unwrap();
         assert_eq!(parts.len(), 3);
         assert_eq!(tree.len(), 4);
         assert!(tree.validate().is_ok());
@@ -1148,7 +1075,7 @@ mod tests {
         if let Some(id) = big {
             let total_before: usize = tree.iter().map(|o| o.gates.len()).sum();
             let slots_before = tree.slots();
-            let parts = tree.split_operand(id, 2, &lib()).unwrap();
+            let parts = tree.split_operand(id, 2).unwrap();
             // The parts are appended; the original's slot is retired.
             let appended: Vec<OperandId> =
                 (slots_before..slots_before + 2).map(|i| OperandId(i as u32)).collect();
@@ -1166,11 +1093,11 @@ mod tests {
         let mut tree = s27_tree();
         let pristine = tree.clone();
         let any = tree.iter().next().unwrap().id;
-        assert!(tree.split_operand(any, 1, &lib()).is_err());
+        assert!(tree.split_operand(any, 1).is_err());
         let small = tree.iter().find(|o| !o.gates.is_empty()).unwrap();
         let too_many = small.gates.len() + 5;
         let id = small.id;
-        assert!(tree.split_operand(id, too_many, &lib()).is_err());
+        assert!(tree.split_operand(id, too_many).is_err());
         // A rejected split leaves the tree unchanged.
         assert_eq!(tree, pristine);
     }
@@ -1185,7 +1112,7 @@ mod tests {
             .iter()
             .find_map(|o| o.children.first().map(|&c| (o.id, c)))
             .expect("tree has at least one edge");
-        let survivor = tree.merge_operands(parent, child, &lib()).unwrap();
+        let survivor = tree.merge_operands(parent, child).unwrap();
         assert_eq!(survivor, parent);
         assert_eq!(tree.len(), before - 1);
         assert!(tree.validate().is_ok());
@@ -1199,11 +1126,11 @@ mod tests {
     fn merge_rejects_self_and_retired_operands() {
         let mut tree = s27_tree();
         let a = tree.iter().next().unwrap().id;
-        assert!(tree.merge_operands(a, a, &lib()).is_err());
+        assert!(tree.merge_operands(a, a).is_err());
         let (parent, child) =
             tree.iter().find_map(|o| o.children.first().map(|&c| (o.id, c))).expect("edge");
-        tree.merge_operands(parent, child, &lib()).unwrap();
-        assert!(tree.merge_operands(parent, child, &lib()).is_err());
+        tree.merge_operands(parent, child).unwrap();
+        assert!(tree.merge_operands(parent, child).is_err());
     }
 
     #[test]
@@ -1219,7 +1146,7 @@ mod tests {
             .node("D", mj(1.0), ms(1.0), &["B", "C"])
             .build()
             .unwrap();
-        tree.merge_operands(OperandId(0), OperandId(3), &lib()).unwrap();
+        tree.merge_operands(OperandId(0), OperandId(3)).unwrap();
         assert!(tree.validate().is_err(), "the cycle is reported");
     }
 
@@ -1237,7 +1164,7 @@ mod tests {
     #[test]
     fn large_circuit_tree_generation_scales() {
         let nl = BenchmarkSuite::diac_paper().materialize("s526").unwrap();
-        let tree = OperandTree::from_netlist(&nl, &lib(), &TreeGeneratorConfig::default()).unwrap();
+        let tree = OperandTree::from_netlist(&nl).unwrap();
         assert!(tree.len() >= 657 / 8);
         assert!(tree.validate().is_ok());
     }

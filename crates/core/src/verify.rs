@@ -138,18 +138,11 @@ pub fn verify_replacement(
 mod tests {
     use super::*;
     use crate::replacement::{insert_nvm_boundaries, ReplacementConfig};
-    use crate::tree::TreeGeneratorConfig;
     use netlist::suite::BenchmarkSuite;
-    use tech45::cells::CellLibrary;
 
     fn enhanced_tree(circuit: &str, budget: f64) -> (Netlist, OperandTree) {
         let nl = BenchmarkSuite::diac_paper().materialize(circuit).unwrap();
-        let tree = OperandTree::from_netlist(
-            &nl,
-            &CellLibrary::nangate45_surrogate(),
-            &TreeGeneratorConfig::default(),
-        )
-        .unwrap();
+        let tree = OperandTree::from_netlist(&nl).unwrap();
         let config = ReplacementConfig { budget_fraction: budget, ..ReplacementConfig::default() };
         let tree = insert_nvm_boundaries(tree, &config).unwrap().into_tree();
         (nl, tree)

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use diac_core::tree::{OperandId, OperandTree};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
-use tech45::cells::CellLibrary;
 use tech45::units::{Energy, Seconds};
 
 // --- the boxed reference model ---------------------------------------------
@@ -190,7 +189,7 @@ fn canonical_of_tree(tree: &OperandTree) -> Canonical {
                 op.dict.estimate.dynamic.value().to_bits(),
                 op.dict.estimate.static_.value().to_bits(),
                 op.dict.estimate.critical_path.value().to_bits(),
-                op.dict.gate_count,
+                op.dict.estimate.gate_count,
                 op.dict.fan_in,
                 op.dict.fan_out,
                 children,
@@ -265,7 +264,6 @@ proptest! {
         op_count in 1_u64..8,
         seed in 0_u64..2_000,
     ) {
-        let library = CellLibrary::nangate45_surrogate();
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Build the same random layered DAG in both representations.
@@ -304,7 +302,7 @@ proptest! {
                 let name = live[rng.gen_range(0..live.len() as u64) as usize].clone();
                 let parts = rng.gen_range(2_u64..5) as usize;
                 let id = id_of(&tree, &name);
-                tree.split_operand(id, parts, &library).expect("explicit split");
+                tree.split_operand(id, parts).expect("explicit split");
                 model.split(&name, parts);
             } else {
                 // Contract a random safe edge (skip if none).
@@ -316,7 +314,7 @@ proptest! {
                     pairs[rng.gen_range(0..pairs.len() as u64) as usize].clone();
                 let a = id_of(&tree, &parent);
                 let b = id_of(&tree, &child);
-                tree.merge_operands(a, b, &library).expect("safe merge");
+                tree.merge_operands(a, b).expect("safe merge");
                 model.merge(&parent, &child);
             }
             prop_assert!(tree.validate().is_ok());

@@ -21,9 +21,8 @@
 
 use diac_core::policy::{apply_policy, Policy, PolicyBounds, PolicyOutcome};
 use diac_core::schemes::SchemeContext;
-use diac_core::tree::{OperandTree, TreeGeneratorConfig};
+use diac_core::tree::OperandTree;
 use netlist::suite::BenchmarkSuite;
-use tech45::cells::CellLibrary;
 
 /// The split/merge bounds `SynthesisPipeline` restructures with: split above
 /// 25 % of the tree energy, merge below 2 %.
@@ -162,17 +161,14 @@ fn canonical_digest(tree: &OperandTree) -> u64 {
 /// Returns `(circuit, live operands, canonical digest)` per circuit and the
 /// summed edit traffic.
 fn restructure_registry(policy: Policy) -> (Vec<(&'static str, usize, u64)>, PolicyOutcome) {
-    let library = CellLibrary::nangate45_surrogate();
     let suite = BenchmarkSuite::diac_paper();
     let mut total = PolicyOutcome::default();
     let mut seen = Vec::new();
     for spec in suite.iter() {
         let netlist = spec.materialize().expect("registry circuits materialise");
-        let mut tree =
-            OperandTree::from_netlist(&netlist, &library, &TreeGeneratorConfig::default())
-                .expect("registry circuits cluster");
+        let mut tree = OperandTree::from_netlist(&netlist).expect("registry circuits cluster");
         let bounds = PolicyBounds::relative_to(&tree, UPPER_FRACTION, LOWER_FRACTION);
-        let outcome = apply_policy(&mut tree, policy, &bounds, &library).expect("policy applies");
+        let outcome = apply_policy(&mut tree, policy, &bounds).expect("policy applies");
         let mut recomputed = tree.clone();
         recomputed.recompute_levels();
         assert_eq!(tree, recomputed, "{}: {policy} left stale levels", spec.name);

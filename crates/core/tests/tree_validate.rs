@@ -11,11 +11,10 @@
 
 use std::sync::OnceLock;
 
-use diac_core::tree::{OperandId, OperandTree, TreeGeneratorConfig};
+use diac_core::tree::{OperandId, OperandTree};
 use diac_core::DiacError;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
-use tech45::cells::CellLibrary;
 use tech45::units::{Energy, Seconds};
 
 /// The scan `validate` replaced: a `contains` search per edge entry.
@@ -76,10 +75,6 @@ fn invalid(message: &str) -> Result<(), DiacError> {
     Err(DiacError::InvalidTree { message: message.to_string() })
 }
 
-fn lib() -> CellLibrary {
-    CellLibrary::nangate45_surrogate()
-}
-
 /// `A` feeds `B` and `C`; `D` reads `B` and `C`.
 fn diamond() -> OperandTree {
     let mj = Energy::from_millijoules;
@@ -96,7 +91,7 @@ fn diamond() -> OperandTree {
 /// The diamond with `C` merged into `D`, so slot 2 is a tombstone.
 fn diamond_with_a_retired_slot() -> OperandTree {
     let mut tree = diamond();
-    tree.merge_operands(OperandId(3), OperandId(2), &lib()).unwrap();
+    tree.merge_operands(OperandId(3), OperandId(2)).unwrap();
     assert!(tree.try_operand(OperandId(2)).is_none());
     assert_eq!(checked(&tree), Ok(()));
     tree
@@ -168,7 +163,7 @@ fn the_unsorted_parent_list_a_split_leaves_is_accepted() {
     let mut tree = diamond();
     // B (op1) becomes op4 -> op5, and A's parent entry op1 becomes op4 in
     // place, ahead of op2.
-    tree.split_operand(OperandId(1), 2, &lib()).unwrap();
+    tree.split_operand(OperandId(1), 2).unwrap();
     assert_eq!(tree.operand(OperandId(0)).parents, [OperandId(4), OperandId(2)]);
     assert_eq!(checked(&tree), Ok(()));
 }
@@ -193,7 +188,7 @@ fn registry_trees() -> &'static [OperandTree] {
             .iter()
             .map(|name| {
                 let nl = suite.materialize(name).unwrap();
-                OperandTree::from_netlist(&nl, &lib(), &TreeGeneratorConfig::default()).unwrap()
+                OperandTree::from_netlist(&nl).unwrap()
             })
             .collect()
     })
@@ -211,7 +206,7 @@ fn restructure(tree: &mut OperandTree, rng: &mut StdRng) {
     let op = tree.operand(id);
     if rng.gen_bool(0.3) && op.gates.len() >= 2 {
         let parts = rng.gen_range(2..op.gates.len().min(4) + 1);
-        tree.split_operand(id, parts, &lib()).unwrap();
+        tree.split_operand(id, parts).unwrap();
         return;
     }
     let contractible = op
@@ -220,7 +215,7 @@ fn restructure(tree: &mut OperandTree, rng: &mut StdRng) {
         .copied()
         .find(|&c| tree.operand(c).parents.len() == 1 || op.children.len() == 1);
     if let Some(child) = contractible {
-        tree.merge_operands(id, child, &lib()).unwrap();
+        tree.merge_operands(id, child).unwrap();
     }
 }
 

@@ -11,7 +11,6 @@ use diac_core::replacement::{insert_nvm_boundaries, ReplacementConfig};
 use netlist::parser::parse_bench;
 use scenarios::campaign::{CampaignConfig, CampaignResult};
 use scenarios::space::{BackupSizing, ScenarioSpace};
-use tech45::cells::CellLibrary;
 
 use crate::report::Table;
 
@@ -25,8 +24,7 @@ use crate::report::Table;
 /// Propagates parsing, tree-generation and replacement failures.
 pub fn diac_backup_sizing() -> Result<BackupSizing, DiacError> {
     let nl = parse_bench("s27", netlist::embedded::S27_BENCH)?;
-    let library = CellLibrary::nangate45_surrogate();
-    let tree = OperandTree::from_netlist(&nl, &library, &TreeGeneratorConfig::default())?;
+    let tree = OperandTree::from_netlist(&nl)?;
     let run = insert_nvm_boundaries(tree, &ReplacementConfig::default())?;
     Ok(BackupSizing::DiacReplacement(*run.summary()))
 }

@@ -10,7 +10,6 @@
 use diac_core::policy::{apply_policy, Policy, PolicyBounds, PolicyOutcome};
 use diac_core::tree::OperandTree;
 use diac_core::DiacError;
-use tech45::cells::CellLibrary;
 use tech45::units::{Energy, Seconds};
 
 use crate::report::Table;
@@ -106,16 +105,15 @@ pub fn example_tree() -> Result<OperandTree, DiacError> {
 /// Propagates tree-construction or policy failures (none are expected for the
 /// built-in example).
 pub fn run() -> Result<Fig2Result, DiacError> {
-    let library = CellLibrary::nangate45_surrogate();
     let bounds = PolicyBounds::paper_example();
     let original = example_tree()?;
 
     let mut policy1 = original.clone();
-    let o1 = apply_policy(&mut policy1, Policy::Policy1, &bounds, &library)?;
+    let o1 = apply_policy(&mut policy1, Policy::Policy1, &bounds)?;
     let mut policy2 = original.clone();
-    let o2 = apply_policy(&mut policy2, Policy::Policy2, &bounds, &library)?;
+    let o2 = apply_policy(&mut policy2, Policy::Policy2, &bounds)?;
     let mut policy3 = original.clone();
-    let o3 = apply_policy(&mut policy3, Policy::Policy3, &bounds, &library)?;
+    let o3 = apply_policy(&mut policy3, Policy::Policy3, &bounds)?;
 
     Ok(Fig2Result { original, policy1, policy2, policy3, outcomes: [o1, o2, o3] })
 }

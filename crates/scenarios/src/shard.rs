@@ -693,6 +693,7 @@ fn pair(body: &str, key: &str) -> Result<(usize, usize), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::MetricRow;
     use crate::campaign::{run_with, CampaignConfig};
     use crate::space::{BackupSizing, ScenarioSpace};
     use ehsim::schedule::Schedule;
@@ -1043,10 +1044,21 @@ mod tests {
     }
 
     /// A result as bits, so NaN samples compare too.
+    ///
+    /// A NaN mean reads as the canonical NaN: Rust leaves the sign of an
+    /// arithmetic NaN unspecified, so two folds over equal samples may
+    /// differ in it (release builds do).  Min, quantiles and max are
+    /// picked by `total_cmp` and keep their bits.
     fn result_bits(result: &CampaignResult) -> Vec<(String, usize, Vec<[u64; 6]>)> {
         let summary = |label: &str, s: &CampaignSummary| {
-            let rows = s.rows.iter().map(|row| row.values().map(f64::to_bits)).collect();
-            (label.to_string(), s.runs, rows)
+            let bits = |row: &MetricRow| {
+                let mut values = row.values();
+                if values[0].is_nan() {
+                    values[0] = f64::NAN;
+                }
+                values.map(f64::to_bits)
+            };
+            (label.to_string(), s.runs, s.rows.iter().map(bits).collect())
         };
         let mut bits = vec![summary("overall", &result.overall)];
         bits.extend(result.by_family.iter().map(|(f, s)| summary(f.label(), s)));

@@ -1,4 +1,4 @@
-//! Mini-CACTI: an analytical model of backup memory arrays.
+//! Mini-CACTI: an analytical model of NVM backup arrays.
 //!
 //! The paper feeds circuit-level HSPICE results into an "extensively modified
 //! CACTI" to price the distinct memory arrays used for backup.  This module
@@ -11,7 +11,7 @@ use std::fmt;
 
 use crate::constants::BACKUP_BIT_OVERHEAD;
 use crate::nvm::{NvmCell, NvmTechnology};
-use crate::units::{Area, Energy, Power, Seconds};
+use crate::units::{Energy, Seconds};
 
 /// An NVM backup array of a given capacity and word width.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,24 +40,6 @@ impl NvmArray {
     #[must_use]
     pub fn technology(&self) -> NvmTechnology {
         self.technology
-    }
-
-    /// Total capacity in bits.
-    #[must_use]
-    pub fn capacity_bits(&self) -> u64 {
-        self.capacity_bits
-    }
-
-    /// Word width in bits.
-    #[must_use]
-    pub fn word_bits(&self) -> u32 {
-        self.word_bits
-    }
-
-    /// The per-bit device model backing this array.
-    #[must_use]
-    pub fn cell(&self) -> &NvmCell {
-        &self.cell
     }
 
     /// Peripheral (decoder, driver, sense-amplifier) energy overhead factor.
@@ -138,22 +120,6 @@ impl NvmArray {
         Seconds::new(self.read_word_latency().value() * self.word_accesses(bits) as f64)
     }
 
-    /// Standby leakage of the whole array.
-    #[must_use]
-    pub fn standby_power(&self) -> Power {
-        Power::new(self.cell.standby_power.value() * self.capacity_bits as f64)
-    }
-
-    /// Layout area of the array including a fixed peripheral overhead.
-    #[must_use]
-    pub fn area(&self) -> Area {
-        if self.capacity_bits == 0 {
-            return Area::new(0.0);
-        }
-        let cells = self.cell.area.value() * self.capacity_bits as f64;
-        Area::new(cells * 1.35 + 25.0)
-    }
-
     /// Number of word accesses needed to move `bits` bits.
     #[must_use]
     pub fn word_accesses(&self, bits: u64) -> u64 {
@@ -171,52 +137,6 @@ impl fmt::Display for NvmArray {
             "{} array: {} bits, {}-bit words",
             self.technology, self.capacity_bits, self.word_bits
         )
-    }
-}
-
-/// A volatile SRAM scratchpad model, used for comparison and for the volatile
-/// staging registers between DIAC's NVM boundaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SramArray {
-    capacity_bits: u64,
-    word_bits: u32,
-}
-
-impl SramArray {
-    /// Creates an SRAM array of `capacity_bits` accessed `word_bits` at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word_bits` is zero.
-    #[must_use]
-    pub fn new(capacity_bits: u64, word_bits: u32) -> Self {
-        assert!(word_bits > 0, "word width must be at least one bit");
-        Self { capacity_bits, word_bits }
-    }
-
-    /// Energy of a word write (≈ 5 fJ/bit at 45 nm, far below any NVM write).
-    #[must_use]
-    pub fn write_word_energy(&self) -> Energy {
-        Energy::from_femtojoules(5.0 * f64::from(self.word_bits))
-    }
-
-    /// Energy of a word read.
-    #[must_use]
-    pub fn read_word_energy(&self) -> Energy {
-        Energy::from_femtojoules(3.0 * f64::from(self.word_bits))
-    }
-
-    /// Leakage of the whole array — the reason volatile storage is unsuitable
-    /// for long sleep periods in a batteryless node.
-    #[must_use]
-    pub fn standby_power(&self) -> Power {
-        Power::from_nanowatts(0.8 * self.capacity_bits as f64)
-    }
-
-    /// Total capacity in bits.
-    #[must_use]
-    pub fn capacity_bits(&self) -> u64 {
-        self.capacity_bits
     }
 }
 
@@ -246,7 +166,6 @@ mod tests {
         assert_eq!(a.backup_energy(128), Energy::ZERO);
         assert_eq!(a.backup_latency(128), Seconds::ZERO);
         assert_eq!(a.word_accesses(128), 0);
-        assert_eq!(a.area().value(), 0.0);
     }
 
     #[test]
@@ -273,22 +192,6 @@ mod tests {
         let mram = NvmArray::new(NvmTechnology::Mram, 1024, 32);
         let reram = NvmArray::new(NvmTechnology::Reram, 1024, 32);
         assert!(reram.backup_energy(512) > mram.backup_energy(512));
-    }
-
-    #[test]
-    fn sram_writes_are_cheaper_than_any_nvm_write() {
-        let sram = SramArray::new(1024, 32);
-        for tech in NvmTechnology::ALL {
-            let nvm = NvmArray::new(tech, 1024, 32);
-            assert!(sram.write_word_energy() < nvm.write_word_energy(), "{tech}");
-        }
-    }
-
-    #[test]
-    fn sram_leaks_but_nvm_barely_does() {
-        let sram = SramArray::new(4096, 32);
-        let nvm = NvmArray::new(NvmTechnology::Mram, 4096, 32);
-        assert!(sram.standby_power() > nvm.standby_power());
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //! stored energy, 2/4/9 mJ sense/compute/transmit operations with ±10 %
 //! uncertainty, safe zone 2 mJ above the backup threshold).
 
-use crate::units::{Capacitance, Energy, Seconds, Voltage};
-
-/// Nominal core supply voltage of the 45 nm process (volts).
-pub const VDD_CORE: Voltage = Voltage::new(1.1);
+use crate::units::{Capacitance, Energy, Voltage};
 
 /// System (harvester / storage capacitor) operating voltage from the paper.
 pub const VDD_SYSTEM: Voltage = Voltage::new(5.0);
@@ -42,11 +39,8 @@ pub const SAFE_ZONE_MARGIN: Energy = Energy::new(2.0e-3);
 /// behaviour annotated as scenario 6 in Fig. 4.
 pub const SLEEP_LEAKAGE_W: f64 = 20.0e-6;
 
-/// Typical FO4 delay of the surrogate 45 nm library.
-pub const FO4_DELAY: Seconds = Seconds::new(20.0e-12);
-
-/// Default gate-level switching activity used when a testbench does not
-/// provide one (fraction of gates toggling per evaluation).
+/// Gate-level switching activity of every design-time estimate (fraction of
+/// gates toggling per evaluation; see [`crate::energy_model::estimate`]).
 pub const DEFAULT_ACTIVITY: f64 = 0.2;
 
 /// Number of physical bits stored per logical state bit once ECC/control

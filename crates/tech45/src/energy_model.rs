@@ -11,10 +11,12 @@
 //!   the others only leak).
 //!
 //! [`estimate`] aggregates a bag of gates into those two numbers plus the
-//! critical path, and [`EnergyEstimate`] is the resulting summary that feeds
-//! DIAC's feature dictionaries.
+//! critical path over the one surrogate cell table ([`CellKind::cell`]) at
+//! the one switching activity ([`DEFAULT_ACTIVITY`]), and [`EnergyEstimate`]
+//! is the resulting summary that feeds DIAC's feature dictionaries.
 
-use crate::cells::{CellKind, CellLibrary};
+use crate::cells::CellKind;
+use crate::constants::DEFAULT_ACTIVITY;
 use crate::units::{Energy, Power, Seconds};
 
 /// Design-time energy/delay estimate of one operand (a cluster of gates).
@@ -60,24 +62,17 @@ impl EnergyEstimate {
     }
 }
 
-/// Evaluates the paper's formulas for the gate bag `cells` of one operand
-/// against `library`.
+/// Evaluates the paper's formulas for the gate bag `cells` of one operand.
 ///
 /// `depth` is the known logic depth (longest gate chain); `None`
-/// conservatively assumes that all gates chain.  `activity`, the fraction of
-/// gates that toggle per activation, is clamped to `[0, 1]`.  Each cell is
+/// conservatively assumes that all gates chain.  A fraction
+/// [`DEFAULT_ACTIVITY`] of the gates toggles per activation.  Each cell is
 /// looked up once, and the sums run in `cells` order.
 #[must_use]
-pub fn estimate(
-    cells: &[CellKind],
-    depth: Option<usize>,
-    activity: f64,
-    library: &CellLibrary,
-) -> EnergyEstimate {
+pub fn estimate(cells: &[CellKind], depth: Option<usize>) -> EnergyEstimate {
     let Some(&first) = cells.first() else {
         return EnergyEstimate::default();
     };
-    let activity = activity.clamp(0.0, 1.0);
     let chain_len = depth.unwrap_or(cells.len()).clamp(1, cells.len());
 
     // Dynamic: 2 * Σ delay_i * P_dyn,i, weighted by activity (only the
@@ -86,11 +81,11 @@ pub fn estimate(
     let mut dynamic_raw = -0.0_f64;
     let mut leakage_watts = -0.0_f64;
     let mut max_leak = 0.0_f64;
-    let mut slowest = library.cell(first).delay;
+    let mut slowest = first.cell().delay;
     // The chain's delays, needed only when it is longer than one gate.
     let mut delays: Vec<Seconds> = Vec::new();
     for &kind in cells {
-        let cell = library.cell(kind);
+        let cell = kind.cell();
         dynamic_raw += 2.0 * cell.delay.as_seconds() * cell.dynamic_power.as_watts();
         leakage_watts += cell.static_power.as_watts();
         max_leak = max_leak.max(cell.static_power.as_watts());
@@ -101,7 +96,7 @@ pub fn estimate(
             delays.push(cell.delay);
         }
     }
-    let dynamic = Energy::new(dynamic_raw * activity.max(1e-3));
+    let dynamic = Energy::new(dynamic_raw * DEFAULT_ACTIVITY);
 
     // Critical delay path: if the caller told us the depth, take the
     // `depth` slowest gates as the chain; otherwise assume all gates chain.
@@ -125,15 +120,9 @@ pub fn estimate(
 mod tests {
     use super::*;
 
-    const ACTIVITY: f64 = crate::constants::DEFAULT_ACTIVITY;
-
-    fn lib() -> CellLibrary {
-        CellLibrary::nangate45_surrogate()
-    }
-
     #[test]
     fn empty_operand_estimates_to_zero() {
-        let est = estimate(&[], None, ACTIVITY, &lib());
+        let est = estimate(&[], None);
         assert_eq!(est.gate_count, 0);
         assert_eq!(est.total(), Energy::ZERO);
         assert_eq!(est.pdp(), 0.0);
@@ -141,10 +130,10 @@ mod tests {
 
     #[test]
     fn dynamic_energy_matches_formula_for_single_gate() {
-        let library = lib();
-        let nand = library.cell(CellKind::Nand2);
-        let est = estimate(&[CellKind::Nand2], None, 1.0, &library);
-        let expected = 2.0 * nand.delay.as_seconds() * nand.dynamic_power.as_watts();
+        let nand = CellKind::Nand2.cell();
+        let est = estimate(&[CellKind::Nand2], None);
+        let expected =
+            2.0 * nand.delay.as_seconds() * nand.dynamic_power.as_watts() * DEFAULT_ACTIVITY;
         assert!((est.dynamic.as_joules() - expected).abs() < 1e-24);
         // A single gate has no inactive neighbours, so no static term.
         assert_eq!(est.static_, Energy::ZERO);
@@ -153,28 +142,25 @@ mod tests {
 
     #[test]
     fn static_energy_excludes_the_active_gate() {
-        let library = lib();
-        let est = estimate(&[CellKind::Inv; 3], None, 1.0, &library);
-        let inv = library.cell(CellKind::Inv);
+        let est = estimate(&[CellKind::Inv; 3], None);
+        let inv = CellKind::Inv.cell();
         let expected_static = est.critical_path.as_seconds() * (2.0 * inv.static_power.as_watts());
         assert!((est.static_.as_joules() - expected_static).abs() < 1e-24);
     }
 
     #[test]
     fn more_gates_mean_more_energy() {
-        let library = lib();
-        let small = estimate(&[CellKind::Nand2; 4], None, ACTIVITY, &library);
-        let large = estimate(&[CellKind::Nand2; 40], None, ACTIVITY, &library);
+        let small = estimate(&[CellKind::Nand2; 4], None);
+        let large = estimate(&[CellKind::Nand2; 40], None);
         assert!(large.total() > small.total());
         assert!(large.pdp() > small.pdp());
     }
 
     #[test]
     fn known_depth_shortens_the_critical_path() {
-        let library = lib();
         let gates = [CellKind::Nand2; 16];
-        let chained = estimate(&gates, None, ACTIVITY, &library);
-        let shallow = estimate(&gates, Some(4), ACTIVITY, &library);
+        let chained = estimate(&gates, None);
+        let shallow = estimate(&gates, Some(4));
         assert!(shallow.critical_path < chained.critical_path);
         // Dynamic energy is unaffected by the depth hint.
         assert_eq!(shallow.dynamic, chained.dynamic);
@@ -182,17 +168,17 @@ mod tests {
 
     #[test]
     fn activity_scales_dynamic_energy_linearly() {
-        let library = lib();
-        let full = estimate(&[CellKind::Xor2; 8], None, 1.0, &library);
-        let half = estimate(&[CellKind::Xor2; 8], None, 0.5, &library);
-        assert!((full.dynamic.as_joules() / half.dynamic.as_joules() - 2.0).abs() < 1e-9);
+        // Only the toggling fraction of the gates switches.
+        let xor = CellKind::Xor2.cell();
+        let est = estimate(&[CellKind::Xor2; 8], None);
+        let every_gate = 8.0 * 2.0 * xor.delay.as_seconds() * xor.dynamic_power.as_watts();
+        assert!((est.dynamic.as_joules() / every_gate - DEFAULT_ACTIVITY).abs() < 1e-12);
     }
 
     #[test]
     fn merged_estimates_add_up() {
-        let library = lib();
-        let a = estimate(&[CellKind::And2; 5], None, ACTIVITY, &library);
-        let b = estimate(&[CellKind::Or2; 3], None, ACTIVITY, &library);
+        let a = estimate(&[CellKind::And2; 5], None);
+        let b = estimate(&[CellKind::Or2; 3], None);
         let m = a.merged_with(&b);
         assert_eq!(m.gate_count, 8);
         assert!((m.dynamic.as_joules() - (a.dynamic + b.dynamic).as_joules()).abs() < 1e-24);
@@ -204,20 +190,14 @@ mod tests {
 
     /// The estimate as `OperandProfile::estimate` wrote it before it read a
     /// slice: every cell collected first, the delays always sorted.
-    fn reference_estimate(
-        gates: &[CellKind],
-        depth: Option<usize>,
-        activity: f64,
-        library: &CellLibrary,
-    ) -> EnergyEstimate {
+    fn reference_estimate(gates: &[CellKind], depth: Option<usize>) -> EnergyEstimate {
         if gates.is_empty() {
             return EnergyEstimate::default();
         }
-        let activity = activity.clamp(0.0, 1.0);
-        let cells: Vec<&crate::cells::Cell> = gates.iter().map(|&k| library.cell(k)).collect();
+        let cells: Vec<&crate::cells::Cell> = gates.iter().map(|&k| k.cell()).collect();
         let dynamic_raw: f64 =
             cells.iter().map(|c| 2.0 * c.delay.as_seconds() * c.dynamic_power.as_watts()).sum();
-        let dynamic = Energy::new(dynamic_raw * activity.max(1e-3));
+        let dynamic = Energy::new(dynamic_raw * DEFAULT_ACTIVITY);
         let mut delays: Vec<Seconds> = cells.iter().map(|c| c.delay).collect();
         delays.sort_by(|a, b| b.partial_cmp(a).expect("finite delays"));
         let chain_len = depth.unwrap_or(delays.len()).clamp(1, delays.len());
@@ -241,8 +221,9 @@ mod tests {
 
     #[test]
     fn the_slice_estimate_is_bit_identical_to_the_reference() {
-        // A 64-bit LCG: random cell bags, depths, activities and libraries
-        // whose delays repeat, so the slowest-cell ties come up.
+        // A 64-bit LCG: random cell bags and depths.  The table's delays
+        // repeat (Buf/Nor2, Aoi21/Oai21, Nand4/And3, Or3/Mux2, Xor2/Xnor2)
+        // and Tie's is zero, so the slowest-cell ties come up.
         let mut state = 0x9E37_79B9_7F4A_7C15_u64;
         let mut next = |bound: usize| {
             state = state
@@ -250,26 +231,13 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) as usize % bound
         };
-        for case in 0..2_000 {
-            let library = if case % 2 == 0 {
-                lib()
-            } else {
-                let cells = CellKind::ALL.map(|kind| crate::cells::Cell {
-                    kind,
-                    delay: Seconds::from_picos([0.0, 12.0, 16.0, 30.0][next(4)]),
-                    dynamic_power: Power::from_microwatts(next(100) as f64),
-                    static_power: Power::from_nanowatts(next(50) as f64),
-                    area: crate::units::Area::new(1.0),
-                });
-                CellLibrary::from_cells("random", cells)
-            };
+        for _ in 0..2_000 {
             let len = next(40);
             let cells: Vec<CellKind> =
                 (0..len).map(|_| CellKind::ALL[next(CellKind::COUNT)]).collect();
             let depth = if next(4) == 0 { None } else { Some(next(len + 3)) };
-            let activity = [0.0, 1e-4, 0.2, 0.5, 1.0, 1.5, -0.3][next(7)];
-            let slice = estimate(&cells, depth, activity, &library);
-            let reference = reference_estimate(&cells, depth, activity, &library);
+            let slice = estimate(&cells, depth);
+            let reference = reference_estimate(&cells, depth);
             assert_eq!(bits(&slice), bits(&reference), "{cells:?} depth {depth:?}");
         }
     }

@@ -9,23 +9,25 @@
 //! * [`units`] — strongly typed physical quantities (energy, power, time,
 //!   voltage, capacitance) so that joules are never accidentally added to
 //!   seconds.
-//! * [`cells`] — a 45 nm standard-cell library with per-cell delay, dynamic
-//!   energy, and leakage figures in the range published for 45 nm bulk CMOS.
-//! * [`nvm`] — device-level models for MRAM, ReRAM, FeRAM and PCM bit cells.
-//! * [`mod@array`] — a mini-CACTI analytical model for NVM / SRAM arrays
+//! * [`cells`] — one constant 45 nm standard-cell table with per-cell delay,
+//!   dynamic power and leakage figures in the range published for 45 nm
+//!   bulk CMOS, read through [`CellKind::cell`].
+//! * [`nvm`] — per-bit write/read energy and latency of MRAM, ReRAM, FeRAM
+//!   and PCM cells.
+//! * [`mod@array`] — a mini-CACTI analytical model of NVM backup arrays
 //!   (peripheral overheads scale with the square root of the bit count).
 //! * [`energy_model`] — the paper's own aggregation formulas: dynamic energy
-//!   `≈ 2 · Σ delay_i · P_dyn,i` and static energy `≈ CDP · Σ P_stat,i`.
+//!   `≈ 2 · Σ delay_i · P_dyn,i` and static energy `≈ CDP · Σ P_stat,i`,
+//!   over that table at one switching activity.
 //!
 //! # Quick example
 //!
 //! ```
-//! use tech45::cells::{CellKind, CellLibrary};
+//! use tech45::cells::CellKind;
 //! use tech45::nvm::NvmTechnology;
 //! use tech45::array::NvmArray;
 //!
-//! let lib = CellLibrary::nangate45_surrogate();
-//! let nand = lib.cell(CellKind::Nand2);
+//! let nand = CellKind::Nand2.cell();
 //! assert!(nand.delay.as_seconds() > 0.0);
 //!
 //! let array = NvmArray::new(NvmTechnology::Mram, 1024, 32);
@@ -45,7 +47,7 @@ pub mod nvm;
 pub mod units;
 
 pub use array::NvmArray;
-pub use cells::{Cell, CellKind, CellLibrary};
+pub use cells::{Cell, CellKind};
 pub use energy_model::EnergyEstimate;
 pub use nvm::{NvmCell, NvmTechnology};
 pub use units::{Capacitance, Energy, EnergyFx, Power, Seconds, Voltage};

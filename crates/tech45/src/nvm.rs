@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::units::{Area, Energy, Power, Seconds};
+use crate::units::{Energy, Seconds};
 
 /// The non-volatile storage technology used for backups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,12 +60,6 @@ pub struct NvmCell {
     pub write_latency: Seconds,
     /// Time to sense one bit.
     pub read_latency: Seconds,
-    /// Standby leakage of one cell (near zero for all true NVMs).
-    pub standby_power: Power,
-    /// Cell area.
-    pub area: Area,
-    /// Write endurance (programming cycles before wear-out).
-    pub endurance: u64,
 }
 
 impl NvmCell {
@@ -83,9 +77,6 @@ impl NvmCell {
                 read_energy: Energy::from_femtojoules(25.0),
                 write_latency: Seconds::from_nanos(10.0),
                 read_latency: Seconds::from_nanos(2.0),
-                standby_power: Power::from_nanowatts(0.05),
-                area: Area::new(0.090),
-                endurance: 1_000_000_000_000,
             },
             NvmTechnology::Reram => Self {
                 technology,
@@ -94,9 +85,6 @@ impl NvmCell {
                 read_energy: Energy::from_femtojoules(40.0),
                 write_latency: Seconds::from_nanos(50.0),
                 read_latency: Seconds::from_nanos(5.0),
-                standby_power: Power::from_nanowatts(0.02),
-                area: Area::new(0.050),
-                endurance: 100_000_000,
             },
             NvmTechnology::Feram => Self {
                 technology,
@@ -104,9 +92,6 @@ impl NvmCell {
                 read_energy: Energy::from_femtojoules(80.0),
                 write_latency: Seconds::from_nanos(60.0),
                 read_latency: Seconds::from_nanos(60.0),
-                standby_power: Power::from_nanowatts(0.03),
-                area: Area::new(0.300),
-                endurance: 10_000_000_000_000,
             },
             NvmTechnology::Pcm => Self {
                 technology,
@@ -114,9 +99,6 @@ impl NvmCell {
                 read_energy: Energy::from_femtojoules(50.0),
                 write_latency: Seconds::from_nanos(150.0),
                 read_latency: Seconds::from_nanos(12.0),
-                standby_power: Power::from_nanowatts(0.02),
-                area: Area::new(0.045),
-                endurance: 100_000_000,
             },
         }
     }
@@ -142,7 +124,6 @@ mod tests {
             assert!(cell.read_energy.value() > 0.0);
             assert!(cell.write_latency.value() > 0.0);
             assert!(cell.read_latency.value() > 0.0);
-            assert!(cell.endurance > 0);
         }
     }
 

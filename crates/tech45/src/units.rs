@@ -78,12 +78,6 @@ macro_rules! quantity {
                 self.0 <= 0.0
             }
 
-            /// Linear interpolation between `self` and `other` at `t ∈ [0, 1]`.
-            #[must_use]
-            pub fn lerp(self, other: Self, t: f64) -> Self {
-                Self(self.0 + (other.0 - self.0) * t)
-            }
-
             /// Dimensionless ratio `self / other`.
             ///
             /// # Panics
@@ -195,11 +189,6 @@ quantity!(
     /// A capacitance, stored in farads.
     Capacitance,
     "F"
-);
-quantity!(
-    /// A silicon area, stored in square micrometres.
-    Area,
-    "um^2"
 );
 
 /// Attojoules per joule: the pinned scale of the fixed-point energy unit
@@ -443,13 +432,13 @@ impl Power {
 
     /// Creates a power expressed in microwatts.
     #[must_use]
-    pub fn from_microwatts(uw: f64) -> Self {
+    pub const fn from_microwatts(uw: f64) -> Self {
         Self::new(uw * 1e-6)
     }
 
     /// Creates a power expressed in nanowatts.
     #[must_use]
-    pub fn from_nanowatts(nw: f64) -> Self {
+    pub const fn from_nanowatts(nw: f64) -> Self {
         Self::new(nw * 1e-9)
     }
 
@@ -493,7 +482,7 @@ impl Seconds {
 
     /// Creates a duration expressed in picoseconds.
     #[must_use]
-    pub fn from_picos(ps: f64) -> Self {
+    pub const fn from_picos(ps: f64) -> Self {
         Self::new(ps * 1e-12)
     }
 
@@ -654,10 +643,9 @@ mod tests {
     }
 
     #[test]
-    fn lerp_and_clamp() {
+    fn clamp_pins_to_the_bounds() {
         let a = Power::from_milliwatts(0.0);
         let b = Power::from_milliwatts(10.0);
-        assert!((a.lerp(b, 0.25).as_milliwatts() - 2.5).abs() < 1e-12);
         let clamped = Power::from_milliwatts(42.0).clamp(a, b);
         assert!((clamped.as_milliwatts() - 10.0).abs() < 1e-12);
     }

@@ -15,7 +15,6 @@ use ehsim::source::RfidSource;
 use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
 use netlist::parser::parse_bench;
-use tech45::cells::CellLibrary;
 use tech45::units::Seconds;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,10 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{netlist}\n");
 
     // 2. Tree generation and Policy3 restructuring.
-    let library = CellLibrary::nangate45_surrogate();
-    let mut tree = OperandTree::from_netlist(&netlist, &library, &TreeGeneratorConfig::default())?;
+    let mut tree = OperandTree::from_netlist(&netlist)?;
     let bounds = PolicyBounds::relative_to(&tree, 0.25, 0.02);
-    diac_core::policy::apply_policy(&mut tree, Policy::Policy3, &bounds, &library)?;
+    diac_core::policy::apply_policy(&mut tree, Policy::Policy3, &bounds)?;
     println!("{tree}\n");
 
     // 3. NVM boundary insertion (the replacement procedure).

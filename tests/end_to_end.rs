@@ -8,20 +8,17 @@ use isim::executor::IntermittentExecutor;
 use isim::fsm::FsmConfig;
 use netlist::parser::{parse_bench, parse_blif};
 use netlist::suite::{BenchmarkSuite, SuiteKind};
-use tech45::cells::CellLibrary;
 use tech45::nvm::NvmTechnology;
 use tech45::units::Seconds;
 
 /// The full synthesis pipeline on every embedded circuit.
 #[test]
 fn full_pipeline_on_embedded_circuits() {
-    let library = CellLibrary::nangate45_surrogate();
     for (name, text) in netlist::embedded::EMBEDDED_CIRCUITS {
         let nl = parse_bench(name, text).expect("embedded circuits parse");
-        let mut tree = OperandTree::from_netlist(&nl, &library, &TreeGeneratorConfig::default())
-            .expect("tree generation");
+        let mut tree = OperandTree::from_netlist(&nl).expect("tree generation");
         let bounds = PolicyBounds::relative_to(&tree, 0.3, 0.03);
-        diac_core::policy::apply_policy(&mut tree, Policy::Policy3, &bounds, &library)
+        diac_core::policy::apply_policy(&mut tree, Policy::Policy3, &bounds)
             .expect("policy application");
         let enhanced =
             diac_core::replacement::insert_nvm_boundaries(tree, &ReplacementConfig::default())

@@ -5,7 +5,6 @@ use diac_core::prelude::*;
 use ehsim::capacitor::Capacitor;
 use netlist::synth::{generate, SynthesisConfig};
 use proptest::prelude::*;
-use tech45::cells::CellLibrary;
 use tech45::nvm::{NvmCell, NvmTechnology};
 use tech45::units::{Energy, Power, Seconds};
 
@@ -54,16 +53,14 @@ proptest! {
     /// Tree generation conserves gates, and the policies conserve energy.
     #[test]
     fn tree_flow_conserves_gates_and_energy(config in synth_config()) {
-        let library = CellLibrary::nangate45_surrogate();
         let nl = generate(&config).expect("generates");
-        let tree = OperandTree::from_netlist(&nl, &library, &TreeGeneratorConfig::default())
-            .expect("tree");
+        let tree = OperandTree::from_netlist(&nl).expect("tree");
         let clustered: usize = tree.iter().map(|o| o.gates.len()).sum();
         prop_assert_eq!(clustered, nl.combinational_count());
 
         let mut restructured = tree.clone();
         let bounds = PolicyBounds::relative_to(&restructured, 0.3, 0.02);
-        diac_core::policy::apply_policy(&mut restructured, Policy::Policy3, &bounds, &library)
+        diac_core::policy::apply_policy(&mut restructured, Policy::Policy3, &bounds)
             .expect("policy");
         prop_assert!(restructured.validate().is_ok());
         let clustered_after: usize = restructured.iter().map(|o| o.gates.len()).sum();
@@ -74,10 +71,8 @@ proptest! {
     /// protects the roots, and a tighter budget never yields fewer boundaries.
     #[test]
     fn replacement_budget_invariants(config in synth_config(), loose in 0.2_f64..0.6) {
-        let library = CellLibrary::nangate45_surrogate();
         let nl = generate(&config).expect("generates");
-        let tree = OperandTree::from_netlist(&nl, &library, &TreeGeneratorConfig::default())
-            .expect("tree");
+        let tree = OperandTree::from_netlist(&nl).expect("tree");
         let tight = loose / 4.0;
         let loose_cfg = ReplacementConfig { budget_fraction: loose, ..ReplacementConfig::default() };
         let tight_cfg = ReplacementConfig { budget_fraction: tight, ..ReplacementConfig::default() };
