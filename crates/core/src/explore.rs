@@ -132,8 +132,7 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation failures (invalid configurations or stale
-    /// artifacts).
+    /// Propagates evaluation failures (invalid configurations).
     pub fn explore_prepared(
         &self,
         pipeline: &SynthesisPipeline,

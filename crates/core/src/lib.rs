@@ -21,8 +21,9 @@
 //! 4. **Code generation and validation** ([`codegen`], [`timing`],
 //!    [`verify`]): the NV-enhanced tree is emitted as structural HDL,
 //!    checked for timing violations, and — opt-in — materialised as a
-//!    replaced netlist and checked for functional equivalence against the
-//!    original by seeded random-vector simulation.
+//!    replaced netlist ([`verify::replaced_netlist`]) and checked for
+//!    functional equivalence against the original by seeded random-vector
+//!    simulation ([`CircuitArtifacts::verify_replacement`]).
 //! 5. **Evaluation** ([`pdp`], [`schemes`]): the four intermittent-computing
 //!    schemes the paper compares (NV-based, NV-Clustering, DIAC, Optimized
 //!    DIAC) are priced with a shared power-delay-product model under an
@@ -71,7 +72,7 @@ pub use policy::{Policy, PolicyBounds};
 pub use replacement::{NvEnhancedTree, ReplacementConfig, ReplacementSummary};
 pub use schemes::{compare_all_schemes, SchemeComparison, SchemeContext, SchemeKind, SchemeResult};
 pub use tree::{Operand, OperandId, OperandTree};
-pub use verify::{replaced_netlist, verify_replacement};
+pub use verify::replaced_netlist;
 
 pub use atomic::{plan_atomic_operations, AtomicOperation, AtomicPlan, OperationSpec};
 
@@ -90,6 +91,6 @@ pub mod prelude {
     };
     pub use crate::timing::{validate_timing, TimingReport};
     pub use crate::tree::{Operand, OperandId, OperandTree};
-    pub use crate::verify::{replaced_netlist, verify_replacement};
+    pub use crate::verify::replaced_netlist;
     pub use crate::DiacError;
 }

@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use netlist::bitsim::BitSim;
-use netlist::equiv::{check_equivalence_compiled, EquivConfig, EquivReport};
+use netlist::equiv::{check_equivalence, EquivConfig, EquivReport};
 use netlist::levelize::{levelize, Levels};
 use netlist::Netlist;
 use tech45::nvm::NvmTechnology;
@@ -252,7 +252,7 @@ impl<'n> CircuitArtifacts<'n> {
     ) -> Result<EquivReport, DiacError> {
         let replaced = self.replaced_netlist(ctx)?;
         let original = BitSim::from_levels(self.netlist, &self.levels)?;
-        Ok(check_equivalence_compiled(&original, &replaced, equiv)?)
+        Ok(check_equivalence(&original, &BitSim::new(&replaced)?, equiv)?)
     }
 }
 

@@ -631,7 +631,11 @@ impl OperandTree {
             a_node.gates.append(&mut b_gates);
             a_node.dict.fan_in += b_dict.fan_in;
             a_node.dict.fan_out = (a_node.dict.fan_out + b_dict.fan_out).saturating_sub(1);
-            a_node.dict.estimate = a_node.dict.estimate.merged_with(&b_dict.estimate);
+            // Gate-based survivors are re-estimated from their gates below;
+            // only explicit (gate-less) operands sum their estimates.
+            if !gate_based {
+                a_node.dict.estimate = a_node.dict.estimate.merged_with(&b_dict.estimate);
+            }
             a_node.children.append(&mut b_children);
             a_node.children.retain(|&c| c != a && c != b);
             a_node.children.sort_unstable();

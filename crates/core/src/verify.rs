@@ -12,10 +12,11 @@
 //!    outside the operand (by another operand, a flip-flop, or nothing —
 //!    primary outputs keep their original driver), an `{name}__nvb` buffer
 //!    gate is inserted and all external readers are rewired through it.
-//! 2. [`verify_replacement`] checks the rewritten design against the
-//!    original with seeded random vectors ([`netlist::equiv`]): identical
-//!    primary inputs/outputs and flip-flops by name, common-random-number
-//!    input streams, counterexample reported on any mismatch.
+//! 2. [`crate::pipeline::CircuitArtifacts::verify_replacement`] checks the
+//!    rewritten design against the original with seeded random vectors
+//!    ([`netlist::equiv`]): identical primary inputs/outputs and flip-flops
+//!    by name, common-random-number input streams, counterexample reported
+//!    on any mismatch.
 //!
 //! The buffer stands in for the NV latch's combinational path; if the
 //! rewiring were wrong anywhere (a reader left on the raw signal that should
@@ -23,7 +24,6 @@
 //! random-vector check flips an output for a dense set of patterns and the
 //! report carries the exact failing assignment.
 
-use netlist::equiv::{check_equivalence, EquivConfig, EquivReport};
 use netlist::{GateId, GateKind, Netlist, NetlistBuilder};
 
 use crate::error::DiacError;
@@ -118,27 +118,13 @@ pub fn nv_buffer_count(replaced: &Netlist) -> usize {
     replaced.iter().filter(|g| g.name.ends_with(NV_BUFFER_SUFFIX)).count()
 }
 
-/// Materialises the replaced design and checks it against the original with
-/// seeded random vectors.
-///
-/// # Errors
-///
-/// Propagates [`replaced_netlist`] failures and the interface/LUT errors of
-/// [`netlist::equiv::check_equivalence`].
-pub fn verify_replacement(
-    netlist: &Netlist,
-    tree: &OperandTree,
-    config: &EquivConfig,
-) -> Result<EquivReport, DiacError> {
-    let replaced = replaced_netlist(netlist, tree)?;
-    Ok(check_equivalence(netlist, &replaced, config)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::replacement::{insert_nvm_boundaries, ReplacementConfig};
+    use netlist::equiv::{check_equivalence, EquivConfig, EquivReport};
     use netlist::suite::BenchmarkSuite;
+    use netlist::BitSim;
 
     fn enhanced_tree(circuit: &str, budget: f64) -> (Netlist, OperandTree) {
         let nl = BenchmarkSuite::diac_paper().materialize(circuit).unwrap();
@@ -148,13 +134,20 @@ mod tests {
         (nl, tree)
     }
 
+    /// Materialises the replaced design and checks it against the original.
+    fn verify(nl: &Netlist, tree: &OperandTree) -> EquivReport {
+        let replaced = replaced_netlist(nl, tree).unwrap();
+        let (original, replaced) = (BitSim::new(nl).unwrap(), BitSim::new(&replaced).unwrap());
+        check_equivalence(&original, &replaced, &EquivConfig::default()).unwrap()
+    }
+
     #[test]
     fn the_replaced_s27_is_equivalent_to_the_original() {
         let (nl, tree) = enhanced_tree("s27", 0.15);
         let replaced = replaced_netlist(&nl, &tree).unwrap();
         assert!(nv_buffer_count(&replaced) > 0, "s27 must receive NV buffers");
         assert!(replaced.gate_count() > nl.gate_count());
-        let report = verify_replacement(&nl, &tree, &EquivConfig::default()).unwrap();
+        let report = verify(&nl, &tree);
         assert!(report.equivalent(), "{report}");
         assert_eq!(report.vectors, EquivConfig::default().vectors());
     }
@@ -167,7 +160,7 @@ mod tests {
         let tight_nl = replaced_netlist(&nl, &tight).unwrap();
         assert!(nv_buffer_count(&tight_nl) >= nv_buffer_count(&loose_nl));
         for tree in [&loose, &tight] {
-            let report = verify_replacement(&nl, tree, &EquivConfig::default()).unwrap();
+            let report = verify(&nl, tree);
             assert!(report.equivalent(), "{report}");
         }
     }

@@ -11,7 +11,7 @@
 //! querying out of order returns the same values as querying in order.
 //!
 //! [`mix64`] is the SplitMix64-style finalizer the whole workspace already
-//! uses for seed derivation (`scenarios::seed::mix` delegates here): for a
+//! uses for seed derivation (the scenario crate calls it directly): for a
 //! fixed seed, `mix64(seed, index)` over incrementing indices *is* SplitMix64
 //! up to the constant-offset state, so the per-stream output quality matches
 //! the sequential generator it replaces.  Floats are built with the same
@@ -22,7 +22,7 @@
 /// Mixes two 64-bit values into one well-distributed word.
 ///
 /// This is the workspace's canonical SplitMix64-style finalizer; it is both
-/// the seed-derivation mix (`scenarios::seed::mix`) and the per-draw function
+/// the seed-derivation mix of the scenario crate and the per-draw function
 /// of [`CounterRng`].
 #[must_use]
 pub fn mix64(a: u64, b: u64) -> u64 {
@@ -91,6 +91,7 @@ mod tests {
         let a = CounterRng::new(1);
         let b = CounterRng::new(2);
         assert_ne!(a.word(0), b.word(0));
+        assert_ne!(mix64(0, 0), 0);
         let mut words: Vec<u64> = (0..1000).map(|i| a.word(i)).collect();
         words.sort_unstable();
         words.dedup();

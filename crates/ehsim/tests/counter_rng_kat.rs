@@ -111,8 +111,8 @@ fn markov_first_samples_match_the_pinned_vector() {
     }
 }
 
-/// The seed-derivation mix and the draw mix are the same function: scenario
-/// seed derivation (`scenarios::seed::mix`) must keep producing the exact
+/// The seed-derivation mix and the draw mix are the same function: the
+/// scenario crate's seed derivation (`mix64`) must keep producing the exact
 /// pre-PR-9 values, or every scenario seed silently shifts.
 #[test]
 fn seed_derivation_constants_are_unchanged() {

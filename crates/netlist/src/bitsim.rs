@@ -1,43 +1,39 @@
 //! 64-lane bit-parallel functional simulation.
 //!
-//! [`BitSim`] packs 64 independent input patterns into one `u64` per signal
-//! (lane *k* of every word belongs to pattern *k*) and evaluates the whole
-//! netlist with plain word-wide boolean operations: one pass over the
-//! combinational gates settles all 64 patterns at once.
+//! [`BitSim`] is the compiled evaluation schedule of one netlist.  It packs
+//! 64 independent input patterns into one `u64` per signal (lane *k* of
+//! every word belongs to pattern *k*) and evaluates the whole netlist with
+//! plain word-wide boolean operations: one pass over the combinational
+//! gates settles all 64 patterns at once.
 //!
-//! The evaluation schedule is compiled once, at construction
-//! ([`BitSim::new`], or [`BitSim::from_levels`] for a caller that has
-//! levelized already), into *runs*: maximal groups of gates that share a
-//! level, a [`GateKind`] and a fan-in count.  Levels are visited in
-//! increasing order, and gates of one level never read each other, so any
-//! order inside a level is sound; ordering each level by (kind, fan-in
-//! count), with one stable counting sort per level that is linear in its
-//! gate count, makes the runs as long as they can be.  The
-//! targets of all runs sit in one flat `u32` array and their fan-ins in
-//! another, both in run order, so a run is two contiguous slices.  The hot
-//! loop dispatches once per run, not once per gate, into a kernel
-//! specialised by arity: a const-generic fold for fan-ins 1–4 (buffers and
-//! inverters are the 1-input AND and NAND), a multiplexer kernel, and one
-//! generic-arity loop for the wider gates parsed `.bench`/BLIF files carry.
+//! The schedule is compiled once, at construction ([`BitSim::new`], or
+//! [`BitSim::from_levels`] for a caller that has levelized already), into
+//! *runs*: maximal groups of gates that share a level, a [`GateKind`] and a
+//! fan-in count.  Levels are visited in increasing order, and gates of one
+//! level never read each other, so any order inside a level is sound;
+//! ordering each level by (kind, fan-in count), with one stable counting
+//! sort per level that is linear in its gate count, makes the runs as long
+//! as they can be.  The targets of all runs sit in one flat `u32` array and
+//! their fan-ins in another, both in run order, so a run is two contiguous
+//! slices.  The hot loop dispatches once per run, not once per gate, into a
+//! kernel specialised by arity: a const-generic fold for fan-ins 1–4
+//! (buffers and inverters are the 1-input AND and NAND), a multiplexer
+//! kernel, and one generic-arity loop for the wider gates parsed
+//! `.bench`/BLIF files carry.
 //!
-//! The compiled schedule is kept apart from the words it settles, and its
-//! kernels are generic over a lane width `R`: a signal is `[u64; R]`, and
-//! every boolean operation applies to each of its `R` words.  [`BitSim`]
-//! is the `R = 1` case.  The equivalence checker settles eight independent
-//! rounds at once on `[u64; 8]` words, both designs in one shared buffer
-//! (see [`crate::equiv`]).
-//!
-//! [`BitSim::settle`] runs that loop and leaves every result in place: the
-//! signal words ([`BitSim::value`]) and the next state
-//! ([`BitSim::next_state`]).  It touches only the run table, the two index
-//! arrays and the value words, and performs no hashing, no pointer chasing
-//! and no allocation.  [`BitSim::evaluate`] and [`BitSim::step`] are thin
-//! wrappers that copy the results into a [`BitCycleResult`]; they allocate
-//! its two vectors per cycle, which the equivalence checker avoids by
-//! reading in place.
+//! A [`BitSim`] is immutable and owns no words: [`BitSim::settle`] reads
+//! input, state and word buffers the caller owns and leaves every signal's
+//! value in the word buffer (a flip-flop's next state is the word of its D
+//! input).  The kernels are generic over a lane width `R`: a signal is
+//! `[u64; R]`, and every boolean operation applies to each of its `R`
+//! words.  The equivalence checker settles eight independent rounds at
+//! once on `[u64; 8]` words, both designs in one shared buffer (see
+//! [`crate::equiv`]).  A settle touches only the run table, the two index
+//! arrays and the words, and performs no hashing, no pointer chasing and
+//! no allocation.
 //!
 //! Lane semantics: [`lane`] extracts pattern *k* from a word; lane 0 of a
-//! [`BitSim`] run over inputs whose lane 0 equals a scalar input vector is
+//! settle over inputs whose lane 0 equals a scalar input vector is
 //! bit-identical to [`crate::sim::Simulator`] on that vector (pinned by the
 //! `bitsim_props` property suite).
 //!
@@ -58,24 +54,8 @@ pub fn lane(word: u64, lane: u32) -> bool {
     (word >> lane) & 1 == 1
 }
 
-/// Packs an iterator of lane values into one simulation word (lane 0 first;
-/// at most 64 values are consumed).
-#[must_use]
-pub fn pack_lanes(values: impl IntoIterator<Item = bool>) -> u64 {
-    values.into_iter().take(64).enumerate().fold(0_u64, |word, (k, v)| word | (u64::from(v) << k))
-}
-
-/// Result of evaluating one clock cycle over 64 packed patterns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitCycleResult {
-    /// Packed values of the primary outputs, in declaration order.
-    pub outputs: Vec<u64>,
-    /// Packed next state of the flip-flops, in declaration order.
-    pub next_state: Vec<u64>,
-}
-
 /// One run of the schedule: gates of one level sharing a kind and a fan-in
-/// count.  Its targets are the next `gates` entries of [`Schedule`]'s target
+/// count.  Its targets are the next `gates` entries of [`BitSim`]'s target
 /// array and its fan-ins the next `gates * arity` entries of the fan-in
 /// array (gate by gate, each in its netlist fan-in order).
 #[derive(Debug, Clone, Copy)]
@@ -85,28 +65,55 @@ struct Run {
     gates: u32,
 }
 
-/// The compiled evaluation schedule of one netlist: everything a settle
-/// reads but the words themselves.  It is immutable once built, so one
-/// schedule can settle any number of word buffers of any lane width.
+/// A 64-lane word-parallel simulator bound to one netlist: its compiled
+/// evaluation schedule, everything a settle reads but the words.  It is
+/// immutable once built, so one simulator can settle any number of word
+/// buffers of any lane width.
 #[derive(Debug, Clone)]
-pub(crate) struct Schedule<'a> {
+pub struct BitSim<'a> {
     pub(crate) netlist: &'a Netlist,
     runs: Vec<Run>,
     /// Target gate of every scheduled gate, in run order.
     targets: Vec<u32>,
     /// Fan-ins of every scheduled gate, in run order.
     fanins: Vec<u32>,
-    /// The D input of each flip-flop, in declaration order.
-    pub(crate) d_inputs: Vec<GateId>,
     /// Constant gates (sources, so outside the combinational schedule).
     consts: Vec<(GateId, u64)>,
 }
 
-impl<'a> Schedule<'a> {
+impl<'a> BitSim<'a> {
     /// Levelizes `netlist` and compiles its schedule.
-    pub(crate) fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
+    /// levelized and [`NetlistError::UnsupportedGate`] if it contains LUT
+    /// gates whose function is unknown (the same rejection — and reason —
+    /// as the scalar [`crate::sim::Simulator`]).
+    pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
         netlist.check_simulable()?;
         Ok(Self::compile(netlist, &levelize(netlist)?))
+    }
+
+    /// [`Self::new`] over levels the caller already computed with
+    /// [`levelize`], so a caller that needs them too levelizes once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnsupportedGate`] for LUT gates, like
+    /// [`Self::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` does not level one entry per gate of `netlist`.
+    pub fn from_levels(netlist: &'a Netlist, levels: &Levels) -> Result<Self, NetlistError> {
+        assert_eq!(
+            levels.topological().len(),
+            netlist.gate_count(),
+            "levels of another netlist passed to BitSim::from_levels"
+        );
+        netlist.check_simulable()?;
+        Ok(Self::compile(netlist, levels))
     }
 
     /// Compiles the schedule of a simulable `netlist` from its levels.
@@ -138,27 +145,49 @@ impl<'a> Schedule<'a> {
                 }
             }
         }
-        let d_inputs = netlist.flip_flops().iter().map(|&ff| netlist.fanin(ff)[0]).collect();
         let consts = netlist.const_gates().map(|(id, v)| (id, if v { !0 } else { 0 })).collect();
-        Self { netlist, runs, targets, fanins, d_inputs, consts }
+        Self { netlist, runs, targets, fanins, consts }
     }
 
     /// Settles one clock cycle over `R` words of 64 lanes per signal:
     /// writes the sources (one input word per primary input in declaration
-    /// order, the flip-flop `state`, the constants) into `words`, then
-    /// evaluates every run.  `words` needs at least one entry per gate and
-    /// may be longer, so designs of different sizes can share one buffer;
-    /// entries of gates this netlist does not have are left alone.
-    pub(crate) fn settle<const R: usize>(
+    /// order, the flip-flop `state` in declaration order, the constants)
+    /// into `words`, then evaluates every run.  Every signal's value is
+    /// left in `words`, indexed by gate id; the next state of a flip-flop
+    /// is the word of its D input.  `words` needs at least one entry per
+    /// gate and may be longer, so designs of different sizes can share one
+    /// buffer; entries of gates this netlist does not have are left alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UndefinedSignal`] naming the first missing
+    /// primary input if `inputs` is shorter than the primary-input count
+    /// (extra entries are ignored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one entry per flip-flop or `words`
+    /// has fewer entries than the netlist has gates.
+    pub fn settle<const R: usize>(
         &self,
         inputs: &[[u64; R]],
         state: &[[u64; R]],
         words: &mut [[u64; R]],
-    ) {
-        for (&pi, &word) in self.netlist.primary_inputs().iter().zip(inputs) {
+    ) -> Result<(), NetlistError> {
+        let netlist = self.netlist;
+        let pis = netlist.primary_inputs();
+        if inputs.len() < pis.len() {
+            return Err(NetlistError::UndefinedSignal {
+                name: netlist.gate(pis[inputs.len()]).name.clone(),
+                referenced_by: "bit-parallel input vector".to_string(),
+            });
+        }
+        assert_eq!(state.len(), netlist.flip_flop_count(), "one state entry per flip-flop");
+        assert!(words.len() >= netlist.gate_count(), "words must have one entry per gate");
+        for (&pi, &word) in pis.iter().zip(inputs) {
             words[pi.index()] = word;
         }
-        for (&ff, &word) in self.netlist.flip_flops().iter().zip(state) {
+        for (&ff, &word) in netlist.flip_flops().iter().zip(state) {
             words[ff.index()] = word;
         }
         for &(id, word) in &self.consts {
@@ -171,155 +200,7 @@ impl<'a> Schedule<'a> {
             eval_run(run, run_targets, run_fanins, words);
             (targets, fanins) = (rest, rest_fanins);
         }
-    }
-}
-
-/// A 64-lane word-parallel simulator bound to one netlist: a compiled
-/// schedule and one word per signal.
-#[derive(Debug, Clone)]
-pub struct BitSim<'a> {
-    schedule: Schedule<'a>,
-    words: Vec<[u64; 1]>,
-    state: Vec<[u64; 1]>,
-}
-
-impl<'a> BitSim<'a> {
-    /// Creates a simulator with all flip-flop lanes initialised to zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
-    /// levelized and [`NetlistError::UnsupportedGate`] if it contains LUT
-    /// gates whose function is unknown (the same rejection — and reason —
-    /// as the scalar [`crate::sim::Simulator`]).
-    pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        Ok(Self::from_schedule(Schedule::new(netlist)?))
-    }
-
-    /// [`Self::new`] over levels the caller already computed with
-    /// [`levelize`], so a caller that needs them too levelizes once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnsupportedGate`] for LUT gates, like
-    /// [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` does not level one entry per gate of `netlist`.
-    pub fn from_levels(netlist: &'a Netlist, levels: &Levels) -> Result<Self, NetlistError> {
-        assert_eq!(
-            levels.topological().len(),
-            netlist.gate_count(),
-            "levels of another netlist passed to BitSim::from_levels"
-        );
-        netlist.check_simulable()?;
-        Ok(Self::from_schedule(Schedule::compile(netlist, levels)))
-    }
-
-    fn from_schedule(schedule: Schedule<'a>) -> Self {
-        let netlist = schedule.netlist;
-        Self {
-            schedule,
-            words: vec![[0]; netlist.gate_count()],
-            state: vec![[0]; netlist.flip_flop_count()],
-        }
-    }
-
-    /// The compiled schedule, for settling wider word buffers.
-    pub(crate) fn schedule(&self) -> &Schedule<'a> {
-        &self.schedule
-    }
-
-    /// The current packed flip-flop state, in declaration order.
-    #[must_use]
-    pub fn state(&self) -> &[u64] {
-        self.state.as_flattened()
-    }
-
-    /// Overrides the packed flip-flop state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not have one word per flip-flop.
-    pub fn set_state(&mut self, state: &[u64]) {
-        assert_eq!(state.len(), self.state.len(), "state vector must have one word per flip-flop");
-        self.state.as_flattened_mut().copy_from_slice(state);
-    }
-
-    /// Packed value of one signal after the most recent evaluation.
-    #[must_use]
-    pub fn value(&self, id: GateId) -> u64 {
-        self.words[id.index()][0]
-    }
-
-    /// Packed next state of flip-flop `slot` (declaration order) after the
-    /// most recent evaluation: the value of its D input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not below the flip-flop count.
-    #[must_use]
-    pub fn next_state(&self, slot: usize) -> u64 {
-        self.value(self.schedule.d_inputs[slot])
-    }
-
-    /// Settles one clock cycle over 64 packed patterns in place: `inputs`
-    /// carries one word per primary input in declaration order (the same
-    /// dense slots as [`crate::sim::Simulator::evaluate_dense`]).  Results
-    /// are read with [`Self::value`] and [`Self::next_state`]; the internal
-    /// state is *not* advanced — call [`Self::latch`] for that.  Allocates
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UndefinedSignal`] if `inputs` is shorter than
-    /// the primary-input count (extra entries are ignored).
-    pub fn settle(&mut self, inputs: &[u64]) -> Result<(), NetlistError> {
-        let netlist = self.schedule.netlist;
-        let pis = netlist.primary_inputs();
-        if inputs.len() < pis.len() {
-            return Err(NetlistError::UndefinedSignal {
-                name: netlist.gate(pis[inputs.len()]).name.clone(),
-                referenced_by: "bit-parallel input vector".to_string(),
-            });
-        }
-        self.schedule.settle(inputs.as_chunks::<1>().0, &self.state, &mut self.words);
         Ok(())
-    }
-
-    /// Advances the packed flip-flop state to the next state of the most
-    /// recent evaluation.
-    pub fn latch(&mut self) {
-        for (slot, &d) in self.state.iter_mut().zip(&self.schedule.d_inputs) {
-            *slot = self.words[d.index()];
-        }
-    }
-
-    /// Evaluates one clock cycle over 64 packed patterns ([`Self::settle`])
-    /// and returns the primary outputs and the next state.  The internal
-    /// state is *not* advanced — call [`Self::step`] for that.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::settle`].
-    pub fn evaluate(&mut self, inputs: &[u64]) -> Result<BitCycleResult, NetlistError> {
-        self.settle(inputs)?;
-        let outputs =
-            self.schedule.netlist.primary_outputs().iter().map(|&po| self.value(po)).collect();
-        let next_state = self.schedule.d_inputs.iter().map(|&d| self.value(d)).collect();
-        Ok(BitCycleResult { outputs, next_state })
-    }
-
-    /// Evaluates one cycle and advances the packed flip-flop state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::settle`].
-    pub fn step(&mut self, inputs: &[u64]) -> Result<BitCycleResult, NetlistError> {
-        let result = self.evaluate(inputs)?;
-        self.latch();
-        Ok(result)
     }
 }
 
@@ -430,12 +311,31 @@ mod tests {
     use crate::suite::BenchmarkSuite;
     use rand::{RngCore, SeedableRng, StdRng};
 
+    /// One R = 1 cycle, a test stand-in for a stateful simulator's step:
+    /// settles `sim` from `state`, advances `state` to the next state (each
+    /// flip-flop's D-input word) and returns every signal's word by gate id.
+    fn step(sim: &BitSim<'_>, inputs: &[u64], state: &mut [u64]) -> Result<Vec<u64>, NetlistError> {
+        let nl = sim.netlist;
+        let mut words = vec![[0]; nl.gate_count()];
+        sim.settle(inputs.as_chunks().0, state.as_chunks().0, &mut words)?;
+        let words = words.into_flattened();
+        for (slot, &ff) in state.iter_mut().zip(nl.flip_flops()) {
+            *slot = words[nl.fanin(ff)[0].index()];
+        }
+        Ok(words)
+    }
+
+    /// The primary-output words of a settle, in declaration order.
+    fn outputs(nl: &Netlist, words: &[u64]) -> Vec<u64> {
+        nl.primary_outputs().iter().map(|po| words[po.index()]).collect()
+    }
+
     /// Walks the compiled schedule of `nl` and asserts its structure: every
     /// combinational gate is scheduled exactly once with its own fan-ins,
     /// each run is one (level, kind, fan-in count) and the only run of that
     /// key, and levels never decrease.  Returns the run count.
     fn checked_run_count(nl: &Netlist) -> usize {
-        let sim = Schedule::new(nl).unwrap();
+        let sim = BitSim::new(nl).unwrap();
         let levels = levelize(nl).unwrap();
         let mut scheduled = vec![0_usize; nl.gate_count()];
         let mut keys = std::collections::HashSet::new();
@@ -514,27 +414,16 @@ mod tests {
             let inputs = random(nl.primary_inputs().len());
             let state = random(nl.flip_flop_count());
             let mut words = vec![[0_u64; 8]; nl.gate_count()];
-            Schedule::new(nl).unwrap().settle(&inputs, &state, &mut words);
+            let sim = BitSim::new(nl).unwrap();
+            sim.settle(&inputs, &state, &mut words).unwrap();
             for k in 0..8 {
                 let word_k = |words: &[[u64; 8]]| words.iter().map(|w| w[k]).collect::<Vec<_>>();
-                let mut sim = BitSim::new(nl).unwrap();
-                sim.set_state(&word_k(&state));
-                sim.settle(&word_k(&inputs)).unwrap();
+                let narrow = step(&sim, &word_k(&inputs), &mut word_k(&state)).unwrap();
                 for id in nl.ids() {
-                    assert_eq!(words[id.index()][k], sim.value(id), "{} word {k}", nl.name());
+                    assert_eq!(words[id.index()][k], narrow[id.index()], "{} word {k}", nl.name());
                 }
             }
         }
-    }
-
-    #[test]
-    fn lane_helpers_round_trip() {
-        let word = pack_lanes([true, false, true, true]);
-        assert_eq!(word, 0b1101);
-        assert!(lane(word, 0) && !lane(word, 1) && lane(word, 2) && lane(word, 3));
-        assert!(!lane(word, 63));
-        // More than 64 values: the excess is ignored.
-        assert_eq!(pack_lanes(std::iter::repeat_n(true, 100)), !0_u64);
     }
 
     #[test]
@@ -554,17 +443,17 @@ mod tests {
             b.mark_output(g);
         }
         let nl = b.finish().unwrap();
-        let mut sim = BitSim::new(&nl).unwrap();
+        let sim = BitSim::new(&nl).unwrap();
         // The four input combinations in lanes 0..4.
         let wa = 0b1100_u64;
         let wb = 0b1010_u64;
-        let r = sim.evaluate(&[wa, wb]).unwrap();
-        assert_eq!(r.outputs[0] & 0xF, 0b1000, "AND");
-        assert_eq!(r.outputs[1] & 0xF, 0b0111, "NAND");
-        assert_eq!(r.outputs[2] & 0xF, 0b1110, "OR");
-        assert_eq!(r.outputs[3] & 0xF, 0b0001, "NOR");
-        assert_eq!(r.outputs[4] & 0xF, 0b0110, "XOR");
-        assert_eq!(r.outputs[5] & 0xF, 0b1001, "XNOR");
+        let out = outputs(&nl, &step(&sim, &[wa, wb], &mut []).unwrap());
+        assert_eq!(out[0] & 0xF, 0b1000, "AND");
+        assert_eq!(out[1] & 0xF, 0b0111, "NAND");
+        assert_eq!(out[2] & 0xF, 0b1110, "OR");
+        assert_eq!(out[3] & 0xF, 0b0001, "NOR");
+        assert_eq!(out[4] & 0xF, 0b0110, "XOR");
+        assert_eq!(out[5] & 0xF, 0b1001, "XNOR");
     }
 
     #[test]
@@ -578,23 +467,26 @@ mod tests {
         b.mark_output(m);
         b.mark_output(one);
         let nl = b.finish().unwrap();
-        let mut sim = BitSim::new(&nl).unwrap();
-        let r = sim.evaluate(&[0b01, 0b11, 0b00]).unwrap();
+        let sim = BitSim::new(&nl).unwrap();
+        let out = outputs(&nl, &step(&sim, &[0b01, 0b11, 0b00], &mut []).unwrap());
         // lane 0: s=1 selects y=0; lane 1: s=0 selects x=1.
-        assert!(!lane(r.outputs[0], 0));
-        assert!(lane(r.outputs[0], 1));
-        assert_eq!(r.outputs[1], !0_u64);
+        assert!(!lane(out[0], 0));
+        assert!(lane(out[0], 1));
+        assert_eq!(out[1], !0_u64);
     }
 
     #[test]
     fn all_64_lanes_match_the_scalar_simulator_on_s27() {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
-        let mut bit = BitSim::new(&nl).unwrap();
+        let bit = BitSim::new(&nl).unwrap();
         // 64 distinct patterns: lane k carries the bits of k.
-        let inputs: Vec<u64> =
-            (0..4).map(|bit| pack_lanes((0..64).map(|k| k & (1 << bit) != 0))).collect();
+        let inputs: Vec<u64> = (0..4)
+            .map(|bit| (0..64).filter(|k| k & (1 << bit) != 0).fold(0, |w, k| w | 1 << k))
+            .collect();
+        let mut state = vec![0; nl.flip_flop_count()];
+        let mut words = Vec::new();
         for _ in 0..3 {
-            bit.step(&inputs).unwrap();
+            words = step(&bit, &inputs, &mut state).unwrap();
         }
         for k in 0..64_u32 {
             let mut scalar = Simulator::new(&nl).unwrap();
@@ -605,10 +497,10 @@ mod tests {
             }
             let last = last.unwrap();
             for (po, &want) in nl.primary_outputs().iter().zip(&last.outputs) {
-                assert_eq!(lane(bit.value(*po), k), want, "lane {k} output {po}");
+                assert_eq!(lane(words[po.index()], k), want, "lane {k} output {po}");
             }
             for (slot, &want) in last.next_state.iter().enumerate() {
-                assert_eq!(lane(bit.state()[slot], k), want, "lane {k} state {slot}");
+                assert_eq!(lane(state[slot], k), want, "lane {k} state {slot}");
             }
         }
     }
@@ -616,12 +508,13 @@ mod tests {
     #[test]
     fn short_input_vectors_name_the_missing_input() {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
-        let mut sim = BitSim::new(&nl).unwrap();
-        let err = sim.evaluate(&[0]).unwrap_err();
+        let sim = BitSim::new(&nl).unwrap();
+        let mut words = vec![[0]; nl.gate_count()];
+        let err = sim.settle(&[[0]], &[[0]; 3], &mut words).unwrap_err();
         assert!(matches!(
             err,
-            NetlistError::UndefinedSignal { ref referenced_by, .. }
-                if referenced_by == "bit-parallel input vector"
+            NetlistError::UndefinedSignal { ref name, ref referenced_by }
+                if name == "G1" && referenced_by == "bit-parallel input vector"
         ));
     }
 
@@ -642,11 +535,19 @@ mod tests {
     #[test]
     fn state_width_is_checked() {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
-        let mut sim = BitSim::new(&nl).unwrap();
-        sim.set_state(&[1, 2, 3]);
-        assert_eq!(sim.state(), &[1, 2, 3]);
+        let sim = BitSim::new(&nl).unwrap();
+        let inputs = [[0]; 4];
+        let mut words = vec![[0]; nl.gate_count()];
+        sim.settle(&inputs, &[[1], [2], [3]], &mut words).unwrap();
+        let ff_words: Vec<[u64; 1]> = nl.flip_flops().iter().map(|ff| words[ff.index()]).collect();
+        assert_eq!(ff_words, [[1], [2], [3]]);
+        // A state or word buffer of the wrong size is rejected.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.set_state(&[1]);
+            sim.settle(&inputs, &[[1]], &mut words)
+        }));
+        assert!(result.is_err());
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.settle(&inputs, &[[0]; 3], &mut words[1..])
         }));
         assert!(result.is_err());
     }
@@ -658,10 +559,11 @@ mod tests {
         b.add_gate_by_names("n", GateKind::Not, vec!["q".into()]).unwrap();
         b.mark_output_name("q");
         let nl = b.finish().unwrap();
-        let mut sim = BitSim::new(&nl).unwrap();
+        let sim = BitSim::new(&nl).unwrap();
+        let mut state = [0];
         let mut seen = Vec::new();
         for _ in 0..4 {
-            seen.push(sim.step(&[]).unwrap().outputs[0]);
+            seen.push(outputs(&nl, &step(&sim, &[], &mut state).unwrap())[0]);
         }
         assert_eq!(seen, vec![0, !0_u64, 0, !0_u64]);
     }

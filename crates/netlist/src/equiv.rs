@@ -1,15 +1,15 @@
 //! Seeded random-vector functional equivalence checking.
 //!
-//! [`check_equivalence`] drives two netlists that share an interface (primary
-//! inputs, primary outputs and flip-flops matched *by name*) with identical
-//! streams of seeded random input patterns — the common-random-numbers
-//! discipline the scenario campaigns use — and compares every primary output
-//! and every flip-flop's next state on every cycle.  Each round packs 64
-//! patterns per cycle into a word, and eight rounds settle together through
-//! the compiled [`crate::bitsim::BitSim`] schedule, so a default
-//! configuration checks thousands of vectors in eight word-parallel passes
-//! per design.  Sequential behaviour is covered by running several
-//! consecutive cycles per round from the all-zero reset state.
+//! [`check_equivalence`] drives two compiled designs ([`BitSim`]) that share
+//! an interface (primary inputs, primary outputs and flip-flops matched *by
+//! name*) with identical streams of seeded random input patterns — the
+//! common-random-numbers discipline the scenario campaigns use — and
+//! compares every primary output and every flip-flop's next state on every
+//! cycle.  Each round packs 64 patterns per cycle into a word, and eight
+//! rounds settle together in `[u64; 8]` words, so a default configuration
+//! checks thousands of vectors in eight word-parallel passes per design.
+//! Sequential behaviour is covered by running several consecutive cycles
+//! per round from the all-zero reset state.
 //!
 //! Random simulation is a refutation procedure, not a proof: a passing
 //! report means no counterexample was found among `vectors()` seeded
@@ -21,7 +21,7 @@
 
 use rand::{RngCore, SeedableRng, StdRng};
 
-use crate::bitsim::{lane, BitSim, Schedule};
+use crate::bitsim::{lane, BitSim};
 use crate::error::NetlistError;
 use crate::gate::GateId;
 use crate::netlist::Netlist;
@@ -219,48 +219,23 @@ fn round_stream(seed: u64, round: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (round as u64).wrapping_mul(0x9E37))
 }
 
-/// Checks `left` against `right` with seeded random vectors.
+/// The D input of each flip-flop of `nl`, in declaration order: the signal
+/// whose word a settle leaves as that flip-flop's next state.
+fn d_inputs(nl: &Netlist) -> Vec<GateId> {
+    nl.flip_flops().iter().map(|&ff| nl.fanin(ff)[0]).collect()
+}
+
+/// Checks the compiled design `left` against `right` with seeded random
+/// vectors.
 ///
 /// The two designs must expose the same interface by name: identical sets of
 /// primary-input names, primary-output names, and flip-flop names (internal
 /// structure is free to differ — that is the point).  Both are reset to the
-/// all-zero state at the start of every round.
+/// all-zero state at the start of every round.  Compiling a design
+/// ([`BitSim::new`]) is where combinational cycles and LUT gates are
+/// rejected, so only the interface is checked here.
 ///
-/// # Errors
-///
-/// Returns [`NetlistError::UndefinedSignal`] when the interfaces do not
-/// match, and propagates [`BitSim::new`] failures (combinational cycles,
-/// LUT gates — the latter with the scalar simulator's `UnsupportedGate`
-/// reason).
-pub fn check_equivalence(
-    left: &Netlist,
-    right: &Netlist,
-    config: &EquivConfig,
-) -> Result<EquivReport, NetlistError> {
-    let map = map_interface(left, right)?;
-    compare(&Schedule::new(left)?, right, &map, config)
-}
-
-/// [`check_equivalence`] with the left design already compiled, for a
-/// caller that keeps its levels (see [`BitSim::from_levels`]).  Only the
-/// compiled schedule is read; the simulator's own state is left alone.
-///
-/// # Errors
-///
-/// Same as [`check_equivalence`].
-pub fn check_equivalence_compiled(
-    left: &BitSim<'_>,
-    right: &Netlist,
-    config: &EquivConfig,
-) -> Result<EquivReport, NetlistError> {
-    let schedule = left.schedule();
-    let map = map_interface(schedule.netlist, right)?;
-    compare(schedule, right, &map, config)
-}
-
-/// The comparison behind both entry points.
-///
-/// Rounds are settled [`BLOCK`] at a time, round `k` of a block in word
+/// Rounds are settled eight at a time, round `k` of a block in word
 /// `k` of every signal, each from its own stream.  Both designs share one
 /// word buffer: per cycle the left design settles, its outputs are kept and
 /// its state latched, then the right design settles over the same words.
@@ -270,30 +245,35 @@ pub fn check_equivalence_compiled(
 /// may fail at an earlier cycle, so a mismatch only bounds the rounds that
 /// can still beat it: those below its own, which run on to the block's last
 /// cycle.
-fn compare(
-    left: &Schedule<'_>,
-    right: &Netlist,
-    map: &InterfaceMap,
+///
+/// # Errors
+///
+/// Returns [`NetlistError::UndefinedSignal`] when the interfaces do not
+/// match.
+pub fn check_equivalence(
+    left: &BitSim<'_>,
+    right: &BitSim<'_>,
     config: &EquivConfig,
 ) -> Result<EquivReport, NetlistError> {
-    let right_schedule = Schedule::new(right)?;
-    let left_nl = left.netlist;
+    let (left_nl, right_nl) = (left.netlist, right.netlist);
+    let map = map_interface(left_nl, right_nl)?;
     let left_outputs = left_nl.primary_outputs();
+    let left_d = d_inputs(left_nl);
     let right_outputs: Vec<GateId> =
-        map.outputs.iter().map(|&slot| right.primary_outputs()[slot]).collect();
-    let right_next: Vec<GateId> =
-        map.flip_flops.iter().map(|&slot| right_schedule.d_inputs[slot]).collect();
+        map.outputs.iter().map(|&slot| right_nl.primary_outputs()[slot]).collect();
+    let right_d = d_inputs(right_nl);
+    let right_next: Vec<GateId> = map.flip_flops.iter().map(|&slot| right_d[slot]).collect();
 
     let zero = [0_u64; BLOCK];
-    let mut words = vec![zero; left_nl.gate_count().max(right.gate_count())];
+    let mut words = vec![zero; left_nl.gate_count().max(right_nl.gate_count())];
     let mut inputs_l = vec![zero; left_nl.primary_inputs().len()];
     let mut inputs_r = vec![zero; inputs_l.len()];
     let mut state_l = vec![zero; left_nl.flip_flop_count()];
-    let mut state_r = vec![zero; right.flip_flop_count()];
+    let mut state_r = vec![zero; right_nl.flip_flop_count()];
     let mut outputs_l = vec![zero; left_outputs.len()];
     let report = |vectors, counterexample| EquivReport {
         left: left_nl.name().to_string(),
-        right: right.name().to_string(),
+        right: right_nl.name().to_string(),
         vectors,
         counterexample,
     };
@@ -316,14 +296,14 @@ fn compare(
                     inputs_r[map.inputs[i]][k] = word[k];
                 }
             }
-            left.settle(&inputs_l, &state_l, &mut words);
+            left.settle(&inputs_l, &state_l, &mut words)?;
             for (kept, &po) in outputs_l.iter_mut().zip(left_outputs) {
                 *kept = words[po.index()];
             }
-            for (state, &d) in state_l.iter_mut().zip(&left.d_inputs) {
+            for (state, &d) in state_l.iter_mut().zip(&left_d) {
                 *state = words[d.index()];
             }
-            right_schedule.settle(&inputs_r, &state_r, &mut words);
+            right.settle(&inputs_r, &state_r, &mut words)?;
 
             // Outputs, then next state: the first signal of the least
             // round that differs.
@@ -353,7 +333,7 @@ fn compare(
                     break;
                 }
             }
-            for (state, &d) in state_r.iter_mut().zip(&right_schedule.d_inputs) {
+            for (state, &d) in state_r.iter_mut().zip(&right_d) {
                 *state = words[d.index()];
             }
         }
@@ -376,11 +356,20 @@ mod tests {
         parse_bench("s27", crate::embedded::S27_BENCH).unwrap()
     }
 
+    /// Compiles both designs and checks them.
+    fn check(
+        left: &Netlist,
+        right: &Netlist,
+        config: &EquivConfig,
+    ) -> Result<EquivReport, NetlistError> {
+        check_equivalence(&BitSim::new(left)?, &BitSim::new(right)?, config)
+    }
+
     #[test]
     fn a_design_is_equivalent_to_itself() {
         let a = s27();
         let b = s27();
-        let report = check_equivalence(&a, &b, &EquivConfig::default()).unwrap();
+        let report = check(&a, &b, &EquivConfig::default()).unwrap();
         assert!(report.equivalent());
         assert_eq!(report.vectors, EquivConfig::default().vectors());
         assert!(report.to_string().contains("no counterexample"));
@@ -401,7 +390,7 @@ mod tests {
         b.mark_output(g);
         let right = b.finish().unwrap();
 
-        let report = check_equivalence(&left, &right, &EquivConfig::default()).unwrap();
+        let report = check(&left, &right, &EquivConfig::default()).unwrap();
         assert!(report.equivalent(), "{report}");
     }
 
@@ -412,7 +401,7 @@ mod tests {
         let sabotaged = crate::embedded::S27_BENCH.replace("G17 = NOT(G11)", "G17 = BUFF(G11)");
         assert_ne!(sabotaged, crate::embedded::S27_BENCH);
         let right = parse_bench("s27_bad", &sabotaged).unwrap();
-        let report = check_equivalence(&left, &right, &EquivConfig::default()).unwrap();
+        let report = check(&left, &right, &EquivConfig::default()).unwrap();
         assert!(!report.equivalent());
         assert!(report.to_string().contains("G17"));
         let cex = report.counterexample.expect("counterexample");
@@ -446,10 +435,7 @@ mod tests {
         let a = s27();
         let b = s27();
         let config = EquivConfig { seed: 7, rounds: 2, cycles_per_round: 3 };
-        assert_eq!(
-            check_equivalence(&a, &b, &config).unwrap(),
-            check_equivalence(&a, &b, &config).unwrap()
-        );
+        assert_eq!(check(&a, &b, &config).unwrap(), check(&a, &b, &config).unwrap());
         assert_eq!(config.vectors(), 64 * 2 * 3);
     }
 
@@ -461,7 +447,7 @@ mod tests {
         let g = b.add_gate("g", GateKind::Not, vec![a]).unwrap();
         b.mark_output(g);
         let right = b.finish().unwrap();
-        let err = check_equivalence(&left, &right, &EquivConfig::default()).unwrap_err();
+        let err = check(&left, &right, &EquivConfig::default()).unwrap_err();
         assert!(matches!(err, NetlistError::UndefinedSignal { ref referenced_by, .. }
             if referenced_by.contains("equivalence interface")));
     }
@@ -473,7 +459,7 @@ mod tests {
         let left = s27();
         let extended = format!("{}OUTPUT(G11)\n", crate::embedded::S27_BENCH);
         let right = parse_bench("s27_plus", &extended).unwrap();
-        let err = check_equivalence(&left, &right, &EquivConfig::default()).unwrap_err();
+        let err = check(&left, &right, &EquivConfig::default()).unwrap_err();
         assert_eq!(
             err,
             NetlistError::UndefinedSignal {
@@ -491,7 +477,7 @@ mod tests {
         let left = s27();
         let doubled = format!("{}OUTPUT(G17)\n", crate::embedded::S27_BENCH);
         let right = parse_bench("s27_doubled", &doubled).unwrap();
-        let err = check_equivalence(&left, &right, &EquivConfig::default()).unwrap_err();
+        let err = check(&left, &right, &EquivConfig::default()).unwrap_err();
         assert_eq!(
             err,
             NetlistError::UndefinedSignal {
@@ -505,7 +491,7 @@ mod tests {
     fn zero_sized_configs_check_zero_vectors_consistently() {
         let a = s27();
         let config = EquivConfig { rounds: 0, cycles_per_round: 8, ..EquivConfig::default() };
-        let report = check_equivalence(&a, &a, &config).unwrap();
+        let report = check(&a, &a, &config).unwrap();
         assert_eq!(report.vectors, 0);
         assert_eq!(report.vectors, config.vectors());
         assert!(report.equivalent());
@@ -515,7 +501,7 @@ mod tests {
     fn lut_designs_are_rejected_like_the_scalar_simulator() {
         let blif = ".model lut\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
         let lut_nl = crate::parser::parse_blif("lut", blif).unwrap();
-        let err = check_equivalence(&lut_nl, &lut_nl, &EquivConfig::default()).unwrap_err();
+        let err = check(&lut_nl, &lut_nl, &EquivConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             NetlistError::UnsupportedGate { ref reason, .. }
@@ -538,7 +524,7 @@ mod tests {
         b.add_gate_by_names("n", GateKind::Buf, vec!["q".into()]).unwrap();
         b.mark_output_name("q");
         let right = b.finish().unwrap();
-        let report = check_equivalence(&left, &right, &EquivConfig::default()).unwrap();
+        let report = check(&left, &right, &EquivConfig::default()).unwrap();
         let cex = report.counterexample.expect("the stuck design must be caught");
         assert_eq!(cex.signal, "q");
         assert_eq!(cex.cycle, 0, "the next-state comparison catches it in the first cycle");

@@ -11,13 +11,13 @@
 //! * [`levelize`] — combinational levelization and cycle detection.
 //! * [`sim`] — scalar two-valued simulation (dense input slots resolved at
 //!   construction).
-//! * [`bitsim`] — 64-lane bit-parallel simulation: one `u64` per signal
-//!   evaluates 64 input patterns per pass over a schedule of level-ordered
-//!   runs of same-kind, same-arity gates.
-//! * [`equiv`] — seeded random-vector functional equivalence checking
-//!   (used to verify DIAC-replaced designs against their originals).
-//! * [`stats`] — per-netlist summary statistics (gate histogram, depth,
-//!   average fan-in/out) that feed DIAC's feature dictionaries.
+//! * [`bitsim`] — 64-lane bit-parallel simulation: a netlist compiled once
+//!   into a schedule of level-ordered runs of same-kind, same-arity gates,
+//!   settling one `u64` (64 input patterns) per signal in word buffers the
+//!   caller owns.
+//! * [`equiv`] — seeded random-vector functional equivalence checking of
+//!   two compiled designs (used to verify DIAC-replaced designs against
+//!   their originals).
 //! * [`synth`] — a deterministic synthetic benchmark generator used to stand
 //!   in for circuits whose original netlists are not redistributable.
 //! * [`embedded`] — small ISCAS-89 circuits embedded as `.bench` text.
@@ -50,15 +50,12 @@ pub mod levelize;
 mod netlist;
 pub mod parser;
 pub mod sim;
-pub mod stats;
 pub mod suite;
 pub mod synth;
-pub mod verilog;
 
-pub use bitsim::{BitCycleResult, BitSim};
+pub use bitsim::BitSim;
 pub use equiv::{check_equivalence, Counterexample, EquivConfig, EquivReport};
 pub use error::NetlistError;
 pub use gate::{FaninSpan, Gate, GateId, GateKind};
 pub use netlist::{Netlist, NetlistBuilder};
-pub use stats::NetlistStats;
 pub use suite::{BenchmarkSuite, CircuitSpec, SuiteKind};

@@ -2,7 +2,9 @@
 //! 64-lane [`netlist::bitsim::BitSim`] agree on random netlists driven by
 //! random patterns — outputs, next state, and every internal signal, across
 //! several sequential cycles.  The remaining 63 lanes carry independent
-//! random patterns to make cross-lane contamination observable.
+//! random patterns to make cross-lane contamination observable.  The same
+//! cycles settled eight input sets at a time (`[u64; 8]` words, the width
+//! the equivalence checker uses) must match eight one-word settles.
 //!
 //! Two netlist sources feed it: the synthetic generator (the shapes the
 //! registry circuits have, fan-in at most 4) and [`odd_netlist`], which
@@ -15,41 +17,86 @@ use rand::{Rng, RngCore, SeedableRng, StdRng};
 use netlist::bitsim::{lane, BitSim};
 use netlist::sim::Simulator;
 use netlist::synth::{generate, SynthesisConfig};
-use netlist::{GateKind, Netlist, NetlistBuilder};
+use netlist::{GateId, GateKind, Netlist, NetlistBuilder};
+
+/// Input sets settled together at the equivalence checker's width.
+const WIDE: usize = 8;
 
 /// Steps the scalar simulator and a [`BitSim`] side by side for `cycles`
 /// cycles and asserts that lane 0 of every signal, output and next-state
 /// word equals the scalar value.
+///
+/// Each cycle also settles at `R = 8`, the width the equivalence checker
+/// uses: word 0 carries the `R = 1` input set and words 1..8 seven more
+/// random sets, each following its own state trajectory, and word `k` of
+/// every signal and next state must equal an `R = 1` settle of set `k`.
 fn assert_lane_zero_matches_scalar(nl: &Netlist, pattern_seed: u64, cycles: usize) {
     let mut scalar = Simulator::new(nl).expect("scalar sim");
-    let mut bit = BitSim::new(nl).expect("bit sim");
+    let bit = BitSim::new(nl).expect("bit sim");
     let mut rng = StdRng::seed_from_u64(pattern_seed);
+    let mut extra = StdRng::seed_from_u64(!pattern_seed);
+    let d_inputs: Vec<GateId> = nl.flip_flops().iter().map(|&ff| nl.fanin(ff)[0]).collect();
+    let mut states = vec![vec![[0_u64]; d_inputs.len()]; WIDE];
+    let mut wide_state = vec![[0_u64; WIDE]; d_inputs.len()];
+    let mut wide_words = vec![[0_u64; WIDE]; nl.gate_count()];
+    let mut words = vec![vec![[0_u64]; nl.gate_count()]; WIDE];
 
     for cycle in 0..cycles {
-        // Lane 0 carries the scalar pattern; lanes 1..64 are noise.
-        let words: Vec<u64> = (0..nl.primary_inputs().len()).map(|_| rng.next_u64()).collect();
-        let pattern: Vec<bool> = words.iter().map(|&w| lane(w, 0)).collect();
+        // Lane 0 of set 0 carries the scalar pattern; lanes 1..64 are noise.
+        let wide_inputs: Vec<[u64; WIDE]> = (0..nl.primary_inputs().len())
+            .map(|_| {
+                let first = rng.next_u64();
+                std::array::from_fn(|k| if k == 0 { first } else { extra.next_u64() })
+            })
+            .collect();
+        let pattern: Vec<bool> = wide_inputs.iter().map(|w| lane(w[0], 0)).collect();
+
+        for (k, (state, words)) in states.iter_mut().zip(&mut words).enumerate() {
+            let inputs: Vec<[u64; 1]> = wide_inputs.iter().map(|w| [w[k]]).collect();
+            bit.settle(&inputs, state, words).expect("bit settle");
+            for (slot, &d) in state.iter_mut().zip(&d_inputs) {
+                *slot = words[d.index()];
+            }
+        }
+        bit.settle(&wide_inputs, &wide_state, &mut wide_words).expect("wide settle");
+        for (slot, &d) in wide_state.iter_mut().zip(&d_inputs) {
+            *slot = wide_words[d.index()];
+        }
 
         let s = scalar.step_dense(&pattern).expect("scalar step");
-        let b = bit.step(&words).expect("bit step");
-
-        for (i, (&sv, &bw)) in s.outputs.iter().zip(&b.outputs).enumerate() {
-            prop_assert_eq!(sv, lane(bw, 0), "cycle {} output {}", cycle, i);
+        for (i, (&sv, po)) in s.outputs.iter().zip(nl.primary_outputs()).enumerate() {
+            prop_assert_eq!(sv, lane(words[0][po.index()][0], 0), "cycle {} output {}", cycle, i);
         }
-        for (i, (&sv, &bw)) in s.next_state.iter().zip(&b.next_state).enumerate() {
-            prop_assert_eq!(sv, lane(bw, 0), "cycle {} state {}", cycle, i);
+        for (i, (&sv, next)) in s.next_state.iter().zip(&states[0]).enumerate() {
+            prop_assert_eq!(sv, lane(next[0], 0), "cycle {} state {}", cycle, i);
         }
         // Every internal signal agrees too, not just the interface.
         for id in nl.ids() {
             prop_assert_eq!(
                 scalar.value(id),
-                lane(bit.value(id), 0),
+                lane(words[0][id.index()][0], 0),
                 "cycle {} signal {}",
                 cycle,
                 nl.gate(id).name.clone()
             );
         }
         prop_assert!(scalar.is_consistent());
+        // Word k of the wide settle is the narrow settle of set k.
+        for (k, (state, words)) in states.iter().zip(&words).enumerate() {
+            for id in nl.ids() {
+                prop_assert_eq!(
+                    wide_words[id.index()][k],
+                    words[id.index()][0],
+                    "cycle {} word {} signal {}",
+                    cycle,
+                    k,
+                    nl.gate(id).name.clone()
+                );
+            }
+            for (slot, (wide, narrow)) in wide_state.iter().zip(state).enumerate() {
+                prop_assert_eq!(wide[k], narrow[0], "cycle {} word {} state {}", cycle, k, slot);
+            }
+        }
     }
 }
 
@@ -111,7 +158,7 @@ fn odd_netlist(seed: u64, gates: usize) -> Netlist {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 96 }))]
 
     #[test]
     fn scalar_simulator_matches_bitsim_lane_zero(

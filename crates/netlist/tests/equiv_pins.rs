@@ -9,7 +9,7 @@
 //! (no rounds, or no cycles per round) are pinned as well.
 
 use netlist::equiv::{check_equivalence, EquivConfig, EquivReport};
-use netlist::{GateKind, Netlist, NetlistBuilder};
+use netlist::{BitSim, GateKind, Netlist, NetlistBuilder};
 
 /// Both designs of the pair: 32 inputs `x00..x31`, three primary outputs
 /// and one flip-flop, identical but for two rarely activated faults.
@@ -64,6 +64,11 @@ fn owned(pin: &Summary) -> Summary<String> {
     (pin.0, pin.1.map(|(r, c, l, s, i)| (r, c, l, s.to_string(), i)))
 }
 
+/// Compiles both designs and checks them.
+fn check(left: &Netlist, right: &Netlist, config: &EquivConfig) -> EquivReport {
+    check_equivalence(&BitSim::new(left).unwrap(), &BitSim::new(right).unwrap(), config).unwrap()
+}
+
 /// The first cycle at which round `round` of a check seeded `seed`
 /// mismatches, if any: a one-round check whose seed is that round's stream
 /// seed replays exactly that round.
@@ -73,7 +78,7 @@ fn first_failing_cycle(left: &Netlist, right: &Netlist, seed: u64, round: usize)
         rounds: 1,
         ..EquivConfig::default()
     };
-    check_equivalence(left, right, &config).unwrap().counterexample.map(|cex| cex.cycle)
+    check(left, right, &config).counterexample.map(|cex| cex.cycle)
 }
 
 /// The seed whose first failing round (2, at cycle 3) is beaten on cycle
@@ -96,7 +101,7 @@ fn the_least_round_is_reported_even_when_a_later_round_fails_earlier() {
     assert_eq!(failing, [(2, 3), (3, 5), (5, 1), (7, 2)]);
 
     let config = EquivConfig { seed: EARLY_SEED, ..EquivConfig::default() };
-    let report = check_equivalence(&left, &right, &config).unwrap();
+    let report = check(&left, &right, &config);
     let cex = report.counterexample.as_ref().expect("the faults show");
     assert_eq!((report.left.as_str(), report.right.as_str()), ("left", "right"));
     assert_eq!(report.vectors, 64 * (2 * 8 + 3 + 1));
@@ -137,19 +142,19 @@ fn partial_and_empty_round_blocks_keep_their_reports() {
     ];
     for (seed, rounds, pin) in &pins {
         let config = EquivConfig { seed: *seed, rounds: *rounds, ..EquivConfig::default() };
-        let report = check_equivalence(&left, &right, &config).unwrap();
+        let report = check(&left, &right, &config);
         assert_eq!(summary(&report), owned(pin), "seed {seed}, {rounds} rounds");
     }
     // No cycles per round: nothing is settled and nothing is reported.
     for seed in [EARLY_SEED, LATE_SEED] {
         let config = EquivConfig { seed, cycles_per_round: 0, ..EquivConfig::default() };
-        let report = check_equivalence(&left, &right, &config).unwrap();
+        let report = check(&left, &right, &config);
         assert_eq!(summary(&report), (0, None), "seed {seed}, no cycles");
     }
     // A design against itself checks every vector of every block.
     for rounds in [0, 1, 3, 9, 17] {
         let config = EquivConfig { seed: LATE_SEED, rounds, ..EquivConfig::default() };
-        let report = check_equivalence(&left, &left, &config).unwrap();
+        let report = check(&left, &left, &config);
         assert_eq!(summary(&report), (config.vectors(), None), "{rounds} rounds");
     }
 }

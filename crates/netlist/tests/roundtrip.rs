@@ -1,12 +1,11 @@
 //! Parser round-trips over the evaluation suite: `.bench` parse → writer
 //! emit → re-parse must produce an isomorphic netlist — same names, kinds,
-//! interface lists and CSR fan-in spans — and the Verilog writer must emit a
-//! structurally complete module for every circuit.
+//! interface lists and CSR fan-in spans — that simulates identically.
 
+use netlist::equiv::{check_equivalence, EquivConfig};
 use netlist::parser::parse_bench;
 use netlist::suite::BenchmarkSuite;
-use netlist::verilog::to_verilog;
-use netlist::{GateKind, Netlist};
+use netlist::{BitSim, GateKind, Netlist};
 
 /// Asserts `a` and `b` are isomorphic: identical gate tables (names, kinds,
 /// resolved fan-in name lists — i.e. the CSR spans point at the same
@@ -60,24 +59,6 @@ fn bench_round_trips_are_isomorphic_for_the_whole_suite() {
 }
 
 #[test]
-fn verilog_emission_covers_every_suite_circuit() {
-    for spec in BenchmarkSuite::diac_paper_small().iter() {
-        let nl = spec.materialize().expect(spec.name);
-        let v = to_verilog(&nl);
-        assert!(v.contains("module"), "{}", spec.name);
-        assert!(v.trim_end().ends_with("endmodule"), "{}", spec.name);
-        // One assign per combinational gate plus one per primary output.
-        assert_eq!(
-            v.matches("assign ").count(),
-            nl.combinational_count() + nl.primary_outputs().len(),
-            "{}",
-            spec.name
-        );
-        assert_eq!(v.matches("<=").count(), nl.flip_flop_count(), "{}", spec.name);
-    }
-}
-
-#[test]
 fn round_tripped_netlists_simulate_identically() {
     // Structure is checked above; this pins function too, via the 64-lane
     // equivalence harness (the reparsed design is a perfect clone, so any
@@ -85,10 +66,10 @@ fn round_tripped_netlists_simulate_identically() {
     for name in ["s27", "s298", "mcnc_voting"] {
         let original = BenchmarkSuite::diac_paper().materialize(name).unwrap();
         let reparsed = parse_bench(name, &original.to_bench()).unwrap();
-        let report = netlist::equiv::check_equivalence(
-            &original,
-            &reparsed,
-            &netlist::equiv::EquivConfig::default(),
+        let report = check_equivalence(
+            &BitSim::new(&original).unwrap(),
+            &BitSim::new(&reparsed).unwrap(),
+            &EquivConfig::default(),
         )
         .unwrap();
         assert!(report.equivalent(), "{report}");

@@ -51,7 +51,6 @@ pub mod aggregate;
 pub mod campaign;
 pub mod runner;
 pub mod scenario;
-pub mod seed;
 pub mod shard;
 pub mod space;
 

@@ -1,5 +1,6 @@
 //! One deterministic `(config, seed)` point of a campaign.
 
+use ehsim::crng::mix64;
 use ehsim::pmu::Thresholds;
 use isim::backup::BackupUnit;
 use isim::batch::BatchJob;
@@ -9,7 +10,6 @@ use isim::stats::RunStats;
 use tech45::nvm::NvmTechnology;
 use tech45::units::Seconds;
 
-use crate::seed::mix;
 use crate::space::{AnySource, BackupSizing, SourceScratch, SourceSpec};
 
 /// A fully specified scenario: running it twice produces bit-identical
@@ -41,7 +41,7 @@ impl Scenario {
         FsmConfig::paper_default()
             .with_thresholds(self.thresholds)
             .with_backup(self.backup_unit())
-            .with_seed(mix(self.seed, 0x0F5A))
+            .with_seed(mix64(self.seed, 0x0F5A))
     }
 
     /// The backup unit of [`Self::fsm_config`]: the sizing on the
@@ -55,7 +55,7 @@ impl Scenario {
     /// No trace is recorded — campaigns keep only the scalar statistics.
     #[must_use]
     pub fn run(&self, duration: Seconds, dt: Seconds) -> RunStats {
-        let source = self.source.build(mix(self.seed, 0x50BC));
+        let source = self.source.build(mix64(self.seed, 0x50BC));
         IntermittentExecutor::with_source(self.fsm_config(), source).run(duration, dt)
     }
 
@@ -88,7 +88,7 @@ impl Scenario {
         dt: Seconds,
         _scratch: &mut SourceScratch,
     ) -> BatchJob<AnySource> {
-        let source = self.source.build(mix(self.seed, 0x50BC));
+        let source = self.source.build(mix64(self.seed, 0x50BC));
         BatchJob::new(self.fsm_config(), source, duration, dt)
     }
 

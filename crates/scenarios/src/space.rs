@@ -8,6 +8,7 @@
 
 use std::ops::Range;
 
+use ehsim::crng::mix64;
 use ehsim::pmu::Thresholds;
 use ehsim::schedule::Schedule;
 use ehsim::source::{
@@ -20,7 +21,6 @@ use tech45::units::{Energy, EnergyFx, Power, Seconds};
 use diac_core::replacement::ReplacementSummary;
 
 use crate::scenario::Scenario;
-use crate::seed::mix;
 
 /// The source families the campaign engine can sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,13 +140,13 @@ impl SourceSpec {
         match self {
             SourceSpec::Constant { power } => AnySource::Constant(ConstantSource::new(*power)),
             SourceSpec::Rfid { peak, period, duty_cycle, jitter, seed } => AnySource::Rfid(
-                RfidSource::new(*peak, *period, *duty_cycle, *jitter, mix(*seed, scenario_seed)),
+                RfidSource::new(*peak, *period, *duty_cycle, *jitter, mix64(*seed, scenario_seed)),
             ),
             SourceSpec::Solar { peak, day_length, cloudiness, seed } => AnySource::Solar(
-                SolarSource::new(*peak, *day_length, *cloudiness, mix(*seed, scenario_seed)),
+                SolarSource::new(*peak, *day_length, *cloudiness, mix64(*seed, scenario_seed)),
             ),
             SourceSpec::Markov { on_power, mean_on, mean_off, seed } => AnySource::Markov(
-                MarkovSource::new(*on_power, *mean_on, *mean_off, mix(*seed, scenario_seed)),
+                MarkovSource::new(*on_power, *mean_on, *mean_off, mix64(*seed, scenario_seed)),
             ),
             SourceSpec::Schedule(schedule) => AnySource::Piecewise(schedule.to_source()),
         }
@@ -406,7 +406,7 @@ impl ScenarioSpace {
                     thresholds: self.thresholds[at.threshold],
                     technology: self.technologies[at.technology],
                     sizing: self.sizings[at.sizing].clone(),
-                    seed: mix(campaign_seed, self.stochastic_index(at) as u64),
+                    seed: mix64(campaign_seed, self.stochastic_index(at) as u64),
                 }
             })
             .collect()
@@ -553,7 +553,7 @@ mod tests {
                                 thresholds: *thresholds,
                                 technology,
                                 sizing: sizing.clone(),
-                                seed: mix(campaign_seed, stochastic_coordinate as u64),
+                                seed: mix64(campaign_seed, stochastic_coordinate as u64),
                             });
                         }
                     }
@@ -613,7 +613,7 @@ mod tests {
         let (peak, period) = (Power::from_milliwatts(1.0), Seconds::new(2.0));
         let rfid = SourceSpec::Rfid { peak, period, duty_cycle: 0.4, jitter: 0.1, seed: 1 };
         // A stochastic family mixes its base seed with the scenario seed.
-        let mixed = RfidSource::new(peak, period, 0.4, 0.1, mix(1, 9));
+        let mixed = RfidSource::new(peak, period, 0.4, 0.1, mix64(1, 9));
         assert_eq!(trace(rfid.build(9)), trace(AnySource::Rfid(mixed)));
         assert_ne!(trace(rfid.build(9)), trace(rfid.build(10)));
         // Deterministic families ignore it.

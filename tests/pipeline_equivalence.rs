@@ -117,7 +117,7 @@ fn every_registry_circuit_survives_replacement_functionally() {
         // An empty rewrite would make the check vacuous.
         assert!(nv_buffer_count(&replaced) > 0, "{} received no NV buffers", spec.name);
         let equiv = EquivConfig {
-            seed: scenarios::seed::mix(0xD1AC_2024, index as u64),
+            seed: ehsim::crng::mix64(0xD1AC_2024, index as u64),
             rounds: 4,
             cycles_per_round: 8,
         };
