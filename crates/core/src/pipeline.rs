@@ -7,7 +7,8 @@
 //! parts of the flow for every scheme or sweep point:
 //!
 //! * the levelization and circuit-level energy figures (the levels also
-//!   compile the original design for the equivalence check),
+//!   compile the original design for the equivalence check, and the
+//!   replaced design's levels derive from them),
 //! * the operand tree clustered from the netlist, and
 //! * the NV-enhanced tree of one replacement run (identical for every
 //!   evaluation sharing a policy, technology and budget — in particular for
@@ -104,8 +105,8 @@ impl ReplacementKey {
 #[derive(Debug)]
 pub struct CircuitArtifacts<'n> {
     netlist: &'n Netlist,
-    /// The netlist's levels, kept for compiling it in
-    /// [`Self::verify_replacement`].
+    /// The netlist's levels, kept for compiling it and its replaced
+    /// designs in [`Self::verify_replacement`].
     levels: Levels,
     figures: CircuitFigures,
     base_tree: OperandTree,
@@ -237,10 +238,11 @@ impl<'n> CircuitArtifacts<'n> {
     /// Opt-in functional verification of the DIAC replacement under `ctx`:
     /// checks the replaced netlist ([`Self::replaced_netlist`]) against the
     /// original with seeded random vectors.  The original is compiled from
-    /// the levels the artifacts kept, so it is not levelized again.  The
-    /// report itself is not cached; re-verifying repeats only compiling the
-    /// two designs and the vector comparison — never the restructuring,
-    /// replacement, or netlist rewrite.
+    /// the levels the artifacts kept, and the replaced design from levels
+    /// derived from them ([`Levels::with_buffers`]), so neither is levelized
+    /// again.  The report itself is not cached; re-verifying repeats only
+    /// compiling the two designs and the vector comparison — never the
+    /// restructuring, replacement, or netlist rewrite.
     ///
     /// # Errors
     ///
@@ -252,7 +254,9 @@ impl<'n> CircuitArtifacts<'n> {
     ) -> Result<EquivReport, DiacError> {
         let replaced = self.replaced_netlist(ctx)?;
         let original = BitSim::from_levels(self.netlist, &self.levels)?;
-        Ok(check_equivalence(&original, &BitSim::new(&replaced)?, equiv)?)
+        let replaced_levels = self.levels.with_buffers(&replaced);
+        let replaced = BitSim::from_levels(&replaced, &replaced_levels)?;
+        Ok(check_equivalence(&original, &replaced, equiv)?)
     }
 }
 

@@ -12,11 +12,16 @@
 //!    outside the operand (by another operand, a flip-flop, or nothing —
 //!    primary outputs keep their original driver), an `{name}__nvb` buffer
 //!    gate is inserted and all external readers are rewired through it.
+//!    The rewrite is [`Netlist::with_buffers`]: the original's gates keep
+//!    their ids, and its names and name index are copied, not rebuilt, so
+//!    only the buffer names are new.
 //! 2. [`crate::pipeline::CircuitArtifacts::verify_replacement`] checks the
 //!    rewritten design against the original with seeded random vectors
 //!    ([`netlist::equiv`]): identical primary inputs/outputs and flip-flops
 //!    by name, common-random-number input streams, counterexample reported
-//!    on any mismatch.
+//!    on any mismatch.  The replaced design is compiled from levels derived
+//!    from the original's ([`netlist::levelize::Levels::with_buffers`]), not
+//!    levelized again.
 //!
 //! The buffer stands in for the NV latch's combinational path; if the
 //! rewiring were wrong anywhere (a reader left on the raw signal that should
@@ -24,7 +29,7 @@
 //! random-vector check flips an output for a dense set of patterns and the
 //! report carries the exact failing assignment.
 
-use netlist::{GateId, GateKind, Netlist, NetlistBuilder};
+use netlist::{GateId, Netlist};
 
 use crate::error::DiacError;
 use crate::tree::{OperandId, OperandTree};
@@ -68,10 +73,9 @@ pub fn replaced_netlist(netlist: &Netlist, tree: &OperandTree) -> Result<Netlist
     // some reader sits outside the operand — another operand's gate or a
     // flip-flop D input.  Primary outputs stay on the original driver: the
     // root commit happens beside the output, not in series with it.  The
-    // buffers follow the original gates, in gate order, so their ids are
-    // known before any is added.
-    let mut buffer_of: Vec<Option<GateId>> = vec![None; gates];
-    let mut buffers: Vec<(GateId, String)> = Vec::new();
+    // buffers follow the original gates, in gate order.
+    let mut drivers: Vec<GateId> = Vec::new();
+    let mut buffer = String::new();
     for gate in netlist.iter() {
         let Some(op) = operand_of[gate.id.index()] else { continue };
         let crosses = tree.operand(op).dict.nvm_boundary
@@ -79,43 +83,28 @@ pub fn replaced_netlist(netlist: &Netlist, tree: &OperandTree) -> Result<Netlist
         if !crosses {
             continue;
         }
-        let buffer = format!("{}{NV_BUFFER_SUFFIX}", gate.name);
+        let name = netlist.name_of(gate.id);
+        buffer.clear();
+        buffer.extend([name, NV_BUFFER_SUFFIX]);
         if netlist.find(&buffer).is_some() {
             return Err(DiacError::InvalidTree {
-                message: format!(
-                    "cannot insert NV buffer for `{}`: `{buffer}` already exists",
-                    gate.name
-                ),
+                message: format!("cannot insert NV buffer for `{name}`: `{buffer}` already exists"),
             });
         }
-        buffer_of[gate.id.index()] = Some(GateId((gates + buffers.len()) as u32));
-        buffers.push((gate.id, buffer));
+        drivers.push(gate.id);
     }
-
-    let mut builder = NetlistBuilder::new(netlist.name());
-    for gate in netlist.iter() {
-        let reader_operand = operand_of[gate.id.index()];
-        // Read through the NV buffer exactly when the edge leaves the
-        // driver's operand.
-        let fanin = netlist.fanin(gate.id).iter().map(|&f| match buffer_of[f.index()] {
-            Some(buffer) if operand_of[f.index()] != reader_operand => buffer,
-            _ => f,
-        });
-        builder.add_gate(&gate.name, gate.kind, fanin)?;
-    }
-    for (driver, buffer) in buffers {
-        builder.add_gate(buffer, GateKind::Buf, [driver])?;
-    }
-    for &po in netlist.primary_outputs() {
-        builder.mark_output(po);
-    }
-    Ok(builder.finish()?)
+    // Read through the NV buffer exactly when the edge leaves the driver's
+    // operand.  The original's names and index carry over; only the buffer
+    // names are added.
+    let through =
+        |reader: GateId, driver: GateId| operand_of[driver.index()] != operand_of[reader.index()];
+    Ok(netlist.with_buffers(&drivers, NV_BUFFER_SUFFIX, through)?)
 }
 
 /// Number of NV buffers [`replaced_netlist`] inserted into `replaced`.
 #[must_use]
 pub fn nv_buffer_count(replaced: &Netlist) -> usize {
-    replaced.iter().filter(|g| g.name.ends_with(NV_BUFFER_SUFFIX)).count()
+    replaced.ids().filter(|&id| replaced.name_of(id).ends_with(NV_BUFFER_SUFFIX)).count()
 }
 
 #[cfg(test)]
@@ -124,7 +113,7 @@ mod tests {
     use crate::replacement::{insert_nvm_boundaries, ReplacementConfig};
     use netlist::equiv::{check_equivalence, EquivConfig, EquivReport};
     use netlist::suite::BenchmarkSuite;
-    use netlist::BitSim;
+    use netlist::{BitSim, GateKind};
 
     fn enhanced_tree(circuit: &str, budget: f64) -> (Netlist, OperandTree) {
         let nl = BenchmarkSuite::diac_paper().materialize(circuit).unwrap();
@@ -170,7 +159,7 @@ mod tests {
         let (nl, tree) = enhanced_tree("s344", 0.15);
         let replaced = replaced_netlist(&nl, &tree).unwrap();
         let names = |ids: &[GateId], n: &Netlist| -> Vec<String> {
-            ids.iter().map(|&id| n.gate(id).name.clone()).collect()
+            ids.iter().map(|&id| n.name_of(id).to_string()).collect()
         };
         assert_eq!(names(nl.primary_inputs(), &nl), names(replaced.primary_inputs(), &replaced));
         assert_eq!(names(nl.primary_outputs(), &nl), names(replaced.primary_outputs(), &replaced));
@@ -184,11 +173,11 @@ mod tests {
         // Every inserted buffer is a BUF reading exactly the signal it is
         // named after.
         for gate in replaced.iter() {
-            if let Some(original) = gate.name.strip_suffix(NV_BUFFER_SUFFIX) {
+            if let Some(original) = replaced.name_of(gate.id).strip_suffix(NV_BUFFER_SUFFIX) {
                 assert_eq!(gate.kind, GateKind::Buf);
                 let fanin = replaced.fanin(gate.id);
                 assert_eq!(fanin.len(), 1);
-                assert_eq!(replaced.gate(fanin[0]).name, original);
+                assert_eq!(replaced.name_of(fanin[0]), original);
             }
         }
     }

@@ -44,7 +44,7 @@
 use std::ops::{BitAnd, BitOr, BitXor};
 
 use crate::error::NetlistError;
-use crate::gate::{GateId, GateKind};
+use crate::gate::{Gate, GateId, GateKind};
 use crate::levelize::{levelize, Levels};
 use crate::netlist::Netlist;
 
@@ -120,28 +120,44 @@ impl<'a> BitSim<'a> {
     fn compile(netlist: &'a Netlist, levels: &Levels) -> Self {
         // `by_level` lists each level's gates in id order; a stable counting
         // sort of a level's combinational gates by kind-and-arity class
-        // makes its runs, and ties keep id order.
+        // makes its runs, and ties keep id order.  Each gate is fetched once
+        // per compile; the level's gates, the class counts and the sorted
+        // gates are buffers every level reuses.
         let stride = netlist.iter().map(|g| g.fanin_count()).max().unwrap_or(0) + 1;
-        let class: Vec<usize> =
-            netlist.iter().map(|g| g.kind as usize * stride + g.fanin_count()).collect();
+        let class = |gate: &Gate| gate.kind as usize * stride + gate.fanin_count();
+        let arena = netlist.fanin_arena();
         let mut runs: Vec<Run> = Vec::new();
         let mut targets = Vec::with_capacity(netlist.gate_count());
-        let mut fanins = Vec::with_capacity(netlist.fanin_arena().len());
-        let mut comb = Vec::new();
+        let mut fanins = Vec::with_capacity(arena.len());
+        let mut next = vec![0_usize; GateKind::ALL.len() * stride + 1];
+        let (mut comb, mut sorted) = (Vec::new(), Vec::new());
         for level in levels.by_level() {
             comb.clear();
-            comb.extend(level.iter().filter(|&&id| netlist.gate(id).kind.is_combinational()));
-            let sorted = counting_sort(&comb, GateKind::ALL.len() * stride, |id| class[id.index()]);
-            for run in sorted.chunk_by(|&a, &b| class[a.index()] == class[b.index()]) {
-                let first = netlist.gate(run[0]);
+            comb.extend(
+                level.iter().map(|&id| *netlist.gate(id)).filter(|g| g.kind.is_combinational()),
+            );
+            next.fill(0);
+            for gate in &comb {
+                next[class(gate) + 1] += 1;
+            }
+            for c in 1..next.len() {
+                next[c] += next[c - 1];
+            }
+            sorted.clone_from(&comb);
+            for gate in &comb {
+                let slot = &mut next[class(gate)];
+                sorted[*slot] = *gate;
+                *slot += 1;
+            }
+            for run in sorted.chunk_by(|a, b| class(a) == class(b)) {
                 runs.push(Run {
-                    kind: first.kind,
-                    arity: first.fanin_count() as u32,
+                    kind: run[0].kind,
+                    arity: run[0].fanin_count() as u32,
                     gates: run.len() as u32,
                 });
-                for &id in run {
-                    targets.push(id.0);
-                    fanins.extend(netlist.fanin(id).iter().map(|f| f.0));
+                for gate in run {
+                    targets.push(gate.id.0);
+                    fanins.extend(arena[gate.span.range()].iter().map(|f| f.0));
                 }
             }
         }
@@ -178,7 +194,7 @@ impl<'a> BitSim<'a> {
         let pis = netlist.primary_inputs();
         if inputs.len() < pis.len() {
             return Err(NetlistError::UndefinedSignal {
-                name: netlist.gate(pis[inputs.len()]).name.clone(),
+                name: netlist.name_of(pis[inputs.len()]).to_string(),
                 referenced_by: "bit-parallel input vector".to_string(),
             });
         }
@@ -202,24 +218,6 @@ impl<'a> BitSim<'a> {
         }
         Ok(())
     }
-}
-
-/// Stable counting sort of `ids` by `key(id) < buckets`.
-fn counting_sort(ids: &[GateId], buckets: usize, key: impl Fn(GateId) -> usize) -> Vec<GateId> {
-    let mut next = vec![0_usize; buckets + 1];
-    for &id in ids {
-        next[key(id) + 1] += 1;
-    }
-    for b in 1..next.len() {
-        next[b] += next[b - 1];
-    }
-    let mut sorted = vec![GateId(0); ids.len()];
-    for &id in ids {
-        let slot = &mut next[key(id)];
-        sorted[*slot] = id;
-        *slot += 1;
-    }
-    sorted
 }
 
 /// Evaluates one run over `R` words per signal: dispatches once on its
@@ -356,7 +354,7 @@ mod tests {
                     (levels.level(id), gate.kind, gate.fanin_count()),
                     (level, run.kind, run.arity as usize),
                     "gate {} in run {run:?}",
-                    gate.name
+                    nl.name_of(id)
                 );
                 let (ins, rest) = fanins.split_at(run.arity as usize);
                 fanins = rest;
@@ -367,7 +365,7 @@ mod tests {
         assert!(targets.is_empty() && fanins.is_empty(), "schedule arrays outrun the runs");
         for gate in nl.iter() {
             let want = usize::from(gate.kind.is_combinational());
-            assert_eq!(scheduled[gate.id.index()], want, "gate {} scheduled", gate.name);
+            assert_eq!(scheduled[gate.id.index()], want, "gate {} scheduled", nl.name_of(gate.id));
         }
         sim.runs.len()
     }

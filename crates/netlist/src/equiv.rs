@@ -137,18 +137,20 @@ fn interface_error(name: &str, side: &str) -> NetlistError {
     }
 }
 
-/// First name appearing more than once in `ids` (the `.bench` format allows
-/// e.g. a doubled `OUTPUT` line, which would make name-based matching
+/// First gate listed twice in `ids`.  Names are unique within a netlist,
+/// so that is the first name listed twice (the `.bench` format allows e.g.
+/// a doubled `OUTPUT` line, which would make name-based matching
 /// ambiguous).
-fn find_duplicate<'n>(nl: &'n Netlist, ids: &[GateId]) -> Option<&'n str> {
-    let mut seen = std::collections::HashSet::new();
-    ids.iter().map(|&id| nl.gate(id).name.as_str()).find(|n| !seen.insert(*n))
+fn find_duplicate(nl: &Netlist, ids: &[GateId]) -> Option<GateId> {
+    let mut seen = vec![false; nl.gate_count()];
+    ids.iter().copied().find(|id| std::mem::replace(&mut seen[id.index()], true))
 }
 
-/// Maps one interface class (`left_ids` → slots of `right_ids`) by name.
-/// Duplicated names on either side are rejected up front (they would let a
-/// surplus right-side signal escape comparison); otherwise errors name the
-/// first missing or extra signal.
+/// Maps one interface class (`left_ids` → slots of `right_ids`) by name,
+/// looking each left name up in `right`'s name index.  Duplicated names on
+/// either side are rejected up front (they would let a surplus right-side
+/// signal escape comparison); otherwise errors name the first missing or
+/// extra signal.
 fn map_class(
     left: &Netlist,
     left_ids: &[GateId],
@@ -156,34 +158,36 @@ fn map_class(
     right_ids: &[GateId],
     class: &str,
 ) -> Result<Vec<usize>, NetlistError> {
-    if let Some(dup) = find_duplicate(left, left_ids) {
-        return Err(interface_error(dup, &format!("duplicated {class}")));
+    for (nl, ids) in [(left, left_ids), (right, right_ids)] {
+        if let Some(dup) = find_duplicate(nl, ids) {
+            return Err(interface_error(nl.name_of(dup), &format!("duplicated {class}")));
+        }
     }
-    if let Some(dup) = find_duplicate(right, right_ids) {
-        return Err(interface_error(dup, &format!("duplicated {class}")));
+    // The slot of every right gate of the class, `NO_SLOT` for the others.
+    const NO_SLOT: u32 = u32::MAX;
+    let mut slot_of = vec![NO_SLOT; right.gate_count()];
+    for (slot, &r) in right_ids.iter().enumerate() {
+        slot_of[r.index()] = slot as u32;
     }
-    let right_slots: std::collections::HashMap<&str, usize> = right_ids
-        .iter()
-        .enumerate()
-        .map(|(slot, &r)| (right.gate(r).name.as_str(), slot))
-        .collect();
     let mut slots = Vec::with_capacity(left_ids.len());
     for &id in left_ids {
-        let name = &left.gate(id).name;
-        let slot =
-            right_slots.get(name.as_str()).copied().ok_or_else(|| interface_error(name, class))?;
-        slots.push(slot);
+        let name = left.name_of(id);
+        let slot = right.find(name).map_or(NO_SLOT, |r| slot_of[r.index()]);
+        if slot == NO_SLOT {
+            return Err(interface_error(name, class));
+        }
+        slots.push(slot as usize);
     }
-    // Both sides are duplicate-free and every left name was found, so a
-    // length mismatch means `right` has surplus names.
+    // Both sides are duplicate-free and every left name was found in its own
+    // slot, so a length mismatch means `right` has surplus names: the first
+    // slot no left name took.
     if right_ids.len() != slots.len() {
-        let left_names: std::collections::HashSet<&str> =
-            left_ids.iter().map(|&l| left.gate(l).name.as_str()).collect();
-        let extra = right_ids
-            .iter()
-            .map(|&r| right.gate(r).name.as_str())
-            .find(|n| !left_names.contains(n))
-            .unwrap_or_default();
+        let mut taken = vec![false; right_ids.len()];
+        for &slot in &slots {
+            taken[slot] = true;
+        }
+        let extra =
+            taken.iter().position(|&t| !t).map_or("", |slot| right.name_of(right_ids[slot]));
         return Err(interface_error(extra, &format!("extra {class}")));
     }
     Ok(slots)
@@ -320,13 +324,13 @@ pub fn check_equivalence(
             if let Some((k, signal, diff)) = hit {
                 let lane_index = diff.trailing_zeros();
                 let inputs = (left_nl.primary_inputs().iter().zip(&inputs_l))
-                    .map(|(&pi, word)| (left_nl.gate(pi).name.clone(), lane(word[k], lane_index)))
+                    .map(|(&pi, word)| (left_nl.name_of(pi).to_string(), lane(word[k], lane_index)))
                     .collect();
                 found = Some(Counterexample {
                     round: first + k,
                     cycle,
                     lane: lane_index,
-                    signal: left_nl.gate(signal).name.clone(),
+                    signal: left_nl.name_of(signal).to_string(),
                     inputs,
                 });
                 if live == 0 {
@@ -414,7 +418,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sim_l = crate::sim::Simulator::new(&left).unwrap();
         let mut sim_r = crate::sim::Simulator::new(&right).unwrap();
-        let signal = left.primary_outputs().iter().position(|&po| left.gate(po).name == "G17");
+        let signal = left.primary_outputs().iter().position(|&po| left.name_of(po) == "G17");
         let signal = signal.expect("G17 is a primary output");
         for cycle in 0..=cex.cycle {
             let pattern: Vec<bool> =

@@ -253,14 +253,13 @@ impl FaninSpan {
 /// One gate of a netlist: the signal it drives, its logic function, and the
 /// span of the signals it reads inside the netlist's flat CSR fan-in arena.
 ///
-/// The fan-in ids themselves live in the owning [`crate::Netlist`]; resolve
-/// them with [`crate::Netlist::fanin`], which returns a contiguous slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The fan-in ids and the gate's name live in the owning [`crate::Netlist`];
+/// resolve them with [`crate::Netlist::fanin`], which returns a contiguous
+/// slice, and [`crate::Netlist::name_of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
     /// Identifier (also identifies the net this gate drives).
     pub id: GateId,
-    /// Source-level name of the driven signal.
-    pub name: String,
     /// Logic function.
     pub kind: GateKind,
     /// Location of this gate's fan-ins in the shared arena.
@@ -277,7 +276,7 @@ impl Gate {
 
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}/{}", self.name, self.kind, self.span.len)
+        write!(f, "{} = {}/{}", self.id, self.kind, self.span.len)
     }
 }
 
@@ -403,13 +402,10 @@ mod tests {
 
     #[test]
     fn gate_display_names_the_function_and_arity() {
-        let g = Gate {
-            id: GateId(5),
-            name: "G9".to_string(),
-            kind: GateKind::Nand,
-            span: FaninSpan { offset: 10, len: 2 },
-        };
-        assert_eq!(g.to_string(), "G9 = NAND/2");
+        let g =
+            Gate { id: GateId(5), kind: GateKind::Nand, span: FaninSpan { offset: 10, len: 2 } };
+        assert_eq!(g.to_string(), "n5 = NAND/2");
+        assert_eq!(std::mem::size_of::<Gate>(), 16);
         assert_eq!(g.fanin_count(), 2);
         assert_eq!(cells(g.kind, g.fanin_count()), vec![CellKind::Nand2]);
         assert_eq!(g.span.range(), 10..12);

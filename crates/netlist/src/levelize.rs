@@ -46,11 +46,80 @@ impl Levels {
         &self.topological
     }
 
-    /// Width (number of gates) of the widest level.
+    /// The levels of `buffered`, a design that [`Netlist::with_buffers`]
+    /// made from the netlist these levels belong to, derived from these
+    /// levels instead of levelizing `buffered` again.
+    ///
+    /// The original gates keep their ids, and every rewired fan-in reads a
+    /// buffer of the driver it read before.  So only a buffer and what
+    /// reads it, directly or further down, can sit higher than before.  The
+    /// derivation starts from these levels and revisits just those gates,
+    /// with [`levelize`]'s rule: a buffer sits one level above its driver,
+    /// and a combinational gate one above the highest of its fan-ins.  It
+    /// visits them in order of rank, twice a gate's level here (a buffer's
+    /// driver's, plus one), which every gate's fan-ins undercut, so each
+    /// gate is levelled after all of its fan-ins.  A gate whose level does
+    /// not move passes nothing on.  `by_level` then lists each level in id
+    /// order, as [`levelize`] does, so the result has [`levelize`]'s level
+    /// per gate and its `by_level`; the topological order is `by_level`'s,
+    /// level after level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buffered` has fewer gates than these levels.  For a design
+    /// not made that way the result is meaningless.
     #[must_use]
-    pub fn max_width(&self) -> usize {
-        self.by_level.iter().map(Vec::len).max().unwrap_or(0)
+    pub fn with_buffers(&self, buffered: &Netlist) -> Levels {
+        let (n, total) = (self.level_of.len(), buffered.gate_count());
+        let rank = |id: GateId| match id.index() {
+            i if i < n => 2 * self.level_of[i] as usize,
+            _ => 2 * self.level_of[buffered.fanin(id)[0].index()] as usize + 1,
+        };
+        let mut level_of = Vec::with_capacity(total);
+        level_of.extend_from_slice(&self.level_of);
+        level_of.resize(total, 0);
+        // Every buffer is visited; a gate is queued once, in its rank's
+        // bucket, when a fan-in moved.
+        let mut queued = vec![false; total];
+        queued[n..].fill(true);
+        let mut buckets: Vec<Vec<GateId>> = vec![Vec::new(); 2 * self.by_level.len()];
+        for buffer in (n..total).map(|i| GateId(i as u32)) {
+            buckets[rank(buffer)].push(buffer);
+        }
+        for r in 0..buckets.len() {
+            for id in std::mem::take(&mut buckets[r]) {
+                let highest = buffered.fanin(id).iter().map(|&f| level_of[f.index()]).max();
+                let level = highest.map_or(0, |level| level + 1);
+                if id.index() < n && level == level_of[id.index()] {
+                    continue;
+                }
+                level_of[id.index()] = level;
+                for &reader in buffered.fanout(id) {
+                    if !queued[reader.index()] && !buffered.gate(reader).kind.is_source() {
+                        queued[reader.index()] = true;
+                        buckets[rank(reader)].push(reader);
+                    }
+                }
+            }
+        }
+        let by_level = group_by_level(&level_of);
+        let topological = by_level.concat();
+        Levels { level_of, by_level, topological }
     }
+}
+
+/// The gates of each level in id order, every level's list allocated once.
+fn group_by_level(level_of: &[u32]) -> Vec<Vec<GateId>> {
+    let depth = level_of.iter().copied().max().unwrap_or(0) as usize;
+    let mut widths = vec![0_usize; depth + 1];
+    for &level in level_of {
+        widths[level as usize] += 1;
+    }
+    let mut by_level: Vec<Vec<GateId>> = widths.into_iter().map(Vec::with_capacity).collect();
+    for (i, &level) in level_of.iter().enumerate() {
+        by_level[level as usize].push(GateId(i as u32));
+    }
+    by_level
 }
 
 /// Levelizes a netlist.
@@ -116,17 +185,12 @@ pub fn levelize(netlist: &Netlist) -> Result<Levels, NetlistError> {
         let stuck = netlist
             .iter()
             .find(|g| !g.kind.is_source() && remaining_fanin[g.id.index()] > 0)
-            .map(|g| g.name.clone())
+            .map(|g| netlist.name_of(g.id).to_string())
             .unwrap_or_else(|| "<unknown>".to_string());
         return Err(NetlistError::CombinationalCycle { gate: stuck });
     }
 
-    let max_level = level_of.iter().copied().max().unwrap_or(0);
-    let mut by_level: Vec<Vec<GateId>> = vec![Vec::new(); max_level as usize + 1];
-    for id in netlist.ids() {
-        by_level[level_of[id.index()] as usize].push(id);
-    }
-
+    let by_level = group_by_level(&level_of);
     Ok(Levels { level_of, by_level, topological })
 }
 
@@ -150,8 +214,7 @@ mod tests {
         assert_eq!(levels.depth(), 3);
         assert_eq!(levels.level(a), 0);
         assert_eq!(levels.level(g3), 3);
-        assert_eq!(levels.by_level()[0], vec![a]);
-        assert_eq!(levels.max_width(), 1);
+        assert_eq!(levels.by_level(), [vec![a], vec![g1], vec![g2], vec![g3]]);
     }
 
     #[test]
@@ -194,7 +257,7 @@ mod tests {
                 continue;
             }
             let max_in = nl.fanin(gate.id).iter().map(|&f| levels.level(f)).max().unwrap_or(0);
-            assert_eq!(levels.level(gate.id), max_in + 1, "gate {}", gate.name);
+            assert_eq!(levels.level(gate.id), max_in + 1, "gate {}", nl.name_of(gate.id));
         }
     }
 

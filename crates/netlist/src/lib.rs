@@ -5,10 +5,14 @@
 //! commercial tooling:
 //!
 //! * [`Netlist`] — the in-memory gate/net data model with validation,
-//!   fan-out computation and name lookup.
+//!   fan-out computation and name lookup; every gate name lives in one
+//!   arena per netlist ([`Netlist::name_of`]), hashed once into the index
+//!   [`Netlist::find`] reads.
 //! * [`parser`] — front-ends for the ISCAS-89 `.bench` format and a BLIF
 //!   subset, which is how the original benchmark suites are distributed.
-//! * [`levelize`] — combinational levelization and cycle detection.
+//! * [`levelize`] — combinational levelization and cycle detection, and
+//!   the levels of a buffered design derived from its original's
+//!   ([`levelize::Levels::with_buffers`]).
 //! * [`sim`] — scalar two-valued simulation (dense input slots resolved at
 //!   construction).
 //! * [`bitsim`] — 64-lane bit-parallel simulation: a netlist compiled once
@@ -46,6 +50,7 @@ pub mod equiv;
 mod error;
 pub mod gate;
 pub mod levelize;
+mod names;
 #[allow(clippy::module_inception)]
 mod netlist;
 pub mod parser;

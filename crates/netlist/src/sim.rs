@@ -29,7 +29,8 @@ pub struct CycleResult {
 /// Primary inputs are addressed by *dense slot* (their position in
 /// [`Netlist::primary_inputs`] declaration order), so the per-cycle path
 /// ([`Simulator::evaluate_dense`] / [`Simulator::step_dense`]) performs no
-/// hashing at all; [`Simulator::input_slot`] maps a name to its slot.
+/// hashing at all; a caller holding names resolves them with
+/// [`Netlist::find`].
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
@@ -61,14 +62,6 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// The dense input slot of a primary input, by name (an accessor for
-    /// callers building dense vectors — not on any per-cycle path).
-    #[must_use]
-    pub fn input_slot(&self, name: &str) -> Option<usize> {
-        let id = self.netlist.find(name)?;
-        self.netlist.primary_inputs().iter().position(|&pi| pi == id)
-    }
-
     /// The current flip-flop state, in declaration order.
     #[must_use]
     pub fn state(&self) -> &[bool] {
@@ -91,12 +84,6 @@ impl<'a> Simulator<'a> {
         self.values[id.index()]
     }
 
-    /// Value of one signal looked up by name.
-    #[must_use]
-    pub fn value_of(&self, name: &str) -> Option<bool> {
-        self.netlist.find(name).map(|id| self.value(id))
-    }
-
     /// Evaluates one clock cycle from a dense input vector (one entry per
     /// primary input, in declaration order): combinational settle with the
     /// given inputs and the current flip-flop state, then computes the next
@@ -114,7 +101,7 @@ impl<'a> Simulator<'a> {
         let pis = self.netlist.primary_inputs();
         if inputs.len() < pis.len() {
             return Err(NetlistError::UndefinedSignal {
-                name: self.netlist.gate(pis[inputs.len()]).name.clone(),
+                name: self.netlist.name_of(pis[inputs.len()]).to_string(),
                 referenced_by: "simulation input vector".to_string(),
             });
         }
@@ -208,12 +195,23 @@ mod tests {
     use crate::netlist::NetlistBuilder;
     use crate::parser::parse_bench;
 
+    /// The dense input slot of the primary input called `name`.
+    fn input_slot(nl: &Netlist, name: &str) -> Option<usize> {
+        let id = nl.find(name)?;
+        nl.primary_inputs().iter().position(|&pi| pi == id)
+    }
+
+    /// The value of the signal called `name` after the last evaluation.
+    fn value_of(sim: &Simulator, name: &str) -> Option<bool> {
+        sim.netlist.find(name).map(|id| sim.value(id))
+    }
+
     /// The dense input vector that gives every primary input its value in
-    /// `pairs`, addressed by name through [`Simulator::input_slot`].
+    /// `pairs`, addressed by name through [`input_slot`].
     fn inputs(sim: &Simulator, pairs: &[(&str, bool)]) -> Vec<bool> {
         let mut vector = vec![None; sim.netlist.primary_inputs().len()];
         for &(name, value) in pairs {
-            vector[sim.input_slot(name).expect("a primary input")] = Some(value);
+            vector[input_slot(sim.netlist, name).expect("a primary input")] = Some(value);
         }
         vector.into_iter().map(|value| value.expect("every input named")).collect()
     }
@@ -287,16 +285,16 @@ mod tests {
         sim.step_dense(&vector).unwrap();
         assert!(sim.is_consistent());
         // The paper's output G17 is the complement of the internal signal G11.
-        assert_eq!(sim.value_of("G17"), sim.value_of("G11").map(|v| !v));
+        assert_eq!(value_of(&sim, "G17"), value_of(&sim, "G11").map(|v| !v));
 
         // With G0 = 0, G14 = NOT(G0) = 1, so G8 = AND(G14, G6) mirrors the
         // second flip-flop: evaluating from different states must change it.
         sim.set_state(&[false, false, false]);
         sim.evaluate_dense(&vector).unwrap();
-        let g8_when_zero = sim.value_of("G8");
+        let g8_when_zero = value_of(&sim, "G8");
         sim.set_state(&[true, true, true]);
         sim.evaluate_dense(&vector).unwrap();
-        let g8_when_one = sim.value_of("G8");
+        let g8_when_one = value_of(&sim, "G8");
         assert_ne!(g8_when_zero, g8_when_one);
         assert!(sim.is_consistent());
     }
@@ -316,12 +314,11 @@ mod tests {
     #[test]
     fn dense_and_named_inputs_agree() {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
-        let sim = Simulator::new(&nl).unwrap();
         // Dense slots follow declaration order, and names resolve to them.
         for (slot, &pi) in nl.primary_inputs().iter().enumerate() {
-            assert_eq!(sim.input_slot(&nl.gate(pi).name), Some(slot));
+            assert_eq!(input_slot(&nl, nl.name_of(pi)), Some(slot));
         }
-        assert_eq!(sim.input_slot("nope"), None);
+        assert_eq!(input_slot(&nl, "nope"), None);
     }
 
     #[test]
@@ -329,7 +326,7 @@ mod tests {
         let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
         let mut sim = Simulator::new(&nl).unwrap();
         let err = sim.evaluate_dense(&[true, false]).unwrap_err();
-        let missing = nl.gate(nl.primary_inputs()[2]).name.clone();
+        let missing = nl.name_of(nl.primary_inputs()[2]).to_string();
         assert_eq!(
             err,
             NetlistError::UndefinedSignal {

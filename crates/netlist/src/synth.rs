@@ -107,11 +107,18 @@ pub fn generate(config: &SynthesisConfig) -> Result<Netlist, NetlistError> {
     config.validate()?;
     let mut rng = StdRng::seed_from_u64(config.seed ^ name_hash(&config.name));
     let mut builder = NetlistBuilder::new(&config.name);
+    // Every name, id and fan-in slot fits in one allocation each; a gate
+    // reads at most four signals.
+    let (inputs, comb, ffs) =
+        (config.primary_inputs, config.combinational_gates, config.flip_flops);
+    let name_bytes = names_size("pi", inputs) + names_size("g", comb) + names_size("ff", ffs);
+    builder.reserve(inputs + comb + ffs, name_bytes, 4 * comb + ffs, config.primary_outputs);
     // Sources: primary inputs and flip-flop outputs.  Ids follow the order
     // of addition (inputs, combinational gates, flip-flops), so a
-    // flip-flop's id is known before it is added.
-    let mut signals: Vec<GateId> =
-        (0..config.primary_inputs).map(|i| builder.add_input(format!("pi{i}"))).collect();
+    // flip-flop's id is known before it is added.  Names are written into
+    // the builder's arena, with no `String` per gate.
+    let mut signals: Vec<GateId> = Vec::with_capacity(inputs + ffs + comb);
+    signals.extend((0..inputs).map(|i| builder.add_input(format_args!("pi{i}"))));
     let first_ff = config.primary_inputs + config.combinational_gates;
     signals.extend((first_ff..first_ff + config.flip_flops).map(|id| GateId(id as u32)));
     let sources = signals.len();
@@ -139,7 +146,7 @@ pub fn generate(config: &SynthesisConfig) -> Result<Netlist, NetlistError> {
             // matters, and the builder checks it.
             let others = (1..fanin_count)
                 .map(|_| *signals[..earlier].choose(&mut rng).expect("an input exists"));
-            let name = format!("g{}", signals.len() - sources);
+            let name = format_args!("g{}", signals.len() - sources);
             let id = builder.add_gate(name, kind, iter::once(anchor).chain(others))?;
             signals.push(id);
         }
@@ -148,7 +155,8 @@ pub fn generate(config: &SynthesisConfig) -> Result<Netlist, NetlistError> {
     let gates = &signals[sources..];
 
     // Primary outputs: prefer the deepest gates so the outputs sit at the roots.
-    let mut output_pool: Vec<GateId> = signals[previous_level].to_vec();
+    let mut output_pool: Vec<GateId> = Vec::with_capacity(previous_level.len() + gates.len());
+    output_pool.extend_from_slice(&signals[previous_level]);
     output_pool.extend(gates.iter().rev());
     output_pool.dedup();
     for i in 0..config.primary_outputs {
@@ -159,7 +167,7 @@ pub fn generate(config: &SynthesisConfig) -> Result<Netlist, NetlistError> {
     let deep_start = gates.len() / 2;
     for i in 0..config.flip_flops {
         let d = gates[rng.gen_range(deep_start..gates.len())];
-        builder.add_gate(format!("ff{i}"), GateKind::Dff, [d])?;
+        builder.add_gate(format_args!("ff{i}"), GateKind::Dff, [d])?;
     }
 
     builder.finish()
@@ -173,6 +181,13 @@ fn name_hash(name: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
+}
+
+/// An upper bound on the bytes of the names `{prefix}0` to
+/// `{prefix}{count - 1}`.
+fn names_size(prefix: &str, count: usize) -> usize {
+    let digits = count.checked_ilog10().map_or(1, |d| d as usize + 1);
+    count * (prefix.len() + digits)
 }
 
 fn random_kind(rng: &mut StdRng) -> GateKind {
@@ -283,7 +298,12 @@ mod tests {
         let comb: Vec<usize> =
             nl.iter().filter(|g| g.kind.is_combinational()).map(|g| g.fanin_count()).collect();
         let avg_fanin = comb.iter().sum::<usize>() as f64 / comb.len() as f64;
-        let driven: Vec<usize> = nl.fanout_counts().into_iter().filter(|&c| c > 0).collect();
+        // A primary output counts as one more reader of its driver.
+        let mut readers: Vec<usize> = nl.ids().map(|id| nl.fanout(id).len()).collect();
+        for &po in nl.primary_outputs() {
+            readers[po.index()] += 1;
+        }
+        let driven: Vec<usize> = readers.into_iter().filter(|&c| c > 0).collect();
         let avg_fanout = driven.iter().sum::<usize>() as f64 / driven.len() as f64;
         assert!((1.5..=3.0).contains(&avg_fanin), "{avg_fanin}");
         assert!(avg_fanout >= 1.0);

@@ -77,7 +77,7 @@ fn assert_lane_zero_matches_scalar(nl: &Netlist, pattern_seed: u64, cycles: usiz
                 lane(words[0][id.index()][0], 0),
                 "cycle {} signal {}",
                 cycle,
-                nl.gate(id).name.clone()
+                nl.name_of(id)
             );
         }
         prop_assert!(scalar.is_consistent());
@@ -90,7 +90,7 @@ fn assert_lane_zero_matches_scalar(nl: &Netlist, pattern_seed: u64, cycles: usiz
                     "cycle {} word {} signal {}",
                     cycle,
                     k,
-                    nl.gate(id).name.clone()
+                    nl.name_of(id)
                 );
             }
             for (slot, (wide, narrow)) in wide_state.iter().zip(state).enumerate() {

@@ -13,7 +13,7 @@ use netlist::{BitSim, GateKind, Netlist};
 fn assert_isomorphic(a: &Netlist, b: &Netlist, circuit: &str) {
     assert_eq!(a.gate_count(), b.gate_count(), "{circuit}: gate count");
     let names = |nl: &Netlist, ids: &[netlist::GateId]| -> Vec<String> {
-        ids.iter().map(|&id| nl.gate(id).name.clone()).collect()
+        ids.iter().map(|&id| nl.name_of(id).to_string()).collect()
     };
     assert_eq!(
         names(a, a.primary_inputs()),
@@ -27,22 +27,16 @@ fn assert_isomorphic(a: &Netlist, b: &Netlist, circuit: &str) {
     );
     assert_eq!(names(a, a.flip_flops()), names(b, b.flip_flops()), "{circuit}: flip-flops");
     for gate in a.iter() {
+        let name = a.name_of(gate.id);
         let other_id = b
-            .find(&gate.name)
-            .unwrap_or_else(|| panic!("{circuit}: gate `{}` lost in the round trip", gate.name));
+            .find(name)
+            .unwrap_or_else(|| panic!("{circuit}: gate `{name}` lost in the round trip"));
         let other = b.gate(other_id);
-        assert_eq!(gate.kind, other.kind, "{circuit}: kind of `{}`", gate.name);
-        assert_eq!(
-            gate.fanin_count(),
-            other.fanin_count(),
-            "{circuit}: span length of `{}`",
-            gate.name
-        );
-        let fanin_names_a: Vec<&str> =
-            a.fanin(gate.id).iter().map(|&f| a.gate(f).name.as_str()).collect();
-        let fanin_names_b: Vec<&str> =
-            b.fanin(other_id).iter().map(|&f| b.gate(f).name.as_str()).collect();
-        assert_eq!(fanin_names_a, fanin_names_b, "{circuit}: fan-ins of `{}`", gate.name);
+        assert_eq!(gate.kind, other.kind, "{circuit}: kind of `{name}`");
+        assert_eq!(gate.fanin_count(), other.fanin_count(), "{circuit}: span length of `{name}`");
+        let fanin_names_a: Vec<&str> = a.fanin(gate.id).iter().map(|&f| a.name_of(f)).collect();
+        let fanin_names_b: Vec<&str> = b.fanin(other_id).iter().map(|&f| b.name_of(f)).collect();
+        assert_eq!(fanin_names_a, fanin_names_b, "{circuit}: fan-ins of `{name}`");
     }
 }
 

@@ -491,12 +491,6 @@ impl Seconds {
     pub fn as_seconds(self) -> f64 {
         self.value()
     }
-
-    /// This duration in picoseconds.
-    #[must_use]
-    pub fn as_picos(self) -> f64 {
-        self.value() * 1e12
-    }
 }
 
 impl Voltage {

@@ -8,14 +8,18 @@
 //! artifacts — these tests pin that contract across the trimmed registry.
 //! (`PdpBreakdown`, `ReplacementSummary` and `SchemeResult` compare their
 //! `f64` fields with exact equality, so `assert_eq!` is a bitwise check.)
-//! The last test checks the pipeline's output itself: every replaced
-//! registry circuit still computes its original's function.
+//! The last tests check the pipeline's output itself: every replaced
+//! registry circuit still computes its original's function, keeps its
+//! original's names, and has the levels derived from its original's.
 
 use diac_core::pipeline::SynthesisPipeline;
 use diac_core::schemes::{compare_all_schemes, SchemeContext, SchemeKind};
-use diac_core::verify::nv_buffer_count;
+use diac_core::verify::{nv_buffer_count, NV_BUFFER_SUFFIX};
+use diac_core::Policy;
 use netlist::equiv::EquivConfig;
+use netlist::levelize::levelize;
 use netlist::suite::BenchmarkSuite;
+use netlist::{GateId, GateKind, Netlist};
 use tech45::nvm::NvmTechnology;
 
 #[test]
@@ -126,4 +130,63 @@ fn every_registry_circuit_survives_replacement_functionally() {
         assert!(report.equivalent(), "{}: {report}", spec.name);
         assert_eq!(report.vectors, equiv.vectors());
     }
+}
+
+/// Calls `check` on every registry circuit and its replaced design under
+/// the default context and its Policy 1 and Policy 2 variants (the policy
+/// contexts `synthesis_pins` prices).
+fn for_every_replaced_design(mut check: impl FnMut(&str, &Netlist, &Netlist)) {
+    let pipeline = SynthesisPipeline::new(experiments::default_context());
+    let base = pipeline.context();
+    let contexts = [Policy::Policy1, Policy::Policy2].map(|p| base.clone().with_policy(p));
+    let contexts = [base, &contexts[0], &contexts[1]];
+    for spec in BenchmarkSuite::diac_paper().iter() {
+        let netlist = spec.materialize().expect("registry circuits materialise");
+        let artifacts = pipeline.prepare(&netlist).expect("preparation succeeds");
+        for ctx in contexts {
+            let replaced = artifacts.replaced_netlist(ctx).expect("replacement");
+            check(&format!("{}/{}", spec.name, ctx.policy), &netlist, &replaced);
+        }
+    }
+}
+
+/// The levels derived from the original's equal the replaced design's own:
+/// the same level per gate and the same `by_level`, which is what the
+/// equivalence check compiles.
+#[test]
+fn derived_levels_of_every_replaced_design_equal_its_levelization() {
+    for_every_replaced_design(|label, netlist, replaced| {
+        let derived = levelize(netlist).expect("levelizes").with_buffers(replaced);
+        let levelized = levelize(replaced).expect("the replaced design levelizes");
+        for id in replaced.ids() {
+            assert_eq!(derived.level(id), levelized.level(id), "{label}: level of {id}");
+        }
+        assert_eq!(derived.by_level(), levelized.by_level(), "{label}: by_level");
+        assert_eq!(derived.topological().len(), replaced.gate_count(), "{label}: order");
+    });
+}
+
+/// Every name finds its own gate in the original and the replaced design;
+/// the replaced design keeps every original name at its id, and each
+/// buffer it appends is a `BUF` named after the driver it reads.
+#[test]
+fn every_name_round_trips_in_every_replaced_design() {
+    for_every_replaced_design(|label, netlist, replaced| {
+        for nl in [netlist, replaced] {
+            for id in nl.ids() {
+                assert_eq!(nl.find(nl.name_of(id)), Some(id), "{label}: `{}`", nl.name_of(id));
+            }
+        }
+        for id in netlist.ids() {
+            assert_eq!(replaced.name_of(id), netlist.name_of(id), "{label}: name of {id}");
+        }
+        let buffers = netlist.gate_count()..replaced.gate_count();
+        assert!(!buffers.is_empty(), "{label}: no NV buffers");
+        for id in buffers.map(|i| GateId(i as u32)) {
+            let driver = replaced.fanin(id)[0];
+            assert_eq!(replaced.gate(id).kind, GateKind::Buf, "{label}: kind of {id}");
+            let expected = format!("{}{NV_BUFFER_SUFFIX}", replaced.name_of(driver));
+            assert_eq!(replaced.name_of(id), expected, "{label}: name of {id}");
+        }
+    });
 }
