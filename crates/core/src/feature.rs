@@ -9,7 +9,7 @@
 use std::fmt;
 
 use tech45::energy_model::EnergyEstimate;
-use tech45::units::{Energy, Power, Seconds};
+use tech45::units::{Energy, Seconds};
 
 /// Feature dictionary of one operand node.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -61,32 +61,6 @@ impl FeatureDict {
         self.estimate.critical_path
     }
 
-    /// Average power of one activation (`energy / delay`); zero for an
-    /// instantaneous (empty) operand.
-    #[must_use]
-    pub fn average_power(&self) -> Power {
-        if self.delay().is_non_positive() {
-            return Power::ZERO;
-        }
-        self.energy() / self.delay()
-    }
-
-    /// The replacement-criteria score of this node: nodes closer to the
-    /// outputs (criterion I), with more accumulated power below them
-    /// (criterion II), and with higher fan-in + fan-out (criterion III) are
-    /// better places for an NVM boundary.  Higher is better.
-    #[must_use]
-    pub fn replacement_score(&self, max_level: u32) -> f64 {
-        let level_rank =
-            if max_level == 0 { 1.0 } else { f64::from(self.level) / f64::from(max_level) };
-        let connectivity = (self.fan_in + self.fan_out) as f64;
-        let accumulated_mj = self.accumulated.as_millijoules().max(0.0);
-        // Criterion III explicitly says writes are reduced by a factor of
-        // 1/(fanin + fanout); the score therefore grows linearly with the
-        // connectivity, and level/accumulation act as weights.
-        (1.0 + level_rank) * (1.0 + accumulated_mj) * connectivity.max(1.0)
-    }
-
     /// Marks this node as an NVM boundary storing `bits` bits and clears the
     /// accumulated energy (the paper: "the previous power values are set to
     /// zero").
@@ -130,13 +104,6 @@ mod tests {
         assert_eq!(dict.accumulated, Energy::ZERO);
         assert_eq!(dict.estimate.gate_count, 4);
         assert!(dict.energy().value() > 0.0);
-        assert!(dict.average_power().value() > 0.0);
-    }
-
-    #[test]
-    fn empty_operand_has_zero_average_power() {
-        let dict = FeatureDict::new(0, 0, 0, EnergyEstimate::default());
-        assert_eq!(dict.average_power(), Power::ZERO);
     }
 
     #[test]
@@ -147,32 +114,6 @@ mod tests {
         assert!(dict.nvm_boundary);
         assert_eq!(dict.boundary_bits, 16);
         assert_eq!(dict.accumulated, Energy::ZERO);
-    }
-
-    #[test]
-    fn score_prefers_upper_levels_and_high_connectivity() {
-        let low = FeatureDict::new(1, 1, 0, estimate(4));
-        let high = FeatureDict::new(1, 1, 9, estimate(4));
-        assert!(high.replacement_score(9) > low.replacement_score(9));
-
-        let narrow = FeatureDict::new(1, 1, 5, estimate(4));
-        let wide = FeatureDict::new(4, 4, 5, estimate(4));
-        assert!(wide.replacement_score(9) > narrow.replacement_score(9));
-    }
-
-    #[test]
-    fn score_grows_with_accumulated_energy() {
-        let mut a = FeatureDict::new(2, 2, 5, estimate(4));
-        let mut b = a;
-        a.accumulated = Energy::from_millijoules(1.0);
-        b.accumulated = Energy::from_millijoules(10.0);
-        assert!(b.replacement_score(9) > a.replacement_score(9));
-    }
-
-    #[test]
-    fn score_handles_degenerate_trees() {
-        let dict = FeatureDict::new(0, 0, 0, EnergyEstimate::default());
-        assert!(dict.replacement_score(0) > 0.0);
     }
 
     #[test]

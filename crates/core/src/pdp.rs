@@ -15,7 +15,8 @@
 //! [`IntermittencyProfile`] captures how harsh the ambient source is (how
 //! much usable energy per cycle, how often the safe zone saves a backup, how
 //! often power is lost completely); it is either measured by the `isim`
-//! runtime simulator or taken from one of the analytic presets.
+//! runtime simulator or taken from the analytic RFID preset
+//! ([`IntermittencyProfile::typical_rfid`]).
 
 use std::fmt;
 
@@ -49,29 +50,6 @@ impl IntermittencyProfile {
             average_harvest_power: Power::from_microwatts(50.0),
             safe_zone_recovery_fraction: 0.40,
             power_loss_fraction: 0.50,
-        }
-    }
-
-    /// A harsher profile: small bursts, little safe-zone recovery, most
-    /// backups end in power loss.
-    #[must_use]
-    pub fn harsh() -> Self {
-        Self {
-            usable_energy_per_cycle: Energy::from_millijoules(5.0),
-            average_harvest_power: Power::from_microwatts(20.0),
-            safe_zone_recovery_fraction: 0.15,
-            power_loss_fraction: 0.80,
-        }
-    }
-
-    /// A benign profile: long bursts, most dips recover in the safe zone.
-    #[must_use]
-    pub fn plentiful() -> Self {
-        Self {
-            usable_energy_per_cycle: Energy::from_millijoules(18.0),
-            average_harvest_power: Power::from_microwatts(200.0),
-            safe_zone_recovery_fraction: 0.65,
-            power_loss_fraction: 0.25,
         }
     }
 
@@ -197,27 +175,6 @@ impl PdpBreakdown {
         }
         self.pdp() / r
     }
-
-    /// Relative PDP improvement of `self` over `other` in percent
-    /// (positive when `self` is better).
-    #[must_use]
-    pub fn improvement_over(&self, other: &Self) -> f64 {
-        let o = other.pdp();
-        if o == 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.pdp() / o) * 100.0
-    }
-
-    /// Fraction of the total energy that goes into NVM backups.
-    #[must_use]
-    pub fn checkpoint_energy_fraction(&self) -> f64 {
-        let total = self.total_energy().as_joules();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.checkpoint_energy.as_joules() / total
-    }
 }
 
 impl fmt::Display for PdpBreakdown {
@@ -251,24 +208,10 @@ mod tests {
 
     #[test]
     fn presets_are_valid() {
-        for profile in [
-            IntermittencyProfile::typical_rfid(),
-            IntermittencyProfile::harsh(),
-            IntermittencyProfile::plentiful(),
-            IntermittencyProfile::default(),
-        ] {
+        for profile in [IntermittencyProfile::typical_rfid(), IntermittencyProfile::default()] {
             assert!(profile.is_valid(), "{profile}");
             assert!(profile.recharge_time_per_cycle().value() > 0.0);
         }
-    }
-
-    #[test]
-    fn harsher_profiles_recover_less_often() {
-        let harsh = IntermittencyProfile::harsh();
-        let benign = IntermittencyProfile::plentiful();
-        assert!(harsh.safe_zone_recovery_fraction < benign.safe_zone_recovery_fraction);
-        assert!(harsh.power_loss_fraction > benign.power_loss_fraction);
-        assert!(harsh.usable_energy_per_cycle < benign.usable_energy_per_cycle);
     }
 
     #[test]
@@ -313,11 +256,9 @@ mod tests {
         let worse = breakdown(15.0, 3.0, 3.0);
         let norm = better.normalized_pdp(&worse);
         assert!(norm < 1.0);
-        let improvement = better.improvement_over(&worse);
-        assert!((improvement - (1.0 - norm) * 100.0).abs() < 1e-9);
-        assert!(improvement > 0.0);
-        // Improvement of something over itself is zero.
-        assert!(better.improvement_over(&better).abs() < 1e-12);
+        assert!((norm - better.pdp() / worse.pdp()).abs() < 1e-12);
+        // The improvement, `1 - normalized`, of something over itself is zero.
+        assert!((1.0 - better.normalized_pdp(&better)).abs() < 1e-12);
     }
 
     #[test]
@@ -325,14 +266,6 @@ mod tests {
         let b = breakdown(10.0, 0.0, 1.0);
         let zero = PdpBreakdown::default();
         assert_eq!(b.normalized_pdp(&zero), 0.0);
-        assert_eq!(b.improvement_over(&zero), 0.0);
-    }
-
-    #[test]
-    fn checkpoint_fraction_is_a_fraction() {
-        let b = breakdown(9.0, 1.0, 1.0);
-        assert!((b.checkpoint_energy_fraction() - 0.1).abs() < 1e-9);
-        assert_eq!(PdpBreakdown::default().checkpoint_energy_fraction(), 0.0);
     }
 
     #[test]

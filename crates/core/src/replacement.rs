@@ -9,10 +9,16 @@
 //! re-do — an NVM boundary is inserted at the current node, "the previous
 //! power values are set to zero", and traversal continues.
 //!
-//! Which node of a level gets the boundary follows the paper's three
-//! criteria: prefer nodes closer to the outputs (I), nodes protecting a
-//! higher accumulated power (II), and nodes with larger fan-in/fan-out (III),
-//! all folded into [`FeatureDict::replacement_score`].
+//! The rule is a threshold, not a ranking.  A node's unsaved energy is its
+//! own activation energy plus the largest unsaved energy any child passes
+//! up (a child that committed a boundary passes up none).  A boundary is
+//! committed at every node whose unsaved energy exceeds the budget
+//! (`budget_fraction` of the tree's total energy), and at every root, which
+//! commits the final result.  The paper's node-preference criteria — nodes
+//! closer to the outputs (I), protecting a higher accumulated power (II),
+//! or with a larger fan-in/fan-out (III) — are not modelled: no score ranks
+//! the nodes of a level, so the boundary falls on the node where the
+//! threshold is crossed.
 
 use std::fmt;
 
@@ -134,12 +140,6 @@ impl NvEnhancedTree {
     pub fn config(&self) -> &ReplacementConfig {
         &self.config
     }
-
-    /// Consumes the wrapper and returns the annotated tree.
-    #[must_use]
-    pub fn into_tree(self) -> OperandTree {
-        self.tree
-    }
 }
 
 /// Runs the replacement procedure on `tree`.
@@ -236,6 +236,11 @@ mod tests {
         OperandTree::from_netlist(&nl).unwrap()
     }
 
+    /// Operands flagged as NVM boundaries.
+    fn boundary_operands(tree: &OperandTree) -> Vec<crate::tree::OperandId> {
+        tree.iter().filter(|o| o.dict.nvm_boundary).map(|o| o.id).collect()
+    }
+
     #[test]
     fn default_config_is_valid() {
         assert!(ReplacementConfig::default().validate().is_ok());
@@ -299,14 +304,12 @@ mod tests {
     fn boundary_bits_match_the_flagged_operands() {
         let enhanced =
             insert_nvm_boundaries(tree_of("s298"), &ReplacementConfig::default()).unwrap();
-        let bits_from_tree: u64 = enhanced
-            .tree()
-            .boundary_operands()
+        let bits_from_tree: u64 = boundary_operands(enhanced.tree())
             .iter()
             .map(|&id| enhanced.tree().operand(id).dict.boundary_bits)
             .sum();
         assert_eq!(bits_from_tree, enhanced.summary().total_boundary_bits);
-        assert_eq!(enhanced.tree().boundary_operands().len(), enhanced.summary().boundaries);
+        assert_eq!(boundary_operands(enhanced.tree()).len(), enhanced.summary().boundaries);
     }
 
     #[test]
@@ -341,7 +344,7 @@ mod tests {
             insert_nvm_boundaries(tree_of("s298"), &ReplacementConfig::default()).unwrap();
         let first = *enhanced.summary();
         let again =
-            insert_nvm_boundaries(enhanced.into_tree(), &ReplacementConfig::default()).unwrap();
+            insert_nvm_boundaries(enhanced.tree().clone(), &ReplacementConfig::default()).unwrap();
         assert_eq!(first.boundaries, again.summary().boundaries);
         assert_eq!(first.total_boundary_bits, again.summary().total_boundary_bits);
     }
@@ -371,9 +374,7 @@ mod tests {
         // 39 mJ total, budget 15.6 mJ: the worst unsaved chain crosses the
         // budget at F5 (12 mJ inherited + 8 mJ own = 20 mJ), so F5 commits;
         // the root F8 always commits the final result.
-        let names: Vec<&str> = enhanced
-            .tree()
-            .boundary_operands()
+        let names: Vec<&str> = boundary_operands(enhanced.tree())
             .iter()
             .map(|&id| enhanced.tree().operand(id).name.as_str())
             .collect();

@@ -384,12 +384,6 @@ impl OperandTree {
         worst
     }
 
-    /// Operands currently flagged as NVM boundaries.
-    #[must_use]
-    pub fn boundary_operands(&self) -> Vec<OperandId> {
-        self.iter().filter(|o| o.dict.nvm_boundary).map(|o| o.id).collect()
-    }
-
     /// Live operands in a topological order (children before parents).
     ///
     /// Kahn's algorithm on a slot-indexed in-degree table.  The ready set is

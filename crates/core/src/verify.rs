@@ -101,12 +101,6 @@ pub fn replaced_netlist(netlist: &Netlist, tree: &OperandTree) -> Result<Netlist
     Ok(netlist.with_buffers(&drivers, NV_BUFFER_SUFFIX, through)?)
 }
 
-/// Number of NV buffers [`replaced_netlist`] inserted into `replaced`.
-#[must_use]
-pub fn nv_buffer_count(replaced: &Netlist) -> usize {
-    replaced.ids().filter(|&id| replaced.name_of(id).ends_with(NV_BUFFER_SUFFIX)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +113,7 @@ mod tests {
         let nl = BenchmarkSuite::diac_paper().materialize(circuit).unwrap();
         let tree = OperandTree::from_netlist(&nl).unwrap();
         let config = ReplacementConfig { budget_fraction: budget, ..ReplacementConfig::default() };
-        let tree = insert_nvm_boundaries(tree, &config).unwrap().into_tree();
+        let tree = insert_nvm_boundaries(tree, &config).unwrap().tree().clone();
         (nl, tree)
     }
 
@@ -134,8 +128,7 @@ mod tests {
     fn the_replaced_s27_is_equivalent_to_the_original() {
         let (nl, tree) = enhanced_tree("s27", 0.15);
         let replaced = replaced_netlist(&nl, &tree).unwrap();
-        assert!(nv_buffer_count(&replaced) > 0, "s27 must receive NV buffers");
-        assert!(replaced.gate_count() > nl.gate_count());
+        assert!(replaced.gate_count() > nl.gate_count(), "s27 must receive NV buffers");
         let report = verify(&nl, &tree);
         assert!(report.equivalent(), "{report}");
         assert_eq!(report.vectors, EquivConfig::default().vectors());
@@ -147,7 +140,7 @@ mod tests {
         let (_, tight) = enhanced_tree("s298", 0.05);
         let loose_nl = replaced_netlist(&nl, &loose).unwrap();
         let tight_nl = replaced_netlist(&nl, &tight).unwrap();
-        assert!(nv_buffer_count(&tight_nl) >= nv_buffer_count(&loose_nl));
+        assert!(tight_nl.gate_count() >= loose_nl.gate_count());
         for tree in [&loose, &tight] {
             let report = verify(&nl, tree);
             assert!(report.equivalent(), "{report}");

@@ -11,10 +11,8 @@
 
 use std::fmt;
 
-use tech45::constants::{E_MAX, STORAGE_CAPACITANCE, VDD_SYSTEM};
-use tech45::units::{
-    capacitor_energy, capacitor_voltage, Capacitance, Energy, EnergyFx, Power, Seconds, Voltage,
-};
+use tech45::constants::{STORAGE_CAPACITANCE, VDD_SYSTEM};
+use tech45::units::{capacitor_energy, Capacitance, Energy, EnergyFx, Power, Seconds, Voltage};
 
 /// The energy `power` delivers over `dt` on the attojoule grid:
 /// `max(power, 0) · dt`, quantised once.  Every offer and leak step goes
@@ -32,7 +30,6 @@ pub fn quantise(power: Power, dt: Seconds) -> EnergyFx {
 /// consumption".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Capacitor {
-    capacitance: Capacitance,
     max_energy: EnergyFx,
     energy: EnergyFx,
 }
@@ -43,7 +40,7 @@ impl Capacitor {
     #[must_use]
     pub fn new(capacitance: Capacitance, max_voltage: Voltage) -> Self {
         let max_energy = capacitor_energy(capacitance, max_voltage).to_fx();
-        Self { capacitance, max_energy, energy: EnergyFx::ZERO }
+        Self { max_energy, energy: EnergyFx::ZERO }
     }
 
     /// The paper's storage element: 2 mF at 5 V, E_MAX = 25 mJ, initially
@@ -60,12 +57,6 @@ impl Capacitor {
     pub fn with_energy(mut self, energy: Energy) -> Self {
         self.energy = energy.to_fx().clamp(EnergyFx::ZERO, self.max_energy);
         self
-    }
-
-    /// The storage capacitance.
-    #[must_use]
-    pub fn capacitance(&self) -> Capacitance {
-        self.capacitance
     }
 
     /// Maximum storable energy (25 mJ for the paper's parameters).
@@ -93,12 +84,6 @@ impl Capacitor {
         self.energy
     }
 
-    /// Current capacitor voltage.
-    #[must_use]
-    pub fn voltage(&self) -> Voltage {
-        capacitor_voltage(self.capacitance, self.energy.to_energy())
-    }
-
     /// Fraction of the capacity currently used, in `[0, 1]`.
     #[must_use]
     pub fn state_of_charge(&self) -> f64 {
@@ -106,12 +91,6 @@ impl Capacitor {
             return 0.0;
         }
         self.energy.attojoules() as f64 / self.max_energy.attojoules() as f64
-    }
-
-    /// Whether the capacitor is at its maximum energy.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.energy >= self.max_energy
     }
 
     /// Whether the capacitor is completely empty.
@@ -125,19 +104,6 @@ impl Capacitor {
     /// energy actually banked.
     pub fn harvest(&mut self, power: Power, dt: Seconds) -> EnergyFx {
         self.cell().harvest(power, dt)
-    }
-
-    /// Attempts to draw `amount` of energy.  Returns `true` and deducts the
-    /// energy if enough is stored; returns `false` and leaves the capacitor
-    /// untouched otherwise (the operation cannot start).
-    pub fn try_consume(&mut self, amount: Energy) -> bool {
-        let amount = amount.to_fx();
-        if amount <= self.energy {
-            self.energy -= amount;
-            true
-        } else {
-            false
-        }
     }
 
     /// Draws `amount` of energy, saturating at zero.  Returns the energy that
@@ -260,22 +226,16 @@ impl fmt::Display for Capacitor {
     }
 }
 
-/// Check that the default capacitor matches the paper constant.
-#[must_use]
-pub fn paper_capacity_is(cap: &Capacitor) -> bool {
-    (cap.max_energy().as_millijoules() - E_MAX.as_millijoules()).abs() < 1e-9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tech45::constants::E_MAX;
 
     #[test]
     fn paper_default_stores_25_mj() {
         let cap = Capacitor::paper_default();
-        assert!(paper_capacity_is(&cap));
+        assert!((cap.max_energy().as_millijoules() - E_MAX.as_millijoules()).abs() < 1e-9);
         assert!(cap.is_empty());
-        assert_eq!(cap.voltage(), Voltage::ZERO);
     }
 
     #[test]
@@ -287,8 +247,7 @@ mod tests {
         // Harvest far more than fits: clamp at 25 mJ.
         let banked = cap.harvest(Power::from_milliwatts(10.0), Seconds::new(10.0));
         assert!((banked.as_millijoules() - 15.0).abs() < 1e-9);
-        assert!(cap.is_full());
-        assert!((cap.voltage().as_volts() - 5.0).abs() < 1e-9);
+        assert_eq!(cap.energy_fx(), cap.max_energy_fx());
         assert!((cap.state_of_charge() - 1.0).abs() < 1e-12);
     }
 
@@ -298,15 +257,6 @@ mod tests {
         let banked = cap.harvest(Power::from_milliwatts(-3.0), Seconds::new(10.0));
         assert_eq!(banked, EnergyFx::ZERO);
         assert!((cap.energy().as_millijoules() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn try_consume_is_all_or_nothing() {
-        let mut cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(5.0));
-        assert!(cap.try_consume(Energy::from_millijoules(4.0)));
-        assert!((cap.energy().as_millijoules() - 1.0).abs() < 1e-9);
-        assert!(!cap.try_consume(Energy::from_millijoules(2.0)));
-        assert!((cap.energy().as_millijoules() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -329,7 +279,7 @@ mod tests {
     #[test]
     fn with_energy_clamps_to_capacity() {
         let cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(99.0));
-        assert!(cap.is_full());
+        assert_eq!(cap.energy_fx(), cap.max_energy_fx());
         let cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(-5.0));
         assert!(cap.is_empty());
     }

@@ -100,12 +100,6 @@ impl TraceRecorder {
         (0..max_points).map(|i| &self.samples[(i as f64 * stride) as usize]).collect()
     }
 
-    /// The minimum stored energy seen over the run.
-    #[must_use]
-    pub fn min_stored(&self) -> Option<Energy> {
-        self.samples.iter().map(|s| s.stored).min_by(|a, b| a.partial_cmp(b).expect("finite"))
-    }
-
     /// The maximum stored energy seen over the run.
     #[must_use]
     pub fn max_stored(&self) -> Option<Energy> {
@@ -151,7 +145,6 @@ mod tests {
             rec.record(sample(f64::from(i), f64::from(i)));
         }
         assert_eq!(rec.len(), 10);
-        assert!((rec.min_stored().unwrap().as_millijoules()).abs() < 1e-12);
         assert!((rec.max_stored().unwrap().as_millijoules() - 9.0).abs() < 1e-12);
     }
 

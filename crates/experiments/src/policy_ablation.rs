@@ -38,31 +38,6 @@ pub struct PolicyAblation {
 }
 
 impl PolicyAblation {
-    /// Rows of one policy.
-    pub fn of_policy(&self, policy: Policy) -> impl Iterator<Item = &PolicyRow> {
-        self.rows.iter().filter(move |r| r.policy == policy)
-    }
-
-    /// Average normalized PDP of one policy across the circuits.
-    #[must_use]
-    pub fn average_normalized(&self, policy: Policy) -> f64 {
-        let values: Vec<f64> = self.of_policy(policy).map(|r| r.normalized_pdp).collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-
-    /// Average boundary count of one policy across the circuits.
-    #[must_use]
-    pub fn average_boundaries(&self, policy: Policy) -> f64 {
-        let values: Vec<f64> = self.of_policy(policy).map(|r| r.boundaries as f64).collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-
     /// The ablation as a table.
     #[must_use]
     pub fn to_table(&self) -> Table {
@@ -152,6 +127,17 @@ pub fn run() -> Result<PolicyAblation, DiacError> {
 mod tests {
     use super::*;
 
+    /// Mean of `field` over one policy's rows.
+    fn average(
+        ablation: &PolicyAblation,
+        policy: Policy,
+        field: impl Fn(&PolicyRow) -> f64,
+    ) -> f64 {
+        let values: Vec<f64> =
+            ablation.rows.iter().filter(|r| r.policy == policy).map(field).collect();
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+
     #[test]
     fn every_circuit_policy_pair_is_evaluated() {
         let circuits = ["s298", "s400"];
@@ -171,8 +157,8 @@ mod tests {
         // boundaries than the merge-first one (small ties are fine because
         // the budget is a fraction of the unchanged total energy).
         let ablation = run_on(&["s400", "s510"], &SchemeContext::default()).unwrap();
-        let p1 = ablation.average_boundaries(Policy::Policy1);
-        let p2 = ablation.average_boundaries(Policy::Policy2);
+        let p1 = average(&ablation, Policy::Policy1, |r| r.boundaries as f64);
+        let p2 = average(&ablation, Policy::Policy2, |r| r.boundaries as f64);
         assert!(p1 + 1.5 >= p2, "Policy1 {p1} vs Policy2 {p2}");
         assert!(p1 > 0.0 && p2 > 0.0);
     }
@@ -181,7 +167,7 @@ mod tests {
     fn all_policies_beat_the_nv_baseline() {
         let ablation = run_on(&["s344"], &SchemeContext::default()).unwrap();
         for policy in Policy::ALL {
-            let avg = ablation.average_normalized(policy);
+            let avg = average(&ablation, policy, |r| r.normalized_pdp);
             assert!(avg < 1.0, "{policy}: {avg}");
         }
     }

@@ -98,12 +98,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a ratio as a percentage with one decimal.
-#[must_use]
-pub fn percent(x: f64) -> String {
-    format!("{:.1} %", x)
-}
-
 /// Formats a normalized value with two decimals.
 #[must_use]
 pub fn norm(x: f64) -> String {
@@ -150,7 +144,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(percent(12.34), "12.3 %");
         assert_eq!(norm(0.5), "0.50");
     }
 }

@@ -2,3 +2,8 @@
 //! tests and examples (see `Cargo.toml` for the target map).
 
 #![forbid(unsafe_code)]
+
+/// The README's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

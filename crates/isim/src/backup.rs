@@ -11,15 +11,12 @@
 use diac_core::replacement::ReplacementSummary;
 use tech45::array::NvmArray;
 use tech45::nvm::NvmTechnology;
-use tech45::units::{Energy, Seconds};
+use tech45::units::Energy;
 
 /// Fixed energy of waking the backup path (controller, regulator), on top of
 /// the per-bit array cost.  See the model constants of [`diac_core::schemes`]
 /// for the system-level justification.
 const CONTROLLER_ENERGY: Energy = Energy::new(0.4e-3);
-
-/// Fixed latency of a backup or restore.
-const CONTROLLER_LATENCY: Seconds = Seconds::new(0.8e-3);
 
 /// System-level scaling of the device-level array energies (drivers, voltage
 /// conversion from the 5 V storage domain down to the array).
@@ -66,22 +63,10 @@ impl BackupUnit {
         CONTROLLER_ENERGY + self.array.backup_energy(self.bits) * SYSTEM_OVERHEAD
     }
 
-    /// Duration of one backup.
-    #[must_use]
-    pub fn backup_duration(&self) -> Seconds {
-        CONTROLLER_LATENCY + self.array.backup_latency(self.bits) * SYSTEM_OVERHEAD
-    }
-
     /// Energy of one restore.
     #[must_use]
     pub fn restore_energy(&self) -> Energy {
         CONTROLLER_ENERGY * 0.5 + self.array.restore_energy(self.bits) * SYSTEM_OVERHEAD
-    }
-
-    /// Duration of one restore.
-    #[must_use]
-    pub fn restore_duration(&self) -> Seconds {
-        CONTROLLER_LATENCY * 0.5 + self.array.restore_latency(self.bits) * SYSTEM_OVERHEAD
     }
 }
 
@@ -100,7 +85,6 @@ mod tests {
         let unit = BackupUnit::from_state_bits(128, NvmTechnology::Mram);
         let e = unit.backup_energy().as_millijoules();
         assert!(e > 0.1 && e < 5.0, "backup energy {e} mJ should be comparable to Th_Bk");
-        assert!(unit.backup_duration().as_seconds() > 0.0);
         assert_eq!(unit.bits(), 128);
         assert_eq!(unit.technology(), NvmTechnology::Mram);
     }
@@ -109,7 +93,6 @@ mod tests {
     fn restores_are_cheaper_than_backups() {
         let unit = BackupUnit::default();
         assert!(unit.restore_energy() < unit.backup_energy());
-        assert!(unit.restore_duration() < unit.backup_duration());
     }
 
     #[test]
@@ -117,7 +100,6 @@ mod tests {
         let small = BackupUnit::from_state_bits(16, NvmTechnology::Mram);
         let big = BackupUnit::from_state_bits(512, NvmTechnology::Mram);
         assert!(big.backup_energy() > small.backup_energy());
-        assert!(big.backup_duration() > small.backup_duration());
     }
 
     #[test]

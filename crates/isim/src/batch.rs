@@ -141,13 +141,6 @@ impl<S> BatchJob<S> {
         Self { config, capacitor: Capacitor::paper_default(), source, duration, dt }
     }
 
-    /// Overrides the initial capacitor.
-    #[must_use]
-    pub fn with_capacitor(mut self, capacitor: Capacitor) -> Self {
-        self.capacitor = capacitor;
-        self
-    }
-
     /// Number of `dt` ticks this job runs for — the scalar executor's exact
     /// step count.
     #[must_use]
@@ -789,21 +782,21 @@ mod tests {
     fn custom_capacitors_ride_along() {
         let cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(20.0));
         let mut batch = BatchExecutor::new(1);
-        batch.enqueue(
-            BatchJob::new(
+        batch.enqueue(BatchJob {
+            capacitor: cap,
+            ..BatchJob::new(
                 FsmConfig::paper_default(),
                 ConstantSource::new(Power::from_milliwatts(0.2)),
                 Seconds::new(500.0),
                 Seconds::new(0.5),
             )
-            .with_capacitor(cap),
-        );
+        });
         let stats = batch.run_to_completion();
         let mut scalar = IntermittentExecutor::with_source(
             FsmConfig::paper_default(),
             ConstantSource::new(Power::from_milliwatts(0.2)),
         )
-        .with_capacitor(cap);
+        .with_initial_energy(Energy::from_millijoules(20.0));
         assert_eq!(stats[0], scalar.run(Seconds::new(500.0), Seconds::new(0.5)));
     }
 

@@ -47,18 +47,8 @@ impl<S: HarvestSource> IntermittentExecutor<S> {
         Self { fsm: NodeFsm::new(config), capacitor: Capacitor::paper_default(), source }
     }
 
-    /// Replaces the storage capacitor (the default is the paper's 2 mF /
-    /// 25 mJ element, empty).
-    #[must_use]
-    pub fn with_capacitor(mut self, capacitor: Capacitor) -> Self {
-        self.capacitor = capacitor;
-        self
-    }
-
-    /// Overrides the initial stored energy (the default is an empty
-    /// capacitor).  The configured capacitor is adjusted in place — its
-    /// capacitance and capacity are preserved, so this composes with
-    /// [`Self::with_capacitor`] in either order.
+    /// Overrides the initial stored energy of the paper's 2 mF / 25 mJ
+    /// capacitor (the default is an empty one), clamped to its capacity.
     #[must_use]
     pub fn with_initial_energy(mut self, energy: Energy) -> Self {
         self.capacitor = self.capacitor.with_energy(energy);
@@ -189,26 +179,24 @@ mod tests {
 
     #[test]
     fn with_initial_energy_keeps_the_configured_capacitor() {
-        use tech45::units::{Capacitance, Voltage};
-        // Regression: this builder used to rebuild `Capacitor::paper_default`,
-        // silently discarding whatever capacitor the caller had configured.
-        let small = Capacitor::new(Capacitance::new(0.5e-3), Voltage::new(3.0));
+        let paper = Capacitor::paper_default();
         let exec = IntermittentExecutor::with_source(
             FsmConfig::paper_default(),
             ConstantSource::new(Power::ZERO),
         )
-        .with_capacitor(small)
         .with_initial_energy(Energy::from_millijoules(1.0));
-        assert_eq!(exec.capacitor().max_energy(), small.max_energy());
-        assert_eq!(exec.capacitor().capacitance(), small.capacitance());
+        assert_eq!(exec.capacitor().max_energy(), paper.max_energy());
         assert!((exec.capacitor().energy().as_millijoules() - 1.0).abs() < 1e-12);
-        // The other composition order works too.
         let exec = IntermittentExecutor::with_source(
             FsmConfig::paper_default(),
             ConstantSource::new(Power::ZERO),
         )
         .with_initial_energy(Energy::from_millijoules(99.0));
-        assert!(exec.capacitor().is_full(), "clamping against the default element");
+        assert_eq!(
+            exec.capacitor().energy_fx(),
+            paper.max_energy_fx(),
+            "clamping against the default element"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ehsim::capacitor::{quantise, Capacitor, EnergyCell};
+use ehsim::capacitor::{quantise, EnergyCell};
 use ehsim::pmu::{Thresholds, ThresholdsFx};
 use tech45::constants::{E_COMPUTE, E_SENSE, E_TRANSMIT, OPERATION_UNCERTAINTY, SLEEP_LEAKAGE_W};
 use tech45::units::{Energy, EnergyFx, Power, Seconds};
@@ -76,17 +76,9 @@ impl FsmConfig {
         }
     }
 
-    /// Same configuration with the safe zone disabled (plain DIAC): the
-    /// safe-zone threshold collapses onto the backup threshold.
-    #[must_use]
-    pub fn without_safe_zone(mut self) -> Self {
-        self.thresholds = self.thresholds.with_safe_zone_margin(Energy::ZERO);
-        self
-    }
-
     /// Replaces the thresholds.  A collapsed safe zone (`Th_SafeZone ==
-    /// Th_Bk`) disables the safe-zone rule, matching
-    /// [`Self::without_safe_zone`]; any positive margin enables it.
+    /// Th_Bk`) disables the safe-zone rule (plain DIAC); any positive margin
+    /// enables it.
     #[must_use]
     pub fn with_thresholds(mut self, thresholds: Thresholds) -> Self {
         self.thresholds = thresholds;
@@ -255,22 +247,6 @@ impl NodeFsm {
         &self.config
     }
 
-    /// Advances the node through tick `tick` (covering
-    /// `[tick·dt, (tick+1)·dt)`), drawing from and observing `capacitor`.
-    ///
-    /// A run is one increasing tick sequence at one `dt`: `dt` is constant
-    /// over a run, because the timer counts its sampling interval in ticks
-    /// of it, and the timer fires once `tick` reaches a whole interval past
-    /// its last fire, so ticks must not go backwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured sampling interval is not strictly positive.
-    pub fn step(&mut self, capacitor: &mut Capacitor, tick: u64, dt: Seconds) {
-        let k = TickConstants::new(&self.config, dt);
-        self.step_with(&mut capacitor.cell(), tick, dt, k);
-    }
-
     /// Swaps in another backup unit — the fork of a run into a sibling
     /// that differs only in `FsmConfig::backup` (see [`crate::batch`]).
     /// Sound only before the run first reads its unit: the thresholds and
@@ -362,10 +338,15 @@ impl NodeFsm {
     }
 
     /// The whole Algorithm-1 step transition: advances the node by tick
-    /// `tick` of width `dt`, drawing from and observing `cap` — time
-    /// accounting, sleep leakage, interrupts and the state's own work.  `k`
-    /// holds the leak step and timer period of `dt`, which both executors
-    /// derive once per run instead of once per tick.
+    /// `tick` (covering `[tick·dt, (tick+1)·dt)`), drawing from and
+    /// observing `cap` — time accounting, sleep leakage, interrupts and the
+    /// state's own work.  `k` holds the leak step and timer period of `dt`,
+    /// which both executors derive once per run instead of once per tick.
+    ///
+    /// A run is one increasing tick sequence at one `dt`: `dt` is constant
+    /// over a run, because the timer counts its sampling interval in ticks
+    /// of it, and the timer fires once `tick` reaches a whole interval past
+    /// its last fire, so ticks must not go backwards.
     #[inline]
     pub(crate) fn step_with(
         &mut self,
@@ -583,14 +564,28 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ehsim::capacitor::Capacitor;
 
     fn full_cap() -> Capacitor {
         Capacitor::paper_default().with_energy(Energy::from_millijoules(25.0))
     }
 
+    /// The same configuration with the safe zone disabled (plain DIAC): the
+    /// safe-zone threshold collapses onto the backup threshold.
+    fn without_safe_zone(config: FsmConfig) -> FsmConfig {
+        let collapsed = config.thresholds.with_safe_zone_margin(Energy::ZERO);
+        config.with_thresholds(collapsed)
+    }
+
+    /// One tick of `fsm` against `cap`, with the tick constants of `dt`.
+    fn step(fsm: &mut NodeFsm, cap: &mut Capacitor, tick: u64, dt: Seconds) {
+        let k = TickConstants::new(fsm.config(), dt);
+        fsm.step_with(&mut cap.cell(), tick, dt, k);
+    }
+
     fn run_steps(fsm: &mut NodeFsm, cap: &mut Capacitor, steps: u64, dt: f64) {
         for tick in 0..steps {
-            fsm.step(cap, tick, Seconds::new(dt));
+            step(fsm, cap, tick, Seconds::new(dt));
         }
     }
 
@@ -610,7 +605,7 @@ mod tests {
         // Keep the capacitor topped up to isolate the FSM logic.
         for tick in 0..4000 {
             cap.harvest(Power::from_milliwatts(10.0), Seconds::new(0.1));
-            fsm.step(&mut cap, tick, Seconds::new(0.1));
+            step(&mut fsm, &mut cap, tick, Seconds::new(0.1));
         }
         let stats = fsm.stats();
         assert!(stats.samples_sensed >= 2, "{stats}");
@@ -658,7 +653,7 @@ mod tests {
         // ...then recharge generously, continuing the same tick sequence.
         for tick in 200_000..202_000 {
             cap.harvest(Power::from_milliwatts(5.0), Seconds::new(1.0));
-            fsm.step(&mut cap, tick, Seconds::new(1.0));
+            step(&mut fsm, &mut cap, tick, Seconds::new(1.0));
         }
         assert!(fsm.stats().restores >= 1, "{}", fsm.stats());
         assert_ne!(fsm.state(), NodeState::Off);
@@ -678,7 +673,7 @@ mod tests {
         let mut tick = 0;
         for _ in 0..6 {
             for _ in 0..3000 {
-                fsm.step(&mut cap, tick, Seconds::new(0.1));
+                step(&mut fsm, &mut cap, tick, Seconds::new(0.1));
                 tick += 1;
                 if cap.energy() < Energy::from_millijoules(5.0) {
                     break;
@@ -686,7 +681,7 @@ mod tests {
             }
             for _ in 0..600 {
                 cap.harvest(Power::from_milliwatts(2.0), Seconds::new(0.1));
-                fsm.step(&mut cap, tick, Seconds::new(0.1));
+                step(&mut fsm, &mut cap, tick, Seconds::new(0.1));
                 tick += 1;
             }
         }
@@ -697,7 +692,7 @@ mod tests {
 
     #[test]
     fn disabling_the_safe_zone_goes_straight_to_backup() {
-        let config = FsmConfig::paper_default().without_safe_zone();
+        let config = without_safe_zone(FsmConfig::paper_default());
         assert_eq!(config.thresholds.safe_zone, config.thresholds.backup);
         let mut fsm = NodeFsm::new(config);
         let mut cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(10.0));
@@ -721,7 +716,7 @@ mod tests {
         // Recharge and let it finish.
         for tick in 2_000..5_000 {
             cap.harvest(Power::from_milliwatts(1.0), Seconds::new(0.1));
-            fsm.step(&mut cap, tick, Seconds::new(0.1));
+            step(&mut fsm, &mut cap, tick, Seconds::new(0.1));
         }
         assert!(fsm.stats().computations_completed >= computed_before);
         assert!(fsm.stats().computations_completed >= 1, "{}", fsm.stats());
@@ -743,8 +738,7 @@ mod tests {
         );
         assert_eq!(config.backup.bits(), 256);
         assert_eq!(config.seed, 77);
-        let margined = FsmConfig::paper_default()
-            .without_safe_zone()
+        let margined = without_safe_zone(FsmConfig::paper_default())
             .with_thresholds(Thresholds::paper_default());
         assert!(
             margined.thresholds.safe_zone > margined.thresholds.backup,
@@ -797,7 +791,7 @@ mod tests {
         ) {
             let mut config = FsmConfig::paper_default().with_seed(seed);
             if with_safe_zone == 0 {
-                config = config.without_safe_zone();
+                config = without_safe_zone(config);
             }
             config.sampling_interval = Seconds::new(1.0);
             config.sleep_leakage = Power::from_milliwatts(1.0);
@@ -819,7 +813,7 @@ mod tests {
                         }
                         let energy = checked.energy_fx();
                         let (offs, backups) = (fsm.stats().off_events, fsm.stats().backups);
-                        fsm.step(&mut cap, tick, dt);
+                        step(&mut fsm, &mut cap, tick, dt);
                         tick += 1;
                         let died = fsm.stats().off_events > offs;
                         let backed_up = fsm.stats().backups > backups;

@@ -6,7 +6,7 @@
 //! raised when the stored energy is no longer sufficient to perform any task
 //! and a backup must happen now.  The power interrupt has no separate
 //! monitor: it is the FSM's own fixed-point threshold check at the top of
-//! every step (the transition behind [`crate::fsm::NodeFsm::step`]),
+//! every step (the crate-private `NodeFsm::step_with` transition),
 //! which forces `Backup` below `Th_Bk` and `Off` below `Th_Off` (the
 //! [`ehsim::pmu::ThresholdsFx`] the run quantised once).  This module
 //! provides the timer.

@@ -43,12 +43,6 @@ impl NodeState {
             NodeState::Off => "Off",
         }
     }
-
-    /// Whether the node is actively executing an atomic operation.
-    #[must_use]
-    pub fn is_active(self) -> bool {
-        matches!(self, NodeState::Sense | NodeState::Compute | NodeState::Transmit)
-    }
 }
 
 impl fmt::Display for NodeState {
@@ -72,16 +66,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), NodeState::ALL.len());
-    }
-
-    #[test]
-    fn only_the_three_operations_are_active() {
-        assert!(NodeState::Sense.is_active());
-        assert!(NodeState::Compute.is_active());
-        assert!(NodeState::Transmit.is_active());
-        assert!(!NodeState::Sleep.is_active());
-        assert!(!NodeState::Backup.is_active());
-        assert!(!NodeState::Off.is_active());
     }
 
     #[test]

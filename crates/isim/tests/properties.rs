@@ -193,7 +193,7 @@ impl WitnessCase {
         let stats = scalar.run(self.duration, dt);
         let capacitor = Capacitor::paper_default().with_energy(self.initial);
         let mut batch = BatchExecutor::new(1);
-        batch.enqueue(BatchJob::new(config, source, self.duration, dt).with_capacitor(capacitor));
+        batch.enqueue(BatchJob { capacitor, ..BatchJob::new(config, source, self.duration, dt) });
         assert_eq!(batch.run_to_completion(), std::slice::from_ref(&stats), "batch lane diverged");
         stats
     }
@@ -220,9 +220,12 @@ impl WitnessCase {
     ) -> BatchTelemetry {
         let dt = Seconds::new(0.5);
         let capacitor = Capacitor::paper_default().with_energy(self.initial);
-        let job = BatchJob::new(self.config.clone(), source.clone(), self.duration, dt);
+        let job = BatchJob {
+            capacitor,
+            ..BatchJob::new(self.config.clone(), source.clone(), self.duration, dt)
+        };
         let mut batch = BatchExecutor::new(1);
-        batch.enqueue_with_siblings(job.with_capacitor(capacitor), siblings.iter().copied());
+        batch.enqueue_with_siblings(job, siblings.iter().copied());
         let batched = batch.run_to_completion();
         let scalar: Vec<RunStats> = std::iter::once(self.config.backup)
             .chain(siblings.iter().copied())

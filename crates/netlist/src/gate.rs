@@ -88,12 +88,6 @@ impl GateKind {
         matches!(self, GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff)
     }
 
-    /// Whether the gate holds state across clock cycles.
-    #[must_use]
-    pub fn is_sequential(self) -> bool {
-        matches!(self, GateKind::Dff)
-    }
-
     /// Whether the gate computes a combinational function of its fan-ins.
     #[must_use]
     pub fn is_combinational(self) -> bool {
@@ -288,7 +282,6 @@ mod tests {
     fn sources_and_sequential_classification() {
         assert!(GateKind::Input.is_source());
         assert!(GateKind::Dff.is_source());
-        assert!(GateKind::Dff.is_sequential());
         assert!(!GateKind::Nand.is_source());
         assert!(GateKind::Nand.is_combinational());
         assert!(!GateKind::Dff.is_combinational());

@@ -62,22 +62,6 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// The current flip-flop state, in declaration order.
-    #[must_use]
-    pub fn state(&self) -> &[bool] {
-        &self.state
-    }
-
-    /// Overrides the flip-flop state (e.g. to start from a known reset value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not have one entry per flip-flop.
-    pub fn set_state(&mut self, state: &[bool]) {
-        assert_eq!(state.len(), self.state.len(), "state vector must have one entry per flip-flop");
-        self.state.copy_from_slice(state);
-    }
-
     /// Value of one signal after the most recent evaluation.
     #[must_use]
     pub fn value(&self, id: GateId) -> bool {
@@ -289,10 +273,10 @@ mod tests {
 
         // With G0 = 0, G14 = NOT(G0) = 1, so G8 = AND(G14, G6) mirrors the
         // second flip-flop: evaluating from different states must change it.
-        sim.set_state(&[false, false, false]);
+        sim.state.copy_from_slice(&[false, false, false]);
         sim.evaluate_dense(&vector).unwrap();
         let g8_when_zero = value_of(&sim, "G8");
-        sim.set_state(&[true, true, true]);
+        sim.state.copy_from_slice(&[true, true, true]);
         sim.evaluate_dense(&vector).unwrap();
         let g8_when_one = value_of(&sim, "G8");
         assert_ne!(g8_when_zero, g8_when_one);
@@ -302,7 +286,16 @@ mod tests {
     #[test]
     fn synthetic_circuits_simulate_consistently() {
         use crate::synth::{generate, SynthesisConfig};
-        let nl = generate(&SynthesisConfig::sized("simcheck", 150)).unwrap();
+        let config = SynthesisConfig {
+            name: "simcheck".to_string(),
+            combinational_gates: 150,
+            primary_inputs: 10,
+            primary_outputs: 6,
+            flip_flops: 13,
+            target_depth: 11,
+            seed: 0xD1AC,
+        };
+        let nl = generate(&config).unwrap();
         let mut sim = Simulator::new(&nl).unwrap();
         let vector: Vec<bool> = (0..nl.primary_inputs().len()).map(|i| i % 3 == 0).collect();
         let r = sim.step_dense(&vector).unwrap();
@@ -346,13 +339,5 @@ mod tests {
         let blif = ".model lut\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
         let lut_nl = crate::parser::parse_blif("lut", blif).unwrap();
         assert!(matches!(Simulator::new(&lut_nl), Err(NetlistError::UnsupportedGate { .. })));
-    }
-
-    #[test]
-    #[should_panic(expected = "one entry per flip-flop")]
-    fn wrong_state_width_panics() {
-        let nl = parse_bench("s27", crate::embedded::S27_BENCH).unwrap();
-        let mut sim = Simulator::new(&nl).unwrap();
-        sim.set_state(&[true]);
     }
 }

@@ -40,31 +40,6 @@ pub struct SynthesisConfig {
 }
 
 impl SynthesisConfig {
-    /// A reasonable configuration for a circuit of `gates` combinational
-    /// gates: I/O and state scale with the square root of the size, depth
-    /// scales logarithmically.
-    #[must_use]
-    pub fn sized(name: impl Into<String>, gates: usize) -> Self {
-        let gates = gates.max(2);
-        let sqrt = (gates as f64).sqrt();
-        Self {
-            name: name.into(),
-            combinational_gates: gates,
-            primary_inputs: (sqrt * 0.8).round().clamp(2.0, 64.0) as usize,
-            primary_outputs: (sqrt * 0.5).round().clamp(1.0, 64.0) as usize,
-            flip_flops: (gates as f64 / 12.0).round().clamp(0.0, 512.0) as usize,
-            target_depth: ((gates as f64).ln() * 2.2).round().clamp(2.0, 64.0) as usize,
-            seed: 0xD1AC,
-        }
-    }
-
-    /// Overrides the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Validates that the configuration is generatable.
     ///
     /// # Errors
@@ -237,9 +212,26 @@ mod tests {
     use super::*;
     use crate::levelize::levelize;
 
+    /// A reasonable configuration for a circuit of `gates` combinational
+    /// gates: I/O and state scale with the square root of the size, depth
+    /// scales logarithmically.
+    fn sized(name: &str, gates: usize) -> SynthesisConfig {
+        let gates = gates.max(2);
+        let sqrt = (gates as f64).sqrt();
+        SynthesisConfig {
+            name: name.to_string(),
+            combinational_gates: gates,
+            primary_inputs: (sqrt * 0.8).round().clamp(2.0, 64.0) as usize,
+            primary_outputs: (sqrt * 0.5).round().clamp(1.0, 64.0) as usize,
+            flip_flops: (gates as f64 / 12.0).round().clamp(0.0, 512.0) as usize,
+            target_depth: ((gates as f64).ln() * 2.2).round().clamp(2.0, 64.0) as usize,
+            seed: 0xD1AC,
+        }
+    }
+
     #[test]
     fn generation_is_deterministic() {
-        let config = SynthesisConfig::sized("det", 200);
+        let config = sized("det", 200);
         let a = generate(&config).unwrap();
         let b = generate(&config).unwrap();
         assert_eq!(a.to_bench(), b.to_bench());
@@ -247,15 +239,15 @@ mod tests {
 
     #[test]
     fn different_names_give_different_circuits() {
-        let a = generate(&SynthesisConfig::sized("alpha", 200)).unwrap();
-        let b = generate(&SynthesisConfig::sized("beta", 200)).unwrap();
+        let a = generate(&sized("alpha", 200)).unwrap();
+        let b = generate(&sized("beta", 200)).unwrap();
         assert_ne!(a.to_bench(), b.to_bench());
     }
 
     #[test]
     fn gate_count_is_exact() {
         for target in [10, 57, 200, 1000] {
-            let nl = generate(&SynthesisConfig::sized("count", target)).unwrap();
+            let nl = generate(&sized("count", target)).unwrap();
             assert_eq!(nl.combinational_count(), target, "target {target}");
         }
     }
@@ -279,7 +271,7 @@ mod tests {
 
     #[test]
     fn generated_netlists_are_acyclic_and_deep_enough() {
-        let config = SynthesisConfig::sized("depth", 400);
+        let config = sized("depth", 400);
         let nl = generate(&config).unwrap();
         let levels = levelize(&nl).unwrap();
         assert!(
@@ -292,7 +284,7 @@ mod tests {
 
     #[test]
     fn stats_look_like_a_mapped_netlist() {
-        let nl = generate(&SynthesisConfig::sized("stats", 500)).unwrap();
+        let nl = generate(&sized("stats", 500)).unwrap();
         // Average fan-in over combinational gates, average fan-out over
         // the signals that drive something.
         let comb: Vec<usize> =
@@ -311,27 +303,27 @@ mod tests {
 
     #[test]
     fn invalid_configurations_are_rejected() {
-        let mut c = SynthesisConfig::sized("bad", 10);
+        let mut c = sized("bad", 10);
         c.combinational_gates = 0;
         assert!(c.validate().is_err());
-        let mut c = SynthesisConfig::sized("bad", 10);
+        let mut c = sized("bad", 10);
         c.primary_inputs = 0;
         assert!(c.validate().is_err());
-        let mut c = SynthesisConfig::sized("bad", 10);
+        let mut c = sized("bad", 10);
         c.primary_outputs = 0;
         assert!(c.validate().is_err());
-        let mut c = SynthesisConfig::sized("bad", 10);
+        let mut c = sized("bad", 10);
         c.target_depth = 0;
         assert!(c.validate().is_err());
-        let mut c = SynthesisConfig::sized("bad", 10);
+        let mut c = sized("bad", 10);
         c.target_depth = 100;
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn seed_changes_the_structure() {
-        let a = generate(&SynthesisConfig::sized("seeded", 150).with_seed(1)).unwrap();
-        let b = generate(&SynthesisConfig::sized("seeded", 150).with_seed(2)).unwrap();
+        let a = generate(&SynthesisConfig { seed: 1, ..sized("seeded", 150) }).unwrap();
+        let b = generate(&SynthesisConfig { seed: 2, ..sized("seeded", 150) }).unwrap();
         assert_ne!(a.to_bench(), b.to_bench());
     }
 }

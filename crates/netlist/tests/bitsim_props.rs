@@ -22,6 +22,22 @@ use netlist::{GateId, GateKind, Netlist, NetlistBuilder};
 /// Input sets settled together at the equivalence checker's width.
 const WIDE: usize = 8;
 
+/// A synthetic circuit of `gates` combinational gates: I/O and state scale
+/// with the square root of the size, depth scales logarithmically.
+fn sized(gates: usize, seed: u64) -> SynthesisConfig {
+    let gates = gates.max(2);
+    let sqrt = (gates as f64).sqrt();
+    SynthesisConfig {
+        name: "prop".to_string(),
+        combinational_gates: gates,
+        primary_inputs: (sqrt * 0.8).round().clamp(2.0, 64.0) as usize,
+        primary_outputs: (sqrt * 0.5).round().clamp(1.0, 64.0) as usize,
+        flip_flops: (gates as f64 / 12.0).round().clamp(0.0, 512.0) as usize,
+        target_depth: ((gates as f64).ln() * 2.2).round().clamp(2.0, 64.0) as usize,
+        seed,
+    }
+}
+
 /// Steps the scalar simulator and a [`BitSim`] side by side for `cycles`
 /// cycles and asserts that lane 0 of every signal, output and next-state
 /// word equals the scalar value.
@@ -164,8 +180,7 @@ proptest! {
     fn scalar_simulator_matches_bitsim_lane_zero(
         (gates, seed, pattern_seed) in (20_usize..220, 0_u64..1_000, 0_u64..1_000)
     ) {
-        let config = SynthesisConfig::sized("prop", gates).with_seed(seed);
-        let nl = generate(&config).expect("synthetic netlist");
+        let nl = generate(&sized(gates, seed)).expect("synthetic netlist");
         assert_lane_zero_matches_scalar(&nl, pattern_seed, 4);
     }
 

@@ -58,20 +58,11 @@ pub struct MetricRow {
 }
 
 impl MetricRow {
-    /// Summarises one metric's `samples`, given in arrival order: the mean
-    /// is a left-to-right Welford fold (so equal sample sequences give
-    /// bit-equal means), and min, max and the nearest-rank quantiles are
-    /// taken in the one [`f64::total_cmp`] order — NaN and −0.0 included —
-    /// so they are the bits a full sort would put at their ranks.  An empty
-    /// metric summarises to zeros.
-    #[must_use]
-    pub fn of(name: &str, mut samples: Vec<f64>) -> Self {
-        let ([mean], _) = fold_means(samples.iter().map(|&value| [value]));
-        Self::with_mean(name, mean, &mut samples)
-    }
-
     /// The row of `samples` whose mean is already folded: min, max and the
-    /// quantiles by selection.  Leaves `samples` permuted.
+    /// nearest-rank quantiles by selection, taken in the one
+    /// [`f64::total_cmp`] order — NaN and −0.0 included — so they are the
+    /// bits a full sort would put at their ranks.  An empty metric
+    /// summarises to zeros.  Leaves `samples` permuted.
     fn with_mean(name: &str, mean: f64, samples: &mut [f64]) -> Self {
         let min = samples.iter().copied().min_by(f64::total_cmp).unwrap_or(0.0);
         let max = samples.iter().copied().max_by(f64::total_cmp).unwrap_or(0.0);
@@ -169,9 +160,10 @@ pub struct CampaignSummary {
 
 impl CampaignSummary {
     /// Summarises `rows` — one [`metric_values`] row per run, in run order.
-    /// Every metric's row has the bits [`MetricRow::of`] gives for its
-    /// column.  This is the one summarising core: one pass folds the six
-    /// means; then each metric's column is gathered into one scratch
+    /// Every metric's mean is a left-to-right Welford fold over its column
+    /// (so equal sample sequences give bit-equal means), and its min, max
+    /// and quantiles are `MetricRow::with_mean`'s.  This is the one
+    /// summarising core: one pass folds the six means; then each metric's column is gathered into one scratch
     /// column, reused across the metrics, for min, max and the quantiles.
     /// `rows` is iterated once for the fold and once per metric, through
     /// clones, so a slice is read in place and never copied.
@@ -236,6 +228,13 @@ impl fmt::Display for CampaignSummary {
 mod tests {
     use super::*;
 
+    /// Summarises one metric's `samples`, given in arrival order, as
+    /// [`CampaignSummary::of_rows`] summarises each column.
+    fn row_of(name: &str, mut samples: Vec<f64>) -> MetricRow {
+        let ([mean], _) = fold_means(samples.iter().map(|&value| [value]));
+        MetricRow::with_mean(name, mean, &mut samples)
+    }
+
     /// Nearest-rank quantile over an already-sorted slice; 0.0 when empty —
     /// the full-sort reference of [`select_nearest_ranks`].
     fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
@@ -271,7 +270,7 @@ mod tests {
         cases.extend(values.clone().map(|a| vec![a]));
         cases.extend(values.clone().flat_map(|a| values.clone().map(move |b| vec![a, b])));
         for samples in cases {
-            let row = MetricRow::of("small", samples.clone());
+            let row = row_of("small", samples.clone());
             let bits = row.values().map(f64::to_bits);
             assert_eq!(bits, sorted_reference(&samples), "{samples:?}");
         }
@@ -292,7 +291,7 @@ mod tests {
                 .iter()
                 .map(|&(pick, x)| SPECIALS.get(pick).copied().unwrap_or(f64::from(x) / 4.0))
                 .collect();
-            let row = MetricRow::of("random", samples.clone());
+            let row = row_of("random", samples.clone());
             proptest::prop_assert_eq!(row.values().map(f64::to_bits), sorted_reference(&samples));
         }
     }
@@ -310,7 +309,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_exact_nearest_rank() {
-        let row = MetricRow::of("ramp", (1..=100).map(f64::from).collect());
+        let row = row_of("ramp", (1..=100).map(f64::from).collect());
         assert_eq!(row.p50, 50.0);
         assert_eq!(row.p90, 90.0);
         assert_eq!(row.p99, 99.0);
@@ -323,7 +322,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_summarize_to_zero() {
-        let row = MetricRow::of("empty", Vec::new());
+        let row = row_of("empty", Vec::new());
         assert_eq!(row.values(), [0.0; 6]);
         let summary = CampaignSummary::of_rows([]);
         assert_eq!(summary.runs, 0);
@@ -368,13 +367,13 @@ mod tests {
         // quantile sort.
         let negative_nan = f64::from_bits(0xfff8_0000_0000_0001);
         let samples = vec![f64::NAN, 1.0, 3.0, 0.0, -0.0, negative_nan];
-        let row = MetricRow::of("nan", samples);
+        let row = row_of("nan", samples);
         assert_eq!(row.min.to_bits(), negative_nan.to_bits(), "the sorted head is -NaN");
         assert_eq!(row.max.to_bits(), f64::NAN.to_bits(), "the sorted tail is +NaN");
         // Sorted: -NaN, -0.0, +0.0, 1.0, 3.0, +NaN; nearest rank 3 of 6.
         assert_eq!(row.p50.to_bits(), 0.0_f64.to_bits(), "p50 is +0.0, not -0.0");
         assert_eq!(row.p99.to_bits(), f64::NAN.to_bits(), "max and p99 agree on the order");
-        let zeros = MetricRow::of("zeros", vec![0.0, -0.0]);
+        let zeros = row_of("zeros", vec![0.0, -0.0]);
         assert_eq!(zeros.min.to_bits(), (-0.0_f64).to_bits());
         assert_eq!(zeros.max.to_bits(), 0.0_f64.to_bits());
     }

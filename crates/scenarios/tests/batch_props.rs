@@ -193,22 +193,17 @@ proptest! {
         let spec = adversarial_source(source_index);
 
         let mut batch = BatchExecutor::new(2);
-        batch.enqueue(
-            BatchJob::new(
-                config.clone(),
-                spec.build(seed),
-                Seconds::new(duration),
-                dt,
-            )
-            .with_capacitor(cap),
-        );
+        batch.enqueue(BatchJob {
+            capacitor: cap,
+            ..BatchJob::new(config.clone(), spec.build(seed), Seconds::new(duration), dt)
+        });
         let batched = batch.run_to_completion();
 
         let mut scalar = IntermittentExecutor::with_source(
             config,
             spec.build(seed),
         )
-        .with_capacitor(cap);
+        .with_initial_energy(energy);
         let expected = scalar.run(Seconds::new(duration), dt);
         prop_assert_eq!(&expected, &batched[0]);
     }
@@ -248,7 +243,7 @@ proptest! {
             FsmConfig::paper_default().with_seed(seed),
             spec.build(seed),
         )
-        .with_capacitor(cap);
+        .with_initial_energy(Energy::from_millijoules(initial_mj));
         let (stats, trace) = exec.run_with_trace(Seconds::new(duration), dt);
 
         // Pre-transition reference: the f64 fold the executor ran before
@@ -463,20 +458,25 @@ fn per_family_sibling_forks_are_pinned() {
     }
 }
 
-/// Runs one job through a batch executor and through the scalar oracle,
-/// returning `(scalar, batched)` statistics.
+/// Runs one job, starting from `initial` stored energy, through a batch
+/// executor and through the scalar oracle, returning `(scalar, batched)`
+/// statistics.
 fn scalar_and_batched<S: HarvestSource + Clone>(
     config: FsmConfig,
-    cap: Capacitor,
+    initial: Energy,
     source: S,
     duration: f64,
     dt: f64,
 ) -> (RunStats, RunStats) {
     let (duration, dt) = (Seconds::new(duration), Seconds::new(dt));
     let mut batch = BatchExecutor::new(2);
-    batch.enqueue(BatchJob::new(config.clone(), source.clone(), duration, dt).with_capacitor(cap));
+    let capacitor = Capacitor::paper_default().with_energy(initial);
+    batch.enqueue(BatchJob {
+        capacitor,
+        ..BatchJob::new(config.clone(), source.clone(), duration, dt)
+    });
     let batched = batch.run_to_completion().remove(0);
-    let mut scalar = IntermittentExecutor::with_source(config, source).with_capacitor(cap);
+    let mut scalar = IntermittentExecutor::with_source(config, source).with_initial_energy(initial);
     (scalar.run(duration, dt), batched)
 }
 
@@ -509,8 +509,8 @@ proptest! {
             .collect();
         let total = Seconds::new(powers_uw.len() as f64 * interval_s);
         let source = PiecewiseSource::new(segments, true, total);
-        let cap = Capacitor::paper_default().with_energy(Energy::from_millijoules(initial_mj));
-        let (scalar, batched) = scalar_and_batched(config, cap, source, duration, dt_s);
+        let initial = Energy::from_millijoules(initial_mj);
+        let (scalar, batched) = scalar_and_batched(config, initial, source, duration, dt_s);
         prop_assert_eq!(scalar, batched);
     }
 
@@ -538,10 +538,9 @@ proptest! {
         let trickle_start = high_mw.len() as f64 * edge_s;
         segments.push((Seconds::new(trickle_start), Power::from_microwatts(trickle_uw)));
         let source = PiecewiseSource::new(segments, cyclic, Seconds::new(trickle_start + 300.0));
-        let full = Capacitor::paper_default();
-        let cap = full.with_energy(full.max_energy());
+        let full = Capacitor::paper_default().max_energy();
         let config = FsmConfig::paper_default().with_seed(seed);
-        let (scalar, batched) = scalar_and_batched(config, cap, source, duration, dt_s);
+        let (scalar, batched) = scalar_and_batched(config, full, source, duration, dt_s);
         prop_assert!(scalar.energy_clipped > EnergyFx::ZERO, "the capacitor never pinned");
         prop_assert_eq!(scalar, batched);
     }

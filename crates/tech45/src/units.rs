@@ -415,12 +415,6 @@ impl Energy {
     pub fn as_millijoules(self) -> f64 {
         self.value() * 1e3
     }
-
-    /// This energy in femtojoules.
-    #[must_use]
-    pub fn as_femtojoules(self) -> f64 {
-        self.value() * 1e15
-    }
 }
 
 impl Power {
@@ -502,12 +496,6 @@ impl Voltage {
 }
 
 impl Capacitance {
-    /// Creates a capacitance expressed in millifarads.
-    #[must_use]
-    pub fn from_millifarads(mf: f64) -> Self {
-        Self::new(mf * 1e-3)
-    }
-
     /// This capacitance in farads.
     #[must_use]
     pub fn as_farads(self) -> f64 {
@@ -549,21 +537,12 @@ impl Div<Power> for Energy {
 ///
 /// ```
 /// use tech45::units::{Capacitance, Voltage, capacitor_energy};
-/// let e = capacitor_energy(Capacitance::from_millifarads(2.0), Voltage::new(5.0));
+/// let e = capacitor_energy(Capacitance::new(2.0e-3), Voltage::new(5.0));
 /// assert!((e.as_millijoules() - 25.0).abs() < 1e-9);
 /// ```
 #[must_use]
 pub fn capacitor_energy(c: Capacitance, v: Voltage) -> Energy {
     Energy::new(0.5 * c.as_farads() * v.as_volts() * v.as_volts())
-}
-
-/// Voltage of a capacitor holding energy `e`: `V = sqrt(2·E/C)`.
-#[must_use]
-pub fn capacitor_voltage(c: Capacitance, e: Energy) -> Voltage {
-    if e.is_non_positive() {
-        return Voltage::ZERO;
-    }
-    Voltage::new((2.0 * e.as_joules() / c.as_farads()).sqrt())
 }
 
 #[cfg(test)]
@@ -576,7 +555,7 @@ mod tests {
         assert!((e.as_joules() - 0.025).abs() < 1e-15);
         assert!((e.as_millijoules() - 25.0).abs() < 1e-12);
         let pj = Energy::from_picojoules(3.0);
-        assert!((pj.as_femtojoules() - 3000.0).abs() < 1e-6);
+        assert!((pj.as_joules() - 3.0e-12).abs() < 1e-21);
     }
 
     #[test]
@@ -600,16 +579,8 @@ mod tests {
     #[test]
     fn capacitor_matches_paper_parameters() {
         // 2 mF at 5 V stores exactly the paper's E_MAX = 25 mJ.
-        let e = capacitor_energy(Capacitance::from_millifarads(2.0), Voltage::new(5.0));
+        let e = capacitor_energy(Capacitance::new(2.0e-3), Voltage::new(5.0));
         assert!((e.as_millijoules() - 25.0).abs() < 1e-9);
-        let v = capacitor_voltage(Capacitance::from_millifarads(2.0), e);
-        assert!((v.as_volts() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn capacitor_voltage_of_empty_cap_is_zero() {
-        let v = capacitor_voltage(Capacitance::from_millifarads(2.0), Energy::ZERO);
-        assert_eq!(v, Voltage::ZERO);
     }
 
     #[test]

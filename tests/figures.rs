@@ -97,9 +97,13 @@ fn policy_ablation_prefers_policy3_or_better() {
     // All policies must beat the NV-based baseline; Policy3 must be no worse
     // than the worst of the two extremes (it is the compromise).
     use diac_core::policy::Policy;
-    let p1 = ablation.average_normalized(Policy::Policy1);
-    let p2 = ablation.average_normalized(Policy::Policy2);
-    let p3 = ablation.average_normalized(Policy::Policy3);
+    let average = |policy: Policy| {
+        let rows = ablation.rows.iter().filter(|r| r.policy == policy);
+        let values: Vec<f64> = rows.map(|r| r.normalized_pdp).collect();
+        values.iter().sum::<f64>() / values.len() as f64
+    };
+    let (p1, p2, p3) =
+        (average(Policy::Policy1), average(Policy::Policy2), average(Policy::Policy3));
     for (name, value) in [("Policy1", p1), ("Policy2", p2), ("Policy3", p3)] {
         assert!(value > 0.0 && value < 1.0, "{name}: {value}");
     }
